@@ -1,29 +1,13 @@
 GO ?= go
 
-.PHONY: check fmt vet build test race bench bench-sweep
+.PHONY: check test bench bench-sweep
 
-# The full gate: formatting, vet, build, race-enabled tests.
-check: fmt vet build race
-
-fmt:
-	@out=$$(gofmt -l .); if [ -n "$$out" ]; then \
-		echo "gofmt needed on:"; echo "$$out"; exit 1; fi
-
-vet:
-	$(GO) vet ./...
-
-build:
-	$(GO) build ./...
+# The full gate (gofmt, vet, build, race-enabled tests, e2e smokes).
+check:
+	scripts/check.sh
 
 test:
 	$(GO) test ./...
-
-# -short skips the multi-minute full-sweep shape tests in the root package;
-# they run race-free under `make test`, and the sweep machinery they drive
-# is race-tested via internal/experiments. Without -short the root package
-# exceeds go test's default 10-minute timeout under the race detector.
-race:
-	$(GO) test -race -short -timeout 20m ./...
 
 bench:
 	$(GO) test -bench=. -benchmem -run=^$$ .

@@ -17,9 +17,6 @@
 // paper scale (16 SMs, reference grid), best of three, reporting simulated
 // cycles per wall-clock second. This is the number the event-driven core
 // optimizes; scripts/bench_sweep.sh records it as BENCH_hotpath.json.
-// The report also sweeps the sharded event core (gpu.Config.Shards at
-// 1/2/4/8 on the paper-16sm finereg cell) — the intra-simulation
-// parallelism axis; its speedup only materializes on multi-core hosts.
 //
 // -cpuprofile and -memprofile write pprof profiles covering the measured
 // runs; see EXPERIMENTS.md for the analysis workflow.
@@ -39,7 +36,6 @@ import (
 	"finereg/internal/gpu"
 	"finereg/internal/prof"
 	"finereg/internal/runner"
-	"finereg/internal/telemetry"
 	"finereg/internal/trace"
 )
 
@@ -65,48 +61,25 @@ type report struct {
 }
 
 // hotpathRow is one policy × machine-scale throughput measurement.
-// Shards > 0 marks a sharded-core sweep row (0 = the serial loop).
 type hotpathRow struct {
 	Scale        string  `json:"scale"`
 	SMs          int     `json:"sms"`
-	Shards       int     `json:"shards,omitempty"`
 	Policy       string  `json:"policy"`
 	Bench        string  `json:"bench"`
 	Grid         int     `json:"grid"`
 	Cycles       int64   `json:"cycles"`
 	Seconds      float64 `json:"seconds"`
 	CyclesPerSec float64 `json:"cycles_per_sec"`
-	// Sharded-row gate traffic, from the par_* telemetry counters.
-	// GateSyncsPerCycle is cross-core gate operations (frontier publishes
-	// + waits) per simulated cycle under batched publication + speculative
-	// reads; PerVisit is the same run costed at the PR 8 protocol (one
-	// publish per SM visit, one wait per shared touch incl. the reads that
-	// now speculate) — the reduction factor is the ratio. SpecReplayRate
-	// is speculative commits replayed / speculative reads.
-	GateSyncsPerCycle float64 `json:"gate_syncs_per_cycle,omitempty"`
-	PerVisitSyncs     float64 `json:"gate_syncs_per_cycle_pervisit,omitempty"`
-	SpecReplayRate    float64 `json:"spec_replay_rate,omitempty"`
 }
 
 type hotpathReport struct {
-	Date   string       `json:"date"`
-	GOOS   string       `json:"goos"`
-	GOARCH string       `json:"goarch"`
-	NumCPU int          `json:"num_cpu"`
-	Reps   int          `json:"reps"`
-	Rows   []hotpathRow `json:"rows"`
-	// ShardSpeedup is cycles/s at the best swept shard count over the
-	// serial loop, paper-16sm finereg cell. Only meaningful on multi-core
-	// hosts — with NumCPU 1 the shards time-slice one core and the ratio
-	// sits at or below 1.
-	ShardSpeedup float64 `json:"shard_speedup,omitempty"`
-	BestShards   int     `json:"best_shards,omitempty"`
-	// ShardRegression marks a sweep where no sharded row beat the serial
-	// loop (BestShards is then honestly 1 and ShardSpeedup the least-bad
-	// sharded ratio, below 1). Expected on single-core hosts, where the
-	// shards time-slice one CPU.
-	ShardRegression bool            `json:"shard_regression,omitempty"`
-	Progress        hotpathOverhead `json:"progress"`
+	Date     string          `json:"date"`
+	GOOS     string          `json:"goos"`
+	GOARCH   string          `json:"goarch"`
+	NumCPU   int             `json:"num_cpu"`
+	Reps     int             `json:"reps"`
+	Rows     []hotpathRow    `json:"rows"`
+	Progress hotpathOverhead `json:"progress"`
 }
 
 // hotpathOverhead is the observability tax measurement: the quick-4sm
@@ -271,90 +244,8 @@ func runHotpath() hotpathReport {
 			})
 		}
 	}
-	r.runShardSweep()
 	r.Progress = runProgressOverhead()
 	return r
-}
-
-// runShardSweep times the paper-16sm finereg cell under the sharded
-// event core at increasing shard counts (1 = the serial loop, measured
-// here too so the comparison shares a process and cache state). Results
-// are byte-identical at every count — the golden matrix pins that — so
-// the only thing that moves is wall-clock time, and only when the host
-// has cores to spread the shards over.
-func (r *hotpathReport) runShardSweep() {
-	gateWaits := telemetry.NewCounter("par_gate_waits")
-	gatePublishes := telemetry.NewCounter("par_gate_publishes")
-	parRounds := telemetry.NewCounter("par_rounds")
-	specReads := telemetry.NewCounter("par_spec_reads")
-	specReplays := telemetry.NewCounter("par_spec_replays")
-
-	cfg := finereg.DefaultConfig()
-	serial := 0.0
-	for _, shards := range []int{1, 2, 4, 8} {
-		cfg.Shards = shards
-		var cycles int64
-		best := 0.0
-		waits0, pubs0 := gateWaits.Value(), gatePublishes.Value()
-		rounds0, reads0, replays0 := parRounds.Value(), specReads.Value(), specReplays.Value()
-		for rep := 0; rep < hotpathReps; rep++ {
-			start := time.Now()
-			m, err := finereg.RunBenchmark(cfg, "CS", 0, finereg.FineReg())
-			secs := time.Since(start).Seconds()
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "finereg-bench: shard sweep shards=%d: %v\n", shards, err)
-				os.Exit(1)
-			}
-			cycles = m.Cycles
-			if rep == 0 || secs < best {
-				best = secs
-			}
-		}
-		cps := float64(cycles) / best
-		row := hotpathRow{
-			Scale:        "paper-16sm",
-			SMs:          cfg.NumSMs,
-			Shards:       shards,
-			Policy:       "finereg",
-			Bench:        "CS",
-			Cycles:       cycles,
-			Seconds:      best,
-			CyclesPerSec: cps,
-		}
-		if shards > 1 {
-			// Gate traffic over all reps (counters are process-global),
-			// normalized per simulated cycle across the same reps. The
-			// per-visit column costs the identical run at the PR 8
-			// protocol: one publish per SM per parallel round, plus a wait
-			// for each shared touch — including the reads that now
-			// speculate past the gate instead of waiting at it.
-			waits := float64(gateWaits.Value() - waits0)
-			pubs := float64(gatePublishes.Value() - pubs0)
-			rounds := float64(parRounds.Value() - rounds0)
-			reads := float64(specReads.Value() - reads0)
-			replays := float64(specReplays.Value() - replays0)
-			simCycles := float64(cycles) * hotpathReps
-			row.GateSyncsPerCycle = (waits + pubs) / simCycles
-			row.PerVisitSyncs = (rounds*float64(cfg.NumSMs) + waits + reads) / simCycles
-			if reads > 0 {
-				row.SpecReplayRate = replays / reads
-			}
-		}
-		r.Rows = append(r.Rows, row)
-		if shards == 1 {
-			serial = cps
-		} else if speedup := cps / serial; speedup > r.ShardSpeedup {
-			r.ShardSpeedup = speedup
-			r.BestShards = shards
-		}
-	}
-	// Honesty: when every sharded row loses to the serial loop, the best
-	// shard count for this host is 1 — say so instead of crowning the
-	// least-bad regression.
-	if r.ShardSpeedup <= 1 {
-		r.BestShards = 1
-		r.ShardRegression = true
-	}
 }
 
 // runProgressOverhead times the quick-4sm finereg cell with progress

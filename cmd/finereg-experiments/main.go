@@ -3,7 +3,7 @@
 // Usage:
 //
 //	finereg-experiments [-only t2,f2,f3,f4,f5,t3,f12,f13,f14,f15,f16,f17,f18,f19,abl,stalls,mps]
-//	                    [-sms 16] [-shards N] [-grid-scale 1.0] [-quick] [-audit] [-audit-collect]
+//	                    [-sms 16] [-grid-scale 1.0] [-quick] [-audit] [-audit-collect]
 //	                    [-jobs N] [-cache-dir .finereg-cache] [-no-cache]
 //	                    [-job-timeout 0] [-server http://host:8321]
 //
@@ -45,7 +45,6 @@ func main() {
 	var (
 		only       = flag.String("only", "", "comma-separated experiment ids (default: all)")
 		sms        = flag.Int("sms", 16, "number of SMs")
-		shards     = flag.Int("shards", 0, "SM shard goroutines per simulation (0/1 = serial; results and cache keys identical at any value)")
 		gridScale  = flag.Float64("grid-scale", 1.0, "workload grid scale")
 		quick      = flag.Bool("quick", false, "use the 4-SM quick configuration")
 		auditRuns  = flag.Bool("audit", false, "enable the runtime invariant auditor on every simulation")
@@ -62,7 +61,6 @@ func main() {
 	if *quick {
 		opts = experiments.Quick()
 	}
-	opts.Shards = *shards
 	opts.Audit = *auditRuns || *auditAll
 	opts.AuditCollect = *auditAll
 

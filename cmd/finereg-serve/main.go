@@ -5,7 +5,7 @@
 //
 //	finereg-serve [-addr :8321] [-workers N] [-queue 64] [-max-batch 256]
 //	              [-cache-dir .finereg-cache] [-no-cache] [-job-timeout 0]
-//	              [-progress-every N] [-shards N|auto] [-quiet]
+//	              [-progress-every N] [-quiet]
 //	              [-coordinator http://host:port] [-advertise http://host:port]
 //
 // Endpoints:
@@ -23,14 +23,6 @@
 // deltas) sampled every -progress-every simulated cycles; the same
 // samples feed the fleet-wide /metrics series (finereg_sim_*). Pass a
 // negative -progress-every to disable in-run sampling.
-//
-// -shards threads intra-run SM parallelism (gpu.Config.Shards) through
-// to every job this node simulates: each run's event steps Tick due SMs
-// across that many shard goroutines, byte-identical to serial execution
-// and invisible to the result cache. "auto" splits the host's cores over
-// the job-level workers (max(1, NumCPU/workers)); 0 leaves jobs serial.
-// In worker mode the setting is per-node, so a fleet can mix serial and
-// sharded workers freely.
 //
 // Identical jobs coalesce: in-flight duplicates share one execution, and
 // completed ones are answered from the content-addressed cache without
@@ -54,8 +46,6 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
-	"runtime"
-	"strconv"
 	"strings"
 	"syscall"
 	"time"
@@ -76,7 +66,6 @@ func main() {
 		noCache      = flag.Bool("no-cache", false, "keep results in memory only (no disk reads or writes)")
 		jobTimeout   = flag.Duration("job-timeout", 0, "per-simulation wall-clock budget (0 = none)")
 		progEvery    = flag.Int64("progress-every", 0, "in-run sample period in simulated cycles (0 = default, negative = off)")
-		shardsFlag   = flag.String("shards", "0", "intra-run SM shards per simulation (0 = serial, 'auto' = cores/workers)")
 		drainTimeout = flag.Duration("drain-timeout", 30*time.Second, "shutdown grace for in-flight simulations")
 		quiet        = flag.Bool("quiet", false, "suppress the stderr progress line")
 		coordinator  = flag.String("coordinator", "", "fleet coordinator base URL (worker mode: remote cache tier + self-registration)")
@@ -98,18 +87,12 @@ func main() {
 		Cache:   cache,
 		Timeout: *jobTimeout,
 	}
-	shards, err := parseShards(*shardsFlag, *workers)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "finereg-serve: %v\n", err)
-		os.Exit(2)
-	}
 	srv := serve.New(serve.Config{
 		Engine:        eng,
 		Workers:       *workers,
 		QueueCap:      *queueCap,
 		MaxBatch:      *maxBatch,
 		ProgressEvery: *progEvery,
-		Shards:        shards,
 	})
 	if !*quiet {
 		progress := trace.NewProgress(os.Stderr)
@@ -160,28 +143,6 @@ func cacheLabel(dir string) string {
 		return "memory-only"
 	}
 	return dir
-}
-
-// parseShards resolves the -shards flag. "auto" divides the host's cores
-// over the job-level worker slots, so one saturated node does not
-// oversubscribe: 16 cores / 4 workers = 4 shards per simulation. A lone
-// worker gets every core; more workers than cores degrades to serial.
-func parseShards(v string, workers int) (int, error) {
-	if v == "auto" {
-		if workers <= 0 {
-			workers = runtime.GOMAXPROCS(0)
-		}
-		n := runtime.NumCPU() / workers
-		if n < 1 {
-			n = 1
-		}
-		return n, nil
-	}
-	n, err := strconv.Atoi(v)
-	if err != nil || n < 0 {
-		return 0, fmt.Errorf("invalid -shards %q (want a non-negative integer or 'auto')", v)
-	}
-	return n, nil
 }
 
 // deriveAdvertise turns a listen address into a URL the coordinator can

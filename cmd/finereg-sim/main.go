@@ -6,7 +6,7 @@
 //
 //	finereg-sim [-bench CS,LB | all] [-policy baseline,vt,regdram,regmutex,finereg | all]
 //	            [-program file.sasm] [-stream a.sasm,b.sasm] [-partitions 8,8]
-//	            [-sms 16] [-shards N] [-grid-scale 1.0] [-srp 0.25] [-dram-cap 4] [-v]
+//	            [-sms 16] [-grid-scale 1.0] [-srp 0.25] [-dram-cap 4] [-v]
 //	            [-json | -csv] [-stalls] [-audit] [-audit-collect]
 //	            [-jobs N] [-cache-dir ''] [-no-cache] [-job-timeout 0]
 //	            [-progress] [-progress-every N]
@@ -35,12 +35,6 @@
 // in-run every -progress-every simulated cycles (default
 // gpu.DefaultProgressEvery). Sampling is observation only: results and
 // cache keys are byte-identical with it on or off.
-//
-// -shards parallelizes *within* each simulation: due SMs tick on a pool
-// of shard goroutines between deterministic barriers, byte-identical to
-// the serial loop at any shard count (DESIGN.md §15). -jobs parallelizes
-// *across* simulations; the two compose, so keep jobs × shards near the
-// host's core count.
 //
 // Runs are scheduled through the run engine (internal/runner): -jobs sets
 // the worker count (default GOMAXPROCS), -cache-dir enables the on-disk
@@ -82,7 +76,6 @@ func main() {
 		streamFlag  = flag.String("stream", "", "comma-separated .sasm files (or bench:XX entries) run as one in-order stream")
 		partsFlag   = flag.String("partitions", "", "comma-separated SM counts (summing to -sms): run the -stream kernels concurrently, one per static partition")
 		sms         = flag.Int("sms", 16, "number of SMs (shared resources scale proportionally)")
-		shards      = flag.Int("shards", 0, "SM shard goroutines per simulation (0/1 = serial; results byte-identical at any value)")
 		gridScale   = flag.Float64("grid-scale", 0, "grid-size scale factor (default: sms/16)")
 		srp         = flag.Float64("srp", 0.25, "RegMutex SRP fraction of the register file")
 		dramCap     = flag.Int("dram-cap", 4, "Reg+DRAM off-chip pending CTAs per SM")
@@ -104,7 +97,6 @@ func main() {
 	flag.Parse()
 
 	cfg := gpu.Default().Scale(*sms)
-	cfg.Shards = *shards
 	cfg.Audit = *auditRuns || *auditAll
 	cfg.AuditCollect = *auditAll
 	scale := *gridScale

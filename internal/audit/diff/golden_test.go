@@ -198,39 +198,3 @@ func TestGoldenProgressSampling(t *testing.T) {
 	}
 	compareGolden(t, cases)
 }
-
-// TestGoldenShardedExecution re-runs the pinned matrix with the sharded
-// event core at shards ∈ {2, 4} — committed golden_matrix.json unchanged.
-// This is the parallel core's byte-identity proof at full audit depth:
-// every cell runs with the cycle auditor attached, and every policy ×
-// scheduler combination must land on exactly the serial snapshot.
-// (Shards=1 — the serial loop — is what TestGoldenCycleExactness pins;
-// RunMatrix builds a fresh engine and empty cache per call, so these
-// cells genuinely re-simulate rather than replaying cached results of
-// the serial runs.)
-func TestGoldenShardedExecution(t *testing.T) {
-	if testing.Short() {
-		t.Skip("golden matrix sweep skipped in -short")
-	}
-	for _, shards := range []int{2, 4} {
-		cfg := Config(2)
-		cfg.Shards = shards
-		cases := goldenKernels(t)
-		for i := range cases {
-			gc := &cases[i]
-			outs, err := RunMatrix(cfg, gc.profile(t), gc.Grid)
-			if err != nil {
-				t.Fatalf("shards=%d %s/%d: %v", shards, gc.Kernel, gc.Grid, err)
-			}
-			for _, o := range outs {
-				gc.Cells = append(gc.Cells, goldenCell{
-					Label:        o.Label,
-					Instructions: o.Metrics.Instructions,
-					CTAsLaunched: o.Metrics.CTAsLaunched,
-					Cycles:       o.Metrics.Cycles,
-				})
-			}
-		}
-		compareGolden(t, cases)
-	}
-}

@@ -113,13 +113,6 @@ func TestHierarchySkewCaught(t *testing.T) {
 		expect(t, check(), "mem:demandBytes")
 		r.s.Hier.DRAM.InjectLedgerSkew(mem.TrafficDemand, -mem.LineBytes)
 	})
-	t.Run("specLedger", func(t *testing.T) {
-		// A speculative read whose commit was never accounted — the
-		// lost-commit bug the ledger balance exists to catch.
-		r.s.Hier.InjectSpecSkew(1)
-		expect(t, check(), "mem:specLedger")
-		r.s.Hier.InjectSpecSkew(-1)
-	})
 	t.Run("dramLedger", func(t *testing.T) {
 		// A transfer booked to the wrong class: the class ledger drifts from
 		// the independently counted gross bytes.

@@ -51,13 +51,6 @@ type Options struct {
 	// of aborting at the first drift. Implies Audit; not part of the job
 	// key.
 	AuditCollect bool
-	// Shards sets gpu.Config.Shards on every simulation: the intra-run
-	// worker-goroutine count for the sharded event core. Results are
-	// byte-identical at any value (it is excluded from the job key);
-	// raise it to speed up big single runs on a multi-core host when the
-	// engine's job-level parallelism is not already saturating the
-	// machine. 0 = serial.
-	Shards int
 }
 
 // Paper returns the full-scale configuration of Table I.
@@ -78,7 +71,6 @@ func (o Options) config() gpu.Config {
 	cfg := gpu.Default().Scale(o.SMs)
 	cfg.Audit = o.Audit || o.AuditCollect
 	cfg.AuditCollect = o.AuditCollect
-	cfg.Shards = o.Shards
 	return cfg
 }
 

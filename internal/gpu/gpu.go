@@ -14,7 +14,6 @@ import (
 	"finereg/internal/audit"
 	"finereg/internal/kernels"
 	"finereg/internal/mem"
-	"finereg/internal/par"
 	"finereg/internal/sm"
 	"finereg/internal/stats"
 	"finereg/internal/telemetry"
@@ -77,21 +76,6 @@ type Config struct {
 	// ProgressEvery is the sample period in simulated cycles
 	// (0 = DefaultProgressEvery).
 	ProgressEvery int64 `json:"-"`
-
-	// Shards is the worker-goroutine count for intra-run SM parallelism:
-	// a parallel event step Ticks due SMs across min(Shards, NumSMs)
-	// goroutines with shared-state access serialized in canonical SM
-	// order (internal/par, DESIGN.md §15), so results are byte-identical
-	// at every shard count — pinned by audit/diff's golden matrix.
-	// 0 or 1 selects the serial loop. Sharded untraced runs additionally
-	// speculate L2 reads past the ordering gate (validated or replayed at
-	// their canonical commit point — equally byte-identical); traced runs
-	// shard too, with per-SM event buffers drained in canonical order at
-	// each step barrier, but run with speculation off so emitted events
-	// carry final values. Excluded from the runner job key (json:"-"):
-	// shards change wall-clock time, never results, so sharded and serial
-	// runs share cache entries.
-	Shards int `json:"-"`
 
 	// Partitions, when non-empty, statically partitions the machine
 	// MPS-style: entry p is partition p's SM count, partitions occupy
@@ -200,9 +184,6 @@ type GPU struct {
 	sink  trace.Sink
 	stop  atomic.Bool
 
-	// gate orders shared-state access during parallel event steps; armed
-	// only while a sharded round is in flight (see shard.go).
-	gate *par.Gate
 	// ops is the run-scoped telemetry view backing exact per-job
 	// ProgressSample.Ops attribution (nil when Progress is unset).
 	ops *telemetry.Scope
@@ -224,11 +205,8 @@ func (g *GPU) SetTrace(t trace.Sink) {
 	}
 }
 
-// New constructs the GPU with one policy instance per SM. Each SM (and
-// its policy) receives its own ShardView of the memory hierarchy — a
-// shallow copy sharing the L2/DRAM but bound to the SM's slot in the
-// canonical order — so hierarchy traffic self-serializes when Run
-// executes event steps across shard goroutines.
+// New constructs the GPU with one policy instance per SM; every SM and
+// policy shares the one memory hierarchy.
 func New(cfg Config, pf PolicyFactory) *GPU {
 	spans, err := partitionSpans(cfg.NumSMs, cfg.Partitions)
 	if err != nil {
@@ -237,7 +215,7 @@ func New(cfg Config, pf PolicyFactory) *GPU {
 		panic(err)
 	}
 	hier := mem.NewHierarchy(cfg.L2Bytes, cfg.L2Ways, cfg.DRAMLatency, cfg.DRAMBytesPerCycle, cfg.Lat)
-	g := &GPU{Cfg: cfg, Hier: hier, spans: spans, gate: par.NewGate()}
+	g := &GPU{Cfg: cfg, Hier: hier, spans: spans}
 	for range spans {
 		g.disps = append(g.disps, &dispatcher{})
 	}
@@ -250,9 +228,7 @@ func New(cfg Config, pf PolicyFactory) *GPU {
 		for i >= spans[p][1] {
 			p++
 		}
-		hv := hier.ShardView(g.gate, i)
-		s := sm.New(i, cfg.SM, hv, g.disps[p], pf(cfg.SM, hv))
-		g.SMs = append(g.SMs, s)
+		g.SMs = append(g.SMs, sm.New(i, cfg.SM, hier, g.disps[p], pf(cfg.SM, hier)))
 	}
 	return g
 }
@@ -520,87 +496,25 @@ func (g *GPU) runLoop(st *loopState) error {
 		}
 	}
 
-	// Sharded execution (DESIGN.md §15): with Shards > 1 a pool of worker
-	// goroutines Ticks due SMs in parallel between the barrier points of
-	// this loop; everything below the Tick block — auditing, termination,
-	// sampling, time advance — runs on this goroutine exactly as in the
-	// serial loop. Steps with too few due SMs to amortize a round's
-	// synchronization are Ticked inline here instead (the gate stays
-	// disarmed, so those Ticks are as cheap as the serial loop's).
-	var pool *shardPool
-	if shards := g.effectiveShards(); shards > 1 {
-		pool = newShardPool(g, shards, wake, hasRes)
-		defer pool.close()
-	}
-
-	// Speculative L2 reads are on exactly when parallel rounds can happen
-	// and no sink observes mid-Tick state (a sink would see provisional
-	// ready times before a replayed commit corrects them). The per-run
-	// reset also clears each view's speculation ledger.
-	specOn := pool != nil && g.sink == nil
-	for _, s := range g.SMs {
-		s.Hier.SetSpeculation(specOn)
-	}
-
-	// Traced sharded runs swap every SM's sink for a private buffer and
-	// drain the buffers in ascending SM index order at each step barrier:
-	// the serial loop Ticks SMs in exactly that order, so the user's sink
-	// receives byte-for-byte the serial event stream with zero concurrent
-	// emission. Run-level events (RunStart/RunEnd) stay on this goroutine.
-	var tbufs []*trace.ShardBuffer
-	if pool != nil && g.sink != nil {
-		tbufs = make([]*trace.ShardBuffer, len(g.SMs))
-		for i, s := range g.SMs {
-			tbufs[i] = trace.NewShardBuffer()
-			s.SetTrace(tbufs[i])
-		}
-		defer func() {
-			for _, s := range g.SMs {
-				s.SetTrace(g.sink)
-			}
-		}()
-	}
-
 	for {
 		if g.stop.Load() {
 			return fmt.Errorf("%w at cycle %d", ErrInterrupted, now)
 		}
 		next := farFuture
-		parallel := false
-		if pool != nil {
-			due := 0
-			for i := range wake {
-				if wake[i] <= now {
-					due++
+		for i, s := range g.SMs {
+			if wake[i] <= now {
+				wake[i], _ = s.Tick(now)
+				if r := s.HasResidents(); r != hasRes[i] {
+					hasRes[i] = r
+					if r {
+						residentSMs++
+					} else {
+						residentSMs--
+					}
 				}
 			}
-			if due >= minDueForParallel {
-				var err error
-				next, residentSMs, err = pool.step(now)
-				if err != nil {
-					return err
-				}
-				parallel = true
-			}
-		}
-		if !parallel {
-			if pool != nil {
-				// A policy panic in an inline step of a sharded run
-				// surfaces as an error, exactly like one in a parallel
-				// round — the caller sees the same fault contract
-				// regardless of which path the faulting cycle took.
-				var err error
-				next, err = g.stepInlineProtected(now, wake, hasRes, &residentSMs)
-				if err != nil {
-					return err
-				}
-			} else {
-				next = g.stepInline(now, wake, hasRes, &residentSMs)
-			}
-		}
-		if tbufs != nil {
-			for _, b := range tbufs {
-				b.FlushTo(g.sink)
+			if wake[i] < next {
+				next = wake[i]
 			}
 		}
 		if st.auditor != nil {
@@ -705,22 +619,6 @@ func (g *GPU) collectNamed(name string, cycles int64) *stats.Metrics {
 	m.DRAMContextBytes = g.Hier.DRAM.Bytes(mem.TrafficContext)
 	m.DRAMBitvecBytes = g.Hier.DRAM.Bytes(mem.TrafficBitvec)
 	return m
-}
-
-// SpecStats sums the per-SM speculation ledgers of the last run:
-// speculative L2 reads issued, commits that validated, and commits that
-// replayed through the synchronized path. Deliberately not part of
-// stats.Metrics — speculation counts describe host-side execution
-// strategy, and Metrics must stay byte-identical between serial and
-// sharded runs.
-func (g *GPU) SpecStats() (reads, validated, replayed int64) {
-	for _, s := range g.SMs {
-		r, v, rp, _ := s.Hier.SpecLedger()
-		reads += r
-		validated += v
-		replayed += rp
-	}
-	return reads, validated, replayed
 }
 
 // RegWindowFracs concatenates the Figure 5 instrumentation windows of all

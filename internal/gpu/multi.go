@@ -3,10 +3,9 @@
 // partitioned machine (RunConcurrent). Both reuse Run's event loop
 // unchanged — a stream is several loop segments on one continuing cycle
 // clock, a concurrent run is one segment with a private dispatcher per
-// partition — so determinism and shard-compatibility are inherited, not
-// re-proven: the loop Ticks SMs in canonical index order (or shard-gated
-// to exactly that order), and partition membership only changes which
-// dispatcher an SM drains.
+// partition — so determinism is inherited, not re-proven: the loop Ticks
+// SMs in ascending index order, and partition membership only changes
+// which dispatcher an SM drains.
 package gpu
 
 import (
@@ -186,10 +185,10 @@ func (g *GPU) RunStream(ks ...*kernels.Kernel) (*MultiResult, error) {
 // every memory request meets the other tenants in the shared L2 and DRAM
 // channel. ks[p] is partition p's kernel. Because partition membership
 // only selects a dispatcher, the event core's determinism guarantees
-// carry over verbatim: repeat runs — at any shard count — are
-// byte-identical, and each partition's instruction count equals the same
-// kernel's solo run on a machine of the partition's size (instruction
-// streams are timing-independent; only cycle counts feel the contention).
+// carry over verbatim: repeat runs are byte-identical, and each
+// partition's instruction count equals the same kernel's solo run on a
+// machine of the partition's size (instruction streams are
+// timing-independent; only cycle counts feel the contention).
 func (g *GPU) RunConcurrent(ks ...*kernels.Kernel) (*MultiResult, error) {
 	if len(ks) != len(g.disps) {
 		return nil, fmt.Errorf("gpu: %d kernels for %d partitions", len(ks), len(g.disps))

@@ -94,20 +94,15 @@ func TestRunStreamRollup(t *testing.T) {
 }
 
 func TestRunStreamDeterministic(t *testing.T) {
-	run := func(shards int) *MultiResult {
-		cfg := Default().Scale(2)
-		cfg.Shards = shards
-		res, err := New(cfg, Baseline()).RunStream(mustKernel(t, "LB", 8), mustKernel(t, "ST", 8))
+	run := func() *MultiResult {
+		res, err := New(Default().Scale(2), Baseline()).RunStream(mustKernel(t, "LB", 8), mustKernel(t, "ST", 8))
 		if err != nil {
 			t.Fatal(err)
 		}
 		return res
 	}
-	base := run(0)
-	for _, shards := range []int{0, 2} {
-		if got := run(shards); !reflect.DeepEqual(got, base) {
-			t.Errorf("stream result differs at shards=%d", shards)
-		}
+	if !reflect.DeepEqual(run(), run()) {
+		t.Error("repeat stream runs differ")
 	}
 }
 
@@ -150,22 +145,18 @@ func TestRunConcurrentInstructionCounts(t *testing.T) {
 	}
 }
 
-func TestRunConcurrentDeterministicAcrossShards(t *testing.T) {
-	run := func(shards int) *MultiResult {
+func TestRunConcurrentDeterministic(t *testing.T) {
+	run := func() *MultiResult {
 		cfg := Default().Scale(4)
 		cfg.Partitions = []int{2, 2}
-		cfg.Shards = shards
 		res, err := New(cfg, Baseline()).RunConcurrent(mustKernel(t, "LB", 8), mustKernel(t, "ST", 8))
 		if err != nil {
 			t.Fatal(err)
 		}
 		return res
 	}
-	base := run(0)
-	for _, shards := range []int{0, 2, 3} {
-		if got := run(shards); !reflect.DeepEqual(got, base) {
-			t.Errorf("concurrent result differs at shards=%d", shards)
-		}
+	if !reflect.DeepEqual(run(), run()) {
+		t.Error("repeat concurrent runs differ")
 	}
 }
 

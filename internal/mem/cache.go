@@ -4,10 +4,7 @@
 // coalescer that turns access descriptors into 128-byte transactions.
 package mem
 
-import (
-	"fmt"
-	"sync/atomic"
-)
+import "fmt"
 
 // LineBytes is the cache line / memory transaction size.
 const LineBytes = 128
@@ -29,15 +26,6 @@ type Cache struct {
 	Accesses, Hits, Misses int64
 
 	stamp int64
-
-	// version counts content changes: it is bumped on every miss fill and
-	// on Reset, and never on a hit (hits touch only LRU recency, which
-	// cannot change a later probe's hit/miss outcome). Speculative readers
-	// (mem.Hierarchy L2 speculation) snapshot it before lock-free Probes
-	// and revalidate it at their canonical commit point: an unchanged
-	// version proves no line moved in between, so the probes observed
-	// exactly the state a synchronized access would have seen.
-	version atomic.Int64
 }
 
 // NewCache builds a cache of sizeBytes capacity with the given
@@ -91,36 +79,10 @@ func (c *Cache) Access(addr uint64) bool {
 		}
 	}
 	c.Misses++
-	c.version.Add(1)
-	// The fill store is atomic so concurrent lock-free Probes (speculative
-	// readers on other shard goroutines) never read a torn tag. Mutators
-	// are serialized by the canonical-order gate, so the plain tag reads in
-	// the scan above race with nothing.
-	atomic.StoreUint64(&c.tags[victim], line)
+	c.tags[victim] = line
 	c.used[victim] = c.stamp
 	return false
 }
-
-// Probe reports whether addr is resident without touching any cache
-// state — no LRU update, no counters, no fill. It uses atomic tag loads
-// only, so speculative readers may call it concurrently with a
-// gate-serialized Access on another goroutine; a probe that overlaps a
-// fill returns an arbitrary but untorn answer, which the caller's
-// version validation then rejects.
-func (c *Cache) Probe(addr uint64) bool {
-	line := (addr >> c.lineShift) + 1
-	set := int((addr >> c.lineShift) % c.sets)
-	base := set * c.ways
-	for i := base; i < base+c.ways; i++ {
-		if atomic.LoadUint64(&c.tags[i]) == line {
-			return true
-		}
-	}
-	return false
-}
-
-// Version returns the content-change counter (see the field doc).
-func (c *Cache) Version() int64 { return c.version.Load() }
 
 // Reset clears contents and counters.
 func (c *Cache) Reset() {
@@ -129,7 +91,6 @@ func (c *Cache) Reset() {
 		c.used[i] = 0
 	}
 	c.Accesses, c.Hits, c.Misses, c.stamp = 0, 0, 0, 0
-	c.version.Add(1)
 }
 
 // SizeBytes returns the cache capacity.

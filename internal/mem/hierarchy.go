@@ -2,26 +2,16 @@ package mem
 
 import (
 	"finereg/internal/isa"
-	"finereg/internal/par"
 	"finereg/internal/telemetry"
 )
 
 // Telemetry (internal/telemetry): shared-memory-system pressure. L2
 // counts are batched per warp access (one add covering all of the
-// access's missing lines) so the hot path pays at most two atomic adds
+// access's missing lines) so the hot path pays at most two counter adds
 // per memory instruction and none when the L1 absorbs it.
 var (
 	telL2Accesses = telemetry.NewCounter("mem_l2_accesses")
 	telL2Misses   = telemetry.NewCounter("mem_l2_misses")
-)
-
-// Speculation counters are global-only (never scoped): like the par_gate_*
-// counters they measure host-side synchronization cost, which differs
-// between serial and sharded executions of the same job and so must not
-// leak into per-run Ops deltas.
-var (
-	telSpecReads   = telemetry.NewCounter("par_spec_reads")
-	telSpecReplays = telemetry.NewCounter("par_spec_replays")
 )
 
 // Latencies groups the fixed on-chip access latencies (cycles).
@@ -35,88 +25,19 @@ func DefaultLatencies() Latencies { return Latencies{L1Hit: 28, L2Hit: 160} }
 
 // Hierarchy is the shared part of the memory system: one L2 and one DRAM
 // channel serving all SMs. Per-SM L1 caches are owned by the SMs and passed
-// into Access.
-//
-// Shard-boundary contract (sharded runs, internal/gpu): the L2 and DRAM
-// are mutable shared state, so under a parallel event step every access
-// to them must happen in canonical SM order. A per-SM view built with
-// ShardView enforces that on the paths the hierarchy itself owns — the
-// post-L1 portion of Access and the Transfer entry points — by waiting on
-// the owner SM's ordering gate before the first shared touch (L1 probes
-// are per-SM and stay ungated). Direct reads of h.L2 / h.DRAM from
-// policy code are legal only inside an SM's gated hook windows (see the
-// sm.Policy contract); run-level consumers (metric collection, the
-// auditor) read them between steps, when no shard is running.
+// into Access. One run goroutine ticks every SM, so nothing here is
+// synchronized.
 type Hierarchy struct {
 	L2   *Cache
 	DRAM *DRAM
 	Lat  Latencies
 
-	// gate/owner bind a ShardView to its SM's slot in the canonical
-	// order; nil gate (the base hierarchy, serial runs) disables ordering.
-	gate  *par.Gate
-	owner int
 	// ops is the owning run's telemetry scope (nil when the run is
-	// unobserved); shared by every view of one hierarchy.
+	// unobserved).
 	ops *telemetry.Scope
-
-	// missBuf collects an access's L1-missing lines so the shared-path
-	// phase of Access runs after all (per-SM, ungated) L1 probes. Per
-	// view: each SM's view grows its own buffer.
-	missBuf []uint64
-	// spec is this view's speculative-read state (nil until
-	// SetSpeculation(true); per view, like missBuf). See specState.
-	spec *specState
 }
 
-// specState buffers speculative L2 reads between their issue point and
-// their canonical commit point. One per ShardView (per SM); only the
-// owning SM's shard goroutine touches it, so all fields are plain.
-//
-// Protocol: an L1 miss whose lines all Probe-hit the L2 skips the gate
-// Wait, snapshots the L2 version, and buffers a specEntry instead of
-// touching shared state. The buffer drains at the view's next canonical
-// commit point — the SM's next synchronized shared access (Sync), or the
-// end of its Tick (CommitSpeculation from the shard runner) — which
-// first waits on the gate, then per entry: if the L2 version still
-// matches the snapshot, no fill happened anywhere since the probes, so
-// the probes observed exactly the state a synchronized access would have
-// seen and the entry applies through the real L2.Access (all lines hit
-// by construction); otherwise the entry replays through the full
-// synchronized L2/DRAM path with its original timestamps, and the
-// recomputed ready time overwrites the issuing warp's scoreboard slot
-// via the registered patch pointer — before any consumer can read it, so
-// aborts are semantically invisible (DESIGN.md §15 carries the proof).
-type specState struct {
-	enabled bool
-	entries []specEntry
-
-	// Ledger for the audit invariant reads == validated + replayed
-	// (checked between steps, when entries is empty).
-	reads, validated, replayed int64
-}
-
-// specEntry is one deferred L2 access.
-type specEntry struct {
-	now   int64    // issue cycle
-	ver   int64    // L2 version snapshot taken before the probes
-	patch *int64   // scoreboard slot to overwrite on replay (nil: store / no dst)
-	lines []uint64 // owned copy of the L1-missing lines
-}
-
-// ShardView returns a shallow copy of h bound to owner's slot in gate's
-// canonical order. Views share the L2, DRAM, and telemetry scope with the
-// base hierarchy; only the ordering identity differs. The run loop gives
-// each SM (and its policy) a view so hierarchy traffic self-serializes
-// under parallel steps.
-func (h *Hierarchy) ShardView(gate *par.Gate, owner int) *Hierarchy {
-	v := *h
-	v.gate, v.owner = gate, owner
-	return &v
-}
-
-// SetOps attaches the run's telemetry scope. Call on the base hierarchy
-// before building ShardViews so every view shares it.
+// SetOps attaches the run's telemetry scope.
 func (h *Hierarchy) SetOps(s *telemetry.Scope) {
 	h.ops = s
 	h.DRAM.ops = s
@@ -125,176 +46,6 @@ func (h *Hierarchy) SetOps(s *telemetry.Scope) {
 // Ops returns the attached telemetry scope (nil when unobserved).
 // Policies use it to attribute their own counters to the run.
 func (h *Hierarchy) Ops() *telemetry.Scope { return h.ops }
-
-// sync blocks until this view's owner SM holds the canonical-order gate
-// (no-op for the base hierarchy and outside parallel steps). It does NOT
-// drain the speculation buffer — internal callers that have already
-// committed use it directly; everyone else wants Sync.
-func (h *Hierarchy) sync() {
-	if h.gate != nil {
-		h.gate.Wait(h.owner)
-	}
-}
-
-// Sync enters the canonical shared-state order on behalf of the view's
-// owner SM, first committing any buffered speculative reads (their
-// canonical slot precedes whatever shared touch the caller is about to
-// make). This is the entry point for SM/policy code about to read or
-// mutate shared state outside the hierarchy's own methods.
-func (h *Hierarchy) Sync() {
-	h.commitSpec()
-	h.sync()
-}
-
-// SetSpeculation enables or disables speculative L2 reads on this view
-// and resets the per-run speculation ledger. The run loop calls it per
-// SM view at run start: on for sharded, untraced runs; off otherwise
-// (trace sinks would observe provisional ready times, and serial runs
-// have no gate to defer). Must not be called with entries buffered
-// (between runs, or before the first access).
-func (h *Hierarchy) SetSpeculation(on bool) {
-	if h.spec == nil {
-		if !on {
-			return
-		}
-		h.spec = &specState{}
-	}
-	if len(h.spec.entries) != 0 {
-		panic("mem: SetSpeculation with speculative entries in flight")
-	}
-	h.spec.enabled = on
-	h.spec.reads, h.spec.validated, h.spec.replayed = 0, 0, 0
-}
-
-// SpecPatch registers the scoreboard slot the most recent speculative
-// access should overwrite if its commit replays. Call immediately after
-// an Access that returned Speculative=true; a no-op otherwise.
-func (h *Hierarchy) SpecPatch(p *int64) {
-	sp := h.spec
-	if sp == nil || len(sp.entries) == 0 {
-		return
-	}
-	sp.entries[len(sp.entries)-1].patch = p
-}
-
-// CommitSpeculation drains the view's speculative-read buffer at its
-// canonical commit point. The shard runner calls it at the end of each
-// owned SM's Tick; a run with nothing buffered pays one nil/len check.
-func (h *Hierarchy) CommitSpeculation() { h.commitSpec() }
-
-// SpecLedger returns the view's per-run speculation ledger: speculative
-// reads issued, commits validated, commits replayed, and entries still
-// buffered. Outside a Tick (between steps, after a run) pending is
-// always zero — the audit invariants check both facts.
-func (h *Hierarchy) SpecLedger() (reads, validated, replayed, pending int64) {
-	sp := h.spec
-	if sp == nil {
-		return 0, 0, 0, 0
-	}
-	return sp.reads, sp.validated, sp.replayed, int64(len(sp.entries))
-}
-
-// InjectSpecSkew corrupts the speculation ledger's read count by delta.
-// Tests only: it exists so mutation tests can prove the auditor detects
-// ledger drift.
-func (h *Hierarchy) InjectSpecSkew(delta int64) {
-	if h.spec == nil {
-		h.spec = &specState{}
-	}
-	h.spec.reads += delta
-}
-
-// trySpeculate attempts to serve the L1-missing lines in h.missBuf
-// without synchronizing: eligible only when speculation is on, a
-// parallel step is in flight (armed gate — otherwise the deferred commit
-// would have no canonical point inside this step), and every missing
-// line lock-free-probes resident in the L2 (a DRAM access is never
-// speculated: the channel's queue state has no version to validate).
-// On success it buffers a specEntry and reports a provisional all-L2-hit
-// ready time through res.
-func (h *Hierarchy) trySpeculate(now int64, isStore bool, res *AccessResult) bool {
-	sp := h.spec
-	if sp == nil || !sp.enabled || h.gate == nil || !h.gate.Armed() {
-		return false
-	}
-	ver := h.L2.Version()
-	for _, addr := range h.missBuf {
-		if !h.L2.Probe(addr) {
-			return false
-		}
-	}
-	n := len(sp.entries)
-	if n < cap(sp.entries) {
-		sp.entries = sp.entries[:n+1]
-	} else {
-		sp.entries = append(sp.entries, specEntry{})
-	}
-	e := &sp.entries[n]
-	e.now, e.ver, e.patch = now, ver, nil
-	e.lines = append(e.lines[:0], h.missBuf...)
-	sp.reads++
-	telSpecReads.Inc()
-	if done := now + h.Lat.L1Hit + h.Lat.L2Hit; !isStore && done > res.ReadyAt {
-		res.ReadyAt = done
-	}
-	res.Speculative = true
-	return true
-}
-
-// commitSpec drains the speculation buffer: wait for the canonical slot,
-// then validate or replay each entry in program order. See specState.
-func (h *Hierarchy) commitSpec() {
-	sp := h.spec
-	if sp == nil || len(sp.entries) == 0 {
-		return
-	}
-	h.sync()
-	var acc, miss int64
-	for i := range sp.entries {
-		e := &sp.entries[i]
-		acc += int64(len(e.lines))
-		if h.L2.Version() == e.ver {
-			// No fill anywhere between the probes and this commit: the
-			// probed residency is the committed residency.
-			for _, addr := range e.lines {
-				if !h.L2.Access(addr) {
-					panic("mem: speculative commit: validated line missed L2")
-				}
-			}
-			sp.validated++
-		} else {
-			// Conflict: some fill (an earlier-ordered SM, or an earlier
-			// replayed entry of this buffer) moved the L2 after the probes.
-			// Replay through the synchronized path with the original
-			// timestamps and patch the issuing warp's scoreboard before
-			// anything can read the provisional value.
-			var ready int64
-			for _, addr := range e.lines {
-				var done int64
-				if h.L2.Access(addr) {
-					done = e.now + h.Lat.L1Hit + h.Lat.L2Hit
-				} else {
-					miss++
-					done = h.DRAM.Access(e.now+h.Lat.L1Hit+h.Lat.L2Hit, LineBytes, TrafficDemand)
-				}
-				if done > ready {
-					ready = done
-				}
-			}
-			if e.patch != nil {
-				*e.patch = ready
-			}
-			sp.replayed++
-			telSpecReplays.Inc()
-		}
-		e.patch = nil
-	}
-	sp.entries = sp.entries[:0]
-	telL2Accesses.AddScoped(h.ops, acc)
-	if miss > 0 {
-		telL2Misses.AddScoped(h.ops, miss)
-	}
-}
 
 // NewHierarchy builds the shared L2 + DRAM.
 func NewHierarchy(l2Bytes, l2Ways int, dramLatency int64, dramBytesPerCycle float64, lat Latencies) *Hierarchy {
@@ -312,62 +63,32 @@ type AccessResult struct {
 	ReadyAt int64
 	// L1Miss and L2Miss count missing transactions.
 	Transactions, L1Misses, L2Misses int
-	// Speculative marks a deferred L2 access: ReadyAt is the provisional
-	// all-L2-hit time and L2Misses is provisionally zero. The issuer must
-	// register its scoreboard slot with SpecPatch so a replayed commit can
-	// correct ReadyAt before anyone reads it.
-	Speculative bool
 }
 
 // Access performs one warp memory instruction against l1 (the issuing SM's
 // L1) at cycle now, touching the given line addresses. Stores consume
 // bandwidth but never block the warp.
-//
-// It runs in two phases. Phase one probes every line against the L1 —
-// per-SM state, never gated; hoisting all L1 probes ahead of the shared
-// path is outcome-identical to the interleaved order because L1 state
-// depends only on its own probe sequence. Phase two serves the missing
-// lines: speculatively (trySpeculate — no synchronization, deferred
-// commit) when eligible, else through the canonical-order synchronized
-// L2/DRAM path.
 func (h *Hierarchy) Access(l1 *Cache, now int64, lines []uint64, isStore bool) AccessResult {
 	res := AccessResult{ReadyAt: now, Transactions: len(lines)}
-	h.missBuf = h.missBuf[:0]
 	for _, addr := range lines {
-		if l1.Access(addr) {
-			if done := now + h.Lat.L1Hit; !isStore && done > res.ReadyAt {
-				res.ReadyAt = done
+		done := now + h.Lat.L1Hit
+		if !l1.Access(addr) {
+			res.L1Misses++
+			done += h.Lat.L2Hit
+			if !h.L2.Access(addr) {
+				res.L2Misses++
+				done = h.DRAM.Access(done, LineBytes, TrafficDemand)
 			}
-		} else {
-			h.missBuf = append(h.missBuf, addr)
-		}
-	}
-	if len(h.missBuf) == 0 {
-		// An all-L1-hit access never synchronizes.
-		return res
-	}
-	res.L1Misses = len(h.missBuf)
-	if h.trySpeculate(now, isStore, &res) {
-		return res
-	}
-	// Slow path: commit anything buffered (its canonical slot precedes
-	// this access), enter the canonical order, touch the real L2/DRAM.
-	h.Sync()
-	for _, addr := range h.missBuf {
-		var done int64
-		if h.L2.Access(addr) {
-			done = now + h.Lat.L1Hit + h.Lat.L2Hit
-		} else {
-			res.L2Misses++
-			done = h.DRAM.Access(now+h.Lat.L1Hit+h.Lat.L2Hit, LineBytes, TrafficDemand)
 		}
 		if !isStore && done > res.ReadyAt {
 			res.ReadyAt = done
 		}
 	}
-	telL2Accesses.AddScoped(h.ops, int64(res.L1Misses))
-	if res.L2Misses > 0 {
-		telL2Misses.AddScoped(h.ops, int64(res.L2Misses))
+	if res.L1Misses > 0 {
+		telL2Accesses.AddScoped(h.ops, int64(res.L1Misses))
+		if res.L2Misses > 0 {
+			telL2Misses.AddScoped(h.ops, int64(res.L2Misses))
+		}
 	}
 	return res
 }
@@ -378,7 +99,6 @@ func (h *Hierarchy) Transfer(now int64, bytes int, class TrafficClass) int64 {
 	if bytes <= 0 {
 		return now
 	}
-	h.Sync()
 	return h.DRAM.Access(now, bytes, class)
 }
 
@@ -391,7 +111,6 @@ func (h *Hierarchy) TransferOverlapped(now int64, bytes int, class TrafficClass)
 	if bytes <= 0 {
 		return now
 	}
-	h.Sync()
 	return h.DRAM.Access(now, bytes, class) - h.DRAM.LatencyCycles
 }
 

@@ -5,7 +5,6 @@ import (
 	"testing/quick"
 
 	"finereg/internal/isa"
-	"finereg/internal/par"
 )
 
 func TestCacheGeometry(t *testing.T) {
@@ -298,112 +297,5 @@ func TestDRAMSubCycleRounding(t *testing.T) {
 	d2 := &DRAM{LatencyCycles: 0, BytesPerCycle: 313}
 	if got := d2.Access(100, 313, TrafficDemand); got != 101 {
 		t.Errorf("whole-cycle access completes at %d, want 101", got)
-	}
-}
-
-// TestCacheProbeAndVersion pins the two primitives L2 speculation is
-// built on: Probe reads residency without mutating anything, and the
-// version counter moves on fills (and Reset) but never on hits.
-func TestCacheProbeAndVersion(t *testing.T) {
-	c := MustNewCache(4*LineBytes, 1)
-	v0 := c.Version()
-	if c.Probe(0) {
-		t.Fatal("Probe hit on an empty cache")
-	}
-	if c.Accesses != 0 || c.Hits != 0 || c.Misses != 0 || c.Version() != v0 {
-		t.Fatal("Probe mutated cache state")
-	}
-	c.Access(0)
-	if c.Version() == v0 {
-		t.Fatal("miss fill did not bump the version")
-	}
-	if !c.Probe(0) {
-		t.Fatal("Probe missed a resident line")
-	}
-	v1 := c.Version()
-	c.Access(0) // hit: LRU only
-	if c.Version() != v1 {
-		t.Fatal("hit bumped the version (would cause spurious replays)")
-	}
-	c.Reset()
-	if c.Version() == v1 {
-		t.Fatal("Reset did not bump the version")
-	}
-	if c.Probe(0) {
-		t.Fatal("Probe hit after Reset")
-	}
-}
-
-// TestHierarchySpeculation drives the deferred-L2-read protocol directly:
-// an eligible access buffers instead of synchronizing, a quiet commit
-// validates and applies, and a conflicting fill between issue and commit
-// forces a replay that corrects the patched ready time.
-func TestHierarchySpeculation(t *testing.T) {
-	h := NewHierarchy(2<<20, 8, 400, 313, DefaultLatencies())
-	g := par.NewGate()
-	g.Size(1)
-	v := h.ShardView(g, 0)
-	v.SetSpeculation(true)
-	lines := []uint64{0}
-
-	// Prefill the L2 through the synchronized path (gate unarmed:
-	// speculation is ineligible, slow path runs).
-	if res := v.Access(MustNewCache(48<<10, 8), 0, lines, false); res.Speculative {
-		t.Fatal("access speculated with the gate unarmed")
-	}
-
-	// Validated commit: speculate inside an armed step, nothing conflicts.
-	g.Arm()
-	g.Visit(0, 0)
-	res := v.Access(MustNewCache(48<<10, 8), 100, lines, false)
-	if !res.Speculative || res.L1Misses != 1 || res.L2Misses != 0 {
-		t.Fatalf("eligible access did not speculate: %+v", res)
-	}
-	want := 100 + h.Lat.L1Hit + h.Lat.L2Hit
-	if res.ReadyAt != want {
-		t.Fatalf("provisional ReadyAt %d, want all-L2-hit %d", res.ReadyAt, want)
-	}
-	if _, _, _, p := v.SpecLedger(); p != 1 {
-		t.Fatalf("pending %d after speculative access, want 1", p)
-	}
-	ready := res.ReadyAt
-	v.SpecPatch(&ready)
-	accBefore := h.L2.Accesses
-	v.CommitSpeculation()
-	g.Finish(0)
-	g.Disarm()
-	if r, val, rp, p := v.SpecLedger(); r != 1 || val != 1 || rp != 0 || p != 0 {
-		t.Fatalf("ledger after validated commit = %d/%d/%d/%d, want 1/1/0/0", r, val, rp, p)
-	}
-	if h.L2.Accesses != accBefore+1 {
-		t.Fatalf("validated commit applied %d L2 accesses, want 1", h.L2.Accesses-accBefore)
-	}
-	if ready != want {
-		t.Fatalf("validated commit changed ready time to %d", ready)
-	}
-
-	// Replayed commit: speculate, then evict the probed line (8 fills in
-	// its set, bumping the version) before the commit — the replay must
-	// take the DRAM path and push the patched ready time past provisional.
-	g.Arm()
-	g.Visit(0, 0)
-	res = v.Access(MustNewCache(48<<10, 8), 200, lines, false)
-	if !res.Speculative {
-		t.Fatalf("second speculation did not engage: %+v", res)
-	}
-	ready = res.ReadyAt
-	v.SpecPatch(&ready)
-	sets := uint64(h.L2.SizeBytes() / (8 * LineBytes))
-	for k := uint64(1); k <= 8; k++ {
-		h.L2.Access(k * sets * LineBytes) // same set as line 0
-	}
-	v.CommitSpeculation()
-	g.Finish(0)
-	g.Disarm()
-	if r, val, rp, p := v.SpecLedger(); r != 2 || val != 1 || rp != 1 || p != 0 {
-		t.Fatalf("ledger after replayed commit = %d/%d/%d/%d, want 2/1/1/0", r, val, rp, p)
-	}
-	if provisional := int64(200) + h.Lat.L1Hit + h.Lat.L2Hit; ready <= provisional {
-		t.Fatalf("replay left ready at %d, want > provisional %d (DRAM path)", ready, provisional)
 	}
 }

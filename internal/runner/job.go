@@ -44,11 +44,10 @@ import (
 // v4: Metrics.RegDepletionStallCycles is now the sum across SMs instead
 // of a truncating per-SM average (the division dropped up to NumSMs−1
 // cycles). Timing is untouched — only this serialized metric changes —
-// but cached results carry it, so the fingerprint moves. The sharded run
-// loop (gpu.Config.Shards) that landed alongside is excluded from the
-// key entirely: shard count changes wall-clock time, never results
-// (pinned byte-identical by audit/diff's golden matrix at shards 1/2/4),
-// so sharded and serial runs share cache entries.
+// but cached results carry it, so the fingerprint moves. gpu.Config
+// fields tagged json:"-" never enter the key, so adding or removing one
+// needs no bump; TestJobKeyStableAndSensitive pins a literal v4 key to
+// check that.
 const SimFingerprint = "finereg-sim-v4"
 
 // Job is one schedulable simulation: a machine configuration, a workload

@@ -42,6 +42,12 @@ func TestJobKeyStableAndSensitive(t *testing.T) {
 	if len(k1) != 64 {
 		t.Fatalf("key %q is not a hex SHA-256", k1)
 	}
+	// A literal key held across commits: removing or adding a key-excluded
+	// gpu.Config field must not orphan cached results.
+	const v4Key = "4ce2aa03cf5bb626444cbd7e94463665d80604c9640283d4712bda3e046e0cbc"
+	if got := j.Key("finereg-sim-v4"); got != v4Key {
+		t.Errorf("key under finereg-sim-v4 = %s, want %s", got, v4Key)
+	}
 
 	// Every key-bearing field must perturb the key; the label must not.
 	perturbed := []*Job{
@@ -306,28 +312,42 @@ func TestCacheCorruptEntryFallsBack(t *testing.T) {
 	}
 }
 
+// panicOnFinish is a Baseline policy that panics mid-run, inside a
+// lifecycle hook the SM invokes from Tick.
+type panicOnFinish struct{ sm.Policy }
+
+func (panicOnFinish) OnCTAFinished(*sm.SM, *sm.CTA, int64) { panic("kaboom") }
+
 func TestPanicIsolation(t *testing.T) {
-	boom := Custom("test/panic", func(cfg sm.Config, hier *mem.Hierarchy) sm.Policy {
-		panic("kaboom")
-	})
-	jobs := []*Job{tinyJob(t, "CS", boom), tinyJob(t, "CS", Baseline())}
-	b := (&Engine{Jobs: 2}).Run(jobs)
-	if b.Errs[0] == nil || b.Results[0] != nil {
-		t.Fatal("panicking job must fail")
-	}
-	var pe *PanicError
-	if !errors.As(b.Errs[0], &pe) || pe.Value != "kaboom" || len(pe.Stack) == 0 {
-		t.Fatalf("want PanicError with stack, got %v", b.Errs[0])
-	}
-	var je *JobError
-	if !errors.As(b.Errs[0], &je) {
-		t.Fatalf("failure must carry the job label, got %v", b.Errs[0])
-	}
-	if b.Errs[1] != nil || b.Results[1] == nil {
-		t.Fatal("healthy job must survive a sibling panic")
-	}
-	if err := b.Err(); err == nil || !strings.Contains(err.Error(), "kaboom") {
-		t.Fatalf("batch error should surface the panic, got %v", err)
+	for name, pf := range map[string]gpu.PolicyFactory{
+		"factory": func(sm.Config, *mem.Hierarchy) sm.Policy { panic("kaboom") },
+		// The run loop does not recover: a panic under Tick unwinds through
+		// gpu.Run and must still end as a PanicError, not a dead process.
+		"hook": func(cfg sm.Config, hier *mem.Hierarchy) sm.Policy {
+			return panicOnFinish{gpu.Baseline()(cfg, hier)}
+		},
+	} {
+		t.Run(name, func(t *testing.T) {
+			jobs := []*Job{tinyJob(t, "CS", Custom("test/panic-"+name, pf)), tinyJob(t, "CS", Baseline())}
+			b := (&Engine{Jobs: 2}).Run(jobs)
+			if b.Errs[0] == nil || b.Results[0] != nil {
+				t.Fatal("panicking job must fail")
+			}
+			var pe *PanicError
+			if !errors.As(b.Errs[0], &pe) || pe.Value != "kaboom" || len(pe.Stack) == 0 {
+				t.Fatalf("want PanicError with stack, got %v", b.Errs[0])
+			}
+			var je *JobError
+			if !errors.As(b.Errs[0], &je) {
+				t.Fatalf("failure must carry the job label, got %v", b.Errs[0])
+			}
+			if b.Errs[1] != nil || b.Results[1] == nil {
+				t.Fatal("healthy job must survive a sibling panic")
+			}
+			if err := b.Err(); err == nil || !strings.Contains(err.Error(), "kaboom") {
+				t.Fatalf("batch error should surface the panic, got %v", err)
+			}
+		})
 	}
 }
 

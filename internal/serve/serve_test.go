@@ -108,46 +108,6 @@ func TestEndToEndByteIdentical(t *testing.T) {
 	}
 }
 
-// TestShardedServerByteIdentical: a server configured with intra-run
-// shards must return byte-identical results, under the same cache keys,
-// as a serial direct run — sharding is host tuning, invisible to both
-// the result and the key (gpu.Config.Shards is json:"-").
-func TestShardedServerByteIdentical(t *testing.T) {
-	jobs := []*runner.Job{
-		tinyJob(t, "CS", runner.FineRegDefault()),
-		tinyJob(t, "LB", runner.Baseline()),
-	}
-
-	direct := (&runner.Engine{}).Run(jobs)
-	if err := direct.Err(); err != nil {
-		t.Fatalf("direct run: %v", err)
-	}
-
-	_, c := newTestServer(t, Config{Workers: 2, Shards: 2})
-	remote, err := c.RunJobs(context.Background(), jobs)
-	if err != nil {
-		t.Fatalf("remote run: %v", err)
-	}
-	if err := remote.Err(); err != nil {
-		t.Fatalf("remote batch: %v", err)
-	}
-	for i := range jobs {
-		want := mustJSON(t, direct.Results[i])
-		got := mustJSON(t, remote.Results[i])
-		if !bytes.Equal(want, got) {
-			t.Errorf("job %d (%s): sharded server result differs from serial direct run\ndirect: %s\nremote: %s",
-				i, jobs[i].Label, want, got)
-		}
-	}
-	sub, err := c.SubmitBatch(context.Background(), []JobRequest{RequestFromJob(jobs[0])})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if want := jobs[0].Key(runner.SimFingerprint); sub.Jobs[0].Key != want {
-		t.Errorf("sharded server key %s != serial local key %s", sub.Jobs[0].Key, want)
-	}
-}
-
 // TestWarmCacheResubmit: a second submission of an already-computed batch
 // must be answered without re-simulation (the coalesce-or-cache rung of
 // the admission ladder).

@@ -88,13 +88,6 @@ type Config struct {
 	// (lifecycle events and end-of-run telemetry still flow). Sampling
 	// never changes results or cache keys.
 	ProgressEvery int64
-	// Shards sets intra-run SM parallelism (gpu.Config.Shards) for jobs
-	// executed by this server: each run's event steps Tick due SMs across
-	// this many shard goroutines, byte-identical to serial execution.
-	// Like ProgressEvery it is host tuning, excluded from the job key
-	// (gpu.Config.Shards is json:"-"): a sharded run hits the same cache
-	// entries as a serial twin. <= 0 leaves submitted jobs untouched.
-	Shards int
 }
 
 // Defaults for Config's zero values.
@@ -448,10 +441,6 @@ func (s *Server) admitLocked(jobs []*runner.Job, meta []jobMeta) ([]SubmitStatus
 			// job hits the same cache entries as an unsampled twin.
 			j.Cfg.ProgressEvery = s.cfg.ProgressEvery
 			j.Cfg.Progress = s.onProgress(rec)
-		}
-		if s.cfg.Shards > 0 {
-			// Intra-run parallelism: host tuning, also key-excluded.
-			j.Cfg.Shards = s.cfg.Shards
 		}
 		newIDs[id] = rec
 		fresh = append(fresh, rec)

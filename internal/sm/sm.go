@@ -18,20 +18,6 @@ import (
 //
 // The SM invokes the hooks; policies drive residency through the SM
 // primitives LaunchNew, Deactivate and Reactivate.
-//
-// Sharing contract (load-bearing for the sharded run loop, DESIGN.md
-// §15): an SM mutates no state outside itself except through the shared
-// memory hierarchy (s.Hier), the grid dispatcher (s.Disp), and atomic
-// telemetry counters — and every such touch happens either inside a
-// lifecycle hook window (FillSlots, OnCTAStalled, OnCTAReady,
-// OnCTAFinished — the SM enters the canonical-order gate before invoking
-// them) or on a path that gates itself (LaunchNew/LaunchParked before the
-// dispatcher, mem.Hierarchy views on their post-L1 paths). AllowIssue is
-// the one hook on the per-cycle issue hot path and is therefore held to a
-// stricter rule: it must read and write only per-SM state (its own policy
-// instance, the warp, the SM) — never the hierarchy, the dispatcher, or
-// anything shared. All six in-tree policies satisfy this (RegMutex, the
-// only non-trivial AllowIssue, touches only its per-SM SRP accounts).
 type Policy interface {
 	// Name identifies the configuration in results.
 	Name() string
@@ -160,16 +146,6 @@ func (s *SM) SetTrace(t trace.Sink) { s.sink = t }
 // Trace returns the attached sink (nil when tracing is off); policies use
 // it to emit register-transfer events.
 func (s *SM) Trace() trace.Sink { return s.sink }
-
-// syncShared enters the canonical shared-state order: it returns only
-// once every lower-indexed SM of the current parallel step has completed
-// its Tick, with any speculatively buffered L2 reads committed first
-// (their canonical slot precedes whatever the caller is about to touch).
-// Serial runs (nil gate) and steps outside a parallel round pay a couple
-// of branches. Idempotent within a Tick.
-func (s *SM) syncShared() {
-	s.Hier.Sync()
-}
 
 // ops returns the run's telemetry scope (nil when unobserved).
 func (s *SM) ops() *telemetry.Scope { return s.Hier.Ops() }
@@ -386,7 +362,6 @@ func (s *SM) LaunchNew(now, delay int64) *CTA {
 	if !s.CanActivateOne(true) {
 		return nil
 	}
-	s.syncShared() // the dispatcher is shared: take CTA IDs in canonical order
 	id := s.Disp.NextCTAID()
 	if id < 0 {
 		return nil
@@ -423,7 +398,6 @@ func (s *SM) LaunchParked(now int64, st CTAState) *CTA {
 	if !s.CanParkResident() {
 		return nil
 	}
-	s.syncShared() // the dispatcher is shared: take CTA IDs in canonical order
 	id := s.Disp.NextCTAID()
 	if id < 0 {
 		return nil
@@ -636,9 +610,6 @@ func (s *SM) dropWarpsOf(c *CTA) {
 
 // finishCTA releases a completed CTA's residency and notifies the policy.
 func (s *SM) finishCTA(c *CTA, now int64) {
-	// The policy hooks below (OnCTAFinished, FillSlots) and the shared
-	// telemetry may touch shared state: enter the canonical order first.
-	s.syncShared()
 	c.State = CTAFinished
 	telCTARetired.IncScoped(s.ops())
 	if s.sink != nil {
@@ -759,7 +730,6 @@ func (s *SM) Tick(now int64) (next int64, issued int) {
 			if s.sink != nil {
 				s.sink.CTAEvent(s.ID, trace.CTAReady, c.ID, now, 0)
 			}
-			s.syncShared() // hook window: the policy may touch Hier/Disp
 			s.Pol.OnCTAReady(s, c, now)
 		}
 	}
@@ -932,7 +902,6 @@ func (s *SM) block(w *Warp, until, now int64, reason trace.StallReason) {
 			// absent for a while; evicting a CTA whose first warp wakes
 			// shortly just convoys it behind the switch machinery.
 			if c.EarliestWake()-now >= s.Cfg.LongStall {
-				s.syncShared() // hook window: the policy may touch Hier/Disp
 				s.Pol.OnCTAStalled(s, c, now)
 			}
 		}
@@ -994,18 +963,8 @@ func (s *SM) issue(w *Warp, now int64) {
 		res := s.Hier.Access(s.L1, now, s.lineBuf, !in.IsLoad())
 		if in.Dst.Valid() {
 			w.regReady[in.Dst] = res.ReadyAt
-			if res.Speculative && in.IsLoad() {
-				// A replayed commit must be able to correct the
-				// provisional ready time before the next cycle reads it.
-				s.Hier.SpecPatch(&w.regReady[in.Dst])
-			}
 		}
 		if s.sink != nil {
-			// QueueDelay reads the shared DRAM channel: traced sharded
-			// runs must enter the canonical order even when the L1
-			// absorbed the access (speculation is off under tracing, so
-			// the emitted counts are final).
-			s.syncShared()
 			s.sink.MemAccess(s.ID, now, res.Transactions, res.L1Misses, res.L2Misses,
 				s.Hier.DRAM.QueueDelay(now))
 		}
@@ -1105,7 +1064,6 @@ func (s *SM) exitWarp(w *Warp, now int64) {
 		s.Cnt.CTAStallEvents++
 		telCTAFullStall.IncScoped(s.ops())
 		if c.EarliestWake()-now >= s.Cfg.LongStall {
-			s.syncShared() // hook window: the policy may touch Hier/Disp
 			s.Pol.OnCTAStalled(s, c, now)
 		}
 	}

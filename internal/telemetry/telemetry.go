@@ -130,17 +130,17 @@ func (s Snapshot) Delta(prev Snapshot) Snapshot {
 }
 
 // Scope is one run's private view of the registry: a dense array of
-// atomic cells indexed by counter registration id. Instrumented sites
-// that hold a scope dual-write through AddScoped/IncScoped, so the scope
+// cells indexed by counter registration id. Instrumented sites that hold
+// a scope dual-write through AddScoped/IncScoped, so the scope
 // accumulates exactly the ops performed on behalf of its run while the
-// global counters keep the fleet-wide /metrics series. Cells are atomic
-// because a sharded run (internal/gpu) bumps them from several shard
-// goroutines at once.
+// global counters keep the fleet-wide /metrics series. Cells are plain
+// int64: a scope belongs to one run, and the run goroutine is its only
+// writer and (via Capture at progress samples) its only reader.
 //
 // A nil *Scope is valid everywhere and attributes nothing — unobserved
 // runs pay only the nil check.
 type Scope struct {
-	v []atomic.Int64
+	v []int64
 }
 
 // NewScope returns a scope covering every counter registered so far.
@@ -150,7 +150,7 @@ func NewScope() *Scope {
 	global.mu.RLock()
 	n := len(global.byID)
 	global.mu.RUnlock()
-	return &Scope{v: make([]atomic.Int64, n)}
+	return &Scope{v: make([]int64, n)}
 }
 
 // Add attributes n of counter c to the scope. nil-safe.
@@ -159,7 +159,7 @@ func (s *Scope) Add(c *Counter, n int64) {
 		return
 	}
 	if c.id < len(s.v) {
-		s.v[c.id].Add(n)
+		s.v[c.id] += n
 	}
 }
 
@@ -172,8 +172,8 @@ func (s *Scope) Capture() Snapshot {
 	}
 	global.mu.RLock()
 	defer global.mu.RUnlock()
-	for id := range s.v {
-		if v := s.v[id].Load(); v != 0 {
+	for id, v := range s.v {
+		if v != 0 {
 			out[global.byID[id].name] = v
 		}
 	}

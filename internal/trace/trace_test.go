@@ -4,12 +4,10 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
-	"reflect"
 	"testing"
 
 	"finereg/internal/gpu"
 	"finereg/internal/kernels"
-	"finereg/internal/stats"
 	"finereg/internal/trace"
 )
 
@@ -74,42 +72,6 @@ func TestStallPartitionInvariant(t *testing.T) {
 				}
 			})
 		}
-	}
-}
-
-// TestStallPartitionInvariantSharded re-runs the partition invariant on
-// a sharded machine: per-SM trace buffers (not the aggregator itself)
-// absorb concurrent emission, so the breakdown a sharded run delivers
-// must equal the serial run's field for field — the partition property
-// and the identity both. Run under -race this also exercises the buffer
-// merge path against the aggregator's single-goroutine assumption.
-func TestStallPartitionInvariantSharded(t *testing.T) {
-	for _, bench := range []string{"CS", "NW", "SG"} {
-		t.Run(bench, func(t *testing.T) {
-			run := func(shards int) (*stats.StallBreakdown, int64) {
-				agg := trace.NewStallAggregator()
-				cfg := testConfig()
-				cfg.Shards = shards
-				g := gpu.New(cfg, gpu.FineRegDefault())
-				g.SetTrace(agg)
-				m, err := g.Run(testKernel(t, bench, 96))
-				if err != nil {
-					t.Fatalf("shards=%d: %v", shards, err)
-				}
-				return agg.Breakdown(), m.Instructions
-			}
-			serial, serialInstr := run(1)
-			sharded, shardedInstr := run(2)
-			if err := sharded.Check(); err != nil {
-				t.Errorf("sharded partition invariant: %v\n%s", err, sharded)
-			}
-			if serialInstr != shardedInstr {
-				t.Errorf("instructions diverge: serial %d, sharded %d", serialInstr, shardedInstr)
-			}
-			if !reflect.DeepEqual(serial, sharded) {
-				t.Errorf("stall breakdown diverges:\nserial:  %+v\nsharded: %+v", serial, sharded)
-			}
-		})
 	}
 }
 

@@ -12,20 +12,10 @@
 # A second pass records the single-thread cycle-loop throughput per policy
 # (quick 4-SM and paper 16-SM scale) in BENCH_hotpath.json — the number
 # the event-driven simulation core is measured by. The hotpath report also
-# carries the sharded-core sweep (the paper-16sm finereg cell at shards
-# 1/2/4/8; `shard_speedup` is the best count's gain over serial, only
-# meaningful on multi-core hosts — when every sharded row loses,
-# `best_shards` is honestly 1 and `shard_regression` is set). Each
-# sharded row also records gate traffic from the par_* counters:
-# `gate_syncs_per_cycle` (contended waits + frontier publishes per
-# simulated cycle under batched publication + speculative L2 reads),
-# `gate_syncs_per_cycle_pervisit` (the same run costed at the PR 8
-# publish-per-visit, wait-per-touch protocol — the reduction factor is
-# the ratio), and `spec_replay_rate` (speculative commits replayed over
-# speculative reads). Finally the `progress` block: the quick-4sm
-# finereg cell timed with in-run progress sampling off and on (no-op
-# callback, default period), so the observability tax is re-measured on
-# every sweep; on_over_off should stay within run-to-run noise of 1.0.
+# carries the `progress` block: the quick-4sm finereg cell timed with
+# in-run progress sampling off and on (no-op callback, default period), so
+# the observability tax is re-measured on every sweep; on_over_off should
+# stay within run-to-run noise of 1.0.
 set -eu
 cd "$(dirname "$0")/.."
 

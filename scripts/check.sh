@@ -1,6 +1,6 @@
 #!/bin/sh
-# Full repo gate: gofmt, vet, build, race-enabled tests.
-# Equivalent to `make check` for environments without make.
+# Full repo gate: gofmt, vet, build, race-enabled tests. This is the one
+# list of gates: `make check` and the CI check job both run this script.
 set -eu
 cd "$(dirname "$0")/.."
 
@@ -12,7 +12,10 @@ if [ -n "$out" ]; then
 fi
 go vet ./...
 go build ./...
-# -short: see the race target in the Makefile.
+# -short skips the multi-minute full-sweep shape tests in the root package;
+# they run race-free under `make test`, and the sweep machinery they drive
+# is race-tested via internal/experiments. Without -short the root package
+# exceeds go test's default 10-minute timeout under the race detector.
 go test -race -short -timeout 20m ./...
 # Run-engine gate: a parallel mini-sweep (4 workers + shared cache) under
 # the race detector, end to end through the experiments layer.
@@ -36,10 +39,10 @@ go test -race -count=1 -timeout 10m ./internal/fleet/...
 # Telemetry gate: the in-run progress path under the race detector — the
 # sampler in gpu.Run, the per-run op scopes (concurrent jobs must not
 # bleed into each other's samples), the engine's sink forwarding, and the
-# SSE progress stream — plus the golden-matrix proof that sampling leaves
-# every cell byte-identical (not -short, so it is skipped by the blanket
-# race pass above and must run here).
-go test -race -count=1 -timeout 10m -run 'Progress|Telemetry|Attribution' \
+# SSE progress stream — plus the golden matrix itself and the proof that
+# sampling leaves every cell byte-identical (not -short, so both are
+# skipped by the blanket race pass above and must run here).
+go test -race -count=1 -timeout 10m -run 'Progress|Telemetry|Attribution|TestGoldenCycleExactness' \
 	./internal/gpu/ ./internal/telemetry/ ./internal/runner/ ./internal/serve/ ./internal/audit/diff/
 # Ingestion gate: user-program workloads end to end under the race
 # detector — loader determinism, structured admission errors, a program
@@ -55,15 +58,3 @@ go test -race -count=1 -timeout 10m -run 'TestMPS|TestRunStream|TestRunConcurren
 	./internal/experiments/ ./internal/gpu/
 go run ./cmd/finereg-sim -program examples/saxpy.sasm -sms 2 -policy baseline,finereg -audit >/dev/null
 go run ./cmd/finereg-sim -stream examples/saxpy.sasm,bench:CS -partitions 1,1 -sms 2 -policy baseline -audit >/dev/null
-# Sharded-core gate: the golden matrix byte-identity proof at shards
-# 1 (TestGoldenCycleExactness), 2, and 4 (TestGoldenShardedExecution)
-# under the race detector — the sharded cells run untraced, so batched
-# frontier publication AND speculative L2 reads are both live in them —
-# plus the gpu-level sharded identity, speculation-replay, traced-stream
-# identity, panic containment, and fallback tests, and the sharded stall
-# partition (per-SM trace buffers merged in canonical order). This is the
-# determinism acceptance check for the low-sync parallel event core.
-go test -race -count=1 -timeout 10m \
-	-run 'TestGoldenCycleExactness|TestGoldenShardedExecution' ./internal/audit/diff/
-go test -race -count=1 -timeout 10m -run 'TestSharded|TestEffectiveShards' ./internal/gpu/
-go test -race -count=1 -timeout 10m -run 'TestStallPartitionInvariantSharded' ./internal/trace/
