@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check test bench bench-sweep
+.PHONY: check test bench
 
 # The full gate (gofmt, vet, build, race-enabled tests, e2e smokes).
 check:
@@ -11,7 +11,3 @@ test:
 
 bench:
 	$(GO) test -bench=. -benchmem -run=^$$ .
-
-# Parallel + cached speedup of the quick sweep -> BENCH_sweep.json.
-bench-sweep:
-	scripts/bench_sweep.sh

@@ -94,7 +94,14 @@ func main() {
 		defer progress.Close()
 	}
 
-	hs := &http.Server{Addr: *addr, Handler: coord}
+	// Header and idle timeouts only: SSE event streams are long-lived, so
+	// a whole-request read or write deadline would cut them off.
+	hs := &http.Server{
+		Addr:              *addr,
+		Handler:           coord,
+		ReadHeaderTimeout: 10 * time.Second,
+		IdleTimeout:       2 * time.Minute,
+	}
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()

@@ -19,10 +19,11 @@
 //	GET  /healthz              liveness (503 while draining)
 //
 // Freshly simulated jobs stream in-run `progress` SSE events (simulated
-// cycle, CTA launch/retire counts, live sim-cycles/s, telemetry op
-// deltas) sampled every -progress-every simulated cycles; the same
-// samples feed the fleet-wide /metrics series (finereg_sim_*). Pass a
-// negative -progress-every to disable in-run sampling.
+// cycle, CTA launch/retire counts, live sim-cycles/s, op-count deltas)
+// sampled every -progress-every simulated cycles; the same samples feed
+// the /metrics simulation series (finereg_sim_*). Pass a negative
+// -progress-every to disable in-run sampling (finereg_sim_*_total then
+// stay 0).
 //
 // Identical jobs coalesce: in-flight duplicates share one execution, and
 // completed ones are answered from the content-addressed cache without
@@ -100,7 +101,14 @@ func main() {
 		defer progress.Close()
 	}
 
-	hs := &http.Server{Addr: *addr, Handler: srv}
+	// Header and idle timeouts only: SSE event streams are long-lived, so
+	// a whole-request read or write deadline would cut them off.
+	hs := &http.Server{
+		Addr:              *addr,
+		Handler:           srv,
+		ReadHeaderTimeout: 10 * time.Second,
+		IdleTimeout:       2 * time.Minute,
+	}
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()

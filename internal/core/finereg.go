@@ -5,21 +5,7 @@ import (
 
 	"finereg/internal/mem"
 	"finereg/internal/sm"
-	"finereg/internal/telemetry"
 	"finereg/internal/trace"
-)
-
-// Telemetry (internal/telemetry): the FineReg degradation ladder's rungs
-// as process-global counters, so a live /metrics scrape or a Progress
-// sample shows which rung — ACRF-direct launch, PCRF spill/fill, or
-// depletion-blocked — the fleet is currently exercising.
-var (
-	telACRFLaunches = telemetry.NewCounter("finereg_acrf_launches")
-	telPCRFSpills   = telemetry.NewCounter("finereg_pcrf_spills")
-	telPCRFSpillReg = telemetry.NewCounter("finereg_pcrf_spill_regs")
-	telPCRFFills    = telemetry.NewCounter("finereg_pcrf_fills")
-	telPCRFFillReg  = telemetry.NewCounter("finereg_pcrf_fill_regs")
-	telDepletion    = telemetry.NewCounter("finereg_depletion_events")
 )
 
 // ctaInfo is the FineReg policy's per-CTA bookkeeping: its status-monitor
@@ -156,13 +142,13 @@ func (f *FineReg) FillSlots(s *sm.SM, now int64) {
 		if c == nil {
 			return
 		}
-		f.adopt(c)
+		f.adopt(s, c)
 	}
 }
 
 // adopt initializes policy bookkeeping for a newly launched active CTA.
-func (f *FineReg) adopt(c *sm.CTA) {
-	telACRFLaunches.IncScoped(f.hier.Ops())
+func (f *FineReg) adopt(s *sm.SM, c *sm.CTA) {
+	s.Cnt.ACRFLaunches++
 	f.acrfFree -= c.RegCost
 	info := &ctaInfo{slot: f.takeSlot(), head: -1}
 	c.SetPolicyData(info)
@@ -217,7 +203,6 @@ func (f *FineReg) trySwitch(s *sm.SM, c *sm.CTA, now int64) {
 			f.blockedSince = now
 		}
 		f.DepletionEvents++
-		telDepletion.IncScoped(f.hier.Ops())
 		// Overflow means the CTA population has outgrown the PCRF; hold
 		// fresh launches for one memory round-trip so pending chains can
 		// drain back out instead of piling more CTAs onto a full file.
@@ -229,8 +214,7 @@ func (f *FineReg) trySwitch(s *sm.SM, c *sm.CTA, now int64) {
 		restored := f.pcrf.ReleaseChainCount(inInfo.head)
 		s.Cnt.PCRFReads += int64(restored)
 		s.Cnt.RFWrites += int64(restored)
-		telPCRFFills.IncScoped(f.hier.Ops())
-		telPCRFFillReg.AddScoped(f.hier.Ops(), int64(restored))
+		s.Cnt.PCRFFills++
 		inInfo.head, inInfo.chainLen = -1, 0
 		evictBv := f.bitvecDelay(s, c, now)
 		f.evictStore(s, c, now)
@@ -260,7 +244,7 @@ func (f *FineReg) trySwitch(s *sm.SM, c *sm.CTA, now int64) {
 		evictLat := max(evictBv, f.cfg.SwitchDrainLat) +
 			restoreLat(c.LiveRegs, s.Meta().WarpsPerCTA())
 		if nc := s.LaunchNew(now, evictLat); nc != nil {
-			f.adopt(nc)
+			f.adopt(s, nc)
 		}
 	}
 	f.clearBlocked(s, now)
@@ -336,8 +320,7 @@ func (f *FineReg) evictStore(s *sm.SM, c *sm.CTA, now int64) int64 {
 	}
 	s.Cnt.PCRFWrites += int64(len(refs))
 	s.Cnt.RFReads += int64(len(refs))
-	telPCRFSpills.IncScoped(f.hier.Ops())
-	telPCRFSpillReg.AddScoped(f.hier.Ops(), int64(len(refs)))
+	s.Cnt.PCRFSpills++
 	if t := s.Trace(); t != nil {
 		t.RegTransfer(s.ID, c.ID, trace.XferEvictToPCRF, len(refs), len(refs)*sm.WarpRegBytes, now)
 	}
@@ -356,8 +339,7 @@ func (f *FineReg) restore(s *sm.SM, c *sm.CTA, now, extraLat int64) {
 	n := f.pcrf.ReleaseChainCount(info.head)
 	s.Cnt.PCRFReads += int64(n)
 	s.Cnt.RFWrites += int64(n)
-	telPCRFFills.IncScoped(f.hier.Ops())
-	telPCRFFillReg.AddScoped(f.hier.Ops(), int64(n))
+	s.Cnt.PCRFFills++
 	info.head, info.chainLen = -1, 0
 	f.acrfFree -= c.RegCost
 	f.mon.Set(info.slot, CtxPipeline, RegACRF)

@@ -329,6 +329,10 @@ func (d *Dispatcher) markDownLocked(n *node) {
 	}
 }
 
+// forwardDrain bounds how long a finished job waits for its forwarded
+// progress stream to end, so a wedged stream cannot hold a result back.
+const forwardDrain = 250 * time.Millisecond
+
 // runOn executes t on n: submit, forward progress, poll to completion.
 // errNodeLost (wrapped) means "requeue elsewhere"; any other error is the
 // job's own failure.
@@ -355,15 +359,20 @@ func (d *Dispatcher) runOn(n *node, t *task) (*runner.Result, bool, error) {
 	// record: the job's Progress callback is the one serve installed at
 	// admission, so samples surface through the coordinator's SSE and
 	// rate gauges exactly as if the job ran locally.
+	var forwarded chan struct{}
 	if t.job.Cfg.Progress != nil {
 		sctx, cancel := context.WithCancel(d.ctx)
 		defer cancel()
-		go n.client.StreamEvents(sctx, st.ID, func(ev serve.Event) bool {
-			if ev.Kind == "progress" {
-				t.job.Cfg.Progress(ev.Sample())
-			}
-			return true
-		})
+		forwarded = make(chan struct{})
+		go func() {
+			defer close(forwarded)
+			n.client.StreamEvents(sctx, st.ID, func(ev serve.Event) bool {
+				if ev.Kind == "progress" {
+					t.job.Cfg.Progress(ev.Sample())
+				}
+				return true
+			})
+		}()
 	}
 
 	fails := 0
@@ -378,6 +387,16 @@ func (d *Dispatcher) runOn(n *node, t *task) (*runner.Result, bool, error) {
 				}
 				if js.Result == nil {
 					return nil, false, fmt.Errorf("fleet: worker %s finished job %s without a result", n.url, st.ID)
+				}
+				if forwarded != nil {
+					// The worker ends the stream right after "finish";
+					// let its tail (the Final sample) land before the
+					// deferred cancel cuts the forwarder off and the
+					// coordinator commits the record.
+					select {
+					case <-forwarded:
+					case <-time.After(forwardDrain):
+					}
 				}
 				return js.Result, js.Cached, nil
 			}

@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"net/http/httptest"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -150,6 +151,27 @@ func TestFleetByteIdenticalSweep(t *testing.T) {
 	}
 	if st := coord.Dispatcher().Stats(); st.Dispatched < int64(len(jobs)) {
 		t.Errorf("dispatched %d, want >= %d", st.Dispatched, len(jobs))
+	}
+
+	// The coordinator simulates nothing, yet its /metrics carry fleet-wide
+	// simulation totals: the sums of the progress samples its workers
+	// forwarded. The forwarding subscription is drop-on-lag, so the total
+	// is bounded by the sweep's own metrics and equals them when no worker
+	// dropped an event.
+	var wantInstr int64
+	for _, r := range direct.Results {
+		wantInstr += r.Metrics.Instructions
+	}
+	gotInstr := metricInt(t, string(httpGet(t, client.Base+"/metrics")), "finereg_sim_gpu_instructions_total")
+	if gotInstr <= 0 || gotInstr > wantInstr {
+		t.Errorf("coordinator finereg_sim_gpu_instructions_total = %d, want in (0, %d]", gotInstr, wantInstr)
+	}
+	var dropped int64
+	for _, w := range []*testWorker{wA, wB} {
+		dropped += metricInt(t, string(httpGet(t, w.hs.URL+"/metrics")), "finereg_serve_sse_dropped_total")
+	}
+	if dropped == 0 && gotInstr != wantInstr {
+		t.Errorf("no forwarded sample was dropped, yet coordinator finereg_sim_gpu_instructions_total = %d, sweep metrics sum to %d", gotInstr, wantInstr)
 	}
 
 	// Warm repeat: same sweep again — answered by the coordinator
@@ -479,6 +501,23 @@ func TestFleetCacheProtocol(t *testing.T) {
 			t.Errorf("malformed key GET = HTTP %d, want 400", resp)
 		}
 	}
+}
+
+// metricInt returns the value of the unlabelled integer series name in a
+// /metrics body.
+func metricInt(t *testing.T, body, name string) int64 {
+	t.Helper()
+	for _, line := range strings.Split(body, "\n") {
+		if v, ok := strings.CutPrefix(line, name+" "); ok {
+			n, err := strconv.ParseInt(v, 10, 64)
+			if err != nil {
+				t.Fatalf("metric %s: %v", name, err)
+			}
+			return n
+		}
+	}
+	t.Fatalf("metrics lack %s", name)
+	return 0
 }
 
 func httpGet(t *testing.T, url string) []byte {

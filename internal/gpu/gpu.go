@@ -16,17 +16,7 @@ import (
 	"finereg/internal/mem"
 	"finereg/internal/sm"
 	"finereg/internal/stats"
-	"finereg/internal/telemetry"
 	"finereg/internal/trace"
-)
-
-// Run-level telemetry: cumulative simulated cycles and instructions
-// across every run in the process. Updated at progress sample points (so
-// the serving layer's gauges read live) and reconciled at run end (so
-// unsampled runs still count).
-var (
-	telCycles       = telemetry.NewCounter("gpu_cycles")
-	telInstructions = telemetry.NewCounter("gpu_instructions")
 )
 
 // Config is the whole-GPU configuration (Table I by default).
@@ -183,10 +173,6 @@ type GPU struct {
 	spans [][2]int
 	sink  trace.Sink
 	stop  atomic.Bool
-
-	// ops is the run-scoped telemetry view backing exact per-job
-	// ProgressSample.Ops attribution (nil when Progress is unset).
-	ops *telemetry.Scope
 }
 
 // Stop asynchronously aborts a running simulation: the next event step of
@@ -219,10 +205,6 @@ func New(cfg Config, pf PolicyFactory) *GPU {
 	for range spans {
 		g.disps = append(g.disps, &dispatcher{})
 	}
-	if cfg.Progress != nil {
-		g.ops = telemetry.NewScope()
-		hier.SetOps(g.ops)
-	}
 	p := 0
 	for i := 0; i < cfg.NumSMs; i++ {
 		for i >= spans[p][1] {
@@ -246,18 +228,16 @@ var ErrInterrupted = errors.New("gpu: simulation interrupted")
 const farFuture = int64(1) << 62
 
 // progressState carries one run's sampling bookkeeping: the next sample
-// boundary, the previous sample's cumulative readings (for deltas and the
-// live rate), and the previous telemetry snapshot.
+// boundary and the previous sample's wall time and counter tally (for the
+// live rate and the Ops deltas).
 type progressState struct {
 	cb     func(trace.ProgressSample)
 	every  int64
 	nextAt int64
 
-	start     time.Time
-	lastWall  time.Time
-	lastCycle int64
-	lastInstr int64
-	lastOps   telemetry.Snapshot
+	start    time.Time
+	lastWall time.Time
+	last     tally
 }
 
 func newProgressState(cb func(trace.ProgressSample), every int64) *progressState {
@@ -276,26 +256,16 @@ func newProgressState(cb func(trace.ProgressSample), every int64) *progressState
 
 // sampleProgress collects one observation at cycle now and invokes the
 // callback. It reads SM counters but mutates nothing in the machine, so
-// the event sequence — and every metric — is unchanged by sampling.
+// the event sequence — and every metric — is unchanged by sampling. Ops
+// is this machine's own counters since the previous sample, so it is
+// exact for its run however many simulations share the process.
 func (g *GPU) sampleProgress(p *progressState, now int64, final bool) {
 	wall := time.Now()
-	var launched, instr int64
-	resident := 0
-	for _, s := range g.SMs {
-		launched += s.Cnt.CTAsLaunched
-		instr += s.Cnt.Instructions
-		resident += len(s.Residents())
-	}
-	cycD, instrD := now-p.lastCycle, instr-p.lastInstr
-	telCycles.AddScoped(g.ops, cycD)
-	telInstructions.AddScoped(g.ops, instrD)
-	// Per-run attribution: read this run's scope, not the process-global
-	// registry, so concurrent jobs never bleed into each other's Ops
-	// deltas (the globals still feed the fleet-wide /metrics series).
-	ops := g.ops.Capture()
+	cur := g.tally(g.SMs, now)
+	delta := cur.since(p.last)
 	rate := 0.0
 	if dt := wall.Sub(p.lastWall).Seconds(); dt > 0 {
-		rate = float64(cycD) / dt
+		rate = float64(delta.n[opCycles]) / dt
 	}
 	var grid int64
 	for _, d := range g.disps {
@@ -303,18 +273,17 @@ func (g *GPU) sampleProgress(p *progressState, now int64, final bool) {
 	}
 	sample := trace.ProgressSample{
 		Cycle:        now,
-		CycleDelta:   cycD,
+		CycleDelta:   delta.n[opCycles],
 		GridCTAs:     grid,
-		CTAsLaunched: launched,
-		CTAsRetired:  launched - int64(resident),
-		Instructions: instr,
+		CTAsLaunched: cur.n[opCTALaunches],
+		CTAsRetired:  cur.n[opCTARetired],
+		Instructions: cur.n[opInstructions],
 		WallMS:       wall.Sub(p.start).Milliseconds(),
 		CyclesPerSec: rate,
 		Final:        final,
-		Ops:          ops.Delta(p.lastOps),
+		Ops:          delta.ops(),
 	}
-	p.lastCycle, p.lastInstr = now, instr
-	p.lastWall, p.lastOps = wall, ops
+	p.lastWall, p.last = wall, cur
 	// Snap the next boundary to the period grid. Re-anchoring at the
 	// fired step (now + every) let every idle skip drift all later
 	// boundaries; the doc promises a sample at the first event step at or
@@ -423,20 +392,11 @@ func (g *GPU) auditFinal(st *loopState) error {
 	return st.auditor.Final(g.SMs, st.now)
 }
 
-// reconcile settles the process-wide cycle/instruction telemetry at run
-// end: sampled runs via the Final sample's deltas, unsampled runs in one
-// shot.
-func (g *GPU) reconcile(st *loopState) {
+// finalSample delivers a sampled run's Final sample at run end.
+func (g *GPU) finalSample(st *loopState) {
 	if st.prog != nil {
 		g.sampleProgress(st.prog, st.now, true)
-		return
 	}
-	telCycles.Add(st.now)
-	var instr int64
-	for _, s := range g.SMs {
-		instr += s.Cnt.Instructions
-	}
-	telInstructions.Add(instr)
 }
 
 // Run executes kernel k to completion and returns its metrics. It drives
@@ -460,8 +420,8 @@ func (g *GPU) Run(k *kernels.Kernel) (*stats.Metrics, error) {
 	if g.sink != nil {
 		g.sink.RunEnd(st.now)
 	}
-	g.reconcile(st)
-	return g.collectNamed(k.Name(), st.now), nil
+	g.finalSample(st)
+	return g.collect(k.Name(), g.SMs, tally{}, st.now, true), nil
 }
 
 // runLoop advances the machine from st.now until every resident CTA has
@@ -568,57 +528,6 @@ func (g *GPU) residentCount() int {
 		n += len(s.Residents())
 	}
 	return n
-}
-
-// collectNamed gathers the machine's cumulative counters into one Metrics
-// under the given benchmark name. Occupancy averages come from the
-// integrals since the latest BindKernel, so they are valid for
-// single-segment runs (Run, RunConcurrent); RunStream overwrites them
-// with cycle-weighted segment averages.
-func (g *GPU) collectNamed(name string, cycles int64) *stats.Metrics {
-	m := &stats.Metrics{
-		Benchmark: name,
-		Config:    g.SMs[0].Pol.Name(),
-		Cycles:    cycles,
-	}
-	var stallSum float64
-	var stallN int64
-	var residentInt, activeInt, threadsInt int64
-	for _, s := range g.SMs {
-		r, a, th := s.OccupancyIntegrals(cycles)
-		residentInt += r
-		activeInt += a
-		threadsInt += th
-		m.Instructions += s.Cnt.Instructions
-		m.CTAsLaunched += s.Cnt.CTAsLaunched
-		m.CTASwitches += s.Cnt.CTASwitches
-		m.CTAStalls += s.Cnt.CTAStallEvents
-		m.RFReads += s.Cnt.RFReads
-		m.RFWrites += s.Cnt.RFWrites
-		m.PCRFReads += s.Cnt.PCRFReads
-		m.PCRFWrites += s.Cnt.PCRFWrites
-		m.SharedAccesses += s.Cnt.SharedAccesses
-		m.L1Accesses += s.L1.Accesses
-		m.L1Misses += s.L1.Misses
-		stallSum += s.Cnt.StallLatencySum
-		stallN += s.Cnt.StallLatencyN
-		m.RegDepletionStallCycles += s.Cnt.DepletionCycles
-	}
-	if stallN > 0 {
-		m.CyclesToFirstStall = stallSum / float64(stallN)
-	}
-	if cycles > 0 {
-		denom := float64(cycles) * float64(len(g.SMs))
-		m.AvgResidentCTAs = float64(residentInt) / denom
-		m.AvgActiveCTAs = float64(activeInt) / denom
-		m.AvgActiveThreads = float64(threadsInt) / denom
-	}
-	m.L2Accesses = g.Hier.L2.Accesses
-	m.L2Misses = g.Hier.L2.Misses
-	m.DRAMDemandBytes = g.Hier.DRAM.Bytes(mem.TrafficDemand)
-	m.DRAMContextBytes = g.Hier.DRAM.Bytes(mem.TrafficContext)
-	m.DRAMBitvecBytes = g.Hier.DRAM.Bytes(mem.TrafficBitvec)
-	return m
 }
 
 // RegWindowFracs concatenates the Figure 5 instrumentation windows of all

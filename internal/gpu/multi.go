@@ -14,8 +14,6 @@ import (
 	"strings"
 
 	"finereg/internal/kernels"
-	"finereg/internal/mem"
-	"finereg/internal/sm"
 	"finereg/internal/stats"
 )
 
@@ -34,89 +32,6 @@ type MultiResult struct {
 	// Total is the whole run: cumulative counters over every SM, the full
 	// cycle count, and the machine-wide L2/DRAM traffic.
 	Total *stats.Metrics
-}
-
-// machineSnap freezes the machine's cumulative counters so a later
-// collectRange can attribute a segment's deltas.
-type machineSnap struct {
-	cnt      []sm.Counters
-	l1A, l1M []int64
-	l2A, l2M int64
-
-	dramDemand, dramContext, dramBitvec int64
-}
-
-func (g *GPU) snapshot() *machineSnap {
-	snap := &machineSnap{
-		cnt:         make([]sm.Counters, len(g.SMs)),
-		l1A:         make([]int64, len(g.SMs)),
-		l1M:         make([]int64, len(g.SMs)),
-		l2A:         g.Hier.L2.Accesses,
-		l2M:         g.Hier.L2.Misses,
-		dramDemand:  g.Hier.DRAM.Bytes(mem.TrafficDemand),
-		dramContext: g.Hier.DRAM.Bytes(mem.TrafficContext),
-		dramBitvec:  g.Hier.DRAM.Bytes(mem.TrafficBitvec),
-	}
-	for i, s := range g.SMs {
-		snap.cnt[i] = s.Cnt
-		snap.l1A[i] = s.L1.Accesses
-		snap.l1M[i] = s.L1.Misses
-	}
-	return snap
-}
-
-// collectRange gathers one segment's metrics: counter deltas against snap
-// over the given SM subset, occupancy averages from the integrals the
-// latest BindKernel restarted (so start must be that bind's cycle), and —
-// when shared is set, i.e. no other kernel ran in [start, end) — the
-// machine-wide L2/DRAM deltas.
-func (g *GPU) collectRange(name string, sms []*sm.SM, snap *machineSnap, start, end int64, shared bool) *stats.Metrics {
-	m := &stats.Metrics{
-		Benchmark: name,
-		Config:    g.SMs[0].Pol.Name(),
-		Cycles:    end - start,
-	}
-	var stallSum float64
-	var stallN int64
-	var residentInt, activeInt, threadsInt int64
-	for _, s := range sms {
-		b := snap.cnt[s.ID]
-		r, a, th := s.OccupancyIntegrals(end)
-		residentInt += r
-		activeInt += a
-		threadsInt += th
-		m.Instructions += s.Cnt.Instructions - b.Instructions
-		m.CTAsLaunched += s.Cnt.CTAsLaunched - b.CTAsLaunched
-		m.CTASwitches += s.Cnt.CTASwitches - b.CTASwitches
-		m.CTAStalls += s.Cnt.CTAStallEvents - b.CTAStallEvents
-		m.RFReads += s.Cnt.RFReads - b.RFReads
-		m.RFWrites += s.Cnt.RFWrites - b.RFWrites
-		m.PCRFReads += s.Cnt.PCRFReads - b.PCRFReads
-		m.PCRFWrites += s.Cnt.PCRFWrites - b.PCRFWrites
-		m.SharedAccesses += s.Cnt.SharedAccesses - b.SharedAccesses
-		m.RegDepletionStallCycles += s.Cnt.DepletionCycles - b.DepletionCycles
-		m.L1Accesses += s.L1.Accesses - snap.l1A[s.ID]
-		m.L1Misses += s.L1.Misses - snap.l1M[s.ID]
-		stallSum += s.Cnt.StallLatencySum - b.StallLatencySum
-		stallN += s.Cnt.StallLatencyN - b.StallLatencyN
-	}
-	if stallN > 0 {
-		m.CyclesToFirstStall = stallSum / float64(stallN)
-	}
-	if d := end - start; d > 0 {
-		denom := float64(d) * float64(len(sms))
-		m.AvgResidentCTAs = float64(residentInt) / denom
-		m.AvgActiveCTAs = float64(activeInt) / denom
-		m.AvgActiveThreads = float64(threadsInt) / denom
-	}
-	if shared {
-		m.L2Accesses = g.Hier.L2.Accesses - snap.l2A
-		m.L2Misses = g.Hier.L2.Misses - snap.l2M
-		m.DRAMDemandBytes = g.Hier.DRAM.Bytes(mem.TrafficDemand) - snap.dramDemand
-		m.DRAMContextBytes = g.Hier.DRAM.Bytes(mem.TrafficContext) - snap.dramContext
-		m.DRAMBitvecBytes = g.Hier.DRAM.Bytes(mem.TrafficBitvec) - snap.dramBitvec
-	}
-	return m
 }
 
 func joinNames(ks []*kernels.Kernel, sep string) string {
@@ -146,8 +61,7 @@ func (g *GPU) RunStream(ks ...*kernels.Kernel) (*MultiResult, error) {
 	res := &MultiResult{Segments: make([]*stats.Metrics, 0, len(ks))}
 	var wResident, wActive, wThreads float64
 	for _, k := range ks {
-		segStart := st.now
-		snap := g.snapshot()
+		base := g.tally(g.SMs, st.now)
 		g.bind([]*kernels.Kernel{k}, st)
 		if g.sink != nil {
 			g.sink.RunStart(k.Name(), len(g.SMs))
@@ -158,9 +72,9 @@ func (g *GPU) RunStream(ks ...*kernels.Kernel) (*MultiResult, error) {
 		if g.sink != nil {
 			g.sink.RunEnd(st.now)
 		}
-		seg := g.collectRange(k.Name(), g.SMs, snap, segStart, st.now, true)
+		seg := g.collect(k.Name(), g.SMs, base, st.now, true)
 		res.Segments = append(res.Segments, seg)
-		w := float64(st.now - segStart)
+		w := float64(seg.Cycles)
 		wResident += seg.AvgResidentCTAs * w
 		wActive += seg.AvgActiveCTAs * w
 		wThreads += seg.AvgActiveThreads * w
@@ -168,8 +82,8 @@ func (g *GPU) RunStream(ks ...*kernels.Kernel) (*MultiResult, error) {
 	if err := g.auditFinal(st); err != nil {
 		return nil, err
 	}
-	g.reconcile(st)
-	total := g.collectNamed(joinNames(ks, "+"), st.now)
+	g.finalSample(st)
+	total := g.collect(joinNames(ks, "+"), g.SMs, tally{}, st.now, true)
 	if st.now > 0 {
 		total.AvgResidentCTAs = wResident / float64(st.now)
 		total.AvgActiveCTAs = wActive / float64(st.now)
@@ -194,7 +108,6 @@ func (g *GPU) RunConcurrent(ks ...*kernels.Kernel) (*MultiResult, error) {
 		return nil, fmt.Errorf("gpu: %d kernels for %d partitions", len(ks), len(g.disps))
 	}
 	st := g.startRun()
-	snap := g.snapshot()
 	g.bind(ks, st)
 	name := joinNames(ks, "|")
 	if g.sink != nil {
@@ -209,12 +122,12 @@ func (g *GPU) RunConcurrent(ks ...*kernels.Kernel) (*MultiResult, error) {
 	if g.sink != nil {
 		g.sink.RunEnd(st.now)
 	}
-	g.reconcile(st)
+	g.finalSample(st)
 	res := &MultiResult{Segments: make([]*stats.Metrics, 0, len(ks))}
 	for p, k := range ks {
 		lo, hi := g.spans[p][0], g.spans[p][1]
-		res.Segments = append(res.Segments, g.collectRange(k.Name(), g.SMs[lo:hi], snap, 0, st.now, false))
+		res.Segments = append(res.Segments, g.collect(k.Name(), g.SMs[lo:hi], tally{}, st.now, false))
 	}
-	res.Total = g.collectNamed(name, st.now)
+	res.Total = g.collect(name, g.SMs, tally{}, st.now, true)
 	return res, nil
 }

@@ -63,6 +63,30 @@ func TestRunStreamFirstSegmentMatchesSoloRun(t *testing.T) {
 	}
 }
 
+// TestRunStreamSingleKernelEqualsRun pins the one collection path: Run
+// collects against the zero tally, a one-kernel RunStream against the
+// tally taken at its bind, and both must report the same totals — for
+// every policy, so the policy-specific counters are covered too.
+func TestRunStreamSingleKernelEqualsRun(t *testing.T) {
+	cfg := Default().Scale(2)
+	for _, pf := range []PolicyFactory{Baseline(), VirtualThread(), RegDRAM(4), FineRegDefault()} {
+		solo, err := New(cfg, pf).Run(mustKernel(t, "NW", 128))
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := New(cfg, pf).RunStream(mustKernel(t, "NW", 128))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(res.Total, solo) {
+			t.Errorf("%s: stream total differs from Run:\nstream: %+v\nrun:    %+v", solo.Config, res.Total, solo)
+		}
+		if !reflect.DeepEqual(res.Segments[0], solo) {
+			t.Errorf("%s: stream segment differs from Run:\nsegment: %+v\nrun:     %+v", solo.Config, res.Segments[0], solo)
+		}
+	}
+}
+
 func TestRunStreamRollup(t *testing.T) {
 	cfg := Default().Scale(2)
 	cfg.Audit = true // exercise the partition invariants across rebinds

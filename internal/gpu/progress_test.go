@@ -2,6 +2,7 @@ package gpu
 
 import (
 	"reflect"
+	"slices"
 	"testing"
 
 	"finereg/internal/kernels"
@@ -142,5 +143,56 @@ func TestProgressByteIdenticalMetrics(t *testing.T) {
 	off, on := run(false), run(true)
 	if !reflect.DeepEqual(off, on) {
 		t.Fatalf("metrics differ with progress sampling on:\noff: %+v\non:  %+v", off, on)
+	}
+}
+
+// TestProgressOpsSumToMetrics checks the Ops deltas against the metrics
+// collected from the same tally, policy by policy, and that the policy
+// event counters (which no Metrics field mirrors) actually move.
+func TestProgressOpsSumToMetrics(t *testing.T) {
+	for _, pf := range []PolicyFactory{Baseline(), VirtualThread(), RegDRAM(4), FineRegDefault()} {
+		sum := map[string]int64{}
+		cfg := Default().Scale(2)
+		cfg.ProgressEvery = 1000
+		cfg.Progress = func(s trace.ProgressSample) {
+			for op, n := range s.Ops {
+				if n <= 0 {
+					t.Errorf("op %s delta %d: deltas are positive, zeros omitted", op, n)
+				}
+				sum[op] += n
+			}
+		}
+		m, err := New(cfg, pf).Run(mustKernel(t, "NW", 128))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for op, want := range map[string]int64{
+			"gpu_cycles":        m.Cycles,
+			"gpu_instructions":  m.Instructions,
+			"sm_cta_switches":   m.CTASwitches,
+			"sm_cta_retired":    m.CTAsLaunched,
+			"mem_l2_misses":     m.L2Misses,
+			"pcrf_spill_regs":   m.PCRFWrites,
+			"regdram_dma_bytes": m.DRAMContextBytes,
+		} {
+			if sum[op] != want {
+				t.Errorf("%s: %s sums to %d, metrics report %d", m.Config, op, sum[op], want)
+			}
+		}
+		switch m.Config {
+		case "FineReg":
+			if sum["acrf_launches"] != m.CTAsLaunched || sum["pcrf_spills"] == 0 || sum["pcrf_fills"] != sum["pcrf_spills"] {
+				t.Errorf("FineReg events: %v", sum)
+			}
+		case "Reg+DRAM":
+			if sum["regdram_dma_spills"] == 0 || sum["regdram_dma_prefetches"] != sum["regdram_dma_spills"] {
+				t.Errorf("Reg+DRAM events: %v", sum)
+			}
+		}
+		for op := range sum {
+			if !slices.Contains(OpNames(), op) {
+				t.Errorf("%s: op %q is not in OpNames", m.Config, op)
+			}
+		}
 	}
 }

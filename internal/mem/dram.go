@@ -1,18 +1,6 @@
 package mem
 
-import (
-	"math"
-
-	"finereg/internal/telemetry"
-)
-
-// Telemetry (internal/telemetry): off-chip channel activity, one add pair
-// per transfer (an L2-missing line or a policy DMA — far below the issue
-// rate).
-var (
-	telDRAMAccesses = telemetry.NewCounter("mem_dram_accesses")
-	telDRAMBytes    = telemetry.NewCounter("mem_dram_bytes")
-)
+import "math"
 
 // TrafficClass labels off-chip transfers for the Figure 15 breakdown.
 type TrafficClass uint8
@@ -38,10 +26,6 @@ type DRAM struct {
 	// 1126 MHz ≈ 313 B/cycle).
 	BytesPerCycle float64
 
-	// ops attributes channel telemetry to the owning run's scope (nil =
-	// unobserved); set via Hierarchy.SetOps.
-	ops *telemetry.Scope
-
 	nextFree float64
 	bytes    [numTrafficClasses]int64
 
@@ -59,8 +43,6 @@ func (d *DRAM) Access(now int64, bytes int, class TrafficClass) int64 {
 	d.bytes[class] += int64(bytes)
 	d.accesses++
 	d.gross += int64(bytes)
-	telDRAMAccesses.IncScoped(d.ops)
-	telDRAMBytes.AddScoped(d.ops, int64(bytes))
 	start := float64(now)
 	if d.nextFree > start {
 		start = d.nextFree

@@ -1,18 +1,6 @@
 package mem
 
-import (
-	"finereg/internal/isa"
-	"finereg/internal/telemetry"
-)
-
-// Telemetry (internal/telemetry): shared-memory-system pressure. L2
-// counts are batched per warp access (one add covering all of the
-// access's missing lines) so the hot path pays at most two counter adds
-// per memory instruction and none when the L1 absorbs it.
-var (
-	telL2Accesses = telemetry.NewCounter("mem_l2_accesses")
-	telL2Misses   = telemetry.NewCounter("mem_l2_misses")
-)
+import "finereg/internal/isa"
 
 // Latencies groups the fixed on-chip access latencies (cycles).
 type Latencies struct {
@@ -31,21 +19,7 @@ type Hierarchy struct {
 	L2   *Cache
 	DRAM *DRAM
 	Lat  Latencies
-
-	// ops is the owning run's telemetry scope (nil when the run is
-	// unobserved).
-	ops *telemetry.Scope
 }
-
-// SetOps attaches the run's telemetry scope.
-func (h *Hierarchy) SetOps(s *telemetry.Scope) {
-	h.ops = s
-	h.DRAM.ops = s
-}
-
-// Ops returns the attached telemetry scope (nil when unobserved).
-// Policies use it to attribute their own counters to the run.
-func (h *Hierarchy) Ops() *telemetry.Scope { return h.ops }
 
 // NewHierarchy builds the shared L2 + DRAM.
 func NewHierarchy(l2Bytes, l2Ways int, dramLatency int64, dramBytesPerCycle float64, lat Latencies) *Hierarchy {
@@ -82,12 +56,6 @@ func (h *Hierarchy) Access(l1 *Cache, now int64, lines []uint64, isStore bool) A
 		}
 		if !isStore && done > res.ReadyAt {
 			res.ReadyAt = done
-		}
-	}
-	if res.L1Misses > 0 {
-		telL2Accesses.AddScoped(h.ops, int64(res.L1Misses))
-		if res.L2Misses > 0 {
-			telL2Misses.AddScoped(h.ops, int64(res.L2Misses))
 		}
 	}
 	return res

@@ -1,6 +1,6 @@
-// Package prof wires the standard pprof profilers into the CLIs
-// (cmd/finereg-sim, cmd/finereg-bench): one Start call after flag parsing,
-// one stop call once the interesting work is done. Both profiles are
+// Package prof wires the standard pprof profilers into cmd/finereg-sim:
+// one Start call after flag parsing, one stop call once the interesting
+// work is done. Both profiles are
 // optional and independent; EXPERIMENTS.md documents the analysis
 // workflow (go tool pprof over the simulator hot path).
 package prof

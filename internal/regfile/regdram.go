@@ -3,19 +3,7 @@ package regfile
 import (
 	"finereg/internal/mem"
 	"finereg/internal/sm"
-	"finereg/internal/telemetry"
 	"finereg/internal/trace"
-)
-
-// Telemetry (internal/telemetry): Reg+DRAM's off-chip context paging —
-// spill-out and prefetch-in DMA transfers with their byte volume — so a
-// live scrape shows when a fleet's pending pools start thrashing through
-// the DRAM channel.
-var (
-	telDMAOut      = telemetry.NewCounter("regdram_dma_spills")
-	telDMAIn       = telemetry.NewCounter("regdram_dma_prefetches")
-	telDMAOutBytes = telemetry.NewCounter("regdram_dma_spill_bytes")
-	telDMAInBytes  = telemetry.NewCounter("regdram_dma_prefetch_bytes")
 )
 
 // dramInfo is RegDRAM's per-CTA bookkeeping for off-chip pending CTAs.
@@ -149,8 +137,7 @@ func (r *RegDRAM) FillSlots(s *sm.SM, now int64) {
 // spillOut parks an active CTA's registers in DRAM; the outbound DMA is
 // overlapped with execution and charged as context traffic.
 func (r *RegDRAM) spillOut(s *sm.SM, c *sm.CTA, now int64) {
-	telDMAOut.IncScoped(r.hier.Ops())
-	telDMAOutBytes.AddScoped(r.hier.Ops(), int64(ctxBytes(c)))
+	s.Cnt.DMASpills++
 	r.hier.TransferOverlapped(now, ctxBytes(c), mem.TrafficContext)
 	r.chargeDMA(ctxBytes(c), now)
 	if t := s.Trace(); t != nil {
@@ -234,8 +221,7 @@ func (r *RegDRAM) OnCTAReady(s *sm.SM, c *sm.CTA, now int64) {
 	if d.prefetchDone == 0 {
 		// Prefetch is never paced: a CTA already off-chip must come home
 		// as soon as it is runnable.
-		telDMAIn.IncScoped(r.hier.Ops())
-		telDMAInBytes.AddScoped(r.hier.Ops(), int64(ctxBytes(c)))
+		s.Cnt.DMAPrefetches++
 		d.prefetchDone = r.hier.TransferOverlapped(now, ctxBytes(c), mem.TrafficContext)
 		if t := s.Trace(); t != nil {
 			t.RegTransfer(s.ID, c.ID, trace.XferPrefetchFromDRAM, c.RegCost, ctxBytes(c), now)

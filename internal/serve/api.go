@@ -248,7 +248,7 @@ type Event struct {
 	// Progress sample payload (kind "progress" only): simulated cycle,
 	// CTA launch/retire counts against the grid total, the live
 	// sim-cycles/s rate over the last sample window, and the sparse
-	// telemetry op-count delta (PCRF spills, DMA transfers, DRAM ops...).
+	// op-count delta (PCRF spills, DMA transfers, DRAM ops...).
 	// The fields mirror trace.ProgressSample one for one so a forwarding
 	// hop (a fleet coordinator relaying a worker's stream) can
 	// reconstruct the sample losslessly via Sample.

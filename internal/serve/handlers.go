@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"net/http"
 
+	"finereg/internal/isa"
 	"finereg/internal/runner"
 	"finereg/internal/workload"
 )
@@ -69,19 +70,34 @@ func writeBadRequest(w http.ResponseWriter, err error) {
 	writeJSON(w, http.StatusBadRequest, body)
 }
 
-func decodeBody(r *http.Request, v any) error {
-	dec := json.NewDecoder(r.Body)
+// maxBodyBytes bounds a request body: one maximal job (every program at
+// the assembler's source cap, with 2x slack for JSON escaping) plus a
+// full default batch of ordinary benchmark jobs. A batch whose programs
+// sum past it must be split.
+const maxBodyBytes = 2*workload.MaxPrograms*isa.MaxSourceBytes + DefaultMaxBatch*4096
+
+// decodeBody decodes the request's JSON body into v, reading at most
+// maxBodyBytes. On failure it answers the request — 413 for an oversized
+// body, 400 for a malformed one — and reports false.
+func decodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes))
 	dec.DisallowUnknownFields()
-	if err := dec.Decode(v); err != nil {
-		return fmt.Errorf("serve: bad request body: %w", err)
+	err := dec.Decode(v)
+	if err == nil {
+		return true
 	}
-	return nil
+	status := http.StatusBadRequest
+	var tooBig *http.MaxBytesError
+	if errors.As(err, &tooBig) {
+		status = http.StatusRequestEntityTooLarge
+	}
+	writeJSON(w, status, errorBody{Error: fmt.Sprintf("serve: bad request body: %v", err)})
+	return false
 }
 
 func (s *Server) handleSubmitJob(w http.ResponseWriter, r *http.Request) {
 	var req JobRequest
-	if err := decodeBody(r, &req); err != nil {
-		writeJSON(w, http.StatusBadRequest, errorBody{Error: err.Error()})
+	if !decodeBody(w, r, &req) {
 		return
 	}
 	job, err := req.Resolve()
@@ -103,8 +119,7 @@ func (s *Server) handleSubmitJob(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleSubmitBatch(w http.ResponseWriter, r *http.Request) {
 	var req BatchRequest
-	if err := decodeBody(r, &req); err != nil {
-		writeJSON(w, http.StatusBadRequest, errorBody{Error: err.Error()})
+	if !decodeBody(w, r, &req) {
 		return
 	}
 	if len(req.Jobs) == 0 {

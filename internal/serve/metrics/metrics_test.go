@@ -76,7 +76,7 @@ func TestDuplicateRegistrationPanics(t *testing.T) {
 
 // TestDuplicateRegistrationPanicNamesOffender pins the panic message: a
 // wiring bug at startup must identify which series collided, not just
-// that one did (the telemetry-derived serve series make collisions easy
+// that one did (the op-derived finereg_sim_* series make collisions easy
 // to introduce from far-apart packages).
 func TestDuplicateRegistrationPanicNamesOffender(t *testing.T) {
 	r := NewRegistry()

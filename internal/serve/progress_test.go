@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"io"
 	"net/http"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -195,4 +196,66 @@ func TestRecordProgressBounds(t *testing.T) {
 	if lastKind != eventFinish {
 		t.Errorf("event after finish: stream ends with %q", lastKind)
 	}
+}
+
+// metricInt returns the value of the unlabelled integer series name in a
+// /metrics body.
+func metricInt(t *testing.T, body, name string) int64 {
+	t.Helper()
+	for _, line := range strings.Split(body, "\n") {
+		if v, ok := strings.CutPrefix(line, name+" "); ok {
+			n, err := strconv.ParseInt(v, 10, 64)
+			if err != nil {
+				t.Fatalf("metric %s: %v", name, err)
+			}
+			return n
+		}
+	}
+	t.Fatalf("metrics lack %s", name)
+	return 0
+}
+
+// TestProgressFeedsSimTotals: the finereg_sim_<op>_total counters are the
+// sums of the executed jobs' progress samples, so after N distinct cold
+// jobs they equal the sums of those jobs' Metrics — under two concurrent
+// workers — and a warm resubmit, which simulates nothing, moves nothing.
+func TestProgressFeedsSimTotals(t *testing.T) {
+	jobs := []*runner.Job{
+		tinyJob(t, "CS", runner.Baseline()),
+		tinyJob(t, "CS", runner.FineRegDefault()),
+		tinyJob(t, "LB", runner.FineRegDefault()),
+	}
+	_, c := newTestServer(t, Config{Workers: 2, ProgressEvery: 256})
+	b, err := c.RunJobs(context.Background(), jobs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := b.Err(); err != nil {
+		t.Fatal(err)
+	}
+	var cycles, instr, spilled int64
+	for _, r := range b.Results {
+		cycles += r.Metrics.Cycles
+		instr += r.Metrics.Instructions
+		spilled += r.Metrics.PCRFWrites
+	}
+	check := func(when string) {
+		t.Helper()
+		body := scrapeMetrics(t, c)
+		for name, want := range map[string]int64{
+			"finereg_sim_gpu_cycles_total":       cycles,
+			"finereg_sim_gpu_instructions_total": instr,
+			"finereg_sim_pcrf_spill_regs_total":  spilled,
+		} {
+			if got := metricInt(t, body, name); got != want {
+				t.Errorf("%s: %s = %d, executed jobs' metrics sum to %d", when, name, got, want)
+			}
+		}
+	}
+	check("after the cold jobs")
+
+	if _, err := c.RunJobs(context.Background(), jobs); err != nil {
+		t.Fatal(err)
+	}
+	check("after a warm resubmit")
 }

@@ -488,6 +488,37 @@ func TestBadRequests(t *testing.T) {
 	}
 }
 
+// TestOversizedBodyRejected: a request body past maxBodyBytes is cut off
+// and answered with a structured 413 instead of being read to the end,
+// and the server keeps serving afterwards.
+func TestOversizedBodyRejected(t *testing.T) {
+	_, c := newTestServer(t, Config{Workers: 1})
+	body := io.MultiReader(strings.NewReader(`{"bench":"`), strings.NewReader(strings.Repeat("A", maxBodyBytes)), strings.NewReader(`"}`))
+	resp, err := http.Post(c.Base+"/v1/jobs", "application/json", body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusRequestEntityTooLarge {
+		t.Fatalf("oversized POST /v1/jobs: status %d, want 413", resp.StatusCode)
+	}
+	var eb errorBody
+	if err := json.NewDecoder(resp.Body).Decode(&eb); err != nil {
+		t.Fatalf("error envelope: %v", err)
+	}
+	if !strings.Contains(eb.Error, "request body too large") {
+		t.Errorf("error %q does not say the body was too large", eb.Error)
+	}
+
+	b, err := c.RunJobs(context.Background(), []*runner.Job{tinyJob(t, "CS", runner.Baseline())})
+	if err != nil {
+		t.Fatalf("server stopped serving after the oversized request: %v", err)
+	}
+	if err := b.Err(); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // TestBatchStatusProgression: batch status aggregates its jobs and
 // reports completion.
 func TestBatchStatusProgression(t *testing.T) {

@@ -25,7 +25,6 @@ import (
 	"finereg/internal/gpu"
 	"finereg/internal/runner"
 	"finereg/internal/serve/metrics"
-	"finereg/internal/telemetry"
 	"finereg/internal/trace"
 )
 
@@ -85,8 +84,9 @@ type Config struct {
 	// cycles, for jobs executed by this server: samples stream to SSE
 	// subscribers as `progress` events and feed the /metrics rate gauges.
 	// 0 means gpu.DefaultProgressEvery; < 0 disables in-run sampling
-	// (lifecycle events and end-of-run telemetry still flow). Sampling
-	// never changes results or cache keys.
+	// (lifecycle events still flow; the finereg_sim_*_total counters,
+	// which are fed by the samples, stay 0). Sampling never changes
+	// results or cache keys.
 	ProgressEvery int64
 }
 
@@ -135,6 +135,9 @@ type Server struct {
 	mSSEOpen    *metrics.Gauge
 	mSSEDropped *metrics.Counter
 	mSamples    *metrics.Counter
+	// mSimOps holds one finereg_sim_<op>_total counter per gpu.OpNames
+	// entry, fed by the Ops deltas of the progress samples.
+	mSimOps map[string]*metrics.Counter
 
 	// rates holds the live sim-cycles/s of each in-flight sampled job
 	// (updated per progress sample, removed at completion); the
@@ -230,7 +233,7 @@ func (s *Server) initMetrics() {
 	s.mSSEOpen = r.NewGauge("finereg_serve_sse_subscribers",
 		"Open SSE event-stream connections.")
 	s.mSSEDropped = r.NewCounter("finereg_serve_sse_dropped_total",
-		"Events dropped because an SSE subscriber lagged behind its buffer.")
+		"Events dropped because an SSE subscriber lagged behind its buffer (a fleet coordinator's forwarded progress samples ride such a subscription).")
 	s.mSamples = r.NewCounter("finereg_serve_progress_samples_total",
 		"In-run progress samples received from executing simulations.")
 	s.mLatency = r.NewHistogram("finereg_serve_job_latency_seconds",
@@ -274,10 +277,10 @@ func (s *Server) initMetrics() {
 			}
 			return float64(st.CacheHits) / float64(den)
 		})
-	// Fleet-wide simulation telemetry. The aggregate live rate sums each
-	// in-flight job's last sampled sim-cycles/s; the per-op totals expose
-	// every internal/telemetry counter (process-global: all simulations
-	// this process has run, not only those submitted through the server).
+	// Simulation totals over the jobs this server ran (or, on a fleet
+	// coordinator, forwarded). The aggregate live rate sums each in-flight
+	// job's last sampled sim-cycles/s; the per-op totals accumulate the
+	// progress samples' Ops deltas, so they stay 0 with sampling disabled.
 	r.NewGaugeFunc("finereg_sim_cycles_per_sec",
 		"Aggregate live simulation rate over all in-flight sampled jobs.",
 		func() float64 {
@@ -289,21 +292,28 @@ func (s *Server) initMetrics() {
 			}
 			return sum
 		})
-	for _, c := range telemetry.Counters() {
-		c := c
-		r.NewCounterFunc("finereg_sim_"+c.Name()+"_total",
-			"Simulator op count (internal/telemetry, process-global).",
-			c.Value)
+	s.mSimOps = map[string]*metrics.Counter{}
+	for _, op := range gpu.OpNames() {
+		s.mSimOps[op] = r.NewCounter("finereg_sim_"+op+"_total",
+			"Simulator op count summed over the progress samples of this server's jobs.")
 	}
 }
 
 // onProgress is the per-record progress callback installed on admitted
-// jobs: it appends/broadcasts the SSE progress event and maintains the
-// fleet rate gauge. Runs on the simulating worker goroutine.
+// jobs: it appends/broadcasts the SSE progress event, adds the sample's
+// Ops to the finereg_sim_*_total counters and maintains the fleet rate
+// gauge. Runs on the simulating worker goroutine.
 func (s *Server) onProgress(rec *record) func(trace.ProgressSample) {
 	return func(ps trace.ProgressSample) {
 		rec.progress(ps)
 		s.mSamples.Inc()
+		for op, n := range ps.Ops {
+			// A forwarded sample is remote input: unknown ops and
+			// negative deltas are skipped, not trusted.
+			if c := s.mSimOps[op]; c != nil && n > 0 {
+				c.Add(n)
+			}
+		}
 		s.rateMu.Lock()
 		if ps.Final {
 			delete(s.rates, rec.id)

@@ -7,7 +7,6 @@ import (
 	"finereg/internal/isa"
 	"finereg/internal/kernels"
 	"finereg/internal/mem"
-	"finereg/internal/telemetry"
 	"finereg/internal/trace"
 )
 
@@ -70,6 +69,16 @@ type Counters struct {
 	PCRFReads       int64
 	PCRFWrites      int64
 	SharedAccesses  int64
+
+	// Policy events with no other ledger: FineReg's ACRF-direct launches
+	// and PCRF chain spills/fills (the registers moved are PCRFWrites/
+	// PCRFReads), Reg+DRAM's context DMAs out to and back from DRAM (the
+	// bytes moved are the DRAM channel's TrafficContext class).
+	ACRFLaunches  int64
+	PCRFSpills    int64
+	PCRFFills     int64
+	DMASpills     int64
+	DMAPrefetches int64
 
 	// Table III: sum and count of first-issue→first-full-stall latencies.
 	StallLatencySum float64
@@ -146,9 +155,6 @@ func (s *SM) SetTrace(t trace.Sink) { s.sink = t }
 // Trace returns the attached sink (nil when tracing is off); policies use
 // it to emit register-transfer events.
 func (s *SM) Trace() trace.Sink { return s.sink }
-
-// ops returns the run's telemetry scope (nil when unobserved).
-func (s *SM) ops() *telemetry.Scope { return s.Hier.Ops() }
 
 // New builds an SM bound to the shared memory hierarchy and dispatcher.
 func New(id int, cfg Config, hier *mem.Hierarchy, disp Dispatcher, pol Policy) *SM {
@@ -387,7 +393,6 @@ func (s *SM) LaunchNew(now, delay int64) *CTA {
 	}
 	s.enterActive(c, now, delay)
 	s.Cnt.CTAsLaunched++
-	telCTALaunches.IncScoped(s.ops())
 	return c
 }
 
@@ -420,7 +425,6 @@ func (s *SM) LaunchParked(now int64, st CTAState) *CTA {
 	s.statSample(now)
 	s.pendingCTAs++
 	s.Cnt.CTAsLaunched++
-	telCTALaunches.IncScoped(s.ops())
 	if s.sink != nil {
 		s.sink.CTAEvent(s.ID, trace.CTALaunchParked, c.ID, now, 0)
 	}
@@ -528,7 +532,6 @@ func (s *SM) Reactivate(c *CTA, now, delay int64) {
 	}
 	s.enterActive(c, now, delay)
 	s.Cnt.CTASwitches++
-	telCTASwitches.IncScoped(s.ops())
 }
 
 // warpUID derives a grid-globally unique warp identity from the CTA's
@@ -611,7 +614,6 @@ func (s *SM) dropWarpsOf(c *CTA) {
 // finishCTA releases a completed CTA's residency and notifies the policy.
 func (s *SM) finishCTA(c *CTA, now int64) {
 	c.State = CTAFinished
-	telCTARetired.IncScoped(s.ops())
 	if s.sink != nil {
 		s.sink.CTAEvent(s.ID, trace.CTAFinish, c.ID, now, 0)
 	}
@@ -889,7 +891,6 @@ func (s *SM) block(w *Warp, until, now int64, reason trace.StallReason) {
 		c.stalledWarps++
 		if c.FullyStalled() {
 			s.Cnt.CTAStallEvents++
-			telCTAFullStall.IncScoped(s.ops())
 			if s.sink != nil {
 				s.sink.CTAEvent(s.ID, trace.CTAFullStall, c.ID, now, 0)
 			}
@@ -1062,7 +1063,6 @@ func (s *SM) exitWarp(w *Warp, now int64) {
 	if c.FullyStalled() {
 		// The exit may have completed a full-stall condition.
 		s.Cnt.CTAStallEvents++
-		telCTAFullStall.IncScoped(s.ops())
 		if c.EarliestWake()-now >= s.Cfg.LongStall {
 			s.Pol.OnCTAStalled(s, c, now)
 		}

@@ -60,12 +60,12 @@ type ProgressSample struct {
 	CyclesPerSec float64 `json:"cycles_per_sec"`
 	// Final marks the end-of-run sample (cumulative fields are totals).
 	Final bool `json:"final,omitempty"`
-	// Ops is the sparse telemetry delta since the previous sample
-	// (internal/telemetry counter increases: PCRF spills, DMA transfers,
-	// DRAM ops, ...). Counts come from the run's private telemetry.Scope,
-	// not the process-global registry, so they attribute exactly to this
-	// job even with any number of concurrent jobs in flight — a job's
-	// deltas sum to precisely its own totals.
+	// Ops is the sparse op-count delta since the previous sample (keys
+	// from gpu.OpNames: CTA launches, PCRF spills, DMA transfers, DRAM
+	// bytes, ...; zero entries omitted). Counts are differences of the
+	// run's own machine counters, so they attribute exactly to this job
+	// with any number of concurrent jobs in flight — a job's deltas sum
+	// to precisely its own totals.
 	Ops map[string]int64 `json:"ops,omitempty"`
 }
 

@@ -12,6 +12,25 @@ if [ -n "$out" ]; then
 fi
 go vet ./...
 go build ./...
+
+# gate REGEX PKG... runs the selected tests under the race detector
+# (-count=1: never answered from the test cache) and fails if any listed
+# package matched no test, so a rename or deletion can never silently
+# empty a gate.
+gate() {
+	regex=$1
+	shift
+	if ! out=$(go test -race -count=1 -timeout 10m -run "$regex" "$@" 2>&1); then
+		echo "$out"
+		exit 1
+	fi
+	echo "$out"
+	if echo "$out" | grep -q 'no tests to run'; then
+		echo "check.sh: gate -run '$regex' selected no test in a listed package (above)"
+		exit 1
+	fi
+}
+
 # -short skips the multi-minute full-sweep shape tests in the root package;
 # they run race-free under `make test`, and the sweep machinery they drive
 # is race-tested via internal/experiments. Without -short the root package
@@ -19,7 +38,7 @@ go build ./...
 go test -race -short -timeout 20m ./...
 # Run-engine gate: a parallel mini-sweep (4 workers + shared cache) under
 # the race detector, end to end through the experiments layer.
-go test -race -timeout 10m -run 'TestSweepParallelWithCache|TestSweepParallelDeterminism' ./internal/experiments/
+gate 'TestSweepParallelWithCache|TestSweepParallelDeterminism' ./internal/experiments/
 # Auditor gate: an audited end-to-end smoke sweep — every policy on a
 # compute-bound and a switch-heavy workload with the runtime invariant
 # auditor enabled (internal/audit); any violation fails the run.
@@ -36,14 +55,15 @@ go test -race -count=1 -timeout 10m ./internal/serve/...
 # the single-node engine). -count=1 so the kill/requeue scenario really
 # re-runs every time instead of being answered from the test cache.
 go test -race -count=1 -timeout 10m ./internal/fleet/...
-# Telemetry gate: the in-run progress path under the race detector — the
-# sampler in gpu.Run, the per-run op scopes (concurrent jobs must not
-# bleed into each other's samples), the engine's sink forwarding, and the
-# SSE progress stream — plus the golden matrix itself and the proof that
-# sampling leaves every cell byte-identical (not -short, so both are
-# skipped by the blanket race pass above and must run here).
-go test -race -count=1 -timeout 10m -run 'Progress|Telemetry|Attribution|TestGoldenCycleExactness' \
-	./internal/gpu/ ./internal/telemetry/ ./internal/runner/ ./internal/serve/ ./internal/audit/diff/
+# Progress gate: the in-run observation path under the race detector —
+# the sampler in gpu.Run, per-job exactness of the Ops deltas (every
+# mapped op of two concurrent jobs sums to its own Metrics), the engine's
+# sink forwarding, the SSE progress stream and the /metrics totals fed by
+# it — plus the golden matrix itself and the proof that sampling leaves
+# every cell byte-identical (not -short, so both are skipped by the
+# blanket race pass above and must run here).
+gate 'Progress|Attribution|TestGoldenCycleExactness' \
+	./internal/gpu/ ./internal/runner/ ./internal/serve/ ./internal/audit/diff/
 # Ingestion gate: user-program workloads end to end under the race
 # detector — loader determinism, structured admission errors, a program
 # submitted over HTTP byte-identical to the in-process run, stream
@@ -51,10 +71,10 @@ go test -race -count=1 -timeout 10m -run 'Progress|Telemetry|Attribution|TestGol
 # partition instruction-count-vs-solo acceptance check — then the worked
 # example through the CLI (the same loader as the service path), audited,
 # as both a solo program and a partitioned concurrent stream.
-go test -race -count=1 -timeout 10m -run 'TestLoad|TestProgram|TestStreamJob|TestConcurrentJob' \
+gate 'TestLoad|TestProgram|TestStreamJob|TestConcurrentJob' \
 	./internal/workload/ ./internal/runner/ ./internal/serve/
-go test -race -count=1 -timeout 10m -run 'TestFleetRunsProgramJobs' ./internal/fleet/
-go test -race -count=1 -timeout 10m -run 'TestMPS|TestRunStream|TestRunConcurrent|TestValidatePartitions|TestPartitioned' \
+gate 'TestFleetRunsProgramJobs' ./internal/fleet/
+gate 'TestMPS|TestRunStream|TestRunConcurrent|TestValidatePartitions|TestPartitioned' \
 	./internal/experiments/ ./internal/gpu/
 go run ./cmd/finereg-sim -program examples/saxpy.sasm -sms 2 -policy baseline,finereg -audit >/dev/null
 go run ./cmd/finereg-sim -stream examples/saxpy.sasm,bench:CS -partitions 1,1 -sms 2 -policy baseline -audit >/dev/null

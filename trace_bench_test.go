@@ -91,8 +91,9 @@ func benchProgress(b *testing.B, cb func(trace.ProgressSample), every int64) {
 
 // BenchmarkProgressOff is the Progress == nil hot path: the run loop pays
 // one nil check per event step and nothing else. Its sim-cycles/s must
-// stay within host noise of BENCH_hotpath.json's quick-4sm finereg row
-// (same workload) — compare against BenchmarkSimulatorThroughput too.
+// stay within host noise of BenchmarkSimulatorThroughput (same workload);
+// `bash benchmark/run.sh` and `go run ./benchmark -compare` are the
+// noise-bounded way to compare two commits.
 func BenchmarkProgressOff(b *testing.B) { benchProgress(b, nil, 0) }
 
 // BenchmarkProgressNoop attaches a no-op callback at the default period:
