@@ -1,6 +1,8 @@
 // Custompolicy shows how to extend the simulator with a register-file
 // management scheme of your own: implement sm.Policy, plug it in through
 // a gpu.PolicyFactory, and compare it against the built-ins.
+// (A policy that has to veto individual instruction issues would also
+// implement the optional sm.IssueGate; this one, like most, does not.)
 //
 // The demo policy, "EagerHalf", is deliberately simple: it behaves like
 // the baseline but only ever admits CTAs into half the register file,
@@ -42,11 +44,10 @@ func (p *eagerHalf) FillSlots(s *sm.SM, now int64) {
 	}
 }
 
-func (p *eagerHalf) OnCTAStalled(s *sm.SM, c *sm.CTA, now int64)     {}
-func (p *eagerHalf) OnCTAReady(s *sm.SM, c *sm.CTA, now int64)       {}
-func (p *eagerHalf) OnCTAFinished(s *sm.SM, c *sm.CTA, now int64)    { p.regsFree += c.RegCost }
-func (p *eagerHalf) AllowIssue(s *sm.SM, w *sm.Warp, now int64) bool { return true }
-func (p *eagerHalf) BlockedOnRegisters() bool                        { return false }
+func (p *eagerHalf) OnCTAStalled(s *sm.SM, c *sm.CTA, now int64)  {}
+func (p *eagerHalf) OnCTAReady(s *sm.SM, c *sm.CTA, now int64)    {}
+func (p *eagerHalf) OnCTAFinished(s *sm.SM, c *sm.CTA, now int64) { p.regsFree += c.RegCost }
+func (p *eagerHalf) BlockedOnRegisters() bool                     { return false }
 
 func main() {
 	cfg := finereg.ScaledConfig(4)

@@ -316,6 +316,8 @@ func (s *ViolationSet) Summary() string {
 //	            warpsUsed
 //	ready       the ready partitions hold exactly the awake warps, each
 //	            once, wired, seq-sorted; entry count == awake
+//	scoreboard  every resident warp's busy mask covers the registers
+//	            whose values are still in flight (regReady > now)
 //	events      no event is due and unserviced (NextEventAt >= now)
 //	policy      every sm.SelfAuditing account matches its recomputed
 //	            ground truth and stays within [Min, Max]
@@ -351,6 +353,10 @@ func CheckSM(s *sm.SM, now int64) error {
 						fmt.Sprintf("CTA %d warp %d exited but longBlocked", c.ID, w.Idx))
 				}
 				continue
+			}
+			if r := w.UntrackedPending(now); r >= 0 {
+				return fail("busyMask", 0, 1,
+					fmt.Sprintf("CTA %d warp %d: R%d is still in flight but not in the busy mask", c.ID, w.Idx, r))
 			}
 			if w.LongBlocked() {
 				stalled++

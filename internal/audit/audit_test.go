@@ -49,7 +49,7 @@ func newRig(t *testing.T, grid int) *rig {
 	hier := mem.NewHierarchy(2<<20, 8, 600, 313, mem.DefaultLatencies())
 	d := &disp{total: grid}
 	s := sm.New(0, cfg, hier, d, regfile.NewVirtualThread(cfg, hier))
-	s.BindKernel(k, 0)
+	s.BindKernel(sm.NewProgInfo(k, s.Cfg), 0)
 	return &rig{s: s, d: d}
 }
 
@@ -166,6 +166,28 @@ func TestReadySkewCaught(t *testing.T) {
 	}
 	if v.Got != v.Want-1 {
 		t.Errorf("readyCoverage got=%d want=%d, expected off-by-one", v.Got, v.Want)
+	}
+}
+
+// TestBusySkewCaught is the mutation test for the scoreboard's busy mask:
+// a register whose value is still in flight but whose busy bit was lost
+// would let a dependent instruction issue early, and nothing but this
+// invariant would notice.
+func TestBusySkewCaught(t *testing.T) {
+	r := newRig(t, 48)
+	at := r.run(t, func(now int64) bool { return now < 5000 })
+	if err := audit.CheckSM(r.s, at); err != nil {
+		t.Fatalf("pre-skew audit not clean: %v", err)
+	}
+	if !r.s.InjectBusySkew(at) {
+		t.Fatal("no register in flight mid-run")
+	}
+	var v *audit.Violation
+	if err := audit.CheckSM(r.s, at); !errors.As(err, &v) {
+		t.Fatalf("dropped busy bit: want *audit.Violation, got %v", err)
+	}
+	if v.Rule != "busyMask" {
+		t.Errorf("dropped busy bit blames rule %q, want busyMask", v.Rule)
 	}
 }
 

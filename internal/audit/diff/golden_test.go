@@ -8,6 +8,7 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"finereg/internal/gpu"
 	"finereg/internal/kernels"
 	"finereg/internal/trace"
 )
@@ -42,18 +43,40 @@ type goldenCell struct {
 	Cycles       int64  `json:"cycles"`
 }
 
-// goldenCase is one kernel's full 12-cell matrix.
+// goldenCase is one kernel's full 12-cell matrix. SMs is the machine size
+// (0 = the audited 2-SM differential machine every case but LI and NW runs
+// on).
 type goldenCase struct {
 	Kernel string       `json:"kernel"`
 	Grid   int          `json:"grid"`
 	Seed   uint64       `json:"seed,omitempty"`
+	SMs    int          `json:"sms,omitempty"`
 	Cells  []goldenCell `json:"cells"`
+}
+
+// config returns the case's machine: the audited 2-SM differential machine,
+// or — for the cases that exist to pin event order, not accounting — an
+// unaudited one of the case's size (auditing 16 SMs at every CTA transition
+// costs six times the simulation; the cycle counts are the same either way).
+func (gc *goldenCase) config() gpu.Config {
+	if gc.SMs == 0 {
+		return Config(2)
+	}
+	c := Config(gc.SMs)
+	c.Audit = false
+	return c
 }
 
 // goldenKernels returns the pinned workloads: three real Table II
 // benchmarks spanning scheduler-limited and register-limited behaviour,
-// plus two random differential kernels (identified by seed so the profile
-// derivation is part of what the goldens pin).
+// two random differential kernels (identified by seed so the profile
+// derivation is part of what the goldens pin), and LI and NW on the
+// 16-SM machine at grids where the order in which equal-time events leave
+// the SM's event heap is visible: breaking ties by push order instead
+// moves both LI finereg cells under GTO and every switching-policy cell of
+// NW (vt, regdram, regmutex, finereg, finereg-full, both schedulers). The
+// first five cases do not notice that change; on two SMs, neither do LI
+// and NW at any grid up to 768.
 func goldenKernels(t *testing.T) []goldenCase {
 	t.Helper()
 	cases := []goldenCase{
@@ -62,6 +85,8 @@ func goldenKernels(t *testing.T) []goldenCase {
 		{Kernel: "SG", Grid: 16},
 		{Kernel: "random", Seed: 0x5eed},
 		{Kernel: "random", Seed: 0xfe11},
+		{Kernel: "LI", Grid: 512, SMs: 16},
+		{Kernel: "NW", Grid: 1280, SMs: 16},
 	}
 	for i := range cases {
 		if cases[i].Kernel == "random" {
@@ -95,7 +120,7 @@ func TestGoldenCycleExactness(t *testing.T) {
 	cases := goldenKernels(t)
 	for i := range cases {
 		gc := &cases[i]
-		outs, err := RunMatrix(Config(2), gc.profile(t), gc.Grid)
+		outs, err := RunMatrix(gc.config(), gc.profile(t), gc.Grid)
 		if err != nil {
 			t.Fatalf("%s/%d: %v", gc.Kernel, gc.Grid, err)
 		}
@@ -146,9 +171,9 @@ func compareGolden(t *testing.T, cases []goldenCase) {
 	}
 	for i := range cases {
 		got, exp := cases[i], want[i]
-		if got.Kernel != exp.Kernel || got.Grid != exp.Grid || got.Seed != exp.Seed {
-			t.Fatalf("case %d is %s/%d/%#x, golden has %s/%d/%#x — regenerate deliberately",
-				i, got.Kernel, got.Grid, got.Seed, exp.Kernel, exp.Grid, exp.Seed)
+		if got.Kernel != exp.Kernel || got.Grid != exp.Grid || got.Seed != exp.Seed || got.SMs != exp.SMs {
+			t.Fatalf("case %d is %s/%d/%#x on %d SMs, golden has %s/%d/%#x on %d — regenerate deliberately",
+				i, got.Kernel, got.Grid, got.Seed, got.SMs, exp.Kernel, exp.Grid, exp.Seed, exp.SMs)
 		}
 		if len(got.Cells) != len(exp.Cells) {
 			t.Fatalf("%s: %d cells, golden has %d", got.Kernel, len(got.Cells), len(exp.Cells))
@@ -173,13 +198,13 @@ func TestGoldenProgressSampling(t *testing.T) {
 		t.Skip("golden matrix sweep skipped in -short")
 	}
 	var sampled atomic.Int64
-	cfg := Config(2)
-	cfg.ProgressEvery = 1024
-	cfg.Progress = func(trace.ProgressSample) { sampled.Add(1) }
 
 	cases := goldenKernels(t)
 	for i := range cases {
 		gc := &cases[i]
+		cfg := gc.config()
+		cfg.ProgressEvery = 1024
+		cfg.Progress = func(trace.ProgressSample) { sampled.Add(1) }
 		outs, err := RunMatrix(cfg, gc.profile(t), gc.Grid)
 		if err != nil {
 			t.Fatalf("%s/%d: %v", gc.Kernel, gc.Grid, err)

@@ -374,9 +374,6 @@ func (f *FineReg) OnCTAFinished(s *sm.SM, c *sm.CTA, now int64) {
 	f.clearBlocked(s, now)
 }
 
-// AllowIssue implements sm.Policy.
-func (f *FineReg) AllowIssue(s *sm.SM, w *sm.Warp, now int64) bool { return true }
-
 // BlockedOnRegisters implements sm.Policy (Figure 14b accounting).
 func (f *FineReg) BlockedOnRegisters() bool { return f.blocked }
 

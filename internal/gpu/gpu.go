@@ -348,8 +348,9 @@ func (g *GPU) bind(ks []*kernels.Kernel, st *loopState) {
 	}
 	for p, k := range ks {
 		lo, hi := g.spans[p][0], g.spans[p][1]
+		info := sm.NewProgInfo(k, g.Cfg.SM) // decoded once, shared by the partition's SMs
 		for _, s := range g.SMs[lo:hi] {
-			s.BindKernel(k, st.now)
+			s.BindKernel(info, st.now)
 		}
 	}
 }

@@ -75,14 +75,13 @@ func TestCycleBudgetGuard(t *testing.T) {
 // stuckPolicy deliberately never launches anything.
 type stuckPolicy struct{}
 
-func (stuckPolicy) Name() string                                    { return "stuck" }
-func (stuckPolicy) KernelStart(s *sm.SM, now int64)                 {}
-func (stuckPolicy) FillSlots(s *sm.SM, now int64)                   {}
-func (stuckPolicy) OnCTAStalled(s *sm.SM, c *sm.CTA, now int64)     {}
-func (stuckPolicy) OnCTAReady(s *sm.SM, c *sm.CTA, now int64)       {}
-func (stuckPolicy) OnCTAFinished(s *sm.SM, c *sm.CTA, now int64)    {}
-func (stuckPolicy) AllowIssue(s *sm.SM, w *sm.Warp, now int64) bool { return true }
-func (stuckPolicy) BlockedOnRegisters() bool                        { return false }
+func (stuckPolicy) Name() string                                 { return "stuck" }
+func (stuckPolicy) KernelStart(s *sm.SM, now int64)              {}
+func (stuckPolicy) FillSlots(s *sm.SM, now int64)                {}
+func (stuckPolicy) OnCTAStalled(s *sm.SM, c *sm.CTA, now int64)  {}
+func (stuckPolicy) OnCTAReady(s *sm.SM, c *sm.CTA, now int64)    {}
+func (stuckPolicy) OnCTAFinished(s *sm.SM, c *sm.CTA, now int64) {}
+func (stuckPolicy) BlockedOnRegisters() bool                     { return false }
 
 func TestDeadlockDetection(t *testing.T) {
 	// A policy that never launches leaves the grid undrained with no

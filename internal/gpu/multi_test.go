@@ -218,3 +218,35 @@ func TestRunConcurrentSinglePartitionMatchesRun(t *testing.T) {
 		t.Errorf("degenerate concurrent run differs from Run:\nconc: %+v\nsolo: %+v", res.Total, solo)
 	}
 }
+
+// TestKernelDecodedOncePerBind: the issue table is built once per bound
+// kernel and shared read-only by the partition's SMs — sixteen SMs running
+// one kernel hold one table, and partitions running different kernels hold
+// different ones.
+func TestKernelDecodedOncePerBind(t *testing.T) {
+	g := New(Default(), Baseline())
+	if len(g.SMs) != 16 {
+		t.Fatalf("Table I machine has %d SMs, want 16", len(g.SMs))
+	}
+	if _, err := g.Run(mustKernel(t, "CS", 64)); err != nil {
+		t.Fatal(err)
+	}
+	for _, s := range g.SMs {
+		if s.Meta() == nil || s.Meta() != g.SMs[0].Meta() {
+			t.Fatalf("SM%d holds its own issue table", s.ID)
+		}
+	}
+
+	cfg := Default().Scale(4)
+	cfg.Partitions = []int{2, 2}
+	g = New(cfg, Baseline())
+	if _, err := g.RunConcurrent(mustKernel(t, "LB", 8), mustKernel(t, "CS", 8)); err != nil {
+		t.Fatal(err)
+	}
+	if g.SMs[0].Meta() != g.SMs[1].Meta() || g.SMs[2].Meta() != g.SMs[3].Meta() {
+		t.Error("SMs of one partition hold different issue tables")
+	}
+	if g.SMs[0].Meta() == g.SMs[2].Meta() {
+		t.Error("partitions running different kernels share an issue table")
+	}
+}

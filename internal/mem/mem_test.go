@@ -1,6 +1,7 @@
 package mem
 
 import (
+	"math/rand"
 	"testing"
 	"testing/quick"
 
@@ -297,5 +298,84 @@ func TestDRAMSubCycleRounding(t *testing.T) {
 	d2 := &DRAM{LatencyCycles: 0, BytesPerCycle: 313}
 	if got := d2.Access(100, 313, TrafficDemand); got != 101 {
 		t.Errorf("whole-cycle access completes at %d, want 101", got)
+	}
+}
+
+// refLRU is the reference the two-pass probe in Cache.Access must agree
+// with: one loop per access that matches tags and tracks the running
+// strict-minimum stamp together, as Access itself was written before it was
+// split.
+type refLRU struct {
+	ways, sets   int
+	tags         []uint64
+	used         []int64
+	stamp        int64
+	hits, misses int64
+}
+
+func (c *refLRU) access(addr uint64) bool {
+	c.stamp++
+	line := addr/LineBytes + 1
+	base := int(addr/LineBytes%uint64(c.sets)) * c.ways
+	victim := base
+	for i := base; i < base+c.ways; i++ {
+		if c.tags[i] == line {
+			c.used[i] = c.stamp
+			c.hits++
+			return true
+		}
+		if c.used[i] < c.used[victim] {
+			victim = i
+		}
+	}
+	c.misses++
+	c.tags[victim] = line
+	c.used[victim] = c.stamp
+	return false
+}
+
+// TestCacheMatchesReferenceLRU drives Cache.Access and the single-loop
+// reference with the same seeded address streams and compares every return
+// value, the counters, and where every tag ended up.
+func TestCacheMatchesReferenceLRU(t *testing.T) {
+	geoms := []struct{ bytes, ways int }{
+		{48 << 10, 8},          // Table I L1: 48 sets, not a power of two
+		{128 << 10, 8},         // power-of-two sets
+		{3 * 5 * LineBytes, 5}, // odd everything
+		{4 * LineBytes, 4},     // a single set
+	}
+	for _, g := range geoms {
+		lines := uint64(g.bytes / LineBytes)
+		streams := map[string]func(r *rand.Rand) uint64{
+			// Half the capacity: after warm-up nearly every probe hits.
+			"hit-heavy": func(r *rand.Rand) uint64 { return r.Uint64() % (lines/2 + 1) * LineBytes },
+			// Sixteen times the capacity: nearly every probe evicts.
+			"miss-heavy": func(r *rand.Rand) uint64 { return r.Uint64() % (lines * 16) * LineBytes },
+			// Around capacity with byte offsets and a second region.
+			"mixed": func(r *rand.Rand) uint64 {
+				return uint64(r.Intn(2))<<40 + r.Uint64()%(lines*LineBytes*2)
+			},
+		}
+		for name, next := range streams {
+			r := rand.New(rand.NewSource(int64(g.bytes + g.ways)))
+			c := MustNewCache(g.bytes, g.ways)
+			ref := &refLRU{ways: g.ways, sets: g.bytes / (g.ways * LineBytes),
+				tags: make([]uint64, lines), used: make([]int64, lines)}
+			for i := 0; i < 20000; i++ {
+				addr := next(r)
+				if got, want := c.Access(addr), ref.access(addr); got != want {
+					t.Fatalf("%d/%d %s: access %d (%#x) hit=%v, reference %v", g.bytes, g.ways, name, i, addr, got, want)
+				}
+			}
+			if c.Hits != ref.hits || c.Misses != ref.misses || c.Accesses != ref.hits+ref.misses {
+				t.Errorf("%d/%d %s: counters %d/%d/%d, reference %d hits %d misses",
+					g.bytes, g.ways, name, c.Accesses, c.Hits, c.Misses, ref.hits, ref.misses)
+			}
+			for i := range c.tags {
+				if c.tags[i] != ref.tags[i] {
+					t.Fatalf("%d/%d %s: way %d holds tag %#x, reference %#x", g.bytes, g.ways, name, i, c.tags[i], ref.tags[i])
+				}
+			}
+		}
 	}
 }

@@ -56,9 +56,6 @@ func (b *Baseline) OnCTAFinished(s *sm.SM, c *sm.CTA, now int64) {
 	b.regsFree += c.RegCost
 }
 
-// AllowIssue implements sm.Policy.
-func (b *Baseline) AllowIssue(s *sm.SM, w *sm.Warp, now int64) bool { return true }
-
 // BlockedOnRegisters implements sm.Policy.
 func (b *Baseline) BlockedOnRegisters() bool { return false }
 

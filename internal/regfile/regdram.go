@@ -257,9 +257,6 @@ func (r *RegDRAM) OnCTAFinished(s *sm.SM, c *sm.CTA, now int64) {
 	r.regsFree += c.RegCost
 }
 
-// AllowIssue implements sm.Policy.
-func (r *RegDRAM) AllowIssue(s *sm.SM, w *sm.Warp, now int64) bool { return true }
-
 // BlockedOnRegisters implements sm.Policy.
 func (r *RegDRAM) BlockedOnRegisters() bool { return false }
 

@@ -18,7 +18,7 @@ func newRig(t *testing.T, bench string, grid int, pol sm.Policy) (*sm.SM, *rigDi
 	hier := mem.NewHierarchy(2<<20, 8, 600, 313, mem.DefaultLatencies())
 	disp := &rigDisp{total: grid}
 	s := sm.New(0, sm.Default(), hier, disp, pol)
-	s.BindKernel(k, 0)
+	s.BindKernel(sm.NewProgInfo(k, s.Cfg), 0)
 	return s, disp
 }
 
@@ -145,7 +145,7 @@ func TestRegDRAMCompletesWithContextTraffic(t *testing.T) {
 	disp := &rigDisp{total: 64}
 	pol := NewRegDRAM(sm.Default(), hier, 4)
 	s := sm.New(0, sm.Default(), hier, disp, pol)
-	s.BindKernel(k, 0)
+	s.BindKernel(sm.NewProgInfo(k, s.Cfg), 0)
 	runRig(t, s, disp, 30_000_000)
 	// With an off-chip pool the policy may or may not spill depending on
 	// dynamics, but accounting must balance and any context traffic must

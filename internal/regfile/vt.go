@@ -97,9 +97,6 @@ func (v *VirtualThread) OnCTAFinished(s *sm.SM, c *sm.CTA, now int64) {
 	v.regsFree += c.RegCost
 }
 
-// AllowIssue implements sm.Policy.
-func (v *VirtualThread) AllowIssue(s *sm.SM, w *sm.Warp, now int64) bool { return true }
-
 // BlockedOnRegisters implements sm.Policy.
 func (v *VirtualThread) BlockedOnRegisters() bool { return false }
 

@@ -90,6 +90,19 @@ func (w *Warp) AtBarrier() bool { return w.atBarrier }
 // total (a block of at least Config.LongStall cycles).
 func (w *Warp) LongBlocked() bool { return w.longBlocked }
 
+// UntrackedPending returns a register whose value is still in flight at
+// cycle now (regReady > now) but whose bit is missing from the warp's busy
+// mask, or -1 when busy covers every pending register — the invariant that
+// lets depReadyAt trust a clear bit without reading regReady.
+func (w *Warp) UntrackedPending(now int64) int {
+	for r, at := range w.regReady {
+		if at > now && w.busy&(1<<r) == 0 {
+			return r
+		}
+	}
+	return -1
+}
+
 // StalledWarps returns the CTA's long-blocked warp count.
 func (c *CTA) StalledWarps() int { return c.stalledWarps }
 
@@ -141,6 +154,28 @@ func (s *SM) InjectReadySkew() bool {
 		if len(ws) > 0 {
 			s.ready[sid] = ws[1:]
 			return true
+		}
+	}
+	return false
+}
+
+// InjectBusySkew clears the busy bit of one register that is still pending
+// at cycle now on some resident, non-exited warp (simulating an issue path
+// that wrote regReady without marking the register busy — the warp would
+// then issue a dependent instruction early). Returns false when no
+// register is in flight. Tests only.
+func (s *SM) InjectBusySkew(now int64) bool {
+	for _, c := range s.residents {
+		for _, w := range c.Warps {
+			if w.exited {
+				continue
+			}
+			for r, at := range w.regReady {
+				if at > now && w.busy&(1<<r) != 0 {
+					w.busy &^= 1 << r
+					return true
+				}
+			}
 		}
 	}
 	return false

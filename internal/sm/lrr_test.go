@@ -60,7 +60,7 @@ func TestLRRRotatesFairly(t *testing.T) {
 	s := New(0, cfg, hier, disp, &nullPolicy{})
 	log := &issueLog{counts: map[int]int{}}
 	s.SetTrace(log)
-	s.BindKernel(k, 0)
+	s.BindKernel(NewProgInfo(k, s.Cfg), 0)
 	drive(t, s, disp, 1_000_000)
 
 	if got := len(log.order); got != warps*22 {
@@ -140,7 +140,7 @@ func TestLRRSurvivesMidRotationEviction(t *testing.T) {
 	s := New(0, cfg, hier, disp, &nullPolicy{})
 	log := &issueLog{counts: map[int]int{}}
 	s.SetTrace(log)
-	s.BindKernel(k, 0)
+	s.BindKernel(NewProgInfo(k, s.Cfg), 0)
 
 	// Wiring order on the single scheduler: c0w0 c0w1 c1w0 c1w1 c2w0 c2w1.
 	// Four ticks of all-ready ALU work issue c0w0, c0w1, c1w0, c1w1 — the
@@ -207,7 +207,7 @@ func TestGTOStaysGreedy(t *testing.T) {
 	s := New(0, cfg, hier, disp, &nullPolicy{})
 	log := &issueLog{counts: map[int]int{}}
 	s.SetTrace(log)
-	s.BindKernel(k, 0)
+	s.BindKernel(NewProgInfo(k, s.Cfg), 0)
 	drive(t, s, disp, 1_000_000)
 
 	// Greedy: consecutive issues from the same warp dominate the stream.

@@ -5,7 +5,6 @@ import (
 	"math/bits"
 
 	"finereg/internal/isa"
-	"finereg/internal/kernels"
 	"finereg/internal/mem"
 	"finereg/internal/trace"
 )
@@ -36,13 +35,18 @@ type Policy interface {
 	// OnCTAFinished fires when a CTA's last warp exits, after the SM has
 	// released its scheduling slots and shared memory.
 	OnCTAFinished(s *SM, c *CTA, now int64)
-	// AllowIssue gates instruction issue (RegMutex's shared-register-pool
-	// acquisition); return false to block the warp this cycle.
-	AllowIssue(s *SM, w *Warp, now int64) bool
 	// BlockedOnRegisters reports whether the policy currently has
 	// schedulable work blocked only by register-resource depletion
 	// (Figure 14b accounting).
 	BlockedOnRegisters() bool
+}
+
+// IssueGate is an optional Policy extension: a policy that implements it is
+// consulted before every instruction issues (RegMutex's shared-register-pool
+// acquisition). Policies that never deny issue simply omit the method.
+type IssueGate interface {
+	// AllowIssue returns false to block the warp this cycle.
+	AllowIssue(s *SM, w *Warp, now int64) bool
 }
 
 // Dispatcher feeds grid CTAs to SMs.
@@ -93,11 +97,12 @@ type SM struct {
 	ID   int
 	Cfg  Config
 	Pol  Policy
+	gate IssueGate // Pol when it implements IssueGate, else nil
 	Hier *mem.Hierarchy
 	L1   *mem.Cache
 	Disp Dispatcher
 
-	meta *progMeta
+	meta *ProgInfo
 
 	// Residency.
 	residents  []*CTA
@@ -166,6 +171,7 @@ func New(id int, cfg Config, hier *mem.Hierarchy, disp Dispatcher, pol Policy) *
 		L1:   mem.MustNewCache(cfg.L1Bytes, cfg.L1Ways),
 		Disp: disp,
 	}
+	s.gate, _ = pol.(IssueGate)
 	s.schedWarps = make([][]*Warp, cfg.NumSchedulers)
 	s.ready = make([][]*Warp, cfg.NumSchedulers)
 	s.greedy = make([]*Warp, cfg.NumSchedulers)
@@ -174,16 +180,23 @@ func New(id int, cfg Config, hier *mem.Hierarchy, disp Dispatcher, pol Policy) *
 	return s
 }
 
-// BindKernel prepares the SM to run kernel k and lets the policy populate
+// BindKernel prepares the SM to run the kernel decoded in info (shared,
+// read-only, with every other SM bound to it) and lets the policy populate
 // its initial CTAs. The SM must be drained: stream segments rebind only
 // after the previous kernel's CTAs have all retired, so a resident CTA
 // here means the run loop terminated early and the old kernel's state
-// would be silently reinterpreted under the new program's tables.
-func (s *SM) BindKernel(k *kernels.Kernel, now int64) {
+// would be silently reinterpreted under the new program's tables. info
+// must have been decoded for this SM's latencies: they are baked into its
+// rows.
+func (s *SM) BindKernel(info *ProgInfo, now int64) {
 	if len(s.residents) > 0 {
 		panic(fmt.Sprintf("sm: SM%d rebound with %d resident CTAs", s.ID, len(s.residents)))
 	}
-	s.meta = newProgMeta(k)
+	if info.aluLat != s.Cfg.ALULat || info.sfuLat != s.Cfg.SFULat || info.shmemLat != s.Cfg.ShmemLat {
+		panic(fmt.Sprintf("sm: SM%d (ALU/SFU/shmem latency %d/%d/%d) bound to a kernel decoded for %d/%d/%d",
+			s.ID, s.Cfg.ALULat, s.Cfg.SFULat, s.Cfg.ShmemLat, info.aluLat, info.sfuLat, info.shmemLat))
+	}
+	s.meta = info
 	s.statLastT = now
 	s.residentInt, s.activeInt, s.threadsInt = 0, 0, 0
 	s.Pol.KernelStart(s, now)
@@ -191,31 +204,22 @@ func (s *SM) BindKernel(k *kernels.Kernel, now int64) {
 }
 
 // Meta exposes the bound program's derived tables to policies.
-func (s *SM) Meta() *ProgInfo {
-	return &ProgInfo{meta: s.meta}
-}
-
-// ProgInfo is the policy-facing view of the bound kernel.
-type ProgInfo struct{ meta *progMeta }
+func (s *SM) Meta() *ProgInfo { return s.meta }
 
 // RegCostPerCTA returns the full static allocation in warp-registers.
-func (p *ProgInfo) RegCostPerCTA() int { return p.meta.regCost }
+func (p *ProgInfo) RegCostPerCTA() int { return p.regCost }
 
 // WarpsPerCTA returns warps per CTA.
-func (p *ProgInfo) WarpsPerCTA() int { return p.meta.warpsPerCTA }
+func (p *ProgInfo) WarpsPerCTA() int { return p.warpsPerCTA }
 
 // SharedMemPerCTA returns shared-memory bytes per CTA.
-func (p *ProgInfo) SharedMemPerCTA() int { return p.meta.sharedMem }
+func (p *ProgInfo) SharedMemPerCTA() int { return p.sharedMem }
 
 // RegsPerThread returns the per-thread register allocation.
-func (p *ProgInfo) RegsPerThread() int { return p.meta.prog.RegsPerThread }
+func (p *ProgInfo) RegsPerThread() int { return p.prog.RegsPerThread }
 
 // LiveCount returns the live-register count at pc.
-func (p *ProgInfo) LiveCount(pc int) int { return p.meta.live.LiveCount(pc) }
-
-// MaxRegAt returns the highest register index the instruction at pc
-// references plus one (0 when it references none).
-func (p *ProgInfo) MaxRegAt(pc int) int { return p.meta.maxReg[pc] }
+func (p *ProgInfo) LiveCount(pc int) int { return p.live.LiveCount(pc) }
 
 // HighPressure returns the warp's register demand above the first brs
 // registers at pc: live registers with index >= brs (values that must
@@ -223,12 +227,11 @@ func (p *ProgInfo) MaxRegAt(pc int) int { return p.meta.maxReg[pc] }
 // destinations) plus the destination the instruction at pc is about to
 // define. This is what RegMutex's SRP must hold for the warp.
 func (p *ProgInfo) HighPressure(pc, brs int) int {
-	live := p.meta.live.At(pc)
+	live := p.live.At(pc)
 	// Registers >= brs are exactly the bits that survive shifting the
 	// vector right by brs (allocation-free, unlike materializing Regs()).
 	n := bits.OnesCount64(uint64(live) >> uint(brs))
-	in := p.meta.prog.At(pc)
-	if in.Dst.Valid() && int(in.Dst) >= brs && !live.Has(in.Dst) {
+	if dst := p.rows[pc].dst; dst.Valid() && int(dst) >= brs && !live.Has(dst) {
 		n++
 	}
 	return n
@@ -238,7 +241,7 @@ func (p *ProgInfo) HighPressure(pc, brs int) int {
 func (p *ProgInfo) LiveRegsOf(c *CTA) int {
 	total := 0
 	for _, w := range c.Warps {
-		total += w.LiveAt(p.meta.live)
+		total += w.LiveAt(p.live)
 	}
 	return total
 }
@@ -252,7 +255,7 @@ func (p *ProgInfo) LiveRefs(c *CTA, visit func(warp, reg uint8)) {
 		}
 		// Walk the set bits directly; this runs on every eviction, and
 		// materializing Regs() allocated a slice per warp.
-		for v := uint64(p.meta.live.At(w.PC)); v != 0; v &= v - 1 {
+		for v := uint64(p.live.At(w.PC)); v != 0; v &= v - 1 {
 			visit(uint8(w.Idx), uint8(bits.TrailingZeros64(v)))
 		}
 	}
@@ -644,58 +647,58 @@ type event struct {
 	cta  *CTA  // pending-CTA ready
 }
 
-// eventHeap is a hand-rolled binary min-heap on event.at. It replicates
-// container/heap's sift comparisons exactly (strict < with the same
-// up/down order), so equal-time events pop in the same order as before —
-// that tie order is observable through same-cycle OnCTAReady delivery —
-// while push/pop avoid boxing each event into an interface value, which
-// cost one allocation per warp block on the hot path.
+// eventHeap is a hand-rolled binary min-heap on event.at. It makes
+// container/heap's sift comparisons exactly (strict < with the same up/down
+// order), so equal-time events pop in the order that heap would give — that
+// tie order is observable (same-cycle OnCTAReady delivery moves LI and NW
+// cycle counts; DESIGN.md §11), so a change of queue discipline is a model
+// change. The sifts move elements into a hole instead of swapping, and
+// nothing is boxed into an interface value.
 type eventHeap []event
 
 func (h *eventHeap) push(e event) {
 	*h = append(*h, e)
-	h.up(len(*h) - 1)
-}
-
-func (h eventHeap) up(j int) {
-	for {
+	q := *h
+	j := len(q) - 1
+	for j > 0 {
 		i := (j - 1) / 2 // parent
-		if i == j || h[j].at >= h[i].at {
-			return
+		if e.at >= q[i].at {
+			break
 		}
-		h[i], h[j] = h[j], h[i]
+		q[j] = q[i]
 		j = i
 	}
+	q[j] = e
 }
 
 func (h *eventHeap) pop() event {
-	old := *h
-	n := len(old) - 1
-	old[0], old[n] = old[n], old[0]
-	old.down(0, n)
-	e := old[n]
-	old[n] = event{} // release warp/CTA pointers to the collector
-	*h = old[:n]
-	return e
-}
-
-func (h eventHeap) down(i0, n int) {
-	i := i0
+	q := *h
+	top := q[0]
+	n := len(q) - 1
+	e := q[n]
+	q[n] = event{} // release warp/CTA pointers to the collector
+	q = q[:n]
+	*h = q
+	if n == 0 {
+		return top
+	}
+	i := 0
 	for {
-		j1 := 2*i + 1
-		if j1 >= n || j1 < 0 { // j1 < 0 after int overflow
-			return
+		j := 2*i + 1 // left child
+		if j >= n {
+			break
 		}
-		j := j1 // left child
-		if j2 := j1 + 1; j2 < n && h[j2].at < h[j1].at {
-			j = j2 // right child
+		if r := j + 1; r < n && q[r].at < q[j].at {
+			j = r
 		}
-		if h[j].at >= h[i].at {
-			return
+		if q[j].at >= e.at {
+			break
 		}
-		h[i], h[j] = h[j], h[i]
+		q[i] = q[j]
 		i = j
 	}
+	q[i] = e
+	return top
 }
 
 // ScheduleEvent lets policies register a future OnCTAReady check.
@@ -744,11 +747,19 @@ func (s *SM) Tick(now int64) (next int64, issued int) {
 		return next, 0
 	}
 
-	for sid := 0; sid < s.Cfg.NumSchedulers; sid++ {
+	for sid := range s.ready {
+		// An empty partition means the scheduler's greedy warp is asleep
+		// too: issueReady would reject it on its first test.
+		if len(s.ready[sid]) == 0 {
+			continue
+		}
 		if w := s.pick(sid, now); w != nil {
 			s.issue(w, now)
-			s.greedy[sid] = w
 			s.rotor[sid] = w.schedSeq
+			if w.exited {
+				w = nil // exitWarp cleared the pointer; do not re-point it at a retired warp
+			}
+			s.greedy[sid] = w
 			issued++
 		}
 	}
@@ -847,24 +858,23 @@ func (s *SM) pickLRR(sid int, now int64) *Warp {
 // issueReady checks scoreboard readiness; a dependency-blocked warp is put
 // to sleep as a side effect.
 func (s *SM) issueReady(w *Warp, now int64) bool {
-	if w.exited || w.CTA.State != CTAActive || w.wakeAt > now {
+	if w.wakeAt > now || w.exited || w.CTA.State != CTAActive {
 		return false
 	}
 	// Register acquisition happens at decode — before operands are ready —
 	// so a warp that then blocks on memory holds its shared-pool grant
 	// across the stall (the RegMutex contention the paper measures).
-	if !s.Pol.AllowIssue(s, w, now) {
+	if s.gate != nil && !s.gate.AllowIssue(s, w, now) {
 		if s.sink != nil {
 			s.sink.WarpDeny(s.ID, w.CTA.ID, w.Idx, now)
 		}
 		return false
 	}
-	in := s.meta.prog.At(w.PC)
-	dep := w.depReadyAt(in)
-	if dep > now {
+	row := &s.meta.rows[w.PC]
+	if dep := w.depReadyAt(row.depMask, now); dep > now {
 		reason := trace.ReasonScoreboard
 		if s.sink != nil {
-			reason = w.blockReason(in)
+			reason = w.blockReason(row.in)
 		}
 		s.block(w, dep, now, reason)
 		return false
@@ -912,18 +922,19 @@ func (s *SM) block(w *Warp, until, now int64, reason trace.StallReason) {
 // issue executes one instruction of warp w at cycle now.
 func (s *SM) issue(w *Warp, now int64) {
 	c := w.CTA
-	in := s.meta.prog.At(w.PC)
+	row := &s.meta.rows[w.PC]
+	dst := row.dst
 	s.Cnt.Instructions++
 	if c.firstIssueAt < 0 {
 		c.firstIssueAt = now
 	}
 	if s.sink != nil {
 		s.sink.WarpIssue(s.ID, c.ID, w.Idx, now, w.PC)
-		if in.Dst.Valid() {
+		if dst.Valid() {
 			// Remember what produces the destination so a later blocked
 			// consumer can be attributed (memory vs. scoreboard).
-			bit := uint64(1) << uint(in.Dst)
-			if isa.ClassOf(in.Op) == isa.ClassMemGlobal {
+			bit := uint64(1) << dst
+			if row.kind == kindGlobal {
 				w.memWritten |= bit
 			} else {
 				w.memWritten &^= bit
@@ -932,45 +943,37 @@ func (s *SM) issue(w *Warp, now int64) {
 	}
 
 	// Register file event accounting (reads per source, one write).
-	s.Cnt.RFReads += int64(in.NSrc)
-	if in.Dst.Valid() {
+	s.Cnt.RFReads += int64(row.nsrc)
+	if dst.Valid() {
 		s.Cnt.RFWrites++
 	}
 	if s.Cfg.TrackRegUsage {
-		s.trackUsage(w, in)
+		s.trackUsage(w, row.in)
 	}
 
-	switch isa.ClassOf(in.Op) {
-	case isa.ClassALU:
-		if in.Dst.Valid() {
-			w.regReady[in.Dst] = now + s.Cfg.ALULat
-		}
-		w.PC++
-	case isa.ClassSFU:
-		if in.Dst.Valid() {
-			w.regReady[in.Dst] = now + s.Cfg.SFULat
-		}
-		w.PC++
-	case isa.ClassMemShared:
+	switch row.kind {
+	case kindShared:
 		s.Cnt.SharedAccesses++
-		if in.Dst.Valid() {
-			w.regReady[in.Dst] = now + s.Cfg.ShmemLat
+		fallthrough
+	case kindFixed:
+		if dst.Valid() {
+			w.setReady(dst, now+row.lat)
 		}
 		w.PC++
-	case isa.ClassMemGlobal:
+	case kindGlobal:
 		w.memCounter++
 		stream := w.UID*2654435761 + w.memCounter
-		s.lineBuf = mem.Coalesce(in.Mem, stream, s.lineBuf)
-		res := s.Hier.Access(s.L1, now, s.lineBuf, !in.IsLoad())
-		if in.Dst.Valid() {
-			w.regReady[in.Dst] = res.ReadyAt
+		s.lineBuf = mem.Coalesce(row.in.Mem, stream, s.lineBuf)
+		res := s.Hier.Access(s.L1, now, s.lineBuf, row.store)
+		if dst.Valid() {
+			w.setReady(dst, res.ReadyAt)
 		}
 		if s.sink != nil {
 			s.sink.MemAccess(s.ID, now, res.Transactions, res.L1Misses, res.L2Misses,
 				s.Hier.DRAM.QueueDelay(now))
 		}
 		w.PC++
-	case isa.ClassSync:
+	case kindBarrier:
 		// CTA-wide barrier: the warp parks until every non-exited warp of
 		// its CTA arrives, then all release in the same cycle.
 		w.PC++
@@ -991,12 +994,10 @@ func (s *SM) issue(w *Warp, now int64) {
 			}
 			w.wakeAt = barrierParked
 		}
-	case isa.ClassControl:
-		if in.Op == isa.OpEXIT {
-			s.exitWarp(w, now)
-			return
-		}
-		w.PC = w.advanceBranch(s.meta, w.PC, in)
+	case kindExit:
+		s.exitWarp(w, now)
+	case kindBranch:
+		w.PC = w.advanceBranch(row)
 	}
 }
 

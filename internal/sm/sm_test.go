@@ -23,11 +23,10 @@ func (n *nullPolicy) FillSlots(s *SM, now int64) {
 		n.launched++
 	}
 }
-func (n *nullPolicy) OnCTAStalled(s *SM, c *CTA, now int64)     {}
-func (n *nullPolicy) OnCTAReady(s *SM, c *CTA, now int64)       {}
-func (n *nullPolicy) OnCTAFinished(s *SM, c *CTA, now int64)    {}
-func (n *nullPolicy) AllowIssue(s *SM, w *Warp, now int64) bool { return true }
-func (n *nullPolicy) BlockedOnRegisters() bool                  { return false }
+func (n *nullPolicy) OnCTAStalled(s *SM, c *CTA, now int64)  {}
+func (n *nullPolicy) OnCTAReady(s *SM, c *CTA, now int64)    {}
+func (n *nullPolicy) OnCTAFinished(s *SM, c *CTA, now int64) {}
+func (n *nullPolicy) BlockedOnRegisters() bool               { return false }
 
 type sliceDisp struct{ next, total int }
 
@@ -50,7 +49,7 @@ func testSM(t *testing.T, bench string, grid int) (*SM, *kernels.Kernel, *sliceD
 	hier := mem.NewHierarchy(2<<20, 8, 600, 313, mem.DefaultLatencies())
 	disp := &sliceDisp{total: grid}
 	s := New(0, Default(), hier, disp, &nullPolicy{})
-	s.BindKernel(k, 0)
+	s.BindKernel(NewProgInfo(k, s.Cfg), 0)
 	return s, k, disp
 }
 
@@ -193,13 +192,53 @@ func TestGTOGreedyPrefersLastWarp(t *testing.T) {
 		now = n
 	}
 	found := false
-	for _, g := range s.greedy {
-		if g != nil {
-			found = true
+	for sid, g := range s.greedy {
+		if g == nil {
+			continue
+		}
+		found = true
+		if g.exited || g.schedID != sid {
+			t.Errorf("scheduler %d greedy warp: exited=%v, wired to scheduler %d", sid, g.exited, g.schedID)
 		}
 	}
 	if !found {
 		t.Error("no scheduler recorded a greedy warp after issuing")
+	}
+}
+
+// TestGreedyNeverPointsAtExitedWarp is the regression test for Tick
+// re-pointing greedy[sid] at a warp that exited during its own issue
+// (exitWarp cleared the pointer, the line after issue set it back): it was
+// harmless only while issueReady kept rejecting exited warps, and it kept a
+// finished CTA's warp context reachable from the scheduler.
+func TestGreedyNeverPointsAtExitedWarp(t *testing.T) {
+	for _, bench := range []string{"CS", "LB"} {
+		s, _, disp := testSM(t, bench, 24)
+		var now int64
+		exits := 0
+		for len(s.Residents()) > 0 || disp.Remaining() > 0 {
+			if now > 5_000_000 {
+				t.Fatalf("%s did not finish", bench)
+			}
+			before := s.warpsUsed
+			n, _ := s.Tick(now)
+			if s.warpsUsed < before {
+				exits++
+			}
+			for sid, g := range s.greedy {
+				if g != nil && g.Exited() {
+					t.Fatalf("%s cycle %d: scheduler %d greedy warp (CTA %d warp %d) has exited",
+						bench, now, sid, g.CTA.ID, g.Idx)
+				}
+			}
+			if n <= now {
+				n = now + 1
+			}
+			now = n
+		}
+		if exits == 0 {
+			t.Fatalf("%s: no tick retired a warp; the test exercised nothing", bench)
+		}
 	}
 }
 
@@ -291,6 +330,22 @@ func TestConfigDefaultsMatchTableI(t *testing.T) {
 	}
 }
 
+// The issue table carries latencies resolved from a Config; binding it to
+// an SM configured differently would silently simulate the wrong machine.
+func TestBindKernelRejectsForeignLatencies(t *testing.T) {
+	_, k, _ := testSM(t, "CS", 4)
+	cfg := Default()
+	cfg.SFULat++
+	hier := mem.NewHierarchy(2<<20, 8, 600, 313, mem.DefaultLatencies())
+	fresh := New(1, Default(), hier, &sliceDisp{total: 4}, &nullPolicy{})
+	defer func() {
+		if recover() == nil {
+			t.Error("BindKernel accepted a table decoded for another SFU latency")
+		}
+	}()
+	fresh.BindKernel(NewProgInfo(k, cfg), 0)
+}
+
 func TestTimingBarrierSynchronizes(t *testing.T) {
 	// A two-warp CTA where warp arrival at the barrier is skewed by a
 	// long load: no warp may issue past the barrier before both arrive.
@@ -314,7 +369,7 @@ func TestTimingBarrierSynchronizes(t *testing.T) {
 	hier := mem.NewHierarchy(2<<20, 8, 600, 313, mem.DefaultLatencies())
 	disp := &sliceDisp{total: 4}
 	s := New(0, Default(), hier, disp, &nullPolicy{})
-	s.BindKernel(k, 0)
+	s.BindKernel(NewProgInfo(k, s.Cfg), 0)
 	drive(t, s, disp, 1_000_000)
 	// 4 CTAs x 2 warps x 5 instructions each.
 	if want := int64(4 * 2 * 5); s.Cnt.Instructions != want {

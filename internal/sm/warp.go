@@ -2,6 +2,7 @@ package sm
 
 import (
 	"fmt"
+	"math/bits"
 
 	"finereg/internal/isa"
 	"finereg/internal/kernels"
@@ -106,18 +107,31 @@ func (c *CTA) SetPolicyData(v any) { c.policyData = v }
 // PolicyData returns the policy-private state.
 func (c *CTA) PolicyData() any { return c.policyData }
 
-// Warp is one warp's timing context.
+// Warp is one warp's timing context. The fields issueReady tests on every
+// scheduler scan (wake time, busy mask, PC, the state flags, the CTA) lead
+// the struct so a rejected warp costs one cache line.
 type Warp struct {
-	CTA *CTA
+	wakeAt int64
+	// busy has bit r set for every register whose regReady may still lie in
+	// the future: issue sets the bit with the write, depReadyAt clears it
+	// once the time has passed. busy ⊇ {r : regReady[r] > now} always holds
+	// (the auditor checks it), so a clear bit proves a register ready
+	// without loading regReady.
+	busy uint64
+	// PC is the next instruction to issue.
+	PC          int
+	asleep      bool
+	longBlocked bool
+	atBarrier   bool
+	exited      bool
+	CTA         *CTA
+
 	// Idx is the warp's index within its CTA.
 	Idx int
 	// UID is globally unique (drives memory address streams).
 	UID uint64
 	// Age is the launch stamp used by GTO's "oldest" order.
 	Age int64
-
-	// PC is the next instruction to issue.
-	PC int
 
 	regReady [isa.MaxRegs]int64
 
@@ -133,12 +147,6 @@ type Warp struct {
 	// the scheduler the warp is currently wired to.
 	schedSeq int64
 	schedID  int
-
-	wakeAt      int64
-	asleep      bool
-	longBlocked bool
-	atBarrier   bool
-	exited      bool
 
 	memCounter uint64
 
@@ -193,87 +201,140 @@ func (w *Warp) LiveAt(info *liveness.Info) int {
 	return info.LiveCount(w.PC)
 }
 
-// progMeta caches per-program derived tables the SM needs at issue time.
-type progMeta struct {
+// issueKind is what issuing an instruction does beyond the register-file
+// accounting every instruction shares.
+type issueKind uint8
+
+const (
+	kindFixed   issueKind = iota // ALU/SFU: destination ready after a fixed latency
+	kindShared                   // shared memory: fixed latency, counted
+	kindGlobal                   // global memory: latency from the hierarchy
+	kindBarrier                  // CTA-wide barrier
+	kindExit                     // warp exit
+	kindBranch                   // control transfer
+)
+
+// issueRow is one instruction decoded for the issue path: everything
+// issueReady and issue need, so neither touches the isa.Instr.
+type issueRow struct {
+	// depMask has a bit per register the instruction must wait for (RAW on
+	// sources and predicate, WAW on the destination).
+	depMask uint64
+	// lat is the fixed result latency (kindFixed, kindShared), resolved
+	// from the sm.Config the table was built for.
+	lat int64
+	// in is the instruction itself, for the cold users: branches, the
+	// global-memory descriptor, usage tracking, stall attribution.
+	in *isa.Instr
+	// loop is a backward branch's loop-counter slot, -1 otherwise.
+	loop  int32
+	dst   isa.Reg // RegNone when the instruction defines no register
+	nsrc  uint8
+	kind  issueKind
+	store bool // global store: consumes bandwidth, never blocks the warp
+}
+
+// ProgInfo is a kernel decoded for one SM configuration: the per-PC issue
+// table plus the geometry and liveness the policies ask about. It is built
+// once per bound kernel (NewProgInfo) and shared read-only by every SM
+// running that kernel.
+type ProgInfo struct {
 	prog *isa.Program
 	live *liveness.Info
-	// loopSlot maps a backward-branch PC to a dense slot index, -1
-	// otherwise.
-	loopSlot []int
-	numLoops int
-	// maxReg[pc] is the highest register index referenced at pc, plus one.
-	maxReg []int
+	rows []issueRow
+	// loopTrip[slot] is the trip count a new warp's loop counter starts at.
+	loopTrip []int32
+	// aluLat, sfuLat and shmemLat are the latencies baked into rows;
+	// BindKernel refuses an SM configured with different ones.
+	aluLat, sfuLat, shmemLat int64
 	// kernel geometry
 	warpsPerCTA int
 	sharedMem   int
 	regCost     int // warp-registers per CTA
 }
 
-func newProgMeta(k *kernels.Kernel) *progMeta {
+// NewProgInfo decodes kernel k for SMs configured as cfg.
+func NewProgInfo(k *kernels.Kernel, cfg Config) *ProgInfo {
 	p := k.Prog
-	m := &progMeta{
+	m := &ProgInfo{
 		prog:        p,
 		live:        k.Live,
-		loopSlot:    make([]int, p.Len()),
+		rows:        make([]issueRow, p.Len()),
 		warpsPerCTA: k.Profile.WarpsPerCTA,
 		sharedMem:   k.Profile.SharedMem,
 		regCost:     k.Profile.WarpsPerCTA * k.Profile.Regs,
+		aluLat:      cfg.ALULat,
+		sfuLat:      cfg.SFULat,
+		shmemLat:    cfg.ShmemLat,
 	}
-	for pc := range m.loopSlot {
-		m.loopSlot[pc] = -1
-	}
-	m.maxReg = make([]int, p.Len())
-	for pc := 0; pc < p.Len(); pc++ {
+	for pc := range m.rows {
 		in := p.At(pc)
-		if in.Op == isa.OpBRA && in.IsBackward(pc) {
-			m.loopSlot[pc] = m.numLoops
-			m.numLoops++
-		}
-		hi := -1
+		row := &m.rows[pc]
+		*row = issueRow{in: in, loop: -1, dst: isa.RegNone, nsrc: in.NSrc}
 		if in.Dst.Valid() {
-			hi = int(in.Dst)
+			row.dst = in.Dst
+			row.depMask = 1 << in.Dst
 		}
-		in.Reads(func(r isa.Reg) {
-			if int(r) > hi {
-				hi = int(r)
+		in.Reads(func(r isa.Reg) { row.depMask |= 1 << r })
+		switch isa.ClassOf(in.Op) {
+		case isa.ClassALU:
+			row.lat = m.aluLat
+		case isa.ClassSFU:
+			row.lat = m.sfuLat
+		case isa.ClassMemShared:
+			row.kind, row.lat = kindShared, m.shmemLat
+		case isa.ClassMemGlobal:
+			row.kind, row.store = kindGlobal, !in.IsLoad()
+		case isa.ClassSync:
+			row.kind = kindBarrier
+		case isa.ClassControl:
+			row.kind = kindBranch
+			if in.Op == isa.OpEXIT {
+				row.kind = kindExit
+			} else if in.IsBackward(pc) {
+				row.loop = int32(len(m.loopTrip))
+				m.loopTrip = append(m.loopTrip, int32(in.Trip))
 			}
-		})
-		m.maxReg[pc] = hi + 1
+		}
 	}
 	return m
 }
 
 // newWarp creates a warp context at PC 0 with loop counters armed.
-func (m *progMeta) newWarp(c *CTA, idx int, uid uint64, age int64) *Warp {
+func (m *ProgInfo) newWarp(c *CTA, idx int, uid uint64, age int64) *Warp {
 	w := &Warp{CTA: c, Idx: idx, UID: uid, Age: age}
-	w.loopRemain = make([]int32, m.numLoops)
-	for pc := 0; pc < m.prog.Len(); pc++ {
-		if slot := m.loopSlot[pc]; slot >= 0 {
-			w.loopRemain[slot] = int32(m.prog.At(pc).Trip)
-		}
-	}
+	// make, not slices.Clone: append-based cloning rounds the capacity up to
+	// a size class, which reads as +0.2 % alloc_kb_per_kcycle.
+	w.loopRemain = make([]int32, len(m.loopTrip))
+	copy(w.loopRemain, m.loopTrip)
 	return w
 }
 
-// depReadyAt returns the cycle at which the instruction's register
-// dependencies (RAW on sources/predicate, WAW on destination) resolve.
-func (w *Warp) depReadyAt(in *isa.Instr) int64 {
-	ready := int64(0)
-	for _, r := range in.Srcs[:in.NSrc] {
-		if r.Valid() && w.regReady[r] > ready {
-			ready = w.regReady[r]
-		}
-	}
-	if in.Pred.Valid() && w.regReady[in.Pred] > ready {
-		ready = w.regReady[in.Pred]
-	}
-	if in.Dst.Valid() && w.regReady[in.Dst] > ready {
-		ready = w.regReady[in.Dst]
-	}
-	return ready
+// setReady records that register r's value arrives at cycle at.
+func (w *Warp) setReady(r isa.Reg, at int64) {
+	w.regReady[r] = at
+	w.busy |= 1 << r
 }
 
-// advanceBranch computes the next PC after executing a branch at pc.
+// depReadyAt returns the cycle at which the registers in deps (an
+// issueRow.depMask) resolve when that is later than now, and 0 when the
+// instruction can issue. Only registers still in busy can be pending;
+// those found resolved leave the mask.
+func (w *Warp) depReadyAt(deps uint64, now int64) int64 {
+	until := int64(0)
+	for m := w.busy & deps; m != 0; m &= m - 1 {
+		r := bits.TrailingZeros64(m)
+		if t := w.regReady[r]; t > now {
+			until = max(until, t)
+		} else {
+			w.busy &^= 1 << r
+		}
+	}
+	return until
+}
+
+// advanceBranch computes the next PC after executing the branch (row) at
+// the warp's PC.
 //
 // Control-flow contract of the timing model (matching the kernel
 // generators):
@@ -283,9 +344,9 @@ func (w *Warp) depReadyAt(in *isa.Instr) int64 {
 //     branch (the join jump) diverts to it;
 //   - forward conditional branch without Diverge: not taken;
 //   - unconditional forward branch: taken (or diverted, see above).
-func (w *Warp) advanceBranch(m *progMeta, pc int, in *isa.Instr) int {
-	if in.IsBackward(pc) {
-		slot := m.loopSlot[pc]
+func (w *Warp) advanceBranch(row *issueRow) int {
+	pc, in := w.PC, row.in
+	if slot := row.loop; slot >= 0 {
 		w.loopRemain[slot]--
 		if w.loopRemain[slot] > 0 {
 			return in.Target
