@@ -1,13 +1,17 @@
 // Custompolicy shows how to extend the simulator with a register-file
 // management scheme of your own: implement sm.Policy, plug it in through
 // a gpu.PolicyFactory, and compare it against the built-ins.
-// (A policy that has to veto individual instruction issues would also
-// implement the optional sm.IssueGate; this one, like most, does not.)
 //
 // The demo policy, "EagerHalf", is deliberately simple: it behaves like
 // the baseline but only ever admits CTAs into half the register file,
 // leaving the rest idle — a lower bound that shows how much performance
 // the register file's capacity is actually worth.
+//
+// It also implements the optional sm.IssueGate — most policies do not, and
+// this one never vetoes an issue — to show where per-warp policy state
+// lives: in the warp's policy word (Warp.SetPolicyWord / PolicyWord: one
+// integer, zero in every launched CTA's warps), not in a map keyed by
+// *sm.Warp. Here the word counts the warp's issue attempts.
 //
 //	go run ./examples/custompolicy
 package main
@@ -27,6 +31,9 @@ import (
 type eagerHalf struct {
 	cfg      sm.Config
 	regsFree int
+	// attempts sums, over finished CTAs, the issue attempts their warps
+	// counted; one run's SMs share it (a run is single-threaded).
+	attempts *int64
 }
 
 func (p *eagerHalf) Name() string { return "EagerHalf" }
@@ -44,16 +51,29 @@ func (p *eagerHalf) FillSlots(s *sm.SM, now int64) {
 	}
 }
 
-func (p *eagerHalf) OnCTAStalled(s *sm.SM, c *sm.CTA, now int64)  {}
-func (p *eagerHalf) OnCTAReady(s *sm.SM, c *sm.CTA, now int64)    {}
-func (p *eagerHalf) OnCTAFinished(s *sm.SM, c *sm.CTA, now int64) { p.regsFree += c.RegCost }
-func (p *eagerHalf) BlockedOnRegisters() bool                     { return false }
+func (p *eagerHalf) OnCTAStalled(s *sm.SM, c *sm.CTA, now int64) {}
+func (p *eagerHalf) OnCTAReady(s *sm.SM, c *sm.CTA, now int64)   {}
+func (p *eagerHalf) BlockedOnRegisters() bool                    { return false }
+
+// AllowIssue (sm.IssueGate) is consulted before every issue attempt.
+func (p *eagerHalf) AllowIssue(s *sm.SM, w *sm.Warp, now int64) bool {
+	w.SetPolicyWord(w.PolicyWord() + 1)
+	return true
+}
+
+func (p *eagerHalf) OnCTAFinished(s *sm.SM, c *sm.CTA, now int64) {
+	p.regsFree += c.RegCost
+	for _, w := range c.Warps {
+		*p.attempts += int64(w.PolicyWord())
+	}
+}
 
 func main() {
 	cfg := finereg.ScaledConfig(4)
-	factory := func(c sm.Config, h *mem.Hierarchy) sm.Policy { return &eagerHalf{cfg: c} }
+	var attempts int64
+	factory := func(c sm.Config, h *mem.Hierarchy) sm.Policy { return &eagerHalf{cfg: c, attempts: &attempts} }
 
-	fmt.Printf("%-8s %12s %12s %12s\n", "bench", "EagerHalf", "Baseline", "FineReg")
+	fmt.Printf("%-8s %12s %12s %12s %18s\n", "bench", "EagerHalf", "Baseline", "FineReg", "attempts/instr")
 	for _, bench := range []string{"SY2", "LB", "LI"} {
 		prof, err := kernels.ProfileByName(bench)
 		if err != nil {
@@ -67,9 +87,17 @@ func main() {
 			}
 			return m.IPC()
 		}
-		fmt.Printf("%-8s %12.3f %12.3f %12.3f\n",
-			bench, run(factory), run(finereg.Baseline()), run(finereg.FineReg()))
+		attempts = 0
+		m, err := finereg.RunBenchmark(cfg, bench, grid, factory)
+		if err != nil {
+			log.Fatal(err)
+		}
+		fmt.Printf("%-8s %12.3f %12.3f %12.3f %18.2f\n", bench, m.IPC(),
+			run(finereg.Baseline()), run(finereg.FineReg()), float64(attempts)/float64(m.Instructions))
 	}
 	fmt.Println("\nEagerHalf wastes half the register file and pays for it; FineReg uses")
 	fmt.Println("the same half for active CTAs but turns the rest into a pending pool.")
+	fmt.Println("attempts/instr is EagerHalf's per-warp count of issue attempts (kept in each")
+	fmt.Println("warp's policy word) over instructions issued: the excess over 1 is attempts")
+	fmt.Println("that blocked on an operand or lost the slot to an older ready warp.")
 }

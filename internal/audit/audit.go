@@ -314,11 +314,12 @@ func (s *ViolationSet) Summary() string {
 //	schedulers  the scheduler lists hold exactly the live warps of active
 //	            CTAs, each once, sorted by wiring sequence; entry count ==
 //	            warpsUsed
-//	ready       the ready partitions hold exactly the awake warps, each
-//	            once, wired, seq-sorted; entry count == awake
+//	ready       the ready masks' set bits stand for exactly the awake
+//	            warps, each once, wired, in wiring order; bit count == awake
 //	scoreboard  every resident warp's busy mask covers the registers
 //	            whose values are still in flight (regReady > now)
-//	events      no event is due and unserviced (NextEventAt >= now)
+//	events      no event is due and unserviced (NextEventAt >= now); no
+//	            wake event names a warp context retired into the pool
 //	policy      every sm.SelfAuditing account matches its recomputed
 //	            ground truth and stays within [Min, Max]
 func CheckSM(s *sm.SM, now int64) error {
@@ -462,12 +463,12 @@ func CheckSM(s *sm.SM, now int64) error {
 			"scheduler entries vs active-CTA warps")
 	}
 
-	// Ready partitions: per scheduler, exactly the awake subset of the
-	// wired warps, in the same wiring-sequence order. Together with the
-	// awake-count match this proves the partition holds every issue
+	// Ready masks: per scheduler, the set bits stand for exactly the awake
+	// subset of the wired warps, in the same wiring-sequence order. Together
+	// with the awake-count match this proves the mask marks every issue
 	// candidate exactly once — a warp missing here would silently never
-	// issue (the dense scan had no such failure mode; the partition makes
-	// it an auditable one).
+	// issue (the dense scan had no such failure mode; the mask makes it an
+	// auditable one).
 	readySeen := make(map[*sm.Warp]bool)
 	readyCount := 0
 	lastSID, lastSeq = -1, 0
@@ -475,26 +476,31 @@ func CheckSM(s *sm.SM, now int64) error {
 		if dup != nil {
 			return
 		}
+		if w == nil {
+			dup = fail("readyUnwired", 1, 0,
+				fmt.Sprintf("ready mask %d has a bit set on a position that holds no warp", sid))
+			return
+		}
 		if readySeen[w] {
 			dup = fail("readyDup", 2, 1,
-				fmt.Sprintf("CTA %d warp %d in ready partition twice", w.CTA.ID, w.Idx))
+				fmt.Sprintf("CTA %d warp %d in ready mask twice", w.CTA.ID, w.Idx))
 			return
 		}
 		readySeen[w] = true
 		if seen[w] == 0 {
 			dup = fail("readyUnwired", 1, 0,
-				fmt.Sprintf("ready partition %d holds unwired warp %d of CTA %d", sid, w.Idx, w.CTA.ID))
+				fmt.Sprintf("ready mask %d marks unwired warp %d of CTA %d", sid, w.Idx, w.CTA.ID))
 			return
 		}
 		if w.Asleep() || w.Exited() || w.CTA.State != sm.CTAActive {
 			dup = fail("readyStale", 1, 0,
-				fmt.Sprintf("ready partition %d holds unschedulable warp %d of CTA %d (asleep=%v exited=%v state=%d)",
+				fmt.Sprintf("ready mask %d marks unschedulable warp %d of CTA %d (asleep=%v exited=%v state=%d)",
 					sid, w.Idx, w.CTA.ID, w.Asleep(), w.Exited(), w.CTA.State))
 			return
 		}
 		if sid == lastSID && w.SchedSeq() <= lastSeq {
 			dup = fail("readyOrder", w.SchedSeq(), lastSeq+1,
-				fmt.Sprintf("ready partition %d not sorted by wiring sequence at CTA %d warp %d",
+				fmt.Sprintf("ready mask %d not in wiring-sequence order at CTA %d warp %d",
 					sid, w.CTA.ID, w.Idx))
 			return
 		}
@@ -506,13 +512,26 @@ func CheckSM(s *sm.SM, now int64) error {
 	}
 	if readyCount != awake {
 		return fail("readyCoverage", int64(readyCount), int64(awake),
-			"ready-partition entries vs awake warps")
+			"ready-mask bits vs awake warps")
 	}
 
 	// Event heap: Tick(now) drains everything due at or before now, and
 	// nothing scheduled during the tick may be in the past.
 	if next := s.NextEventAt(); next < now {
 		return fail("eventOverdue", next, now, "event due before the current cycle")
+	}
+	// A warp exits at or after its last wake, and every event for it is due
+	// by then, so none is left when its context retires — one that were
+	// would wake whichever warp the context is re-armed as.
+	retiredEvents := 0
+	s.EachEventWarp(func(w *sm.Warp) {
+		if w.Retired() {
+			retiredEvents++
+		}
+	})
+	if retiredEvents > 0 {
+		return fail("retiredEvent", int64(retiredEvents), 0,
+			"wake events in the heap for warp contexts retired into the pool")
 	}
 
 	// L1 accounting: hit/miss conservation (Hits is maintained on a

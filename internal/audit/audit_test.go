@@ -140,9 +140,9 @@ func TestSkewCaught(t *testing.T) {
 	}
 }
 
-// TestReadySkewCaught is the mutation test for the ready-partition
-// invariants: dropping one entry (a missed readyAdd — the bug class where
-// a woken warp silently never issues again) must fire readyCoverage.
+// TestReadySkewCaught is the mutation test for the ready-mask invariants:
+// clearing one bit (a missed readyAdd — the bug class where a woken warp
+// silently never issues again) must fire readyCoverage.
 func TestReadySkewCaught(t *testing.T) {
 	r := newRig(t, 48)
 	at := r.run(t, func(now int64) bool {
@@ -188,6 +188,31 @@ func TestBusySkewCaught(t *testing.T) {
 	}
 	if v.Rule != "busyMask" {
 		t.Errorf("dropped busy bit blames rule %q, want busyMask", v.Rule)
+	}
+}
+
+// TestRetiredEventCaught is the mutation test for the warp-context pool's
+// event rule: a wake event still in the heap when its warp's context retires
+// would, once the context is re-armed for another CTA, wake the wrong warp.
+func TestRetiredEventCaught(t *testing.T) {
+	r := newRig(t, 48)
+	// Stop at the first finished CTA, mid-run.
+	at := r.run(t, func(now int64) bool { return r.s.Cnt.CTAsLaunched == int64(len(r.s.Residents())) })
+	if err := audit.CheckSM(r.s, at); err != nil {
+		t.Fatalf("pre-skew audit not clean: %v", err)
+	}
+	if !r.s.InjectRetiredEvent(at + 1000) {
+		t.Fatal("no retired warp context although CTAs have finished")
+	}
+	var v *audit.Violation
+	if err := audit.CheckSM(r.s, at); !errors.As(err, &v) {
+		t.Fatalf("event for a retired context: want *audit.Violation, got %v", err)
+	}
+	if v.Rule != "retiredEvent" {
+		t.Errorf("event for a retired context blames rule %q, want retiredEvent", v.Rule)
+	}
+	if v.Got != 1 || v.Want != 0 {
+		t.Errorf("retiredEvent got=%d want=%d, expected 1 and 0", v.Got, v.Want)
 	}
 }
 

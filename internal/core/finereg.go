@@ -61,8 +61,9 @@ type FineReg struct {
 
 	// refBuf is evictStore's reusable live-register scratch; StoreChain
 	// copies it into the tag array, so the backing store never outlives
-	// the call.
+	// the call. pcBuf is bitvecDelay's, for the stall PCs.
 	refBuf []RegRef
+	pcBuf  []int
 }
 
 // NewFineReg builds the policy with the given ACRF/PCRF split. It panics
@@ -272,7 +273,8 @@ func (f *FineReg) evictDemand(s *sm.SM, c *sm.CTA) int {
 func (f *FineReg) bitvecDelay(s *sm.SM, c *sm.CTA, now int64) int64 {
 	var bvDelay int64
 	missesBefore := f.rmu.Misses
-	for _, pc := range s.Meta().StallPCs(c) {
+	f.pcBuf = s.Meta().StallPCs(c, f.pcBuf)
+	for _, pc := range f.pcBuf {
 		if d := f.rmu.Lookup(pc, now); d > bvDelay {
 			bvDelay = d
 		}
@@ -423,9 +425,10 @@ func (f *FineReg) ACRFFree() int { return f.acrfFree }
 // AuditAccounting implements sm.SelfAuditing. The PCRF ground truth is
 // recomputed through the tag structure itself: each pending CTA's chain is
 // walked (read-only) from its head, so a leaked or double-released chain
-// shows up as a free-count mismatch. The status monitor is cross-checked
-// against the CTA states by counting residents whose 2+2-bit encoding
-// matches their sm.CTAState.
+// shows up as a free-count mismatch, and the free-space monitor's bitmap is
+// compared entry by entry with the valid bits. The status monitor is
+// cross-checked against the CTA states by counting residents whose 2+2-bit
+// encoding matches their sm.CTAState.
 func (f *FineReg) AuditAccounting(s *sm.SM) []sm.AuditAccount {
 	acrfTotal := f.ACRFBytes / sm.WarpRegBytes
 	acrfHeld, chained, monOK := 0, 0, 0
@@ -448,6 +451,7 @@ func (f *FineReg) AuditAccounting(s *sm.SM) []sm.AuditAccount {
 		{Name: "acrfFree", Value: f.acrfFree, Expected: acrfTotal - acrfHeld, Min: 0, Max: acrfTotal},
 		{Name: "pcrfFree", Value: f.pcrf.Free(), Expected: f.pcrf.Entries() - chained,
 			Min: 0, Max: f.pcrf.Entries()},
+		{Name: "pcrf:freeBitmap", Value: f.pcrf.FreeBitmapSkew(), Expected: 0, Min: 0, Max: 0},
 		{Name: "monitorSlotsFree", Value: len(f.slotFree), Expected: MonitorSlots - len(s.Residents()),
 			Min: 0, Max: MonitorSlots},
 		{Name: "monitorConsistent", Value: monOK, Expected: len(s.Residents()),

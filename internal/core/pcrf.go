@@ -12,7 +12,10 @@
 //     ACRF and PCRF and performs live-register-only CTA switching.
 package core
 
-import "fmt"
+import (
+	"fmt"
+	"math/bits"
+)
 
 // RegRef identifies one live warp-register: which warp of the CTA and
 // which architectural register.
@@ -34,11 +37,15 @@ type pcrfTag struct {
 
 // PCRF is the pending-CTA register file: a pool of 128-byte register
 // entries in which each pending CTA's live registers are stored as a
-// linked chain. The free-space monitor is a presence bitmap plus counter,
-// matching the paper's 1-bit-per-entry array.
+// linked chain. The free-space monitor is the paper's 1-bit-per-entry array
+// plus its zero counter.
 type PCRF struct {
 	tags []pcrfTag
-	free int
+	// freeBits is the free-space monitor: bit i is set exactly when entry i
+	// is unoccupied (!tags[i].valid); bits past the last entry stay clear.
+	// free is its popcount.
+	freeBits []uint64
+	free     int
 	// cursor is a rotating allocation pointer so chains spread over the
 	// structure the way a hardware free-list would.
 	cursor int
@@ -53,7 +60,9 @@ func NewPCRF(entries int) (*PCRF, error) {
 	if entries < 1 {
 		return nil, fmt.Errorf("core: PCRF needs at least 1 entry, got %d", entries)
 	}
-	return &PCRF{tags: make([]pcrfTag, entries), free: entries}, nil
+	p := &PCRF{tags: make([]pcrfTag, entries), freeBits: make([]uint64, (entries+63)/64)}
+	p.Reset()
+	return p, nil
 }
 
 // Entries returns the PCRF capacity.
@@ -65,8 +74,12 @@ func (p *PCRF) Free() int { return p.free }
 
 // Reset invalidates all entries.
 func (p *PCRF) Reset() {
-	for i := range p.tags {
-		p.tags[i] = pcrfTag{}
+	clear(p.tags)
+	for i := range p.freeBits {
+		p.freeBits[i] = ^uint64(0)
+	}
+	if tail := len(p.tags) & 63; tail != 0 {
+		p.freeBits[len(p.freeBits)-1] = 1<<tail - 1
 	}
 	p.free = len(p.tags)
 	p.cursor = 0
@@ -102,17 +115,43 @@ func (p *PCRF) StoreChain(refs []RegRef) (head int, ok bool) {
 	return head, true
 }
 
-// alloc returns a free slot index; the caller guaranteed availability.
+// alloc takes the first free slot at or after cursor, wrapping past the
+// last entry; the caller guaranteed availability.
 func (p *PCRF) alloc() int {
-	for i := 0; i < len(p.tags); i++ {
-		slot := (p.cursor + i) % len(p.tags)
-		if !p.tags[slot].valid {
-			p.cursor = (slot + 1) % len(p.tags)
-			p.free--
-			return slot
+	i := p.cursor >> 6
+	// The cursor's word is looked at twice: from the cursor up now, and
+	// below the cursor after every other word has been.
+	word := p.freeBits[i] &^ (1<<(p.cursor&63) - 1)
+	for n := 0; word == 0; n++ {
+		if n == len(p.freeBits) {
+			panic("core: PCRF alloc with no free entries")
 		}
+		if i++; i == len(p.freeBits) {
+			i = 0
+		}
+		word = p.freeBits[i]
 	}
-	panic("core: PCRF alloc with no free entries")
+	slot := i<<6 + bits.TrailingZeros64(word)
+	p.freeBits[i] &^= 1 << (slot & 63)
+	p.free--
+	if p.cursor = slot + 1; p.cursor == len(p.tags) {
+		p.cursor = 0
+	}
+	return slot
+}
+
+// release invalidates entry slot of a chain being walked out of the file
+// and returns its tag as it was.
+func (p *PCRF) release(slot int) pcrfTag {
+	t := p.tags[slot]
+	if !t.valid {
+		panic(fmt.Sprintf("core: PCRF chain hits invalid entry %d", slot))
+	}
+	p.tags[slot].valid = false
+	p.freeBits[slot>>6] |= 1 << (slot & 63)
+	p.free++
+	p.Reads++
+	return t
 }
 
 // ReleaseChain walks a chain from head (restoring its registers to the
@@ -125,14 +164,8 @@ func (p *PCRF) ReleaseChain(head int) []RegRef {
 	var refs []RegRef
 	slot := head
 	for {
-		t := &p.tags[slot]
-		if !t.valid {
-			panic(fmt.Sprintf("core: PCRF chain hits invalid entry %d", slot))
-		}
+		t := p.release(slot)
 		refs = append(refs, t.ref)
-		p.Reads++
-		t.valid = false
-		p.free++
 		if t.end {
 			return refs
 		}
@@ -151,19 +184,31 @@ func (p *PCRF) ReleaseChainCount(head int) int {
 	n := 0
 	slot := head
 	for {
-		t := &p.tags[slot]
-		if !t.valid {
-			panic(fmt.Sprintf("core: PCRF chain hits invalid entry %d", slot))
-		}
+		t := p.release(slot)
 		n++
-		p.Reads++
-		t.valid = false
-		p.free++
 		if t.end {
 			return n
 		}
 		slot = int(t.next)
 	}
+}
+
+// FreeBitmapSkew counts the entries on which the free-space monitor
+// disagrees with the tag array (bit set ⇔ entry invalid), plus the
+// difference between its popcount and the free counter — 0 on a consistent
+// file. The auditor's pcrf:freeBitmap account.
+func (p *PCRF) FreeBitmapSkew() int {
+	skew, set := 0, 0
+	for slot := 0; slot < len(p.freeBits)*64; slot++ {
+		bit := p.freeBits[slot>>6]>>(slot&63)&1 == 1
+		if bit {
+			set++
+		}
+		if bit != (slot < len(p.tags) && !p.tags[slot].valid) {
+			skew++
+		}
+	}
+	return skew + max(set-p.free, p.free-set)
 }
 
 // ChainLen walks a chain without mutating it and returns its length.

@@ -178,3 +178,171 @@ func TestPCRFChainsQuick(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// refPCRF is the allocator the free bitmap replaced, kept as the reference:
+// a rotating linear scan of the valid bits from the cursor.
+type refPCRF struct {
+	valid  []bool
+	next   []int
+	end    []bool
+	free   int
+	cursor int
+}
+
+func (p *refPCRF) alloc() int {
+	for i := 0; i < len(p.valid); i++ {
+		slot := (p.cursor + i) % len(p.valid)
+		if !p.valid[slot] {
+			p.cursor = (slot + 1) % len(p.valid)
+			p.free--
+			return slot
+		}
+	}
+	panic("reference PCRF alloc with no free entries")
+}
+
+// store returns the slots of a chain of n registers, in chain order.
+func (p *refPCRF) store(n int) []int {
+	slots := make([]int, n)
+	for i := range slots {
+		slots[i] = p.alloc()
+		p.valid[slots[i]], p.end[slots[i]] = true, true
+		if i > 0 {
+			p.next[slots[i-1]], p.end[slots[i-1]] = slots[i], false
+		}
+	}
+	return slots
+}
+
+func (p *refPCRF) release(head int) int {
+	for n, slot := 1, head; ; n, slot = n+1, p.next[slot] {
+		p.valid[slot] = false
+		p.free++
+		if p.end[slot] {
+			return n
+		}
+	}
+}
+
+// TestPCRFAllocMatchesLinearScan drives random StoreChain /
+// ReleaseChainCount streams through the bitmap allocator and the linear
+// scan side by side: every chain must land in the same slots, and the free
+// count, the cursor and the bitmap itself must agree after every operation.
+// 1024 is the paper's file; 7 fits in a fraction of one bitmap word and 65
+// puts a single entry in the second, so the wrap and the word boundary are
+// both crossed constantly.
+func TestPCRFAllocMatchesLinearScan(t *testing.T) {
+	for _, entries := range []int{1024, 7, 65} {
+		for seed := int64(1); seed <= 20; seed++ {
+			r := rand.New(rand.NewSource(seed))
+			p, err := NewPCRF(entries)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ref := &refPCRF{valid: make([]bool, entries), next: make([]int, entries),
+				end: make([]bool, entries), free: entries}
+			var heads []int
+			for step := 0; step < 3000; step++ {
+				// Hover near full for a while, then near empty: the linear
+				// scan's long walks happen when free entries are scarce.
+				storeOdds := 3
+				if step/500%2 == 0 {
+					storeOdds = 7
+				}
+				if len(heads) == 0 || r.Intn(10) < storeOdds {
+					n := 1 + r.Intn(max(1, entries/8))
+					head, ok := p.StoreChain(refs(n))
+					if ok != (n <= ref.free) {
+						t.Fatalf("%d entries seed %d step %d: StoreChain(%d) ok=%v with %d free", entries, seed, step, n, ok, ref.free)
+					}
+					if ok {
+						want := ref.store(n)
+						if head != want[0] {
+							t.Fatalf("%d entries seed %d step %d: chain head %d, linear scan gives %d", entries, seed, step, head, want[0])
+						}
+						for i, slot := 0, head; ; i, slot = i+1, int(p.tags[slot].next) {
+							if slot != want[i] {
+								t.Fatalf("%d entries seed %d step %d: chain entry %d in slot %d, linear scan gives %d",
+									entries, seed, step, i, slot, want[i])
+							}
+							if p.tags[slot].end {
+								break
+							}
+						}
+						heads = append(heads, head)
+					}
+				} else {
+					i := r.Intn(len(heads))
+					if got, want := p.ReleaseChainCount(heads[i]), ref.release(heads[i]); got != want {
+						t.Fatalf("%d entries seed %d step %d: released %d entries, want %d", entries, seed, step, got, want)
+					}
+					heads = append(heads[:i], heads[i+1:]...)
+				}
+				if p.free != ref.free || p.cursor != ref.cursor {
+					t.Fatalf("%d entries seed %d step %d: free/cursor %d/%d, linear scan has %d/%d",
+						entries, seed, step, p.free, p.cursor, ref.free, ref.cursor)
+				}
+				if skew := p.FreeBitmapSkew(); skew != 0 {
+					t.Fatalf("%d entries seed %d step %d: free bitmap disagrees with the tags on %d entries", entries, seed, step, skew)
+				}
+			}
+		}
+	}
+}
+
+// TestFreeBitmapSkewCounts: the auditor's account must see a lost bit, a
+// stray bit and a bit past the last entry.
+func TestFreeBitmapSkewCounts(t *testing.T) {
+	p, _ := NewPCRF(65)
+	head, _ := p.StoreChain(refs(3))
+	if skew := p.FreeBitmapSkew(); skew != 0 {
+		t.Fatalf("clean file reports skew %d", skew)
+	}
+	p.freeBits[0] |= 1 << head // occupied entry marked free
+	if skew := p.FreeBitmapSkew(); skew == 0 {
+		t.Error("stray free bit not seen")
+	}
+	p.freeBits[0] &^= 1 << head
+	p.freeBits[1] |= 1 << 5 // entry 69 of a 65-entry file
+	if skew := p.FreeBitmapSkew(); skew == 0 {
+		t.Error("free bit past the last entry not seen")
+	}
+	p.freeBits[1] &^= 1 << 5
+	p.freeBits[0] &^= 1 << 40 // free entry lost to the allocator
+	if skew := p.FreeBitmapSkew(); skew == 0 {
+		t.Error("lost free bit not seen")
+	}
+}
+
+// BenchmarkPCRFStoreRelease is one CTA switch's worth of PCRF work — chain a
+// 24-register live set, release another — on a sparse file and on one held
+// 90 % full, where free entries are scattered and the linear scan walked
+// past hundreds of occupied ones per allocation.
+func BenchmarkPCRFStoreRelease(b *testing.B) {
+	for _, bc := range []struct {
+		name string
+		held int // entries held by resident chains
+	}{{"empty", 0}, {"90pct-full", 920}} {
+		b.Run(bc.name, func(b *testing.B) {
+			p, _ := NewPCRF(1024)
+			r := rand.New(rand.NewSource(1))
+			live := refs(24)
+			heads := make([]int, max(1, bc.held/len(live)))
+			for i := range heads {
+				heads[i], _ = p.StoreChain(live)
+			}
+			// Churn so the free entries are scattered, as they are mid-run.
+			for i := 0; i < 4*len(heads); i++ {
+				j := r.Intn(len(heads))
+				p.ReleaseChainCount(heads[j])
+				heads[j], _ = p.StoreChain(live)
+			}
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				j := i % len(heads)
+				p.ReleaseChainCount(heads[j])
+				heads[j], _ = p.StoreChain(live)
+			}
+		})
+	}
+}

@@ -259,3 +259,35 @@ func TestRegDRAMDMAAllowedSizeAware(t *testing.T) {
 		t.Error("transfer denied after backlog and pacing window elapsed")
 	}
 }
+
+// BenchmarkRegMutexAllowIssue is the per-issue-attempt cost of the SRP gate
+// over LI's resident warps (Type-R: up to 24 live registers above the BRS,
+// enough for 58 warps to exhaust a 512-entry pool): one attempt in four
+// follows a PC move and so acquires or releases, the rest find their grant
+// in place (hold), and attempts that find the pool exhausted are denied. The
+// clock stands still so the emergency overdraft never fires.
+func BenchmarkRegMutexAllowIssue(b *testing.B) {
+	prof, err := kernels.ProfileByName("LI")
+	if err != nil {
+		b.Fatal(err)
+	}
+	cfg := sm.Default()
+	hier := mem.NewHierarchy(2<<20, 8, 600, 313, mem.DefaultLatencies())
+	pol := NewRegMutex(cfg, hier, 0.25)
+	s := sm.New(0, cfg, hier, &rigDisp{total: 64}, pol)
+	s.BindKernel(sm.NewProgInfo(kernels.MustBuild(prof, 64), cfg), 0)
+	var warps []*sm.Warp
+	for _, c := range s.Residents() {
+		warps = append(warps, c.Warps...)
+	}
+	n := s.Meta().Len()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		w := warps[i%len(warps)]
+		if i%4 == 0 {
+			w.PC = (w.PC + 1 + i%5) % n
+		}
+		pol.AllowIssue(s, w, 0)
+	}
+	b.ReportMetric(float64(pol.DeniedIssues)/float64(b.N), "denied/op")
+}

@@ -13,7 +13,8 @@ import (
 // Each CTA statically allocates only its BRS, so more CTAs fit; when a
 // warp's live register demand exceeds its BRS, it must hold an SRP grant
 // to issue. Grants are not released while the warp is stalled on memory —
-// the contention behaviour the paper measures in Figure 14.
+// the contention behaviour the paper measures in Figure 14. A warp's grant
+// lives in its policy word (sm.Warp.PolicyWord).
 type RegMutex struct {
 	cfg  sm.Config
 	hier *mem.Hierarchy
@@ -21,12 +22,14 @@ type RegMutex struct {
 	// SRPFrac is the fraction of the register file dedicated to the SRP.
 	SRPFrac float64
 
-	brsRegs  int // BRS registers per thread
+	brsRegs int // BRS registers per thread
+	// need[pc] is the SRP demand of a warp about to issue pc: the kernel's
+	// sm.ProgInfo.HighPressure(pc, brsRegs), fixed once brsRegs is.
+	need     []uint8
 	brsFree  int // warp-registers left in the BRS partition
 	srpFree  int // warp-registers left in the SRP
 	srpTotal int
 
-	grants       map[*sm.Warp]int
 	blocked      bool
 	lastInstr    int64
 	lastMove     int64
@@ -73,7 +76,10 @@ func (r *RegMutex) KernelStart(s *sm.SM, now int64) {
 	if r.brsRegs > regs {
 		r.brsRegs = regs
 	}
-	r.grants = make(map[*sm.Warp]int)
+	r.need = r.need[:0]
+	for pc := 0; pc < s.Meta().Len(); pc++ {
+		r.need = append(r.need, uint8(s.Meta().HighPressure(pc, r.brsRegs)))
+	}
 	r.blocked = false
 	r.lastInstr, r.lastMove = -1, 0
 	r.lastDeniedAt = -1
@@ -149,10 +155,8 @@ func (r *RegMutex) OnCTAReady(s *sm.SM, c *sm.CTA, now int64) {
 func (r *RegMutex) OnCTAFinished(s *sm.SM, c *sm.CTA, now int64) {
 	r.brsFree += r.brsCost(s)
 	for _, w := range c.Warps {
-		if g := r.grants[w]; g > 0 {
-			r.srpFree += g
-			delete(r.grants, w)
-		}
+		r.srpFree += w.PolicyWord()
+		w.SetPolicyWord(0)
 	}
 	if r.srpFree > 0 {
 		r.blocked = false
@@ -166,11 +170,11 @@ func (r *RegMutex) OnCTAFinished(s *sm.SM, c *sm.CTA, now int64) {
 // then stalls on memory keeps the grant — RegMutex does not release SRP on
 // stalls, which is the Figure 14 contention.
 func (r *RegMutex) AllowIssue(s *sm.SM, w *sm.Warp, now int64) bool {
-	need := s.Meta().HighPressure(w.PC, r.brsRegs)
+	need := int(r.need[w.PC])
 	if s.Cnt.Instructions != r.lastInstr {
 		r.lastInstr, r.lastMove = s.Cnt.Instructions, now
 	}
-	grant := r.grants[w]
+	grant := w.PolicyWord()
 	switch {
 	case need > grant:
 		delta := need - grant
@@ -182,7 +186,7 @@ func (r *RegMutex) AllowIssue(s *sm.SM, w *sm.Warp, now int64) bool {
 			if now-r.lastMove > 2000 {
 				r.Overdrafts++
 				r.srpFree -= delta
-				r.grants[w] = need
+				w.SetPolicyWord(need)
 				return true
 			}
 			r.blocked = true
@@ -194,14 +198,10 @@ func (r *RegMutex) AllowIssue(s *sm.SM, w *sm.Warp, now int64) bool {
 			return false
 		}
 		r.srpFree -= delta
-		r.grants[w] = need
+		w.SetPolicyWord(need)
 	case need < grant:
 		r.srpFree += grant - need
-		if need == 0 {
-			delete(r.grants, w)
-		} else {
-			r.grants[w] = need
-		}
+		w.SetPolicyWord(need)
 		r.blocked = false
 	}
 	return true
@@ -221,8 +221,10 @@ func (r *RegMutex) SRPInUse() int { return r.srpTotal - r.srpFree }
 func (r *RegMutex) AuditAccounting(s *sm.SM) []sm.AuditAccount {
 	brsTotal := r.cfg.TotalWarpRegs() - r.srpTotal
 	granted := 0
-	for _, g := range r.grants {
-		granted += g
+	for _, c := range s.Residents() {
+		for _, w := range c.Warps {
+			granted += w.PolicyWord()
+		}
 	}
 	return []sm.AuditAccount{
 		{Name: "brsFree", Value: r.brsFree, Expected: brsTotal - r.brsCost(s)*len(s.Residents()),

@@ -1,6 +1,9 @@
 package sm
 
-import "fmt"
+import (
+	"fmt"
+	"math/bits"
+)
 
 // This file is the SM's auditing surface: read-only accessors over the
 // private residency/scheduler state that internal/audit re-derives from
@@ -52,25 +55,48 @@ func (s *SM) SharedMemUsed() int { return s.shmemUsed }
 func (s *SM) AwakeWarps() int { return s.awake }
 
 // EachSchedulerWarp visits every warp currently wired into a scheduler, in
-// scheduler then slot order.
+// scheduler then slot order (tombstones awaiting compaction are skipped).
 func (s *SM) EachSchedulerWarp(visit func(sid int, w *Warp)) {
 	for sid, ws := range s.schedWarps {
 		for _, w := range ws {
-			visit(sid, w)
+			if w != nil {
+				visit(sid, w)
+			}
 		}
 	}
 }
 
-// EachReadyWarp visits every warp in the schedulers' ready partitions, in
-// scheduler then slot order — the exact issue-candidate set pick/pickLRR
-// scan.
+// EachReadyWarp visits the warp behind every set bit of the schedulers'
+// ready masks, in scheduler then position order — the exact issue-candidate
+// set pick/pickLRR scan. w is nil for a bit that stands for no wired warp (a
+// tombstone, or a position past the end of the list).
 func (s *SM) EachReadyWarp(visit func(sid int, w *Warp)) {
-	for sid, ws := range s.ready {
-		for _, w := range ws {
-			visit(sid, w)
+	for sid, mask := range s.readyMask {
+		for i, word := range mask {
+			for ; word != 0; word &= word - 1 {
+				var w *Warp
+				if p := i<<6 + bits.TrailingZeros64(word); p < len(s.schedWarps[sid]) {
+					w = s.schedWarps[sid][p]
+				}
+				visit(sid, w)
+			}
 		}
 	}
 }
+
+// EachEventWarp visits the warp of every wake event in the event heap, in
+// heap order.
+func (s *SM) EachEventWarp(visit func(w *Warp)) {
+	for _, e := range s.events {
+		if e.warp != nil {
+			visit(e.warp)
+		}
+	}
+}
+
+// Retired reports whether the warp context sits in its SM's pool: its CTA
+// finished and no launch has re-armed it yet.
+func (w *Warp) Retired() bool { return w.CTA == nil }
 
 // KernelBound reports whether BindKernel has run (the auditor needs the
 // program metadata for shared-memory ground truth).
@@ -80,7 +106,8 @@ func (s *SM) KernelBound() bool { return s.meta != nil }
 func (w *Warp) Asleep() bool { return w.asleep }
 
 // SchedSeq returns the warp's wiring sequence within its scheduler (the
-// sort key of the scheduler and ready lists, and LRR's rotation anchor).
+// order of the scheduler lists and so of the ready masks' bits, and LRR's
+// rotation anchor).
 func (w *Warp) SchedSeq() int64 { return w.schedSeq }
 
 // AtBarrier reports whether the warp is parked at a CTA-wide barrier.
@@ -145,14 +172,30 @@ func (s *SM) InjectMemSkew(counter string, delta int64) {
 	s.L1.InjectAuditSkew(counter, delta)
 }
 
-// InjectReadySkew corrupts the ready partitions by dropping the first
-// entry of the first non-empty list (simulating a missed readyAdd — the
-// bug class where a woken warp never becomes an issue candidate). Returns
-// false when every partition is empty. Tests only.
+// InjectReadySkew corrupts the ready masks by clearing the lowest set bit
+// of the first non-empty one (simulating a missed readyAdd — the bug class
+// where a woken warp never becomes an issue candidate). Returns false when
+// every mask is empty. Tests only.
 func (s *SM) InjectReadySkew() bool {
-	for sid, ws := range s.ready {
-		if len(ws) > 0 {
-			s.ready[sid] = ws[1:]
+	for _, mask := range s.readyMask {
+		for i, word := range mask {
+			if word != 0 {
+				mask[i] = word & (word - 1)
+				return true
+			}
+		}
+	}
+	return false
+}
+
+// InjectRetiredEvent schedules a wake event for a pooled warp context
+// (simulating an event that outlives its warp: once the context is re-armed
+// for another CTA, the stale event would wake the wrong warp). Returns false
+// when the pool is empty. Tests only.
+func (s *SM) InjectRetiredEvent(at int64) bool {
+	for _, pool := range [][]*Warp{s.warpFree, s.warpRetired} {
+		if len(pool) > 0 {
+			s.events.push(event{at: at, warp: pool[0]})
 			return true
 		}
 	}

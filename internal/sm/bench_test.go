@@ -29,10 +29,14 @@ func benchTick(b *testing.B, bench string) {
 }
 
 // BenchmarkTick: SG issues nearly every cycle (scoreboard-ready ALU work);
-// MC spends its ticks blocking warps on loads and waking them.
+// MC spends its ticks blocking warps on loads and waking them; NW blocks 0.6
+// times per instruction on short dependences, so it is the block → wake round
+// trip through the ready mask, and its small CTAs turn over quickly through
+// the warp-context pool.
 func BenchmarkTick(b *testing.B) {
-	b.Run("SG", func(b *testing.B) { benchTick(b, "SG") })
-	b.Run("MC", func(b *testing.B) { benchTick(b, "MC") })
+	for _, bench := range []string{"SG", "MC", "NW"} {
+		b.Run(bench, func(b *testing.B) { benchTick(b, bench) })
+	}
 }
 
 // BenchmarkEventHeap is the block/wake round trip through a realistic

@@ -107,7 +107,7 @@ func TestLRRRotatesFairly(t *testing.T) {
 
 // TestLRRSurvivesMidRotationEviction is the regression test for the
 // rotation-anchor bug: the LRR start position was derived from the greedy
-// *pointer*, which dropWarpsOf nils when the last-issued warp's CTA is
+// *pointer*, which unwiring nils when the last-issued warp's CTA is
 // evicted — so every mid-rotation CTA switch reset the rotation to slot 0
 // and re-served the low-index warps. The anchor is now the departed warp's
 // wiring sequence: after evicting the CTA that holds the anchor warp, the

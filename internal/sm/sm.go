@@ -105,15 +105,24 @@ type SM struct {
 	meta *ProgInfo
 
 	// Residency.
-	residents  []*CTA
-	schedWarps [][]*Warp // per scheduler, sorted by schedSeq
-	// ready is the issue-candidate partition of schedWarps: per scheduler,
-	// the awake (non-exited, active-CTA, wakeAt <= now) warps, kept sorted
-	// by schedSeq so scan order matches the full wiring order. Maintained in
-	// lockstep with the awake counter; pick/pickLRR scan only this.
-	ready   [][]*Warp
-	scanBuf []*Warp // reusable pick-scan snapshot (see pick)
-	greedy  []*Warp
+	residents []*CTA
+	// schedWarps is each scheduler's wiring list in wiring-sequence order. A
+	// warp's position in it (Warp.schedPos) is fixed for as long as a Tick
+	// runs: unwiring leaves a nil tombstone behind (holes counts them per
+	// list), and a list whose tombstones outnumber its warps is compacted at
+	// the top of the next Tick (compactDue).
+	schedWarps [][]*Warp
+	holes      []int
+	compactDue bool
+	// readyMask is the issue-candidate partition of schedWarps: bit p of
+	// scheduler sid is set exactly when schedWarps[sid][p] is awake
+	// (non-exited, active CTA, wakeAt <= now), so ascending bit order is
+	// wiring order. Maintained in lockstep with the awake counter;
+	// pick/pickLRR scan only this. Sized from the list, never fixed at one
+	// word.
+	readyMask [][]uint64
+	scanMask  []uint64 // reusable pick-scan snapshot (see pick)
+	greedy    []*Warp
 	// rotor is the per-scheduler LRR rotation anchor: the schedSeq of the
 	// last-issued warp. Unlike the greedy pointer it survives the warp
 	// leaving the scheduler (CTA switch or exit compaction), so a rotation
@@ -121,6 +130,14 @@ type SM struct {
 	// slot 0 and re-serving the low-index warps.
 	rotor   []int64
 	seqNext []int64 // per-scheduler wiring sequence counter
+
+	// warpFree holds retired warp contexts that LaunchNew/LaunchParked re-arm
+	// instead of allocating. A context retires into warpRetired and moves to
+	// warpFree only at the top of the next Tick: the call chain that retired
+	// it (Tick → issue → exitWarp → finishCTA → FillSlots → LaunchNew) still
+	// holds it, and Tick reads its exited flag and wiring sequence after
+	// issue returns.
+	warpFree, warpRetired []*Warp
 
 	activeCTAs  int
 	awake       int // active, non-exited warps with wakeAt <= now
@@ -173,7 +190,8 @@ func New(id int, cfg Config, hier *mem.Hierarchy, disp Dispatcher, pol Policy) *
 	}
 	s.gate, _ = pol.(IssueGate)
 	s.schedWarps = make([][]*Warp, cfg.NumSchedulers)
-	s.ready = make([][]*Warp, cfg.NumSchedulers)
+	s.holes = make([]int, cfg.NumSchedulers)
+	s.readyMask = make([][]uint64, cfg.NumSchedulers)
 	s.greedy = make([]*Warp, cfg.NumSchedulers)
 	s.rotor = make([]int64, cfg.NumSchedulers)
 	s.seqNext = make([]int64, cfg.NumSchedulers)
@@ -218,6 +236,9 @@ func (p *ProgInfo) SharedMemPerCTA() int { return p.sharedMem }
 // RegsPerThread returns the per-thread register allocation.
 func (p *ProgInfo) RegsPerThread() int { return p.prog.RegsPerThread }
 
+// Len returns the number of instructions in the bound program.
+func (p *ProgInfo) Len() int { return len(p.rows) }
+
 // LiveCount returns the live-register count at pc.
 func (p *ProgInfo) LiveCount(pc int) int { return p.live.LiveCount(pc) }
 
@@ -261,12 +282,12 @@ func (p *ProgInfo) LiveRefs(c *CTA, visit func(warp, reg uint8)) {
 	}
 }
 
-// StallPCs returns the distinct PCs at which the CTA's warps are parked —
-// the bit-vector cache probe set for an eviction.
-func (p *ProgInfo) StallPCs(c *CTA) []int {
-	// A CTA has at most a handful of warps, so linear dedup beats a map
-	// (which cost an allocation per eviction).
-	var pcs []int
+// StallPCs appends to buf[:0] the distinct PCs at which the CTA's warps are
+// parked — the bit-vector cache probe set for an eviction — and returns it;
+// the caller owns buf, so an eviction allocates nothing.
+func (p *ProgInfo) StallPCs(c *CTA, buf []int) []int {
+	// A CTA has at most a handful of warps, so linear dedup beats a map.
+	pcs := buf[:0]
 	for _, w := range c.Warps {
 		if w.exited {
 			continue
@@ -375,19 +396,9 @@ func (s *SM) LaunchNew(now, delay int64) *CTA {
 	if id < 0 {
 		return nil
 	}
-	s.stamp++
-	c := &CTA{
-		ID:           id,
-		State:        CTAActive,
-		RegCost:      s.meta.regCost,
-		launchStamp:  s.stamp,
-		firstIssueAt: -1,
-		firstStallAt: -1,
-	}
-	for i := 0; i < s.meta.warpsPerCTA; i++ {
-		w := s.meta.newWarp(c, i, warpUID(id, i), s.stamp*64+int64(i))
+	c := s.newCTA(id, CTAActive)
+	for _, w := range c.Warps {
 		w.wakeAt = now + delay
-		c.Warps = append(c.Warps, w)
 	}
 	s.residents = append(s.residents, c)
 	s.shmemUsed += s.meta.sharedMem
@@ -410,19 +421,8 @@ func (s *SM) LaunchParked(now int64, st CTAState) *CTA {
 	if id < 0 {
 		return nil
 	}
-	s.stamp++
-	c := &CTA{
-		ID:           id,
-		State:        st,
-		RegCost:      s.meta.regCost,
-		launchStamp:  s.stamp,
-		firstIssueAt: -1,
-		firstStallAt: -1,
-		ReadyAt:      now,
-	}
-	for i := 0; i < s.meta.warpsPerCTA; i++ {
-		c.Warps = append(c.Warps, s.meta.newWarp(c, i, warpUID(id, i), s.stamp*64+int64(i)))
-	}
+	c := s.newCTA(id, st)
+	c.ReadyAt = now
 	s.residents = append(s.residents, c)
 	s.shmemUsed += s.meta.sharedMem
 	s.statSample(now)
@@ -430,6 +430,37 @@ func (s *SM) LaunchParked(now int64, st CTAState) *CTA {
 	s.Cnt.CTAsLaunched++
 	if s.sink != nil {
 		s.sink.CTAEvent(s.ID, trace.CTALaunchParked, c.ID, now, 0)
+	}
+	return c
+}
+
+// newCTA builds the record of grid CTA id in state st, with its warp
+// contexts at PC 0. The contexts come from the SM's pool of retired ones
+// when it has any; the CTA record itself is always fresh — a policy's
+// ScheduleEvent can outlive its CTA, and a recycled record would turn that
+// stale event into a spurious OnCTAReady.
+func (s *SM) newCTA(id int, st CTAState) *CTA {
+	s.stamp++
+	c := &CTA{
+		ID:           id,
+		State:        st,
+		Warps:        make([]*Warp, s.meta.warpsPerCTA),
+		RegCost:      s.meta.regCost,
+		launchStamp:  s.stamp,
+		firstIssueAt: -1,
+		firstStallAt: -1,
+	}
+	for i := range c.Warps {
+		uid, age := warpUID(id, i), s.stamp*64+int64(i)
+		if last := len(s.warpFree) - 1; last >= 0 {
+			w := s.warpFree[last]
+			s.warpFree[last] = nil
+			s.warpFree = s.warpFree[:last]
+			s.meta.rearm(w, c, i, uid, age)
+			c.Warps[i] = w
+		} else {
+			c.Warps[i] = s.meta.newWarp(c, i, uid, age)
+		}
 	}
 	return c
 }
@@ -449,7 +480,11 @@ func (s *SM) enterActive(c *CTA, now, delay int64) {
 		s.seqNext[sid]++
 		w.schedSeq = s.seqNext[sid]
 		w.schedID = sid
+		w.schedPos = len(s.schedWarps[sid])
 		s.schedWarps[sid] = append(s.schedWarps[sid], w)
+		if w.schedPos>>6 == len(s.readyMask[sid]) {
+			s.readyMask[sid] = append(s.readyMask[sid], 0)
+		}
 		if w.wakeAt < now+delay {
 			w.wakeAt = now + delay
 		}
@@ -503,6 +538,7 @@ func (s *SM) Deactivate(c *CTA, st CTAState, now int64) {
 			s.awake--
 			s.readyRemove(w)
 		}
+		s.unwire(w)
 		if ready < 0 || w.wakeAt < ready {
 			ready = w.wakeAt
 		}
@@ -515,7 +551,6 @@ func (s *SM) Deactivate(c *CTA, st CTAState, now int64) {
 		ready = now
 	}
 	c.ReadyAt = ready
-	s.dropWarpsOf(c)
 	s.events.push(event{at: ready, cta: c})
 	if s.sink != nil {
 		s.sink.CTAEvent(s.ID, trace.CTADeactivate, c.ID, now, int64(st))
@@ -544,73 +579,62 @@ func warpUID(ctaID, warpIdx int) uint64 {
 	return uint64(ctaID)*64 + uint64(warpIdx) + 1
 }
 
-// readyAdd inserts w into its scheduler's ready partition at its
-// schedSeq-sorted position. Insertion scans from the tail: freshly wired
-// warps carry the highest sequence so the common case is an append.
+// readyAdd marks w an issue candidate of its scheduler; readyRemove
+// withdraws it (a no-op when it is not one). Both are one bit operation on
+// the warp's wiring position.
 func (s *SM) readyAdd(w *Warp) {
-	rs := s.ready[w.schedID]
-	i := len(rs)
-	for i > 0 && rs[i-1].schedSeq > w.schedSeq {
-		i--
-	}
-	rs = append(rs, nil)
-	copy(rs[i+1:], rs[i:])
-	rs[i] = w
-	s.ready[w.schedID] = rs
+	s.readyMask[w.schedID][w.schedPos>>6] |= 1 << (w.schedPos & 63)
 }
 
-// readyRemove deletes w from its scheduler's ready partition (no-op if
-// absent), preserving the sorted order of the rest.
 func (s *SM) readyRemove(w *Warp) {
-	rs := s.ready[w.schedID]
-	for i, x := range rs {
-		if x == w {
-			s.ready[w.schedID] = append(rs[:i], rs[i+1:]...)
-			return
-		}
+	s.readyMask[w.schedID][w.schedPos>>6] &^= 1 << (w.schedPos & 63)
+}
+
+// unwire takes a warp that is no longer an issue candidate off its
+// scheduler (exit, or its CTA parking). The list entry becomes a tombstone
+// rather than being compacted out: this can run under an in-progress pick
+// scan (block → full stall → policy eviction), and a scan indexes the list
+// by position. The greedy pointer must not outlive the warp's
+// schedulability; the LRR rotation position survives through the rotor
+// sequence.
+func (s *SM) unwire(w *Warp) {
+	sid := w.schedID
+	s.schedWarps[sid][w.schedPos] = nil
+	if s.holes[sid]++; 2*s.holes[sid] > len(s.schedWarps[sid]) {
+		s.compactDue = true
+	}
+	if s.greedy[sid] == w {
+		s.greedy[sid] = nil
 	}
 }
 
-// schedRemove unwires a single warp from its scheduler list (exit
-// compaction — exited warps no longer linger until CTA completion).
-func (s *SM) schedRemove(w *Warp) {
-	ws := s.schedWarps[w.schedID]
-	for i, x := range ws {
-		if x == w {
-			s.schedWarps[w.schedID] = append(ws[:i], ws[i+1:]...)
-			return
+// compact squeezes the tombstones out of every scheduler list they have
+// come to outnumber the warps in (so a list is never more than twice its
+// live length, and compaction costs O(1) per unwiring), moving each
+// surviving warp's ready bit with it. Only Tick calls it, before anything
+// else: positions must not move under a pick.
+func (s *SM) compact() {
+	s.compactDue = false
+	for sid, ws := range s.schedWarps {
+		if 2*s.holes[sid] <= len(ws) {
+			continue
 		}
-	}
-}
-
-// dropWarpsOf removes a CTA's warps from the scheduler lists and ready
-// partitions. Deactivate has already slept (and ready-removed) the CTA's
-// awake warps when this runs, so the ready filter is a defensive no-op on
-// that path; it keeps the partitions consistent for any future caller.
-//
-// This can run under an in-progress pick scan (block → full stall →
-// policy eviction), which is why pick/pickLRR scan a snapshot: compacting
-// the live list an iterator is walking used to shift unrelated ready
-// warps behind the cursor and silently skip them for the cycle.
-func (s *SM) dropWarpsOf(c *CTA) {
-	for sid := range s.schedWarps {
-		ws := s.schedWarps[sid][:0]
-		for _, w := range s.schedWarps[sid] {
-			if w.CTA != c {
-				ws = append(ws, w)
+		s.holes[sid] = 0
+		mask := s.readyMask[sid]
+		live := ws[:0]
+		for p, w := range ws {
+			bit := mask[p>>6] >> (p & 63) & 1
+			mask[p>>6] &^= 1 << (p & 63)
+			if w == nil {
+				continue
 			}
+			q := len(live)
+			w.schedPos = q
+			mask[q>>6] |= bit << (q & 63)
+			live = append(live, w)
 		}
-		s.schedWarps[sid] = ws
-		rs := s.ready[sid][:0]
-		for _, w := range s.ready[sid] {
-			if w.CTA != c {
-				rs = append(rs, w)
-			}
-		}
-		s.ready[sid] = rs
-		if s.greedy[sid] != nil && s.greedy[sid].CTA == c {
-			s.greedy[sid] = nil
-		}
+		clear(ws[len(live):])
+		s.schedWarps[sid] = live
 	}
 }
 
@@ -629,8 +653,13 @@ func (s *SM) finishCTA(c *CTA, now int64) {
 			break
 		}
 	}
-	s.dropWarpsOf(c)
 	s.Pol.OnCTAFinished(s, c, now)
+	// Retire the warp contexts once the policy has read what it keeps on
+	// them. CTA nil marks a context retired.
+	for _, w := range c.Warps {
+		w.CTA = nil
+	}
+	s.warpRetired = append(s.warpRetired, c.Warps...)
 	s.Pol.FillSlots(s, now)
 }
 
@@ -713,6 +742,14 @@ func (s *SM) ScheduleEvent(at int64, c *CTA) {
 // make progress (or a very large value when fully idle). issued reports
 // how many instructions issued this cycle.
 func (s *SM) Tick(now int64) (next int64, issued int) {
+	if len(s.warpRetired) > 0 {
+		s.warpFree = append(s.warpFree, s.warpRetired...)
+		clear(s.warpRetired)
+		s.warpRetired = s.warpRetired[:0]
+	}
+	if s.compactDue {
+		s.compact()
+	}
 	for len(s.events) > 0 && s.events[0].at <= now {
 		e := s.events.pop()
 		if e.warp != nil {
@@ -747,10 +784,10 @@ func (s *SM) Tick(now int64) (next int64, issued int) {
 		return next, 0
 	}
 
-	for sid := range s.ready {
+	for sid, mask := range s.readyMask {
 		// An empty partition means the scheduler's greedy warp is asleep
 		// too: issueReady would reject it on its first test.
-		if len(s.ready[sid]) == 0 {
+		if !anySet(mask) {
 			continue
 		}
 		if w := s.pick(sid, now); w != nil {
@@ -777,17 +814,28 @@ func (s *SM) Tick(now int64) (next int64, issued int) {
 	return next, issued
 }
 
+// anySet reports whether any bit of m is set.
+func anySet(m []uint64) bool {
+	for _, word := range m {
+		if word != 0 {
+			return true
+		}
+	}
+	return false
+}
+
 // pick selects the warp scheduler sid issues from, blocking (and sleeping)
 // warps whose dependencies are not ready.
 //
-// Both schedulers scan a snapshot of the ready partition rather than the
-// full warp list: the sleeping majority contributes nothing to a pick, so
-// skipping it is pure savings. The snapshot (a reusable buffer, no
-// allocation) makes the scan safe against issueReady's side effects —
-// blocking a warp can evict its fully-stalled CTA, which edits the live
-// ready list mid-scan; the per-warp staleness guard below then skips
-// anything the eviction put to sleep, exactly as the dense scan's
-// wakeAt/CTA-state checks did.
+// Both schedulers scan the ready mask rather than the full warp list: the
+// sleeping majority contributes nothing to a pick, so skipping it is pure
+// savings. They scan a copy of the mask (a reusable buffer, no allocation)
+// in ascending position — wiring — order. The copy makes the scan safe
+// against issueReady's side effects: blocking a warp can evict its
+// fully-stalled CTA and activate another, which clears and sets bits
+// mid-scan; warps wired mid-scan are not visited, and the per-warp
+// staleness guard skips anything the eviction unwired or put to sleep,
+// exactly as the dense scan's wakeAt/CTA-state checks did.
 func (s *SM) pick(sid int, now int64) *Warp {
 	if s.Cfg.Scheduler == SchedLRR {
 		return s.pickLRR(sid, now)
@@ -796,19 +844,21 @@ func (s *SM) pick(sid int, now int64) *Warp {
 		return g
 	}
 	var best *Warp
-	buf := append(s.scanBuf[:0], s.ready[sid]...)
-	for _, w := range buf {
-		if w.asleep || w.exited || w.wakeAt > now {
-			continue // went stale mid-scan
-		}
-		if !s.issueReady(w, now) {
-			continue
-		}
-		if best == nil || w.Age < best.Age {
-			best = w
+	s.scanMask = append(s.scanMask[:0], s.readyMask[sid]...)
+	for i, word := range s.scanMask {
+		for ; word != 0; word &= word - 1 {
+			w := s.schedWarps[sid][i<<6+bits.TrailingZeros64(word)]
+			if w == nil || w.asleep || w.wakeAt > now {
+				continue // went stale mid-scan
+			}
+			if !s.issueReady(w, now) {
+				continue
+			}
+			if best == nil || w.Age < best.Age {
+				best = w
+			}
 		}
 	}
-	s.scanBuf = buf[:0]
 	return best
 }
 
@@ -821,35 +871,25 @@ func (s *SM) pick(sid int, now int64) *Warp {
 // eviction (which unwires the anchor warp) resumes the rotation after the
 // departed warp's position instead of handing slot 0 an extra turn.
 func (s *SM) pickLRR(sid int, now int64) *Warp {
-	ws := append(s.scanBuf[:0], s.ready[sid]...)
-	defer func() { s.scanBuf = ws[:0] }()
-	n := len(ws)
-	if n == 0 {
-		return nil
-	}
-	// The partition is sorted by schedSeq (insertion keeps order), so the
-	// rotation start is the first entry wired after the anchor; none found
-	// means the anchor was the tail and the scan wraps to slot 0. Sleeping
-	// warps are absent from the partition but their relative order is
-	// unchanged, so this visits the same awake warps in the same order as
-	// a full-list rotation did.
-	start := 0
-	if rot := s.rotor[sid]; rot > 0 {
-		start = n
-		for i, w := range ws {
-			if w.schedSeq > rot {
-				start = i
-				break
+	// The list is in wiring-sequence order, so the rotation is two
+	// ascending passes over the mask: first the warps wired after the
+	// anchor, then — the wrap — the ones wired up to it. Sleeping warps are
+	// absent from the mask but their relative order is unchanged, so this
+	// visits the same awake warps in the same order as a full-list rotation
+	// did.
+	rot := s.rotor[sid]
+	s.scanMask = append(s.scanMask[:0], s.readyMask[sid]...)
+	for _, wrapped := range [2]bool{false, true} {
+		for i, word := range s.scanMask {
+			for ; word != 0; word &= word - 1 {
+				w := s.schedWarps[sid][i<<6+bits.TrailingZeros64(word)]
+				if w == nil || w.asleep || w.wakeAt > now {
+					continue // went stale mid-scan
+				}
+				if (w.schedSeq <= rot) == wrapped && s.issueReady(w, now) {
+					return w
+				}
 			}
-		}
-	}
-	for i := 0; i < n; i++ {
-		w := ws[(start+i)%n]
-		if w.asleep || w.exited || w.wakeAt > now {
-			continue // went stale mid-scan
-		}
-		if s.issueReady(w, now) {
-			return w
 		}
 	}
 	return nil
@@ -1035,14 +1075,7 @@ func (s *SM) exitWarp(w *Warp, now int64) {
 	w.exited = true
 	c := w.CTA
 	c.finishedWarps++
-	// The greedy pointer must not outlive the warp's schedulability; the
-	// LRR rotation position survives through the rotor sequence.
-	for sid := range s.greedy {
-		if s.greedy[sid] == w {
-			s.greedy[sid] = nil
-		}
-	}
-	s.schedRemove(w)
+	s.unwire(w)
 	if s.sink != nil {
 		s.sink.WarpExit(s.ID, c.ID, w.Idx, now)
 	}
@@ -1064,6 +1097,9 @@ func (s *SM) exitWarp(w *Warp, now int64) {
 	if c.FullyStalled() {
 		// The exit may have completed a full-stall condition.
 		s.Cnt.CTAStallEvents++
+		if s.sink != nil {
+			s.sink.CTAEvent(s.ID, trace.CTAFullStall, c.ID, now, 0)
+		}
 		if c.EarliestWake()-now >= s.Cfg.LongStall {
 			s.Pol.OnCTAStalled(s, c, now)
 		}

@@ -303,8 +303,10 @@ func TestStallPCsDistinct(t *testing.T) {
 		}
 		now = n
 	}
+	var buf []int
 	for _, c := range s.Residents() {
-		pcs := s.Meta().StallPCs(c)
+		buf = s.Meta().StallPCs(c, buf)
+		pcs := buf
 		seen := map[int]bool{}
 		for _, pc := range pcs {
 			if seen[pc] {

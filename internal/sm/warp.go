@@ -124,7 +124,12 @@ type Warp struct {
 	longBlocked bool
 	atBarrier   bool
 	exited      bool
-	CTA         *CTA
+	// CTA is the warp's CTA; nil once the context has retired into the SM's
+	// pool.
+	CTA *CTA
+	// policy is the active policy's private per-warp word (RegMutex's SRP
+	// grant), the per-warp twin of CTA.policyData.
+	policy int
 
 	// Idx is the warp's index within its CTA.
 	Idx int
@@ -144,9 +149,11 @@ type Warp struct {
 	// schedSeq is the warp's wiring sequence within its scheduler,
 	// assigned by enterActive; scheduler lists stay sorted by it, and LRR
 	// anchors its rotation on the last-issued warp's sequence. schedID is
-	// the scheduler the warp is currently wired to.
+	// the scheduler the warp is currently wired to and schedPos its index in
+	// that scheduler's list — the bit that stands for it in the ready mask.
 	schedSeq int64
 	schedID  int
+	schedPos int
 
 	memCounter uint64
 
@@ -184,6 +191,14 @@ func (w *Warp) blockReason(in *isa.Instr) trace.StallReason {
 	}
 	return trace.ReasonScoreboard
 }
+
+// SetPolicyWord stores the policy's private per-warp integer. It starts at
+// zero in every launched CTA's warps; a policy that needs more than one
+// integer per warp keeps an index here.
+func (w *Warp) SetPolicyWord(v int) { w.policy = v }
+
+// PolicyWord returns the policy's private per-warp integer.
+func (w *Warp) PolicyWord() int { return w.policy }
 
 // Exited reports whether the warp hit EXIT.
 func (w *Warp) Exited() bool { return w.exited }
@@ -308,6 +323,15 @@ func (m *ProgInfo) newWarp(c *CTA, idx int, uid uint64, age int64) *Warp {
 	w.loopRemain = make([]int32, len(m.loopTrip))
 	copy(w.loopRemain, m.loopTrip)
 	return w
+}
+
+// rearm turns a retired context into what newWarp would have returned:
+// everything is zeroed — the scoreboard with its busy mask, the policy
+// word — and only the loop counters' backing store is kept.
+func (m *ProgInfo) rearm(w *Warp, c *CTA, idx int, uid uint64, age int64) {
+	loops := w.loopRemain[:0]
+	*w = Warp{CTA: c, Idx: idx, UID: uid, Age: age}
+	w.loopRemain = append(loops, m.loopTrip...)
 }
 
 // setReady records that register r's value arrives at cycle at.

@@ -217,3 +217,36 @@ func TestNoopSinkRuns(t *testing.T) {
 		t.Fatalf("run with Noop sink: %v", err)
 	}
 }
+
+// TestFullStallTimelinesMatchMetrics: every full-stall the SM counts must
+// reach the sink, whichever path detected it. A warp's exit can complete
+// the condition (its siblings are all long-blocked already) just as a block
+// can, and that path used to bump the counter without emitting the event, so
+// the timelines summed below Metrics.CTAStalls. LB's and NW's warps exit at
+// different times — scheduling skew is enough — past siblings still waiting
+// on memory.
+func TestFullStallTimelinesMatchMetrics(t *testing.T) {
+	for _, bench := range []string{"LB", "NW"} {
+		for pname, pf := range policies() {
+			t.Run(bench+"/"+pname, func(t *testing.T) {
+				agg := trace.NewStallAggregator()
+				g := gpu.New(testConfig(), pf)
+				g.SetTrace(agg)
+				m, err := g.Run(testKernel(t, bench, 96))
+				if err != nil {
+					t.Fatalf("run: %v", err)
+				}
+				var stalls int64
+				for _, tl := range agg.Timelines() {
+					stalls += tl.FullStalls
+				}
+				if m.CTAStalls == 0 {
+					t.Fatal("no full stall in the run; the test exercised nothing")
+				}
+				if stalls != m.CTAStalls {
+					t.Errorf("timelines count %d full stalls, Metrics.CTAStalls = %d", stalls, m.CTAStalls)
+				}
+			})
+		}
+	}
+}

@@ -36,9 +36,10 @@ gate() {
 # is race-tested via internal/experiments. Without -short the root package
 # exceeds go test's default 10-minute timeout under the race detector.
 go test -race -short -timeout 20m ./...
-# Per-layer benchmarks (internal/sm, internal/mem), one iteration each: not
-# a measurement, only proof that they still build and run.
-go test -run '^$' -bench . -benchtime 1x ./internal/sm ./internal/mem
+# Per-layer benchmarks (internal/sm, internal/mem, internal/core,
+# internal/regfile), one iteration each: not a measurement, only proof that
+# they still build and run.
+go test -run '^$' -bench . -benchtime 1x ./internal/sm ./internal/mem ./internal/core ./internal/regfile
 # Run-engine gate: a parallel mini-sweep (4 workers + shared cache) under
 # the race detector, end to end through the experiments layer.
 gate 'TestSweepParallelWithCache|TestSweepParallelDeterminism' ./internal/experiments/
@@ -67,6 +68,12 @@ go test -race -count=1 -timeout 10m ./internal/fleet/...
 # blanket race pass above and must run here).
 gate 'Progress|Attribution|TestGoldenCycleExactness' \
 	./internal/gpu/ ./internal/runner/ ./internal/serve/ ./internal/audit/diff/
+# ...and the equivalence tests that let the switch path change under that
+# matrix: the ready mask against the sorted partition, the PCRF free bitmap
+# against the linear scan, a re-armed warp context against a fresh one, and
+# the pool's lifetime rules.
+gate 'TestReadyMaskMatchesSortedPartition|TestPCRFAllocMatchesLinearScan|TestReusedWarpEqualsFresh|TestPoolLifetimeRules' \
+	./internal/sm/ ./internal/core/
 # Ingestion gate: user-program workloads end to end under the race
 # detector — loader determinism, structured admission errors, a program
 # submitted over HTTP byte-identical to the in-process run, stream
