@@ -7,8 +7,8 @@
 // one skipped decrement corrupts every downstream figure silently.
 //
 // The auditor re-derives each counter from first principles — by walking
-// the resident CTA set, the per-warp flags, the scheduler lists, the event
-// heap, and (for FineReg) the PCRF tag chains — and compares. gpu.Run
+// the resident CTA set, the per-warp flags, the scheduler lists, the wake
+// ring and event queue, and (for FineReg) the PCRF tag chains — and compares. gpu.Run
 // invokes it when Config.Audit is set: a full sweep every AuditInterval
 // cycles plus a targeted sweep of any SM whose CTA lifecycle counters
 // changed since the last event step, so every launch/switch/finish
@@ -319,7 +319,9 @@ func (s *ViolationSet) Summary() string {
 //	scoreboard  every resident warp's busy mask covers the registers
 //	            whose values are still in flight (regReady > now)
 //	events      no event is due and unserviced (NextEventAt >= now); no
-//	            wake event names a warp context retired into the pool
+//	            wake-up names a warp context retired into the pool; every
+//	            sleeping wired warp not at its barrier has a wake-up
+//	            registered for exactly its wake time, in the ring or queue
 //	policy      every sm.SelfAuditing account matches its recomputed
 //	            ground truth and stays within [Min, Max]
 func CheckSM(s *sm.SM, now int64) error {
@@ -515,23 +517,39 @@ func CheckSM(s *sm.SM, now int64) error {
 			"ready-mask bits vs awake warps")
 	}
 
-	// Event heap: Tick(now) drains everything due at or before now, and
+	// Events: Tick(now) delivers everything due at or before now, and
 	// nothing scheduled during the tick may be in the past.
-	if next := s.NextEventAt(); next < now {
+	if next := s.NextEventAt(now); next < now {
 		return fail("eventOverdue", next, now, "event due before the current cycle")
 	}
-	// A warp exits at or after its last wake, and every event for it is due
-	// by then, so none is left when its context retires — one that were
-	// would wake whichever warp the context is re-armed as.
+	// A warp exits at or after its last wake, and every wake-up registered
+	// for it is due by then, so none is left when its context retires — one
+	// that were would wake whichever warp the context is re-armed as. And a
+	// sleeping warp of an active CTA that is not parked at its barrier wakes
+	// only through a wake-up registered for exactly its wake time, in the
+	// ring or in the queue: without one it sleeps forever.
 	retiredEvents := 0
-	s.EachEventWarp(func(w *sm.Warp) {
+	covered := make(map[*sm.Warp]bool)
+	s.EachEventWarp(now, func(w *sm.Warp, at int64) {
 		if w.Retired() {
 			retiredEvents++
+		} else if at == w.WakeAt() {
+			covered[w] = true
 		}
 	})
 	if retiredEvents > 0 {
 		return fail("retiredEvent", int64(retiredEvents), 0,
-			"wake events in the heap for warp contexts retired into the pool")
+			"wake events for warp contexts retired into the pool")
+	}
+	s.EachSchedulerWarp(func(_ int, w *sm.Warp) {
+		if dup == nil && w.Asleep() && !w.AtBarrier() && !covered[w] {
+			dup = fail("wakeCoverage", 0, 1,
+				fmt.Sprintf("CTA %d warp %d sleeps until %d with no wake-up registered for that cycle",
+					w.CTA.ID, w.Idx, w.WakeAt()))
+		}
+	})
+	if dup != nil {
+		return dup
 	}
 
 	// L1 accounting: hit/miss conservation (Hits is maintained on a
@@ -575,7 +593,7 @@ func DumpSM(s *sm.SM, now int64) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "SM%d @%d: active=%d pending=%d warpsUsed=%d threadsUsed=%d awake=%d shmem=%d nextEvent=%d\n",
 		s.ID, now, s.ActiveCTAs(), s.PendingCTAs(), s.WarpsUsed(), s.ThreadsUsed(),
-		s.AwakeWarps(), s.SharedMemUsed(), s.NextEventAt())
+		s.AwakeWarps(), s.SharedMemUsed(), s.NextEventAt(now))
 	for _, c := range s.Residents() {
 		fmt.Fprintf(&b, "  CTA%d state=%d stalled=%d bar=%d finished=%d ready=%d %s\n",
 			c.ID, c.State, c.StalledWarps(), c.BarWaiting(), c.FinishedWarps(), c.ReadyAt,

@@ -216,6 +216,50 @@ func TestRetiredEventCaught(t *testing.T) {
 	}
 }
 
+// TestLostWakeCaught is the mutation test for wakeCoverage: a sleeping warp
+// with no wake-up registered for its wake time sleeps forever, and where
+// that does not deadlock the run it only makes it slower. Stopping points
+// are chosen so that both homes of a wake-up are searched: a short
+// dependence stall (ring) and a memory stall (queue).
+func TestLostWakeCaught(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		far  bool
+	}{{"ring", false}, {"queue", true}} {
+		t.Run(tc.name, func(t *testing.T) {
+			r := newRig(t, 48)
+			sleepsOnly := func(far bool, now int64) bool {
+				n := 0
+				ok := true
+				r.s.EachSchedulerWarp(func(_ int, w *sm.Warp) {
+					if w.Asleep() && !w.AtBarrier() {
+						n++
+						ok = ok && (w.WakeAt()-now >= 32) == far
+					}
+				})
+				return ok && n > 0
+			}
+			at := r.run(t, func(now int64) bool { return now < 1000 || !sleepsOnly(tc.far, now) })
+			if !sleepsOnly(tc.far, at) {
+				t.Fatal("rig never reached a step whose sleepers all wait on the wanted structure")
+			}
+			if err := audit.CheckSM(r.s, at); err != nil {
+				t.Fatalf("pre-skew audit not clean: %v", err)
+			}
+			if !r.s.InjectLostWake() {
+				t.Fatal("no wake-up to lose although warps are asleep")
+			}
+			var v *audit.Violation
+			if err := audit.CheckSM(r.s, at); !errors.As(err, &v) {
+				t.Fatalf("lost wake-up: want *audit.Violation, got %v", err)
+			}
+			if v.Rule != "wakeCoverage" {
+				t.Errorf("lost wake-up blames rule %q, want wakeCoverage", v.Rule)
+			}
+		})
+	}
+}
+
 // TestAuditorStepTriggering drives the Auditor itself: the first step
 // sweeps unconditionally, an injected skew is caught by the periodic
 // sweep even when no lifecycle transition accompanies it, and Final

@@ -10,6 +10,7 @@ import (
 
 	"finereg/internal/gpu"
 	"finereg/internal/kernels"
+	"finereg/internal/sm"
 	"finereg/internal/trace"
 )
 
@@ -222,4 +223,67 @@ func TestGoldenProgressSampling(t *testing.T) {
 		t.Fatal("progress callback never fired — the matrix ran unsampled, proving nothing")
 	}
 	compareGolden(t, cases)
+}
+
+// checkWakeHookInvisible runs every golden case twice — through RunMatrix as
+// the other golden tests do, and on machines whose SMs were each passed to
+// hook before the run — and requires the complete Metrics of every cell to be
+// byte-identical.
+func checkWakeHookInvisible(t *testing.T, hook func(*sm.SM)) {
+	if testing.Short() {
+		t.Skip("golden matrix sweep skipped in -short")
+	}
+	for _, gc := range goldenKernels(t) {
+		plain, err := RunMatrix(gc.config(), gc.profile(t), gc.Grid)
+		if err != nil {
+			t.Fatalf("%s/%d: %v", gc.Kernel, gc.Grid, err)
+		}
+		k, err := kernels.Build(gc.profile(t), gc.Grid)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// RunMatrix's order: schedulers outermost, then Policies().
+		for i, sched := range []sm.SchedKind{sm.SchedGTO, sm.SchedLRR} {
+			for j, pol := range Policies() {
+				cfg := gc.config()
+				cfg.SM.Scheduler = sched
+				pf, err := pol.Factory()
+				if err != nil {
+					t.Fatal(err)
+				}
+				machine := gpu.New(cfg, pf)
+				for _, s := range machine.SMs {
+					hook(s)
+				}
+				cell := plain[i*len(Policies())+j]
+				m, err := machine.Run(k)
+				if err != nil {
+					t.Fatalf("%s: %v", cell.Label, err)
+				}
+				got, _ := json.Marshal(m)
+				want, _ := json.Marshal(cell.Metrics)
+				if string(got) != string(want) {
+					t.Errorf("%s: metrics moved under the wake hook:\n  got  %s\n  want %s", cell.Label, got, want)
+				}
+			}
+		}
+	}
+}
+
+// TestWakeRingIsPureImplementation routes every wake-up through the event
+// queue, whose sort key is the specified order (DESIGN.md §4), and requires
+// the golden matrix — both schedulers, all policies — to come out identical:
+// the wake ring changes where a wake-up waits, never when or in what order
+// anything observable happens.
+func TestWakeRingIsPureImplementation(t *testing.T) {
+	checkWakeHookInvisible(t, (*sm.SM).InjectQueueOnlyWakes)
+}
+
+// TestSameCycleWakeOrderUnobservable delivers the wake-ups of a cycle in a
+// scrambled order and requires every golden cell's complete Metrics to stay
+// byte-identical. The specification leaves that order open because wake-ups
+// commute (a ready bit, a counter, the long-blocked bookkeeping); this is the
+// proof that they do, and what lets the ring deliver them in position order.
+func TestSameCycleWakeOrderUnobservable(t *testing.T) {
+	checkWakeHookInvisible(t, (*sm.SM).InjectScrambledWakes)
 }

@@ -46,9 +46,14 @@ import (
 // cycles). Timing is untouched — only this serialized metric changes —
 // but cached results carry it, so the fingerprint moves. gpu.Config
 // fields tagged json:"-" never enter the key, so adding or removing one
-// needs no bump; TestJobKeyStableAndSensitive pins a literal v4 key to
-// check that.
-const SimFingerprint = "finereg-sim-v4"
+// needs no bump; TestJobKeyStableAndSensitive pins a literal key to check
+// that.
+//
+// v5: an SM's same-cycle event order is specified instead of inherited from
+// a binary heap's sift history (DESIGN.md §4): a cycle's warp wake-ups are
+// delivered before its CTA-ready checks, and the checks in the order they
+// were scheduled. Twelve of the 24 sixteen-SM LI/NW golden cells move.
+const SimFingerprint = "finereg-sim-v5"
 
 // Job is one schedulable simulation: a machine configuration, a workload
 // (either a kernel profile + grid, or user-supplied Programs), a policy,

@@ -44,9 +44,9 @@ func TestJobKeyStableAndSensitive(t *testing.T) {
 	}
 	// A literal key held across commits: removing or adding a key-excluded
 	// gpu.Config field must not orphan cached results.
-	const v4Key = "4ce2aa03cf5bb626444cbd7e94463665d80604c9640283d4712bda3e046e0cbc"
-	if got := j.Key("finereg-sim-v4"); got != v4Key {
-		t.Errorf("key under finereg-sim-v4 = %s, want %s", got, v4Key)
+	const v5Key = "49052ee84a53fabc655e7b8c76add453fa0ec7fb59461880e9b7497eef01aa57"
+	if got := j.Key("finereg-sim-v5"); got != v5Key {
+		t.Errorf("key under finereg-sim-v5 = %s, want %s", got, v5Key)
 	}
 
 	// Every key-bearing field must perturb the key; the label must not.

@@ -84,12 +84,24 @@ func (s *SM) EachReadyWarp(visit func(sid int, w *Warp)) {
 	}
 }
 
-// EachEventWarp visits the warp of every wake event in the event heap, in
-// heap order.
-func (s *SM) EachEventWarp(visit func(w *Warp)) {
+// EachEventWarp visits every registered wake-up — the wake ring's set bits
+// that stand for a wired warp, then the queue's wake events — with the cycle
+// it is due. The ring's slots are read as the cycles now … now+wakeHorizon-1.
+func (s *SM) EachEventWarp(now int64, visit func(w *Warp, at int64)) {
+	for d := range int64(wakeHorizon) {
+		for sid, ws := range s.schedWarps {
+			for i, word := range s.ringWords(int(now+d)&(wakeHorizon-1), sid) {
+				for ; word != 0; word &= word - 1 {
+					if p := i<<6 + bits.TrailingZeros64(word); p < len(ws) && ws[p] != nil {
+						visit(ws[p], now+d)
+					}
+				}
+			}
+		}
+	}
 	for _, e := range s.events {
 		if e.warp != nil {
-			visit(e.warp)
+			visit(e.warp, e.key>>1)
 		}
 	}
 }
@@ -195,12 +207,41 @@ func (s *SM) InjectReadySkew() bool {
 func (s *SM) InjectRetiredEvent(at int64) bool {
 	for _, pool := range [][]*Warp{s.warpFree, s.warpRetired} {
 		if len(pool) > 0 {
-			s.events.push(event{at: at, warp: pool[0]})
+			s.events.push(event{key: at << 1, warp: pool[0]})
 			return true
 		}
 	}
 	return false
 }
+
+// InjectLostWake moves the wake time of one sleeping warp a cycle past its
+// registered wake-up, which will then find the warp not yet due — and no
+// other comes: the warp sleeps forever, as after a block that registered
+// nothing. Returns false when no wired warp is waiting on a wake-up. Tests
+// only.
+func (s *SM) InjectLostWake() bool {
+	for _, ws := range s.schedWarps {
+		for _, w := range ws {
+			if w != nil && w.asleep && !w.atBarrier {
+				w.wakeAt++
+				return true
+			}
+		}
+	}
+	return false
+}
+
+// InjectQueueOnlyWakes routes every wake-up registered from now on through
+// the queue, leaving the wake ring unused: the ring is an implementation of
+// the order the queue's sort key spells out, so no simulated number may move.
+// Call before BindKernel. Tests only.
+func (s *SM) InjectQueueOnlyWakes() { s.wakeSpan = 0 }
+
+// InjectScrambledWakes is InjectQueueOnlyWakes with the push sequence of
+// wake events scrambled (multiplied by an odd constant: still unique), so
+// wake-ups due in the same cycle are delivered in an arbitrary order. They
+// commute, so no simulated number may move. Tests only.
+func (s *SM) InjectScrambledWakes() { s.wakeSpan, s.wakeMul = 0, 0x9e3779b97f4a7c15 }
 
 // InjectBusySkew clears the busy bit of one register that is still pending
 // at cycle now on some resident, non-exited warp (simulating an issue path

@@ -39,18 +39,41 @@ func BenchmarkTick(b *testing.B) {
 	}
 }
 
-// BenchmarkEventHeap is the block/wake round trip through a realistic
-// queue: a short wait pushed on top of ~60 resident long (DRAM-bound)
-// waits, then popped.
-func BenchmarkEventHeap(b *testing.B) {
-	var h eventHeap
-	w := &Warp{}
-	for i := 0; i < 60; i++ {
-		h.push(event{at: int64(1)<<40 + int64(i*37%60), warp: w})
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		h.push(event{at: int64(i) + 4, warp: w})
-		h.pop()
+// BenchmarkEventQueue is the block → wake round trip of one warp on top of
+// ~60 resident long (DRAM-bound) waits: through the wake ring (an ALU
+// dependence, 4 cycles), through the queue (an L2 hit, 188 cycles), and in
+// the 7:1 mix the simulated kernels produce.
+func BenchmarkEventQueue(b *testing.B) {
+	for _, bc := range []struct {
+		name string
+		lat  [8]int64
+	}{
+		{"ring", [8]int64{4, 4, 4, 4, 4, 4, 4, 4}},
+		{"far", [8]int64{188, 188, 188, 188, 188, 188, 188, 188}},
+		{"mixed", [8]int64{4, 16, 4, 28, 4, 188, 24, 4}},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			s := New(0, Default(), nil, nil, &nullPolicy{})
+			c := &CTA{State: CTAActive, Warps: make([]*Warp, 61)}
+			for i := range c.Warps {
+				c.Warps[i] = &Warp{CTA: c, Idx: i}
+			}
+			s.enterActive(c, 0, 0)
+			for i, w := range c.Warps[1:] {
+				s.block(w, int64(1)<<40+int64(i*37%60), 0, 0)
+			}
+			w := c.Warps[0]
+			var now int64
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				until := now + bc.lat[i&7]
+				s.block(w, until, now, 0)
+				now = s.NextEventAt(now + 1)
+				s.drain(now)
+				if now != until || w.asleep {
+					b.Fatalf("blocked until %d, cycle %d: asleep=%v", until, now, w.asleep)
+				}
+			}
+		})
 	}
 }

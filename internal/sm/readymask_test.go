@@ -362,3 +362,90 @@ func TestReadyMaskMatchesSortedPartition(t *testing.T) {
 		})
 	}
 }
+
+// TestCompactionKeepsPendingWakes: compaction moves warps to new wiring
+// positions while their wake-ups are pending, and the wake ring's bits are
+// positions. Whenever it runs — well before the wake-ups, at the top of the
+// very Tick one of them is due in (wake-at-now), or once a wake-up that was
+// registered in the queue has come within the ring's horizon (so the rebuild
+// registers it a second time) — every sleeping warp must wake exactly once,
+// at exactly its wake time, and the warps unwired meanwhile never.
+func TestCompactionKeepsPendingWakes(t *testing.T) {
+	for _, parkAt := range []int64{10, 13, 479, 499} {
+		t.Run(fmt.Sprintf("park@%d", parkAt), func(t *testing.T) {
+			cfg := Default()
+			cfg.NumSchedulers = 1
+			s := New(0, cfg, nil, nil, &nullPolicy{})
+			mk := func(id, n int) *CTA {
+				c := &CTA{ID: id, State: CTAActive, Warps: make([]*Warp, n)}
+				for i := range c.Warps {
+					c.Warps[i] = &Warp{CTA: c, Idx: i}
+				}
+				s.residents = append(s.residents, c)
+				s.enterActive(c, 0, 0)
+				return c
+			}
+			a, b := mk(0, 5), mk(1, 4) // a's tombstones will outnumber b's warps
+			until := []int64{14, 30, 500, 12}
+			woke := make([]int64, len(b.Warps))
+			for now := int64(10); now <= 600; now++ {
+				if now == parkAt+1 {
+					if !s.compactDue {
+						t.Fatal("parking CTA 0 left no compaction due")
+					}
+					s.compact(now)
+					for p, w := range s.schedWarps[0] {
+						if w != b.Warps[p] || w.schedPos != p {
+							t.Fatalf("cycle %d: position %d holds %s after compaction", now, p, name(w))
+						}
+					}
+				}
+				s.drain(now)
+				for i, w := range b.Warps {
+					if !w.asleep && woke[i] == 0 && now > 10 {
+						woke[i] = now
+					}
+				}
+				if now == 10 {
+					s.block(a.Warps[0], 13, now, trace.ReasonScoreboard)
+					s.block(a.Warps[1], 31, now, trace.ReasonScoreboard)
+					s.block(a.Warps[2], 500, now, trace.ReasonMemory)
+					for i, w := range b.Warps {
+						s.block(w, until[i], now, trace.ReasonScoreboard)
+					}
+				}
+				if now == parkAt {
+					s.Deactivate(a, CTAPendingRF, now)
+				}
+				want := int64(1) << 62
+				for i, w := range b.Warps {
+					if w.asleep {
+						want = min(want, until[i])
+					}
+				}
+				// Bits and events left behind by the parked CTA's warps may
+				// ask for a Tick that then finds nothing to do, never for a
+				// late one.
+				if got := s.NextEventAt(now + 1); got > want {
+					t.Fatalf("cycle %d: next event at %d, but a warp wakes at %d", now, got, want)
+				}
+			}
+			for i, w := range b.Warps {
+				if woke[i] != until[i] {
+					t.Errorf("warp %d woke at cycle %d, blocked until %d", i, woke[i], until[i])
+				}
+				if w.asleep {
+					t.Errorf("warp %d never woke", i)
+				}
+			}
+			if s.awake != len(b.Warps) {
+				t.Errorf("awake counter %d with %d warps awake: a wake-up was delivered twice", s.awake, len(b.Warps))
+			}
+			for _, w := range a.Warps {
+				if !w.asleep {
+					t.Errorf("warp %d of the parked CTA was woken", w.Idx)
+				}
+			}
+		})
+	}
+}

@@ -146,7 +146,22 @@ type SM struct {
 	shmemUsed   int
 	pendingCTAs int
 
-	events      eventHeap
+	// wakeRing holds the wake-ups due within wakeHorizon cycles: slot
+	// at%wakeHorizon has, per scheduler, one ready-mask-shaped word set with
+	// bit p standing for the warp at wiring position p, laid out
+	// [slot][scheduler][1<<ringShift] (ringWords; the word count grows with
+	// the longest scheduler list); bit k of ringSlots is set when slot k may
+	// hold a bit. Everything later, and every CTA-ready check, is in events.
+	// wakeSpan is wakeHorizon and wakeMul is 1 outside the tests that reroute
+	// or reorder wake-ups (audit.go).
+	wakeRing  []uint64
+	ringShift uint
+	ringSlots uint32
+	wakeSpan  int64
+	wakeMul   uint64
+	events    eventQueue
+	eventSeq  uint64
+
 	stamp       int64
 	schedAssign int
 
@@ -195,6 +210,11 @@ func New(id int, cfg Config, hier *mem.Hierarchy, disp Dispatcher, pol Policy) *
 	s.greedy = make([]*Warp, cfg.NumSchedulers)
 	s.rotor = make([]int64, cfg.NumSchedulers)
 	s.seqNext = make([]int64, cfg.NumSchedulers)
+	s.wakeSpan, s.wakeMul = wakeHorizon, 1
+	s.wakeRing = make([]uint64, wakeHorizon*cfg.NumSchedulers)
+	// Room for every warp slot waiting on memory at once, in one allocation
+	// instead of append's doubling chain.
+	s.events = make(eventQueue, 0, cfg.MaxWarps)
 	return s
 }
 
@@ -484,13 +504,20 @@ func (s *SM) enterActive(c *CTA, now, delay int64) {
 		s.schedWarps[sid] = append(s.schedWarps[sid], w)
 		if w.schedPos>>6 == len(s.readyMask[sid]) {
 			s.readyMask[sid] = append(s.readyMask[sid], 0)
+			if len(s.readyMask[sid]) > 1<<s.ringShift {
+				s.growRing()
+			}
 		}
 		if w.wakeAt < now+delay {
 			w.wakeAt = now + delay
 		}
 		if w.wakeAt > now {
 			w.asleep = true
-			s.events.push(event{at: w.wakeAt, warp: w})
+			// A warp parked at its barrier has no wake-up to register: the
+			// last arrival releases it.
+			if !w.atBarrier {
+				s.sleepUntil(w, w.wakeAt, now)
+			}
 		} else {
 			w.asleep = false
 			s.awake++
@@ -551,7 +578,7 @@ func (s *SM) Deactivate(c *CTA, st CTAState, now int64) {
 		ready = now
 	}
 	c.ReadyAt = ready
-	s.events.push(event{at: ready, cta: c})
+	s.ScheduleEvent(ready, c)
 	if s.sink != nil {
 		s.sink.CTAEvent(s.ID, trace.CTADeactivate, c.ID, now, int64(st))
 	}
@@ -613,13 +640,18 @@ func (s *SM) unwire(w *Warp) {
 // live length, and compaction costs O(1) per unwiring), moving each
 // surviving warp's ready bit with it. Only Tick calls it, before anything
 // else: positions must not move under a pick.
-func (s *SM) compact() {
+func (s *SM) compact(now int64) {
 	s.compactDue = false
 	for sid, ws := range s.schedWarps {
 		if 2*s.holes[sid] <= len(ws) {
 			continue
 		}
 		s.holes[sid] = 0
+		// The wake ring's bits are positions too. They are not moved but
+		// re-derived: a sleeping warp's pending wake-up is its wakeAt.
+		for slot := range wakeHorizon {
+			clear(s.ringWords(slot, sid))
+		}
 		mask := s.readyMask[sid]
 		live := ws[:0]
 		for p, w := range ws {
@@ -632,6 +664,9 @@ func (s *SM) compact() {
 			w.schedPos = q
 			mask[q>>6] |= bit << (q & 63)
 			live = append(live, w)
+			if w.asleep && uint64(w.wakeAt-now) < uint64(s.wakeSpan) {
+				s.ringSet(w, w.wakeAt)
+			}
 		}
 		clear(ws[len(live):])
 		s.schedWarps[sid] = live
@@ -668,30 +703,119 @@ func (s *SM) Idle() bool {
 	return len(s.residents) == 0 && (s.Disp == nil || s.Disp.Remaining() == 0)
 }
 
-// ---- Event heap ----
+// ---- Events: the wake ring and the queue ----
+//
+// Tick(now) delivers every due event in the order DESIGN.md §4 specifies:
+// by cycle, a cycle's warp wake-ups before its CTA-ready checks, the checks
+// in push sequence. Wake-ups of one cycle commute, so the near ones need no
+// order at all: they are bits in the wake ring.
 
-type event struct {
-	at   int64
-	warp *Warp // warp wake, or
-	cta  *CTA  // pending-CTA ready
+// wakeHorizon is the wake ring's reach in cycles: ALU, SFU, shared-memory
+// and L1-hit latencies and the switch drain all fall inside it, L2 and DRAM
+// round trips fall out of it into the queue.
+const wakeHorizon = 32
+
+// sleepUntil registers the wake-up, at cycle at > now, of the wired warp w
+// that has just gone to sleep.
+func (s *SM) sleepUntil(w *Warp, at, now int64) {
+	if at-now < s.wakeSpan {
+		s.ringSet(w, at)
+		return
+	}
+	s.eventSeq++
+	s.events.push(event{key: at << 1, seq: s.eventSeq * s.wakeMul, warp: w})
 }
 
-// eventHeap is a hand-rolled binary min-heap on event.at. It makes
-// container/heap's sift comparisons exactly (strict < with the same up/down
-// order), so equal-time events pop in the order that heap would give — that
-// tie order is observable (same-cycle OnCTAReady delivery moves LI and NW
-// cycle counts; DESIGN.md §11), so a change of queue discipline is a model
-// change. The sifts move elements into a hole instead of swapping, and
-// nothing is boxed into an interface value.
-type eventHeap []event
+// ringWords returns scheduler sid's words of ring slot slot.
+func (s *SM) ringWords(slot, sid int) []uint64 {
+	i := (slot*len(s.schedWarps) + sid) << s.ringShift
+	return s.wakeRing[i : i+1<<s.ringShift]
+}
 
-func (h *eventHeap) push(e event) {
+// ringSet sets w's bit in the ring slot of cycle at.
+func (s *SM) ringSet(w *Warp, at int64) {
+	slot := int(at) & (wakeHorizon - 1)
+	s.wakeRing[(slot*len(s.schedWarps)+w.schedID)<<s.ringShift+w.schedPos>>6] |= 1 << (w.schedPos & 63)
+	s.ringSlots |= 1 << slot
+}
+
+// growRing doubles every slot's words per scheduler; enterActive calls it
+// when a scheduler list outgrows the ring, as it grows the ready mask.
+func (s *SM) growRing() {
+	n := 1 << s.ringShift
+	ring := make([]uint64, 2*len(s.wakeRing))
+	for i := 0; i < len(s.wakeRing); i += n {
+		copy(ring[2*i:], s.wakeRing[i:i+n])
+	}
+	s.wakeRing = ring
+	s.ringShift++
+}
+
+// wakeSlot wakes the warps whose bit is set in the ring slot of cycle now
+// and empties the slot. A bit left behind by a warp that was unwired since
+// finds a tombstone; a bit that finds a warp finds a wired one — not exited,
+// its CTA active, and if parked at the barrier asleep until the sentinel —
+// so only the half of wake's guard that wiring does not vouch for is left.
+func (s *SM) wakeSlot(now int64) {
+	slot := int(now) & (wakeHorizon - 1)
+	s.ringSlots &^= 1 << slot
+	// One pass over the slot's words, all schedulers' (this runs every few
+	// cycles): word j is word j&(n-1) of scheduler j>>ringShift.
+	words := s.wakeRing[slot*len(s.schedWarps)<<s.ringShift:][:len(s.schedWarps)<<s.ringShift]
+	for j, word := range words {
+		if word == 0 {
+			continue
+		}
+		words[j] = 0
+		ws, base := s.schedWarps[j>>s.ringShift], j&(1<<s.ringShift-1)<<6
+		for ; word != 0; word &= word - 1 {
+			if w := ws[base+bits.TrailingZeros64(word)]; w != nil && w.asleep && w.wakeAt <= now {
+				s.wake(w, now)
+			}
+		}
+	}
+}
+
+// wake makes the sleeping warp w an issue candidate again.
+func (s *SM) wake(w *Warp, now int64) {
+	w.asleep = false
+	s.awake++
+	s.readyAdd(w)
+	if w.longBlocked {
+		w.longBlocked = false
+		w.CTA.stalledWarps--
+	}
+	if s.sink != nil {
+		s.sink.WarpWake(s.ID, w.CTA.ID, w.Idx, now)
+	}
+}
+
+// event is a far wake-up (warp) or a CTA-ready check (cta). key is the due
+// cycle doubled, plus one for a CTA-ready check, so that a cycle's wake-ups
+// sort before its checks; seq breaks ties in push order.
+type event struct {
+	key  int64
+	seq  uint64
+	warp *Warp
+	cta  *CTA
+}
+
+func (e *event) before(o *event) bool {
+	return e.key < o.key || e.key == o.key && e.seq < o.seq
+}
+
+// eventQueue is a binary min-heap on (key, seq) — a total order, so its pop
+// order does not depend on its shape. The sifts move elements into a hole
+// instead of swapping, and nothing is boxed into an interface value.
+type eventQueue []event
+
+func (h *eventQueue) push(e event) {
 	*h = append(*h, e)
 	q := *h
 	j := len(q) - 1
 	for j > 0 {
 		i := (j - 1) / 2 // parent
-		if e.at >= q[i].at {
+		if !e.before(&q[i]) {
 			break
 		}
 		q[j] = q[i]
@@ -700,7 +824,7 @@ func (h *eventHeap) push(e event) {
 	q[j] = e
 }
 
-func (h *eventHeap) pop() event {
+func (h *eventQueue) pop() event {
 	q := *h
 	top := q[0]
 	n := len(q) - 1
@@ -717,10 +841,10 @@ func (h *eventHeap) pop() event {
 		if j >= n {
 			break
 		}
-		if r := j + 1; r < n && q[r].at < q[j].at {
+		if r := j + 1; r < n && q[r].before(&q[j]) {
 			j = r
 		}
-		if q[j].at >= e.at {
+		if !q[j].before(&e) {
 			break
 		}
 		q[i] = q[j]
@@ -730,9 +854,63 @@ func (h *eventHeap) pop() event {
 	return top
 }
 
-// ScheduleEvent lets policies register a future OnCTAReady check.
+// ScheduleEvent lets policies register a future OnCTAReady check. Checks
+// due in the same cycle are delivered in the order they were scheduled.
 func (s *SM) ScheduleEvent(at int64, c *CTA) {
-	s.events.push(event{at: at, cta: c})
+	s.eventSeq++
+	s.events.push(event{key: at<<1 | 1, seq: s.eventSeq, cta: c})
+}
+
+// deliver pops the queue's events with key < due, in order.
+func (s *SM) deliver(due, now int64) {
+	for len(s.events) > 0 && s.events[0].key < due {
+		e := s.events.pop()
+		if w := e.warp; w != nil {
+			// The event may have outlived the sleep it was registered for:
+			// the warp's CTA may be parked, or resumed with a later wake time.
+			if w.asleep && !w.exited && !w.atBarrier && w.wakeAt <= now && w.CTA.State == CTAActive {
+				s.wake(w, now)
+			}
+		} else if c := e.cta; c.State.IsPending() && c.ReadyAt <= now {
+			if s.sink != nil {
+				s.sink.CTAEvent(s.ID, trace.CTAReady, c.ID, now, 0)
+			}
+			s.Pol.OnCTAReady(s, c, now)
+		}
+	}
+}
+
+// drain delivers everything due at cycle now: the CTA-ready checks the last
+// cycle's issue phase left behind, then this cycle's wake-ups — ring and
+// queue, in either order — then its CTA-ready checks, including the ones
+// their delivery schedules for this cycle. Most cycles have nothing in the
+// queue, so its head is tested here, not behind a call.
+func (s *SM) drain(now int64) {
+	wakes, checks := now<<1|1, (now+1)<<1 // the keys this cycle's wake-ups and checks end below
+	if len(s.events) > 0 && s.events[0].key < wakes {
+		s.deliver(wakes, now)
+	}
+	if s.ringSlots>>(uint(now)&(wakeHorizon-1))&1 != 0 {
+		s.wakeSlot(now)
+	}
+	if len(s.events) > 0 && s.events[0].key < checks {
+		s.deliver(checks, now)
+	}
+}
+
+// NextEventAt returns the earliest cycle from now on at which a wake-up or a
+// CTA-ready check is registered (a very large value when there is none).
+// The ring's slots stand for the cycles now … now+wakeHorizon-1.
+func (s *SM) NextEventAt(now int64) int64 {
+	next := int64(1) << 62
+	if len(s.events) > 0 {
+		next = s.events[0].key >> 1
+	}
+	if s.ringSlots != 0 {
+		d := bits.TrailingZeros32(bits.RotateLeft32(s.ringSlots, -int(now&(wakeHorizon-1))))
+		next = min(next, now+int64(d))
+	}
+	return next
 }
 
 // ---- The cycle ----
@@ -740,7 +918,8 @@ func (s *SM) ScheduleEvent(at int64, c *CTA) {
 // Tick processes cycle `now`: drains due events, lets each scheduler issue
 // at most one instruction, and returns the next cycle at which this SM can
 // make progress (or a very large value when fully idle). issued reports
-// how many instructions issued this cycle.
+// how many instructions issued this cycle. An SM must be ticked at every
+// cycle it returns: the wake ring has no other notion of time.
 func (s *SM) Tick(now int64) (next int64, issued int) {
 	if len(s.warpRetired) > 0 {
 		s.warpFree = append(s.warpFree, s.warpRetired...)
@@ -748,40 +927,12 @@ func (s *SM) Tick(now int64) (next int64, issued int) {
 		s.warpRetired = s.warpRetired[:0]
 	}
 	if s.compactDue {
-		s.compact()
+		s.compact(now)
 	}
-	for len(s.events) > 0 && s.events[0].at <= now {
-		e := s.events.pop()
-		if e.warp != nil {
-			w := e.warp
-			if w.asleep && !w.exited && !w.atBarrier && w.wakeAt <= now && w.CTA.State == CTAActive {
-				w.asleep = false
-				s.awake++
-				s.readyAdd(w)
-				if w.longBlocked {
-					w.longBlocked = false
-					w.CTA.stalledWarps--
-				}
-				if s.sink != nil {
-					s.sink.WarpWake(s.ID, w.CTA.ID, w.Idx, now)
-				}
-			}
-			continue
-		}
-		if c := e.cta; c != nil && c.State.IsPending() && c.ReadyAt <= now {
-			if s.sink != nil {
-				s.sink.CTAEvent(s.ID, trace.CTAReady, c.ID, now, 0)
-			}
-			s.Pol.OnCTAReady(s, c, now)
-		}
-	}
+	s.drain(now)
 
 	if s.awake == 0 {
-		next = int64(1) << 62
-		if len(s.events) > 0 {
-			next = s.events[0].at
-		}
-		return next, 0
+		return s.NextEventAt(now), 0
 	}
 
 	for sid, mask := range s.readyMask {
@@ -801,17 +952,13 @@ func (s *SM) Tick(now int64) (next int64, issued int) {
 		}
 	}
 
-	next = int64(1) << 62
-	if len(s.events) > 0 {
-		next = s.events[0].at
-	}
 	// Any awake warp (issued, issue-ready, or denied by the policy) means
 	// the SM must be revisited next cycle — a denied warp's retry is what
 	// eventually breaks shared-register-pool allocation deadlock.
-	if s.awake > 0 && now+1 < next {
-		next = now + 1
+	if s.awake > 0 {
+		return now + 1, issued
 	}
-	return next, issued
+	return s.NextEventAt(now), issued
 }
 
 // anySet reports whether any bit of m is set.
@@ -931,7 +1078,7 @@ func (s *SM) block(w *Warp, until, now int64, reason trace.StallReason) {
 		s.awake--
 		s.readyRemove(w)
 	}
-	s.events.push(event{at: until, warp: w})
+	s.sleepUntil(w, until, now)
 	if s.sink != nil {
 		s.sink.WarpBlock(s.ID, w.CTA.ID, w.Idx, now, until, reason)
 	}
@@ -1132,12 +1279,4 @@ func (s *SM) trackUsage(w *Warp, in *isa.Instr) {
 	if allocated > 0 {
 		s.Cnt.RegWindowFracs = append(s.Cnt.RegWindowFracs, float64(touched)/float64(allocated))
 	}
-}
-
-// NextEventAt returns the earliest scheduled event (for idle detection).
-func (s *SM) NextEventAt() int64 {
-	if len(s.events) == 0 {
-		return int64(1) << 62
-	}
-	return s.events[0].at
 }

@@ -74,6 +74,12 @@ gate 'Progress|Attribution|TestGoldenCycleExactness' \
 # the pool's lifetime rules.
 gate 'TestReadyMaskMatchesSortedPartition|TestPCRFAllocMatchesLinearScan|TestReusedWarpEqualsFresh|TestPoolLifetimeRules' \
 	./internal/sm/ ./internal/core/
+# Event-order gate: the wake ring and event queue against the sort that is
+# the specification (DESIGN.md §4), and — on the golden matrix, so not
+# -short — the proofs that the ring is only an implementation of it and that
+# same-cycle wake-ups commute.
+gate 'TestEventOrderMatchesSpec|TestCompactionKeepsPendingWakes' ./internal/sm/
+gate 'TestWakeRingIsPureImplementation|TestSameCycleWakeOrderUnobservable' ./internal/audit/diff/
 # Ingestion gate: user-program workloads end to end under the race
 # detector — loader determinism, structured admission errors, a program
 # submitted over HTTP byte-identical to the in-process run, stream
