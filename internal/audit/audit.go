@@ -308,6 +308,8 @@ func (s *ViolationSet) Summary() string {
 //
 //	occupancy   warpsUsed, threadsUsed, awake, shmemUsed, activeCTAs,
 //	            pendingCTAs equal sums over residents and warp flags
+//	residents   the resident list is strictly ascending by CTA ID (what
+//	            makes the SM's first-match selectors pick the oldest)
 //	warp flags  an awake warp is schedulable (woken, active CTA, not
 //	            exited/parked); per-CTA stalledWarps/barWaiting/
 //	            finishedWarps match the per-warp flags
@@ -335,7 +337,13 @@ func CheckSM(s *sm.SM, now int64) error {
 
 	// Ground truth from the resident set.
 	var active, pending, warps, awake, shmem int
+	lastID := -1
 	for _, c := range s.Residents() {
+		if c.ID <= lastID {
+			return fail("residents:ascending", int64(c.ID), int64(lastID+1),
+				fmt.Sprintf("CTA %d listed after CTA %d", c.ID, lastID))
+		}
+		lastID = c.ID
 		switch {
 		case c.State == sm.CTAActive:
 			active++

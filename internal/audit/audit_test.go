@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"finereg/internal/audit"
+	"finereg/internal/core"
 	"finereg/internal/kernels"
 	"finereg/internal/mem"
 	"finereg/internal/regfile"
@@ -37,6 +38,14 @@ type rig struct {
 
 func newRig(t *testing.T, grid int) *rig {
 	t.Helper()
+	return newPolicyRig(t, grid, func(cfg sm.Config, hier *mem.Hierarchy) sm.Policy {
+		return regfile.NewVirtualThread(cfg, hier)
+	})
+}
+
+// newPolicyRig is newRig under the policy mk builds.
+func newPolicyRig(t *testing.T, grid int, mk func(sm.Config, *mem.Hierarchy) sm.Policy) *rig {
+	t.Helper()
 	p, err := kernels.ProfileByName("CS")
 	if err != nil {
 		t.Fatal(err)
@@ -48,7 +57,7 @@ func newRig(t *testing.T, grid int) *rig {
 	cfg := sm.Default()
 	hier := mem.NewHierarchy(2<<20, 8, 600, 313, mem.DefaultLatencies())
 	d := &disp{total: grid}
-	s := sm.New(0, cfg, hier, d, regfile.NewVirtualThread(cfg, hier))
+	s := sm.New(0, cfg, hier, d, mk(cfg, hier))
 	s.BindKernel(sm.NewProgInfo(k, s.Cfg), 0)
 	return &rig{s: s, d: d}
 }
@@ -135,6 +144,71 @@ func TestSkewCaught(t *testing.T) {
 			}
 			if err := audit.CheckSM(r.s, at); err != nil {
 				t.Errorf("after reverting %s skew: %v", c, err)
+			}
+		})
+	}
+}
+
+// TestResidentOrderCaught is the mutation test for residents:ascending, the
+// order the SM's first-match selectors (ReadyPending, StalledActive) rely on
+// to return the oldest match.
+func TestResidentOrderCaught(t *testing.T) {
+	r := newRig(t, 48)
+	at := r.run(t, func(now int64) bool { return now < 5000 })
+	if err := audit.CheckSM(r.s, at); err != nil {
+		t.Fatalf("pre-skew audit not clean: %v", err)
+	}
+	if !r.s.InjectResidentSwap() {
+		t.Fatal("fewer than two residents mid-run")
+	}
+	var v *audit.Violation
+	if err := audit.CheckSM(r.s, at); !errors.As(err, &v) {
+		t.Fatalf("swapped residents: want *audit.Violation, got %v", err)
+	}
+	if v.Rule != "residents:ascending" {
+		t.Errorf("swapped residents blame rule %q, want residents:ascending", v.Rule)
+	}
+	r.s.InjectResidentSwap()
+	if err := audit.CheckSM(r.s, at); err != nil {
+		t.Errorf("after swapping back: %v", err)
+	}
+}
+
+// TestLedgerSkewCaught is the mutation test for the ledger-declared policy
+// accounts: one warp-register taken from (or given to) a ledger behind the
+// policy's back must be blamed on that ledger's rule.
+func TestLedgerSkewCaught(t *testing.T) {
+	for _, tc := range []struct {
+		rule string
+		mk   func(sm.Config, *mem.Hierarchy) sm.Policy
+		of   func(sm.Policy) *sm.Ledger
+	}{
+		{"policy:acrfFree", func(cfg sm.Config, hier *mem.Hierarchy) sm.Policy {
+			return core.NewFineReg(cfg, hier, cfg.RegFileBytes/2, cfg.RegFileBytes/2)
+		}, func(p sm.Policy) *sm.Ledger { return p.(*core.FineReg).ACRF() }},
+		{"policy:brsFree", func(cfg sm.Config, hier *mem.Hierarchy) sm.Policy {
+			return regfile.NewRegMutex(cfg, hier, 0.25)
+		}, func(p sm.Policy) *sm.Ledger { return p.(*regfile.RegMutex).Regs() }},
+	} {
+		t.Run(tc.rule, func(t *testing.T) {
+			r := newPolicyRig(t, 48, tc.mk)
+			at := r.run(t, func(now int64) bool { return now < 5000 })
+			if err := audit.CheckSM(r.s, at); err != nil {
+				t.Fatalf("pre-skew audit not clean: %v", err)
+			}
+			for _, skew := range []func(*sm.Ledger, int){(*sm.Ledger).Take, (*sm.Ledger).Give} {
+				skew(tc.of(r.s.Pol), 1)
+				var v *audit.Violation
+				if err := audit.CheckSM(r.s, at); !errors.As(err, &v) {
+					t.Fatalf("skewed ledger: want *audit.Violation, got %v", err)
+				}
+				if v.Rule != tc.rule {
+					t.Errorf("skewed ledger blames rule %q, want %s", v.Rule, tc.rule)
+				}
+				skew(tc.of(r.s.Pol), -1)
+			}
+			if err := audit.CheckSM(r.s, at); err != nil {
+				t.Errorf("after reverting the skew: %v", err)
 			}
 		})
 	}

@@ -11,9 +11,8 @@ import (
 // ctaInfo is the FineReg policy's per-CTA bookkeeping: its status-monitor
 // slot and, while pending, the head of its PCRF chain.
 type ctaInfo struct {
-	slot     int
-	head     int
-	chainLen int
+	slot int
+	head int
 }
 
 // FineReg is the paper's register-file management policy. The monolithic
@@ -39,10 +38,10 @@ type FineReg struct {
 	// ablation that isolates the compaction benefit.
 	CompactLive bool
 
-	acrfFree int
-	pcrf     *PCRF
-	rmu      *RMU
-	mon      *StatusMonitor
+	acrf sm.Ledger
+	pcrf *PCRF
+	rmu  *RMU
+	mon  *StatusMonitor
 
 	slotFree     []int
 	blocked      bool
@@ -93,18 +92,15 @@ func NewFineReg(cfg sm.Config, hier *mem.Hierarchy, acrfBytes, pcrfBytes int) *F
 // Name implements sm.Policy.
 func (f *FineReg) Name() string { return "FineReg" }
 
-// PCRFState exposes the PCRF for tests and diagnostics.
-func (f *FineReg) PCRFState() *PCRF { return f.pcrf }
-
-// RMUState exposes the RMU for tests and diagnostics.
+// RMUState exposes the RMU (the bit-vector cache ablation resets it).
 func (f *FineReg) RMUState() *RMU { return f.rmu }
 
-// Monitor exposes the CTA status monitor.
-func (f *FineReg) Monitor() *StatusMonitor { return f.mon }
+// ACRF exposes the ACRF ledger (tests).
+func (f *FineReg) ACRF() *sm.Ledger { return &f.acrf }
 
 // KernelStart implements sm.Policy.
 func (f *FineReg) KernelStart(s *sm.SM, now int64) {
-	f.acrfFree = f.ACRFBytes / sm.WarpRegBytes
+	f.acrf.Reset(f.ACRFBytes / sm.WarpRegBytes)
 	f.pcrf.Reset()
 	f.rmu.Reset()
 	f.mon.Reset()
@@ -116,27 +112,16 @@ func (f *FineReg) KernelStart(s *sm.SM, now int64) {
 	}
 }
 
-func (f *FineReg) takeSlot() int {
-	if len(f.slotFree) == 0 {
-		return -1
-	}
-	s := f.slotFree[len(f.slotFree)-1]
-	f.slotFree = f.slotFree[:len(f.slotFree)-1]
-	return s
-}
-
-func (f *FineReg) putSlot(slot int) { f.slotFree = append(f.slotFree, slot) }
-
 // FillSlots restores ready pending CTAs and launches new ones while the
 // ACRF and scheduling resources allow.
 func (f *FineReg) FillSlots(s *sm.SM, now int64) {
 	cost := s.Meta().RegCostPerCTA()
-	for s.CanActivateOne(false) {
-		if c := f.readyPending(s, now); c != nil && f.acrfFree >= cost {
-			f.restore(s, c, now, 0)
+	for s.CanActivateOne(false) && f.acrf.Free() >= cost {
+		if c := s.ReadyPending(sm.CTAPendingPCRF, now); c != nil {
+			f.restore(s, c, now)
 			continue
 		}
-		if f.acrfFree < cost || !s.CanActivateOne(true) || len(f.slotFree) == 0 {
+		if len(f.slotFree) == 0 {
 			return
 		}
 		c := s.LaunchNew(now, 0)
@@ -147,40 +132,33 @@ func (f *FineReg) FillSlots(s *sm.SM, now int64) {
 	}
 }
 
-// adopt initializes policy bookkeeping for a newly launched active CTA.
+// adopt initializes policy bookkeeping for a newly launched active CTA; the
+// caller checked that a monitor slot is free.
 func (f *FineReg) adopt(s *sm.SM, c *sm.CTA) {
 	s.Cnt.ACRFLaunches++
-	f.acrfFree -= c.RegCost
-	info := &ctaInfo{slot: f.takeSlot(), head: -1}
+	f.acrf.Take(c.RegCost)
+	last := len(f.slotFree) - 1
+	info := &ctaInfo{slot: f.slotFree[last], head: -1}
+	f.slotFree = f.slotFree[:last]
 	c.SetPolicyData(info)
 	f.mon.Set(info.slot, CtxPipeline, RegACRF)
 }
 
-// OnCTAStalled attempts a FineReg switch for the fully stalled CTA c.
+// OnCTAStalled attempts a FineReg switch for the fully stalled CTA c: it
+// evicts c's live registers to the PCRF and activates a replacement (a ready
+// pending CTA, else a fresh launch), implementing the Section V-E procedure
+// including the free-entry arithmetic that counts slots released by the
+// outgoing pending CTA.
 func (f *FineReg) OnCTAStalled(s *sm.SM, c *sm.CTA, now int64) {
-	f.trySwitch(s, c, now)
-}
-
-// trySwitch evicts c's live registers to the PCRF and activates a
-// replacement (a ready pending CTA, else a fresh launch), implementing the
-// Section V-E procedure including the free-entry arithmetic that counts
-// slots released by the outgoing pending CTA.
-func (f *FineReg) trySwitch(s *sm.SM, c *sm.CTA, now int64) {
-	if c.State != sm.CTAActive {
-		return
-	}
-	in := f.readyPending(s, now)
-	canNew := s.Disp.Remaining() > 0 && s.CanParkResident() &&
-		len(f.slotFree) > 0
-	if in == nil && !canNew {
+	in := s.ReadyPending(sm.CTAPendingPCRF, now)
+	if in == nil && !(s.Disp.Remaining() > 0 && s.CanParkResident() && len(f.slotFree) > 0) {
 		return
 	}
 	live := f.evictDemand(s, c)
 	space := f.pcrf.Free()
 	if in != nil {
-		space += f.info(in).chainLen
-	}
-	if in == nil {
+		space += in.LiveRegs // its chain, freed by the swap
+	} else {
 		// Free-space-monitor admission control (Figure 11): a fresh
 		// launch grows the CTA population for good, so the monitor holds
 		// back when the file is near overflow. Sub-granule live sets
@@ -210,43 +188,28 @@ func (f *FineReg) trySwitch(s *sm.SM, c *sm.CTA, now int64) {
 		f.launchHoldUntil = now + f.hier.DRAM.LatencyCycles
 		return
 	}
+	restored := 0
 	if in != nil {
-		inInfo := f.info(in)
-		restored := f.pcrf.ReleaseChainCount(inInfo.head)
-		s.Cnt.PCRFReads += int64(restored)
-		s.Cnt.RFWrites += int64(restored)
-		s.Cnt.PCRFFills++
-		inInfo.head, inInfo.chainLen = -1, 0
-		evictBv := f.bitvecDelay(s, c, now)
-		f.evictStore(s, c, now)
-		// The status monitor initiates the bit-vector lookups the moment
-		// it detects the full stall (Section V-B), so an RMU miss fetch
-		// proceeds while the outgoing CTA's pipeline drains: the register
-		// readout is gated on the slower of the two, not their sum.
+		restored = f.releaseChain(s, in)
+	}
+	// The status monitor initiates the bit-vector lookups the moment it
+	// detects the full stall (Section V-B), so an RMU miss fetch proceeds
+	// while the outgoing CTA's pipeline drains: the register readout is
+	// gated on the slower of the two, not their sum.
+	drain := max(f.bitvecDelay(s, c, now), f.cfg.SwitchDrainLat)
+	f.evictStore(s, c, now)
+	if in != nil {
 		// Restore and eviction then stream through the arbitrator
 		// concurrently (Section V-E); warps of the incoming CTA become
 		// eligible as soon as their own live registers have been read
 		// back, so the visible delay is one warp's worth of chain.
-		lat := max(evictBv, f.cfg.SwitchDrainLat) + restoreLat(restored, s.Meta().WarpsPerCTA())
-		f.acrfFree -= in.RegCost
-		f.mon.Set(inInfo.slot, CtxPipeline, RegACRF)
-		s.Reactivate(in, now, lat)
-		if t := s.Trace(); t != nil {
-			t.RegTransfer(s.ID, in.ID, trace.XferRestoreFromPCRF, restored, restored*sm.WarpRegBytes, now)
-		}
-	} else {
-		evictBv := f.bitvecDelay(s, c, now)
-		f.evictStore(s, c, now)
-		// Same overlap as above: the miss fetch races the pipeline drain.
-		// The fresh CTA's registers are zero-initialized into ACRF banks
-		// as the outgoing chain streams to the PCRF, so — as in the swap
-		// path — the first incoming warp waits one warp's share of the
-		// pipelined eviction, not the whole chain.
-		evictLat := max(evictBv, f.cfg.SwitchDrainLat) +
-			restoreLat(c.LiveRegs, s.Meta().WarpsPerCTA())
-		if nc := s.LaunchNew(now, evictLat); nc != nil {
-			f.adopt(s, nc)
-		}
+		f.resume(s, in, now, restored, drain+restoreLat(restored, s.Meta().WarpsPerCTA()))
+	} else if nc := s.LaunchNew(now, drain+restoreLat(c.LiveRegs, s.Meta().WarpsPerCTA())); nc != nil {
+		// The fresh CTA's registers are zero-initialized into ACRF banks as
+		// the outgoing chain streams to the PCRF, so — as in the swap path —
+		// the first incoming warp waits one warp's share of the pipelined
+		// eviction, not the whole chain.
+		f.adopt(s, nc)
 	}
 	f.clearBlocked(s, now)
 }
@@ -299,10 +262,9 @@ func restoreLat(chainLen, warps int) int64 {
 	return PCRFTagLat + int64((chainLen+warps-1)/warps)
 }
 
-// evictStore moves c's (live) registers into the PCRF, parks the CTA, and
-// returns the outbound transfer latency (bit-vector lookups are accounted
-// separately via bitvecDelay).
-func (f *FineReg) evictStore(s *sm.SM, c *sm.CTA, now int64) int64 {
+// evictStore moves c's (live) registers into the PCRF and parks the CTA
+// (bit-vector lookups are accounted separately via bitvecDelay).
+func (f *FineReg) evictStore(s *sm.SM, c *sm.CTA, now int64) {
 	refs := f.refBuf[:0]
 	if f.CompactLive {
 		s.Meta().LiveRefs(c, func(w, r uint8) {
@@ -327,27 +289,38 @@ func (f *FineReg) evictStore(s *sm.SM, c *sm.CTA, now int64) int64 {
 		t.RegTransfer(s.ID, c.ID, trace.XferEvictToPCRF, len(refs), len(refs)*sm.WarpRegBytes, now)
 	}
 	s.Deactivate(c, sm.CTAPendingPCRF, now)
-	f.acrfFree += c.RegCost
+	f.acrf.Give(c.RegCost)
 	info := f.info(c)
-	info.head, info.chainLen = head, len(refs)
-	c.LiveRegs = len(refs)
+	info.head, c.LiveRegs = head, len(refs)
 	f.mon.Set(info.slot, CtxSharedMem, RegPCRF)
-	return TransferLat(len(refs))
 }
 
 // restore reactivates a pending CTA, reading its chain back into the ACRF.
-func (f *FineReg) restore(s *sm.SM, c *sm.CTA, now, extraLat int64) {
+func (f *FineReg) restore(s *sm.SM, c *sm.CTA, now int64) {
+	n := f.releaseChain(s, c)
+	f.resume(s, c, now, n, restoreLat(n, s.Meta().WarpsPerCTA())+f.cfg.SwitchDrainLat)
+}
+
+// releaseChain reads pending CTA c's chain out of the PCRF, freeing its
+// entries, and returns how many registers it held.
+func (f *FineReg) releaseChain(s *sm.SM, c *sm.CTA) int {
 	info := f.info(c)
 	n := f.pcrf.ReleaseChainCount(info.head)
 	s.Cnt.PCRFReads += int64(n)
 	s.Cnt.RFWrites += int64(n)
 	s.Cnt.PCRFFills++
-	info.head, info.chainLen = -1, 0
-	f.acrfFree -= c.RegCost
-	f.mon.Set(info.slot, CtxPipeline, RegACRF)
-	s.Reactivate(c, now, restoreLat(n, s.Meta().WarpsPerCTA())+f.cfg.SwitchDrainLat+extraLat)
+	info.head = -1
+	return n
+}
+
+// resume takes c's ACRF allocation back and reactivates it after lat cycles;
+// restored is the chain length releaseChain returned for it.
+func (f *FineReg) resume(s *sm.SM, c *sm.CTA, now int64, restored int, lat int64) {
+	f.acrf.Take(c.RegCost)
+	f.mon.Set(f.info(c).slot, CtxPipeline, RegACRF)
+	s.Reactivate(c, now, lat)
 	if t := s.Trace(); t != nil {
-		t.RegTransfer(s.ID, c.ID, trace.XferRestoreFromPCRF, n, n*sm.WarpRegBytes, now)
+		t.RegTransfer(s.ID, c.ID, trace.XferRestoreFromPCRF, restored, restored*sm.WarpRegBytes, now)
 	}
 }
 
@@ -357,22 +330,20 @@ func (f *FineReg) OnCTAReady(s *sm.SM, c *sm.CTA, now int64) {
 	if c.State != sm.CTAPendingPCRF {
 		return
 	}
-	if s.CanActivateOne(false) && f.acrfFree >= c.RegCost {
-		f.restore(s, c, now, 0)
+	if s.CanActivateOne(false) && f.acrf.Free() >= c.RegCost {
+		f.restore(s, c, now)
 		f.clearBlocked(s, now)
-		return
-	}
-	if victim := f.stalledActive(s); victim != nil {
-		f.trySwitch(s, victim, now)
+	} else if victim := s.StalledActive(); victim != nil {
+		f.OnCTAStalled(s, victim, now)
 	}
 }
 
 // OnCTAFinished releases the CTA's ACRF allocation and monitor slot.
 func (f *FineReg) OnCTAFinished(s *sm.SM, c *sm.CTA, now int64) {
-	f.acrfFree += c.RegCost
-	info := f.info(c)
-	f.mon.Set(info.slot, CtxNotLaunched, RegNotLaunched)
-	f.putSlot(info.slot)
+	f.acrf.Give(c.RegCost)
+	slot := f.info(c).slot
+	f.mon.Set(slot, CtxNotLaunched, RegNotLaunched)
+	f.slotFree = append(f.slotFree, slot)
 	f.clearBlocked(s, now)
 }
 
@@ -387,50 +358,17 @@ func (f *FineReg) info(c *sm.CTA) *ctaInfo {
 	return info
 }
 
-// readyPending returns the best resume candidate per the status monitor's
-// switch priority (Section V-B), breaking ties by CTA ID.
-func (f *FineReg) readyPending(s *sm.SM, now int64) *sm.CTA {
-	var best *sm.CTA
-	bestRank := int(^uint(0) >> 1)
-	for _, c := range s.Residents() {
-		if c.State != sm.CTAPendingPCRF || c.ReadyAt > now {
-			continue
-		}
-		rank := f.mon.SwitchPriority(f.info(c).slot)
-		if rank < 0 {
-			continue
-		}
-		if best == nil || rank < bestRank || (rank == bestRank && c.ID < best.ID) {
-			best, bestRank = c, rank
-		}
-	}
-	return best
-}
-
-func (f *FineReg) stalledActive(s *sm.SM) *sm.CTA {
-	var best *sm.CTA
-	for _, c := range s.Residents() {
-		if c.State == sm.CTAActive && c.FullyStalled() {
-			if best == nil || c.ID < best.ID {
-				best = c
-			}
-		}
-	}
-	return best
-}
-
-// ACRFFree exposes the free ACRF warp-registers (tests/diagnostics).
-func (f *FineReg) ACRFFree() int { return f.acrfFree }
-
 // AuditAccounting implements sm.SelfAuditing. The PCRF ground truth is
 // recomputed through the tag structure itself: each pending CTA's chain is
 // walked (read-only) from its head, so a leaked or double-released chain
 // shows up as a free-count mismatch, and the free-space monitor's bitmap is
 // compared entry by entry with the valid bits. The status monitor is
 // cross-checked against the CTA states by counting residents whose 2+2-bit
-// encoding matches their sm.CTAState.
+// encoding matches their sm.CTAState; for a pending CTA that is resume rank 1
+// (Section V-B: context and registers both backed up), the only rank the
+// policy ever produces, which is why the oldest ready pending CTA is the
+// best resume candidate.
 func (f *FineReg) AuditAccounting(s *sm.SM) []sm.AuditAccount {
-	acrfTotal := f.ACRFBytes / sm.WarpRegBytes
 	acrfHeld, chained, monOK := 0, 0, 0
 	for _, c := range s.Residents() {
 		info := f.info(c)
@@ -442,13 +380,13 @@ func (f *FineReg) AuditAccounting(s *sm.SM) []sm.AuditAccount {
 			}
 		case sm.CTAPendingPCRF:
 			chained += f.pcrf.ChainLen(info.head)
-			if cl, rl := f.mon.Get(info.slot); cl == CtxSharedMem && rl == RegPCRF {
+			if f.mon.SwitchPriority(info.slot) == 1 {
 				monOK++
 			}
 		}
 	}
 	return []sm.AuditAccount{
-		{Name: "acrfFree", Value: f.acrfFree, Expected: acrfTotal - acrfHeld, Min: 0, Max: acrfTotal},
+		f.acrf.Account("acrfFree", acrfHeld),
 		{Name: "pcrfFree", Value: f.pcrf.Free(), Expected: f.pcrf.Entries() - chained,
 			Min: 0, Max: f.pcrf.Entries()},
 		{Name: "pcrf:freeBitmap", Value: f.pcrf.FreeBitmapSkew(), Expected: 0, Min: 0, Max: 0},

@@ -63,14 +63,3 @@ func (r *RMU) Lookup(pc int, now int64) (delay int64) {
 // "at least four clock cycles to access a PCRF tag and the corresponding
 // register").
 const PCRFTagLat = 4
-
-// TransferLat returns the pipelined cycles to move n live registers
-// between the ACRF and PCRF: the 4-cycle tag access followed by one
-// register per cycle (Section V-E: retrieval is pipelined and may take
-// several hundred cycles for large live sets).
-func TransferLat(n int) int64 {
-	if n <= 0 {
-		return 0
-	}
-	return PCRFTagLat + int64(n)
-}

@@ -54,16 +54,6 @@ func TestRMUReset(t *testing.T) {
 	}
 }
 
-func TestTransferLat(t *testing.T) {
-	if got := TransferLat(0); got != 0 {
-		t.Errorf("TransferLat(0) = %d, want 0", got)
-	}
-	// Tag access (4 cycles) + pipelined 1 register/cycle.
-	if got := TransferLat(10); got != 14 {
-		t.Errorf("TransferLat(10) = %d, want 14", got)
-	}
-}
-
 // Property: lookups are idempotent within a working set of <= 32
 // well-spread PCs (one miss each, hits forever after).
 func TestRMUWorkingSetQuick(t *testing.T) {

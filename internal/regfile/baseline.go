@@ -17,8 +17,8 @@ import (
 // (scheduling slots, register file, shared memory) has room, registers are
 // allocated for a CTA's lifetime, and there is no CTA switching.
 type Baseline struct {
-	cfg      sm.Config
-	regsFree int
+	cfg  sm.Config
+	regs sm.Ledger
 }
 
 // NewBaseline returns a Baseline policy for an SM with the given config.
@@ -29,18 +29,15 @@ func (b *Baseline) Name() string { return "Baseline" }
 
 // KernelStart implements sm.Policy.
 func (b *Baseline) KernelStart(s *sm.SM, now int64) {
-	b.regsFree = b.cfg.TotalWarpRegs()
+	b.regs.Reset(b.cfg.TotalWarpRegs())
 }
 
 // FillSlots launches CTAs until a scheduling resource or the register file
 // is exhausted.
 func (b *Baseline) FillSlots(s *sm.SM, now int64) {
 	cost := s.Meta().RegCostPerCTA()
-	for s.CanActivateOne(true) && b.regsFree >= cost {
-		if s.LaunchNew(now, 0) == nil {
-			return
-		}
-		b.regsFree -= cost
+	for b.regs.Free() >= cost && s.LaunchNew(now, 0) != nil {
+		b.regs.Take(cost)
 	}
 }
 
@@ -53,25 +50,17 @@ func (b *Baseline) OnCTAReady(s *sm.SM, c *sm.CTA, now int64) {}
 
 // OnCTAFinished releases the CTA's registers.
 func (b *Baseline) OnCTAFinished(s *sm.SM, c *sm.CTA, now int64) {
-	b.regsFree += c.RegCost
+	b.regs.Give(c.RegCost)
 }
 
 // BlockedOnRegisters implements sm.Policy.
 func (b *Baseline) BlockedOnRegisters() bool { return false }
 
-// RegsFree exposes the remaining register capacity (tests, Figure 4's
-// active-thread accounting).
-func (b *Baseline) RegsFree() int { return b.regsFree }
+// Regs exposes the register-file ledger (tests).
+func (b *Baseline) Regs() *sm.Ledger { return &b.regs }
 
 // AuditAccounting implements sm.SelfAuditing: every resident CTA holds its
 // full static allocation for its lifetime.
 func (b *Baseline) AuditAccounting(s *sm.SM) []sm.AuditAccount {
-	total := b.cfg.TotalWarpRegs()
-	held := 0
-	for _, c := range s.Residents() {
-		held += c.RegCost
-	}
-	return []sm.AuditAccount{
-		{Name: "regsFree", Value: b.regsFree, Expected: total - held, Min: 0, Max: total},
-	}
+	return []sm.AuditAccount{b.regs.Account("regsFree", s.RegsHeld())}
 }

@@ -20,12 +20,11 @@ type dramInfo struct {
 // the paper's Figure 15 measures this policy by its traffic) and a new CTA
 // takes over its allocation. When an off-chip CTA's dependencies resolve,
 // its context is prefetched back and it swaps with the next stalled active
-// CTA.
+// CTA. The in-RF half is the embedded VirtualThread's; what is written here
+// is the off-chip tier.
 type RegDRAM struct {
-	cfg  sm.Config
-	hier *mem.Hierarchy
+	VirtualThread
 
-	regsFree int
 	dramUsed int
 	nextDMA  int64
 	// DRAMCap bounds the off-chip pending CTAs per SM (the paper tuned
@@ -35,10 +34,7 @@ type RegDRAM struct {
 
 // NewRegDRAM returns a Reg+DRAM policy with the given off-chip pool cap.
 func NewRegDRAM(cfg sm.Config, hier *mem.Hierarchy, dramCap int) *RegDRAM {
-	if dramCap < 0 {
-		dramCap = 0
-	}
-	return &RegDRAM{cfg: cfg, hier: hier, DRAMCap: dramCap}
+	return &RegDRAM{VirtualThread: VirtualThread{cfg: cfg, hier: hier}, DRAMCap: max(dramCap, 0)}
 }
 
 // Name implements sm.Policy.
@@ -46,7 +42,7 @@ func (r *RegDRAM) Name() string { return "Reg+DRAM" }
 
 // KernelStart implements sm.Policy.
 func (r *RegDRAM) KernelStart(s *sm.SM, now int64) {
-	r.regsFree = r.cfg.TotalWarpRegs()
+	r.VirtualThread.KernelStart(s, now)
 	r.dramUsed = 0
 	r.nextDMA = 0
 }
@@ -94,44 +90,39 @@ func (r *RegDRAM) pagedIn(c *sm.CTA, now int64) bool {
 	return d.prefetchDone > 0 && now >= d.prefetchDone
 }
 
-// readyDRAM returns a DRAM-pending CTA whose registers are prefetched and
-// whose warps are ready, or nil.
+// readyDRAM returns the oldest DRAM-pending CTA whose registers are
+// prefetched and whose warps are ready, or nil.
 func (r *RegDRAM) readyDRAM(s *sm.SM, now int64) *sm.CTA {
-	var best *sm.CTA
 	for _, c := range s.Residents() {
 		if c.State == sm.CTAPendingDRAM && c.ReadyAt <= now && r.pagedIn(c, now) {
-			if best == nil || c.ID < best.ID {
-				best = c
-			}
+			return c
 		}
 	}
-	return best
+	return nil
+}
+
+// pageIn activates a prefetched off-chip CTA: it leaves the pool and takes
+// an allocation in the register file.
+func (r *RegDRAM) pageIn(s *sm.SM, c *sm.CTA, now int64) {
+	r.regs.Take(r.cost)
+	r.dramUsed--
+	r.info(c).prefetchDone = 0
+	s.Reactivate(c, now, r.cfg.SwitchDrainLat)
 }
 
 // FillSlots behaves like Virtual Thread, additionally admitting prefetched
-// off-chip CTAs when registers free up.
+// off-chip CTAs — after the in-RF resumes, before fresh launches — when
+// registers free up.
 func (r *RegDRAM) FillSlots(s *sm.SM, now int64) {
-	cost := s.Meta().RegCostPerCTA()
-	for s.CanActivateOne(false) {
-		if c := readyPending(s, sm.CTAPendingRF, now); c != nil {
-			s.Reactivate(c, now, r.cfg.SwitchDrainLat)
-			continue
+	r.resume(s, now)
+	for s.CanActivateOne(false) && r.regs.Free() >= r.cost {
+		c := r.readyDRAM(s, now)
+		if c == nil {
+			break
 		}
-		if c := r.readyDRAM(s, now); c != nil && r.regsFree >= cost {
-			r.regsFree -= cost
-			r.dramUsed--
-			r.info(c).prefetchDone = 0
-			s.Reactivate(c, now, r.cfg.SwitchDrainLat)
-			continue
-		}
-		if !s.CanActivateOne(true) || r.regsFree < cost {
-			return
-		}
-		if s.LaunchNew(now, 0) == nil {
-			return
-		}
-		r.regsFree -= cost
+		r.pageIn(s, c, now)
 	}
+	r.launch(s, now)
 }
 
 // spillOut parks an active CTA's registers in DRAM; the outbound DMA is
@@ -146,7 +137,7 @@ func (r *RegDRAM) spillOut(s *sm.SM, c *sm.CTA, now int64) {
 	s.Deactivate(c, sm.CTAPendingDRAM, now)
 	r.info(c).prefetchDone = 0
 	r.dramUsed++
-	r.regsFree += c.RegCost
+	r.regs.Give(r.cost)
 }
 
 // worthSpilling applies the absence guard: the victim must be away longer
@@ -162,19 +153,8 @@ func (r *RegDRAM) worthSpilling(c *sm.CTA, now int64) bool {
 // it spills the stalled CTA off-chip to admit a prefetched DRAM CTA or a
 // fresh launch.
 func (r *RegDRAM) OnCTAStalled(s *sm.SM, c *sm.CTA, now int64) {
-	cost := s.Meta().RegCostPerCTA()
-
-	// 1. Cheap in-RF swap (Virtual Thread behaviour).
-	if in := readyPending(s, sm.CTAPendingRF, now); in != nil {
-		s.Deactivate(c, sm.CTAPendingRF, now)
-		s.Reactivate(in, now, r.cfg.SwitchDrainLat)
-		return
-	}
-	if s.Disp.Remaining() > 0 && r.regsFree >= cost && s.CanParkResident() {
-		s.Deactivate(c, sm.CTAPendingRF, now)
-		if s.LaunchNew(now, r.cfg.SwitchDrainLat) != nil {
-			r.regsFree -= cost
-		}
+	// 1. Cheap in-RF swap (Virtual Thread behaviour, minus its launch guard).
+	if r.switchOut(s, c, now, false) {
 		return
 	}
 
@@ -182,10 +162,7 @@ func (r *RegDRAM) OnCTAStalled(s *sm.SM, c *sm.CTA, now int64) {
 	// (overlapped) and the incoming CTA takes over its allocation.
 	if in := r.readyDRAM(s, now); in != nil && r.worthSpilling(c, now) {
 		r.spillOut(s, c, now)
-		r.regsFree -= cost
-		r.dramUsed--
-		r.info(in).prefetchDone = 0
-		s.Reactivate(in, now, r.cfg.SwitchDrainLat)
+		r.pageIn(s, in, now)
 		return
 	}
 
@@ -196,7 +173,7 @@ func (r *RegDRAM) OnCTAStalled(s *sm.SM, c *sm.CTA, now int64) {
 		r.dmaAllowed(ctxBytes(c), now) && r.worthSpilling(c, now) {
 		r.spillOut(s, c, now)
 		if s.LaunchNew(now, r.cfg.SwitchDrainLat) != nil {
-			r.regsFree -= cost
+			r.regs.Take(r.cost)
 		}
 	}
 }
@@ -205,16 +182,8 @@ func (r *RegDRAM) OnCTAStalled(s *sm.SM, c *sm.CTA, now int64) {
 // dependencies resolve (starting the inbound prefetch) and once when the
 // prefetch DMA completes (attempting activation).
 func (r *RegDRAM) OnCTAReady(s *sm.SM, c *sm.CTA, now int64) {
-	if c.State == sm.CTAPendingRF {
-		if s.CanActivateOne(false) {
-			s.Reactivate(c, now, r.cfg.SwitchDrainLat)
-		} else if victim := stalledActive(s); victim != nil {
-			s.Deactivate(victim, sm.CTAPendingRF, now)
-			s.Reactivate(c, now, r.cfg.SwitchDrainLat)
-		}
-		return
-	}
 	if c.State != sm.CTAPendingDRAM {
+		r.VirtualThread.OnCTAReady(s, c, now)
 		return
 	}
 	d := r.info(c)
@@ -235,30 +204,15 @@ func (r *RegDRAM) OnCTAReady(s *sm.SM, c *sm.CTA, now int64) {
 	if now < d.prefetchDone {
 		return
 	}
-	cost := s.Meta().RegCostPerCTA()
-	if s.CanActivateOne(false) && r.regsFree >= cost {
-		r.regsFree -= cost
-		r.dramUsed--
-		d.prefetchDone = 0
-		s.Reactivate(c, now, r.cfg.SwitchDrainLat)
-		return
-	}
-	if victim := stalledActive(s); victim != nil && r.worthSpilling(victim, now) {
+	if !(s.CanActivateOne(false) && r.regs.Free() >= r.cost) {
+		victim := s.StalledActive()
+		if victim == nil || !r.worthSpilling(victim, now) {
+			return
+		}
 		r.spillOut(s, victim, now)
-		r.regsFree -= cost
-		r.dramUsed--
-		d.prefetchDone = 0
-		s.Reactivate(c, now, r.cfg.SwitchDrainLat)
 	}
+	r.pageIn(s, c, now)
 }
-
-// OnCTAFinished releases the CTA's register allocation.
-func (r *RegDRAM) OnCTAFinished(s *sm.SM, c *sm.CTA, now int64) {
-	r.regsFree += c.RegCost
-}
-
-// BlockedOnRegisters implements sm.Policy.
-func (r *RegDRAM) BlockedOnRegisters() bool { return false }
 
 // spillCost estimates the channel cycles a register round trip costs right
 // now: both transfers plus the current backlog and pipeline drains.
@@ -271,18 +225,14 @@ func (r *RegDRAM) spillCost(bytes int, now int64) int64 {
 // hold their full allocation; DRAM-pending CTAs hold none but occupy the
 // bounded off-chip pool.
 func (r *RegDRAM) AuditAccounting(s *sm.SM) []sm.AuditAccount {
-	total := r.cfg.TotalWarpRegs()
-	held, offChip := 0, 0
+	offChip := 0
 	for _, c := range s.Residents() {
-		switch c.State {
-		case sm.CTAActive, sm.CTAPendingRF:
-			held += c.RegCost
-		case sm.CTAPendingDRAM:
+		if c.State == sm.CTAPendingDRAM {
 			offChip++
 		}
 	}
 	return []sm.AuditAccount{
-		{Name: "regsFree", Value: r.regsFree, Expected: total - held, Min: 0, Max: total},
+		r.regs.Account("regsFree", s.RegsHeld()-offChip*r.cost),
 		{Name: "dramUsed", Value: r.dramUsed, Expected: offChip, Min: 0, Max: r.DRAMCap},
 	}
 }

@@ -57,7 +57,7 @@ func TestBaselineRespectsRegisterFile(t *testing.T) {
 	if got := s.ActiveCTAs(); got != 9 {
 		t.Errorf("baseline activated %d LB CTAs, want 9 (register-file limit)", got)
 	}
-	if free := pol.RegsFree(); free != 2048-9*216 {
+	if free := pol.Regs().Free(); free != 2048-9*216 {
 		t.Errorf("RegsFree = %d, want %d", free, 2048-9*216)
 	}
 }
@@ -66,7 +66,7 @@ func TestBaselineRegisterAccountingBalances(t *testing.T) {
 	pol := NewBaseline(sm.Default())
 	s, disp := newRig(t, "SG", 24, pol)
 	runRig(t, s, disp, 10_000_000)
-	if free := pol.RegsFree(); free != 2048 {
+	if free := pol.Regs().Free(); free != 2048 {
 		t.Errorf("registers leaked: %d free after drain, want 2048", free)
 	}
 }
@@ -155,17 +155,80 @@ func TestRegDRAMCompletesWithContextTraffic(t *testing.T) {
 	}
 }
 
+// vtEquivalent runs the 48-CTA rig over BI, LI, LB, NW and KM under Virtual
+// Thread and under the policy mk builds, which embeds VT's switch and is
+// configured so that what it adds never acts: both must finish every kernel
+// on the same cycle. (The policies are handed a hierarchy of their own, not
+// the rig SM's, so the channel they watch stays idle and VT's launch guard —
+// which Reg+DRAM's in-RF step lacks, see TestLaunchGuardIsVTsNotRegDRAMs —
+// never fires.)
+func vtEquivalent(t *testing.T, mk func(sm.Config, *mem.Hierarchy) sm.Policy) {
+	t.Helper()
+	for _, bench := range []string{"BI", "LI", "LB", "NW", "KM"} {
+		run := func(pol sm.Policy) int64 {
+			s, disp := newRig(t, bench, 48, pol)
+			return runRig(t, s, disp, 30_000_000)
+		}
+		hier := mem.NewHierarchy(2<<20, 8, 600, 313, mem.DefaultLatencies())
+		pol := mk(sm.Default(), hier)
+		tVT, tPol := run(NewVirtualThread(sm.Default(), hier)), run(pol)
+		if tVT != tPol {
+			t.Errorf("%s: %s finished at %d, VT at %d — should be identical", bench, pol.Name(), tPol, tVT)
+		}
+		t.Logf("%s: %d cycles", bench, tVT)
+	}
+}
+
 func TestRegDRAMCapZeroEqualsVT(t *testing.T) {
 	// With no off-chip pool, Reg+DRAM degenerates to Virtual Thread.
-	run := func(pol sm.Policy) int64 {
-		s, disp := newRig(t, "BI", 48, pol)
-		return runRig(t, s, disp, 30_000_000)
-	}
-	hier := mem.NewHierarchy(2<<20, 8, 600, 313, mem.DefaultLatencies())
-	tVT := run(NewVirtualThread(sm.Default(), hier))
-	tRD := run(NewRegDRAM(sm.Default(), hier, 0))
-	if tVT != tRD {
-		t.Errorf("Reg+DRAM with cap 0 finished at %d, VT at %d — should be identical", tRD, tVT)
+	vtEquivalent(t, func(cfg sm.Config, hier *mem.Hierarchy) sm.Policy { return NewRegDRAM(cfg, hier, 0) })
+}
+
+func TestRegMutexZeroSRPEqualsVT(t *testing.T) {
+	// With no shared pool the BRS is the whole allocation and no warp ever
+	// needs a grant: VT+RegMutex degenerates to Virtual Thread.
+	vtEquivalent(t, func(cfg sm.Config, hier *mem.Hierarchy) sm.Policy { return NewRegMutex(cfg, hier, 0) })
+}
+
+// TestLaunchGuardIsVTsNotRegDRAMs pins the one behavioural difference the
+// shared switch carries as a parameter: with no ready pending CTA, room in
+// the register file and grid CTAs left, a stall under Virtual Thread or
+// VT+RegMutex launches a replacement only while the off-chip channel is not
+// launchSaturated; Reg+DRAM's in-RF step launches regardless. No golden cell
+// separates the two, so this is the only place either direction would show.
+func TestLaunchGuardIsVTsNotRegDRAMs(t *testing.T) {
+	for _, tc := range []struct {
+		name    string
+		mk      func(sm.Config, *mem.Hierarchy) sm.Policy
+		guarded bool
+	}{
+		{"VT", func(c sm.Config, h *mem.Hierarchy) sm.Policy { return NewVirtualThread(c, h) }, true},
+		{"VT+RegMutex", func(c sm.Config, h *mem.Hierarchy) sm.Policy { return NewRegMutex(c, h, 0.25) }, true},
+		{"Reg+DRAM", func(c sm.Config, h *mem.Hierarchy) sm.Policy { return NewRegDRAM(c, h, 4) }, false},
+	} {
+		for _, backlogged := range []bool{false, true} {
+			hier := mem.NewHierarchy(2<<20, 8, 600, 313, mem.DefaultLatencies())
+			pol := tc.mk(sm.Default(), hier)
+			// CS is Type-S: the scheduling limit fills long before the
+			// register file, so a parked CTA's replacement fits.
+			prof, _ := kernels.ProfileByName("CS")
+			disp := &rigDisp{total: 96}
+			s := sm.New(0, sm.Default(), hier, disp, pol)
+			s.BindKernel(sm.NewProgInfo(kernels.MustBuild(prof, 96), s.Cfg), 0)
+			if backlogged {
+				hier.DRAM.Access(0, 700*313, mem.TrafficDemand) // 700 cycles > 20 x SwitchDrainLat
+			}
+			if launchSaturated(hier, &s.Cfg, 0) != backlogged {
+				t.Fatalf("%s: channel backlog not as staged", tc.name)
+			}
+			victim, before := s.Residents()[0], len(s.Residents())
+			pol.OnCTAStalled(s, victim, 0)
+			switched := victim.State == sm.CTAPendingRF && len(s.Residents()) == before+1
+			if want := !(backlogged && tc.guarded); switched != want {
+				t.Errorf("%s, backlogged=%v: stalled CTA switched for a fresh launch = %v, want %v",
+					tc.name, backlogged, switched, want)
+			}
+		}
 	}
 }
 

@@ -15,20 +15,19 @@ import (
 // to issue. Grants are not released while the warp is stalled on memory —
 // the contention behaviour the paper measures in Figure 14. A warp's grant
 // lives in its policy word (sm.Warp.PolicyWord).
+//
+// Residency and switching are the embedded VirtualThread's, run over the BRS
+// partition with CTAs charged only their BRS.
 type RegMutex struct {
-	cfg  sm.Config
-	hier *mem.Hierarchy
-	vt   bool // merge Virtual Thread residency/switching
+	VirtualThread
 	// SRPFrac is the fraction of the register file dedicated to the SRP.
 	SRPFrac float64
 
 	brsRegs int // BRS registers per thread
 	// need[pc] is the SRP demand of a warp about to issue pc: the kernel's
 	// sm.ProgInfo.HighPressure(pc, brsRegs), fixed once brsRegs is.
-	need     []uint8
-	brsFree  int // warp-registers left in the BRS partition
-	srpFree  int // warp-registers left in the SRP
-	srpTotal int
+	need []uint8
+	srp  sm.Ledger
 
 	blocked      bool
 	lastInstr    int64
@@ -45,13 +44,8 @@ type RegMutex struct {
 // NewRegMutex returns a VT+RegMutex policy with srpFrac of the register
 // file as the shared pool.
 func NewRegMutex(cfg sm.Config, hier *mem.Hierarchy, srpFrac float64) *RegMutex {
-	if srpFrac < 0 {
-		srpFrac = 0
-	}
-	if srpFrac > 0.9 {
-		srpFrac = 0.9
-	}
-	return &RegMutex{cfg: cfg, hier: hier, vt: true, SRPFrac: srpFrac}
+	srpFrac = min(max(srpFrac, 0), 0.9)
+	return &RegMutex{VirtualThread: VirtualThread{cfg: cfg, hier: hier}, SRPFrac: srpFrac}
 }
 
 // Name implements sm.Policy.
@@ -60,9 +54,7 @@ func (r *RegMutex) Name() string { return "VT+RegMutex" }
 // KernelStart sizes the BRS/SRP split for the bound kernel.
 func (r *RegMutex) KernelStart(s *sm.SM, now int64) {
 	total := r.cfg.TotalWarpRegs()
-	r.srpTotal = int(float64(total) * r.SRPFrac)
-	r.srpFree = r.srpTotal
-	r.brsFree = total - r.srpTotal
+	r.srp.Reset(int(float64(total) * r.SRPFrac))
 	// The BRS shrinks twice as fast as the SRP grows: carving srpFrac of
 	// the file into the shared pool only pays off when per-warp static
 	// allocations shrink by more than the pool takes, so extra CTAs fit.
@@ -70,12 +62,9 @@ func (r *RegMutex) KernelStart(s *sm.SM, now int64) {
 	// allocation at once.)
 	regs := s.Meta().RegsPerThread()
 	r.brsRegs = int(math.Ceil(float64(regs) * (1 - 2*r.SRPFrac)))
-	if minBRS := int(math.Ceil(float64(regs) / 4)); r.brsRegs < minBRS {
-		r.brsRegs = minBRS
-	}
-	if r.brsRegs > regs {
-		r.brsRegs = regs
-	}
+	r.brsRegs = min(max(r.brsRegs, int(math.Ceil(float64(regs)/4))), regs)
+	r.regs.Reset(total - r.srp.Capacity())
+	r.cost = s.Meta().WarpsPerCTA() * r.brsRegs
 	r.need = r.need[:0]
 	for pc := 0; pc < s.Meta().Len(); pc++ {
 		r.need = append(r.need, uint8(s.Meta().HighPressure(pc, r.brsRegs)))
@@ -85,80 +74,20 @@ func (r *RegMutex) KernelStart(s *sm.SM, now int64) {
 	r.lastDeniedAt = -1
 }
 
-// Note: parked (pending) CTAs deliberately KEEP their SRP grants — their
-// register values still occupy the shared pool. This is the contention
+// OnCTAFinished releases the BRS allocation and all SRP grants the CTA's
+// warps still hold. Until then they stay held, parked or not: a pending
+// CTA's register values still occupy the shared pool. This is the contention
 // the paper measures in Figure 14(b): "when the execution of a warp is
 // stalled by long-latency memory instructions, it continues to occupy SRP
 // and hinders other warps from scheduling". The emergency overdraft in
 // AllowIssue bounds the resulting allocation deadlock.
-
-// brsCost is the per-CTA static allocation in warp-registers.
-func (r *RegMutex) brsCost(s *sm.SM) int { return s.Meta().WarpsPerCTA() * r.brsRegs }
-
-// FillSlots launches/resumes like Virtual Thread, but CTAs only charge
-// their BRS.
-func (r *RegMutex) FillSlots(s *sm.SM, now int64) {
-	cost := r.brsCost(s)
-	for s.CanActivateOne(false) {
-		if c := readyPending(s, sm.CTAPendingRF, now); c != nil {
-			s.Reactivate(c, now, r.cfg.SwitchDrainLat)
-			continue
-		}
-		if !s.CanActivateOne(true) || r.brsFree < cost {
-			return
-		}
-		if s.LaunchNew(now, 0) == nil {
-			return
-		}
-		r.brsFree -= cost
-	}
-}
-
-// OnCTAStalled performs Virtual Thread switching over the BRS partition.
-// A stalled CTA's SRP grants remain held (RegMutex does not release SRP on
-// memory stalls), which is exactly the contention source of Figure 14.
-func (r *RegMutex) OnCTAStalled(s *sm.SM, c *sm.CTA, now int64) {
-	if !r.vt {
-		return
-	}
-	cost := r.brsCost(s)
-	in := readyPending(s, sm.CTAPendingRF, now)
-	canLaunch := s.Disp.Remaining() > 0 && r.brsFree >= cost && s.CanParkResident() &&
-		!launchSaturated(r.hier, &r.cfg, now)
-	if in == nil && !canLaunch {
-		return
-	}
-	s.Deactivate(c, sm.CTAPendingRF, now)
-	if in != nil {
-		s.Reactivate(in, now, r.cfg.SwitchDrainLat)
-		return
-	}
-	if s.LaunchNew(now, r.cfg.SwitchDrainLat) != nil {
-		r.brsFree -= cost
-	}
-}
-
-// OnCTAReady implements sm.Policy like Virtual Thread.
-func (r *RegMutex) OnCTAReady(s *sm.SM, c *sm.CTA, now int64) {
-	if s.CanActivateOne(false) {
-		s.Reactivate(c, now, r.cfg.SwitchDrainLat)
-		return
-	}
-	if victim := stalledActive(s); victim != nil {
-		s.Deactivate(victim, sm.CTAPendingRF, now)
-		s.Reactivate(c, now, r.cfg.SwitchDrainLat)
-	}
-}
-
-// OnCTAFinished releases the BRS allocation and all SRP grants the CTA's
-// warps still hold.
 func (r *RegMutex) OnCTAFinished(s *sm.SM, c *sm.CTA, now int64) {
-	r.brsFree += r.brsCost(s)
+	r.VirtualThread.OnCTAFinished(s, c, now)
 	for _, w := range c.Warps {
-		r.srpFree += w.PolicyWord()
+		r.srp.Give(w.PolicyWord())
 		w.SetPolicyWord(0)
 	}
-	if r.srpFree > 0 {
+	if r.srp.Free() > 0 {
 		r.blocked = false
 	}
 }
@@ -178,14 +107,14 @@ func (r *RegMutex) AllowIssue(s *sm.SM, w *sm.Warp, now int64) bool {
 	switch {
 	case need > grant:
 		delta := need - grant
-		if delta > r.srpFree {
+		if delta > r.srp.Free() {
 			// Emergency overdraft: if the whole SM has made no progress
 			// for a long window, SRP allocation has deadlocked (every
 			// holder needs more than remains). Oversubscribe one warp to
 			// guarantee forward progress; the debt repays on release.
 			if now-r.lastMove > 2000 {
 				r.Overdrafts++
-				r.srpFree -= delta
+				r.srp.Take(delta)
 				w.SetPolicyWord(need)
 				return true
 			}
@@ -197,10 +126,10 @@ func (r *RegMutex) AllowIssue(s *sm.SM, w *sm.Warp, now int64) bool {
 			}
 			return false
 		}
-		r.srpFree -= delta
+		r.srp.Take(delta)
 		w.SetPolicyWord(need)
 	case need < grant:
-		r.srpFree += grant - need
+		r.srp.Give(grant - need)
 		w.SetPolicyWord(need)
 		r.blocked = false
 	}
@@ -211,25 +140,21 @@ func (r *RegMutex) AllowIssue(s *sm.SM, w *sm.Warp, now int64) bool {
 func (r *RegMutex) BlockedOnRegisters() bool { return r.blocked }
 
 // SRPInUse returns the currently granted SRP warp-registers (tests).
-func (r *RegMutex) SRPInUse() int { return r.srpTotal - r.srpFree }
+func (r *RegMutex) SRPInUse() int { return r.srp.Capacity() - r.srp.Free() }
 
 // AuditAccounting implements sm.SelfAuditing. brsFree is checked against
 // the resident count times the per-CTA BRS cost. srpFree is checked as the
-// conservation identity srpTotal - Σ grants; its lower bound is widened to
+// conservation identity capacity - Σ grants; its lower bound is widened to
 // the total granted amount because the emergency overdraft in AllowIssue
 // deliberately drives srpFree negative to break allocation deadlock.
 func (r *RegMutex) AuditAccounting(s *sm.SM) []sm.AuditAccount {
-	brsTotal := r.cfg.TotalWarpRegs() - r.srpTotal
 	granted := 0
 	for _, c := range s.Residents() {
 		for _, w := range c.Warps {
 			granted += w.PolicyWord()
 		}
 	}
-	return []sm.AuditAccount{
-		{Name: "brsFree", Value: r.brsFree, Expected: brsTotal - r.brsCost(s)*len(s.Residents()),
-			Min: 0, Max: brsTotal},
-		{Name: "srpFree", Value: r.srpFree, Expected: r.srpTotal - granted,
-			Min: -granted, Max: r.srpTotal},
-	}
+	srp := r.srp.Account("srpFree", granted)
+	srp.Min = -granted
+	return []sm.AuditAccount{r.regs.Account("brsFree", r.cost*len(s.Residents())), srp}
 }

@@ -19,10 +19,15 @@ func launchSaturated(hier *mem.Hierarchy, cfg *sm.Config, now int64) bool {
 // ready pending ones. Pending CTAs keep their full register allocation in
 // the register file; only the pipeline context moves (to shared memory),
 // so a switch costs just the drain/refill latency.
+//
+// Reg+DRAM and VT+RegMutex are this policy plus something, and embed it: the
+// switch below is the only one, run over whatever partition (regs) and
+// per-CTA charge (cost) the embedding policy's KernelStart sets.
 type VirtualThread struct {
-	cfg      sm.Config
-	hier     *mem.Hierarchy
-	regsFree int
+	cfg  sm.Config
+	hier *mem.Hierarchy
+	regs sm.Ledger
+	cost int
 }
 
 // NewVirtualThread returns a Virtual Thread policy.
@@ -33,114 +38,91 @@ func NewVirtualThread(cfg sm.Config, hier *mem.Hierarchy) *VirtualThread {
 // Name implements sm.Policy.
 func (v *VirtualThread) Name() string { return "VT" }
 
-// KernelStart implements sm.Policy.
+// KernelStart charges CTAs their full allocation against the whole file.
 func (v *VirtualThread) KernelStart(s *sm.SM, now int64) {
-	v.regsFree = v.cfg.TotalWarpRegs()
+	v.regs.Reset(v.cfg.TotalWarpRegs())
+	v.cost = s.Meta().RegCostPerCTA()
 }
 
 // FillSlots activates ready pending CTAs first (their registers are
-// already resident) and then launches new CTAs while the register file has
+// already resident) and then launches new CTAs while the partition has
 // space.
 func (v *VirtualThread) FillSlots(s *sm.SM, now int64) {
-	cost := s.Meta().RegCostPerCTA()
+	v.resume(s, now)
+	v.launch(s, now)
+}
+
+// resume activates ready pending CTAs, oldest first, while slots allow.
+func (v *VirtualThread) resume(s *sm.SM, now int64) {
 	for s.CanActivateOne(false) {
-		if c := readyPending(s, sm.CTAPendingRF, now); c != nil {
-			s.Reactivate(c, now, v.cfg.SwitchDrainLat)
-			continue
-		}
-		if !s.CanActivateOne(true) || v.regsFree < cost {
+		c := s.ReadyPending(sm.CTAPendingRF, now)
+		if c == nil {
 			return
 		}
-		if s.LaunchNew(now, 0) == nil {
-			return
-		}
-		v.regsFree -= cost
+		s.Reactivate(c, now, v.cfg.SwitchDrainLat)
 	}
 }
 
-// OnCTAStalled evicts the stalled CTA (registers stay in the RF) whenever
-// a replacement exists: a ready pending CTA, or an unlaunched CTA that
-// still fits in the register file.
+// launch admits fresh CTAs while the partition has room for their charge.
+func (v *VirtualThread) launch(s *sm.SM, now int64) {
+	for v.regs.Free() >= v.cost && s.LaunchNew(now, 0) != nil {
+		v.regs.Take(v.cost)
+	}
+}
+
+// OnCTAStalled implements sm.Policy.
 func (v *VirtualThread) OnCTAStalled(s *sm.SM, c *sm.CTA, now int64) {
-	cost := s.Meta().RegCostPerCTA()
-	in := readyPending(s, sm.CTAPendingRF, now)
-	canLaunch := s.Disp.Remaining() > 0 && v.regsFree >= cost && s.CanParkResident() &&
-		!launchSaturated(v.hier, &v.cfg, now)
-	if in == nil && !canLaunch {
-		return
+	v.switchOut(s, c, now, true)
+}
+
+// switchOut evicts the stalled CTA c (registers stay in the RF) whenever a
+// replacement exists — a ready pending CTA, or an unlaunched CTA that still
+// fits in the partition — and reports whether it did. guarded is the one
+// thing the policies built on this switch disagree on: Virtual Thread and
+// VT+RegMutex refuse the fresh launch while the channel is launchSaturated,
+// Reg+DRAM's in-RF step does not.
+func (v *VirtualThread) switchOut(s *sm.SM, c *sm.CTA, now int64, guarded bool) bool {
+	in := s.ReadyPending(sm.CTAPendingRF, now)
+	if in == nil && !(s.Disp.Remaining() > 0 && v.regs.Free() >= v.cost && s.CanParkResident() &&
+		!(guarded && launchSaturated(v.hier, &v.cfg, now))) {
+		return false
 	}
 	s.Deactivate(c, sm.CTAPendingRF, now)
 	if in != nil {
 		s.Reactivate(in, now, v.cfg.SwitchDrainLat)
-		return
+	} else if s.LaunchNew(now, v.cfg.SwitchDrainLat) != nil {
+		v.regs.Take(v.cost)
 	}
-	if s.LaunchNew(now, v.cfg.SwitchDrainLat) != nil {
-		v.regsFree -= cost
-	}
+	return true
 }
 
-// OnCTAReady swaps the newly ready pending CTA in if an active CTA is
-// sitting fully stalled.
+// OnCTAReady resumes the newly ready pending CTA, swapping out an active
+// CTA that is sitting fully stalled when no scheduling slot is free.
 func (v *VirtualThread) OnCTAReady(s *sm.SM, c *sm.CTA, now int64) {
-	if s.CanActivateOne(false) {
-		s.Reactivate(c, now, v.cfg.SwitchDrainLat)
-		return
-	}
-	if victim := stalledActive(s); victim != nil {
+	if !s.CanActivateOne(false) {
+		victim := s.StalledActive()
+		if victim == nil {
+			return
+		}
 		s.Deactivate(victim, sm.CTAPendingRF, now)
-		s.Reactivate(c, now, v.cfg.SwitchDrainLat)
 	}
+	s.Reactivate(c, now, v.cfg.SwitchDrainLat)
 }
 
-// OnCTAFinished releases the CTA's register allocation.
+// OnCTAFinished releases the CTA's charge.
 func (v *VirtualThread) OnCTAFinished(s *sm.SM, c *sm.CTA, now int64) {
-	v.regsFree += c.RegCost
+	v.regs.Give(v.cost)
 }
 
 // BlockedOnRegisters implements sm.Policy.
 func (v *VirtualThread) BlockedOnRegisters() bool { return false }
 
-// RegsFree exposes remaining register capacity for tests.
-func (v *VirtualThread) RegsFree() int { return v.regsFree }
+// Regs exposes the partition's ledger (tests).
+func (v *VirtualThread) Regs() *sm.Ledger { return &v.regs }
 
 // AuditAccounting implements sm.SelfAuditing: active and pending residents
 // alike keep their full allocation in the register file (parking moves only
 // the pipeline context).
 func (v *VirtualThread) AuditAccounting(s *sm.SM) []sm.AuditAccount {
-	total := v.cfg.TotalWarpRegs()
-	held := 0
-	for _, c := range s.Residents() {
-		held += c.RegCost
-	}
-	return []sm.AuditAccount{
-		{Name: "regsFree", Value: v.regsFree, Expected: total - held, Min: 0, Max: total},
-	}
-}
-
-// readyPending returns the oldest pending CTA in the given state whose
-// dependencies have resolved, or nil.
-func readyPending(s *sm.SM, st sm.CTAState, now int64) *sm.CTA {
-	var best *sm.CTA
-	for _, c := range s.Residents() {
-		if c.State == st && c.ReadyAt <= now {
-			if best == nil || c.ID < best.ID {
-				best = c
-			}
-		}
-	}
-	return best
-}
-
-// stalledActive returns a fully stalled active CTA, preferring the one
-// that has been stalled the longest (lowest ID as tiebreak).
-func stalledActive(s *sm.SM) *sm.CTA {
-	var best *sm.CTA
-	for _, c := range s.Residents() {
-		if c.State == sm.CTAActive && c.FullyStalled() {
-			if best == nil || c.ID < best.ID {
-				best = c
-			}
-		}
-	}
-	return best
+	return []sm.AuditAccount{v.regs.Account("regsFree", s.RegsHeld())}
 }

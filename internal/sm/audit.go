@@ -176,6 +176,17 @@ func (s *SM) InjectAccountingSkew(counter string, delta int) {
 	}
 }
 
+// InjectResidentSwap exchanges the first two residents, breaking the
+// ascending-ID order ReadyPending and StalledActive rest on. Returns false
+// with fewer than two residents. Tests only.
+func (s *SM) InjectResidentSwap() bool {
+	if len(s.residents) < 2 {
+		return false
+	}
+	s.residents[0], s.residents[1] = s.residents[1], s.residents[0]
+	return true
+}
+
 // InjectMemSkew corrupts one of the SM's L1 probe counters by delta
 // (delegates to mem.Cache.InjectAuditSkew). Tests only: it proves the
 // auditor's memory-hierarchy conservation checks catch cache-accounting

@@ -131,12 +131,11 @@ type SM struct {
 	rotor   []int64
 	seqNext []int64 // per-scheduler wiring sequence counter
 
-	// warpFree holds retired warp contexts that LaunchNew/LaunchParked re-arm
-	// instead of allocating. A context retires into warpRetired and moves to
-	// warpFree only at the top of the next Tick: the call chain that retired
-	// it (Tick → issue → exitWarp → finishCTA → FillSlots → LaunchNew) still
-	// holds it, and Tick reads its exited flag and wiring sequence after
-	// issue returns.
+	// warpFree holds retired warp contexts that LaunchNew re-arms instead of
+	// allocating. A context retires into warpRetired and moves to warpFree
+	// only at the top of the next Tick: the call chain that retired it (Tick
+	// → issue → exitWarp → finishCTA → FillSlots → LaunchNew) still holds it,
+	// and Tick reads its exited flag and wiring sequence after issue returns.
 	warpFree, warpRetired []*Warp
 
 	activeCTAs  int
@@ -337,16 +336,47 @@ func (s *SM) PendingCTAs() int { return s.pendingCTAs }
 // ResidentCTAs returns active + pending.
 func (s *SM) ResidentCTAs() int { return s.activeCTAs + s.pendingCTAs }
 
-// ActiveThreads returns threads of active CTAs still running.
-func (s *SM) ActiveThreads() int { return s.threadsUsed }
-
 // HasResidents reports whether any CTA is resident (O(1); the run loop
 // polls this after every skipped-SM round).
 func (s *SM) HasResidents() bool { return len(s.residents) > 0 }
 
-// Residents returns the resident CTA list (policies iterate it to find
-// resume candidates). The slice must not be mutated.
+// Residents returns the resident CTA list, in ascending grid-ID order: the
+// dispatcher hands IDs out ascending, LaunchNew appends and finishCTA removes
+// in place. The slice must not be mutated.
 func (s *SM) Residents() []*CTA { return s.residents }
+
+// ReadyPending returns the oldest resident parked in state st whose
+// dependencies have resolved (ReadyAt <= now), or nil. Oldest is lowest grid
+// ID, which in resident order is the first match.
+func (s *SM) ReadyPending(st CTAState, now int64) *CTA {
+	for _, c := range s.residents {
+		if c.State == st && c.ReadyAt <= now {
+			return c
+		}
+	}
+	return nil
+}
+
+// StalledActive returns the oldest fully stalled active CTA — a switch
+// victim — or nil.
+func (s *SM) StalledActive() *CTA {
+	for _, c := range s.residents {
+		if c.FullyStalled() {
+			return c
+		}
+	}
+	return nil
+}
+
+// RegsHeld sums the residents' full allocations (RegCost): the ground truth
+// a Ledger account is audited against when every resident holds its own.
+func (s *SM) RegsHeld() int {
+	held := 0
+	for _, c := range s.residents {
+		held += c.RegCost
+	}
+	return held
+}
 
 // statSample closes the occupancy integrals' current piece at cycle now.
 // Every mutation of activeCTAs/pendingCTAs/threadsUsed must call this
@@ -396,8 +426,8 @@ func (s *SM) CanActivateOne(newResident bool) bool {
 }
 
 // CanParkResident reports whether shared memory admits one more *resident*
-// CTA regardless of scheduling slots (used when launching directly into a
-// pending pool, as Reg+DRAM does).
+// CTA regardless of scheduling slots (a switch that parks one CTA to launch
+// another adds a resident, not an active CTA).
 func (s *SM) CanParkResident() bool {
 	return s.meta != nil &&
 		s.shmemUsed+s.meta.sharedMem <= s.Cfg.SharedMemBytes &&
@@ -416,7 +446,7 @@ func (s *SM) LaunchNew(now, delay int64) *CTA {
 	if id < 0 {
 		return nil
 	}
-	c := s.newCTA(id, CTAActive)
+	c := s.newCTA(id)
 	for _, w := range c.Warps {
 		w.wakeAt = now + delay
 	}
@@ -430,40 +460,16 @@ func (s *SM) LaunchNew(now, delay int64) *CTA {
 	return c
 }
 
-// LaunchParked takes the next grid CTA directly into a pending state
-// (never yet executed). Its ReadyAt is now — it can start as soon as it is
-// activated. Used by Reg+DRAM to queue CTAs in off-chip memory.
-func (s *SM) LaunchParked(now int64, st CTAState) *CTA {
-	if !s.CanParkResident() {
-		return nil
-	}
-	id := s.Disp.NextCTAID()
-	if id < 0 {
-		return nil
-	}
-	c := s.newCTA(id, st)
-	c.ReadyAt = now
-	s.residents = append(s.residents, c)
-	s.shmemUsed += s.meta.sharedMem
-	s.statSample(now)
-	s.pendingCTAs++
-	s.Cnt.CTAsLaunched++
-	if s.sink != nil {
-		s.sink.CTAEvent(s.ID, trace.CTALaunchParked, c.ID, now, 0)
-	}
-	return c
-}
-
-// newCTA builds the record of grid CTA id in state st, with its warp
-// contexts at PC 0. The contexts come from the SM's pool of retired ones
-// when it has any; the CTA record itself is always fresh — a policy's
-// ScheduleEvent can outlive its CTA, and a recycled record would turn that
-// stale event into a spurious OnCTAReady.
-func (s *SM) newCTA(id int, st CTAState) *CTA {
+// newCTA builds the record of grid CTA id, active, with its warp contexts at
+// PC 0. The contexts come from the SM's pool of retired ones when it has any;
+// the CTA record itself is always fresh — a policy's ScheduleEvent can
+// outlive its CTA, and a recycled record would turn that stale event into a
+// spurious OnCTAReady.
+func (s *SM) newCTA(id int) *CTA {
 	s.stamp++
 	c := &CTA{
 		ID:           id,
-		State:        st,
+		State:        CTAActive,
 		Warps:        make([]*Warp, s.meta.warpsPerCTA),
 		RegCost:      s.meta.regCost,
 		launchStamp:  s.stamp,
@@ -696,11 +702,6 @@ func (s *SM) finishCTA(c *CTA, now int64) {
 	}
 	s.warpRetired = append(s.warpRetired, c.Warps...)
 	s.Pol.FillSlots(s, now)
-}
-
-// Idle reports whether the SM has nothing resident and no grid work.
-func (s *SM) Idle() bool {
-	return len(s.residents) == 0 && (s.Disp == nil || s.Disp.Remaining() == 0)
 }
 
 // ---- Events: the wake ring and the queue ----

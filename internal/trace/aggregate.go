@@ -122,8 +122,6 @@ func (a *StallAggregator) CTAEvent(sm int, kind CTAKind, cta int, now, arg int64
 	case CTALaunch:
 		t.active, t.lastChange = true, now
 		t.Activations++
-	case CTALaunchParked:
-		t.active, t.lastChange = false, now
 	case CTADeactivate:
 		t.ActiveCycles += now - t.lastChange
 		t.active, t.lastChange = false, now

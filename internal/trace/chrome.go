@@ -181,9 +181,6 @@ func (c *ChromeWriter) CTAEvent(sm int, kind CTAKind, cta int, now, arg int64) {
 		c.event(fmt.Sprintf(`"ph":"B","pid":%d,"tid":%d,"ts":%d,"name":"CTA %d","args":{"cta":%d}`,
 			sm, tid, now, cta, cta))
 		c.ctaCounter(sm, now)
-	case CTALaunchParked:
-		t.pending++
-		c.ctaCounter(sm, now)
 	case CTADeactivate:
 		t.active--
 		t.pending++

@@ -71,9 +71,6 @@ type CTAKind uint8
 const (
 	// CTALaunch: a fresh CTA entered execution (grid -> active).
 	CTALaunch CTAKind = iota
-	// CTALaunchParked: a fresh CTA was queued directly into a pending pool
-	// (Reg+DRAM's off-chip launch path).
-	CTALaunchParked
 	// CTADeactivate: active -> pending; arg carries the pending-state code
 	// (the sm.CTAState the CTA parked into).
 	CTADeactivate
@@ -93,8 +90,6 @@ func (k CTAKind) String() string {
 	switch k {
 	case CTALaunch:
 		return "launch"
-	case CTALaunchParked:
-		return "launch-parked"
 	case CTADeactivate:
 		return "deactivate"
 	case CTAReactivate:

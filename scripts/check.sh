@@ -74,6 +74,13 @@ gate 'Progress|Attribution|TestGoldenCycleExactness' \
 # the pool's lifetime rules.
 gate 'TestReadyMaskMatchesSortedPartition|TestPCRFAllocMatchesLinearScan|TestReusedWarpEqualsFresh|TestPoolLifetimeRules' \
 	./internal/sm/ ./internal/core/
+# Policy gate: the SM's first-match resident selectors against the lowest-ID
+# scans they replaced, the two "VT plus nothing" degenerations of the
+# policies that embed VT's switch, and the documented extension path (a
+# policy of your own on an sm.Ledger, audited).
+gate 'TestSelectorsMatchLowestIDScan|TestRegMutexZeroSRPEqualsVT|TestRegDRAMCapZeroEqualsVT' \
+	./internal/gpu/ ./internal/regfile/
+go run ./examples/custompolicy >/dev/null
 # Event-order gate: the wake ring and event queue against the sort that is
 # the specification (DESIGN.md §4), and — on the golden matrix, so not
 # -short — the proofs that the ring is only an implementation of it and that
