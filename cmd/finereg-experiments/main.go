@@ -42,18 +42,16 @@ var experimentIDs = []string{
 }
 
 func main() {
+	var ef runner.Flags
+	ef.Register(flag.CommandLine, ".finereg-cache")
 	var (
-		only       = flag.String("only", "", "comma-separated experiment ids (default: all)")
-		sms        = flag.Int("sms", 16, "number of SMs")
-		gridScale  = flag.Float64("grid-scale", 1.0, "workload grid scale")
-		quick      = flag.Bool("quick", false, "use the 4-SM quick configuration")
-		auditRuns  = flag.Bool("audit", false, "enable the runtime invariant auditor on every simulation")
-		auditAll   = flag.Bool("audit-collect", false, "audit in collect-all mode: summarize every violation at the end instead of aborting at the first (implies -audit)")
-		jobs       = flag.Int("jobs", 0, "parallel simulation workers (0 = GOMAXPROCS)")
-		cacheDir   = flag.String("cache-dir", ".finereg-cache", "on-disk result cache directory ('' = memory only)")
-		noCache    = flag.Bool("no-cache", false, "keep results in memory only (no disk reads or writes)")
-		jobTimeout = flag.Duration("job-timeout", 0, "per-simulation wall-clock budget (0 = none)")
-		server     = flag.String("server", "", "run simulations on a finereg-serve instance (e.g. http://localhost:8321) instead of in-process")
+		only      = flag.String("only", "", "comma-separated experiment ids (default: all)")
+		sms       = flag.Int("sms", 16, "number of SMs")
+		gridScale = flag.Float64("grid-scale", 1.0, "workload grid scale")
+		quick     = flag.Bool("quick", false, "use the 4-SM quick configuration")
+		auditRuns = flag.Bool("audit", false, "enable the runtime invariant auditor on every simulation")
+		auditAll  = flag.Bool("audit-collect", false, "audit in collect-all mode: summarize every violation at the end instead of aborting at the first (implies -audit)")
+		server    = flag.String("server", "", "run simulations on a finereg-serve instance (e.g. http://localhost:8321) instead of in-process")
 	)
 	flag.Parse()
 
@@ -86,17 +84,9 @@ func main() {
 	// pool, the cache, and the progress line, so points repeated across
 	// figures — the sweep feeding Figures 12/13/16, the stall probes that
 	// coincide with sweep candidates — simulate at most once.
-	dir := *cacheDir
-	if *noCache {
-		dir = ""
-	}
 	progress := trace.NewProgress(os.Stderr)
-	eng := &runner.Engine{
-		Jobs:    *jobs,
-		Cache:   runner.NewCache(dir),
-		Timeout: *jobTimeout,
-		Events:  progress,
-	}
+	eng := ef.Engine()
+	eng.Events = progress
 	opts.Runner = eng
 	if *server != "" {
 		// Remote mode: batches go to the finereg-serve instance; the

@@ -10,7 +10,7 @@
 //	              [-cache-dir .finereg-fleet-cache] [-no-cache]
 //	              [-slots 4] [-poll-every 50ms]
 //	              [-probe-every 2s] [-down-after 3]
-//	              [-progress-every N] [-drain-timeout 30s] [-quiet]
+//	              [-progress-every N] [-drain-timeout 30s]
 //
 // Endpoints (beyond the full finereg-serve v1 API):
 //
@@ -33,43 +33,36 @@ package main
 
 import (
 	"context"
-	"errors"
 	"flag"
 	"fmt"
-	"net/http"
 	"os"
-	"os/signal"
 	"strings"
-	"syscall"
 	"time"
 
 	"finereg/internal/fleet"
+	"finereg/internal/runner"
 	"finereg/internal/serve"
-	"finereg/internal/trace"
 )
 
 func main() {
+	var cf runner.Flags
+	cf.RegisterCache(flag.CommandLine, ".finereg-fleet-cache")
 	var (
-		addr         = flag.String("addr", ":8320", "listen address")
-		nodes        = flag.String("nodes", "", "comma-separated worker base URLs (workers can also self-register)")
-		queueCap     = flag.Int("queue", serve.DefaultQueueCap, "admission queue capacity (full queue sheds with 429)")
-		maxBatch     = flag.Int("max-batch", serve.DefaultMaxBatch, "max jobs per batch request")
-		cacheDir     = flag.String("cache-dir", ".finereg-fleet-cache", "shared result cache directory ('' = memory only)")
-		noCache      = flag.Bool("no-cache", false, "keep the shared cache in memory only")
-		slots        = flag.Int("slots", 4, "concurrent dispatches per worker node")
-		pollEvery    = flag.Duration("poll-every", 50*time.Millisecond, "per-job status poll period against workers")
-		probeEvery   = flag.Duration("probe-every", 2*time.Second, "worker liveness probe period")
-		downAfter    = flag.Int("down-after", 3, "consecutive failures before a worker is marked down")
-		progEvery    = flag.Int64("progress-every", 0, "in-run sample period forwarded from workers (0 = default, negative = off)")
+		addr       = flag.String("addr", ":8320", "listen address")
+		nodes      = flag.String("nodes", "", "comma-separated worker base URLs (workers can also self-register)")
+		queueCap   = flag.Int("queue", serve.DefaultQueueCap, "admission queue capacity (full queue sheds with 429)")
+		maxBatch   = flag.Int("max-batch", serve.DefaultMaxBatch, "max jobs per batch request")
+		slots      = flag.Int("slots", 4, "concurrent dispatches per worker node")
+		pollEvery  = flag.Duration("poll-every", 50*time.Millisecond, "per-job status poll period against workers")
+		probeEvery = flag.Duration("probe-every", 2*time.Second, "worker liveness probe period")
+		downAfter  = flag.Int("down-after", 3, "consecutive failures before a worker is marked down")
+		// Only the sign is used: gpu.Config.ProgressEvery is json:"-" and
+		// never crosses the hop, so workers sample at their own period.
+		progEvery    = flag.Int64("progress-every", 0, "negative = do not relay workers' in-run progress samples; a period is not forwarded (workers sample at their own -progress-every)")
 		drainTimeout = flag.Duration("drain-timeout", 30*time.Second, "shutdown grace for dispatched jobs")
-		quiet        = flag.Bool("quiet", false, "suppress the stderr progress line")
 	)
 	flag.Parse()
 
-	dir := *cacheDir
-	if *noCache {
-		dir = ""
-	}
 	var nodeList []string
 	for _, n := range strings.Split(*nodes, ",") {
 		if n = strings.TrimSpace(n); n != "" {
@@ -79,7 +72,7 @@ func main() {
 
 	coord := fleet.NewCoordinator(fleet.CoordinatorConfig{
 		Nodes:         nodeList,
-		CacheDir:      dir,
+		CacheDir:      cf.Dir(),
 		QueueCap:      *queueCap,
 		MaxBatch:      *maxBatch,
 		ProgressEvery: *progEvery,
@@ -88,50 +81,10 @@ func main() {
 		ProbeEvery:    *probeEvery,
 		DownAfter:     *downAfter,
 	})
-	if !*quiet {
-		progress := trace.NewProgress(os.Stderr)
-		coord.Server().Fanout().Subscribe(progress)
-		defer progress.Close()
-	}
+	fmt.Fprintf(os.Stderr, "finereg-fleet: %d seed workers, cache %s\n", len(nodeList), cf.CacheLabel())
 
-	// Header and idle timeouts only: SSE event streams are long-lived, so
-	// a whole-request read or write deadline would cut them off.
-	hs := &http.Server{
-		Addr:              *addr,
-		Handler:           coord,
-		ReadHeaderTimeout: 10 * time.Second,
-		IdleTimeout:       2 * time.Minute,
-	}
-
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
-	errCh := make(chan error, 1)
-	go func() { errCh <- hs.ListenAndServe() }()
-	fmt.Fprintf(os.Stderr, "finereg-fleet: coordinating on %s (%d seed workers, cache %s)\n",
-		*addr, len(nodeList), cacheLabel(dir))
-
-	select {
-	case err := <-errCh:
+	if err := serve.ListenAndDrain(context.Background(), "finereg-fleet", *addr, coord, coord.Shutdown, *drainTimeout); err != nil {
 		fmt.Fprintf(os.Stderr, "finereg-fleet: %v\n", err)
 		os.Exit(1)
-	case <-ctx.Done():
 	}
-
-	fmt.Fprintf(os.Stderr, "\nfinereg-fleet: draining (up to %s)...\n", *drainTimeout)
-	dctx, cancel := context.WithTimeout(context.Background(), *drainTimeout)
-	defer cancel()
-	// Service first, listener second — same ordering rationale as
-	// finereg-serve: SSE streams only terminate once the service drains.
-	if err := coord.Shutdown(dctx); err != nil && !errors.Is(err, context.Canceled) {
-		fmt.Fprintf(os.Stderr, "finereg-fleet: drain deadline hit, outstanding dispatches cancelled\n")
-	}
-	hs.Shutdown(dctx)
-	fmt.Fprintln(os.Stderr, "finereg-fleet: bye")
-}
-
-func cacheLabel(dir string) string {
-	if dir == "" {
-		return "memory-only"
-	}
-	return dir
 }

@@ -35,23 +35,14 @@ func main() {
 	var k *kernels.Kernel
 	if file != "" {
 		text, err := os.ReadFile(file)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
+		check(err)
 		// The service-path loader: assemble, validate, liveness-analyze,
 		// derive the occupancy profile.
 		k, err = (&workload.Program{Source: string(text)}).Load(kernels.Limits{})
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
+		check(err)
 	} else {
 		prof, err := kernels.ProfileByName(*bench)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
+		check(err)
 		k = kernels.MustBuild(prof, 1)
 	}
 	if *emitAsm {
@@ -67,10 +58,7 @@ func main() {
 	fmt.Println()
 
 	g, err := liveness.BuildCFG(k.Prog)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
-	}
+	check(err)
 	fmt.Print(g.String())
 	pdom := g.PostDominators()
 	fmt.Print("post-dominators: ")
@@ -89,4 +77,11 @@ func main() {
 		info.MaxLive(), info.MeanLive(), k.Prog.RegsPerThread)
 	fmt.Printf("off-chip bit-vector table: %d bytes (12 B x %d static instructions)\n",
 		info.BitVectorBytes(), k.Prog.Len())
+}
+
+func check(err error) {
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "finereg-liveness:", err)
+		os.Exit(1)
+	}
 }

@@ -41,14 +41,10 @@ package main
 
 import (
 	"context"
-	"errors"
 	"flag"
 	"fmt"
-	"net/http"
 	"os"
-	"os/signal"
 	"strings"
-	"syscall"
 	"time"
 
 	"finereg/internal/fleet"
@@ -58,14 +54,12 @@ import (
 )
 
 func main() {
+	ef := runner.Flags{WorkersFlag: "workers"}
+	ef.Register(flag.CommandLine, ".finereg-cache")
 	var (
 		addr         = flag.String("addr", ":8321", "listen address")
-		workers      = flag.Int("workers", 0, "concurrent simulations (0 = GOMAXPROCS)")
 		queueCap     = flag.Int("queue", serve.DefaultQueueCap, "admission queue capacity (full queue sheds with 429)")
 		maxBatch     = flag.Int("max-batch", serve.DefaultMaxBatch, "max jobs per batch request")
-		cacheDir     = flag.String("cache-dir", ".finereg-cache", "on-disk result cache directory ('' = memory only)")
-		noCache      = flag.Bool("no-cache", false, "keep results in memory only (no disk reads or writes)")
-		jobTimeout   = flag.Duration("job-timeout", 0, "per-simulation wall-clock budget (0 = none)")
 		progEvery    = flag.Int64("progress-every", 0, "in-run sample period in simulated cycles (0 = default, negative = off)")
 		drainTimeout = flag.Duration("drain-timeout", 30*time.Second, "shutdown grace for in-flight simulations")
 		quiet        = flag.Bool("quiet", false, "suppress the stderr progress line")
@@ -75,82 +69,43 @@ func main() {
 	)
 	flag.Parse()
 
-	dir := *cacheDir
-	if *noCache {
-		dir = ""
-	}
-	cache := runner.NewCache(dir)
+	eng := ef.Engine()
 	if *coordinator != "" {
-		cache.Remote = &fleet.CacheClient{Base: *coordinator}
+		eng.Cache.Remote = &fleet.CacheClient{Base: *coordinator}
 	}
-	eng := &runner.Engine{
-		Jobs:    *workers,
-		Cache:   cache,
-		Timeout: *jobTimeout,
+	if !*quiet {
+		progress := trace.NewProgress(os.Stderr)
+		eng.Events = progress
+		defer progress.Close()
 	}
 	srv := serve.New(serve.Config{
 		Engine:        eng,
-		Workers:       *workers,
+		Workers:       ef.Jobs,
 		QueueCap:      *queueCap,
 		MaxBatch:      *maxBatch,
 		ProgressEvery: *progEvery,
 	})
-	if !*quiet {
-		progress := trace.NewProgress(os.Stderr)
-		srv.Fanout().Subscribe(progress)
-		defer progress.Close()
-	}
+	fmt.Fprintf(os.Stderr, "finereg-serve: cache %s\n", ef.CacheLabel())
 
-	// Header and idle timeouts only: SSE event streams are long-lived, so
-	// a whole-request read or write deadline would cut them off.
-	hs := &http.Server{
-		Addr:              *addr,
-		Handler:           srv,
-		ReadHeaderTimeout: 10 * time.Second,
-		IdleTimeout:       2 * time.Minute,
-	}
-
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
-	errCh := make(chan error, 1)
-	go func() { errCh <- hs.ListenAndServe() }()
-	fmt.Fprintf(os.Stderr, "finereg-serve: listening on %s (cache %s)\n", *addr, cacheLabel(dir))
-
+	shutdown := srv.Shutdown
 	if *coordinator != "" {
 		self := *advertise
 		if self == "" {
 			self = deriveAdvertise(*addr)
 		}
 		fmt.Fprintf(os.Stderr, "finereg-serve: worker of %s (advertising %s)\n", *coordinator, self)
-		go fleet.AnnounceLoop(ctx, *coordinator, self, *announce, nil)
+		actx, stopAnnouncing := context.WithCancel(context.Background())
+		go fleet.AnnounceLoop(actx, *coordinator, self, *announce, nil)
+		shutdown = func(ctx context.Context) error {
+			stopAnnouncing()
+			return srv.Shutdown(ctx)
+		}
 	}
 
-	select {
-	case err := <-errCh:
+	if err := serve.ListenAndDrain(context.Background(), "finereg-serve", *addr, srv, shutdown, *drainTimeout); err != nil {
 		fmt.Fprintf(os.Stderr, "finereg-serve: %v\n", err)
 		os.Exit(1)
-	case <-ctx.Done():
 	}
-
-	fmt.Fprintf(os.Stderr, "\nfinereg-serve: draining (up to %s)...\n", *drainTimeout)
-	dctx, cancel := context.WithTimeout(context.Background(), *drainTimeout)
-	defer cancel()
-	// Service first: draining closes SSE streams and answers submissions
-	// with 503 while in-flight jobs finish. Only then stop the HTTP
-	// listener — the other order would leave hs.Shutdown waiting on SSE
-	// connections that only terminate once the service drains.
-	if err := srv.Shutdown(dctx); err != nil && !errors.Is(err, context.Canceled) {
-		fmt.Fprintf(os.Stderr, "finereg-serve: drain deadline hit, in-flight simulations stopped\n")
-	}
-	hs.Shutdown(dctx)
-	fmt.Fprintln(os.Stderr, "finereg-serve: bye")
-}
-
-func cacheLabel(dir string) string {
-	if dir == "" {
-		return "memory-only"
-	}
-	return dir
 }
 
 // deriveAdvertise turns a listen address into a URL the coordinator can

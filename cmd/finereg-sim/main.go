@@ -69,6 +69,8 @@ import (
 )
 
 func main() {
+	var ef runner.Flags
+	ef.Register(flag.CommandLine, "")
 	var (
 		benchFlag   = flag.String("bench", "all", "comma-separated benchmark abbreviations, or 'all'")
 		policyFlag  = flag.String("policy", "all", "comma-separated policies: baseline,vt,regdram,regmutex,finereg, or 'all'")
@@ -77,18 +79,14 @@ func main() {
 		partsFlag   = flag.String("partitions", "", "comma-separated SM counts (summing to -sms): run the -stream kernels concurrently, one per static partition")
 		sms         = flag.Int("sms", 16, "number of SMs (shared resources scale proportionally)")
 		gridScale   = flag.Float64("grid-scale", 0, "grid-size scale factor (default: sms/16)")
-		srp         = flag.Float64("srp", 0.25, "RegMutex SRP fraction of the register file")
-		dramCap     = flag.Int("dram-cap", 4, "Reg+DRAM off-chip pending CTAs per SM")
+		srp         = flag.Float64("srp", runner.DefaultSRPFrac, "RegMutex SRP fraction of the register file")
+		dramCap     = flag.Int("dram-cap", runner.DefaultDRAMCap, "Reg+DRAM off-chip pending CTAs per SM")
 		verbose     = flag.Bool("v", false, "print extended metrics")
 		jsonOut     = flag.Bool("json", false, "emit metrics as a JSON array instead of the table")
 		csvOut      = flag.Bool("csv", false, "emit metrics as CSV instead of the table")
 		stalls      = flag.Bool("stalls", false, "trace each run and attach the stall-cycle breakdown")
 		auditRuns   = flag.Bool("audit", false, "enable the runtime invariant auditor on every run (internal/audit)")
 		auditAll    = flag.Bool("audit-collect", false, "audit in collect-all mode: gather every violation and summarize at the end instead of aborting at the first (implies -audit)")
-		jobs        = flag.Int("jobs", 0, "parallel simulation workers (0 = GOMAXPROCS)")
-		cacheDir    = flag.String("cache-dir", "", "on-disk result cache directory ('' = no disk cache)")
-		noCache     = flag.Bool("no-cache", false, "disable the on-disk cache even if -cache-dir is set")
-		jobTimeout  = flag.Duration("job-timeout", 0, "per-simulation wall-clock budget (0 = none)")
 		progress    = flag.Bool("progress", false, "render a live stderr status line with in-run simulation progress")
 		progEvery   = flag.Int64("progress-every", 0, "in-run sample period in simulated cycles (0 = default; needs -progress)")
 		cpuProfile  = flag.String("cpuprofile", "", "write a CPU profile of the simulation batch to this file")
@@ -99,103 +97,71 @@ func main() {
 	cfg := gpu.Default().Scale(*sms)
 	cfg.Audit = *auditRuns || *auditAll
 	cfg.AuditCollect = *auditAll
-	scale := *gridScale
-	if scale == 0 {
-		scale = float64(*sms) / 16
-	}
 
-	var benches []string
-	if *benchFlag == "all" {
-		benches = kernels.Names()
-	} else {
+	benches := kernels.Names()
+	if *benchFlag != "all" {
 		benches = strings.Split(*benchFlag, ",")
 	}
-	policies := policySet(*policyFlag, *srp, *dramCap)
+	polNames := runner.PolicyKinds()
+	if *policyFlag != "all" {
+		polNames = strings.Split(*policyFlag, ",")
+	}
+	policies := make([]runner.PolicySpec, len(polNames))
+	for i, name := range polNames {
+		polNames[i] = strings.TrimSpace(name)
+		spec, err := runner.ParsePolicy(polNames[i], *srp, *dramCap)
+		check(err)
+		policies[i] = spec
+	}
 
-	dir := *cacheDir
-	if *noCache {
-		dir = ""
-	}
-	eng := &runner.Engine{
-		Jobs:    *jobs,
-		Cache:   runner.NewCache(dir),
-		Timeout: *jobTimeout,
-	}
+	eng := ef.Engine()
 	if *progress {
-		every := *progEvery
-		if every <= 0 {
-			every = gpu.DefaultProgressEvery
-		}
 		line := trace.NewProgress(os.Stderr)
 		eng.Events = line
-		eng.ProgressEvery = every
+		eng.ProgressEvery = *progEvery
+		if eng.ProgressEvery <= 0 {
+			eng.ProgressEvery = gpu.DefaultProgressEvery
+		}
 		defer line.Close()
 	}
 
-	var jobList []*runner.Job
+	// The workload half of every job: the programs as one, or each bench.
+	var work []runner.Job
 	if *programFlag != "" || *streamFlag != "" {
 		progs, name, err := programSpecs(*programFlag, *streamFlag)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "finereg-sim:", err)
-			os.Exit(1)
-		}
+		check(err)
 		if *partsFlag != "" {
 			cfg.Partitions, err = parsePartitions(*partsFlag)
-			if err != nil {
-				fmt.Fprintln(os.Stderr, "finereg-sim:", err)
-				os.Exit(1)
-			}
+			check(err)
 		}
-		for _, pol := range policies {
-			j := &runner.Job{
-				Cfg:      cfg,
-				Programs: progs,
-				Policy:   pol.spec,
-				Stalls:   *stalls,
-				Label:    name + "/" + pol.name,
-			}
-			// Same admission gate as the service path: malformed source
-			// fails here with the assembler's line/column, not mid-run.
-			if err := j.Validate(); err != nil {
-				fmt.Fprintln(os.Stderr, "finereg-sim:", err)
-				os.Exit(1)
-			}
-			jobList = append(jobList, j)
-		}
+		work = []runner.Job{{Programs: progs, Label: name}}
 	} else {
 		if *partsFlag != "" {
-			fmt.Fprintln(os.Stderr, "finereg-sim: -partitions needs -stream (one kernel per partition)")
-			os.Exit(1)
+			check(errors.New("-partitions needs -stream (one kernel per partition)"))
 		}
 		for _, b := range benches {
 			p, err := kernels.ProfileByName(strings.TrimSpace(b))
-			if err != nil {
-				fmt.Fprintln(os.Stderr, err)
-				os.Exit(1)
-			}
-			for _, pol := range policies {
-				jobList = append(jobList, &runner.Job{
-					Cfg:     cfg,
-					Profile: p,
-					Grid:    int(float64(p.GridCTAs)*scale + 0.5),
-					Policy:  pol.spec,
-					Stalls:  *stalls,
-					Label:   p.Abbrev + "/" + pol.name,
-				})
-			}
+			check(err)
+			work = append(work, runner.Job{Profile: p, Grid: p.ScaledGrid(*gridScale, *sms), Label: p.Abbrev})
+		}
+	}
+	var jobList []*runner.Job
+	for _, w := range work {
+		for i, pol := range policies {
+			j := w
+			j.Cfg, j.Policy, j.Stalls, j.Label = cfg, pol, *stalls, w.Label+"/"+polNames[i]
+			// Same admission gate as the service path: a malformed program
+			// fails here with the assembler's line/column, a bad grid or
+			// geometry with its reason, not mid-run.
+			check(j.Validate())
+			jobList = append(jobList, &j)
 		}
 	}
 
 	stopProf, err := prof.Start(*cpuProfile, *memProfile)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "finereg-sim:", err)
-		os.Exit(1)
-	}
+	check(err)
 	batch := eng.Run(jobList)
-	if err := stopProf(); err != nil {
-		fmt.Fprintln(os.Stderr, "finereg-sim:", err)
-		os.Exit(1)
-	}
+	check(stopProf())
 
 	tbl := &stats.Table{Header: []string{"bench/policy", "IPC", "cycles", "resident", "active", "switches", "dramKB"}}
 	var runs []*stats.Metrics
@@ -222,15 +188,9 @@ func main() {
 	}
 	switch {
 	case *jsonOut:
-		if err := stats.WriteJSON(os.Stdout, runs); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
+		check(stats.WriteJSON(os.Stdout, runs))
 	case *csvOut:
-		if err := stats.WriteCSV(os.Stdout, runs); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
+		check(stats.WriteCSV(os.Stdout, runs))
 	default:
 		fmt.Print(tbl)
 	}
@@ -249,6 +209,13 @@ func main() {
 			fmt.Fprintf(os.Stderr, "finereg-sim: %v\n", batch.Errs[i])
 		}
 		fmt.Fprintf(os.Stderr, "finereg-sim: %d/%d runs failed\n", len(failed), len(jobList))
+		os.Exit(1)
+	}
+}
+
+func check(err error) {
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "finereg-sim:", err)
 		os.Exit(1)
 	}
 }
@@ -296,38 +263,4 @@ func parsePartitions(s string) ([]int, error) {
 		parts = append(parts, n)
 	}
 	return parts, nil
-}
-
-type namedPolicy struct {
-	name string
-	spec runner.PolicySpec
-}
-
-func policySet(spec string, srp float64, dramCap int) []namedPolicy {
-	all := []namedPolicy{
-		{"baseline", runner.Baseline()},
-		{"vt", runner.VirtualThread()},
-		{"regdram", runner.RegDRAM(dramCap)},
-		{"regmutex", runner.VTRegMutex(srp)},
-		{"finereg", runner.FineRegDefault()},
-	}
-	if spec == "all" {
-		return all
-	}
-	var out []namedPolicy
-	for _, want := range strings.Split(spec, ",") {
-		want = strings.TrimSpace(want)
-		found := false
-		for _, p := range all {
-			if p.name == want {
-				out = append(out, p)
-				found = true
-			}
-		}
-		if !found {
-			fmt.Fprintf(os.Stderr, "unknown policy %q\n", want)
-			os.Exit(1)
-		}
-	}
-	return out
 }

@@ -17,6 +17,7 @@ import (
 
 	"finereg/internal/gpu"
 	"finereg/internal/kernels"
+	"finereg/internal/runner"
 	"finereg/internal/trace"
 )
 
@@ -27,8 +28,8 @@ func main() {
 		out       = flag.String("out", "trace.json", "Chrome trace output path ('' disables the trace file)")
 		sms       = flag.Int("sms", 16, "number of SMs (shared resources scale proportionally)")
 		gridScale = flag.Float64("grid-scale", 0, "grid-size scale factor (default: sms/16)")
-		srp       = flag.Float64("srp", 0.25, "RegMutex SRP fraction of the register file")
-		dramCap   = flag.Int("dram-cap", 4, "Reg+DRAM off-chip pending CTAs per SM")
+		srp       = flag.Float64("srp", runner.DefaultSRPFrac, "RegMutex SRP fraction of the register file")
+		dramCap   = flag.Int("dram-cap", runner.DefaultDRAMCap, "Reg+DRAM off-chip pending CTAs per SM")
 		timeline  = flag.Int("timeline", 10, "per-CTA timeline rows to print (0 disables)")
 		list      = flag.Bool("list", false, "list benchmark abbreviations and exit")
 	)
@@ -41,34 +42,24 @@ func main() {
 		return
 	}
 	if *bench == "" {
-		fail(fmt.Errorf("-bench is required (use -list for choices)"))
+		check(fmt.Errorf("-bench is required (use -list for choices)"))
 	}
 
-	pf, err := policyFor(*config, *srp, *dramCap)
-	if err != nil {
-		fail(err)
-	}
+	spec, err := runner.ParsePolicy(*config, *srp, *dramCap)
+	check(err)
+	pf, err := spec.Factory()
+	check(err)
 	prof, err := kernels.ProfileByName(*bench)
-	if err != nil {
-		fail(err)
-	}
-	scale := *gridScale
-	if scale == 0 {
-		scale = float64(*sms) / 16
-	}
-	k, err := kernels.Build(prof, int(float64(prof.GridCTAs)*scale+0.5))
-	if err != nil {
-		fail(err)
-	}
+	check(err)
+	k, err := kernels.Build(prof, prof.ScaledGrid(*gridScale, *sms))
+	check(err)
 
 	agg := trace.NewStallAggregator()
 	sink := trace.Sink(agg)
 	var cw *trace.ChromeWriter
 	if *out != "" {
 		f, err := os.Create(*out)
-		if err != nil {
-			fail(err)
-		}
+		check(err)
 		defer f.Close()
 		cw = trace.NewChromeWriter(f)
 		sink = trace.Multi(cw, agg)
@@ -77,12 +68,10 @@ func main() {
 	g := gpu.New(gpu.Default().Scale(*sms), pf)
 	g.SetTrace(sink)
 	m, err := g.Run(k)
-	if err != nil {
-		fail(err)
-	}
+	check(err)
 	if cw != nil {
 		if err := cw.Close(); err != nil {
-			fail(fmt.Errorf("writing %s: %w", *out, err))
+			check(fmt.Errorf("writing %s: %w", *out, err))
 		}
 		fmt.Printf("trace written to %s (open at https://ui.perfetto.dev)\n\n", *out)
 	}
@@ -93,7 +82,7 @@ func main() {
 	b := agg.Breakdown()
 	m.Stalls = b
 	if err := b.Check(); err != nil {
-		fail(fmt.Errorf("stall accounting invariant violated: %w", err))
+		check(fmt.Errorf("stall accounting invariant violated: %w", err))
 	}
 	fmt.Println("Stall attribution (every warp-slot cycle, bucketed):")
 	fmt.Print(b.Table())
@@ -105,23 +94,9 @@ func main() {
 	}
 }
 
-func policyFor(name string, srp float64, dramCap int) (gpu.PolicyFactory, error) {
-	switch name {
-	case "baseline":
-		return gpu.Baseline(), nil
-	case "vt":
-		return gpu.VirtualThread(), nil
-	case "regdram":
-		return gpu.RegDRAM(dramCap), nil
-	case "regmutex":
-		return gpu.VTRegMutex(srp), nil
-	case "finereg":
-		return gpu.FineRegDefault(), nil
+func check(err error) {
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "finereg-trace:", err)
+		os.Exit(1)
 	}
-	return nil, fmt.Errorf("unknown config %q (want baseline, vt, regdram, regmutex, finereg)", name)
-}
-
-func fail(err error) {
-	fmt.Fprintln(os.Stderr, "finereg-trace:", err)
-	os.Exit(1)
 }

@@ -8,7 +8,6 @@ import (
 	"testing/quick"
 
 	"finereg/internal/isa"
-	"finereg/internal/kernels"
 )
 
 func TestVecAdd(t *testing.T) {
@@ -19,7 +18,7 @@ func TestVecAdd(t *testing.T) {
 		m.WriteF32(int(baseA)+4*i, float32(i))
 		m.WriteF32(int(baseB)+4*i, 2*float32(i))
 	}
-	p := kernels.VecAdd(baseA, baseB, baseC)
+	p := VecAdd(baseA, baseB, baseC)
 	if err := m.Launch(p, 2, 128); err != nil {
 		t.Fatal(err)
 	}
@@ -39,7 +38,7 @@ func TestSaxpy(t *testing.T) {
 		m.WriteF32(4*i, float32(i))
 		m.WriteF32(int(baseY)+4*i, 1)
 	}
-	p := kernels.Saxpy(math.Float32bits(alpha), baseX, baseY)
+	p := Saxpy(math.Float32bits(alpha), baseX, baseY)
 	if err := m.Launch(p, 1, n); err != nil {
 		t.Fatal(err)
 	}
@@ -63,7 +62,7 @@ func TestAbsDiffDivergence(t *testing.T) {
 		m.WriteU32(int(baseA)+4*i, uint32(a[i]))
 		m.WriteU32(int(baseB)+4*i, uint32(b[i]))
 	}
-	if err := m.Launch(kernels.AbsDiff(baseA, baseB, baseOut), 1, n); err != nil {
+	if err := m.Launch(AbsDiff(baseA, baseB, baseOut), 1, n); err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < n; i++ {
@@ -86,7 +85,7 @@ func TestDotChunksLoop(t *testing.T) {
 		m.WriteF32(int(baseX)+4*i, 1)
 		m.WriteF32(int(baseY)+4*i, float32(i%5))
 	}
-	if err := m.Launch(kernels.DotChunks(baseX, baseY, baseOut, n, trips), 1, n); err != nil {
+	if err := m.Launch(DotChunks(baseX, baseY, baseOut, n, trips), 1, n); err != nil {
 		t.Fatal(err)
 	}
 	for tid := 0; tid < n; tid++ {
@@ -130,7 +129,7 @@ func TestBarrierSharedMemory(t *testing.T) {
 
 func TestLaunchRejectsBadGeometry(t *testing.T) {
 	m := &Machine{Mem: make([]byte, 1024)}
-	p := kernels.VecAdd(0, 128, 256)
+	p := VecAdd(0, 128, 256)
 	if err := m.Launch(p, 1, 33); err == nil {
 		t.Error("threadsPerCTA=33 should be rejected")
 	}
@@ -141,7 +140,7 @@ func TestLaunchRejectsBadGeometry(t *testing.T) {
 
 func TestOutOfBoundsLoad(t *testing.T) {
 	m := &Machine{Mem: make([]byte, 64)} // far too small for tid*4 addressing
-	p := kernels.VecAdd(0, 1<<20, 2<<20)
+	p := VecAdd(0, 1<<20, 2<<20)
 	err := m.Launch(p, 1, 32)
 	if err == nil {
 		t.Fatal("expected out-of-bounds error")
@@ -183,7 +182,7 @@ func TestVecAddQuick(t *testing.T) {
 			m.WriteF32(4*n+4*i, c)
 			want[i] = a + c
 		}
-		if err := m.Launch(kernels.VecAdd(0, 4*n, 8*n), 1, n); err != nil {
+		if err := m.Launch(VecAdd(0, 4*n, 8*n), 1, n); err != nil {
 			return false
 		}
 		for i := 0; i < n; i++ {
@@ -213,7 +212,7 @@ func TestAbsDiffQuick(t *testing.T) {
 			m.WriteU32(baseA+4*i, uint32(a[i]))
 			m.WriteU32(baseB+4*i, uint32(bb[i]))
 		}
-		if err := m.Launch(kernels.AbsDiff(uint32(baseA), uint32(baseB), uint32(baseOut)), 1, n); err != nil {
+		if err := m.Launch(AbsDiff(uint32(baseA), uint32(baseB), uint32(baseOut)), 1, n); err != nil {
 			return false
 		}
 		for i := 0; i < n; i++ {

@@ -1,11 +1,10 @@
-package kernels
+package exec
 
 import "finereg/internal/isa"
 
 // Functional kernels: small programs with real addressing semantics for
-// the functional SIMT executor (internal/exec). By executor convention,
-// R0 is preloaded with the global thread ID at launch; addresses are byte
-// addresses formed in registers.
+// the executor. By executor convention, R0 is preloaded with the global
+// thread ID at launch; addresses are byte addresses formed in registers.
 
 // VecAdd returns c[i] = a[i] + b[i] over float32 arrays. baseA/baseB/baseC
 // are byte offsets of the three arrays in the executor's flat memory.

@@ -11,15 +11,14 @@ import (
 	"fmt"
 	"log"
 
-	"finereg/internal/exec"
-	"finereg/internal/kernels"
+	"finereg/examples/vecadd/exec"
 	"finereg/internal/liveness"
 )
 
 func main() {
 	const n = 1024 // 32 warps of work
 	baseA, baseB, baseC := uint32(0), uint32(4*n), uint32(8*n)
-	prog := kernels.VecAdd(baseA, baseB, baseC)
+	prog := exec.VecAdd(baseA, baseB, baseC)
 
 	fmt.Println(prog.Name, "— disassembly with per-PC live registers:")
 	info, err := liveness.Analyze(prog)

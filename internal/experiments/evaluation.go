@@ -298,7 +298,7 @@ func Figure15(opts Options) (*Figure15Result, error) {
 		for _, cn := range StandardConfigs() {
 			var p pick
 			if cn == CfgRegDRAM {
-				p = pick{cn: cn, refs: []ref{set.add(opts.config(), prof, grid, runner.RegDRAM(4), false)}}
+				p = pick{cn: cn, refs: []ref{set.add(opts.config(), prof, grid, runner.RegDRAM(runner.DefaultDRAMCap), false)}}
 			} else {
 				var err error
 				p, err = set.addConfig(opts.config(), prof, grid, cn)

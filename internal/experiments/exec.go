@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"context"
-	"fmt"
 
 	"finereg/internal/energy"
 	"finereg/internal/gpu"
@@ -96,28 +95,32 @@ type pick struct {
 	refs []ref
 }
 
-// addConfig submits the job(s) for configuration cn: one job for
-// Baseline/VT/FineReg, the paper's tuning candidates for Reg+DRAM (pending
-// caps {0,2,4}) and VT+RegMutex (SRP fractions {0.10..0.30}).
+// tuned holds the paper's per-application tuning candidates: "we varied the
+// number of pending CTAs in the off-chip memory to find its
+// best-performance setup for every application" (Reg+DRAM) and "we merged
+// Virtual Thread into RegMutex to empirically find the optimal operating
+// point of RegMutex" (VT+RegMutex). pick.best resolves each to its peak-IPC
+// candidate; a configuration not listed here runs once, at specFor's point.
+var tuned = map[ConfigName][]runner.PolicySpec{
+	CfgRegDRAM: {runner.RegDRAM(0), runner.RegDRAM(2), runner.RegDRAM(4)},
+	CfgRegMutex: {runner.VTRegMutex(0.10), runner.VTRegMutex(0.15), runner.VTRegMutex(0.20),
+		runner.VTRegMutex(0.25), runner.VTRegMutex(0.30)},
+}
+
+// addConfig submits the job(s) for configuration cn: its tuning candidates
+// when the paper tunes it, one job otherwise.
 func (s *jobSet) addConfig(cfg gpu.Config, prof kernels.Profile, grid int, cn ConfigName) (pick, error) {
+	specs := tuned[cn]
+	if specs == nil {
+		spec, err := specFor(cn)
+		if err != nil {
+			return pick{}, err
+		}
+		specs = []runner.PolicySpec{spec}
+	}
 	p := pick{cn: cn}
-	switch cn {
-	case CfgBaseline:
-		p.refs = []ref{s.add(cfg, prof, grid, runner.Baseline(), false)}
-	case CfgVT:
-		p.refs = []ref{s.add(cfg, prof, grid, runner.VirtualThread(), false)}
-	case CfgRegDRAM:
-		for _, cap := range []int{0, 2, 4} {
-			p.refs = append(p.refs, s.add(cfg, prof, grid, runner.RegDRAM(cap), false))
-		}
-	case CfgRegMutex:
-		for _, frac := range []float64{0.10, 0.15, 0.20, 0.25, 0.30} {
-			p.refs = append(p.refs, s.add(cfg, prof, grid, runner.VTRegMutex(frac), false))
-		}
-	case CfgFineReg:
-		p.refs = []ref{s.add(cfg, prof, grid, runner.FineRegDefault(), false)}
-	default:
-		return p, fmt.Errorf("experiments: unknown configuration %q", cn)
+	for _, spec := range specs {
+		p.refs = append(p.refs, s.add(cfg, prof, grid, spec, false))
 	}
 	return p, nil
 }
@@ -138,20 +141,9 @@ func (p pick) best(runs []*Run) *Run {
 	return b
 }
 
-// specFor maps a configuration name to its default-operating-point policy
-// spec (DRAM cap 4, SRP 0.25) — used where the paper does not tune.
+// specFor maps a configuration name to its policy spec at the default
+// operating point (DRAM cap 4, SRP 0.25) — used where the paper does not
+// tune. The names are the paper's legends, which runner's policy table knows.
 func specFor(cn ConfigName) (runner.PolicySpec, error) {
-	switch cn {
-	case CfgBaseline:
-		return runner.Baseline(), nil
-	case CfgVT:
-		return runner.VirtualThread(), nil
-	case CfgRegDRAM:
-		return runner.RegDRAM(4), nil
-	case CfgRegMutex:
-		return runner.VTRegMutex(0.25), nil
-	case CfgFineReg:
-		return runner.FineRegDefault(), nil
-	}
-	return runner.PolicySpec{}, fmt.Errorf("experiments: unknown configuration %q", cn)
+	return runner.ParsePolicy(string(cn), runner.DefaultSRPFrac, runner.DefaultDRAMCap)
 }

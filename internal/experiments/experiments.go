@@ -27,7 +27,7 @@ type Options struct {
 	// proportionally (gpu.Config.Scale).
 	SMs int
 	// GridScale multiplies every benchmark's grid relative to its 16-SM
-	// reference size.
+	// reference size (0 = SMs/16).
 	GridScale float64
 	// Benchmarks restricts the suite (nil = all of Table II).
 	Benchmarks []string
@@ -74,12 +74,10 @@ func (o Options) config() gpu.Config {
 	return cfg
 }
 
+// grid is the shared grid rule with the experiments' own floor on top: at
+// least one CTA per SM, so every SM of a shrunken machine takes part.
 func (o Options) grid(p *kernels.Profile) int {
-	g := int(float64(p.GridCTAs)*o.GridScale + 0.5)
-	if g < o.SMs {
-		g = o.SMs
-	}
-	return g
+	return max(o.SMs, p.ScaledGrid(o.GridScale, o.SMs))
 }
 
 // profile returns the benchmark profile with its streaming footprint
@@ -124,12 +122,3 @@ type Run struct {
 	// enabled.
 	Windows []float64
 }
-
-// Simulation dispatch lives in exec.go: experiments declare their runs as
-// a jobSet and the run engine (internal/runner) schedules, parallelizes,
-// and dedups them. The paper's per-application tuning of Reg+DRAM ("we
-// varied the number of pending CTAs in the off-chip memory to find its
-// best-performance setup for every application", caps {0,2,4}) and
-// VT+RegMutex ("we merged Virtual Thread into RegMutex to empirically find
-// the optimal operating point of RegMutex", SRP fractions {0.10..0.30})
-// is expressed as jobSet.addConfig candidates resolved by pick.best.

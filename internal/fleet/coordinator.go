@@ -23,7 +23,9 @@ type CoordinatorConfig struct {
 	// remote tier); "" keeps it in memory.
 	CacheDir string
 	// QueueCap / MaxBatch / ProgressEvery pass through to the embedded
-	// serve.Server (zero = its defaults).
+	// serve.Server (zero = its defaults). Of ProgressEvery only the sign
+	// matters here: negative stops the relay of workers' samples, but the
+	// period never crosses the hop — workers sample at their own.
 	QueueCap      int
 	MaxBatch      int
 	ProgressEvery int64
@@ -115,10 +117,6 @@ func NewCoordinator(cfg CoordinatorConfig) *Coordinator {
 	}
 	return c
 }
-
-// Server exposes the embedded serve.Server (tests and CLIs attach
-// progress observers or extra metrics through it).
-func (c *Coordinator) Server() *serve.Server { return c.srv }
 
 // Dispatcher exposes the dispatcher (fleet state inspection).
 func (c *Coordinator) Dispatcher() *Dispatcher { return c.disp }

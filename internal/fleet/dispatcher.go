@@ -153,16 +153,9 @@ func (d *Dispatcher) AddNode(url string) bool {
 	return true
 }
 
-func (d *Dispatcher) fingerprint() string {
-	if d.cfg.Cache != nil && d.cfg.Cache.Fingerprint != "" {
-		return d.cfg.Cache.Fingerprint
-	}
-	return runner.SimFingerprint
-}
-
 // RunJob implements serve.Runner: shared-cache lookup, then dispatch.
 func (d *Dispatcher) RunJob(j *runner.Job) (*runner.Result, bool, error) {
-	key := j.Key(d.fingerprint())
+	key := j.Key(d.cfg.Cache.KeyFingerprint())
 	if c := d.cfg.Cache; c != nil {
 		if res, _, ok := c.Get(key); ok {
 			return res, true, nil

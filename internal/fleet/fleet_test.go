@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"math"
 	"net/http/httptest"
 	"strconv"
 	"strings"
@@ -146,9 +147,6 @@ func TestFleetByteIdenticalSweep(t *testing.T) {
 	if execA+execB != int64(len(jobs)) {
 		t.Errorf("workers executed %d+%d simulations, want %d total", execA, execB, len(jobs))
 	}
-	if got := coord.Server().Registry(); got == nil {
-		t.Fatal("coordinator has no registry")
-	}
 	if st := coord.Dispatcher().Stats(); st.Dispatched < int64(len(jobs)) {
 		t.Errorf("dispatched %d, want >= %d", st.Dispatched, len(jobs))
 	}
@@ -253,6 +251,14 @@ func TestFleetRemoteCacheTier(t *testing.T) {
 	body := string(httpGet(t, wCold.hs.URL+"/metrics"))
 	if want := `finereg_cache_hits_total{source="remote"} 5`; !strings.Contains(body, want) {
 		t.Errorf("cold worker metrics missing %q", want)
+	}
+	// The coordinator executes nothing, so its hit ratio must come from the
+	// shared cache's own counters: the sweep missed once per job on
+	// dispatch and hit once per job when the cold worker asked for it.
+	ratio, err := strconv.ParseFloat(metricText(t, string(httpGet(t, coordURL+"/metrics")), "finereg_cache_hit_ratio"), 64)
+	cst := coord.Cache().Stats()
+	if want := float64(cst.Hits()) / float64(cst.Hits()+cst.Misses); err != nil || ratio <= 0 || math.Abs(ratio-want) > 1e-6 {
+		t.Errorf("coordinator finereg_cache_hit_ratio = %v (%v), want hits/(hits+misses) of %+v", ratio, err, cst)
 	}
 
 	// Back-fill: the same sweep again is now local (mem), not remote.
@@ -507,17 +513,23 @@ func TestFleetCacheProtocol(t *testing.T) {
 // /metrics body.
 func metricInt(t *testing.T, body, name string) int64 {
 	t.Helper()
+	n, err := strconv.ParseInt(metricText(t, body, name), 10, 64)
+	if err != nil {
+		t.Fatalf("metric %s: %v", name, err)
+	}
+	return n
+}
+
+// metricText returns the unparsed value of the unlabelled series name.
+func metricText(t *testing.T, body, name string) string {
+	t.Helper()
 	for _, line := range strings.Split(body, "\n") {
 		if v, ok := strings.CutPrefix(line, name+" "); ok {
-			n, err := strconv.ParseInt(v, 10, 64)
-			if err != nil {
-				t.Fatalf("metric %s: %v", name, err)
-			}
-			return n
+			return v
 		}
 	}
 	t.Fatalf("metrics lack %s", name)
-	return 0
+	return ""
 }
 
 func httpGet(t *testing.T, url string) []byte {

@@ -58,11 +58,7 @@ func MustBuild(p Profile, gridCTAs int) *Kernel {
 func BuildAll(scale float64) []*Kernel {
 	out := make([]*Kernel, 0, len(table))
 	for _, p := range table {
-		grid := int(float64(p.GridCTAs)*scale + 0.5)
-		if grid < 1 {
-			grid = 1
-		}
-		out = append(out, MustBuild(p, grid))
+		out = append(out, MustBuild(p, p.ScaledGrid(scale, 16)))
 	}
 	return out
 }

@@ -206,6 +206,37 @@ func TestBuildAllScaling(t *testing.T) {
 	}
 }
 
+// TestScaledGridNeverBelowOne: the shared grid rule rounds to nearest,
+// defaults its scale to sms/16, and never returns a grid Build would read as
+// "use the reference grid" — a -grid-scale that rounds to zero ran the full
+// 16-SM workload instead of one CTA.
+func TestScaledGridNeverBelowOne(t *testing.T) {
+	profiles := Profiles()
+	if len(profiles) != 18 {
+		t.Fatalf("%d profiles, want Table II's 18", len(profiles))
+	}
+	for _, p := range profiles {
+		for _, scale := range []float64{1e-6, 0.01, 0.25, 1, 4} {
+			want := int(float64(p.GridCTAs)*scale + 0.5)
+			if want < 1 {
+				want = 1
+			}
+			if got := p.ScaledGrid(scale, 2); got != want {
+				t.Errorf("%s: ScaledGrid(%g) = %d, want %d", p.Abbrev, scale, got, want)
+			}
+		}
+		if got := p.ScaledGrid(0, 16); got != p.GridCTAs {
+			t.Errorf("%s: default scale on 16 SMs = %d, want the reference grid %d", p.Abbrev, got, p.GridCTAs)
+		}
+		if got, want := p.ScaledGrid(0, 4), p.ScaledGrid(0.25, 16); got != want {
+			t.Errorf("%s: default scale on 4 SMs = %d, want %d (sms/16)", p.Abbrev, got, want)
+		}
+		if k := MustBuild(p, p.ScaledGrid(1e-6, 2)); k.GridCTAs != 1 {
+			t.Errorf("%s: a vanishing scale built %d CTAs, want 1", p.Abbrev, k.GridCTAs)
+		}
+	}
+}
+
 // Property: occupancy is monotone in every limit — growing a resource never
 // reduces CTA occupancy.
 func TestOccupancyMonotoneQuick(t *testing.T) {

@@ -1,6 +1,5 @@
 // Package kernels provides the 18 benchmark kernels of the paper's Table II
-// as synthetic program generators, plus a handful of small functional
-// kernels used by the SIMT executor examples.
+// as synthetic program generators.
 //
 // The CUDA originals (Rodinia, Parboil, PolyBench, CUDA SDK) are not
 // available in this environment, so each benchmark is reproduced as a
@@ -99,6 +98,18 @@ func (p *Profile) RegBytesPerCTA() int { return p.WarpsPerCTA * p.Regs * 128 }
 // CTAOverheadBytes returns the on-chip bytes needed to co-schedule one more
 // CTA (registers + shared memory) — the quantity of the paper's Figure 3.
 func (p *Profile) CTAOverheadBytes() int { return p.RegBytesPerCTA() + p.SharedMem }
+
+// ScaledGrid is the grid rule every front door shares: the reference
+// (16-SM) grid times scale, rounded to nearest, and never below one CTA —
+// Build reads a grid of 0 as "use the reference grid", so a scale that
+// rounds to zero must not reach it. scale == 0 means sms/16: the workload
+// grows with the machine.
+func (p *Profile) ScaledGrid(scale float64, sms int) int {
+	if scale == 0 {
+		scale = float64(sms) / 16
+	}
+	return max(1, int(float64(p.GridCTAs)*scale+0.5))
+}
 
 // Kernel bundles a generated program with its launch geometry and the
 // compiler's liveness information, ready for the simulator.

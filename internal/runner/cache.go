@@ -63,6 +63,17 @@ func NewCache(dir string) *Cache {
 	return &Cache{Fingerprint: SimFingerprint, dir: dir, mem: map[string]*Result{}}
 }
 
+// KeyFingerprint is the fingerprint job keys are derived under: the
+// cache's own when it sets one, SimFingerprint otherwise — including for a
+// nil cache, so the engine, the server and the fleet dispatcher all key a
+// job the same way whether or not a cache is mounted.
+func (c *Cache) KeyFingerprint() string {
+	if c != nil && c.Fingerprint != "" {
+		return c.Fingerprint
+	}
+	return SimFingerprint
+}
+
 // CacheStats is a point-in-time snapshot of the hit/miss counters, with
 // hits split by the tier that served them (mem, disk, or remote).
 type CacheStats struct {

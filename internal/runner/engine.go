@@ -240,10 +240,7 @@ func (e *Engine) Run(jobs []*Job) *Batch {
 	b.Stats.Submitted = len(jobs)
 	e.emit(func(s trace.JobSink) { s.BatchStart(len(jobs)) })
 
-	fingerprint := SimFingerprint
-	if e.Cache != nil && e.Cache.Fingerprint != "" {
-		fingerprint = e.Cache.Fingerprint
-	}
+	fingerprint := e.Cache.KeyFingerprint()
 
 	var (
 		inflight = map[string]*flight{}

@@ -120,18 +120,10 @@ func (r *JobRequest) Resolve() (*runner.Job, error) {
 		Label:    r.Label,
 	}
 	if len(r.Programs) == 0 {
-		grid := r.Grid
-		if grid == 0 {
-			scale := r.GridScale
-			if scale == 0 {
-				scale = float64(cfg.NumSMs) / 16
-			}
-			grid = int(float64(prof.GridCTAs)*scale + 0.5)
-			if grid < 1 {
-				grid = 1
-			}
+		j.Profile, j.Grid = prof, r.Grid
+		if r.Grid == 0 {
+			j.Grid = prof.ScaledGrid(r.GridScale, cfg.NumSMs)
 		}
-		j.Profile, j.Grid = prof, grid
 	}
 	if err := j.Validate(); err != nil {
 		return nil, err

@@ -3,8 +3,8 @@
 // into runner.Job keys (so duplicate in-flight and cached requests
 // coalesce for free), admitted through a bounded queue, and executed on a
 // shared run engine with its content-addressed cache. Progress streams to
-// clients as server-sent events fed from the engine's trace.JobSink
-// lifecycle stream, and /metrics exposes Prometheus-text counters.
+// clients as server-sent events fed from each job's record, and /metrics
+// exposes Prometheus-text counters.
 //
 // Admission is a degradation ladder, the same discipline FineReg applies
 // to register space (ACRF → PCRF → context switch to DRAM) applied to
@@ -57,9 +57,9 @@ func (l localRunner) StopAll() int { return l.e.StopAll() }
 // Config sizes the server.
 type Config struct {
 	// Engine executes the jobs; nil builds a default engine with an
-	// in-memory cache. The server installs a trace.Fanout as the engine's
-	// Events sink (preserving any sink already attached) so progress
-	// observers and the service's own metrics share the lifecycle stream.
+	// in-memory cache. An Events sink the caller set on it (a CLI progress
+	// line) keeps receiving the lifecycle stream; the server's own metrics
+	// read Engine.Stats and the per-record progress callbacks instead.
 	Engine *runner.Engine
 	// Runner overrides how admitted jobs are executed (nil = run on
 	// Engine). A fleet coordinator supplies a dispatcher here; everything
@@ -104,7 +104,6 @@ type Server struct {
 	cfg    Config
 	engine *runner.Engine
 	runner Runner
-	fan    *trace.Fanout
 	reg    *metrics.Registry
 	mux    *http.ServeMux
 
@@ -181,21 +180,7 @@ func New(cfg Config) *Server {
 		s.runner = localRunner{e: s.engine}
 	}
 
-	// The engine's Events slot becomes a fan-out: an existing sink (a CLI
-	// progress line) keeps receiving, and the server attaches its own
-	// metrics sink alongside.
-	if fan, ok := s.engine.Events.(*trace.Fanout); ok {
-		s.fan = fan
-	} else {
-		s.fan = trace.NewFanout()
-		if s.engine.Events != nil {
-			s.fan.Subscribe(s.engine.Events)
-		}
-		s.engine.Events = s.fan
-	}
-
 	s.initMetrics()
-	s.fan.Subscribe(engineSink{s})
 	s.mux = http.NewServeMux()
 	s.routes()
 
@@ -205,10 +190,6 @@ func New(cfg Config) *Server {
 	}
 	return s
 }
-
-// Fanout returns the engine's event fan-out so callers can attach their
-// own observers (finereg-serve subscribes a trace.Progress line).
-func (s *Server) Fanout() *trace.Fanout { return s.fan }
 
 // Registry returns the server's metrics registry (for registering extra
 // process-level series before serving).
@@ -267,15 +248,21 @@ func (s *Server) initMetrics() {
 	r.NewGaugeFunc("finereg_engine_inflight_simulations",
 		"Simulations currently executing inside the engine.",
 		func() float64 { return float64(s.engine.InFlight()) })
+	// From the cache's own counters, not Engine.Stats: on a fleet
+	// coordinator nothing executes on the engine, but every dispatch looks
+	// the shared cache up first. On a standalone server the two agree —
+	// every miss is one execution.
 	r.NewGaugeFunc("finereg_cache_hit_ratio",
-		"Cache hits over resolved jobs (hits + fresh executions).",
+		"Cache hits over cache lookups (hits + misses).",
 		func() float64 {
-			st := s.engine.Stats()
-			den := st.CacheHits + st.Executed
-			if den == 0 {
+			if s.engine.Cache == nil {
 				return 0
 			}
-			return float64(st.CacheHits) / float64(den)
+			st := s.engine.Cache.Stats()
+			if lookups := st.Hits() + st.Misses; lookups > 0 {
+				return float64(st.Hits()) / float64(lookups)
+			}
+			return 0
 		})
 	// Simulation totals over the jobs this server ran (or, on a fleet
 	// coordinator, forwarded). The aggregate live rate sums each in-flight
@@ -324,34 +311,6 @@ func (s *Server) onProgress(rec *record) func(trace.ProgressSample) {
 	}
 }
 
-// engineSink feeds engine-level lifecycle events into the server metrics;
-// it is one subscriber of the trace fan-out (a progress line is another).
-type engineSink struct{ s *Server }
-
-func (engineSink) BatchStart(int)       {}
-func (engineSink) BatchEnd()            {}
-func (engineSink) JobStart(int, string) {}
-func (engineSink) JobProgress(int, string, trace.ProgressSample) {
-	// Per-record progress is wired through the job's own callback (the
-	// engine's batch-local job id cannot distinguish concurrent one-job
-	// batches); the fan-out event still serves external subscribers like
-	// the CLI progress line.
-}
-func (e engineSink) JobDone(id int, label string, cached bool, err error) {
-	// Engine-side completion accounting happens via CounterFuncs reading
-	// Engine.Stats(); nothing to do here yet. The subscriber exists so the
-	// fan-out always has a server-side consumer and to keep the hook where
-	// richer per-event metrics would attach.
-}
-
-// fingerprint mirrors the engine's key fingerprint selection.
-func (s *Server) fingerprint() string {
-	if s.engine.Cache != nil && s.engine.Cache.Fingerprint != "" {
-		return s.engine.Cache.Fingerprint
-	}
-	return runner.SimFingerprint
-}
-
 // jobID derives the server identity from the content-addressed key.
 func jobID(key string) string { return "j" + key[:16] }
 
@@ -391,7 +350,7 @@ func (s *Server) admit(jobs []*runner.Job, meta []jobMeta) ([]SubmitStatus, []*r
 }
 
 func (s *Server) admitLocked(jobs []*runner.Job, meta []jobMeta) ([]SubmitStatus, []*record, []*record, error) {
-	fp := s.fingerprint()
+	fp := s.engine.Cache.KeyFingerprint()
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.draining {

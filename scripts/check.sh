@@ -101,3 +101,17 @@ gate 'TestMPS|TestRunStream|TestRunConcurrent|TestValidatePartitions|TestPartiti
 	./internal/experiments/ ./internal/gpu/
 go run ./cmd/finereg-sim -program examples/saxpy.sasm -sms 2 -policy baseline,finereg -audit >/dev/null
 go run ./cmd/finereg-sim -stream examples/saxpy.sasm,bench:CS -partitions 1,1 -sms 2 -policy baseline -audit >/dev/null
+# Front-door gate: every binary is executed, not only finereg-sim — the
+# traced run and the liveness dump end to end, and flag registration of the
+# three that would otherwise need a server or minutes (-h must exit 0). The
+# vanishing -grid-scale must run one CTA, not fall through to the reference
+# grid (440 924 cycles): the cycles column stays under 20 000.
+go run ./cmd/finereg-trace -bench CS -config finereg -sms 2 -grid-scale 0.05 -out '' -timeline 0 >/dev/null
+go run ./cmd/finereg-sim -sms 2 -bench CS -policy baseline -grid-scale 0.0001 |
+	awk '$1 == "CS/baseline" { seen = 1; if ($3 + 0 < 1 || $3 + 0 >= 20000) bad = 1 } END { exit !seen || bad }'
+go run ./cmd/finereg-liveness -bench CS >/dev/null
+for bin in finereg-serve finereg-fleet finereg-experiments; do
+	go run ./cmd/$bin -h >/dev/null 2>&1
+done
+# ...and the functional executor that lives with its one user.
+go run ./examples/vecadd >/dev/null
