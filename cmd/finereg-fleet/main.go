@@ -8,8 +8,7 @@
 //	finereg-fleet [-addr :8320] [-nodes http://h1:8321,http://h2:8321]
 //	              [-queue 64] [-max-batch 256]
 //	              [-cache-dir .finereg-fleet-cache] [-no-cache]
-//	              [-slots 4] [-poll-every 50ms]
-//	              [-probe-every 2s] [-down-after 3]
+//	              [-slots 4] [-probe-every 2s] [-down-after 3]
 //	              [-progress-every N] [-drain-timeout 30s]
 //
 // Endpoints (beyond the full finereg-serve v1 API):
@@ -22,10 +21,11 @@
 // Jobs route to workers by rendezvous hashing on their content-addressed
 // key, so a repeated job lands on the worker whose disk cache already
 // holds it; idle workers steal from the longest backlog; a worker that
-// stops answering has its jobs requeued onto survivors. The coordinator's
-// own cache — consulted before any dispatch, populated by every committed
-// result and worker write-through — answers repeats without touching the
-// fleet at all.
+// stops answering has its jobs requeued onto survivors. A dispatched job is
+// followed over the worker's event stream to its finish event. The
+// coordinator's own cache — consulted before any dispatch, populated by
+// every committed result and worker write-through — answers repeats
+// without touching the fleet at all.
 //
 // -nodes seeds the fleet statically; workers started with -coordinator
 // register themselves, so a pure self-assembling cluster needs no -nodes.
@@ -53,7 +53,6 @@ func main() {
 		queueCap   = flag.Int("queue", serve.DefaultQueueCap, "admission queue capacity (full queue sheds with 429)")
 		maxBatch   = flag.Int("max-batch", serve.DefaultMaxBatch, "max jobs per batch request")
 		slots      = flag.Int("slots", 4, "concurrent dispatches per worker node")
-		pollEvery  = flag.Duration("poll-every", 50*time.Millisecond, "per-job status poll period against workers")
 		probeEvery = flag.Duration("probe-every", 2*time.Second, "worker liveness probe period")
 		downAfter  = flag.Int("down-after", 3, "consecutive failures before a worker is marked down")
 		// Only the sign is used: gpu.Config.ProgressEvery is json:"-" and
@@ -77,7 +76,6 @@ func main() {
 		MaxBatch:      *maxBatch,
 		ProgressEvery: *progEvery,
 		Slots:         *slots,
-		PollEvery:     *pollEvery,
 		ProbeEvery:    *probeEvery,
 		DownAfter:     *downAfter,
 	})

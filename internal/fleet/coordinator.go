@@ -3,6 +3,7 @@ package fleet
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
 	"net/url"
@@ -32,8 +33,6 @@ type CoordinatorConfig struct {
 	// Slots is the per-node dispatch concurrency (default 4). The
 	// embedded server's worker pool is sized to saturate it.
 	Slots int
-	// PollEvery paces job-status polls against workers (default 50ms).
-	PollEvery time.Duration
 	// ProbeEvery paces worker liveness probes (default 2s; < 0 disables
 	// the probe loop — tests drive ProbeAll directly).
 	ProbeEvery time.Duration
@@ -45,9 +44,10 @@ type CoordinatorConfig struct {
 }
 
 // Coordinator fronts a worker fleet with the single-node v1 API: an
-// embedded serve.Server does admission/coalescing/records/SSE/metrics,
-// a Dispatcher does placement, and the coordinator adds the fleet-facing
-// routes —
+// embedded serve.Server does admission/coalescing/records/SSE/metrics over
+// an ordinary runner.Engine (shared cache, in-flight coalescing, counters)
+// whose executor is a Dispatcher doing placement, and the coordinator adds
+// the fleet-facing routes —
 //
 //	GET/PUT /v1/cache/{key}   the shared result tier workers mount as L3
 //	GET     /v1/fleet/workers fleet membership and per-node state
@@ -69,22 +69,13 @@ type Coordinator struct {
 // NewCoordinator builds and starts a coordinator.
 func NewCoordinator(cfg CoordinatorConfig) *Coordinator {
 	cache := runner.NewCache(cfg.CacheDir)
-	disp := NewDispatcher(DispatcherConfig{
-		Cache:     cache,
-		Slots:     cfg.Slots,
-		PollEvery: cfg.PollEvery,
-		DownAfter: cfg.DownAfter,
-		HTTP:      cfg.HTTP,
-	})
+	disp := NewDispatcher(DispatcherConfig{Slots: cfg.Slots, DownAfter: cfg.DownAfter, HTTP: cfg.HTTP})
 	for _, u := range cfg.Nodes {
 		disp.AddNode(u)
 	}
 
-	// The embedded engine is the metrics/cache anchor (the serve layer
-	// reads its cache stats; nothing executes on it — the Runner seam
-	// routes every job through the dispatcher). Workers: enough blocked
-	// dispatch waiters to saturate every node's slots, with headroom for
-	// nodes that join later.
+	// Workers: enough blocked dispatch waiters to saturate every node's
+	// slots, with headroom for nodes that join later.
 	workers := disp.cfg.Slots * (len(cfg.Nodes) + 1)
 	if min := runtime.GOMAXPROCS(0); workers < min {
 		workers = min
@@ -93,8 +84,7 @@ func NewCoordinator(cfg CoordinatorConfig) *Coordinator {
 		disp:  disp,
 		cache: cache,
 		srv: serve.New(serve.Config{
-			Engine:        &runner.Engine{Cache: cache},
-			Runner:        disp,
+			Engine:        &runner.Engine{Cache: cache, Exec: disp.Execute},
 			Workers:       workers,
 			QueueCap:      cfg.QueueCap,
 			MaxBatch:      cfg.MaxBatch,
@@ -141,8 +131,8 @@ func (c *Coordinator) AddWorker(nodeURL string) error {
 // (which carries the extra fleet routes).
 func (c *Coordinator) ServeHTTP(w http.ResponseWriter, r *http.Request) { c.srv.ServeHTTP(w, r) }
 
-// Shutdown stops probing, drains the embedded server (its Runner StopAll
-// hook cancels outstanding dispatches at the deadline), and closes the
+// Shutdown stops probing, drains the embedded server (at the deadline its
+// engine's StopAll cancels the outstanding dispatches), and closes the
 // dispatcher.
 func (c *Coordinator) Shutdown(ctx context.Context) error {
 	close(c.probeStop)
@@ -186,10 +176,18 @@ type registerBody struct {
 	URL string `json:"url"`
 }
 
+// maxRegisterBytes bounds the registration body; generous for one URL.
+const maxRegisterBytes = 4 << 10
+
 func (c *Coordinator) handleRegisterWorker(w http.ResponseWriter, r *http.Request) {
 	var body registerBody
-	if err := json.NewDecoder(r.Body).Decode(&body); err != nil || body.URL == "" {
-		http.Error(w, "fleet: body must be {\"url\": \"http://host:port\"}", http.StatusBadRequest)
+	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxRegisterBytes)).Decode(&body); err != nil || body.URL == "" {
+		status := http.StatusBadRequest
+		var tooBig *http.MaxBytesError
+		if errors.As(err, &tooBig) {
+			status = http.StatusRequestEntityTooLarge
+		}
+		http.Error(w, "fleet: body must be {\"url\": \"http://host:port\"}", status)
 		return
 	}
 	if err := c.AddWorker(body.URL); err != nil {

@@ -14,20 +14,21 @@ import (
 	"finereg/internal/serve"
 )
 
-// Dispatcher routes admitted jobs to worker nodes. It implements
-// serve.Runner, so a coordinator is an ordinary serve.Server whose
-// execution seam points here instead of at a local engine: admission,
-// coalescing, records, SSE, and metrics are all unchanged.
+// Dispatcher routes cache-missed jobs to worker nodes. Its Execute is a
+// runner.Executor, so a coordinator is an ordinary serve.Server over an
+// ordinary runner.Engine whose executor points here instead of at the
+// local simulator: admission, coalescing, records, SSE, the cache bracket
+// and the metrics are all unchanged.
 //
 // Placement is rendezvous hashing on the job key (cache-aware: a job
 // returns to the worker that computed it last time), each node has its
 // own dispatch queue drained by Slots puller goroutines, and an idle
 // node's pullers steal from the longest backlog so one hot placement
 // cannot serialize the fleet. A node that stops answering — transport
-// errors while dispatching/polling, or failed liveness probes — is marked
-// down and its queued and in-flight jobs are requeued onto survivors;
-// the serving record's at-most-once commit keeps a presumed-dead node's
-// late result from double-finishing a job.
+// errors while dispatching or following a job, or failed liveness probes —
+// is marked down and its queued and in-flight jobs are requeued onto
+// survivors; the serving record's at-most-once commit keeps a presumed-dead
+// node's late result from double-finishing a job.
 type Dispatcher struct {
 	cfg    DispatcherConfig
 	ctx    context.Context
@@ -46,19 +47,13 @@ type Dispatcher struct {
 
 // DispatcherConfig sizes a Dispatcher.
 type DispatcherConfig struct {
-	// Cache is the coordinator's shared result store, consulted before
-	// any dispatch and populated with every committed result (nil = no
-	// pre-dispatch cache).
-	Cache *runner.Cache
 	// Slots is the number of jobs dispatched concurrently per node
 	// (default 4): roughly the worker's appetite, kept modest so the
 	// worker's own admission queue, not the coordinator, is the backlog.
 	Slots int
-	// PollEvery paces per-job status polls against workers (default
-	// 50ms).
-	PollEvery time.Duration
-	// DownAfter is how many consecutive transport failures (polling a
-	// job, or liveness probes) demote a node to down (default 3).
+	// DownAfter is how many consecutive failures (event-stream attempts
+	// that delivered nothing new, or liveness probes) demote a node to down
+	// (default 3).
 	DownAfter int
 	// HTTP is the transport for dispatch and probes (nil = a client with
 	// a 15s timeout).
@@ -69,9 +64,6 @@ func (c *DispatcherConfig) withDefaults() DispatcherConfig {
 	out := *c
 	if out.Slots <= 0 {
 		out.Slots = 4
-	}
-	if out.PollEvery <= 0 {
-		out.PollEvery = 50 * time.Millisecond
 	}
 	if out.DownAfter <= 0 {
 		out.DownAfter = 3
@@ -98,6 +90,7 @@ type node struct {
 
 // task is one job in flight through the dispatcher.
 type task struct {
+	ctx   context.Context // the execution's: ends on engine StopAll/Timeout or dispatcher Close
 	job   *runner.Job
 	key   string
 	tried map[string]bool // nodes that already failed this task
@@ -105,9 +98,8 @@ type task struct {
 }
 
 type taskResult struct {
-	res    *runner.Result
-	cached bool
-	err    error
+	res *runner.Result
+	err error
 }
 
 // errNodeLost is the puller-internal signal that a worker stopped
@@ -127,74 +119,42 @@ func NewDispatcher(cfg DispatcherConfig) *Dispatcher {
 // so workers can re-announce themselves periodically.
 func (d *Dispatcher) AddNode(url string) bool {
 	d.mu.Lock()
+	defer d.mu.Unlock()
+	defer d.cond.Broadcast()
 	if n, ok := d.nodes[url]; ok {
-		n.alive = true
-		n.probeFails = 0
-		d.mu.Unlock()
-		d.cond.Broadcast()
+		n.alive, n.probeFails = true, 0
 		return false
 	}
-	n := &node{
-		url:   url,
-		alive: true,
-		client: &serve.Client{
-			Base:         url,
-			HTTP:         d.cfg.HTTP,
-			PollInterval: d.cfg.PollEvery,
-		},
-	}
+	n := &node{url: url, alive: true, client: &serve.Client{Base: url, HTTP: d.cfg.HTTP}}
 	d.nodes[url] = n
 	for i := 0; i < d.cfg.Slots; i++ {
 		d.wg.Add(1)
 		go d.puller(n)
 	}
-	d.mu.Unlock()
-	d.cond.Broadcast()
 	return true
 }
 
-// RunJob implements serve.Runner: shared-cache lookup, then dispatch.
-func (d *Dispatcher) RunJob(j *runner.Job) (*runner.Result, bool, error) {
-	key := j.Key(d.cfg.Cache.KeyFingerprint())
-	if c := d.cfg.Cache; c != nil {
-		if res, _, ok := c.Get(key); ok {
-			return res, true, nil
-		}
-	}
-	t := &task{job: j, key: key, tried: map[string]bool{}, res: make(chan taskResult, 1)}
+// Execute is the coordinator engine's runner.Executor: place the job on
+// a node queue and wait for a puller to bring its result back. The cache
+// lookup before it and the commit after it are the engine's.
+func (d *Dispatcher) Execute(ctx context.Context, key string, j *runner.Job) (*runner.Result, error) {
+	ctx, cancel := context.WithCancel(ctx)
+	defer cancel()
+	defer context.AfterFunc(d.ctx, cancel)() // Close ends outstanding tasks too
+	t := &task{ctx: ctx, job: j, key: key, tried: map[string]bool{}, res: make(chan taskResult, 1)}
 	d.mu.Lock()
 	err := d.routeLocked(t)
 	d.mu.Unlock()
 	if err != nil {
-		return nil, false, err
+		return nil, err
 	}
 	d.cond.Broadcast()
 	select {
 	case r := <-t.res:
-		if r.err == nil && d.cfg.Cache != nil {
-			// Commit to the shared tier: a result computed (or locally
-			// cached) on any worker becomes a coordinator hit for the
-			// whole fleet.
-			d.cfg.Cache.Put(key, r.res)
-		}
-		return r.res, r.cached, r.err
-	case <-d.ctx.Done():
-		return nil, false, d.ctx.Err()
+		return r.res, r.err
+	case <-ctx.Done():
+		return nil, ctx.Err()
 	}
-}
-
-// StopAll implements the optional shutdown hook of serve.Runner: it
-// cancels every outstanding dispatch (the workers' own watchdogs handle
-// their local simulations) and returns how many were in flight.
-func (d *Dispatcher) StopAll() int {
-	d.mu.Lock()
-	n := 0
-	for _, nd := range d.nodes {
-		n += nd.inflight
-	}
-	d.mu.Unlock()
-	d.cancel()
-	return n
 }
 
 // Close stops the pullers; outstanding tasks fail with a cancellation
@@ -285,26 +245,23 @@ func (d *Dispatcher) puller(n *node) {
 		}
 		d.dispatched.Add(1)
 		n.dispatched.Add(1)
-		res, cached, err := d.runOn(n, t)
+		res, err := d.runOn(n, t)
 		d.mu.Lock()
 		n.inflight--
-		if errors.Is(err, errNodeLost) {
+		lost := errors.Is(err, errNodeLost)
+		if lost {
 			// The node stopped answering mid-job: demote it and requeue
 			// this task (and its queued backlog) onto survivors. If the
 			// node actually finished the job, the serving record's
 			// at-most-once commit discards the late twin result.
 			d.markDownLocked(n)
-			t.tried[n.url] = true
-			d.requeued.Add(1)
-			if rerr := d.routeLocked(t); rerr != nil {
-				t.res <- taskResult{err: rerr}
-			}
-			d.mu.Unlock()
+			d.requeueLocked(t, n)
 			d.cond.Broadcast()
-			continue
 		}
 		d.mu.Unlock()
-		t.res <- taskResult{res: res, cached: cached, err: err}
+		if !lost {
+			t.res <- taskResult{res: res, err: err}
+		}
 	}
 }
 
@@ -314,23 +271,26 @@ func (d *Dispatcher) markDownLocked(n *node) {
 	pending := n.queue
 	n.queue = nil
 	for _, t := range pending {
-		t.tried[n.url] = true
-		d.requeued.Add(1)
-		if err := d.routeLocked(t); err != nil {
-			t.res <- taskResult{err: err}
-		}
+		d.requeueLocked(t, n)
 	}
 }
 
-// forwardDrain bounds how long a finished job waits for its forwarded
-// progress stream to end, so a wedged stream cannot hold a result back.
-const forwardDrain = 250 * time.Millisecond
+// requeueLocked routes t away from the node that failed it; with no live
+// node left the task fails.
+func (d *Dispatcher) requeueLocked(t *task, from *node) {
+	t.tried[from.url] = true
+	d.requeued.Add(1)
+	if err := d.routeLocked(t); err != nil {
+		t.res <- taskResult{err: err}
+	}
+}
 
-// runOn executes t on n: submit, forward progress, poll to completion.
-// errNodeLost (wrapped) means "requeue elsewhere"; any other error is the
-// job's own failure.
-func (d *Dispatcher) runOn(n *node, t *task) (*runner.Result, bool, error) {
-	st, err := n.client.SubmitJob(d.ctx, serve.RequestFromJob(t.job))
+// runOn executes t on n: submit, follow the worker's event stream to its
+// "finish" event (relaying progress samples on the way), then fetch the
+// status once for the result. errNodeLost (wrapped) means "requeue
+// elsewhere"; any other error is the job's own failure.
+func (d *Dispatcher) runOn(n *node, t *task) (*runner.Result, error) {
+	st, err := n.client.SubmitJob(t.ctx, serve.RequestFromJob(t.job))
 	if err != nil {
 		var ae *serve.APIError
 		if errors.As(err, &ae) {
@@ -338,81 +298,70 @@ func (d *Dispatcher) runOn(n *node, t *task) (*runner.Result, bool, error) {
 			// (worker queue full) retries on another node; anything else
 			// is the job's failure.
 			if ae.Status == http.StatusTooManyRequests || ae.Status == http.StatusServiceUnavailable {
-				return nil, false, fmt.Errorf("%w: %s shed the job: %v", errNodeLost, n.url, err)
+				return nil, fmt.Errorf("%w: %s shed the job: %v", errNodeLost, n.url, err)
 			}
-			return nil, false, fmt.Errorf("fleet: worker %s rejected job: %w", n.url, err)
+			return nil, fmt.Errorf("fleet: worker %s rejected job: %w", n.url, err)
 		}
-		if d.ctx.Err() != nil {
-			return nil, false, d.ctx.Err()
-		}
-		return nil, false, fmt.Errorf("%w: %s: %v", errNodeLost, n.url, err)
+		return nil, lost(n, t, "submitting", err)
 	}
 
-	// Forward the worker's progress stream into the coordinator-side
-	// record: the job's Progress callback is the one serve installed at
-	// admission, so samples surface through the coordinator's SSE and
-	// rate gauges exactly as if the job ran locally.
-	var forwarded chan struct{}
-	if t.job.Cfg.Progress != nil {
-		sctx, cancel := context.WithCancel(d.ctx)
-		defer cancel()
-		forwarded = make(chan struct{})
-		go func() {
-			defer close(forwarded)
-			n.client.StreamEvents(sctx, st.ID, func(ev serve.Event) bool {
-				if ev.Kind == "progress" {
-					t.job.Cfg.Progress(ev.Sample())
-				}
+	// The job's Progress callback is the one serve installed at admission,
+	// so relayed samples surface through the coordinator's SSE and rate
+	// gauges exactly as if the job ran locally. A stream that breaks, or
+	// ends without "finish" (a draining worker closes it so), is one failed
+	// attempt; resubscribing replays the record's history, and seen skips
+	// what was already relayed so no sample is counted twice.
+	var seen int64
+	for fails := 0; ; {
+		fresh, finished := false, false
+		err := n.client.StreamEvents(t.ctx, st.ID, func(ev serve.Event) bool {
+			if ev.Seq <= seen {
 				return true
-			})
-		}()
+			}
+			seen, fresh = ev.Seq, true
+			if ev.Kind == "progress" && t.job.Cfg.Progress != nil {
+				t.job.Cfg.Progress(ev.Sample())
+			}
+			finished = ev.Kind == "finish"
+			return !finished
+		})
+		if finished {
+			break
+		}
+		if err == nil {
+			err = errors.New("event stream ended before finish")
+		}
+		if fresh {
+			fails = 0
+		}
+		// An answering worker that no longer knows the job (e.g. restarted
+		// in between) is lost at once, a silent one after DownAfter
+		// attempts in a row that delivered nothing new.
+		var ae *serve.APIError
+		if fails++; errors.As(err, &ae) || fails >= d.cfg.DownAfter || t.ctx.Err() != nil {
+			return nil, lost(n, t, "following job "+st.ID, err)
+		}
 	}
 
-	fails := 0
-	for {
-		js, err := n.client.JobStatus(d.ctx, st.ID)
-		switch {
-		case err == nil:
-			fails = 0
-			if js.Done() {
-				if js.State == "failed" {
-					return nil, false, fmt.Errorf("fleet: worker %s: %s", n.url, js.Error)
-				}
-				if js.Result == nil {
-					return nil, false, fmt.Errorf("fleet: worker %s finished job %s without a result", n.url, st.ID)
-				}
-				if forwarded != nil {
-					// The worker ends the stream right after "finish";
-					// let its tail (the Final sample) land before the
-					// deferred cancel cuts the forwarder off and the
-					// coordinator commits the record.
-					select {
-					case <-forwarded:
-					case <-time.After(forwardDrain):
-					}
-				}
-				return js.Result, js.Cached, nil
-			}
-		default:
-			var ae *serve.APIError
-			if errors.As(err, &ae) {
-				// The worker answered but no longer knows the job (e.g.
-				// restarted in between): re-run it elsewhere.
-				return nil, false, fmt.Errorf("%w: %s lost job %s: %v", errNodeLost, n.url, st.ID, err)
-			}
-			if d.ctx.Err() != nil {
-				return nil, false, d.ctx.Err()
-			}
-			if fails++; fails >= d.cfg.DownAfter {
-				return nil, false, fmt.Errorf("%w: %s unreachable polling job %s: %v", errNodeLost, n.url, st.ID, err)
-			}
-		}
-		select {
-		case <-time.After(d.cfg.PollEvery):
-		case <-d.ctx.Done():
-			return nil, false, d.ctx.Err()
-		}
+	js, err := n.client.JobStatus(t.ctx, st.ID)
+	switch {
+	case err != nil:
+		return nil, lost(n, t, "fetching job "+st.ID, err)
+	case js.State == "failed":
+		return nil, fmt.Errorf("fleet: worker %s: %s", n.url, js.Error)
+	case js.Result == nil:
+		return nil, fmt.Errorf("fleet: worker %s finished job %s without a result", n.url, st.ID)
 	}
+	return js.Result, nil
+}
+
+// lost classifies a failed exchange with n: the task's own cancellation
+// if its context ended, otherwise errNodeLost — requeue elsewhere.
+func lost(n *node, t *task, doing string, err error) error {
+	if t.ctx.Err() != nil {
+		return t.ctx.Err()
+	}
+	return fmt.Errorf("%w: %s %s: %v", errNodeLost, n.url, doing, err)
 }
 
 // ProbeAll checks every node's /healthz once, reviving answering nodes
@@ -434,24 +383,13 @@ func (d *Dispatcher) ProbeAll() {
 			defer wg.Done()
 			ok := d.probe(n.url)
 			d.mu.Lock()
+			defer d.mu.Unlock()
 			if ok {
-				n.probeFails = 0
-				if !n.alive {
-					n.alive = true
-					d.mu.Unlock()
-					d.cond.Broadcast()
-					return
-				}
-			} else {
-				n.probeFails++
-				if n.probeFails >= d.cfg.DownAfter && n.alive {
-					d.markDownLocked(n)
-					d.mu.Unlock()
-					d.cond.Broadcast()
-					return
-				}
+				n.alive, n.probeFails = true, 0
+			} else if n.probeFails++; n.alive && n.probeFails >= d.cfg.DownAfter {
+				d.markDownLocked(n)
 			}
-			d.mu.Unlock()
+			d.cond.Broadcast()
 		}(n)
 	}
 	wg.Wait()

@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"math"
+	"net/http"
 	"net/http/httptest"
 	"strconv"
 	"strings"
@@ -52,24 +53,46 @@ type testWorker struct {
 	eng *runner.Engine
 }
 
-// newWorker starts a worker with a disk-backed cache; coordURL != ""
-// mounts the coordinator as the cache's remote tier.
-func newWorker(t *testing.T, coordURL string, r serve.Runner) *testWorker {
+// workerOpts vary a test worker: exec (nil = the local simulator) is its
+// engine's executor, front (nil = none) wraps the HTTP handler the fleet
+// talks to, progressEvery is its in-run sample period (0 = default).
+type workerOpts struct {
+	exec          runner.Executor
+	front         func(http.Handler) http.Handler
+	progressEvery int64
+}
+
+// startWorker starts a worker with a disk-backed cache and leaves stopping
+// it to the caller.
+func startWorker(t *testing.T, o workerOpts) *testWorker {
 	t.Helper()
-	cache := runner.NewCache(t.TempDir())
-	if coordURL != "" {
-		cache.Remote = &CacheClient{Base: coordURL}
+	eng := &runner.Engine{Cache: runner.NewCache(t.TempDir()), Exec: o.exec}
+	s := serve.New(serve.Config{Engine: eng, Workers: 2, ProgressEvery: o.progressEvery})
+	var h http.Handler = s
+	if o.front != nil {
+		h = o.front(s)
 	}
-	eng := &runner.Engine{Cache: cache}
-	s := serve.New(serve.Config{Engine: eng, Workers: 2, Runner: r})
-	hs := httptest.NewServer(s)
-	t.Cleanup(func() {
-		hs.Close()
-		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-		defer cancel()
-		s.Shutdown(ctx)
-	})
-	return &testWorker{srv: s, hs: hs, eng: eng}
+	return &testWorker{srv: s, hs: httptest.NewServer(h), eng: eng}
+}
+
+// stop closes the worker's listener and drains its server.
+func (w *testWorker) stop() {
+	w.hs.Close()
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	w.srv.Shutdown(ctx)
+}
+
+// newWorker is startWorker stopped at test cleanup; coordURL != "" mounts
+// the coordinator as the cache's remote tier.
+func newWorker(t *testing.T, coordURL string, exec runner.Executor) *testWorker {
+	t.Helper()
+	w := startWorker(t, workerOpts{exec: exec})
+	if coordURL != "" {
+		w.eng.Cache.Remote = &CacheClient{Base: coordURL}
+	}
+	t.Cleanup(w.stop)
+	return w
 }
 
 // newCoordinator starts a coordinator over the given workers (probe loop
@@ -81,9 +104,6 @@ func newCoordinator(t *testing.T, cfg CoordinatorConfig, workers ...*testWorker)
 	}
 	if cfg.ProbeEvery == 0 {
 		cfg.ProbeEvery = -1
-	}
-	if cfg.PollEvery == 0 {
-		cfg.PollEvery = 10 * time.Millisecond
 	}
 	c := NewCoordinator(cfg)
 	hs := httptest.NewServer(c)
@@ -270,19 +290,15 @@ func TestFleetRemoteCacheTier(t *testing.T) {
 	}
 }
 
-// parkRunner wraps a worker engine: every job parks until release closes,
-// then runs normally. entered reports each parked job.
-type parkRunner struct {
-	e       *runner.Engine
-	entered chan *runner.Job
-	release chan struct{}
-}
-
-func (p *parkRunner) RunJob(j *runner.Job) (*runner.Result, bool, error) {
-	p.entered <- j
-	<-p.release
-	b := p.e.Run([]*runner.Job{j})
-	return b.Results[0], b.Stats.CacheHits+b.Stats.Deduped > 0, b.Errs[0]
+// parkExec is a worker engine's executor that parks every job until
+// release closes, then simulates it normally. entered reports each parked
+// job.
+func parkExec(entered chan<- *runner.Job, release <-chan struct{}) runner.Executor {
+	return func(ctx context.Context, key string, j *runner.Job) (*runner.Result, error) {
+		entered <- j
+		<-release
+		return runner.Simulate(ctx, key, j)
+	}
 }
 
 // splitByPrimary partitions candidate jobs by their rendezvous-primary
@@ -320,25 +336,13 @@ func splitByPrimary(t *testing.T, urls []string, want int) map[string][]*runner.
 func TestFleetWorkStealing(t *testing.T) {
 	entered := make(chan *runner.Job, 16)
 	release := make(chan struct{})
-	cacheA := runner.NewCache(t.TempDir())
-	engA := &runner.Engine{Cache: cacheA}
-	park := &parkRunner{e: engA, entered: entered, release: release}
 	released := false
 	defer func() {
 		if !released {
 			close(release)
 		}
 	}()
-
-	sA := serve.New(serve.Config{Engine: engA, Workers: 2, Runner: park})
-	hsA := httptest.NewServer(sA)
-	wA := &testWorker{srv: sA, hs: hsA, eng: engA}
-	t.Cleanup(func() {
-		hsA.Close()
-		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-		defer cancel()
-		sA.Shutdown(ctx)
-	})
+	wA := newWorker(t, "", parkExec(entered, release))
 	wB := newWorker(t, "", nil)
 
 	coord, client := newCoordinator(t, CoordinatorConfig{Slots: 1}, wA, wB)
@@ -392,22 +396,10 @@ func TestFleetWorkStealing(t *testing.T) {
 func TestFleetWorkerFailureRequeue(t *testing.T) {
 	entered := make(chan *runner.Job, 16)
 	release := make(chan struct{})
-	cacheA := runner.NewCache(t.TempDir())
-	engA := &runner.Engine{Cache: cacheA}
-	park := &parkRunner{e: engA, entered: entered, release: release}
-
-	sA := serve.New(serve.Config{Engine: engA, Workers: 2, Runner: park})
-	hsA := httptest.NewServer(sA)
-	wA := &testWorker{srv: sA, hs: hsA, eng: engA}
-	closedA := false
+	wA := startWorker(t, workerOpts{exec: parkExec(entered, release)})
 	t.Cleanup(func() {
 		close(release) // un-park before draining A
-		if !closedA {
-			hsA.Close()
-		}
-		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-		defer cancel()
-		sA.Shutdown(ctx)
+		wA.stop()
 	})
 	wB := newWorker(t, "", nil)
 
@@ -436,9 +428,12 @@ func TestFleetWorkerFailureRequeue(t *testing.T) {
 	case <-time.After(30 * time.Second):
 		t.Fatal("no job reached worker A")
 	}
-	hsA.CloseClientConnections()
-	hsA.Close()
-	closedA = true
+	// Listener first: the dispatcher resubscribes the moment its stream
+	// breaks, and a connection accepted between the two calls below would
+	// hold Close forever — a dead node accepts nothing.
+	wA.hs.Listener.Close()
+	wA.hs.CloseClientConnections()
+	wA.hs.Close()
 
 	out := <-resCh
 	if out.err != nil {

@@ -1,0 +1,329 @@
+package fleet
+
+import (
+	"bytes"
+	"context"
+	"net/http"
+	"strings"
+	"sync"
+	"sync/atomic"
+	"testing"
+	"time"
+
+	"finereg/internal/runner"
+	"finereg/internal/serve"
+	"finereg/internal/trace"
+)
+
+// runAll pushes jobs through a coordinator client, folding the batch's
+// failures into err (callable off the test goroutine: it reports, never
+// fails the test).
+func runAll(client *serve.Client, jobs ...*runner.Job) (*runner.Batch, error) {
+	b, err := client.RunJobs(context.Background(), jobs)
+	if err == nil {
+		err = b.Err()
+	}
+	return b, err
+}
+
+// runOne is runAll for a single job's result.
+func runOne(client *serve.Client, j *runner.Job) (*runner.Result, error) {
+	b, err := runAll(client, j)
+	if err != nil {
+		return nil, err
+	}
+	return b.Results[0], nil
+}
+
+// countJobGets is a worker front that counts GET /v1/jobs/{id} into n.
+func countJobGets(n *atomic.Int64) func(http.Handler) http.Handler {
+	return func(next http.Handler) http.Handler {
+		return http.HandlerFunc(func(rw http.ResponseWriter, r *http.Request) {
+			if isJobGet(r) {
+				n.Add(1)
+			}
+			next.ServeHTTP(rw, r)
+		})
+	}
+}
+
+// awaitEntered waits for a parked worker to report a job.
+func awaitEntered(t *testing.T, entered <-chan *runner.Job) {
+	t.Helper()
+	select {
+	case <-entered:
+	case <-time.After(30 * time.Second):
+		t.Fatal("no job reached the parked worker")
+	}
+}
+
+// isJobGet / isJobEvents classify the two requests a dispatcher makes about
+// a job it submitted.
+func isJobGet(r *http.Request) bool {
+	return r.Method == http.MethodGet && strings.HasPrefix(r.URL.Path, "/v1/jobs/") && !strings.HasSuffix(r.URL.Path, "/events")
+}
+
+func isJobEvents(r *http.Request) bool {
+	return r.Method == http.MethodGet && strings.HasSuffix(r.URL.Path, "/events")
+}
+
+// TestCoordinatorEngineCounts: a coordinator's engine is the one its jobs
+// pass through, so its finereg_engine_* series are true — five dispatches
+// are five executions, a repeat sweep coalesces onto the records and never
+// reaches the engine, and a second coordinator over the same cache
+// directory answers the sweep from the cache bracket without dispatching.
+func TestCoordinatorEngineCounts(t *testing.T) {
+	jobs := corpus(t)
+	dir := t.TempDir()
+	w := newWorker(t, "", nil)
+	_, client := newCoordinator(t, CoordinatorConfig{CacheDir: dir}, w)
+
+	for sweep, want := range []int64{5, 5} {
+		if _, err := runAll(client, jobs...); err != nil {
+			t.Fatalf("sweep %d: %v", sweep, err)
+		}
+		body := string(httpGet(t, client.Base+"/metrics"))
+		if got := metricInt(t, body, "finereg_engine_jobs_executed_total"); got != want {
+			t.Errorf("after sweep %d: finereg_engine_jobs_executed_total = %d, want %d", sweep, got, want)
+		}
+		if got := metricInt(t, body, "finereg_engine_inflight_simulations"); got != 0 {
+			t.Errorf("after sweep %d: finereg_engine_inflight_simulations = %d at rest", sweep, got)
+		}
+	}
+
+	_, second := newCoordinator(t, CoordinatorConfig{CacheDir: dir}, w)
+	if _, err := runAll(second, jobs...); err != nil {
+		t.Fatalf("second coordinator: %v", err)
+	}
+	body := string(httpGet(t, second.Base+"/metrics"))
+	for name, want := range map[string]int64{
+		"finereg_engine_cache_hits_total":    5,
+		"finereg_engine_jobs_executed_total": 0,
+		"finereg_fleet_dispatched_total":     0,
+	} {
+		if got := metricInt(t, body, name); got != want {
+			t.Errorf("second coordinator over the same cache dir: %s = %d, want %d", name, got, want)
+		}
+	}
+}
+
+// TestFleetOneStatusFetchPerJob: the dispatcher learns completion from the
+// worker's event stream and fetches the status once, for the result — it
+// does not poll. One job is held inside the worker until the dispatcher is
+// following it, so a poller would have asked about that job at least twice.
+func TestFleetOneStatusFetchPerJob(t *testing.T) {
+	var gets atomic.Int64
+	entered := make(chan *runner.Job, 16)
+	release := make(chan struct{})
+	w := startWorker(t, workerOpts{
+		exec:  parkExec(entered, release),
+		front: countJobGets(&gets),
+	})
+	t.Cleanup(w.stop)
+	coord, client := newCoordinator(t, CoordinatorConfig{}, w)
+
+	jobs := corpus(t)
+	done := make(chan error, 1)
+	go func() {
+		_, err := runAll(client, jobs...)
+		done <- err
+	}()
+	awaitEntered(t, entered)
+	close(release)
+	if err := <-done; err != nil {
+		t.Fatal(err)
+	}
+	dispatched := coord.Dispatcher().Stats().Dispatched
+	if dispatched != int64(len(jobs)) || gets.Load() != dispatched {
+		t.Errorf("%d GET /v1/jobs/{id} for %d dispatches of %d jobs, want one each", gets.Load(), dispatched, len(jobs))
+	}
+}
+
+// TestFleetStreamEndRequeues: a draining worker closes its event streams
+// before "finish". That is a failed attempt, not a completion: after
+// DownAfter of them the job is requeued onto the survivor, and nothing is
+// fetched from — let alone committed for — the worker that never finished.
+func TestFleetStreamEndRequeues(t *testing.T) {
+	var getsA atomic.Int64
+	entered := make(chan *runner.Job, 16)
+	release := make(chan struct{})
+	wA := startWorker(t, workerOpts{
+		exec:  parkExec(entered, release),
+		front: countJobGets(&getsA),
+	})
+	wB := newWorker(t, "", nil)
+	coord, client := newCoordinator(t, CoordinatorConfig{}, wA)
+
+	job := tinyJob(t, "CS", runner.Baseline())
+	direct := (&runner.Engine{}).Run([]*runner.Job{job})
+	if err := direct.Err(); err != nil {
+		t.Fatal(err)
+	}
+
+	type outcome struct {
+		res *runner.Result
+		err error
+	}
+	got := make(chan outcome, 1)
+	go func() {
+		res, err := runOne(client, job)
+		got <- outcome{res, err}
+	}()
+	awaitEntered(t, entered)
+
+	// The survivor joins once A holds the job (an idle B would have stolen
+	// it from the queue). Then drain A with the job still parked: the
+	// stream the dispatcher follows ends there and then, and so does every
+	// resubscription.
+	if err := coord.AddWorker(wB.hs.URL); err != nil {
+		t.Fatal(err)
+	}
+	drained := make(chan struct{})
+	go func() {
+		defer close(drained)
+		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+		defer cancel()
+		wA.srv.Shutdown(ctx) // returns once the parked job is released
+	}()
+	t.Cleanup(func() {
+		close(release)
+		<-drained
+		wA.hs.Close()
+	})
+
+	out := <-got
+	if out.err != nil {
+		t.Fatalf("job across a draining worker: %v", out.err)
+	}
+	if !bytes.Equal(mustJSON(t, direct.Results[0]), mustJSON(t, out.res)) {
+		t.Error("requeued job's result differs from a direct run")
+	}
+	if st := coord.Dispatcher().Stats(); st.Requeued == 0 {
+		t.Errorf("stream ended without finish, yet nothing was requeued: %+v", st)
+	}
+	if n := wB.eng.Stats().Executed; n != 1 {
+		t.Errorf("survivor executed %d jobs, want 1", n)
+	}
+	if n := getsA.Load(); n != 0 {
+		t.Errorf("%d status fetches from the worker that never sent finish, want 0", n)
+	}
+}
+
+// cutAfter lets n event writes through and fails the rest, so the SSE
+// handler behind it gives up and the stream ends mid-job.
+type cutAfter struct {
+	http.ResponseWriter
+	n int
+}
+
+func (c *cutAfter) Write(p []byte) (int, error) {
+	if c.n--; c.n < 0 {
+		return 0, http.ErrHandlerTimeout
+	}
+	return c.ResponseWriter.Write(p)
+}
+
+func (c *cutAfter) Flush() { c.ResponseWriter.(http.Flusher).Flush() }
+
+// TestFleetResubscribeCountsOnce: the dispatcher's first subscription is
+// cut after three events, mid-job; the resubscription replays the record's
+// history, and the dispatcher must relay only what it has not seen. The
+// coordinator's sample-fed totals then equal the worker's — nothing counted
+// twice, nothing lost. The job waits at its second sample until the
+// resubscription arrives, so the cut always lands mid-run.
+func TestFleetResubscribeCountsOnce(t *testing.T) {
+	job := tinyJob(t, "LB", runner.FineRegDefault())
+	direct := (&runner.Engine{}).Run([]*runner.Job{job})
+	if err := direct.Err(); err != nil {
+		t.Fatal(err)
+	}
+
+	var subscriptions atomic.Int64
+	resubscribed := make(chan struct{})
+	var once sync.Once
+	w := startWorker(t, workerOpts{
+		// Half a dozen samples: enough to cut between, few enough that the
+		// record's replay window and the subscriber buffer hold them all.
+		progressEvery: direct.Results[0].Metrics.Cycles / 6,
+		exec: func(ctx context.Context, key string, j *runner.Job) (*runner.Result, error) {
+			jc, samples := *j, 0
+			jc.Cfg.Progress = func(ps trace.ProgressSample) {
+				j.Cfg.Progress(ps)
+				if samples++; samples == 2 {
+					select {
+					case <-resubscribed:
+					case <-time.After(30 * time.Second):
+					}
+				}
+			}
+			return runner.Simulate(ctx, key, &jc)
+		},
+		front: func(next http.Handler) http.Handler {
+			return http.HandlerFunc(func(rw http.ResponseWriter, r *http.Request) {
+				if isJobEvents(r) {
+					if subscriptions.Add(1) == 1 {
+						rw = &cutAfter{ResponseWriter: rw, n: 3}
+					} else {
+						once.Do(func() { close(resubscribed) })
+					}
+				}
+				next.ServeHTTP(rw, r)
+			})
+		},
+	})
+	t.Cleanup(w.stop)
+	_, client := newCoordinator(t, CoordinatorConfig{}, w)
+
+	res, err := runOne(client, job)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(mustJSON(t, direct.Results[0]), mustJSON(t, res)) {
+		t.Error("result across a resubscription differs from a direct run")
+	}
+	if n := subscriptions.Load(); n < 2 {
+		t.Fatalf("%d event subscriptions: the cut stream was never resubscribed", n)
+	}
+	workerBody := string(httpGet(t, w.hs.URL+"/metrics"))
+	coordBody := string(httpGet(t, client.Base+"/metrics"))
+	if dropped := metricInt(t, workerBody, "finereg_serve_sse_dropped_total"); dropped != 0 {
+		t.Fatalf("worker dropped %d events to a lagging subscriber; the comparison below needs none", dropped)
+	}
+	for _, name := range []string{"finereg_sim_gpu_instructions_total", "finereg_sim_gpu_cycles_total"} {
+		wv, cv := metricInt(t, workerBody, name), metricInt(t, coordBody, name)
+		if wv == 0 || wv != cv {
+			t.Errorf("%s: coordinator %d, worker %d — a replayed sample was relayed twice or a live one lost", name, cv, wv)
+		}
+	}
+	if want := direct.Results[0].Metrics.Instructions; metricInt(t, coordBody, "finereg_sim_gpu_instructions_total") != want {
+		t.Errorf("coordinator finereg_sim_gpu_instructions_total != the job's %d instructions", want)
+	}
+}
+
+// TestRegisterWorkerBodyBounded: POST /v1/fleet/workers reads at most a
+// few KiB — a URL needs no more — and answers an oversized body with 413
+// and a malformed one with 400, as the serving layer's decodeBody does.
+func TestRegisterWorkerBodyBounded(t *testing.T) {
+	coord, client := newCoordinator(t, CoordinatorConfig{})
+	post := func(body string) int {
+		t.Helper()
+		resp, err := http.Post(client.Base+"/v1/fleet/workers", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		return resp.StatusCode
+	}
+	if got := post(`{"url":"http://127.0.0.1:1/` + strings.Repeat("x", 1<<20) + `"}`); got != http.StatusRequestEntityTooLarge {
+		t.Errorf("1 MiB registration body = HTTP %d, want 413", got)
+	}
+	if got := post(`{"url":`); got != http.StatusBadRequest {
+		t.Errorf("malformed registration body = HTTP %d, want 400", got)
+	}
+	if got := post(`{"url":"http://127.0.0.1:1"}`); got != http.StatusNoContent {
+		t.Errorf("well-formed registration = HTTP %d, want 204", got)
+	}
+	if nodes := coord.Dispatcher().NodeStatuses(); len(nodes) != 1 {
+		t.Errorf("fleet has %d nodes after one good registration, want 1: %+v", len(nodes), nodes)
+	}
+}

@@ -1,0 +1,47 @@
+package runner
+
+import (
+	"os"
+	"testing"
+
+	"finereg/internal/workload"
+)
+
+// BenchmarkEngineDoWarm is the engine's whole overhead on an answered job:
+// one Do that coalesces on nothing, hits the memory tier and counts. What
+// it allocates is the caller's copy of the result.
+func BenchmarkEngineDoWarm(b *testing.B) {
+	p := tinyJob(b, "CS", Baseline())
+	key := p.Key(SimFingerprint)
+	e := &Engine{Cache: NewCache("")}
+	if _, _, err := e.Do(key, p); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, cached, err := e.Do(key, p); err != nil || !cached {
+			b.Fatalf("warm Do: cached %v, err %v", cached, err)
+		}
+	}
+}
+
+// BenchmarkJobKey hashes a job's canonical encoding: once per admitted
+// submission on a server, once per job in Engine.Run.
+func BenchmarkJobKey(b *testing.B) {
+	src, err := os.ReadFile("../../examples/saxpy.sasm")
+	if err != nil {
+		b.Fatal(err)
+	}
+	for name, j := range map[string]*Job{
+		"bench":   tinyJob(b, "CS", Baseline()),
+		"program": programJob(workload.Program{Source: string(src)}),
+	} {
+		b.Run(name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				j.Key(SimFingerprint)
+			}
+		})
+	}
+}

@@ -65,8 +65,8 @@ func NewCache(dir string) *Cache {
 
 // KeyFingerprint is the fingerprint job keys are derived under: the
 // cache's own when it sets one, SimFingerprint otherwise — including for a
-// nil cache, so the engine, the server and the fleet dispatcher all key a
-// job the same way whether or not a cache is mounted.
+// nil cache, so Engine.Run and a server's admission key a job the same way
+// whether or not a cache is mounted.
 func (c *Cache) KeyFingerprint() string {
 	if c != nil && c.Fingerprint != "" {
 		return c.Fingerprint
@@ -98,8 +98,11 @@ func (c *Cache) Stats() CacheStats {
 // hit from an outer tier is pulled into the inner ones (a remote hit
 // lands in memory and on disk), so repeated lookups stay local. The
 // returned Result is the caller's own copy. source is "mem", "disk", or
-// "remote" on a hit.
+// "remote" on a hit. A nil cache misses.
 func (c *Cache) Get(key string) (r *Result, source string, ok bool) {
+	if c == nil {
+		return nil, "", false
+	}
 	c.mu.RLock()
 	res := c.mem[key]
 	c.mu.RUnlock()
@@ -132,8 +135,12 @@ func (c *Cache) Get(key string) (r *Result, source string, ok bool) {
 // Put stores a pristine copy of r under key in memory, on disk when
 // configured, and (write-through) in the remote tier when configured.
 // Disk and remote failures are non-fatal: the entry simply will not
-// persist across invocations or be visible to other nodes.
+// persist across invocations or be visible to other nodes. A nil cache
+// drops the write.
 func (c *Cache) Put(key string, r *Result) {
+	if c == nil {
+		return
+	}
 	pristine := r.Clone()
 	c.mu.Lock()
 	c.mem[key] = pristine

@@ -1,6 +1,7 @@
 package runner
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"runtime"
@@ -9,23 +10,29 @@ import (
 	"sync"
 	"time"
 
-	"finereg/internal/gpu"
 	"finereg/internal/trace"
 )
 
-// Engine executes job batches on a worker pool. The zero value is usable:
-// GOMAXPROCS workers, no cache, no timeout, no events. One Engine may run
-// many batches (an experiments invocation issues one per figure); its
-// cache and counters accumulate across them, which is what dedups repeated
-// points between figures.
+// Engine runs jobs. Do is the one path a job takes — coalesce on the key's
+// in-flight entry, look the cache up, otherwise execute in isolation and
+// commit — and Run is an ordered, Jobs-bounded fan-out over it. The zero
+// value is usable: GOMAXPROCS workers, no cache, no timeout, no events, the
+// in-process simulator. One Engine may serve many callers at once (an
+// experiments invocation issues one batch per figure, a server one Do per
+// admitted job); its cache and counters accumulate across them, which is
+// what dedups repeated points between figures.
 type Engine struct {
-	// Jobs is the worker count; <= 0 means runtime.GOMAXPROCS(0).
+	// Jobs is Run's worker count; <= 0 means runtime.GOMAXPROCS(0).
 	Jobs int
-	// Cache dedups identical jobs within and across batches (nil = no
-	// cache; duplicates within one batch still collapse via in-flight
-	// tracking).
+	// Cache dedups identical jobs across calls (nil = no cache; concurrent
+	// duplicates and duplicates within one batch still collapse).
 	Cache *Cache
-	// Timeout is the per-job wall-clock budget for the simulation proper
+	// Exec is what "execute" means for a job that missed the cache (nil =
+	// Simulate, the in-process simulator). A fleet coordinator plugs its
+	// dispatcher in here; everything around it — coalescing, the cache
+	// bracket, isolation, the counters — is the same engine.
+	Exec Executor
+	// Timeout is the per-job wall-clock budget for the execution proper
 	// (0 = none). A job that exceeds it is stopped cooperatively and
 	// reported as ErrJobTimeout; the rest of the batch continues.
 	Timeout time.Duration
@@ -42,30 +49,62 @@ type Engine struct {
 	ProgressEvery int64
 
 	mu    sync.Mutex // guards Events calls and the cumulative counters
-	total EngineStats
+	total Stats
 
-	// gmu guards the in-flight GPU registry (StopAll/InFlight introspection
-	// for long-running front ends like internal/serve).
-	gmu     sync.Mutex
-	running map[*gpu.GPU]struct{}
+	// fmu guards the in-flight state: one flight per key being resolved,
+	// carrying its execution's cancel hook (StopAll/InFlight) while it runs.
+	fmu     sync.Mutex
+	flights map[string]*flight
 }
 
-// EngineStats accumulates scheduling counters across an Engine's batches.
-type EngineStats struct {
-	// Submitted counts jobs handed to Run; Executed counts fresh
-	// simulations actually performed.
+// Executor runs one cache-missed job to completion. ctx ends when the
+// engine's Timeout expires or StopAll is called; an executor must return
+// promptly once it does. key is the job's content-addressed identity (a
+// dispatcher places by it).
+type Executor func(ctx context.Context, key string, j *Job) (*Result, error)
+
+// Stats counts scheduling outcomes, of one Run (Batch.Stats) or of an
+// Engine's lifetime (Engine.Stats).
+type Stats struct {
+	// Submitted counts jobs handed to Run or Do; Executed counts the ones
+	// that reached the executor.
 	Submitted, Executed int64
 	// CacheHits counts results served by the cache (DiskHits of them came
 	// from disk, RemoteHits from the remote tier); Deduped counts
-	// duplicates that piggybacked on an identical in-flight job in the
-	// same batch.
+	// duplicates that piggybacked on an identical job in flight or earlier
+	// in the same batch.
 	CacheHits, DiskHits, RemoteHits, Deduped int64
 	// Failed counts jobs that returned an error.
 	Failed int64
 }
 
+// srcDedup is the outcome source of a coalesced job; "" is a fresh
+// execution and anything else the cache tier Cache.Get named.
+const srcDedup = "dedup"
+
+func (s *Stats) count(src string, err error) {
+	s.Submitted++
+	switch src {
+	case "":
+		s.Executed++
+	case srcDedup:
+		s.Deduped++
+	case "disk":
+		s.CacheHits++
+		s.DiskHits++
+	case "remote":
+		s.CacheHits++
+		s.RemoteHits++
+	default:
+		s.CacheHits++
+	}
+	if err != nil {
+		s.Failed++
+	}
+}
+
 // Stats snapshots the cumulative counters.
-func (e *Engine) Stats() EngineStats {
+func (e *Engine) Stats() Stats {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	return e.total
@@ -74,44 +113,33 @@ func (e *Engine) Stats() EngineStats {
 // ErrJobTimeout marks a job stopped by the per-job wall-clock budget.
 var ErrJobTimeout = errors.New("runner: job wall-clock timeout")
 
-// track registers a job's GPU for the lifetime of its simulation.
-func (e *Engine) track(g *gpu.GPU) {
-	e.gmu.Lock()
-	if e.running == nil {
-		e.running = map[*gpu.GPU]struct{}{}
-	}
-	e.running[g] = struct{}{}
-	e.gmu.Unlock()
-}
+// InFlight returns how many executions are under way right now (cache
+// hits, coalesced waiters and queued jobs do not count). Introspection for
+// serving front ends; the value is a snapshot and may be stale by the time
+// it is read.
+func (e *Engine) InFlight() int { return e.executing(false) }
 
-func (e *Engine) untrack(g *gpu.GPU) {
-	e.gmu.Lock()
-	delete(e.running, g)
-	e.gmu.Unlock()
-}
-
-// InFlight returns how many simulations are executing right now (cache
-// hits and queued jobs do not count). Introspection for serving front
-// ends; the value is a snapshot and may be stale by the time it is read.
-func (e *Engine) InFlight() int {
-	e.gmu.Lock()
-	defer e.gmu.Unlock()
-	return len(e.running)
-}
-
-// StopAll cooperatively stops every in-flight simulation via gpu.Stop and
-// returns how many were signalled. Each stopped job fails with
+// StopAll cooperatively stops every execution under way and returns how
+// many were signalled. Each stopped simulation fails with
 // gpu.ErrInterrupted (not ErrJobTimeout) and the rest of its batch
 // continues; jobs not yet started are unaffected. This is the graceful-
 // shutdown hook: a server draining under a deadline bounds its wait by
 // stopping whatever is still running.
-func (e *Engine) StopAll() int {
-	e.gmu.Lock()
-	defer e.gmu.Unlock()
-	for g := range e.running {
-		g.Stop()
+func (e *Engine) StopAll() int { return e.executing(true) }
+
+// executing counts the flights inside the executor, cancelling each when
+// stop is set.
+func (e *Engine) executing(stop bool) (n int) {
+	e.fmu.Lock()
+	defer e.fmu.Unlock()
+	for _, f := range e.flights {
+		if f.cancel != nil {
+			if n++; stop {
+				f.cancel()
+			}
+		}
 	}
-	return len(e.running)
+	return n
 }
 
 // PanicError is a panic inside a job converted to a typed error, carrying
@@ -145,13 +173,7 @@ type Batch struct {
 	Jobs    []*Job
 	Results []*Result
 	Errs    []error
-	Stats   BatchStats
-}
-
-// BatchStats counts one Run's scheduling outcomes.
-type BatchStats struct {
-	Submitted, Executed, CacheHits, DiskHits, RemoteHits, Deduped, Failed int
-	Wall                                                                  time.Duration
+	Stats   Stats
 }
 
 // Err returns nil when every job succeeded, otherwise an error wrapping
@@ -188,220 +210,199 @@ func (b *Batch) Failed() []int {
 	return out
 }
 
-// flight tracks one in-progress key so duplicate submissions in the same
-// batch wait for the leader instead of re-simulating.
-type flight struct {
-	done chan struct{}
-	res  *Result // pristine; every taker clones
-	err  error
-}
-
-// watchdog arms a Stop on the job's GPU when the timeout elapses. attach
-// and fire may race (worker vs timer goroutine), hence the mutex.
-type watchdog struct {
-	mu      sync.Mutex
-	g       *gpu.GPU
-	expired bool
-}
-
-func (w *watchdog) attach(g *gpu.GPU) {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	w.g = g
-	if w.expired {
-		g.Stop()
-	}
-}
-
-func (w *watchdog) fire() {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	w.expired = true
-	if w.g != nil {
-		w.g.Stop()
-	}
-}
-
-// fired reports whether the timeout elapsed (vs. an external Stop).
-func (w *watchdog) fired() bool {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return w.expired
-}
-
-// Run executes jobs and returns their results in submission order.
+// Run executes jobs and returns their results in submission order. A
+// batch's duplicates fold onto their first occurrence before the fan-out,
+// so the counts are a function of the job list, not of worker timing.
 func (e *Engine) Run(jobs []*Job) *Batch {
-	start := time.Now()
 	b := &Batch{
 		Jobs:    jobs,
 		Results: make([]*Result, len(jobs)),
 		Errs:    make([]error, len(jobs)),
 	}
-	b.Stats.Submitted = len(jobs)
-	e.emit(func(s trace.JobSink) { s.BatchStart(len(jobs)) })
+	e.emit(func(s trace.JobSink) { s.JobsQueued(len(jobs)) })
 
 	fingerprint := e.Cache.KeyFingerprint()
-
-	var (
-		inflight = map[string]*flight{}
-		fmu      sync.Mutex
-		smu      sync.Mutex // batch stats
-		wg       sync.WaitGroup
-	)
+	keys := make([]string, len(jobs))
+	srcs := make([]string, len(jobs))
+	leader := make([]int, len(jobs)) // index of the first job with the same key
+	first := make(map[string]int, len(jobs))
+	for i, j := range jobs {
+		keys[i] = j.Key(fingerprint)
+		if l, dup := first[keys[i]]; dup {
+			leader[i] = l
+		} else {
+			first[keys[i]], leader[i] = i, i
+		}
+	}
 
 	workers := e.Jobs
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	if workers > len(jobs) {
-		workers = len(jobs)
+	if workers > len(first) {
+		workers = len(first)
 	}
 	idx := make(chan int)
-
-	account := func(f func(*BatchStats)) {
-		smu.Lock()
-		f(&b.Stats)
-		smu.Unlock()
-	}
-
-	worker := func() {
-		defer wg.Done()
-		for i := range idx {
-			j := jobs[i]
-			key := j.Key(fingerprint)
-
-			fmu.Lock()
-			f, dup := inflight[key]
-			if !dup {
-				f = &flight{done: make(chan struct{})}
-				inflight[key] = f
-			}
-			fmu.Unlock()
-
-			if dup {
-				<-f.done
-				b.Results[i], b.Errs[i] = f.res.Clone(), f.err
-				account(func(s *BatchStats) {
-					s.Deduped++
-					if f.err != nil {
-						s.Failed++
-					}
-				})
-				e.emit(func(s trace.JobSink) { s.JobDone(i, j.label(), true, f.err) })
-				continue
-			}
-
-			cached := false
-			if e.Cache != nil {
-				if res, src, ok := e.Cache.Get(key); ok {
-					f.res, cached = res, true
-					account(func(s *BatchStats) {
-						s.CacheHits++
-						switch src {
-						case "disk":
-							s.DiskHits++
-						case "remote":
-							s.RemoteHits++
-						}
-					})
-				}
-			}
-			if !cached {
-				e.emit(func(s trace.JobSink) { s.JobStart(i, j.label()) })
-				f.res, f.err = e.executeIsolated(i, j)
-				account(func(s *BatchStats) { s.Executed++ })
-				if f.err != nil {
-					f.err = &JobError{Label: j.label(), Err: f.err}
-					account(func(s *BatchStats) { s.Failed++ })
-				} else if e.Cache != nil {
-					e.Cache.Put(key, f.res)
-				}
-			}
-			close(f.done)
-			b.Results[i], b.Errs[i] = f.res.Clone(), f.err
-			e.emit(func(s trace.JobSink) { s.JobDone(i, j.label(), cached, f.err) })
-		}
-	}
-
+	var wg sync.WaitGroup
 	wg.Add(workers)
 	for w := 0; w < workers; w++ {
-		go worker()
+		go func() {
+			defer wg.Done()
+			for i := range idx {
+				b.Results[i], srcs[i], b.Errs[i] = e.do(keys[i], jobs[i])
+			}
+		}()
 	}
 	for i := range jobs {
-		idx <- i
+		if leader[i] == i {
+			idx <- i
+		}
 	}
 	close(idx)
 	wg.Wait()
 
-	b.Stats.Wall = time.Since(start)
-	e.emit(func(s trace.JobSink) { s.BatchEnd() })
-
-	e.mu.Lock()
-	e.total.Submitted += int64(b.Stats.Submitted)
-	e.total.Executed += int64(b.Stats.Executed)
-	e.total.CacheHits += int64(b.Stats.CacheHits)
-	e.total.DiskHits += int64(b.Stats.DiskHits)
-	e.total.RemoteHits += int64(b.Stats.RemoteHits)
-	e.total.Deduped += int64(b.Stats.Deduped)
-	e.total.Failed += int64(b.Stats.Failed)
-	e.mu.Unlock()
+	for i, l := range leader {
+		if l != i {
+			b.Results[i], srcs[i], b.Errs[i] = b.Results[l].Clone(), srcDedup, b.Errs[l]
+			e.done(srcDedup, b.Errs[i])
+		}
+		b.Stats.count(srcs[i], b.Errs[i])
+	}
 	return b
 }
 
-// executeIsolated runs one job with fault isolation: a panic anywhere in
-// the simulation becomes a *PanicError, and the optional wall-clock
-// timeout stops the GPU cooperatively (the simulator checks the flag once
-// per event step, so the stop lands promptly without leaking goroutines).
-// The job's GPU is registered with the engine for its lifetime so StopAll
-// can reach it. i is the job's batch index, used to label JobProgress
-// events.
-func (e *Engine) executeIsolated(i int, j *Job) (res *Result, err error) {
+// Do runs one job whose key the caller already holds: a served job's whole
+// life between dequeue and commit. cached reports a result that did not
+// come from a fresh execution (cache hit, or coalesced onto an identical
+// job in flight). The result is the caller's own copy.
+func (e *Engine) Do(key string, j *Job) (res *Result, cached bool, err error) {
+	e.emit(func(s trace.JobSink) { s.JobsQueued(1) })
+	res, src, err := e.do(key, j)
+	return res, src != "", err
+}
+
+// flight is one key being resolved; callers that arrive meanwhile wait
+// for the leader instead of re-executing.
+type flight struct {
+	done    chan struct{}
+	waiters int                // guarded by Engine.fmu
+	cancel  context.CancelFunc // non-nil while executing; guarded by Engine.fmu
+	res     *Result            // pristine while anyone waits; every taker clones
+	err     error
+}
+
+// do resolves one job and counts it once: src is "" for a fresh
+// execution, the cache tier for a hit, srcDedup for a coalesced wait.
+func (e *Engine) do(key string, j *Job) (res *Result, src string, err error) {
+	e.fmu.Lock()
+	f, dup := e.flights[key]
+	if dup {
+		f.waiters++
+	} else {
+		if e.flights == nil {
+			e.flights = make(map[string]*flight)
+		}
+		f = &flight{done: make(chan struct{})}
+		e.flights[key] = f
+	}
+	e.fmu.Unlock()
+
+	if dup {
+		<-f.done
+		res, src, err = f.res.Clone(), srcDedup, f.err
+	} else {
+		f.res, src, f.err = e.lead(f, key, j)
+		// The entry goes once the result is committed: a later caller
+		// meets the cache, and a failure is never handed to one.
+		e.fmu.Lock()
+		delete(e.flights, key)
+		shared := f.waiters > 0
+		e.fmu.Unlock()
+		close(f.done)
+		if res, err = f.res, f.err; shared {
+			res = res.Clone()
+		}
+	}
+	e.done(src, err)
+	return res, src, err
+}
+
+// done counts one finished job and reports it to Events.
+func (e *Engine) done(src string, err error) {
+	e.mu.Lock()
+	e.total.count(src, err)
+	if e.Events != nil {
+		e.Events.JobDone(src != "", err)
+	}
+	e.mu.Unlock()
+}
+
+// lead is the cache bracket around one execution: the engine never caches
+// a failure.
+func (e *Engine) lead(f *flight, key string, j *Job) (*Result, string, error) {
+	if res, src, ok := e.Cache.Get(key); ok {
+		return res, src, nil
+	}
+	res, err := e.execute(f, key, j)
+	if err != nil {
+		return nil, "", &JobError{Label: j.label(), Err: err}
+	}
+	e.Cache.Put(key, res)
+	return res, "", nil
+}
+
+// execute runs one job on the executor with fault isolation: a panic
+// anywhere under it becomes a *PanicError, and the execution's context —
+// held by f for StopAll, bounded by Timeout — stops it cooperatively (the
+// simulator checks its flag once per event step, so the stop lands
+// promptly without leaking goroutines).
+func (e *Engine) execute(f *flight, key string, j *Job) (res *Result, err error) {
 	defer func() {
 		if p := recover(); p != nil {
 			res, err = nil, &PanicError{Value: p, Stack: debug.Stack()}
 		}
 	}()
-	j = e.withProgress(i, j)
-	var w *watchdog
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	e.setCancel(f, cancel)
+	defer e.setCancel(f, nil)
 	if e.Timeout > 0 {
-		w = &watchdog{}
-		timer := time.AfterFunc(e.Timeout, w.fire)
-		defer timer.Stop()
+		var stopTimer context.CancelFunc
+		ctx, stopTimer = context.WithTimeout(ctx, e.Timeout)
+		defer stopTimer()
 	}
-	var tracked *gpu.GPU
-	defer func() {
-		if tracked != nil {
-			e.untrack(tracked)
-		}
-	}()
-	attach := func(g *gpu.GPU) {
-		tracked = g
-		e.track(g)
-		if w != nil {
-			w.attach(g)
-		}
+
+	exec := e.Exec
+	if exec == nil {
+		exec = Simulate
 	}
-	res, err = execute(j, attach)
+	res, err = exec(ctx, key, e.withProgress(j))
 	// An interrupted run is a timeout only if our watchdog pulled the
 	// trigger; otherwise the stop came from outside (StopAll during a
-	// drain) and the ErrInterrupted cause is reported as-is.
-	if errors.Is(err, gpu.ErrInterrupted) && w != nil && w.fired() {
+	// drain) and the cause is reported as-is.
+	if err != nil && ctx.Err() == context.DeadlineExceeded {
 		err = fmt.Errorf("%w (%s): %v", ErrJobTimeout, e.Timeout, err)
 	}
 	return res, err
 }
 
-// withProgress splices in-run sampling into job i: when the engine or the
-// job itself enables progress, the executed copy's Cfg.Progress both
-// invokes the job's own callback and forwards the sample to Events as a
+func (e *Engine) setCancel(f *flight, c context.CancelFunc) {
+	e.fmu.Lock()
+	f.cancel = c
+	e.fmu.Unlock()
+}
+
+// withProgress splices in-run sampling into j: when the engine or the job
+// itself enables progress, the executed copy's Cfg.Progress both invokes
+// the job's own callback and forwards the sample to Events as a
 // JobProgress event. Returns j unchanged when no sampling is wanted. The
 // shallow copy keeps the caller's Job pristine — Progress never becomes
 // part of the submitted job's identity or state.
-func (e *Engine) withProgress(i int, j *Job) *Job {
+func (e *Engine) withProgress(j *Job) *Job {
 	user := j.Cfg.Progress
 	if e.Events == nil {
 		// Nobody to forward to; the job's own callback (if any) already
-		// rides Cfg into execute.
+		// rides Cfg into the executor.
 		return j
 	}
 	if user == nil && e.ProgressEvery <= 0 {
@@ -416,7 +417,7 @@ func (e *Engine) withProgress(i int, j *Job) *Job {
 		if user != nil {
 			user(sample)
 		}
-		e.emit(func(s trace.JobSink) { s.JobProgress(i, label, sample) })
+		e.emit(func(s trace.JobSink) { s.JobProgress(label, sample) })
 	}
 	return &jc
 }

@@ -12,6 +12,7 @@
 package runner
 
 import (
+	"context"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
@@ -173,15 +174,15 @@ func (r *Result) Clone() *Result {
 	return c
 }
 
-// execute runs the simulation for j from scratch: fresh kernel, fresh GPU,
-// fresh per-job trace sink. It never touches engine state, so any number
-// of executes may run concurrently. attach (optional) receives the GPU
-// before the run starts so a watchdog can Stop it.
+// Simulate is the default Executor: it runs the simulation for j from
+// scratch — fresh kernel, fresh GPU, fresh per-job trace sink — and stops it
+// through gpu.Stop when ctx ends. It touches no shared state, so any number
+// of calls may run concurrently.
 //
 // The job's Cfg may carry a Progress callback (excluded from the key, so
-// observed and unobserved runs share cache entries); the engine overrides
-// it via executeIsolated to splice in JobProgress event forwarding.
-func execute(j *Job, attach func(*gpu.GPU)) (*Result, error) {
+// observed and unobserved runs share cache entries); the engine wraps it
+// via withProgress to splice in JobProgress event forwarding.
+func Simulate(ctx context.Context, _ string, j *Job) (*Result, error) {
 	pf, err := j.Policy.Factory()
 	if err != nil {
 		return nil, err
@@ -200,8 +201,9 @@ func execute(j *Job, attach func(*gpu.GPU)) (*Result, error) {
 		return nil, err
 	}
 	machine := gpu.New(cfg, pf)
-	if attach != nil {
-		attach(machine)
+	defer context.AfterFunc(ctx, machine.Stop)()
+	if ctx.Err() != nil {
+		machine.Stop() // AfterFunc stops from its own goroutine; an expired budget must not race the run
 	}
 	var agg *trace.StallAggregator
 	if j.Stalls {

@@ -11,23 +11,24 @@ import (
 type progressRecorder struct {
 	mu      sync.Mutex
 	samples []trace.ProgressSample
-	ids     []int
 	labels  []string
+	queued  int
 	done    int
 }
 
-func (r *progressRecorder) BatchStart(int)       {}
-func (r *progressRecorder) JobStart(int, string) {}
-func (r *progressRecorder) BatchEnd()            {}
-func (r *progressRecorder) JobDone(int, string, bool, error) {
+func (r *progressRecorder) JobsQueued(n int) {
+	r.mu.Lock()
+	r.queued += n
+	r.mu.Unlock()
+}
+func (r *progressRecorder) JobDone(bool, error) {
 	r.mu.Lock()
 	r.done++
 	r.mu.Unlock()
 }
-func (r *progressRecorder) JobProgress(id int, label string, s trace.ProgressSample) {
+func (r *progressRecorder) JobProgress(label string, s trace.ProgressSample) {
 	r.mu.Lock()
 	r.samples = append(r.samples, s)
-	r.ids = append(r.ids, id)
 	r.labels = append(r.labels, label)
 	r.mu.Unlock()
 }
@@ -59,10 +60,13 @@ func TestEngineForwardsProgressToSink(t *testing.T) {
 	if !last.Final {
 		t.Error("last forwarded sample must be Final")
 	}
-	for i, id := range rec.ids {
-		if id != 0 || rec.labels[i] != "cs-run" {
-			t.Fatalf("sample %d attributed to id=%d label=%q, want 0/%q", i, id, rec.labels[i], "cs-run")
+	for i, label := range rec.labels {
+		if label != "cs-run" {
+			t.Fatalf("sample %d attributed to %q, want %q", i, label, "cs-run")
 		}
+	}
+	if rec.queued != 1 || rec.done != 1 {
+		t.Errorf("sink saw %d queued / %d done, want 1 / 1", rec.queued, rec.done)
 	}
 }
 
@@ -129,13 +133,15 @@ func TestConcurrentJobsOpsAttribution(t *testing.T) {
 	// metrics — exact equality, no tolerance: attribution is either
 	// per-run or it is broken.
 	sums := make([]map[string]int64, len(jobs))
-	for i := range sums {
+	byLabel := map[string]map[string]int64{}
+	for i, j := range jobs {
 		sums[i] = map[string]int64{}
+		byLabel[j.label()] = sums[i]
 	}
 	rec.mu.Lock()
 	for i, s := range rec.samples {
 		for k, v := range s.Ops {
-			sums[rec.ids[i]][k] += v
+			byLabel[rec.labels[i]][k] += v
 		}
 	}
 	rec.mu.Unlock()
@@ -173,7 +179,7 @@ func TestEngineNoEventsNoSampling(t *testing.T) {
 	// sampling callback onto the job.
 	e := &Engine{Jobs: 1, ProgressEvery: 64}
 	j := tinyJob(t, "CS", Baseline())
-	got := e.withProgress(0, j)
+	got := e.withProgress(j)
 	if got != j {
 		t.Fatal("withProgress must return the job unchanged when there is no sink")
 	}

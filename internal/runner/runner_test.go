@@ -1,6 +1,7 @@
 package runner
 
 import (
+	"context"
 	"encoding/json"
 	"errors"
 	"os"
@@ -18,7 +19,7 @@ import (
 
 // tinyJob returns a small but real simulation job (2-SM machine, shrunken
 // grid) so engine tests exercise the actual simulator.
-func tinyJob(t *testing.T, bench string, pol PolicySpec) *Job {
+func tinyJob(t testing.TB, bench string, pol PolicySpec) *Job {
 	t.Helper()
 	p, err := kernels.ProfileByName(bench)
 	if err != nil {
@@ -132,6 +133,67 @@ func TestInflightDedup(t *testing.T) {
 	b.Results[0].Metrics.Config = "mutated"
 	if b.Results[1].Metrics.Config == "mutated" {
 		t.Error("deduped results share memory")
+	}
+}
+
+// TestConcurrentCallersCoalesce: the in-flight entry is engine-wide, so two
+// concurrent Run calls — and two concurrent Dos — on one key execute once,
+// and each caller gets an equal result it alone owns. No cache is mounted:
+// only the flight can have answered the second caller. The executor holds
+// the leader inside the execution until the other caller is parked on it.
+func TestConcurrentCallersCoalesce(t *testing.T) {
+	for name, call := range map[string]func(e *Engine, j *Job) (*Result, error){
+		"Run": func(e *Engine, j *Job) (*Result, error) {
+			b := e.Run([]*Job{j})
+			return b.Results[0], b.Errs[0]
+		},
+		"Do": func(e *Engine, j *Job) (*Result, error) {
+			res, _, err := e.Do(j.Key(SimFingerprint), j)
+			return res, err
+		},
+	} {
+		t.Run(name, func(t *testing.T) {
+			var e *Engine
+			e = &Engine{Exec: func(ctx context.Context, key string, j *Job) (*Result, error) {
+				for deadline := time.Now().Add(30 * time.Second); ; time.Sleep(time.Millisecond) {
+					e.fmu.Lock()
+					waiting := e.flights[key].waiters
+					e.fmu.Unlock()
+					if waiting == 1 || time.Now().After(deadline) {
+						return Simulate(ctx, key, j)
+					}
+				}
+			}}
+			var wg sync.WaitGroup
+			res := make([]*Result, 2)
+			errs := make([]error, 2)
+			for i := range res {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					res[i], errs[i] = call(e, tinyJob(t, "CS", Baseline()))
+				}()
+			}
+			wg.Wait()
+			if errs[0] != nil || errs[1] != nil {
+				t.Fatal(errs)
+			}
+			if st := e.Stats(); st.Submitted != 2 || st.Executed != 1 || st.Deduped != 1 {
+				t.Fatalf("want 1 executed + 1 deduped of 2, got %+v", st)
+			}
+			a, _ := json.Marshal(res[0])
+			b, _ := json.Marshal(res[1])
+			if string(a) != string(b) {
+				t.Error("coalesced callers got different results")
+			}
+			res[0].Metrics.Config = "mutated"
+			if res[1].Metrics.Config == "mutated" {
+				t.Error("coalesced callers share memory")
+			}
+			if n := len(e.flights); n != 0 || e.InFlight() != 0 {
+				t.Errorf("%d flights (%d executing) left after both callers returned", n, e.InFlight())
+			}
+		})
 	}
 }
 
@@ -413,7 +475,7 @@ func TestCacheConcurrentAccess(t *testing.T) {
 	c := NewCache(t.TempDir())
 	j := tinyJob(t, "CS", Baseline())
 	key := j.Key(SimFingerprint)
-	res, err := execute(j, nil)
+	res, err := Simulate(context.Background(), key, j)
 	if err != nil {
 		t.Fatal(err)
 	}

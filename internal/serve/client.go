@@ -199,17 +199,21 @@ func (c *Client) SubmitJob(ctx context.Context, req JobRequest) (*SubmitStatus, 
 
 // StreamEvents subscribes to a job's SSE lifecycle stream, invoking fn
 // for every decoded event until fn returns false, the stream ends, or ctx
-// expires. Returns nil on a clean stop (fn false, or stream closed after
-// a terminal event was delivered) and the transport/decode error
-// otherwise. The fleet coordinator uses this to forward a worker's
-// progress stream upward.
+// expires. Returns nil on a clean stop (fn false, or the stream closed —
+// a draining server closes it before "finish", so callers that need the
+// terminal event check for it) and the transport/decode error otherwise.
+// The stream lives as long as the job: only ctx bounds it, not the HTTP
+// client's request Timeout. The fleet dispatcher follows a worker's job
+// to completion this way.
 func (c *Client) StreamEvents(ctx context.Context, id string, fn func(Event) bool) error {
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.url("/v1/jobs/"+id+"/events"), nil)
 	if err != nil {
 		return err
 	}
 	req.Header.Set("Accept", "text/event-stream")
-	resp, err := c.http().Do(req)
+	hc := *c.http()
+	hc.Timeout = 0
+	resp, err := hc.Do(req)
 	if err != nil {
 		return err
 	}
@@ -293,7 +297,6 @@ const DefaultSubmitChunk = 16
 // statuses into a runner.Batch, making the remote server a drop-in
 // replacement for Engine.Run (internal/experiments uses exactly this).
 func (c *Client) RunJobs(ctx context.Context, jobs []*runner.Job) (*runner.Batch, error) {
-	start := time.Now()
 	reqs := make([]JobRequest, len(jobs))
 	for i, j := range jobs {
 		reqs[i] = RequestFromJob(j)
@@ -324,7 +327,7 @@ func (c *Client) RunJobs(ctx context.Context, jobs []*runner.Job) (*runner.Batch
 		Results: make([]*runner.Result, len(jobs)),
 		Errs:    make([]error, len(jobs)),
 	}
-	b.Stats.Submitted = len(jobs)
+	b.Stats.Submitted = int64(len(jobs))
 	for _, sp := range spans {
 		st, err := c.WaitBatch(ctx, sp.id)
 		if err != nil {
@@ -353,6 +356,5 @@ func (c *Client) RunJobs(ctx context.Context, jobs []*runner.Job) (*runner.Batch
 			}
 		}
 	}
-	b.Stats.Wall = time.Since(start)
 	return b, nil
 }

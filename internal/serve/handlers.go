@@ -185,10 +185,10 @@ func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
 // Shutdown gracefully stops the server: admission closes (new submissions
 // get 503), jobs still waiting in the queue fail fast, and in-flight
 // simulations are given until ctx's deadline to finish on their own.
-// When the deadline expires the engine's cooperative stop path
-// (gpu.Stop via Engine.StopAll) interrupts whatever is still running,
-// and Shutdown waits for the workers to observe it — the simulator
-// checks the flag every event step, so that wait is prompt. Returns
+// When the deadline expires Engine.StopAll interrupts whatever is still
+// executing, and Shutdown waits for the workers to observe it — the
+// simulator checks its stop flag every event step and a dispatcher drops
+// its request, so that wait is prompt. Returns
 // ctx.Err() when the deadline forced a stop, nil on a clean drain.
 // Idempotent.
 func (s *Server) Shutdown(ctx context.Context) error {
@@ -210,9 +210,7 @@ func (s *Server) Shutdown(ctx context.Context) error {
 	case <-done:
 		return nil
 	case <-ctx.Done():
-		if sa, ok := s.runner.(interface{ StopAll() int }); ok {
-			sa.StopAll()
-		}
+		s.engine.StopAll()
 		<-done
 		return ctx.Err()
 	}

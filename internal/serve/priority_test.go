@@ -6,6 +6,7 @@ import (
 	"io"
 	"net/http"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -134,6 +135,50 @@ func TestPreemption(t *testing.T) {
 		t.Fatalf("resubmitted victim finished %s (%s), want done", st.State, st.Error)
 	}
 	_ = s
+}
+
+// TestFailedJobResubmissionReruns: a record that failed for a transient
+// reason must not answer later submissions of the same job with the stale
+// failure. The engine never caches a failure; neither does the record
+// layer — the resubmission runs under a fresh record with the same id.
+func TestFailedJobResubmissionReruns(t *testing.T) {
+	var healthy atomic.Bool
+	eng := &runner.Engine{Cache: runner.NewCache(""), Exec: func(ctx context.Context, key string, j *runner.Job) (*runner.Result, error) {
+		if !healthy.Load() {
+			return nil, runner.ErrJobTimeout // a busy host, a briefly empty fleet
+		}
+		return runner.Simulate(ctx, key, j)
+	}}
+	_, c := newTestServer(t, Config{Engine: eng, Workers: 1})
+	job := tinyJob(t, "CS", runner.Baseline())
+
+	first := submitOne(t, c, job, 0, "")
+	if st := waitJobDone(t, c, first.ID); st.State != stateFailed || !strings.Contains(st.Error, "timeout") {
+		t.Fatalf("first run finished %s (%q), want the injected timeout", st.State, st.Error)
+	}
+
+	healthy.Store(true)
+	again := submitOne(t, c, job, 0, "")
+	if again.ID != first.ID || again.Coalesced {
+		t.Fatalf("resubmission = id %s coalesced %v, want a fresh record under id %s", again.ID, again.Coalesced, first.ID)
+	}
+	if st := waitJobDone(t, c, first.ID); st.State != stateDone || st.Result == nil {
+		t.Fatalf("resubmission finished %s (%q), want done: the stale failure is sticky", st.State, st.Error)
+	}
+	if got := eng.Stats().Executed; got != 2 {
+		t.Errorf("engine executed %d times, want 2 (the failure, then the re-run)", got)
+	}
+
+	// A success, unlike a failure, is worth coalescing onto.
+	if third := submitOne(t, c, job, 0, ""); !third.Coalesced {
+		t.Error("submission after the successful re-run was not coalesced")
+	}
+	body := scrapeMetrics(t, c)
+	for _, want := range []string{"finereg_serve_jobs_failed_total 1", "finereg_serve_jobs_done_total 1"} {
+		if !strings.Contains(body, want) {
+			t.Errorf("metrics missing %q", want)
+		}
+	}
 }
 
 // waitJobDone polls a job until it is terminal.

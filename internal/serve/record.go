@@ -1,7 +1,6 @@
 package serve
 
 import (
-	"errors"
 	"sync"
 	"time"
 
@@ -61,7 +60,6 @@ type record struct {
 	mu        sync.Mutex
 	priority  int   // admission priority; raised by higher-priority duplicates
 	qseq      int64 // admission queue arrival sequence
-	preempted bool  // failed by a higher-priority preemption (resubmission re-runs)
 	state     string
 	seq       int64 // monotone event sequence (history may be pruned)
 	nProgress int   // progress events currently retained in events
@@ -116,11 +114,12 @@ func (r *record) setQueueSeq(s int64) {
 
 func (r *record) clientID() string { return r.client }
 
-// wasPreempted reports a terminal state caused by priority preemption.
-func (r *record) wasPreempted() bool {
+// failed reports a terminal failure; admission re-runs such a job rather
+// than coalescing onto it.
+func (r *record) failed() bool {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	return r.preempted
+	return r.state == stateFailed
 }
 
 func unixMS(t time.Time) int64 {
@@ -244,7 +243,6 @@ func (r *record) finish(res *runner.Result, err error, cached bool) bool {
 	if err != nil {
 		r.state = stateFailed
 		r.errMsg = err.Error()
-		r.preempted = errors.Is(err, errPreempted)
 	} else {
 		r.state = stateDone
 		r.result = res

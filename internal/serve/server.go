@@ -28,46 +28,18 @@ import (
 	"finereg/internal/trace"
 )
 
-// Runner is the dispatch seam: it executes one admitted job to
-// completion and reports (result, served-from-cache, error). The default
-// runs the job on the server's local engine; a fleet coordinator installs
-// a dispatcher that routes the job to a worker node instead
-// (internal/fleet). Implementations may optionally expose
-//
-//	StopAll() int
-//
-// which Shutdown invokes when the drain deadline expires to interrupt
-// whatever is still in flight.
-type Runner interface {
-	RunJob(j *runner.Job) (res *runner.Result, cached bool, err error)
-}
-
-// localRunner executes jobs on the server's own engine — the single-node
-// default for the dispatch seam.
-type localRunner struct{ e *runner.Engine }
-
-func (l localRunner) RunJob(j *runner.Job) (*runner.Result, bool, error) {
-	b := l.e.Run([]*runner.Job{j})
-	cached := b.Stats.CacheHits+b.Stats.Deduped > 0
-	return b.Results[0], cached, b.Errs[0]
-}
-
-func (l localRunner) StopAll() int { return l.e.StopAll() }
-
 // Config sizes the server.
 type Config struct {
-	// Engine executes the jobs; nil builds a default engine with an
-	// in-memory cache. An Events sink the caller set on it (a CLI progress
-	// line) keeps receiving the lifecycle stream; the server's own metrics
-	// read Engine.Stats and the per-record progress callbacks instead.
+	// Engine runs the jobs — every admitted record is one Engine.Do; nil
+	// builds a default engine with an in-memory cache. What Do executes is
+	// the engine's business (Engine.Exec: the local simulator, or a fleet
+	// coordinator's dispatcher). An Events sink the caller set on it (a CLI
+	// progress line) keeps receiving the lifecycle stream; the server's own
+	// metrics read Engine.Stats and the per-record progress callbacks
+	// instead.
 	Engine *runner.Engine
-	// Runner overrides how admitted jobs are executed (nil = run on
-	// Engine). A fleet coordinator supplies a dispatcher here; everything
-	// else — admission, records, SSE, metrics — is unchanged.
-	Runner Runner
-	// Workers is the number of jobs simulated concurrently (<= 0 means
-	// GOMAXPROCS). Each worker drives one single-job engine batch at a
-	// time.
+	// Workers is the number of admitted jobs in Engine.Do at once (<= 0
+	// means GOMAXPROCS).
 	Workers int
 	// QueueCap bounds the admission queue; a submission that does not fit
 	// is shed with a 429 (<= 0 means DefaultQueueCap).
@@ -103,7 +75,6 @@ const (
 type Server struct {
 	cfg    Config
 	engine *runner.Engine
-	runner Runner
 	reg    *metrics.Registry
 	mux    *http.ServeMux
 
@@ -168,16 +139,12 @@ func New(cfg Config) *Server {
 	s := &Server{
 		cfg:     cfg,
 		engine:  cfg.Engine,
-		runner:  cfg.Runner,
 		reg:     metrics.NewRegistry(),
 		records: map[string]*record{},
 		batches: map[string]*batchRecord{},
 		queue:   newAdmitQueue(cfg.QueueCap),
 		drainCh: make(chan struct{}),
 		rates:   map[string]float64{},
-	}
-	if s.runner == nil {
-		s.runner = localRunner{e: s.engine}
 	}
 
 	s.initMetrics()
@@ -248,10 +215,10 @@ func (s *Server) initMetrics() {
 	r.NewGaugeFunc("finereg_engine_inflight_simulations",
 		"Simulations currently executing inside the engine.",
 		func() float64 { return float64(s.engine.InFlight()) })
-	// From the cache's own counters, not Engine.Stats: on a fleet
-	// coordinator nothing executes on the engine, but every dispatch looks
-	// the shared cache up first. On a standalone server the two agree —
-	// every miss is one execution.
+	// From the cache's own counters, not Engine.Stats: a fleet
+	// coordinator's cache also answers its workers' remote-tier lookups,
+	// which never pass through the engine. On a standalone server the two
+	// agree — every miss is one execution.
 	r.NewGaugeFunc("finereg_cache_hit_ratio",
 		"Cache hits over cache lookups (hits + misses).",
 		func() float64 {
@@ -333,9 +300,8 @@ type jobMeta struct {
 // coalesced onto an existing record or enqueued; if the fresh jobs do not
 // all fit in the queue — after preempting any strictly lower-priority
 // queued jobs — nothing is admitted and errQueueFull is returned (a batch
-// is admitted whole or shed whole). meta may be nil (all defaults); when
-// present it must be parallel to jobs. Returns one status per job in
-// input order.
+// is admitted whole or shed whole). meta is parallel to jobs. Returns one
+// status per job in input order.
 func (s *Server) admit(jobs []*runner.Job, meta []jobMeta) ([]SubmitStatus, []*record, error) {
 	out, recs, victims, err := s.admitLocked(jobs, meta)
 	// Victims are failed outside s.mu: completed() re-locks it, and
@@ -361,50 +327,44 @@ func (s *Server) admitLocked(jobs []*runner.Job, meta []jobMeta) ([]SubmitStatus
 		rec       *record
 		coalesced bool
 	}
-	metaAt := func(i int) jobMeta {
-		if meta == nil {
-			return jobMeta{}
-		}
-		return meta[i]
-	}
-	slots := make([]slot, len(jobs))
-	var fresh []*record
-	var replaced []string // ids of preempted records being re-admitted
-	newIDs := map[string]*record{}
-	var raises []struct {
+	type raise struct {
 		rec *record
 		pri int
 	}
+	slots := make([]slot, len(jobs))
+	var fresh []*record
+	var replaced []string // ids of failed records being re-admitted
+	newIDs := map[string]*record{}
+	var raises []raise
 	for i, j := range jobs {
 		key := j.Key(fp)
 		id := jobID(key)
-		if rec, ok := s.records[id]; ok && !rec.wasPreempted() {
+		if rec, ok := s.records[id]; ok && !rec.failed() {
 			slots[i] = slot{rec: rec, coalesced: true}
 			// A higher-priority duplicate promotes the shared record if
 			// it is still waiting in the queue.
-			if p := metaAt(i).priority; p > rec.pri() {
-				raises = append(raises, struct {
-					rec *record
-					pri int
-				}{rec, p})
+			if p := meta[i].priority; p > rec.pri() {
+				raises = append(raises, raise{rec, p})
 			}
 			continue
 		} else if ok {
-			// The earlier incarnation was preempted before running; a
-			// resubmission re-runs it under a fresh record (same id).
+			// The earlier incarnation failed — preempted, timed out, its
+			// fleet briefly empty. Like the engine, the record layer never
+			// caches a failure: a resubmission re-runs under a fresh record
+			// (same id).
 			replaced = append(replaced, id)
 		}
 		if rec, ok := newIDs[id]; ok { // duplicate within this submission
 			slots[i] = slot{rec: rec, coalesced: true}
-			if p := metaAt(i).priority; p > rec.pri() {
+			if p := meta[i].priority; p > rec.pri() {
 				rec.setPriority(p)
 			}
 			continue
 		}
 		rec := newRecord(id, key, j)
 		rec.dropped = s.mSSEDropped
-		rec.client = metaAt(i).client
-		rec.setPriority(metaAt(i).priority)
+		rec.client = meta[i].client
+		rec.setPriority(meta[i].priority)
 		if s.cfg.ProgressEvery > 0 {
 			// In-run sampling: excluded from the job key, so the sampled
 			// job hits the same cache entries as an unsampled twin.
@@ -452,7 +412,7 @@ func (s *Server) admitLocked(jobs []*runner.Job, meta []jobMeta) ([]SubmitStatus
 }
 
 // forgetDoneLocked drops id's completed-record eviction entry when the
-// record is replaced in place (a preempted job being re-admitted), so the
+// record is replaced in place (a failed job being re-admitted), so the
 // stale entry cannot later evict the fresh incarnation.
 func (s *Server) forgetDoneLocked(id string) {
 	for i, d := range s.doneIDs {
@@ -463,8 +423,8 @@ func (s *Server) forgetDoneLocked(id string) {
 	}
 }
 
-// worker executes admitted jobs one at a time through the dispatch seam
-// (the local engine by default, a fleet dispatcher on a coordinator).
+// worker takes admitted records one at a time through Engine.Do, under
+// the key admission already derived.
 func (s *Server) worker() {
 	defer s.wg.Done()
 	for {
@@ -484,7 +444,7 @@ func (s *Server) worker() {
 		}
 		rec.start()
 		s.mInflight.Add(1)
-		res, cached, err := s.runner.RunJob(rec.job)
+		res, cached, err := s.engine.Do(rec.key, rec.job)
 		s.mInflight.Add(-1)
 		if rec.finish(res, err, cached) {
 			s.completed(rec, err == nil)

@@ -9,28 +9,24 @@ import (
 )
 
 // JobSink extends the observability layer from simulated time to harness
-// time: the run engine (internal/runner) reports batch-level job lifecycle
-// events — submission, start, completion, cache hits — through this
-// interface, the batch-scheduling counterpart of Sink's cycle-level stream.
-// The engine serializes calls (one event at a time, from worker
-// goroutines), so implementations need no locking of their own against the
-// engine; Progress locks anyway because CLIs may share it across engines.
+// time: the run engine (internal/runner) reports job lifecycle events —
+// queued, in-run progress, done — through this interface, the
+// job-scheduling counterpart of Sink's cycle-level stream. The engine
+// serializes calls (one event at a time, from worker goroutines), so
+// implementations need no locking of their own against the engine;
+// Progress locks anyway because CLIs may share it across engines.
 type JobSink interface {
-	// BatchStart opens a batch of total jobs.
-	BatchStart(total int)
-	// JobStart: worker began executing job id (a cache miss; cache hits
-	// skip straight to JobDone).
-	JobStart(id int, label string)
-	// JobProgress: an in-flight job emitted a periodic progress sample
-	// (only when progress sampling is enabled; cached and deduped jobs
-	// emit none). Arrives between JobStart and JobDone.
-	JobProgress(id int, label string, sample ProgressSample)
-	// JobDone: job id finished. cached reports whether the result came
-	// from the content-addressed cache (memory or disk) or from a
-	// duplicate in-flight job rather than a fresh simulation.
-	JobDone(id int, label string, cached bool, err error)
-	// BatchEnd closes the batch.
-	BatchEnd()
+	// JobsQueued: n more jobs were handed to the engine (a batch's size, or
+	// 1 for a single served job).
+	JobsQueued(n int)
+	// JobProgress: the executing job labelled label emitted a periodic
+	// progress sample (only when progress sampling is enabled; cached and
+	// deduped jobs emit none).
+	JobProgress(label string, sample ProgressSample)
+	// JobDone: one job finished. cached reports whether the result came
+	// from the content-addressed cache or from a duplicate in-flight job
+	// rather than a fresh execution.
+	JobDone(cached bool, err error)
 }
 
 // ProgressSample is one in-run observation of a simulation, emitted by
@@ -102,23 +98,20 @@ const sampleRenderPeriod = 100 * time.Millisecond
 // NewProgress returns a Progress writing to w (conventionally os.Stderr).
 func NewProgress(w io.Writer) *Progress { return &Progress{w: w} }
 
-// BatchStart implements JobSink.
-func (p *Progress) BatchStart(total int) {
+// JobsQueued implements JobSink.
+func (p *Progress) JobsQueued(n int) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	if p.start.IsZero() {
 		p.start = time.Now()
 	}
-	p.total += total
+	p.total += n
 	p.render()
 }
 
-// JobStart implements JobSink.
-func (p *Progress) JobStart(int, string) {}
-
 // JobProgress implements JobSink: cumulative cycles feed the status
 // line's live rate. Rerenders are throttled to sampleRenderPeriod.
-func (p *Progress) JobProgress(id int, label string, s ProgressSample) {
+func (p *Progress) JobProgress(_ string, s ProgressSample) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	if p.start.IsZero() {
@@ -133,7 +126,7 @@ func (p *Progress) JobProgress(id int, label string, s ProgressSample) {
 }
 
 // JobDone implements JobSink.
-func (p *Progress) JobDone(id int, label string, cached bool, err error) {
+func (p *Progress) JobDone(cached bool, err error) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	p.done++
@@ -143,13 +136,6 @@ func (p *Progress) JobDone(id int, label string, cached bool, err error) {
 	if err != nil {
 		p.failed++
 	}
-	p.render()
-}
-
-// BatchEnd implements JobSink.
-func (p *Progress) BatchEnd() {
-	p.mu.Lock()
-	defer p.mu.Unlock()
 	p.render()
 }
 

@@ -37,9 +37,9 @@ gate() {
 # exceeds go test's default 10-minute timeout under the race detector.
 go test -race -short -timeout 20m ./...
 # Per-layer benchmarks (internal/sm, internal/mem, internal/core,
-# internal/regfile), one iteration each: not a measurement, only proof that
-# they still build and run.
-go test -run '^$' -bench . -benchtime 1x ./internal/sm ./internal/mem ./internal/core ./internal/regfile
+# internal/regfile, internal/runner), one iteration each: not a measurement,
+# only proof that they still build and run.
+go test -run '^$' -bench . -benchtime 1x ./internal/sm ./internal/mem ./internal/core ./internal/regfile ./internal/runner
 # Run-engine gate: a parallel mini-sweep (4 workers + shared cache) under
 # the race detector, end to end through the experiments layer.
 gate 'TestSweepParallelWithCache|TestSweepParallelDeterminism' ./internal/experiments/
@@ -59,6 +59,19 @@ go test -race -count=1 -timeout 10m ./internal/serve/...
 # the single-node engine). -count=1 so the kill/requeue scenario really
 # re-runs every time instead of being answered from the test cache.
 go test -race -count=1 -timeout 10m ./internal/fleet/...
+# One-path gate, by name so a rename cannot silently skip one: concurrent
+# callers coalesce on the engine-wide in-flight entry; a failed record is
+# re-run, not answered from; a coordinator's engine counts what passes
+# through it; and the dispatcher follows a job on the worker's event stream
+# — one status fetch, a stream that ends early requeues, a resubscription
+# relays nothing twice — with the registration body bounded.
+gate 'TestConcurrentCallersCoalesce' ./internal/runner/
+gate 'TestFailedJobResubmissionReruns' ./internal/serve/
+gate 'TestCoordinatorEngineCounts' ./internal/fleet/
+gate 'TestFleetOneStatusFetchPerJob' ./internal/fleet/
+gate 'TestFleetStreamEndRequeues' ./internal/fleet/
+gate 'TestFleetResubscribeCountsOnce' ./internal/fleet/
+gate 'TestRegisterWorkerBodyBounded' ./internal/fleet/
 # Progress gate: the in-run observation path under the race detector —
 # the sampler in gpu.Run, per-job exactness of the Ops deltas (every
 # mapped op of two concurrent jobs sums to its own Metrics), the engine's
