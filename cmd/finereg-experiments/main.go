@@ -19,6 +19,12 @@
 // results in memory only — points still dedup within the invocation, but
 // nothing is read from or written to disk. Progress and a final scheduling
 // summary go to stderr; the tables stay on stdout.
+//
+// With -server the same engine executes on a finereg-serve instance: every
+// flag above keeps its meaning, in front of the server — a cached figure
+// never touches the network — except that -jobs bounds submissions in
+// flight (default 64) rather than local simulations. The tables are
+// byte-identical either way.
 package main
 
 import (
@@ -89,10 +95,14 @@ func main() {
 	eng.Events = progress
 	opts.Runner = eng
 	if *server != "" {
-		// Remote mode: batches go to the finereg-serve instance; the
-		// server's engine owns the workers and the cache, so the local
-		// knobs (-jobs, -cache-dir, -job-timeout) do not apply.
-		opts.Service = &serve.Client{Base: strings.TrimRight(*server, "/")}
+		// The server is the engine's executor, behind its cache, coalescing,
+		// timeout and progress line. -jobs then bounds blocked HTTP waits,
+		// not simulations; GOMAXPROCS of them would starve a server with
+		// more workers than this host has cores.
+		eng.Exec = (&serve.Client{Base: strings.TrimRight(*server, "/")}).Execute
+		if eng.Jobs <= 0 {
+			eng.Jobs = serve.DefaultQueueCap
+		}
 	}
 
 	run := func(id, title string, f func() (interface{ Render() string }, error)) {

@@ -14,8 +14,8 @@
 //	fmt.Println(m.IPC())
 //
 // The root package is a thin facade; the implementation lives under
-// internal/ (isa, liveness, kernels, exec, mem, sm, regfile, core, gpu,
-// energy, stats, experiments).
+// internal/ (isa, liveness, kernels, mem, sm, regfile, core, gpu, energy,
+// stats, experiments).
 package finereg
 
 import (

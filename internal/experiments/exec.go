@@ -1,8 +1,6 @@
 package experiments
 
 import (
-	"context"
-
 	"finereg/internal/energy"
 	"finereg/internal/gpu"
 	"finereg/internal/kernels"
@@ -53,26 +51,13 @@ func (s *jobSet) addTraced(cfg gpu.Config, prof kernels.Profile, grid int, pol r
 	return ref(len(s.jobs) - 1)
 }
 
-// dispatch runs one batch on the configured backend: the remote service
-// when Options.Service is set, the in-process engine otherwise. Jobs are
-// canonical either way, so the backends are interchangeable result-wise.
-func (o Options) dispatch(jobs []*runner.Job) (*runner.Batch, error) {
-	if o.Service != nil {
-		return o.Service.RunJobs(context.Background(), jobs)
-	}
-	return o.engine().Run(jobs), nil
-}
-
 // run executes the set and converts results to Runs (attaching the energy
 // estimate, a pure function of metrics and machine size). A batch with
 // failures aborts with the aggregated error — matching the historical
 // fail-fast behaviour of the serial harness — but everything that could
 // run has run, so a retry after a fix hits the cache for the survivors.
 func (s *jobSet) run() ([]*Run, error) {
-	b, err := s.o.dispatch(s.jobs)
-	if err != nil {
-		return nil, err
-	}
+	b := s.o.engine().Run(s.jobs)
 	if err := b.Err(); err != nil {
 		return nil, err
 	}

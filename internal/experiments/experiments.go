@@ -15,7 +15,6 @@ import (
 	"finereg/internal/gpu"
 	"finereg/internal/kernels"
 	"finereg/internal/runner"
-	"finereg/internal/serve"
 	"finereg/internal/stats"
 )
 
@@ -34,14 +33,10 @@ type Options struct {
 	// Runner executes the simulations. nil uses a fresh default engine
 	// per experiment (GOMAXPROCS workers, no cache); share one Engine
 	// with a cache across experiments to dedup repeated points between
-	// figures — finereg-experiments does exactly that.
+	// figures — finereg-experiments does exactly that. What the engine
+	// executes on is its own business (Engine.Exec): the in-process
+	// simulator, or a remote finereg-serve; the tables are byte-identical.
 	Runner *runner.Engine
-	// Service, when set, sends every batch to a remote finereg-serve
-	// instance instead of the in-process engine (Runner is then ignored).
-	// Jobs cross the wire in exact form, so keys, dedup, and caching
-	// behave identically to a local run — the tables come back
-	// byte-identical.
-	Service *serve.Client
 	// Audit enables the runtime invariant auditor (internal/audit) on
 	// every simulation. Audited and unaudited runs cache separately (the
 	// flag is part of gpu.Config and therefore of the job key).

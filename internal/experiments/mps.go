@@ -105,10 +105,7 @@ func MPS(opts Options, pairs []MPSPair) (*MPSResult, error) {
 		}
 	}
 
-	b, err := opts.dispatch(jobs)
-	if err != nil {
-		return nil, err
-	}
+	b := opts.engine().Run(jobs)
 	if err := b.Err(); err != nil {
 		return nil, err
 	}

@@ -82,7 +82,6 @@ func (r *Figure17Result) Best() int {
 		if p > r.NormPerf[best] {
 			best = i
 		}
-		_ = i
 	}
 	return best
 }

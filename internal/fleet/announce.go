@@ -1,13 +1,12 @@
 package fleet
 
 import (
-	"bytes"
 	"context"
-	"encoding/json"
 	"fmt"
-	"io"
 	"net/http"
 	"time"
+
+	"finereg/internal/serve"
 )
 
 // RegisterWorker announces a worker's base URL to a coordinator (POST
@@ -19,24 +18,9 @@ func RegisterWorker(ctx context.Context, coordinator, self string, hc *http.Clie
 	if hc == nil {
 		hc = &http.Client{Timeout: 10 * time.Second}
 	}
-	body, err := json.Marshal(registerBody{URL: self})
-	if err != nil {
-		return err
-	}
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost,
-		coordinator+"/v1/fleet/workers", bytes.NewReader(body))
-	if err != nil {
-		return err
-	}
-	req.Header.Set("Content-Type", "application/json")
-	resp, err := hc.Do(req)
-	if err != nil {
-		return err
-	}
-	io.Copy(io.Discard, resp.Body)
-	resp.Body.Close()
-	if resp.StatusCode >= 300 {
-		return fmt.Errorf("fleet: coordinator rejected registration: HTTP %d", resp.StatusCode)
+	c := serve.Client{Base: coordinator, HTTP: hc}
+	if err := c.Call(ctx, http.MethodPost, "/v1/fleet/workers", registerBody{URL: self}, nil); err != nil {
+		return fmt.Errorf("fleet: registering with coordinator %s: %w", coordinator, err)
 	}
 	return nil
 }

@@ -1,13 +1,14 @@
 package fleet
 
 import (
-	"bytes"
+	"context"
 	"encoding/json"
 	"io"
 	"net/http"
 	"time"
 
 	"finereg/internal/runner"
+	"finereg/internal/serve"
 )
 
 // The remote-cache wire protocol: results keyed by the same hex SHA-256
@@ -93,26 +94,20 @@ type CacheClient struct {
 
 var _ runner.RemoteTier = (*CacheClient)(nil)
 
-func (c *CacheClient) http() *http.Client {
-	if c.HTTP != nil {
-		return c.HTTP
+// client is the request builder over c's coordinator and transport.
+func (c *CacheClient) client() *serve.Client {
+	hc := c.HTTP
+	if hc == nil {
+		hc = &http.Client{Timeout: 10 * time.Second}
 	}
-	return &http.Client{Timeout: 10 * time.Second}
+	return &serve.Client{Base: c.Base, HTTP: hc}
 }
 
 // Get fetches key from the coordinator; any failure is a miss.
 func (c *CacheClient) Get(key string) (*runner.Result, bool) {
-	resp, err := c.http().Get(c.Base + "/v1/cache/" + key)
-	if err != nil {
-		return nil, false
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return nil, false
-	}
 	var res runner.Result
-	if err := json.NewDecoder(io.LimitReader(resp.Body, maxCacheBody)).Decode(&res); err != nil ||
-		res.Metrics == nil {
+	err := c.client().Call(context.Background(), http.MethodGet, "/v1/cache/"+key, nil, &res)
+	if err != nil || res.Metrics == nil {
 		return nil, false
 	}
 	return &res, true
@@ -120,19 +115,5 @@ func (c *CacheClient) Get(key string) (*runner.Result, bool) {
 
 // Put stores key on the coordinator, best effort.
 func (c *CacheClient) Put(key string, r *runner.Result) {
-	body, err := json.Marshal(r)
-	if err != nil {
-		return
-	}
-	req, err := http.NewRequest(http.MethodPut, c.Base+"/v1/cache/"+key, bytes.NewReader(body))
-	if err != nil {
-		return
-	}
-	req.Header.Set("Content-Type", "application/json")
-	resp, err := c.http().Do(req)
-	if err != nil {
-		return
-	}
-	io.Copy(io.Discard, resp.Body)
-	resp.Body.Close()
+	c.client().Call(context.Background(), http.MethodPut, "/v1/cache/"+key, r, nil)
 }

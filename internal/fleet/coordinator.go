@@ -8,6 +8,7 @@ import (
 	"net/http"
 	"net/url"
 	"runtime"
+	"sync"
 	"time"
 
 	"finereg/internal/runner"
@@ -64,6 +65,8 @@ type Coordinator struct {
 
 	probeStop chan struct{}
 	probeDone chan struct{}
+	stopOnce  sync.Once
+	stopErr   error // the first Shutdown's drain result
 }
 
 // NewCoordinator builds and starts a coordinator.
@@ -133,13 +136,15 @@ func (c *Coordinator) ServeHTTP(w http.ResponseWriter, r *http.Request) { c.srv.
 
 // Shutdown stops probing, drains the embedded server (at the deadline its
 // engine's StopAll cancels the outstanding dispatches), and closes the
-// dispatcher.
+// dispatcher. Idempotent: a repeated call returns the first call's result.
 func (c *Coordinator) Shutdown(ctx context.Context) error {
-	close(c.probeStop)
-	<-c.probeDone
-	err := c.srv.Shutdown(ctx)
-	c.disp.Close()
-	return err
+	c.stopOnce.Do(func() {
+		close(c.probeStop)
+		<-c.probeDone
+		c.stopErr = c.srv.Shutdown(ctx)
+		c.disp.Close()
+	})
+	return c.stopErr
 }
 
 func (c *Coordinator) probeLoop(every time.Duration) {
@@ -206,7 +211,7 @@ func (c *Coordinator) initMetrics() {
 		"Dispatches pulled from another node's backlog by an idle node.",
 		func() int64 { return c.disp.Stats().Stolen })
 	r.NewCounterFunc("finereg_fleet_requeued_total",
-		"Jobs requeued after their worker stopped answering.",
+		"Jobs requeued after their worker stopped answering or shed them.",
 		func() int64 { return c.disp.Stats().Requeued })
 	r.NewGaugeFunc("finereg_fleet_nodes_alive",
 		"Worker nodes currently considered live.",

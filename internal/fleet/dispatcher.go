@@ -28,7 +28,9 @@ import (
 // errors while dispatching or following a job, or failed liveness probes —
 // is marked down and its queued and in-flight jobs are requeued onto
 // survivors; the serving record's at-most-once commit keeps a presumed-dead
-// node's late result from double-finishing a job.
+// node's late result from double-finishing a job. A node that sheds a job
+// (429: its admission queue is full) is busy, not lost: that one task is
+// requeued and the node stays up.
 type Dispatcher struct {
 	cfg    DispatcherConfig
 	ctx    context.Context
@@ -102,9 +104,13 @@ type taskResult struct {
 	err error
 }
 
-// errNodeLost is the puller-internal signal that a worker stopped
-// answering mid-job; the task is requeued, never failed, on this path.
-var errNodeLost = errors.New("fleet: worker node lost")
+// errNodeLost and errNodeBusy are the puller-internal signals that a worker
+// stopped answering mid-job, or shed the job because its queue was full; the
+// task is requeued, never failed, on these paths.
+var (
+	errNodeLost = errors.New("fleet: worker node lost")
+	errNodeBusy = errors.New("fleet: worker node busy")
+)
 
 // NewDispatcher builds an empty dispatcher; add workers with AddNode.
 func NewDispatcher(cfg DispatcherConfig) *Dispatcher {
@@ -215,9 +221,12 @@ func (d *Dispatcher) next(n *node) (*task, bool) {
 				n.inflight++
 				return t, false
 			}
+			// Never steal back a task this node already shed or failed: the
+			// requeue just took it elsewhere.
 			var victim *node
 			for _, o := range d.nodes {
-				if o != n && len(o.queue) > 0 && (victim == nil || len(o.queue) > len(victim.queue)) {
+				if o != n && len(o.queue) > 0 && !o.queue[0].tried[n.url] &&
+					(victim == nil || len(o.queue) > len(victim.queue)) {
 					victim = o
 				}
 			}
@@ -248,18 +257,20 @@ func (d *Dispatcher) puller(n *node) {
 		res, err := d.runOn(n, t)
 		d.mu.Lock()
 		n.inflight--
-		lost := errors.Is(err, errNodeLost)
+		lost, busy := errors.Is(err, errNodeLost), errors.Is(err, errNodeBusy)
 		if lost {
 			// The node stopped answering mid-job: demote it and requeue
 			// this task (and its queued backlog) onto survivors. If the
 			// node actually finished the job, the serving record's
 			// at-most-once commit discards the late twin result.
 			d.markDownLocked(n)
+		}
+		if lost || busy {
 			d.requeueLocked(t, n)
 			d.cond.Broadcast()
 		}
 		d.mu.Unlock()
-		if !lost {
+		if !lost && !busy {
 			t.res <- taskResult{res: res, err: err}
 		}
 	}
@@ -285,83 +296,47 @@ func (d *Dispatcher) requeueLocked(t *task, from *node) {
 	}
 }
 
-// runOn executes t on n: submit, follow the worker's event stream to its
-// "finish" event (relaying progress samples on the way), then fetch the
-// status once for the result. errNodeLost (wrapped) means "requeue
-// elsewhere"; any other error is the job's own failure.
+// runOn executes t on n and makes the classification only a dispatcher
+// can: which of the outcomes serve.Client.Run reports mean "take the task
+// elsewhere". A worker that stopped answering, lost the job, keys it under
+// another fingerprint, or is draining (503) is errNodeLost; one whose
+// admission queue is full (429) is errNodeBusy; any other rejection, and
+// the job's own failure, are the task's result. The job's Progress
+// callback is the one serve installed at admission, so the samples Run
+// relays surface through the coordinator's SSE and rate gauges exactly as
+// if the job ran locally.
 func (d *Dispatcher) runOn(n *node, t *task) (*runner.Result, error) {
-	st, err := n.client.SubmitJob(t.ctx, serve.RequestFromJob(t.job))
-	if err != nil {
-		var ae *serve.APIError
-		if errors.As(err, &ae) {
-			// The worker answered: a rejection, not a dead node. 429
-			// (worker queue full) retries on another node; anything else
-			// is the job's failure.
-			if ae.Status == http.StatusTooManyRequests || ae.Status == http.StatusServiceUnavailable {
-				return nil, fmt.Errorf("%w: %s shed the job: %v", errNodeLost, n.url, err)
-			}
-			return nil, fmt.Errorf("fleet: worker %s rejected job: %w", n.url, err)
-		}
-		return nil, lost(n, t, "submitting", err)
-	}
-
-	// The job's Progress callback is the one serve installed at admission,
-	// so relayed samples surface through the coordinator's SSE and rate
-	// gauges exactly as if the job ran locally. A stream that breaks, or
-	// ends without "finish" (a draining worker closes it so), is one failed
-	// attempt; resubscribing replays the record's history, and seen skips
-	// what was already relayed so no sample is counted twice.
-	var seen int64
-	for fails := 0; ; {
-		fresh, finished := false, false
-		err := n.client.StreamEvents(t.ctx, st.ID, func(ev serve.Event) bool {
-			if ev.Seq <= seen {
-				return true
-			}
-			seen, fresh = ev.Seq, true
-			if ev.Kind == "progress" && t.job.Cfg.Progress != nil {
-				t.job.Cfg.Progress(ev.Sample())
-			}
-			finished = ev.Kind == "finish"
-			return !finished
-		})
-		if finished {
-			break
-		}
-		if err == nil {
-			err = errors.New("event stream ended before finish")
-		}
-		if fresh {
-			fails = 0
-		}
-		// An answering worker that no longer knows the job (e.g. restarted
-		// in between) is lost at once, a silent one after DownAfter
-		// attempts in a row that delivered nothing new.
-		var ae *serve.APIError
-		if fails++; errors.As(err, &ae) || fails >= d.cfg.DownAfter || t.ctx.Err() != nil {
-			return nil, lost(n, t, "following job "+st.ID, err)
-		}
-	}
-
-	js, err := n.client.JobStatus(t.ctx, st.ID)
+	res, err := n.client.Run(t.ctx, t.key, t.job, d.cfg.DownAfter)
+	var le *serve.LostError
+	var ae *serve.APIError
 	switch {
-	case err != nil:
-		return nil, lost(n, t, "fetching job "+st.ID, err)
-	case js.State == "failed":
-		return nil, fmt.Errorf("fleet: worker %s: %s", n.url, js.Error)
-	case js.Result == nil:
-		return nil, fmt.Errorf("fleet: worker %s finished job %s without a result", n.url, st.ID)
+	case err == nil:
+		return res, nil
+	case errors.As(err, &le):
+		return nil, fmt.Errorf("%w: %s: %v", errNodeLost, n.url, err)
+	case !errors.As(err, &ae):
+		return nil, fmt.Errorf("fleet: worker %s: %w", n.url, err)
+	case ae.Status == http.StatusServiceUnavailable:
+		return nil, fmt.Errorf("%w: %s is draining: %v", errNodeLost, n.url, err)
+	case ae.Status != http.StatusTooManyRequests:
+		return nil, fmt.Errorf("fleet: worker %s rejected job: %w", n.url, err)
 	}
-	return js.Result, nil
-}
-
-// lost classifies a failed exchange with n: the task's own cancellation
-// if its context ended, otherwise errNodeLost — requeue elsewhere.
-func lost(n *node, t *task, doing string, err error) error {
-	if t.ctx.Err() != nil {
-		return t.ctx.Err()
+	// Shed. Another node takes the task if one has not shed it yet;
+	// otherwise the whole fleet is full, and going round again at once
+	// would only be shed again — wait the shed out first, on this slot of
+	// the node that is too busy to use it.
+	d.mu.Lock()
+	elsewhere := false
+	for url, o := range d.nodes {
+		elsewhere = elsewhere || (o != n && o.alive && !t.tried[url])
 	}
-	return fmt.Errorf("%w: %s %s: %v", errNodeLost, n.url, doing, err)
+	d.mu.Unlock()
+	if !elsewhere {
+		if err := n.client.WaitShed(t.ctx, ae); err != nil {
+			return nil, err
+		}
+	}
+	return nil, fmt.Errorf("%w: %s shed the job: %v", errNodeBusy, n.url, err)
 }
 
 // ProbeAll checks every node's /healthz once, reviving answering nodes
@@ -381,7 +356,9 @@ func (d *Dispatcher) ProbeAll() {
 		wg.Add(1)
 		go func(n *node) {
 			defer wg.Done()
-			ok := d.probe(n.url)
+			// A 2xx from /healthz; a draining worker answers 503 and
+			// correctly reads as not-accepting-work.
+			ok := n.client.Call(d.ctx, http.MethodGet, "/healthz", nil, nil) == nil
 			d.mu.Lock()
 			defer d.mu.Unlock()
 			if ok {
@@ -393,21 +370,6 @@ func (d *Dispatcher) ProbeAll() {
 		}(n)
 	}
 	wg.Wait()
-}
-
-// probe is one liveness check: a 200 from /healthz. A draining worker
-// answers 503 and correctly reads as not-accepting-work.
-func (d *Dispatcher) probe(url string) bool {
-	req, err := http.NewRequestWithContext(d.ctx, http.MethodGet, url+"/healthz", nil)
-	if err != nil {
-		return false
-	}
-	resp, err := d.cfg.HTTP.Do(req)
-	if err != nil {
-		return false
-	}
-	resp.Body.Close()
-	return resp.StatusCode == http.StatusOK
 }
 
 // DispatcherStats is a point-in-time counter snapshot.

@@ -113,7 +113,7 @@ func newCoordinator(t *testing.T, cfg CoordinatorConfig, workers ...*testWorker)
 		defer cancel()
 		c.Shutdown(ctx)
 	})
-	return c, &serve.Client{Base: hs.URL, PollInterval: 5 * time.Millisecond, ShedBackoff: 5 * time.Millisecond}
+	return c, &serve.Client{Base: hs.URL, ShedBackoff: 5 * time.Millisecond}
 }
 
 func mustJSON(t *testing.T, v any) []byte {
@@ -153,12 +153,9 @@ func TestFleetByteIdenticalSweep(t *testing.T) {
 	wB := newWorker(t, "", nil)
 	coord, client := newCoordinator(t, CoordinatorConfig{}, wA, wB)
 
-	fleetRun, err := client.RunJobs(context.Background(), jobs)
+	fleetRun, err := runAll(client, jobs...)
 	if err != nil {
 		t.Fatalf("fleet run: %v", err)
-	}
-	if err := fleetRun.Err(); err != nil {
-		t.Fatalf("fleet batch: %v", err)
 	}
 	assertSameResults(t, jobs, direct, fleetRun)
 
@@ -194,12 +191,9 @@ func TestFleetByteIdenticalSweep(t *testing.T) {
 
 	// Warm repeat: same sweep again — answered by the coordinator
 	// (coalesced records / shared cache), no new simulations anywhere.
-	again, err := client.RunJobs(context.Background(), jobs)
+	again, err := runAll(client, jobs...)
 	if err != nil {
 		t.Fatalf("repeat run: %v", err)
-	}
-	if err := again.Err(); err != nil {
-		t.Fatal(err)
 	}
 	assertSameResults(t, jobs, direct, again)
 	if a, b := wA.eng.Stats().Executed, wB.eng.Stats().Executed; a != execA || b != execB {
@@ -235,7 +229,7 @@ func TestFleetRemoteCacheTier(t *testing.T) {
 
 	wA := newWorker(t, "", nil)
 	coord, client := newCoordinator(t, CoordinatorConfig{}, wA)
-	if _, err := client.RunJobs(context.Background(), jobs); err != nil {
+	if _, err := runAll(client, jobs...); err != nil {
 		t.Fatalf("warming run: %v", err)
 	}
 	if got := coord.Cache().Stats(); got.Misses == 0 {
@@ -246,13 +240,10 @@ func TestFleetRemoteCacheTier(t *testing.T) {
 	// the sweep directly to it, as a fleet worker would see it.
 	coordURL := client.Base
 	wCold := newWorker(t, coordURL, nil)
-	coldClient := &serve.Client{Base: wCold.hs.URL, PollInterval: 5 * time.Millisecond}
-	got, err := coldClient.RunJobs(context.Background(), jobs)
+	coldClient := &serve.Client{Base: wCold.hs.URL}
+	got, err := runAll(coldClient, jobs...)
 	if err != nil {
 		t.Fatalf("cold worker run: %v", err)
-	}
-	if err := got.Err(); err != nil {
-		t.Fatal(err)
 	}
 	assertSameResults(t, jobs, direct, got)
 
@@ -282,7 +273,7 @@ func TestFleetRemoteCacheTier(t *testing.T) {
 	}
 
 	// Back-fill: the same sweep again is now local (mem), not remote.
-	if _, err := coldClient.RunJobs(context.Background(), jobs); err != nil {
+	if _, err := runAll(coldClient, jobs...); err != nil {
 		t.Fatal(err)
 	}
 	if cs2 := wCold.eng.Cache.Stats(); cs2.RemoteHits != cs.RemoteHits {
@@ -352,10 +343,7 @@ func TestFleetWorkStealing(t *testing.T) {
 
 	resCh := make(chan error, 1)
 	go func() {
-		b, err := client.RunJobs(context.Background(), jobs)
-		if err == nil {
-			err = b.Err()
-		}
+		_, err := runAll(client, jobs...)
 		resCh <- err
 	}()
 
@@ -418,7 +406,7 @@ func TestFleetWorkerFailureRequeue(t *testing.T) {
 	}
 	resCh := make(chan runOut, 1)
 	go func() {
-		b, err := client.RunJobs(context.Background(), jobs)
+		b, err := runAll(client, jobs...)
 		resCh <- runOut{b, err}
 	}()
 
@@ -438,9 +426,6 @@ func TestFleetWorkerFailureRequeue(t *testing.T) {
 	out := <-resCh
 	if out.err != nil {
 		t.Fatalf("sweep across worker failure: %v", out.err)
-	}
-	if err := out.b.Err(); err != nil {
-		t.Fatalf("sweep across worker failure: %v", err)
 	}
 	assertSameResults(t, jobs, direct, out.b)
 

@@ -15,15 +15,13 @@ import (
 	"finereg/internal/trace"
 )
 
-// runAll pushes jobs through a coordinator client, folding the batch's
-// failures into err (callable off the test goroutine: it reports, never
-// fails the test).
+// runAll pushes jobs through a coordinator client the way users do — an
+// engine whose executor is client.Execute, every job in flight at once —
+// and returns the batch with its aggregated failure (callable off the test
+// goroutine: it reports, never fails the test).
 func runAll(client *serve.Client, jobs ...*runner.Job) (*runner.Batch, error) {
-	b, err := client.RunJobs(context.Background(), jobs)
-	if err == nil {
-		err = b.Err()
-	}
-	return b, err
+	b := (&runner.Engine{Jobs: len(jobs), Exec: client.Execute}).Run(jobs)
+	return b, b.Err()
 }
 
 // runOne is runAll for a single job's result.
@@ -325,5 +323,158 @@ func TestRegisterWorkerBodyBounded(t *testing.T) {
 	}
 	if nodes := coord.Dispatcher().NodeStatuses(); len(nodes) != 1 {
 		t.Errorf("fleet has %d nodes after one good registration, want 1: %+v", len(nodes), nodes)
+	}
+}
+
+// shedFront is a worker front that answers POST /v1/jobs with 429 whenever
+// shed says so for the nth such request (counting from 1), and counts the
+// sheds.
+func shedFront(sheds *atomic.Int64, shed func(nth int64) bool) func(http.Handler) http.Handler {
+	var posts atomic.Int64
+	return func(next http.Handler) http.Handler {
+		return http.HandlerFunc(func(rw http.ResponseWriter, r *http.Request) {
+			if r.Method == http.MethodPost && r.URL.Path == "/v1/jobs" && shed(posts.Add(1)) {
+				sheds.Add(1)
+				http.Error(rw, `{"error":"serve: admission queue full"}`, http.StatusTooManyRequests)
+				return
+			}
+			next.ServeHTTP(rw, r)
+		})
+	}
+}
+
+// quickShedWait shortens the dispatcher's shed backoff on every node.
+func quickShedWait(d *Dispatcher) {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	for _, n := range d.nodes {
+		n.client.ShedBackoff = 5 * time.Millisecond
+	}
+}
+
+// TestFleetShedRequeuesWithoutDemoting: a 429 from a worker means its
+// admission queue was full for a moment, not that it is gone. The shed task
+// alone is requeued — onto another node when there is one, back onto the
+// same node after the shed wait when there is not — and the worker stays
+// up, keeps its backlog, and the job completes.
+func TestFleetShedRequeuesWithoutDemoting(t *testing.T) {
+	t.Run("one worker", func(t *testing.T) {
+		var sheds atomic.Int64
+		w := startWorker(t, workerOpts{front: shedFront(&sheds, func(nth int64) bool { return nth == 1 })})
+		t.Cleanup(w.stop)
+		coord, client := newCoordinator(t, CoordinatorConfig{}, w)
+		quickShedWait(coord.Dispatcher())
+
+		if _, err := runOne(client, tinyJob(t, "CS", runner.Baseline())); err != nil {
+			t.Fatalf("job across one shed from the only worker: %v", err)
+		}
+		if ns := coord.Dispatcher().NodeStatuses(); !ns[0].Alive {
+			t.Error("one 429 took the only worker out of the fleet")
+		}
+		if st := coord.Dispatcher().Stats(); sheds.Load() != 1 || st.Requeued != 1 || st.Dispatched != 2 {
+			t.Errorf("%d sheds, stats %+v; want one shed, one requeue, two dispatches", sheds.Load(), st)
+		}
+		if n := w.eng.Stats().Executed; n != 1 {
+			t.Errorf("worker executed %d jobs, want 1", n)
+		}
+	})
+
+	t.Run("two workers", func(t *testing.T) {
+		var sheds atomic.Int64
+		wA := startWorker(t, workerOpts{front: shedFront(&sheds, func(int64) bool { return true })})
+		t.Cleanup(wA.stop)
+		wB := newWorker(t, "", nil)
+		coord, client := newCoordinator(t, CoordinatorConfig{}, wA)
+		quickShedWait(coord.Dispatcher())
+
+		// The worker that takes jobs joins once the one that sheds them all
+		// has shed at least one (an idle B would steal the whole backlog).
+		jobs := corpus(t)[:3]
+		done := make(chan error, 1)
+		go func() {
+			_, err := runAll(client, jobs...)
+			done <- err
+		}()
+		for deadline := time.Now().Add(30 * time.Second); sheds.Load() == 0; time.Sleep(time.Millisecond) {
+			if time.Now().After(deadline) {
+				t.Fatal("no submission reached the shedding worker")
+			}
+		}
+		if err := coord.AddWorker(wB.hs.URL); err != nil {
+			t.Fatal(err)
+		}
+		if err := <-done; err != nil {
+			t.Fatalf("sweep placed on a worker that sheds everything: %v", err)
+		}
+		for _, ns := range coord.Dispatcher().NodeStatuses() {
+			if !ns.Alive {
+				t.Errorf("worker %s marked down; shedding is busy, not lost", ns.URL)
+			}
+		}
+		// Each shed is exactly one requeue: no backlog moved with it.
+		if st := coord.Dispatcher().Stats(); st.Requeued != sheds.Load() {
+			t.Errorf("%d sheds, stats %+v; want each shed requeued once and nothing else", sheds.Load(), st)
+		}
+		if a, b := wA.eng.Stats().Executed, wB.eng.Stats().Executed; a != 0 || b != int64(len(jobs)) {
+			t.Errorf("executed %d on the shedding worker and %d on the other, want 0 and %d", a, b, len(jobs))
+		}
+	})
+}
+
+// TestFleetSkewedWorkerNeverCommits: a worker that keys jobs under another
+// simulator fingerprint (an older binary) simulates another model. Its
+// result must never be committed under the coordinator's key: the mismatch
+// is the worker's fault, so it is demoted and the job goes elsewhere — or
+// fails, when there is nowhere else.
+func TestFleetSkewedWorkerNeverCommits(t *testing.T) {
+	job := tinyJob(t, "CS", runner.Baseline())
+	direct := (&runner.Engine{}).Run([]*runner.Job{job})
+	if err := direct.Err(); err != nil {
+		t.Fatal(err)
+	}
+	key := job.Key(runner.SimFingerprint)
+
+	stale := newWorker(t, "", nil)
+	stale.eng.Cache.Fingerprint = "finereg-sim-OLD"
+	coord, client := newCoordinator(t, CoordinatorConfig{}, stale)
+
+	if _, err := runOne(client, job); err == nil {
+		t.Error("a fleet of one version-skewed worker returned a result")
+	}
+	if _, _, ok := coord.Cache().Get(key); ok {
+		t.Fatal("the skewed worker's result was committed under the current key")
+	}
+	if ns := coord.Dispatcher().NodeStatuses(); ns[0].Alive {
+		t.Error("the skewed worker is still in the fleet")
+	}
+
+	current := newWorker(t, "", nil)
+	if err := coord.AddWorker(current.hs.URL); err != nil {
+		t.Fatal(err)
+	}
+	res, err := runOne(client, job)
+	if err != nil {
+		t.Fatalf("job with a current worker in the fleet: %v", err)
+	}
+	if !bytes.Equal(mustJSON(t, direct.Results[0]), mustJSON(t, res)) {
+		t.Error("result differs from a direct run")
+	}
+	if n := current.eng.Stats().Executed; n != 1 {
+		t.Errorf("current worker executed %d jobs, want 1", n)
+	}
+	if cached, _, ok := coord.Cache().Get(key); !ok || !bytes.Equal(mustJSON(t, direct.Results[0]), mustJSON(t, cached)) {
+		t.Error("the coordinator's cache does not hold the current model's result under the current key")
+	}
+}
+
+// TestCoordinatorShutdownTwice: Shutdown is called from deferred paths, so
+// a second call must be a no-op returning the first call's result, like
+// the serve.Server.Shutdown it wraps.
+func TestCoordinatorShutdownTwice(t *testing.T) {
+	c := NewCoordinator(CoordinatorConfig{})
+	for call := 1; call <= 2; call++ {
+		if err := c.Shutdown(context.Background()); err != nil {
+			t.Errorf("Shutdown call %d: %v", call, err)
+		}
 	}
 }

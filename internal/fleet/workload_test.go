@@ -1,7 +1,6 @@
 package fleet
 
 import (
-	"context"
 	"testing"
 
 	"finereg/internal/gpu"
@@ -48,12 +47,9 @@ func TestFleetRunsProgramJobs(t *testing.T) {
 
 	w := newWorker(t, "", nil)
 	_, client := newCoordinator(t, CoordinatorConfig{}, w)
-	fleetRun, err := client.RunJobs(context.Background(), jobs)
+	fleetRun, err := runAll(client, jobs...)
 	if err != nil {
 		t.Fatalf("fleet run: %v", err)
-	}
-	if err := fleetRun.Err(); err != nil {
-		t.Fatalf("fleet batch: %v", err)
 	}
 	assertSameResults(t, jobs, direct, fleetRun)
 	if len(fleetRun.Results[2].Segments) != 2 {

@@ -11,7 +11,6 @@ import (
 	"math/rand/v2"
 	"net/http"
 	"strconv"
-	"strings"
 	"time"
 
 	"finereg/internal/runner"
@@ -26,12 +25,10 @@ type Client struct {
 	Base string
 	// HTTP is the transport (nil = http.DefaultClient).
 	HTTP *http.Client
-	// PollInterval paces WaitBatch status polls (0 = 250ms).
-	PollInterval time.Duration
-	// ShedBackoff paces retries after a 429 load shed (0 = 1s; the
-	// server's Retry-After header, when present, takes precedence). The
-	// actual sleep is jittered uniformly over [wait/2, wait] so a herd of
-	// clients shed together does not retry in lockstep.
+	// ShedBackoff paces retries after a load shed (0 = 1s; the server's
+	// Retry-After header, when present, takes precedence). The actual sleep
+	// is jittered uniformly over [wait/2, wait] so a herd of clients shed
+	// together does not retry in lockstep.
 	ShedBackoff time.Duration
 	// Priority is applied to every submitted job (see
 	// JobRequest.Priority). Zero is the default priority.
@@ -48,13 +45,13 @@ func (c *Client) http() *http.Client {
 	return http.DefaultClient
 }
 
-func (c *Client) url(path string) string { return c.Base + path }
-
-// APIError is a non-2xx server response: the HTTP status plus the decoded
-// error envelope (429 responses carry queue depth/capacity).
+// APIError is a non-2xx server response: the HTTP status, the decoded
+// error envelope (429 responses carry queue depth/capacity) and the
+// Retry-After header, if any.
 type APIError struct {
-	Status int
-	Body   errorBody
+	Status     int
+	Body       errorBody
+	RetryAfter string
 }
 
 // Error implements error.
@@ -68,56 +65,73 @@ func (e *APIError) Error() string {
 // apiError decodes a non-2xx response into an *APIError.
 func apiError(resp *http.Response) error {
 	body, _ := io.ReadAll(io.LimitReader(resp.Body, 4096))
-	ae := &APIError{Status: resp.StatusCode}
+	ae := &APIError{Status: resp.StatusCode, RetryAfter: resp.Header.Get("Retry-After")}
 	if json.Unmarshal(body, &ae.Body) != nil || ae.Body.Error == "" {
 		ae.Body.Error = string(bytes.TrimSpace(body))
 	}
 	return ae
 }
 
-func (c *Client) postJSON(ctx context.Context, path string, in, out any) (*http.Response, error) {
-	body, err := json.Marshal(in)
-	if err != nil {
-		return nil, err
-	}
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, c.url(path), bytes.NewReader(body))
-	if err != nil {
-		return nil, err
-	}
-	req.Header.Set("Content-Type", "application/json")
-	resp, err := c.http().Do(req)
-	if err != nil {
-		return nil, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode >= 300 {
-		return resp, apiError(resp)
-	}
-	if out != nil {
-		if err := json.NewDecoder(resp.Body).Decode(out); err != nil {
-			return resp, fmt.Errorf("serve: decoding %s response: %w", path, err)
-		}
-	}
-	return resp, nil
-}
+// maxResponseBytes bounds every response Call decodes. The largest thing a
+// server returns is a Result — a metrics struct plus optional per-window
+// floats — far below this.
+const maxResponseBytes = 16 << 20
 
-func (c *Client) getJSON(ctx context.Context, path string, out any) error {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.url(path), nil)
+// Call is the one place a request to a server or coordinator is built, sent
+// and settled: method and path under Base, in (when non-nil) as the JSON
+// body. A non-2xx answer is an *APIError. Otherwise out is nil (the body is
+// ignored), a func(io.Reader) error that consumes the body as an event
+// stream, or a value to JSON-decode it into, reading at most
+// maxResponseBytes. Except for a stream — its consumer's to finish;
+// closing is what stops one abandoned midway — the rest of the body is
+// drained so the connection goes back to the pool.
+func (c *Client) Call(ctx context.Context, method, path string, in, out any) error {
+	var body io.Reader
+	if in != nil {
+		b, err := json.Marshal(in)
+		if err != nil {
+			return err
+		}
+		body = bytes.NewReader(b)
+	}
+	req, err := http.NewRequestWithContext(ctx, method, c.Base+path, body)
 	if err != nil {
 		return err
+	}
+	if in != nil {
+		req.Header.Set("Content-Type", "application/json")
+	}
+	stream, _ := out.(func(io.Reader) error)
+	if stream != nil {
+		req.Header.Set("Accept", "text/event-stream")
 	}
 	resp, err := c.http().Do(req)
 	if err != nil {
 		return err
 	}
 	defer resp.Body.Close()
+	if stream != nil && resp.StatusCode < 300 {
+		return stream(resp.Body)
+	}
+	defer io.Copy(io.Discard, resp.Body)
 	if resp.StatusCode >= 300 {
 		return apiError(resp)
 	}
-	return json.NewDecoder(resp.Body).Decode(out)
+	if out != nil {
+		// The transport holds a body to its declared length, so only an
+		// undeclared or oversized one needs the limiter (and its allocation).
+		body := io.Reader(resp.Body)
+		if resp.ContentLength < 0 || resp.ContentLength > maxResponseBytes {
+			body = io.LimitReader(body, maxResponseBytes)
+		}
+		if err := json.NewDecoder(body).Decode(out); err != nil {
+			return fmt.Errorf("serve: decoding %s response: %w", req.URL.Path, err)
+		}
+	}
+	return nil
 }
 
-// shedWait resolves one 429 backoff sleep: the server's Retry-After (in
+// shedWait resolves one shed backoff sleep: the server's Retry-After (in
 // seconds, when parseable) overrides base, and the result is jittered
 // uniformly over [wait/2, wait]. Without jitter, every client shed by the
 // same full queue retries at the same instant and the herd sheds again.
@@ -135,63 +149,66 @@ func shedWait(base time.Duration, retryAfter string) time.Duration {
 	return half + rand.N(wait-half+1)
 }
 
-// applyMeta stamps the client's Priority/ClientID onto the requests
-// (copying; per-request values already set win).
-func (c *Client) applyMeta(reqs []JobRequest) []JobRequest {
-	if c.Priority == 0 && c.ClientID == "" {
-		return reqs
+// WaitShed sleeps out one load shed — the shed is the server protecting
+// itself; the client's job is patience — or returns ctx.Err() if ctx ends
+// first.
+func (c *Client) WaitShed(ctx context.Context, shed *APIError) error {
+	base := c.ShedBackoff
+	if base <= 0 {
+		base = time.Second
 	}
-	out := make([]JobRequest, len(reqs))
-	copy(out, reqs)
-	for i := range out {
-		if out[i].Priority == 0 {
-			out[i].Priority = c.Priority
-		}
-		if out[i].Client == "" {
-			out[i].Client = c.ClientID
-		}
+	select {
+	case <-time.After(shedWait(base, shed.RetryAfter)):
+		return nil
+	case <-ctx.Done():
+		return ctx.Err()
 	}
-	return out
 }
 
-// SubmitBatch submits a batch, retrying 429 load sheds with jittered
-// backoff (the 429 is the server protecting itself; the client's job is
-// patience). A batch that can never fit — larger than the server's whole
-// queue — fails immediately instead of retrying forever.
-func (c *Client) SubmitBatch(ctx context.Context, reqs []JobRequest) (*BatchSubmitStatus, error) {
-	backoff := c.ShedBackoff
-	if backoff <= 0 {
-		backoff = time.Second
+// stamp applies the client's Priority/ClientID to r (values r already
+// carries win).
+func (c *Client) stamp(r *JobRequest) {
+	if r.Priority == 0 {
+		r.Priority = c.Priority
 	}
-	reqs = c.applyMeta(reqs)
+	if r.Client == "" {
+		r.Client = c.ClientID
+	}
+}
+
+// SubmitBatch submits a batch, waiting out 429 load sheds. A batch that can
+// never fit — larger than the server's whole queue — fails immediately
+// instead of retrying forever.
+func (c *Client) SubmitBatch(ctx context.Context, reqs []JobRequest) (*BatchSubmitStatus, error) {
+	reqs = append([]JobRequest(nil), reqs...) // the caller's slice is not ours to stamp
+	for i := range reqs {
+		c.stamp(&reqs[i])
+	}
 	for {
 		var st BatchSubmitStatus
-		resp, err := c.postJSON(ctx, "/v1/batches", BatchRequest{Jobs: reqs}, &st)
+		err := c.Call(ctx, http.MethodPost, "/v1/batches", BatchRequest{Jobs: reqs}, &st)
 		if err == nil {
 			return &st, nil
 		}
 		var ae *APIError
-		if resp == nil || !errors.As(err, &ae) || ae.Status != http.StatusTooManyRequests {
+		if !errors.As(err, &ae) || ae.Status != http.StatusTooManyRequests {
 			return nil, err
 		}
 		if ae.Body.QueueCap > 0 && len(reqs) > ae.Body.QueueCap {
 			return nil, fmt.Errorf("serve: batch of %d jobs can never fit the server's queue of %d: %w",
 				len(reqs), ae.Body.QueueCap, err)
 		}
-		select {
-		case <-time.After(shedWait(backoff, resp.Header.Get("Retry-After"))):
-		case <-ctx.Done():
-			return nil, ctx.Err()
+		if err := c.WaitShed(ctx, ae); err != nil {
+			return nil, err
 		}
 	}
 }
 
-// SubmitJob submits one job (no retry; callers wanting shed patience use
-// SubmitBatch).
+// SubmitJob submits one job (no retry; Execute has the shed patience).
 func (c *Client) SubmitJob(ctx context.Context, req JobRequest) (*SubmitStatus, error) {
-	reqs := c.applyMeta([]JobRequest{req})
+	c.stamp(&req)
 	var st SubmitStatus
-	if _, err := c.postJSON(ctx, "/v1/jobs", reqs[0], &st); err != nil {
+	if err := c.Call(ctx, http.MethodPost, "/v1/jobs", req, &st); err != nil {
 		return nil, err
 	}
 	return &st, nil
@@ -203,53 +220,42 @@ func (c *Client) SubmitJob(ctx context.Context, req JobRequest) (*SubmitStatus, 
 // a draining server closes it before "finish", so callers that need the
 // terminal event check for it) and the transport/decode error otherwise.
 // The stream lives as long as the job: only ctx bounds it, not the HTTP
-// client's request Timeout. The fleet dispatcher follows a worker's job
-// to completion this way.
+// client's request Timeout.
 func (c *Client) StreamEvents(ctx context.Context, id string, fn func(Event) bool) error {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.url("/v1/jobs/"+id+"/events"), nil)
-	if err != nil {
-		return err
-	}
-	req.Header.Set("Accept", "text/event-stream")
 	hc := *c.http()
 	hc.Timeout = 0
-	resp, err := hc.Do(req)
-	if err != nil {
-		return err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode >= 300 {
-		return apiError(resp)
-	}
-	sc := bufio.NewScanner(resp.Body)
-	sc.Buffer(make([]byte, 0, 64*1024), 1<<20)
-	terminal := false
-	for sc.Scan() {
-		line := sc.Text()
-		if !strings.HasPrefix(line, "data: ") {
-			continue // event:/id: lines and blank separators
+	unbounded := Client{Base: c.Base, HTTP: &hc}
+	return unbounded.Call(ctx, http.MethodGet, "/v1/jobs/"+id+"/events", nil, func(body io.Reader) error {
+		sc := bufio.NewScanner(body)
+		sc.Buffer(make([]byte, 0, 64*1024), 1<<20)
+		terminal := false
+		for sc.Scan() {
+			data, ok := bytes.CutPrefix(sc.Bytes(), []byte("data: "))
+			if !ok {
+				continue // event:/id: lines and blank separators
+			}
+			var ev Event
+			if err := json.Unmarshal(data, &ev); err != nil {
+				return fmt.Errorf("serve: decoding event stream: %w", err)
+			}
+			if ev.Kind == eventFinish {
+				terminal = true
+			}
+			if !fn(ev) {
+				return nil
+			}
 		}
-		var ev Event
-		if err := json.Unmarshal([]byte(line[len("data: "):]), &ev); err != nil {
-			return fmt.Errorf("serve: decoding event stream: %w", err)
+		if err := sc.Err(); err != nil && !terminal {
+			return err
 		}
-		if ev.Kind == eventFinish {
-			terminal = true
-		}
-		if !fn(ev) {
-			return nil
-		}
-	}
-	if err := sc.Err(); err != nil && !terminal {
-		return err
-	}
-	return nil
+		return nil
+	})
 }
 
 // JobStatus fetches one job's status.
 func (c *Client) JobStatus(ctx context.Context, id string) (*JobStatus, error) {
 	var st JobStatus
-	if err := c.getJSON(ctx, "/v1/jobs/"+id, &st); err != nil {
+	if err := c.Call(ctx, http.MethodGet, "/v1/jobs/"+id, nil, &st); err != nil {
 		return nil, err
 	}
 	return &st, nil
@@ -258,103 +264,126 @@ func (c *Client) JobStatus(ctx context.Context, id string) (*JobStatus, error) {
 // BatchStatus fetches one batch's status.
 func (c *Client) BatchStatus(ctx context.Context, id string) (*BatchStatus, error) {
 	var st BatchStatus
-	if err := c.getJSON(ctx, "/v1/batches/"+id, &st); err != nil {
+	if err := c.Call(ctx, http.MethodGet, "/v1/batches/"+id, nil, &st); err != nil {
 		return nil, err
 	}
 	return &st, nil
 }
 
-// WaitBatch polls a batch until every job is terminal (or ctx expires)
-// and returns the final status.
-func (c *Client) WaitBatch(ctx context.Context, id string) (*BatchStatus, error) {
-	interval := c.PollInterval
-	if interval <= 0 {
-		interval = 250 * time.Millisecond
-	}
-	for {
-		st, err := c.BatchStatus(ctx, id)
-		if err != nil {
-			return nil, err
-		}
-		if st.Finished() {
-			return st, nil
-		}
-		select {
-		case <-time.After(interval):
-		case <-ctx.Done():
-			return nil, ctx.Err()
-		}
-	}
+// LostError reports a server that cannot be held to a job it was given: it
+// stopped answering (a transport failure, or event streams that ended with
+// nothing new, attempt after attempt), no longer knows the job, or keyed it
+// under another simulator fingerprint. The job is not at fault; a caller
+// with another server may run it there.
+type LostError struct {
+	Doing string // what the client was doing, e.g. "following job j0123…"
+	Err   error
 }
 
-// DefaultSubmitChunk is the per-request job count RunJobs submits. Small
-// enough to fit the server's default admission queue with room to spare;
-// chunks stream in as earlier ones drain, with 429 backoff as the pacing
-// signal.
-const DefaultSubmitChunk = 16
+// Error implements error.
+func (e *LostError) Error() string { return "serve: server lost " + e.Doing + ": " + e.Err.Error() }
 
-// RunJobs submits jobs (chunked), waits for completion, and reshapes the
-// statuses into a runner.Batch, making the remote server a drop-in
-// replacement for Engine.Run (internal/experiments uses exactly this).
-func (c *Client) RunJobs(ctx context.Context, jobs []*runner.Job) (*runner.Batch, error) {
-	reqs := make([]JobRequest, len(jobs))
-	for i, j := range jobs {
-		reqs[i] = RequestFromJob(j)
+// lost classifies a failed exchange: the caller's own cancellation if ctx
+// ended, otherwise a *LostError.
+func lost(ctx context.Context, doing string, err error) error {
+	if ctx.Err() != nil {
+		return ctx.Err()
 	}
+	return &LostError{Doing: doing, Err: err}
+}
 
-	// Submit every chunk before waiting on any: the server runs chunk N
-	// while chunk N+1 waits out its 429 backoff, so the whole set
-	// pipelines through the bounded queue.
-	type span struct {
-		id         string
-		start, end int
-	}
-	var spans []span
-	for lo := 0; lo < len(reqs); lo += DefaultSubmitChunk {
-		hi := lo + DefaultSubmitChunk
-		if hi > len(reqs) {
-			hi = len(reqs)
-		}
-		sub, err := c.SubmitBatch(ctx, reqs[lo:hi])
-		if err != nil {
+// Run runs j on the server and returns its result. It is the one sequence
+// by which a job crosses HTTP: submit, follow the job's event stream to its
+// "finish" event (relaying progress samples to j.Cfg.Progress on the way),
+// then fetch the status once for the result. key is the identity the caller
+// holds the job under; a server that keys it differently simulates another
+// model, and its result must not be committed under key. attempts bounds
+// consecutive event-stream attempts that deliver nothing new.
+//
+// Run reports what happened, not what to do about it: an *APIError when the
+// server answered the submission with a rejection, a *LostError when it
+// stopped answering or cannot be trusted with the job, ctx.Err() when the
+// caller gave up, and any other error is the job's own failure.
+func (c *Client) Run(ctx context.Context, key string, j *runner.Job, attempts int) (*runner.Result, error) {
+	st, err := c.SubmitJob(ctx, RequestFromJob(j))
+	if err != nil {
+		var ae *APIError
+		if errors.As(err, &ae) {
 			return nil, err
 		}
-		spans = append(spans, span{id: sub.ID, start: lo, end: hi})
+		return nil, lost(ctx, "submitting", err)
+	}
+	if st.Key != key {
+		return nil, &LostError{Doing: "submitting", Err: fmt.Errorf(
+			"it keys the job %.12s…, the caller %.12s…: the two ends simulate under different fingerprints", st.Key, key)}
 	}
 
-	b := &runner.Batch{
-		Jobs:    jobs,
-		Results: make([]*runner.Result, len(jobs)),
-		Errs:    make([]error, len(jobs)),
-	}
-	b.Stats.Submitted = int64(len(jobs))
-	for _, sp := range spans {
-		st, err := c.WaitBatch(ctx, sp.id)
-		if err != nil {
-			return nil, err
-		}
-		if len(st.Jobs) != sp.end-sp.start {
-			return nil, fmt.Errorf("serve: batch %s returned %d statuses for %d jobs",
-				sp.id, len(st.Jobs), sp.end-sp.start)
-		}
-		for k, js := range st.Jobs {
-			i := sp.start + k
-			switch {
-			case js.State == stateFailed:
-				b.Errs[i] = fmt.Errorf("serve: job %s (%s): %s", js.ID, jobs[i].Label, js.Error)
-				b.Stats.Failed++
-			case js.Result != nil:
-				b.Results[i] = js.Result
-				if js.Cached {
-					b.Stats.CacheHits++
-				} else {
-					b.Stats.Executed++
-				}
-			default:
-				b.Errs[i] = fmt.Errorf("serve: job %s (%s) finished without a result", js.ID, jobs[i].Label)
-				b.Stats.Failed++
+	// A stream that breaks, or ends without "finish" (a draining server
+	// closes it so), is one failed attempt; resubscribing replays the
+	// record's history, and seen skips what was already relayed so no sample
+	// is counted twice.
+	var seen int64
+	for fails := 0; ; {
+		fresh, finished := false, false
+		err := c.StreamEvents(ctx, st.ID, func(ev Event) bool {
+			if ev.Seq <= seen {
+				return true
 			}
+			seen, fresh = ev.Seq, true
+			if ev.Kind == eventProgress && j.Cfg.Progress != nil {
+				j.Cfg.Progress(ev.Sample())
+			}
+			finished = ev.Kind == eventFinish
+			return !finished
+		})
+		if finished {
+			break
+		}
+		if err == nil {
+			err = errors.New("event stream ended before finish")
+		}
+		if fresh {
+			fails = 0
+		}
+		// An answering server that no longer knows the job (e.g. restarted
+		// in between) is lost at once, a silent one after attempts in a row
+		// that delivered nothing new.
+		var ae *APIError
+		if fails++; errors.As(err, &ae) || fails >= attempts || ctx.Err() != nil {
+			return nil, lost(ctx, "following job "+st.ID, err)
 		}
 	}
-	return b, nil
+
+	js, err := c.JobStatus(ctx, st.ID)
+	switch {
+	case err != nil:
+		return nil, lost(ctx, "fetching job "+st.ID, err)
+	case js.State == stateFailed:
+		return nil, fmt.Errorf("serve: job %s failed: %s", st.ID, js.Error)
+	case js.Result == nil:
+		return nil, fmt.Errorf("serve: job %s finished without a result", st.ID)
+	}
+	return js.Result, nil
+}
+
+// executeAttempts is Execute's bound on event-stream attempts in a row that
+// deliver nothing new (the fleet dispatcher's default DownAfter).
+const executeAttempts = 3
+
+// Execute is a runner.Executor over Run: set it as an Engine's Exec and the
+// server sits behind that engine's coalescing, cache tiers, Timeout,
+// progress events and counters. A caller with one server has nowhere else
+// to take a shed job, so a 429 (queue full) or 503 (draining) is waited out
+// and the job resubmitted.
+func (c *Client) Execute(ctx context.Context, key string, j *runner.Job) (*runner.Result, error) {
+	for {
+		res, err := c.Run(ctx, key, j, executeAttempts)
+		var ae *APIError
+		if !errors.As(err, &ae) || (ae.Status != http.StatusTooManyRequests && ae.Status != http.StatusServiceUnavailable) {
+			return res, err
+		}
+		if err := c.WaitShed(ctx, ae); err != nil {
+			return nil, err
+		}
+	}
 }

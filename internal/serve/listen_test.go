@@ -32,7 +32,7 @@ func TestListenAndDrain(t *testing.T) {
 	done := make(chan error, 1)
 	go func() { done <- ListenAndDrain(ctx, "test", addr, s, s.Shutdown, drainTimeout) }()
 
-	c := &Client{Base: "http://" + addr, PollInterval: 5 * time.Millisecond}
+	c := &Client{Base: "http://" + addr}
 	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(5 * time.Millisecond) {
 		resp, err := http.Get(c.Base + "/healthz")
 		if err == nil {

@@ -256,14 +256,22 @@ func TestShedWaitJitter(t *testing.T) {
 // TestMetricsHitSources: a cache hit on an evicted record's job must show
 // up under finereg_cache_hits_total{source="mem"}.
 func TestMetricsHitSources(t *testing.T) {
-	_, c := newTestServer(t, Config{Workers: 1, MaxRecords: 1})
+	s, c := newTestServer(t, Config{Workers: 1, MaxRecords: 1})
 	j1 := tinyJob(t, "CS", runner.Baseline())
 	j2 := tinyJob(t, "CS", runner.VirtualThread())
-	if _, err := c.RunJobs(context.Background(), []*runner.Job{j1, j2}); err != nil {
+	// One at a time: j2 must finish after j1 for the eviction below.
+	if err := (&runner.Engine{Jobs: 1, Exec: c.Execute}).Run([]*runner.Job{j1, j2}).Err(); err != nil {
 		t.Fatal(err)
 	}
-	// j2's completion evicted j1's record (MaxRecords 1), so resubmitting
-	// j1 re-enters the queue and hits the engine's memory cache tier.
+	// j2's completion evicts j1's record (MaxRecords 1) — a moment after the
+	// finish event Execute returned on — so resubmitting j1 re-enters the
+	// queue and hits the engine's memory cache tier.
+	id1 := jobID(j1.Key(runner.SimFingerprint))
+	for deadline := time.Now().Add(30 * time.Second); s.lookup(id1) != nil; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("j1's record was never evicted")
+		}
+	}
 	st := submitOne(t, c, j1, 0, "")
 	waitJobDone(t, c, st.ID)
 

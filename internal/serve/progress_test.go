@@ -226,10 +226,7 @@ func TestProgressFeedsSimTotals(t *testing.T) {
 		tinyJob(t, "LB", runner.FineRegDefault()),
 	}
 	_, c := newTestServer(t, Config{Workers: 2, ProgressEvery: 256})
-	b, err := c.RunJobs(context.Background(), jobs)
-	if err != nil {
-		t.Fatal(err)
-	}
+	b := runRemote(c, jobs...)
 	if err := b.Err(); err != nil {
 		t.Fatal(err)
 	}
@@ -254,7 +251,7 @@ func TestProgressFeedsSimTotals(t *testing.T) {
 	}
 	check("after the cold jobs")
 
-	if _, err := c.RunJobs(context.Background(), jobs); err != nil {
+	if err := runRemote(c, jobs...).Err(); err != nil {
 		t.Fatal(err)
 	}
 	check("after a warm resubmit")

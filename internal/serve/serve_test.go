@@ -10,12 +10,14 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"finereg/internal/gpu"
 	"finereg/internal/kernels"
 	"finereg/internal/runner"
+	"finereg/internal/trace"
 )
 
 // tinyJob returns a small but real simulation job (2-SM machine, shrunken
@@ -47,7 +49,37 @@ func newTestServer(t *testing.T, cfg Config) (*Server, *Client) {
 		defer cancel()
 		s.Shutdown(ctx)
 	})
-	return s, &Client{Base: hs.URL, PollInterval: 5 * time.Millisecond, ShedBackoff: 5 * time.Millisecond}
+	return s, &Client{Base: hs.URL, ShedBackoff: 5 * time.Millisecond}
+}
+
+// runRemote runs jobs on the server behind c the way users do: through an
+// engine whose executor is c.Execute, every job in flight at once.
+func runRemote(c *Client, jobs ...*runner.Job) *runner.Batch {
+	return (&runner.Engine{Jobs: len(jobs), Exec: c.Execute}).Run(jobs)
+}
+
+// countingTransport counts the requests a client issues and the 429s it
+// is answered with.
+type countingTransport struct{ n, shed atomic.Int64 }
+
+func (ct *countingTransport) RoundTrip(r *http.Request) (*http.Response, error) {
+	ct.n.Add(1)
+	resp, err := http.DefaultTransport.RoundTrip(r)
+	if err == nil && resp.StatusCode == http.StatusTooManyRequests {
+		ct.shed.Add(1)
+	}
+	return resp, err
+}
+
+// recordingSink is a trace.JobSink that counts what the engine reports.
+type recordingSink struct{ queued, done, cached int }
+
+func (r *recordingSink) JobsQueued(n int)                         { r.queued += n }
+func (r *recordingSink) JobProgress(string, trace.ProgressSample) {}
+func (r *recordingSink) JobDone(cached bool, err error) {
+	if r.done++; cached {
+		r.cached++
+	}
 }
 
 func mustJSON(t *testing.T, v any) []byte {
@@ -59,15 +91,19 @@ func mustJSON(t *testing.T, v any) []byte {
 	return b
 }
 
-// TestEndToEndByteIdentical is the tentpole acceptance test: a batch
-// through the HTTP service must return byte-identical results, under the
-// same cache keys, as the same jobs run directly on a runner.Engine.
+// TestEndToEndByteIdentical is the tentpole acceptance test: a sweep
+// through an engine whose executor is the HTTP service must return
+// byte-identical results, under the same cache keys, as the same jobs run
+// directly on a runner.Engine — and the server sits behind that engine: its
+// counters and event sink see every job, and a repeat of the sweep is
+// answered by its cache without one request.
 func TestEndToEndByteIdentical(t *testing.T) {
 	jobs := []*runner.Job{
 		tinyJob(t, "CS", runner.Baseline()),
 		tinyJob(t, "CS", runner.VirtualThread()),
 		tinyJob(t, "LB", runner.FineRegDefault()),
 	}
+	n := int64(len(jobs))
 
 	direct := (&runner.Engine{}).Run(jobs)
 	if err := direct.Err(); err != nil {
@@ -75,10 +111,11 @@ func TestEndToEndByteIdentical(t *testing.T) {
 	}
 
 	s, c := newTestServer(t, Config{Workers: 2, QueueCap: 8})
-	remote, err := c.RunJobs(context.Background(), jobs)
-	if err != nil {
-		t.Fatalf("remote run: %v", err)
-	}
+	var wire countingTransport
+	c.HTTP = &http.Client{Transport: &wire}
+	sink := &recordingSink{}
+	eng := &runner.Engine{Cache: runner.NewCache(t.TempDir()), Exec: c.Execute, Events: sink}
+	remote := eng.Run(jobs)
 	if err := remote.Err(); err != nil {
 		t.Fatalf("remote batch: %v", err)
 	}
@@ -88,6 +125,30 @@ func TestEndToEndByteIdentical(t *testing.T) {
 		if !bytes.Equal(want, got) {
 			t.Errorf("job %d (%s): remote result differs from direct run\ndirect: %s\nremote: %s",
 				i, jobs[i].Label, want, got)
+		}
+	}
+	if st := eng.Stats(); st.Submitted != n || st.Executed != n || st.Failed != 0 {
+		t.Errorf("client engine stats after the remote sweep = %+v, want %d submitted and executed", st, n)
+	}
+	if sink.queued != len(jobs) || sink.done != len(jobs) || sink.cached != 0 {
+		t.Errorf("client engine events: %d queued, %d done (%d cached), want %d/%d/0", sink.queued, sink.done, sink.cached, n, n)
+	}
+
+	// The repeat is the local cache's: no request leaves the process.
+	sent := wire.n.Load()
+	again := eng.Run(jobs)
+	if err := again.Err(); err != nil {
+		t.Fatal(err)
+	}
+	if got := wire.n.Load() - sent; got != 0 {
+		t.Errorf("repeat of a cached sweep issued %d HTTP requests, want 0", got)
+	}
+	if st := eng.Stats(); st.CacheHits != n || st.Executed != n {
+		t.Errorf("client engine stats after the repeat = %+v, want %d cache hits and still %d executed", st, n, n)
+	}
+	for i := range jobs {
+		if !bytes.Equal(mustJSON(t, direct.Results[i]), mustJSON(t, again.Results[i])) {
+			t.Errorf("job %d (%s): cached repeat differs from direct run", i, jobs[i].Label)
 		}
 	}
 
@@ -108,6 +169,55 @@ func TestEndToEndByteIdentical(t *testing.T) {
 	}
 }
 
+// TestExecuteRejectsForeignFingerprint: a server that keys jobs under
+// another simulator fingerprint (an older binary) runs another model. Its
+// result must never come back under the caller's key: the execution fails,
+// naming both keys, and the caller's cache stays empty.
+func TestExecuteRejectsForeignFingerprint(t *testing.T) {
+	stale := runner.NewCache("")
+	stale.Fingerprint = "finereg-sim-OLD"
+	_, c := newTestServer(t, Config{Engine: &runner.Engine{Cache: stale}, Workers: 1})
+
+	job := tinyJob(t, "CS", runner.Baseline())
+	local := runner.NewCache("")
+	b := (&runner.Engine{Cache: local, Exec: c.Execute}).Run([]*runner.Job{job})
+	var le *LostError
+	if err := b.Err(); !errors.As(err, &le) {
+		t.Fatalf("execution on a version-skewed server: got %v, want a *LostError", err)
+	}
+	ours, theirs := job.Key(runner.SimFingerprint), job.Key("finereg-sim-OLD")
+	for _, key := range []string{ours, theirs} {
+		if !strings.Contains(le.Error(), key[:12]) {
+			t.Errorf("error %q does not name key prefix %s", le, key[:12])
+		}
+	}
+	if _, _, ok := local.Get(ours); ok {
+		t.Error("the stale server's result was committed under the current key")
+	}
+}
+
+// TestExecuteTimeoutCancelsRequests: the engine's per-job Timeout bounds a
+// remote execution like a local one — it ends with ErrJobTimeout, and the
+// request the client was blocked in is cancelled, not abandoned: the server
+// sees its event stream close while the job is still parked.
+func TestExecuteTimeoutCancelsRequests(t *testing.T) {
+	s, c := newTestServer(t, Config{Workers: 1})
+	entered, release := blockWorkers(s)
+	defer close(release)
+
+	eng := &runner.Engine{Exec: c.Execute, Timeout: 50 * time.Millisecond}
+	b := eng.Run([]*runner.Job{tinyJob(t, "CS", runner.Baseline())})
+	<-entered // the server held the job the whole time
+	if err := b.Err(); !errors.Is(err, runner.ErrJobTimeout) {
+		t.Fatalf("remote execution past the engine's Timeout: got %v, want ErrJobTimeout", err)
+	}
+	for deadline := time.Now().Add(10 * time.Second); s.mSSEOpen.Value() != 0; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("the event-stream request outlived the timed-out execution")
+		}
+	}
+}
+
 // TestWarmCacheResubmit: a second submission of an already-computed batch
 // must be answered without re-simulation (the coalesce-or-cache rung of
 // the admission ladder).
@@ -117,15 +227,12 @@ func TestWarmCacheResubmit(t *testing.T) {
 		tinyJob(t, "LB", runner.Baseline()),
 	}
 	s, c := newTestServer(t, Config{Workers: 2})
-	if _, err := c.RunJobs(context.Background(), jobs); err != nil {
+	if err := runRemote(c, jobs...).Err(); err != nil {
 		t.Fatal(err)
 	}
 	executed := s.engine.Stats().Executed
 
-	b, err := c.RunJobs(context.Background(), jobs)
-	if err != nil {
-		t.Fatal(err)
-	}
+	b := runRemote(c, jobs...)
 	if err := b.Err(); err != nil {
 		t.Fatal(err)
 	}
@@ -145,7 +252,7 @@ func TestWarmCacheResubmit(t *testing.T) {
 	}
 	s.doneIDs = nil
 	s.mu.Unlock()
-	if _, err := c.RunJobs(context.Background(), jobs); err != nil {
+	if err := runRemote(c, jobs...).Err(); err != nil {
 		t.Fatal(err)
 	}
 	if got := s.engine.Stats().Executed; got != executed {
@@ -383,7 +490,7 @@ func TestGracefulDrain(t *testing.T) {
 	s := New(Config{Workers: 1, QueueCap: 4})
 	hs := httptest.NewServer(s)
 	defer hs.Close()
-	c := &Client{Base: hs.URL, PollInterval: 5 * time.Millisecond}
+	c := &Client{Base: hs.URL}
 	entered, release := blockWorkers(s)
 
 	subA, err := c.SubmitBatch(context.Background(), []JobRequest{RequestFromJob(tinyJob(t, "CS", runner.Baseline()))})
@@ -510,12 +617,8 @@ func TestOversizedBodyRejected(t *testing.T) {
 		t.Errorf("error %q does not say the body was too large", eb.Error)
 	}
 
-	b, err := c.RunJobs(context.Background(), []*runner.Job{tinyJob(t, "CS", runner.Baseline())})
-	if err != nil {
+	if err := runRemote(c, tinyJob(t, "CS", runner.Baseline())).Err(); err != nil {
 		t.Fatalf("server stopped serving after the oversized request: %v", err)
-	}
-	if err := b.Err(); err != nil {
-		t.Fatal(err)
 	}
 }
 
@@ -534,9 +637,17 @@ func TestBatchStatusProgression(t *testing.T) {
 	if len(sub.Jobs) != 2 {
 		t.Fatalf("batch submit returned %d jobs", len(sub.Jobs))
 	}
-	st, err := c.WaitBatch(context.Background(), sub.ID)
-	if err != nil {
-		t.Fatal(err)
+	var st *BatchStatus
+	for deadline := time.Now().Add(60 * time.Second); ; time.Sleep(5 * time.Millisecond) {
+		if st, err = c.BatchStatus(context.Background(), sub.ID); err != nil {
+			t.Fatal(err)
+		}
+		if st.Finished() {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("batch never finished: %+v", st)
+		}
 	}
 	if st.Total != 2 || st.Done != 2 || st.Failed != 0 {
 		t.Errorf("final batch status %+v", st)
@@ -551,9 +662,10 @@ func TestBatchStatusProgression(t *testing.T) {
 	}
 }
 
-// TestClientShedBackoff: a shed SubmitBatch retries until capacity frees
-// up — the client side of the admission ladder — while a batch that can
-// never fit fails immediately instead of retrying forever.
+// TestClientShedBackoff: a shed submission is waited out until capacity
+// frees up — the client side of the admission ladder, for SubmitBatch and
+// for a job executed through Execute alike — while a batch that can never
+// fit fails immediately instead of retrying forever.
 func TestClientShedBackoff(t *testing.T) {
 	s, c := newTestServer(t, Config{Workers: 1, QueueCap: 1})
 	entered, release := blockWorkers(s)
@@ -579,26 +691,62 @@ func TestClientShedBackoff(t *testing.T) {
 		t.Errorf("oversize batch: got %v, want never-fit failure", err)
 	}
 
-	// A one-job submission sheds now but succeeds once the worker drains
-	// the backlog.
-	done := make(chan error, 1)
+	// A one-job submission and a one-job execution shed now but get
+	// through once the worker drains the backlog.
+	var batchWire, execWire countingTransport
+	batcher, executor := *c, *c
+	batcher.HTTP, executor.HTTP = &http.Client{Transport: &batchWire}, &http.Client{Transport: &execWire}
+	done := make(chan error, 2)
 	go func() {
-		_, err := c.SubmitBatch(context.Background(), []JobRequest{
+		_, err := batcher.SubmitBatch(context.Background(), []JobRequest{
 			RequestFromJob(tinyJob(t, "HS", runner.Baseline()))})
 		done <- err
 	}()
+	go func() { done <- runRemote(&executor, tinyJob(t, "HS", runner.FineRegDefault())).Err() }()
+	for deadline := time.Now().Add(30 * time.Second); batchWire.shed.Load() == 0 || execWire.shed.Load() == 0; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("sheds seen: SubmitBatch %d, Execute %d; want both shed at least once", batchWire.shed.Load(), execWire.shed.Load())
+		}
+	}
 	select {
 	case err := <-done:
-		t.Fatalf("submission returned %v before capacity freed", err)
-	case <-time.After(50 * time.Millisecond):
+		t.Fatalf("a submission returned %v before capacity freed", err)
+	default:
 	}
 	close(release)
-	select {
-	case err := <-done:
-		if err != nil {
-			t.Fatalf("retrying submission failed: %v", err)
+	for i := 0; i < 2; i++ {
+		select {
+		case err := <-done:
+			if err != nil {
+				t.Fatalf("retrying submission failed: %v", err)
+			}
+		case <-time.After(60 * time.Second):
+			t.Fatal("retrying submission never got through")
 		}
-	case <-time.After(60 * time.Second):
-		t.Fatal("retrying submission never got through")
+	}
+}
+
+// TestCallBoundsDecodedResponse: Call reads at most maxResponseBytes of a
+// response it decodes, however much an undeclared-length body goes on to
+// send — a wedged or hostile peer costs a bounded read, then an error.
+func TestCallBoundsDecodedResponse(t *testing.T) {
+	hs := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		chunk := bytes.Repeat([]byte("x"), 1<<20)
+		w.Write([]byte(`"`))
+		w.(http.Flusher).Flush() // no Content-Length from here on
+		for i := 0; i < 2*maxResponseBytes>>20; i++ {
+			if _, err := w.Write(chunk); err != nil {
+				return
+			}
+		}
+	}))
+	defer hs.Close()
+	var out string
+	err := (&Client{Base: hs.URL}).Call(context.Background(), http.MethodGet, "/", nil, &out)
+	if err == nil || !strings.Contains(err.Error(), "decoding") {
+		t.Fatalf("oversized response: got %v, want a decode error at the bound", err)
+	}
+	if out != "" {
+		t.Errorf("decoded %d bytes of an over-long value", len(out))
 	}
 }

@@ -46,10 +46,7 @@ func TestProgramOverHTTPByteIdentical(t *testing.T) {
 	}
 
 	_, c := newTestServer(t, Config{Workers: 2, QueueCap: 8})
-	remote, err := c.RunJobs(context.Background(), jobs)
-	if err != nil {
-		t.Fatalf("remote run: %v", err)
-	}
+	remote := runRemote(c, jobs...)
 	if err := remote.Err(); err != nil {
 		t.Fatalf("remote batch: %v", err)
 	}

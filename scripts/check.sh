@@ -72,6 +72,18 @@ gate 'TestFleetOneStatusFetchPerJob' ./internal/fleet/
 gate 'TestFleetStreamEndRequeues' ./internal/fleet/
 gate 'TestFleetResubscribeCountsOnce' ./internal/fleet/
 gate 'TestRegisterWorkerBodyBounded' ./internal/fleet/
+# One-hop gate, likewise by name: a remote server is an executor behind the
+# caller's engine (counters, events, a cached repeat that sends nothing); a
+# shed is waited out, a version-skewed server or worker never commits, the
+# engine's Timeout cancels the hop; a 429 requeues one task and demotes
+# nobody; a coordinator shuts down twice.
+gate 'TestEndToEndByteIdentical' ./internal/serve/
+gate 'TestClientShedBackoff' ./internal/serve/
+gate 'TestExecuteRejectsForeignFingerprint' ./internal/serve/
+gate 'TestExecuteTimeoutCancelsRequests' ./internal/serve/
+gate 'TestFleetShedRequeuesWithoutDemoting' ./internal/fleet/
+gate 'TestFleetSkewedWorkerNeverCommits' ./internal/fleet/
+gate 'TestCoordinatorShutdownTwice' ./internal/fleet/
 # Progress gate: the in-run observation path under the race detector —
 # the sampler in gpu.Run, per-job exactness of the Ops deltas (every
 # mapped op of two concurrent jobs sums to its own Metrics), the engine's
@@ -126,5 +138,39 @@ go run ./cmd/finereg-liveness -bench CS >/dev/null
 for bin in finereg-serve finereg-fleet finereg-experiments; do
 	go run ./cmd/$bin -h >/dev/null 2>&1
 done
+# ...and the remote mode end to end: Figure 4 through a finereg-serve on a
+# loopback port must print what the in-process run prints (modulo the
+# timing line), the client's engine must have counted its six jobs, and the
+# server must drain cleanly on SIGTERM.
+tmp=$(mktemp -d)
+srv=
+trap '[ -z "$srv" ] || kill "$srv" 2>/dev/null || true; rm -rf "$tmp"' EXIT
+go build -o "$tmp/" ./cmd/finereg-serve ./cmd/finereg-experiments
+"$tmp/finereg-serve" -addr 127.0.0.1:0 -no-cache -quiet 2>"$tmp/serve.err" &
+srv=$!
+addr=
+tries=0
+while [ -z "$addr" ] && [ "$tries" -lt 100 ]; do
+	sleep 0.1
+	tries=$((tries + 1))
+	addr=$(sed -n 's/^finereg-serve: listening on //p' "$tmp/serve.err")
+done
+if [ -z "$addr" ]; then
+	echo "check.sh: finereg-serve never started listening"
+	cat "$tmp/serve.err"
+	exit 1
+fi
+"$tmp/finereg-experiments" -quick -only f4 -no-cache 2>/dev/null | grep -v '^(f4 in ' >"$tmp/local.out"
+"$tmp/finereg-experiments" -quick -only f4 -no-cache -server "http://$addr" 2>"$tmp/remote.err" |
+	grep -v '^(f4 in ' >"$tmp/remote.out"
+diff "$tmp/local.out" "$tmp/remote.out"
+if ! grep -q 'engine: 6 submitted, 6 simulated' "$tmp/remote.err"; then
+	echo "check.sh: the -server run's engine summary does not count its six jobs:"
+	cat "$tmp/remote.err"
+	exit 1
+fi
+kill -TERM "$srv"
+wait "$srv"
+srv=
 # ...and the functional executor that lives with its one user.
 go run ./examples/vecadd >/dev/null
