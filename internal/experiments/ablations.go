@@ -5,6 +5,7 @@ import (
 
 	"finereg/internal/core"
 	"finereg/internal/gpu"
+	"finereg/internal/kernels"
 	"finereg/internal/mem"
 	"finereg/internal/runner"
 	"finereg/internal/sm"
@@ -27,50 +28,20 @@ var AblationBenches = []string{"CS", "SY2", "MC", "LB", "LI", "SG"}
 // Ablations runs the design-choice study.
 func Ablations(opts Options) (*AblationsResult, error) {
 	opts.Benchmarks = AblationBenches
-	variants := []struct {
-		label string
-		pol   runner.PolicySpec
-		sched sm.SchedKind
-	}{
-		{"FineReg (full design)", runner.FineRegDefault(), sm.SchedGTO},
-		{"no live compaction (full register sets in PCRF)",
-			runner.FineRegFull(128<<10, 128<<10), sm.SchedGTO},
-		{"cold bit-vector cache (RMU cache disabled)",
-			runner.Custom("finereg/cold-bitvec", coldBitvecFactory()), sm.SchedGTO},
-		{"loose round-robin scheduling (GTO off)",
-			runner.FineRegDefault(), sm.SchedLRR},
-	}
-	set := opts.newSet()
-	var refs [][]ref // [bench][variant]
-	for _, name := range opts.benchNames() {
-		prof, err := opts.profile(name)
-		if err != nil {
-			return nil, err
-		}
-		grid := opts.grid(&prof)
-		row := make([]ref, len(variants))
-		for i, v := range variants {
-			cfg := opts.config()
-			cfg.SM.Scheduler = v.sched
-			row[i] = set.add(cfg, prof, grid, v.pol, false)
-		}
-		refs = append(refs, row)
-	}
-	runs, err := set.run()
+	m, err := opts.matrix(
+		column{label: "FineReg (full design)", spec: runner.FineRegDefault()},
+		column{label: "no live compaction (full register sets in PCRF)",
+			spec: runner.FineRegFull(128<<10, 128<<10)},
+		column{label: "cold bit-vector cache (RMU cache disabled)",
+			spec: runner.Custom("finereg/cold-bitvec", coldBitvecFactory())},
+		column{label: "loose round-robin scheduling (GTO off)", spec: runner.FineRegDefault(),
+			edit: func(cfg *gpu.Config, _ *kernels.Profile) { cfg.SM.Scheduler = sm.SchedLRR }})
 	if err != nil {
 		return nil, err
 	}
-	res := &AblationsResult{}
-	perVariant := make([][]float64, len(variants))
-	for _, row := range refs {
-		fullIPC := runs[row[0]].Metrics.IPC()
-		for i := range variants {
-			perVariant[i] = append(perVariant[i], stats.Speedup(runs[row[i]].Metrics.IPC(), fullIPC))
-		}
-	}
-	for i, v := range variants {
-		res.Labels = append(res.Labels, v.label)
-		res.Norm = append(res.Norm, stats.Geomean(perVariant[i]))
+	res := &AblationsResult{Labels: labels(m.cols)}
+	for c := range m.cols {
+		res.Norm = append(res.Norm, stats.Geomean(m.ratio(c, 0, ipc)))
 	}
 	return res, nil
 }

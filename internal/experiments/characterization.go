@@ -2,8 +2,7 @@ package experiments
 
 import (
 	"fmt"
-	"sort"
-	"strings"
+	"slices"
 
 	"finereg/internal/kernels"
 	"finereg/internal/runner"
@@ -27,17 +26,13 @@ type TableIIResult struct{ Rows []TableIIRow }
 // TableII reproduces the benchmark classification of Table II under the
 // Table I per-SM limits.
 func TableII() *TableIIResult {
-	limits := kernels.Limits{
-		MaxCTAs: 32, MaxWarps: 64, MaxThreads: 2048,
-		RegFileBytes: 256 << 10, SharedMemBytes: 96 << 10,
-	}
 	res := &TableIIResult{}
 	for _, name := range kernels.Names() {
 		p, err := kernels.ProfileByName(name)
 		if err != nil {
 			panic(err) // Names() and ProfileByName share one table
 		}
-		ctas, lim := p.Occupancy(limits)
+		ctas, lim := p.Occupancy(tableI.Limits())
 		res.Rows = append(res.Rows, TableIIRow{
 			Abbrev: p.Abbrev, Name: p.Name, Suite: p.Suite,
 			Class: p.Class, Limiter: lim, OccupancyCTAs: ctas,
@@ -81,59 +76,25 @@ type Figure2Result struct {
 // Figure2 runs every benchmark on the baseline policy with scheduling
 // resources and/or on-chip memory scaled by 1.5x and 2x.
 func Figure2(opts Options) (*Figure2Result, error) {
-	type variant struct {
-		sched, memv float64
+	factors := [6][2]float64{{1.5, 1}, {2, 1}, {1, 1.5}, {1, 2}, {1.5, 1.5}, {2, 2}} // {sched, mem}
+	cols := []column{baseline}
+	for i, f := range factors {
+		cols = append(cols, scaled(Figure2Labels[i], f[0], f[1]))
 	}
-	variants := []variant{{1.5, 1}, {2, 1}, {1, 1.5}, {1, 2}, {1.5, 1.5}, {2, 2}}
-	res := &Figure2Result{}
-	var sVals, rVals [6][]float64
-	set := opts.newSet()
-	type row struct {
-		bench    string
-		class    kernels.Type
-		baseRef  ref
-		variants [6]ref
-	}
-	var rows []row
-	for _, name := range opts.benchNames() {
-		prof, err := opts.profile(name)
-		if err != nil {
-			return nil, err
-		}
-		grid := opts.grid(&prof)
-		r := row{bench: name, class: prof.Class}
-		r.baseRef = set.add(opts.config(), prof, grid, runner.Baseline(), false)
-		for i, v := range variants {
-			cfg := opts.config()
-			cfg.SM.MaxCTAs = int(float64(cfg.SM.MaxCTAs) * v.sched)
-			cfg.SM.MaxWarps = int(float64(cfg.SM.MaxWarps) * v.sched)
-			cfg.SM.MaxThreads = int(float64(cfg.SM.MaxThreads) * v.sched)
-			cfg.SM.RegFileBytes = int(float64(cfg.SM.RegFileBytes) * v.memv)
-			cfg.SM.SharedMemBytes = int(float64(cfg.SM.SharedMemBytes) * v.memv)
-			r.variants[i] = set.add(cfg, prof, grid, runner.Baseline(), false)
-		}
-		rows = append(rows, r)
-	}
-	runs, err := set.run()
+	m, err := opts.matrix(cols...)
 	if err != nil {
 		return nil, err
 	}
-	for _, r := range rows {
-		base := runs[r.baseRef]
-		out := Figure2Row{Bench: r.bench, Class: r.class}
-		for i := range variants {
-			out.Speedup[i] = stats.Speedup(runs[r.variants[i]].Metrics.IPC(), base.Metrics.IPC())
-			if r.class == kernels.TypeS {
-				sVals[i] = append(sVals[i], out.Speedup[i])
-			} else {
-				rVals[i] = append(rVals[i], out.Speedup[i])
-			}
-		}
-		res.Rows = append(res.Rows, out)
+	res := &Figure2Result{Rows: make([]Figure2Row, len(m.benches))}
+	for b, name := range m.benches {
+		res.Rows[b] = Figure2Row{Bench: name, Class: classOf(name)}
 	}
-	for i := range variants {
-		res.TypeSMean[i] = stats.Geomean(sVals[i])
-		res.TypeRMean[i] = stats.Geomean(rVals[i])
+	for i := range factors {
+		for b, v := range m.ratio(i+1, 0, ipc) {
+			res.Rows[b].Speedup[i] = v
+		}
+		mean := m.means(i+1, 0, ipc)
+		res.TypeSMean[i], res.TypeRMean[i] = mean[1], mean[2]
 	}
 	return res, nil
 }
@@ -142,20 +103,10 @@ func Figure2(opts Options) (*Figure2Result, error) {
 func (r *Figure2Result) Render() string {
 	t := &stats.Table{Header: append([]string{"bench"}, Figure2Labels[:]...)}
 	for _, row := range r.Rows {
-		vals := make([]any, len(row.Speedup))
-		for i, v := range row.Speedup {
-			vals[i] = v
-		}
-		t.AddRow(fmt.Sprintf("%s(%s)", row.Bench, row.Class), vals...)
+		t.AddRow(fmt.Sprintf("%s(%s)", row.Bench, row.Class), anys(row.Speedup[:])...)
 	}
-	sRow := make([]any, 6)
-	rRow := make([]any, 6)
-	for i := 0; i < 6; i++ {
-		sRow[i] = r.TypeSMean[i]
-		rRow[i] = r.TypeRMean[i]
-	}
-	t.AddRow("Type-S mean", sRow...)
-	t.AddRow("Type-R mean", rRow...)
+	t.AddRow("Type-S mean", anys(r.TypeSMean[:])...)
+	t.AddRow("Type-R mean", anys(r.TypeRMean[:])...)
 	return "Figure 2. Speedup from scaling scheduling resources vs on-chip memory\n" + t.String()
 }
 
@@ -216,35 +167,17 @@ type Figure4Result struct {
 
 // Figure4 runs the CS benchmark under the four Section III-B setups.
 func Figure4(opts Options) (*Figure4Result, error) {
-	prof, err := opts.profile("CS")
+	opts.Benchmarks = []string{"CS"}
+	m, err := opts.matrix(baseline,
+		column{label: "Full RF", spec: runner.VirtualThread()},
+		column{label: "Full RF+DRAM", cn: CfgRegDRAM},
+		scaled("Ideal", 8, 8))
 	if err != nil {
 		return nil, err
 	}
-	grid := opts.grid(&prof)
-	res := &Figure4Result{Labels: []string{"Baseline", "Full RF", "Full RF+DRAM", "Ideal"}}
-
-	set := opts.newSet()
-	baseRef := set.add(opts.config(), prof, grid, runner.Baseline(), false)
-	fullRFRef := set.add(opts.config(), prof, grid, runner.VirtualThread(), false)
-	dramPick, err := set.addConfig(opts.config(), prof, grid, CfgRegDRAM)
-	if err != nil {
-		return nil, err
-	}
-	ideal := opts.config()
-	ideal.SM.MaxCTAs *= 8
-	ideal.SM.MaxWarps *= 8
-	ideal.SM.MaxThreads *= 8
-	ideal.SM.RegFileBytes *= 8
-	ideal.SM.SharedMemBytes *= 8
-	idealRef := set.add(ideal, prof, grid, runner.Baseline(), false)
-
-	runs, err := set.run()
-	if err != nil {
-		return nil, err
-	}
-	base := runs[baseRef]
-	for _, r := range []*Run{base, runs[fullRFRef], dramPick.best(runs), runs[idealRef]} {
-		res.NormPerf = append(res.NormPerf, stats.Speedup(r.Metrics.IPC(), base.Metrics.IPC()))
+	res := &Figure4Result{Labels: labels(m.cols)}
+	for c, r := range m.runs[0] {
+		res.NormPerf = append(res.NormPerf, m.ratio(c, 0, ipc)[0])
 		res.ActiveThreads = append(res.ActiveThreads, r.Metrics.AvgActiveThreads)
 	}
 	return res, nil
@@ -279,41 +212,20 @@ type Figure5Result struct {
 // Figure5 runs every benchmark on the baseline with register-usage
 // tracking enabled.
 func Figure5(opts Options) (*Figure5Result, error) {
-	res := &Figure5Result{}
-	var all []float64
-	set := opts.newSet()
-	var benches []string
-	for _, name := range opts.benchNames() {
-		prof, err := opts.profile(name)
-		if err != nil {
-			return nil, err
-		}
-		set.add(opts.config(), prof, opts.grid(&prof), runner.Baseline(), true)
-		benches = append(benches, name)
-	}
-	runs, err := set.run()
+	m, err := opts.matrix(column{spec: runner.Baseline(), trackReg: true})
 	if err != nil {
 		return nil, err
 	}
-	for i, name := range benches {
-		r := runs[i]
-		row := Figure5Row{Bench: name, Min: 1, WindowsObserved: len(r.Windows)}
-		for _, f := range r.Windows {
-			if f < row.Min {
-				row.Min = f
-			}
-			if f > row.Max {
-				row.Max = f
-			}
-			row.Mean += f
-			all = append(all, f)
-		}
-		if n := len(r.Windows); n > 0 {
-			row.Mean /= float64(n)
-		} else {
-			row.Min = 0
+	res := &Figure5Result{}
+	var all []float64
+	for b, name := range m.benches {
+		r := m.runs[b][0]
+		row := Figure5Row{Bench: name, WindowsObserved: len(r.Windows)}
+		if len(r.Windows) > 0 {
+			row.Min, row.Mean, row.Max = slices.Min(r.Windows), stats.Mean(r.Windows), slices.Max(r.Windows)
 		}
 		res.Rows = append(res.Rows, row)
+		all = append(all, r.Windows...)
 	}
 	res.MeanUsage = stats.Mean(all)
 	return res, nil
@@ -339,40 +251,22 @@ type TableIIIResult struct {
 
 // TableIII measures CTA time-to-full-stall on the baseline.
 func TableIII(opts Options) (*TableIIIResult, error) {
-	res := &TableIIIResult{Cycles: map[string]float64{}}
-	set := opts.newSet()
-	var benches []string
-	for _, name := range opts.benchNames() {
-		prof, err := opts.profile(name)
-		if err != nil {
-			return nil, err
-		}
-		set.add(opts.config(), prof, opts.grid(&prof), runner.Baseline(), false)
-		benches = append(benches, name)
-	}
-	runs, err := set.run()
+	m, err := opts.matrix(baseline)
 	if err != nil {
 		return nil, err
 	}
-	for i, name := range benches {
-		res.Cycles[name] = runs[i].Metrics.CyclesToFirstStall
+	res := &TableIIIResult{Cycles: map[string]float64{}}
+	for b, name := range m.benches {
+		res.Cycles[name] = m.runs[b][0].Metrics.CyclesToFirstStall
 	}
 	return res, nil
 }
 
 // Render prints the stall-latency table.
 func (r *TableIIIResult) Render() string {
-	var sb strings.Builder
-	sb.WriteString("Table III. Average CTA execution time until complete stall\n")
 	t := &stats.Table{Header: []string{"app", "# cycles"}}
-	keys := make([]string, 0, len(r.Cycles))
-	for k := range r.Cycles {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	for _, k := range keys {
+	for _, k := range stats.SortedKeys(r.Cycles) {
 		t.AddRow(k, fmt.Sprintf("%.0f", r.Cycles[k]))
 	}
-	sb.WriteString(t.String())
-	return sb.String()
+	return "Table III. Average CTA execution time until complete stall\n" + t.String()
 }

@@ -2,81 +2,76 @@ package experiments
 
 import (
 	"fmt"
+	"slices"
+	"strings"
 
-	"finereg/internal/kernels"
 	"finereg/internal/runner"
 	"finereg/internal/stats"
 )
 
 // Sweep holds the five-configuration comparison over the benchmark suite
-// that backs Figures 12, 13, 15 and 16. Results are keyed
-// [benchmark][config].
+// that backs Figures 12, 13 and 16. Results are keyed [benchmark][config].
 type Sweep struct {
 	Order   []string
 	Configs []ConfigName
 	Runs    map[string]map[ConfigName]*Run
+	m       *matrix // the same runs, [Order][Configs]
 }
 
 // RunSweep executes every benchmark under every standard configuration
 // (tuning candidates included) as one job batch.
 func RunSweep(opts Options) (*Sweep, error) {
-	s := &Sweep{Configs: StandardConfigs(), Runs: map[string]map[ConfigName]*Run{}}
-	set := opts.newSet()
-	type cell struct {
-		bench string
-		cn    ConfigName
-		p     pick
-	}
-	var cells []cell
-	for _, name := range opts.benchNames() {
-		prof, err := opts.profile(name)
-		if err != nil {
-			return nil, err
-		}
-		grid := opts.grid(&prof)
-		s.Order = append(s.Order, name)
-		s.Runs[name] = map[ConfigName]*Run{}
-		for _, cn := range s.Configs {
-			p, err := set.addConfig(opts.config(), prof, grid, cn)
-			if err != nil {
-				return nil, err
-			}
-			cells = append(cells, cell{name, cn, p})
-		}
-	}
-	runs, err := set.run()
+	m, err := opts.matrix(paperCols(StandardConfigs())...)
 	if err != nil {
 		return nil, err
 	}
-	for _, c := range cells {
-		s.Runs[c.bench][c.cn] = c.p.best(runs)
+	s := &Sweep{Order: m.benches, Configs: StandardConfigs(), Runs: map[string]map[ConfigName]*Run{}, m: m}
+	for b, name := range s.Order {
+		s.Runs[name] = map[ConfigName]*Run{}
+		for c, cn := range s.Configs {
+			s.Runs[name][cn] = m.runs[b][c]
+		}
 	}
 	return s, nil
 }
 
-// classOf returns a benchmark's Type.
-func classOf(name string) kernels.Type {
-	p, err := kernels.ProfileByName(name)
-	if err != nil {
-		panic(err)
+// means returns, per configuration, the {overall, Type-S, Type-R}
+// geometric means of metric relative to the baseline column.
+func (s *Sweep) means(metric func(*Run) float64) map[ConfigName][3]float64 {
+	out := map[ConfigName][3]float64{}
+	for c, cn := range s.Configs {
+		out[cn] = s.m.means(c, 0, metric)
 	}
-	return p.Class
+	return out
 }
 
-// meanRatio computes the per-class and overall geometric means of
-// metric(cfg)/metric(baseline).
-func (s *Sweep) meanRatio(cfg ConfigName, metric func(*Run) float64) (all, typeS, typeR float64) {
-	var a, sv, rv []float64
-	for _, b := range s.Order {
-		ratio := stats.Speedup(metric(s.Runs[b][cfg]), metric(s.Runs[b][CfgBaseline]))
-		a = append(a, ratio)
-		if classOf(b) == kernels.TypeS {
-			sv = append(sv, ratio)
-		} else {
-			rv = append(rv, ratio)
-		}
+// configTable renders one row per benchmark with cell(bench, config) under
+// each of configs, which head the columns.
+func configTable(benches []string, configs []ConfigName, cell func(bench string, cn ConfigName) float64) string {
+	t := &stats.Table{Header: []string{"bench"}}
+	for _, cn := range configs {
+		t.Header = append(t.Header, string(cn))
 	}
-	return stats.Geomean(a), stats.Geomean(sv), stats.Geomean(rv)
+	for _, b := range benches {
+		vals := make([]any, len(configs))
+		for i, cn := range configs {
+			vals[i] = cell(b, cn)
+		}
+		t.AddRow(b, vals...)
+	}
+	return t.String()
+}
+
+// summary renders the non-baseline configurations' overall means after
+// lead, then FineReg's per-class split; verb formats one mean.
+func (s *Sweep) summary(lead, verb string, mean map[ConfigName][3]float64) string {
+	var parts []string
+	for _, cn := range s.Configs[1:] {
+		parts = append(parts, fmt.Sprintf("%s "+verb, cn, mean[cn][0]))
+	}
+	fr := mean[CfgFineReg]
+	return fmt.Sprintf("%s: %s\n%s by class: Type-S "+verb+", Type-R "+verb+"\n",
+		lead, strings.Join(parts, ", "), CfgFineReg, fr[1], fr[2])
 }
 
 // ---- Figure 12 ----
@@ -91,30 +86,15 @@ type Figure12Result struct {
 
 // Figure12 derives the concurrent-CTA comparison from a sweep.
 func Figure12(s *Sweep) *Figure12Result {
-	res := &Figure12Result{Sweep: s, Mean: map[ConfigName][3]float64{}}
-	for _, cn := range s.Configs {
-		all, ts, tr := s.meanRatio(cn, func(r *Run) float64 { return r.Metrics.AvgResidentCTAs })
-		res.Mean[cn] = [3]float64{all, ts, tr}
-	}
-	return res
+	return &Figure12Result{Sweep: s, Mean: s.means(residentCTAs)}
 }
 
 // Render prints per-benchmark resident CTAs and the class means.
 func (r *Figure12Result) Render() string {
-	t := &stats.Table{Header: []string{"bench", "Baseline", "VT", "Reg+DRAM", "VT+RegMutex", "FineReg"}}
-	for _, b := range r.Sweep.Order {
-		vals := make([]any, 0, 5)
-		for _, cn := range r.Sweep.Configs {
-			vals = append(vals, r.Sweep.Runs[b][cn].Metrics.AvgResidentCTAs)
-		}
-		t.AddRow(b, vals...)
-	}
-	out := "Figure 12. Concurrent CTAs per SM\n" + t.String()
-	out += fmt.Sprintf("Mean CTA ratio vs baseline: VT %.2fx, Reg+DRAM %.2fx, VT+RegMutex %.2fx, FineReg %.2fx\n",
-		r.Mean[CfgVT][0], r.Mean[CfgRegDRAM][0], r.Mean[CfgRegMutex][0], r.Mean[CfgFineReg][0])
-	out += fmt.Sprintf("FineReg by class: Type-S %.2fx, Type-R %.2fx\n",
-		r.Mean[CfgFineReg][1], r.Mean[CfgFineReg][2])
-	return out
+	s := r.Sweep
+	return "Figure 12. Concurrent CTAs per SM\n" +
+		configTable(s.Order, s.Configs, func(b string, cn ConfigName) float64 { return residentCTAs(s.Runs[b][cn]) }) +
+		s.summary("Mean CTA ratio vs baseline", "%.2fx", r.Mean)
 }
 
 // ---- Figure 13 ----
@@ -127,12 +107,7 @@ type Figure13Result struct {
 
 // Figure13 derives the normalized-performance comparison from a sweep.
 func Figure13(s *Sweep) *Figure13Result {
-	res := &Figure13Result{Sweep: s, Mean: map[ConfigName][3]float64{}}
-	for _, cn := range s.Configs {
-		all, ts, tr := s.meanRatio(cn, func(r *Run) float64 { return r.Metrics.IPC() })
-		res.Mean[cn] = [3]float64{all, ts, tr}
-	}
-	return res
+	return &Figure13Result{Sweep: s, Mean: s.means(ipc)}
 }
 
 // Speedup returns one benchmark's IPC ratio under cfg vs baseline.
@@ -143,20 +118,9 @@ func (r *Figure13Result) Speedup(bench string, cfg ConfigName) float64 {
 
 // Render prints normalized IPC per benchmark plus means.
 func (r *Figure13Result) Render() string {
-	t := &stats.Table{Header: []string{"bench", "VT", "Reg+DRAM", "VT+RegMutex", "FineReg"}}
-	for _, b := range r.Sweep.Order {
-		vals := make([]any, 0, 4)
-		for _, cn := range r.Sweep.Configs[1:] {
-			vals = append(vals, r.Speedup(b, cn))
-		}
-		t.AddRow(b, vals...)
-	}
-	out := "Figure 13. Normalized IPC vs baseline\n" + t.String()
-	out += fmt.Sprintf("Geomean speedup: VT %.3f, Reg+DRAM %.3f, VT+RegMutex %.3f, FineReg %.3f\n",
-		r.Mean[CfgVT][0], r.Mean[CfgRegDRAM][0], r.Mean[CfgRegMutex][0], r.Mean[CfgFineReg][0])
-	out += fmt.Sprintf("FineReg by class: Type-S %.3f, Type-R %.3f\n",
-		r.Mean[CfgFineReg][1], r.Mean[CfgFineReg][2])
-	return out
+	s := r.Sweep
+	return "Figure 13. Normalized IPC vs baseline\n" +
+		configTable(s.Order, s.Configs[1:], r.Speedup) + s.summary("Geomean speedup", "%.3f", r.Mean)
 }
 
 // ---- Figure 14 ----
@@ -179,66 +143,54 @@ var MemIntensive = []string{"KM", "SY2", "BF"}
 
 // Figure14 sweeps the RegMutex SRP fraction and measures depletion stalls.
 func Figure14(opts Options) (*Figure14Result, error) {
-	res := &Figure14Result{BestSRP: map[string]float64{}, StallFrac: map[string][2]float64{}}
 	fracs := []float64{0.10, 0.15, 0.20, 0.25, 0.30, 0.35}
-	memIntensive := map[string]bool{}
-	for _, b := range MemIntensive {
-		memIntensive[b] = true
+	cols := make([]column, len(fracs))
+	for i, f := range fracs {
+		cols[i] = column{spec: runner.VTRegMutex(f)}
 	}
-	set := opts.newSet()
-	type row struct {
-		bench    string
-		srpRefs  []ref
-		fineRef  ref
-		memHeavy bool
-	}
-	var rows []row
-	for _, name := range opts.benchNames() {
-		prof, err := opts.profile(name)
-		if err != nil {
-			return nil, err
-		}
-		grid := opts.grid(&prof)
-		r := row{bench: name, memHeavy: memIntensive[name]}
-		for _, f := range fracs {
-			r.srpRefs = append(r.srpRefs, set.add(opts.config(), prof, grid, runner.VTRegMutex(f), false))
-		}
-		if r.memHeavy {
-			r.fineRef = set.add(opts.config(), prof, grid, runner.FineRegDefault(), false)
-		}
-		rows = append(rows, r)
-	}
-	runs, err := set.run()
+	m, err := opts.matrix(cols...)
 	if err != nil {
 		return nil, err
 	}
-	var sum, memSum float64
-	for _, r := range rows {
-		bestIPC, bestFrac := -1.0, fracs[0]
-		var bestRun *Run
-		for i, ref := range r.srpRefs {
-			if ipc := runs[ref].Metrics.IPC(); ipc > bestIPC {
-				bestIPC, bestFrac, bestRun = ipc, fracs[i], runs[ref]
+	res := &Figure14Result{BestSRP: map[string]float64{}, StallFrac: map[string][2]float64{}}
+	// The FineReg side of panel (b) runs only on the trio's members in the
+	// suite, so it is a second, smaller grid.
+	trio := opts
+	trio.Benchmarks = nil
+	var trioBest []*Run
+	var sum, trioSum float64
+	for b, name := range m.benches {
+		best := 0
+		for c, r := range m.runs[b] {
+			if ipc(r) > ipc(m.runs[b][best]) {
+				best = c
 			}
 		}
-		res.BestSRP[r.bench] = bestFrac
-		sum += bestFrac
-		if r.memHeavy {
-			memSum += bestFrac
-			fr := runs[r.fineRef]
-			// RegDepletionStallCycles sums over SMs; normalize by
-			// Cycles×SMs for the per-SM stall fraction of Figure 14(b).
-			denom := float64(bestRun.Metrics.Cycles) * float64(opts.SMs)
-			res.StallFrac[r.bench] = [2]float64{
-				float64(bestRun.Metrics.RegDepletionStallCycles) / denom,
-				float64(fr.Metrics.RegDepletionStallCycles) / (float64(fr.Metrics.Cycles) * float64(opts.SMs)),
-			}
+		res.BestSRP[name] = fracs[best]
+		sum += fracs[best]
+		if slices.Contains(MemIntensive, name) {
+			trio.Benchmarks = append(trio.Benchmarks, name)
+			trioBest = append(trioBest, m.runs[b][best])
+			trioSum += fracs[best]
 		}
 	}
-	if n := len(opts.benchNames()); n > 0 {
-		res.MeanSRP = sum / float64(n)
+	res.MeanSRP = sum / float64(len(m.benches))
+	if len(trio.Benchmarks) == 0 {
+		return res, nil
 	}
-	res.MeanSRPMemIntensive = memSum / float64(len(MemIntensive))
+	fine, err := trio.matrix(column{spec: runner.FineRegDefault()})
+	if err != nil {
+		return nil, err
+	}
+	// RegDepletionStallCycles sums over SMs; normalize by Cycles×SMs for the
+	// per-SM stall fraction of Figure 14(b).
+	stall := func(r *Run) float64 {
+		return float64(r.Metrics.RegDepletionStallCycles) / (float64(r.Metrics.Cycles) * float64(opts.SMs))
+	}
+	for b, name := range fine.benches {
+		res.StallFrac[name] = [2]float64{stall(trioBest[b]), stall(fine.runs[b][0])}
+	}
+	res.MeanSRPMemIntensive = trioSum / float64(len(trio.Benchmarks))
 	return res, nil
 }
 
@@ -252,8 +204,9 @@ func (r *Figure14Result) Render() string {
 		100*r.MeanSRP, 100*r.MeanSRPMemIntensive, t.String())
 	t2 := &stats.Table{Header: []string{"bench", "RegMutex stall %", "FineReg stall %"}}
 	for _, b := range MemIntensive {
-		sf := r.StallFrac[b]
-		t2.AddRow(b, 100*sf[0], 100*sf[1])
+		if sf, ran := r.StallFrac[b]; ran {
+			t2.AddRow(b, 100*sf[0], 100*sf[1])
+		}
 	}
 	out += "Figure 14(b). Stall cycles from register-resource depletion\n" + t2.String()
 	return out
@@ -276,66 +229,38 @@ type Figure15Result struct {
 // fixed off-chip pool (cap 4) here — the point of the figure is the
 // context-switching traffic that configuration generates.
 func Figure15(opts Options) (*Figure15Result, error) {
+	opts.Benchmarks = Figure15Benches
+	cols := paperCols(StandardConfigs())
+	for i := range cols {
+		if cols[i].cn == CfgRegDRAM {
+			cols[i].cn, cols[i].spec = "", runner.RegDRAM(runner.DefaultDRAMCap)
+		}
+	}
+	m, err := opts.matrix(cols...)
+	if err != nil {
+		return nil, err
+	}
 	res := &Figure15Result{
 		Traffic:      map[string]map[ConfigName]float64{},
 		ContextBytes: map[string]map[ConfigName]int64{},
 	}
-	set := opts.newSet()
-	type cell struct {
-		bench string
-		cn    ConfigName
-		p     pick
-	}
-	var cells []cell
-	for _, name := range Figure15Benches {
-		prof, err := opts.profile(name)
-		if err != nil {
-			return nil, err
-		}
-		grid := opts.grid(&prof)
+	for b, name := range m.benches {
 		res.Traffic[name] = map[ConfigName]float64{}
 		res.ContextBytes[name] = map[ConfigName]int64{}
-		for _, cn := range StandardConfigs() {
-			var p pick
-			if cn == CfgRegDRAM {
-				p = pick{cn: cn, refs: []ref{set.add(opts.config(), prof, grid, runner.RegDRAM(runner.DefaultDRAMCap), false)}}
-			} else {
-				var err error
-				p, err = set.addConfig(opts.config(), prof, grid, cn)
-				if err != nil {
-					return nil, err
-				}
-			}
-			cells = append(cells, cell{name, cn, p})
+		base := m.runs[b][0].Metrics.DRAMBytes()
+		for c, cn := range StandardConfigs() {
+			r := m.runs[b][c].Metrics
+			res.Traffic[name][cn] = float64(r.DRAMBytes()) / float64(base)
+			res.ContextBytes[name][cn] = r.DRAMContextBytes
 		}
-	}
-	runs, err := set.run()
-	if err != nil {
-		return nil, err
-	}
-	baseBytes := map[string]int64{}
-	for _, c := range cells {
-		r := c.p.best(runs)
-		if c.cn == CfgBaseline {
-			baseBytes[c.bench] = r.Metrics.DRAMBytes()
-		}
-		res.Traffic[c.bench][c.cn] = float64(r.Metrics.DRAMBytes()) / float64(baseBytes[c.bench])
-		res.ContextBytes[c.bench][c.cn] = r.Metrics.DRAMContextBytes
 	}
 	return res, nil
 }
 
 // Render prints normalized traffic.
 func (r *Figure15Result) Render() string {
-	t := &stats.Table{Header: []string{"bench", "Baseline", "VT", "Reg+DRAM", "VT+RegMutex", "FineReg"}}
-	for _, b := range Figure15Benches {
-		vals := make([]any, 0, 5)
-		for _, cn := range StandardConfigs() {
-			vals = append(vals, r.Traffic[b][cn])
-		}
-		t.AddRow(b, vals...)
-	}
-	return "Figure 15. Off-chip memory traffic normalized to baseline\n" + t.String()
+	return "Figure 15. Off-chip memory traffic normalized to baseline\n" +
+		configTable(Figure15Benches, StandardConfigs(), func(b string, cn ConfigName) float64 { return r.Traffic[b][cn] })
 }
 
 // ---- Figure 16 ----
@@ -353,13 +278,11 @@ type Figure16Result struct {
 // Figure16 derives the energy comparison from a sweep.
 func Figure16(s *Sweep) *Figure16Result {
 	res := &Figure16Result{Sweep: s, Norm: map[ConfigName]float64{}, Components: map[ConfigName][6]float64{}}
-	for _, cn := range s.Configs {
-		var ratios []float64
+	for c, cn := range s.Configs {
+		res.Norm[cn] = stats.Geomean(s.m.ratio(c, 0, func(r *Run) float64 { return r.Energy.Total() }))
 		var comp [6]float64
-		for _, b := range s.Order {
-			e := s.Runs[b][cn].Energy
-			base := s.Runs[b][CfgBaseline].Energy
-			ratios = append(ratios, e.Total()/base.Total())
+		for _, row := range s.m.runs {
+			e := row[c].Energy
 			comp[0] += e.DRAMDyn
 			comp[1] += e.RFDyn
 			comp[2] += e.OthersDyn
@@ -367,7 +290,6 @@ func Figure16(s *Sweep) *Figure16Result {
 			comp[4] += e.FineRegLog
 			comp[5] += e.CTASwitch
 		}
-		res.Norm[cn] = stats.Geomean(ratios)
 		res.Components[cn] = comp
 	}
 	return res

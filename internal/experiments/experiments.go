@@ -15,6 +15,7 @@ import (
 	"finereg/internal/gpu"
 	"finereg/internal/kernels"
 	"finereg/internal/runner"
+	"finereg/internal/sm"
 	"finereg/internal/stats"
 )
 
@@ -55,6 +56,10 @@ func Paper() Options { return Options{SMs: 16, GridScale: 1.0} }
 // is preserved (resources scale together) while runs stay test-sized.
 func Quick() Options { return Options{SMs: 4, GridScale: 0.25} }
 
+// tableI is the Table I SM: the per-SM limits behind Table II's occupancy
+// classes, Figure 19's pool split and Figure 18's storage overhead.
+var tableI = sm.Default()
+
 func (o Options) benchNames() []string {
 	if len(o.Benchmarks) > 0 {
 		return o.Benchmarks
@@ -73,6 +78,14 @@ func (o Options) config() gpu.Config {
 // least one CTA per SM, so every SM of a shrunken machine takes part.
 func (o Options) grid(p *kernels.Profile) int {
 	return max(o.SMs, p.ScaledGrid(o.GridScale, o.SMs))
+}
+
+// resized returns o on an n-SM machine with every grid scaled along, so
+// per-SM pressure is constant.
+func (o Options) resized(n int) Options {
+	o.GridScale = o.GridScale * float64(n) / float64(o.SMs) // in this order: the rounding reaches the grid, and so the job key
+	o.SMs = n
+	return o
 }
 
 // profile returns the benchmark profile with its streaming footprint

@@ -243,10 +243,8 @@ func TestFigure19UMOrdering(t *testing.T) {
 }
 
 func TestUnknownConfigRejected(t *testing.T) {
-	prof, _ := kernels.ProfileByName("CS")
-	set := tiny().newSet()
-	if _, err := set.addConfig(tiny().config(), prof, 4, ConfigName("bogus")); err == nil {
-		t.Error("addConfig should reject an unknown configuration")
+	if _, err := tiny().matrix(column{cn: ConfigName("bogus")}); err == nil {
+		t.Error("matrix should reject an unknown configuration")
 	}
 	if _, err := specFor(ConfigName("bogus")); err == nil {
 		t.Error("specFor should reject an unknown configuration")

@@ -61,22 +61,20 @@ func MPS(opts Options, pairs []MPSPair) (*MPSResult, error) {
 		pairs = DefaultMPSPairs()
 	}
 	half := opts.SMs / 2
-	ho := opts
-	ho.SMs = half
-	ho.GridScale = opts.GridScale * float64(half) / float64(opts.SMs)
+	ho := opts.resized(half)
 	configs := []ConfigName{CfgBaseline, CfgFineReg}
 
 	// Per pair × config: tenant A solo, tenant B solo, and the co-run.
 	type probe struct {
 		pair             MPSPair
 		cn               ConfigName
-		soloA, soloB, co ref
+		soloA, soloB, co int
 	}
 	var probes []probe
 	var jobs []*runner.Job
-	add := func(j *runner.Job) ref {
+	add := func(j *runner.Job) int {
 		jobs = append(jobs, j)
-		return ref(len(jobs) - 1)
+		return len(jobs) - 1
 	}
 	for _, pr := range pairs {
 		profA, err := kernels.ProfileByName(pr.A)

@@ -32,17 +32,12 @@ func TestFineRegAdmissionControlRegression(t *testing.T) {
 		t.Skip("runs a full quick-scale simulation cell")
 	}
 	o := Quick()
-	prof, err := o.profile("FD")
+	o.Benchmarks = []string{"FD"}
+	cell, err := o.matrix(column{spec: runner.FineRegDefault()})
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := o.newSet()
-	r := s.add(o.config(), prof, o.grid(&prof), runner.FineRegDefault(), false)
-	runs, err := s.run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	m := runs[r].Metrics
+	m := cell.runs[0][0].Metrics
 	if m.CTASwitches == 0 {
 		t.Fatal("FD/FineReg performed no CTA switches; the cell no longer exercises the PCRF")
 	}

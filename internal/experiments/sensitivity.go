@@ -3,6 +3,7 @@ package experiments
 import (
 	"fmt"
 
+	"finereg/internal/gpu"
 	"finereg/internal/kernels"
 	"finereg/internal/mem"
 	"finereg/internal/runner"
@@ -31,45 +32,24 @@ type Figure17Result struct {
 
 // Figure17 sweeps the ACRF/PCRF partition over the benchmark suite.
 func Figure17(opts Options) (*Figure17Result, error) {
-	res := &Figure17Result{Splits: Figure17Splits}
-	set := opts.newSet()
-	baseRef := map[string]ref{}
-	for _, name := range opts.benchNames() {
-		prof, err := opts.profile(name)
-		if err != nil {
-			return nil, err
-		}
-		baseRef[name] = set.add(opts.config(), prof, opts.grid(&prof), runner.Baseline(), false)
+	cols := []column{baseline}
+	for _, s := range Figure17Splits {
+		cols = append(cols, column{spec: runner.FineReg(s.ACRF<<10, s.PCRF<<10)})
 	}
-	splitRef := map[SplitKB]map[string]ref{}
-	for _, split := range Figure17Splits {
-		splitRef[split] = map[string]ref{}
-		for _, name := range opts.benchNames() {
-			prof, err := opts.profile(name)
-			if err != nil {
-				return nil, err
-			}
-			splitRef[split][name] = set.add(opts.config(), prof, opts.grid(&prof),
-				runner.FineReg(split.ACRF<<10, split.PCRF<<10), false)
-		}
-	}
-	runs, err := set.run()
+	m, err := opts.matrix(cols...)
 	if err != nil {
 		return nil, err
 	}
-	for _, split := range Figure17Splits {
-		var perf, ctas, share []float64
-		for _, name := range opts.benchNames() {
-			base := runs[baseRef[name]]
-			r := runs[splitRef[split][name]]
-			perf = append(perf, stats.Speedup(r.Metrics.IPC(), base.Metrics.IPC()))
-			ctas = append(ctas, stats.Speedup(r.Metrics.AvgResidentCTAs, base.Metrics.AvgResidentCTAs))
-			if r.Metrics.AvgResidentCTAs > 0 {
-				share = append(share, r.Metrics.AvgActiveCTAs/r.Metrics.AvgResidentCTAs)
+	res := &Figure17Result{Splits: Figure17Splits}
+	for c := 1; c < len(cols); c++ {
+		var share []float64
+		for _, row := range m.runs {
+			if r := row[c].Metrics; r.AvgResidentCTAs > 0 {
+				share = append(share, r.AvgActiveCTAs/r.AvgResidentCTAs)
 			}
 		}
-		res.NormPerf = append(res.NormPerf, stats.Geomean(perf))
-		res.CTARatio = append(res.CTARatio, stats.Geomean(ctas))
+		res.NormPerf = append(res.NormPerf, stats.Geomean(m.ratio(c, 0, ipc)))
+		res.CTARatio = append(res.CTARatio, stats.Geomean(m.ratio(c, 0, residentCTAs)))
 		res.ActiveShare = append(res.ActiveShare, stats.Mean(share))
 	}
 	return res, nil
@@ -117,102 +97,77 @@ type Figure18Point struct {
 // Figure18Result is the SM-scaling study.
 type Figure18Result struct{ Points []Figure18Point }
 
+// figure18Sizes are the machine sizes swept from a base of sms SMs: × 1, 2
+// and 4, and × 8 from the paper's 16 SMs up (128 SMs at full scale; a
+// shrunken machine stops at 4× to stay test-sized).
+func figure18Sizes(sms int) []int {
+	sizes := []int{sms, 2 * sms, 4 * sms}
+	if sms >= 16 {
+		sizes = append(sizes, 8*sms)
+	}
+	return sizes
+}
+
 // Figure18 compares FineReg against a resource-scaled baseline
 // (Baseline+Resource) across machine sizes. Workloads scale with the
-// machine so per-SM pressure is constant.
+// machine so per-SM pressure is constant. nil smCounts sweeps
+// figure18Sizes(opts.SMs).
 func Figure18(opts Options, smCounts []int) (*Figure18Result, error) {
 	if len(smCounts) == 0 {
-		smCounts = []int{16, 32, 64, 128}
+		smCounts = figure18Sizes(opts.SMs)
 	}
-	res := &Figure18Result{}
+	opts.Benchmarks = Figure18Benches
 
-	// Phase 1: baseline and FineReg at every machine size. The
-	// Baseline+Resource configuration is derived from these results, so it
-	// forms a second batch.
-	type point struct {
-		n             int
-		o             Options
-		prof          kernels.Profile
-		grid          int
-		base, fine    ref
-		big           ref // phase 2
-		k             float64
-		overheadBytes float64
-	}
-	set := opts.newSet()
-	var points []point
+	// Phase 1: baseline (column 2i) and FineReg (2i+1) at every machine size.
+	var cols []column
 	for _, n := range smCounts {
-		o := opts
-		o.SMs = n
-		o.GridScale = opts.GridScale * float64(n) / float64(opts.SMs)
-		o.Benchmarks = Figure18Benches
-		for _, name := range o.benchNames() {
-			prof, err := opts.profile(name)
-			if err != nil {
-				return nil, err
-			}
-			grid := o.grid(&prof)
-			points = append(points, point{
-				n: n, o: o, prof: prof, grid: grid,
-				base: set.add(o.config(), prof, grid, runner.Baseline(), false),
-				fine: set.add(o.config(), prof, grid, runner.FineRegDefault(), false),
-			})
-		}
+		cols = append(cols, column{spec: runner.Baseline(), sms: n}, column{spec: runner.FineRegDefault(), sms: n})
 	}
-	runs, err := set.run()
+	m, err := opts.matrix(cols...)
 	if err != nil {
 		return nil, err
 	}
 
 	// Phase 2: Baseline+Resource — scale scheduling and memory so the
-	// baseline can hold as many CTAs as FineReg kept resident.
-	set2 := opts.newSet()
-	for i := range points {
-		p := &points[i]
-		base, fine := runs[p.base], runs[p.fine]
-		k := fine.Metrics.AvgResidentCTAs / base.Metrics.AvgResidentCTAs
-		if k < 1 {
-			k = 1
+	// baseline can hold as many CTAs as FineReg kept resident. It is derived
+	// from phase 1's results, so it forms a second batch.
+	onChip := tableI.RegFileBytes + tableI.SharedMemBytes + tableI.L1Bytes
+	res := &Figure18Result{Points: make([]Figure18Point, len(smCounts))}
+	big := make([]column, len(smCounts))
+	for i, n := range smCounts {
+		k := map[string]float64{}
+		var overheadBytes float64
+		for b, r := range m.ratio(2*i+1, 2*i, residentCTAs) {
+			k[m.benches[b]] = max(1, r)
+			overheadBytes += (max(1, r) - 1) * float64(onChip) * float64(n)
 		}
-		p.k = k
-		cfg := p.o.config()
-		cfg.SM.MaxCTAs = int(float64(cfg.SM.MaxCTAs)*k) + 1
-		cfg.SM.MaxWarps = int(float64(cfg.SM.MaxWarps)*k) + 1
-		cfg.SM.MaxThreads = int(float64(cfg.SM.MaxThreads)*k) + 1
-		cfg.SM.RegFileBytes = int(float64(cfg.SM.RegFileBytes) * k)
-		cfg.SM.SharedMemBytes = int(float64(cfg.SM.SharedMemBytes) * k)
-		// The paper's Baseline+Resource provisions everything the
-		// extra CTAs need, including first-level cache capacity.
-		unit := cfg.SM.L1Ways * 128
-		cfg.SM.L1Bytes = int(float64(cfg.SM.L1Bytes)*k) / unit * unit
-		p.big = set2.add(cfg, p.prof, p.grid, runner.Baseline(), false)
-		p.overheadBytes = (k - 1) * float64((256+96+48)<<10) * float64(p.n)
+		res.Points[i] = Figure18Point{
+			SMs:            n,
+			FineRegSpeedup: stats.Geomean(m.ratio(2*i+1, 2*i, ipc)),
+			OverheadMB:     overheadBytes / float64(len(m.benches)) / (1 << 20),
+		}
+		big[i] = column{spec: runner.Baseline(), sms: n, edit: func(cfg *gpu.Config, p *kernels.Profile) {
+			k := k[p.Abbrev]
+			scaleSM(&cfg.SM, k, k)
+			cfg.SM.MaxCTAs++ // round the scheduling slots up
+			cfg.SM.MaxWarps++
+			cfg.SM.MaxThreads++
+			// The paper's Baseline+Resource provisions everything the
+			// extra CTAs need, including first-level cache capacity.
+			unit := cfg.SM.L1Ways * mem.LineBytes
+			cfg.SM.L1Bytes = int(float64(cfg.SM.L1Bytes)*k) / unit * unit
+		}}
 	}
-	runs2, err := set2.run()
+	m2, err := opts.matrix(big...)
 	if err != nil {
 		return nil, err
 	}
-
-	for _, n := range smCounts {
-		var fr, rs []float64
-		var overheadBytes float64
-		var benches int
-		for _, p := range points {
-			if p.n != n {
-				continue
-			}
-			base := runs[p.base]
-			fr = append(fr, stats.Speedup(runs[p.fine].Metrics.IPC(), base.Metrics.IPC()))
-			rs = append(rs, stats.Speedup(runs2[p.big].Metrics.IPC(), base.Metrics.IPC()))
-			overheadBytes += p.overheadBytes
-			benches++
+	for i := range smCounts {
+		rs := make([]float64, len(m.benches))
+		for b := range rs {
+			rs[b] = stats.Speedup(ipc(m2.runs[b][i]), ipc(m.runs[b][2*i]))
 		}
-		res.Points = append(res.Points, Figure18Point{
-			SMs:             n,
-			FineRegSpeedup:  stats.Geomean(fr),
-			ResourceSpeedup: stats.Geomean(rs),
-			OverheadMB:      overheadBytes / float64(benches) / (1 << 20),
-		})
+		res.Points[i].ResourceSpeedup = stats.Geomean(rs)
 	}
 	return res, nil
 }
@@ -247,48 +202,25 @@ var Figure19Labels = [3]string{"UM", "VT+UM", "FineReg+UM"}
 // Figure19 evaluates the unified on-chip memory integration: each kernel's
 // unused shared-memory share of the 272 KB pool becomes extra L1 capacity.
 func Figure19(opts Options) (*Figure19Result, error) {
-	res := &Figure19Result{Speedup: map[string][3]float64{}}
-	type row struct {
-		name string
-		base ref
-		um   [3]ref
+	cols := []column{baseline}
+	for i, pol := range []runner.PolicySpec{runner.Baseline(), runner.VirtualThread(), runner.FineRegDefault()} {
+		cols = append(cols, column{label: Figure19Labels[i], spec: pol, edit: func(cfg *gpu.Config, p *kernels.Profile) {
+			cfg.SM.L1Bytes = umL1Bytes(p, cfg.SM.L1Ways)
+		}})
 	}
-	set := opts.newSet()
-	var rows []row
-	for _, name := range opts.benchNames() {
-		prof, err := opts.profile(name)
-		if err != nil {
-			return nil, err
-		}
-		grid := opts.grid(&prof)
-		umCfg := opts.config()
-		umCfg.SM.L1Bytes = umL1Bytes(&prof, umCfg.SM.L1Ways)
-
-		r := row{name: name, base: set.add(opts.config(), prof, grid, runner.Baseline(), false)}
-		for i, pol := range []runner.PolicySpec{runner.Baseline(), runner.VirtualThread(), runner.FineRegDefault()} {
-			r.um[i] = set.add(umCfg, prof, grid, pol, false)
-		}
-		rows = append(rows, r)
-	}
-	runs, err := set.run()
+	m, err := opts.matrix(cols...)
 	if err != nil {
 		return nil, err
 	}
-	for _, r := range rows {
-		base := runs[r.base]
-		var trip [3]float64
-		for i := 0; i < 3; i++ {
-			trip[i] = stats.Speedup(runs[r.um[i]].Metrics.IPC(), base.Metrics.IPC())
+	res := &Figure19Result{Order: m.benches, Speedup: map[string][3]float64{}}
+	for i := range res.Mean {
+		ratios := m.ratio(i+1, 0, ipc)
+		for b, name := range m.benches {
+			trip := res.Speedup[name]
+			trip[i] = ratios[b]
+			res.Speedup[name] = trip
 		}
-		res.Speedup[r.name] = trip
-		res.Order = append(res.Order, r.name)
-	}
-	for i := 0; i < 3; i++ {
-		var v []float64
-		for _, b := range res.Order {
-			v = append(v, res.Speedup[b][i])
-		}
-		res.Mean[i] = stats.Geomean(v)
+		res.Mean[i] = stats.Geomean(ratios)
 	}
 	return res, nil
 }
@@ -298,31 +230,21 @@ func Figure19(opts Options) (*Figure19Result, error) {
 // usage times baseline occupancy) is reserved, and the remainder backs the
 // L1 — never less than the baseline 48 KB.
 func umL1Bytes(p *kernels.Profile, ways int) int {
-	limits := kernels.Limits{
-		MaxCTAs: 32, MaxWarps: 64, MaxThreads: 2048,
-		RegFileBytes: 256 << 10, SharedMemBytes: 96 << 10,
-	}
-	occ, _ := p.Occupancy(limits)
-	shmem := p.SharedMem * occ
-	if shmem > 96<<10 {
-		shmem = 96 << 10
-	}
-	l1 := UMBytes - 128<<10 - shmem
-	if l1 < 48<<10 {
-		l1 = 48 << 10
-	}
+	occ, _ := p.Occupancy(tableI.Limits())
+	shmem := min(p.SharedMem*occ, tableI.SharedMemBytes)
+	l1 := max(UMBytes-128<<10-shmem, tableI.L1Bytes)
 	unit := ways * mem.LineBytes
 	return l1 / unit * unit
 }
 
 // Render prints the UM comparison.
 func (r *Figure19Result) Render() string {
-	t := &stats.Table{Header: []string{"bench", "UM", "VT+UM", "FineReg+UM"}}
+	t := &stats.Table{Header: append([]string{"bench"}, Figure19Labels[:]...)}
 	for _, b := range r.Order {
 		s := r.Speedup[b]
-		t.AddRow(b, s[0], s[1], s[2])
+		t.AddRow(b, anys(s[:])...)
 	}
-	out := "Figure 19. Unified on-chip local memory (speedup vs baseline)\n" + t.String()
-	out += fmt.Sprintf("Geomean: UM %.3f, VT+UM %.3f, FineReg+UM %.3f\n", r.Mean[0], r.Mean[1], r.Mean[2])
-	return out
+	l := Figure19Labels
+	return "Figure 19. Unified on-chip local memory (speedup vs baseline)\n" + t.String() +
+		fmt.Sprintf("Geomean: %s %.3f, %s %.3f, %s %.3f\n", l[0], r.Mean[0], l[1], r.Mean[1], l[2], r.Mean[2])
 }

@@ -25,45 +25,27 @@ type StallReport struct {
 // per-application-tune Reg+DRAM/RegMutex (a traced run is a diagnostic
 // probe, not a reported score): it uses the paper's default operating
 // points (DRAM cap 4, SRP 0.25) via specFor.
-func StallBreakdowns(o Options, configs []ConfigName) (*StallReport, error) {
-	if len(configs) == 0 {
-		configs = StandardConfigs()
-	}
-	type cell struct {
-		bench string
-		cn    ConfigName
-		r     ref
-	}
-	set := o.newSet()
-	var cells []cell
-	for _, name := range o.benchNames() {
-		prof, err := o.profile(name)
+func StallBreakdowns(o Options) (*StallReport, error) {
+	rep := &StallReport{Configs: StandardConfigs(), Runs: map[string]map[ConfigName]*StallRun{}}
+	cols := make([]column, len(rep.Configs))
+	for i, cn := range rep.Configs {
+		spec, err := specFor(cn)
 		if err != nil {
 			return nil, err
 		}
-		for _, cn := range configs {
-			pol, err := specFor(cn)
-			if err != nil {
-				return nil, err
-			}
-			cells = append(cells, cell{
-				bench: name, cn: cn,
-				r: set.addTraced(o.config(), prof, o.grid(&prof), pol),
-			})
-		}
+		cols[i] = column{spec: spec, stalls: true}
 	}
-	runs, err := set.run()
+	m, err := o.matrix(cols...)
 	if err != nil {
 		return nil, err
 	}
-	rep := &StallReport{Configs: configs, Runs: map[string]map[ConfigName]*StallRun{}}
-	for _, c := range cells {
-		if rep.Runs[c.bench] == nil {
-			rep.Runs[c.bench] = map[ConfigName]*StallRun{}
+	for b, name := range m.benches {
+		rep.Runs[name] = map[ConfigName]*StallRun{}
+		for c, cn := range rep.Configs {
+			run := m.runs[b][c].Metrics
+			run.Config = string(cn)
+			rep.Runs[name][cn] = &StallRun{Metrics: run}
 		}
-		m := runs[c.r].Metrics
-		m.Config = string(c.cn)
-		rep.Runs[c.bench][c.cn] = &StallRun{Metrics: m}
 	}
 	return rep, nil
 }
@@ -82,11 +64,7 @@ func (r *StallReport) Render() string {
 	}
 	for _, bench := range stats.SortedKeys(r.Runs) {
 		for _, cn := range r.Configs {
-			run := r.Runs[bench][cn]
-			if run == nil {
-				continue
-			}
-			s := run.Metrics.Stalls
+			s := r.Runs[bench][cn].Metrics.Stalls
 			t.AddRow(fmt.Sprintf("%s/%s", bench, cn),
 				s.WarpSlotCycles,
 				pct(s.IssueCycles, s.WarpSlotCycles),

@@ -104,19 +104,6 @@ func (j *Job) label() string {
 	return j.Profile.Abbrev + "/" + j.Policy.Name()
 }
 
-// limits derives the occupancy-classification limits from the job's SM
-// configuration (used to label user programs Type-S vs Type-R).
-func (j *Job) limits() kernels.Limits {
-	smc := &j.Cfg.SM
-	return kernels.Limits{
-		MaxCTAs:        smc.MaxCTAs,
-		MaxWarps:       smc.MaxWarps,
-		MaxThreads:     smc.MaxThreads,
-		RegFileBytes:   smc.RegFileBytes,
-		SharedMemBytes: smc.SharedMemBytes,
-	}
-}
-
 // Key returns the content-addressed identity of the job: the hex SHA-256
 // of the canonical JSON encoding of (fingerprint, config, profile, grid,
 // policy, instrumentation). Go's encoding/json emits struct fields in
@@ -191,7 +178,7 @@ func Simulate(ctx context.Context, _ string, j *Job) (*Result, error) {
 	cfg.SM.TrackRegUsage = j.TrackReg
 	var ks []*kernels.Kernel
 	if len(j.Programs) > 0 {
-		ks, err = workload.LoadAll(j.Programs, j.limits())
+		ks, err = workload.LoadAll(j.Programs, j.Cfg.SM.Limits())
 	} else {
 		var k *kernels.Kernel
 		k, err = kernels.Build(j.Profile, j.Grid)

@@ -56,7 +56,7 @@ func (j *Job) validatePrograms() error {
 	if parts := j.Cfg.Partitions; len(parts) > 0 && len(j.Programs) != len(parts) {
 		return fmt.Errorf("runner: %d programs for %d partitions (concurrent jobs need exactly one program per partition)", len(j.Programs), len(parts))
 	}
-	ks, err := workload.LoadAll(j.Programs, j.limits())
+	ks, err := workload.LoadAll(j.Programs, j.Cfg.SM.Limits())
 	if err != nil {
 		// Keep the *workload.Error in the chain: the serving layer
 		// extracts its field/line/column for structured 400 bodies.

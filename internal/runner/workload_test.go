@@ -80,7 +80,7 @@ func TestProgramJobMatchesInProcessRun(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	k, err := (&workload.Program{Source: testProgram}).Load(j.limits())
+	k, err := (&workload.Program{Source: testProgram}).Load(j.Cfg.SM.Limits())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -12,6 +12,8 @@
 // so the GPU-level loop can skip idle gaps.
 package sm
 
+import "finereg/internal/kernels"
+
 // SchedKind selects the warp scheduling policy.
 type SchedKind uint8
 
@@ -83,6 +85,18 @@ func Default() Config {
 // WarpRegBytes is the size of one warp-register (32 lanes × 4 bytes) — the
 // PCRF entry granularity.
 const WarpRegBytes = 128
+
+// Limits returns the per-SM occupancy limits a kernel is classified and
+// admitted against.
+func (c *Config) Limits() kernels.Limits {
+	return kernels.Limits{
+		MaxCTAs:        c.MaxCTAs,
+		MaxWarps:       c.MaxWarps,
+		MaxThreads:     c.MaxThreads,
+		RegFileBytes:   c.RegFileBytes,
+		SharedMemBytes: c.SharedMemBytes,
+	}
+}
 
 // TotalWarpRegs returns the register file capacity in warp-registers.
 func (c *Config) TotalWarpRegs() int { return c.RegFileBytes / WarpRegBytes }

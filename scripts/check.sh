@@ -172,5 +172,22 @@ fi
 kill -TERM "$srv"
 wait "$srv"
 srv=
+# Record gate: the whole quick-scale suite through the binary must print the
+# pinned record once the timing lines are dropped — the file
+# TestQuickRecordPinned compares registry entry by entry, here end to end
+# through flag parsing and the one loop (≈ 90 s on 2 vCPU; not a -race
+# build, which would take ten times that) — and an unknown -only id must
+# exit 2 naming the registry's ids, which are the record's section headers.
+record=internal/experiments/testdata/quick.txt
+"$tmp/finereg-experiments" -quick -no-cache 2>/dev/null | grep -v '^([a-z0-9]* in [0-9.]*s)$' >"$tmp/quick.out"
+cmp "$tmp/quick.out" "$record"
+ids=$(sed -n 's/^==== \([a-z0-9]*\) (.*/\1/p' "$record" | paste -sd, -)
+rc=0
+"$tmp/finereg-experiments" -only bogus >/dev/null 2>"$tmp/bogus.err" || rc=$?
+if [ "$rc" -ne 2 ] || ! grep -qF "(valid: $ids)" "$tmp/bogus.err"; then
+	echo "check.sh: -only bogus exited $rc, want 2 with the registry's ids ($ids) on stderr:"
+	cat "$tmp/bogus.err"
+	exit 1
+fi
 # ...and the functional executor that lives with its one user.
 go run ./examples/vecadd >/dev/null
