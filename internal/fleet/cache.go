@@ -54,8 +54,7 @@ func (cs cacheServer) handleGet(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "fleet: cache miss", http.StatusNotFound)
 		return
 	}
-	w.Header().Set("Content-Type", "application/json")
-	json.NewEncoder(w).Encode(res)
+	serve.WriteJSON(w, http.StatusOK, res)
 }
 
 func (cs cacheServer) handlePut(w http.ResponseWriter, r *http.Request) {

@@ -170,10 +170,7 @@ func (c *Coordinator) routes() {
 }
 
 func (c *Coordinator) handleListWorkers(w http.ResponseWriter, r *http.Request) {
-	w.Header().Set("Content-Type", "application/json")
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "\t")
-	enc.Encode(c.disp.NodeStatuses())
+	serve.WriteJSON(w, http.StatusOK, c.disp.NodeStatuses())
 }
 
 // registerBody is the POST /v1/fleet/workers payload.

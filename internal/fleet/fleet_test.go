@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"io"
 	"math"
 	"net/http"
 	"net/http/httptest"
@@ -485,6 +486,25 @@ func TestFleetCacheProtocol(t *testing.T) {
 	if resp, err := httpGetResp(client.Base + "/v1/cache/zzzz"); err == nil {
 		if resp != 400 {
 			t.Errorf("malformed key GET = HTTP %d, want 400", resp)
+		}
+	}
+
+	// The fleet's JSON routes answer through the service's one writer: a
+	// single line with its length, like every /v1/jobs body.
+	for _, path := range []string{"/v1/cache/" + key, "/v1/fleet/workers"} {
+		resp, err := http.Get(client.Base + path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		raw, err := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resp.StatusCode != 200 || resp.ContentLength != int64(len(raw)) || !json.Valid(raw) ||
+			bytes.IndexByte(raw, '\n') != len(raw)-1 || bytes.IndexByte(raw, '\t') >= 0 {
+			t.Errorf("GET %s: HTTP %d, Content-Length %d, body %q; want one line of JSON with its length",
+				path, resp.StatusCode, resp.ContentLength, raw)
 		}
 	}
 }

@@ -28,18 +28,28 @@ type Cache struct {
 	stamp int64
 }
 
-// NewCache builds a cache of sizeBytes capacity with the given
-// associativity and LineBytes lines. sizeBytes must be a positive multiple
-// of ways*LineBytes (set counts need not be powers of two — the Table I L1
-// is 48 KB / 8-way / 128 B = 48 sets).
-func NewCache(sizeBytes, ways int) (*Cache, error) {
+// CheckGeometry is the rule a cache's shape must satisfy: sizeBytes a
+// positive multiple of ways*LineBytes (set counts need not be powers of two
+// — the Table I L1 is 48 KB / 8-way / 128 B = 48 sets). NewCache enforces
+// it; admission (runner.Job.Validate) asks it without building anything.
+func CheckGeometry(sizeBytes, ways int) error {
 	if sizeBytes <= 0 || ways <= 0 {
-		return nil, fmt.Errorf("mem: invalid cache geometry %d bytes / %d ways", sizeBytes, ways)
+		return fmt.Errorf("mem: invalid cache geometry %d bytes / %d ways", sizeBytes, ways)
+	}
+	// sizeBytes/ways first: ways*LineBytes can overflow on hostile input.
+	if sizeBytes%ways != 0 || (sizeBytes/ways)%LineBytes != 0 {
+		return fmt.Errorf("mem: cache of %d bytes / %d ways is not a whole number of %d-byte sets", sizeBytes, ways, ways*LineBytes)
+	}
+	return nil
+}
+
+// NewCache builds a cache of sizeBytes capacity with the given
+// associativity and LineBytes lines; the geometry must pass CheckGeometry.
+func NewCache(sizeBytes, ways int) (*Cache, error) {
+	if err := CheckGeometry(sizeBytes, ways); err != nil {
+		return nil, err
 	}
 	sets := sizeBytes / (ways * LineBytes)
-	if sets == 0 || sizeBytes%(ways*LineBytes) != 0 {
-		return nil, fmt.Errorf("mem: cache of %d bytes / %d ways is not a whole number of %d-byte sets", sizeBytes, ways, ways*LineBytes)
-	}
 	c := &Cache{
 		ways:      ways,
 		sets:      uint64(sets),

@@ -2,6 +2,7 @@ package mem
 
 import (
 	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -21,6 +22,44 @@ func TestCacheGeometry(t *testing.T) {
 	}
 	if _, err := NewCache(1<<10, 0); err == nil {
 		t.Error("zero ways should be rejected")
+	}
+}
+
+// TestCheckGeometryMatchesNewCache: admission asks CheckGeometry and a
+// worker later calls NewCache, so the two must agree on every shape — same
+// verdict, same message — and the messages are the ones clients already see.
+func TestCheckGeometryMatchesNewCache(t *testing.T) {
+	for _, g := range []struct {
+		name        string
+		bytes, ways int
+		want        string // "" = valid
+	}{
+		{"Table I L1: 48 sets", 48 << 10, 8, ""},
+		{"power-of-two sets", 2 << 20, 16, ""},
+		{"one set", 8 * LineBytes, 8, ""},
+		{"odd set count", 3 * 5 * LineBytes, 5, ""},
+		{"zero size", 0, 8, "mem: invalid cache geometry 0 bytes / 8 ways"},
+		{"zero ways", 1 << 10, 0, "mem: invalid cache geometry 1024 bytes / 0 ways"},
+		{"negative size", -4096, 4, "mem: invalid cache geometry -4096 bytes / 4 ways"},
+		{"one byte over", 48<<10 + 1, 8, "mem: cache of 49153 bytes / 8 ways is not a whole number of 1024-byte sets"},
+		{"half a set", 4 * LineBytes, 8, "mem: cache of 512 bytes / 8 ways is not a whole number of 1024-byte sets"},
+		{"lines not a multiple of ways", 9 * LineBytes, 8, "mem: cache of 1152 bytes / 8 ways is not a whole number of 1024-byte sets"},
+		// ways*LineBytes wraps to 0 here; the rule must not divide by it.
+		{"ways overflow the set size", 1 << 20, 1 << 57, "is not a whole number of"},
+	} {
+		check := CheckGeometry(g.bytes, g.ways)
+		c, err := NewCache(g.bytes, g.ways)
+		if (check == nil) != (err == nil) || (err != nil && check.Error() != err.Error()) {
+			t.Errorf("%s: CheckGeometry says %v, NewCache %v", g.name, check, err)
+		}
+		switch {
+		case g.want == "" && check != nil:
+			t.Errorf("%s: rejected: %v", g.name, check)
+		case g.want == "" && c.SizeBytes() != g.bytes:
+			t.Errorf("%s: built %d bytes, want %d", g.name, c.SizeBytes(), g.bytes)
+		case g.want != "" && (check == nil || !strings.Contains(check.Error(), g.want)):
+			t.Errorf("%s: got %v, want an error containing %q", g.name, check, g.want)
+		}
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"os"
 	"testing"
 
+	"finereg/internal/gpu"
 	"finereg/internal/workload"
 )
 
@@ -41,6 +42,36 @@ func BenchmarkJobKey(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				j.Key(SimFingerprint)
+			}
+		})
+	}
+}
+
+// BenchmarkValidate is admission's check of a resolved job, paid by every
+// submission before its key is hashed: a profile job on the 1-SM and on the
+// paper's 16-SM machine (machine checks only — the cost must not grow with
+// the machine), and a program job (assemble + liveness of saxpy.sasm).
+func BenchmarkValidate(b *testing.B) {
+	src, err := os.ReadFile("../../examples/saxpy.sasm")
+	if err != nil {
+		b.Fatal(err)
+	}
+	one, paper := tinyJob(b, "CS", FineRegDefault()), tinyJob(b, "CS", FineRegDefault())
+	one.Cfg, paper.Cfg = gpu.Default().Scale(1), gpu.Default()
+	for _, c := range []struct {
+		name string
+		job  *Job
+	}{
+		{"profile-1sm", one},
+		{"profile-16sm", paper},
+		{"program", programJob(workload.Program{Source: string(src)})},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if err := c.job.Validate(); err != nil {
+					b.Fatal(err)
+				}
 			}
 		})
 	}

@@ -145,12 +145,22 @@ func (j *Job) validateMachine() error {
 	if err := gpu.ValidatePartitions(cfg.NumSMs, cfg.Partitions); err != nil {
 		return fmt.Errorf("runner: %w", err)
 	}
-	// Cache geometries must be constructible (sm.New panics otherwise).
-	if _, err := mem.NewCache(smc.L1Bytes, smc.L1Ways); err != nil {
+	// Cache geometries must be constructible (sm.New panics otherwise) and
+	// bounded: a worker allocates 16 bytes of tag and stamp per 128-byte
+	// line (per SM for the L1), so an unbounded size is an out-of-memory
+	// kill one request long. gpu.Default().Scale(4096) has a 512 MiB L2.
+	const maxL1Bytes, maxL2Bytes = 16 << 20, 1 << 30
+	if err := mem.CheckGeometry(smc.L1Bytes, smc.L1Ways); err != nil {
 		return fmt.Errorf("runner: L1: %w", err)
 	}
-	if _, err := mem.NewCache(cfg.L2Bytes, cfg.L2Ways); err != nil {
+	if smc.L1Bytes > maxL1Bytes {
+		return fmt.Errorf("runner: L1: %d bytes exceeds the %d-byte guard", smc.L1Bytes, maxL1Bytes)
+	}
+	if err := mem.CheckGeometry(cfg.L2Bytes, cfg.L2Ways); err != nil {
 		return fmt.Errorf("runner: L2: %w", err)
+	}
+	if cfg.L2Bytes > maxL2Bytes {
+		return fmt.Errorf("runner: L2: %d bytes exceeds the %d-byte guard", cfg.L2Bytes, maxL2Bytes)
 	}
 	if cfg.DRAMBytesPerCycle <= 0 {
 		return fmt.Errorf("runner: DRAMBytesPerCycle %v <= 0", cfg.DRAMBytesPerCycle)

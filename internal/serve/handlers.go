@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
+	"strconv"
 
 	"finereg/internal/isa"
 	"finereg/internal/runner"
@@ -31,13 +32,28 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) { s.mux.Serve
 // routes next to the core API. Must be called before serving traffic.
 func (s *Server) Handle(pattern string, h http.Handler) { s.mux.Handle(pattern, h) }
 
-func writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
+// WriteJSON is the one JSON response writer of the service and the fleet
+// routes mounted on it: v on a single line with its Content-Length, so a
+// body is never chunked. The value is marshalled before any header goes
+// out; one that encoding/json refuses (a NaN in a result's metrics) is
+// answered 500 with the error envelope, not 200 with no body.
+func WriteJSON(w http.ResponseWriter, status int, v any) {
+	body, err := json.Marshal(v)
+	if err != nil {
+		// errorBody is strings and ints: this Marshal cannot fail.
+		status = http.StatusInternalServerError
+		body, _ = json.Marshal(errorBody{Error: "serve: encoding response: " + err.Error()})
+	}
+	h := w.Header()
+	h.Set("Content-Type", "application/json")
+	h.Set("Content-Length", strconv.Itoa(len(body)+1))
 	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "\t")
-	enc.Encode(v)
+	// A write error means the client is gone; there is no one left to tell.
+	_, _ = w.Write(body)
+	_, _ = w.Write(newline)
 }
+
+var newline = []byte{'\n'}
 
 func (s *Server) writeAdmitError(w http.ResponseWriter, err error) {
 	switch {
@@ -45,13 +61,13 @@ func (s *Server) writeAdmitError(w http.ResponseWriter, err error) {
 		// Load shed: tell the client to back off rather than queue
 		// unboundedly server-side.
 		w.Header().Set("Retry-After", "1")
-		writeJSON(w, http.StatusTooManyRequests, errorBody{
+		WriteJSON(w, http.StatusTooManyRequests, errorBody{
 			Error:      err.Error(),
 			QueueDepth: s.queue.depth(),
 			QueueCap:   s.queue.capacity(),
 		})
 	case errors.Is(err, errDraining):
-		writeJSON(w, http.StatusServiceUnavailable, errorBody{Error: err.Error()})
+		WriteJSON(w, http.StatusServiceUnavailable, errorBody{Error: err.Error()})
 	default:
 		writeBadRequest(w, err)
 	}
@@ -67,7 +83,7 @@ func writeBadRequest(w http.ResponseWriter, err error) {
 	if errors.As(err, &we) {
 		body.Program, body.Field, body.Line, body.Col = we.Index, we.Field, we.Line, we.Col
 	}
-	writeJSON(w, http.StatusBadRequest, body)
+	WriteJSON(w, http.StatusBadRequest, body)
 }
 
 // maxBodyBytes bounds a request body: one maximal job (every program at
@@ -91,7 +107,7 @@ func decodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
 	if errors.As(err, &tooBig) {
 		status = http.StatusRequestEntityTooLarge
 	}
-	writeJSON(w, status, errorBody{Error: fmt.Sprintf("serve: bad request body: %v", err)})
+	WriteJSON(w, status, errorBody{Error: fmt.Sprintf("serve: bad request body: %v", err)})
 	return false
 }
 
@@ -114,7 +130,7 @@ func (s *Server) handleSubmitJob(w http.ResponseWriter, r *http.Request) {
 	if sts[0].Coalesced {
 		status = http.StatusOK
 	}
-	writeJSON(w, status, sts[0])
+	WriteJSON(w, status, sts[0])
 }
 
 func (s *Server) handleSubmitBatch(w http.ResponseWriter, r *http.Request) {
@@ -123,11 +139,11 @@ func (s *Server) handleSubmitBatch(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if len(req.Jobs) == 0 {
-		writeJSON(w, http.StatusBadRequest, errorBody{Error: "serve: batch has no jobs"})
+		WriteJSON(w, http.StatusBadRequest, errorBody{Error: "serve: batch has no jobs"})
 		return
 	}
 	if len(req.Jobs) > s.cfg.MaxBatch {
-		writeJSON(w, http.StatusBadRequest, errorBody{
+		WriteJSON(w, http.StatusBadRequest, errorBody{
 			Error: fmt.Sprintf("serve: batch of %d exceeds the %d-job limit", len(req.Jobs), s.cfg.MaxBatch)})
 		return
 	}
@@ -148,25 +164,25 @@ func (s *Server) handleSubmitBatch(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	b := s.registerBatch(recs)
-	writeJSON(w, http.StatusAccepted, BatchSubmitStatus{ID: b.id, Jobs: sts})
+	WriteJSON(w, http.StatusAccepted, BatchSubmitStatus{ID: b.id, Jobs: sts})
 }
 
 func (s *Server) handleGetJob(w http.ResponseWriter, r *http.Request) {
 	rec := s.lookup(r.PathValue("id"))
 	if rec == nil {
-		writeJSON(w, http.StatusNotFound, errorBody{Error: "serve: unknown job"})
+		WriteJSON(w, http.StatusNotFound, errorBody{Error: "serve: unknown job"})
 		return
 	}
-	writeJSON(w, http.StatusOK, rec.status())
+	WriteJSON(w, http.StatusOK, rec.status())
 }
 
 func (s *Server) handleGetBatch(w http.ResponseWriter, r *http.Request) {
 	b := s.lookupBatch(r.PathValue("id"))
 	if b == nil {
-		writeJSON(w, http.StatusNotFound, errorBody{Error: "serve: unknown batch"})
+		WriteJSON(w, http.StatusNotFound, errorBody{Error: "serve: unknown batch"})
 		return
 	}
-	writeJSON(w, http.StatusOK, b.status())
+	WriteJSON(w, http.StatusOK, b.status())
 }
 
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
@@ -176,10 +192,10 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
 	if s.isDraining() {
-		writeJSON(w, http.StatusServiceUnavailable, errorBody{Error: "draining"})
+		WriteJSON(w, http.StatusServiceUnavailable, errorBody{Error: "draining"})
 		return
 	}
-	writeJSON(w, http.StatusOK, map[string]string{"status": "ok"})
+	WriteJSON(w, http.StatusOK, map[string]string{"status": "ok"})
 }
 
 // Shutdown gracefully stops the server: admission closes (new submissions

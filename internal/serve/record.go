@@ -43,10 +43,16 @@ const progressKeep = 16
 // stream. The record's identity is derived from the job key, so duplicate
 // submissions resolve to the same record — the serving layer's coalescing
 // mirrors the engine's in-flight dedup one level up.
+//
+// Lifetime: a record holds its job only until it is terminal. Records are
+// retained long after that (Config.MaxRecords) to answer resubmissions and
+// status fetches, which need the label and the result, not the machine
+// configuration, profile and program text; finish drops the job, and the
+// worker takes it from start, under the record lock, never from the field.
 type record struct {
-	id  string
-	key string
-	job *runner.Job
+	id    string
+	key   string
+	label string // the job's Label, kept past the job itself
 
 	// client is the submitting client's self-reported id (admission
 	// fair-share bucket); immutable after creation.
@@ -58,8 +64,9 @@ type record struct {
 	dropped *metrics.Counter
 
 	mu        sync.Mutex
-	priority  int   // admission priority; raised by higher-priority duplicates
-	qseq      int64 // admission queue arrival sequence
+	job       *runner.Job // nil once terminal
+	priority  int         // admission priority; raised by higher-priority duplicates
+	qseq      int64       // admission queue arrival sequence
 	state     string
 	seq       int64 // monotone event sequence (history may be pruned)
 	nProgress int   // progress events currently retained in events
@@ -78,7 +85,7 @@ type record struct {
 
 func newRecord(id, key string, j *runner.Job) *record {
 	return &record{
-		id: id, key: key, job: j,
+		id: id, key: key, label: j.Label, job: j,
 		state: stateQueued,
 		subs:  map[chan Event]struct{}{},
 		done:  make(chan struct{}),
@@ -114,13 +121,17 @@ func (r *record) setQueueSeq(s int64) {
 
 func (r *record) clientID() string { return r.client }
 
-// failed reports a terminal failure; admission re-runs such a job rather
-// than coalescing onto it.
-func (r *record) failed() bool {
+// currentState reads the lifecycle state alone — what admission needs of a
+// record it coalesces onto, where status() would copy the whole JobStatus.
+func (r *record) currentState() string {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	return r.state == stateFailed
+	return r.state
 }
+
+// failed reports a terminal failure; admission re-runs such a job rather
+// than coalescing onto it.
+func (r *record) failed() bool { return r.currentState() == stateFailed }
 
 func unixMS(t time.Time) int64 {
 	if t.IsZero() {
@@ -137,7 +148,7 @@ func (r *record) appendEventLocked(kind string) {
 		Seq:    r.seq,
 		Kind:   kind,
 		Job:    r.id,
-		Label:  r.job.Label,
+		Label:  r.label,
 		State:  r.state,
 		Cached: r.cached,
 		Error:  r.errMsg,
@@ -179,7 +190,7 @@ func (r *record) progress(s trace.ProgressSample) {
 		Seq:          r.seq,
 		Kind:         eventProgress,
 		Job:          r.id,
-		Label:        r.job.Label,
+		Label:        r.label,
 		State:        r.state,
 		AtMS:         time.Now().UnixMilli(),
 		Cycle:        s.Cycle,
@@ -217,13 +228,15 @@ func (r *record) submitted() {
 	r.appendEventLocked(eventSubmit)
 }
 
-// start marks the dequeue→running transition.
-func (r *record) start() {
+// start marks the dequeue→running transition and hands the worker the job
+// to run.
+func (r *record) start() *runner.Job {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	r.state = stateRunning
 	r.started = time.Now()
 	r.appendEventLocked(eventStart)
+	return r.job
 }
 
 // finish records the terminal state and wakes waiters. err == nil means
@@ -240,6 +253,7 @@ func (r *record) finish(res *runner.Result, err error, cached bool) bool {
 	}
 	r.finished = time.Now()
 	r.cached = cached
+	r.job = nil
 	if err != nil {
 		r.state = stateFailed
 		r.errMsg = err.Error()
@@ -269,7 +283,7 @@ func (r *record) status() JobStatus {
 	return JobStatus{
 		ID:           r.id,
 		Key:          r.key,
-		Label:        r.job.Label,
+		Label:        r.label,
 		Client:       r.client,
 		Priority:     r.priority,
 		State:        r.state,
@@ -280,13 +294,6 @@ func (r *record) status() JobStatus {
 		StartedAtMS:  unixMS(r.started),
 		FinishedAtMS: unixMS(r.finished),
 	}
-}
-
-// terminal reports whether the record reached done/failed.
-func (r *record) terminal() bool {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.state == stateDone || r.state == stateFailed
 }
 
 // subscribe returns the event history so far and a channel carrying

@@ -90,8 +90,11 @@ type Server struct {
 	wg      sync.WaitGroup
 	drainCh chan struct{}
 
-	// test hook: runs in the worker after dequeue, before the job starts.
-	testBeforeRun func(*record)
+	// test hooks: testBeforeRun runs in the worker after dequeue, before the
+	// job starts; testKeysDerived runs in admit once every job's key is
+	// hashed, before s.mu is taken.
+	testBeforeRun   func(*record)
+	testKeysDerived func()
 
 	// metrics
 	mSubmitted  *metrics.Counter
@@ -303,7 +306,18 @@ type jobMeta struct {
 // is admitted whole or shed whole). meta is parallel to jobs. Returns one
 // status per job in input order.
 func (s *Server) admit(jobs []*runner.Job, meta []jobMeta) ([]SubmitStatus, []*record, error) {
-	out, recs, victims, err := s.admitLocked(jobs, meta)
+	// Keys are derived before s.mu is taken: the canonical encoding and its
+	// SHA-256 are the costliest step of admitting a known job, and under the
+	// lock every other submission and status fetch would wait on them.
+	fp := s.engine.Cache.KeyFingerprint()
+	keys := make([]string, len(jobs))
+	for i, j := range jobs {
+		keys[i] = j.Key(fp)
+	}
+	if hook := s.testKeysDerived; hook != nil {
+		hook()
+	}
+	out, recs, victims, err := s.admitLocked(jobs, keys, meta)
 	// Victims are failed outside s.mu: completed() re-locks it, and
 	// record transitions never need the server lock.
 	for _, v := range victims {
@@ -315,8 +329,7 @@ func (s *Server) admit(jobs []*runner.Job, meta []jobMeta) ([]SubmitStatus, []*r
 	return out, recs, err
 }
 
-func (s *Server) admitLocked(jobs []*runner.Job, meta []jobMeta) ([]SubmitStatus, []*record, []*record, error) {
-	fp := s.engine.Cache.KeyFingerprint()
+func (s *Server) admitLocked(jobs []*runner.Job, keys []string, meta []jobMeta) ([]SubmitStatus, []*record, []*record, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.draining {
@@ -337,7 +350,7 @@ func (s *Server) admitLocked(jobs []*runner.Job, meta []jobMeta) ([]SubmitStatus
 	newIDs := map[string]*record{}
 	var raises []raise
 	for i, j := range jobs {
-		key := j.Key(fp)
+		key := keys[i]
 		id := jobID(key)
 		if rec, ok := s.records[id]; ok && !rec.failed() {
 			slots[i] = slot{rec: rec, coalesced: true}
@@ -400,8 +413,7 @@ func (s *Server) admitLocked(jobs []*runner.Job, meta []jobMeta) ([]SubmitStatus
 	out := make([]SubmitStatus, len(jobs))
 	recs := make([]*record, len(jobs))
 	for i, sl := range slots {
-		st := sl.rec.status()
-		out[i] = SubmitStatus{ID: st.ID, Key: st.Key, State: st.State, Coalesced: sl.coalesced}
+		out[i] = SubmitStatus{ID: sl.rec.id, Key: sl.rec.key, State: sl.rec.currentState(), Coalesced: sl.coalesced}
 		recs[i] = sl.rec
 		s.mSubmitted.Inc()
 		if sl.coalesced {
@@ -442,9 +454,9 @@ func (s *Server) worker() {
 		if hook := s.testBeforeRun; hook != nil {
 			hook(rec)
 		}
-		rec.start()
+		job := rec.start()
 		s.mInflight.Add(1)
-		res, cached, err := s.engine.Do(rec.key, rec.job)
+		res, cached, err := s.engine.Do(rec.key, job)
 		s.mInflight.Add(-1)
 		if rec.finish(res, err, cached) {
 			s.completed(rec, err == nil)

@@ -17,12 +17,12 @@ import (
 func (s *Server) handleJobEvents(w http.ResponseWriter, r *http.Request) {
 	rec := s.lookup(r.PathValue("id"))
 	if rec == nil {
-		writeJSON(w, http.StatusNotFound, errorBody{Error: "serve: unknown job"})
+		WriteJSON(w, http.StatusNotFound, errorBody{Error: "serve: unknown job"})
 		return
 	}
 	fl, ok := w.(http.Flusher)
 	if !ok {
-		writeJSON(w, http.StatusInternalServerError,
+		WriteJSON(w, http.StatusInternalServerError,
 			errorBody{Error: "serve: response writer does not support streaming"})
 		return
 	}

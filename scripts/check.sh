@@ -37,9 +37,9 @@ gate() {
 # exceeds go test's default 10-minute timeout under the race detector.
 go test -race -short -timeout 20m ./...
 # Per-layer benchmarks (internal/sm, internal/mem, internal/core,
-# internal/regfile, internal/runner), one iteration each: not a measurement,
-# only proof that they still build and run.
-go test -run '^$' -bench . -benchtime 1x ./internal/sm ./internal/mem ./internal/core ./internal/regfile ./internal/runner
+# internal/regfile, internal/runner, internal/serve), one iteration each: not
+# a measurement, only proof that they still build and run.
+go test -run '^$' -bench . -benchtime 1x ./internal/sm ./internal/mem ./internal/core ./internal/regfile ./internal/runner ./internal/serve
 # Run-engine gate: a parallel mini-sweep (4 workers + shared cache) under
 # the race detector, end to end through the experiments layer.
 gate 'TestSweepParallelWithCache|TestSweepParallelDeterminism' ./internal/experiments/
