@@ -244,7 +244,8 @@ func (f *FineReg) bitvecDelay(s *sm.SM, c *sm.CTA, now int64) int64 {
 	}
 	if t := s.Trace(); t != nil {
 		if fetched := int(f.rmu.Misses - missesBefore); fetched > 0 {
-			t.RegTransfer(s.ID, c.ID, trace.XferBitvec, fetched, fetched*bitvecBytes, now)
+			t.Event(trace.Event{Kind: trace.RegTransfer, SM: s.ID, CTA: c.ID, Cycle: now,
+				Xfer: trace.XferBitvec, Regs: int32(fetched), Bytes: int32(fetched * bitvecBytes)})
 		}
 	}
 	return bvDelay
@@ -286,7 +287,8 @@ func (f *FineReg) evictStore(s *sm.SM, c *sm.CTA, now int64) {
 	s.Cnt.RFReads += int64(len(refs))
 	s.Cnt.PCRFSpills++
 	if t := s.Trace(); t != nil {
-		t.RegTransfer(s.ID, c.ID, trace.XferEvictToPCRF, len(refs), len(refs)*sm.WarpRegBytes, now)
+		t.Event(trace.Event{Kind: trace.RegTransfer, SM: s.ID, CTA: c.ID, Cycle: now,
+			Xfer: trace.XferEvictToPCRF, Regs: int32(len(refs)), Bytes: int32(len(refs) * sm.WarpRegBytes)})
 	}
 	s.Deactivate(c, sm.CTAPendingPCRF, now)
 	f.acrf.Give(c.RegCost)
@@ -320,7 +322,8 @@ func (f *FineReg) resume(s *sm.SM, c *sm.CTA, now int64, restored int, lat int64
 	f.mon.Set(f.info(c).slot, CtxPipeline, RegACRF)
 	s.Reactivate(c, now, lat)
 	if t := s.Trace(); t != nil {
-		t.RegTransfer(s.ID, c.ID, trace.XferRestoreFromPCRF, restored, restored*sm.WarpRegBytes, now)
+		t.Event(trace.Event{Kind: trace.RegTransfer, SM: s.ID, CTA: c.ID, Cycle: now,
+			Xfer: trace.XferRestoreFromPCRF, Regs: int32(restored), Bytes: int32(restored * sm.WarpRegBytes)})
 	}
 }
 

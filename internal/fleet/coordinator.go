@@ -32,7 +32,7 @@ type CoordinatorConfig struct {
 	MaxBatch      int
 	ProgressEvery int64
 	// Slots is the per-node dispatch concurrency (default 4). The
-	// embedded server's worker pool is sized to saturate it.
+	// embedded server's worker pool grows with the fleet to saturate it.
 	Slots int
 	// ProbeEvery paces worker liveness probes (default 2s; < 0 disables
 	// the probe loop — tests drive ProbeAll directly).
@@ -77,8 +77,8 @@ func NewCoordinator(cfg CoordinatorConfig) *Coordinator {
 		disp.AddNode(u)
 	}
 
-	// Workers: enough blocked dispatch waiters to saturate every node's
-	// slots, with headroom for nodes that join later.
+	// Workers: enough blocked dispatch waiters to saturate every seed node's
+	// slots, with headroom; AddWorker adds Slots for each node that joins.
 	workers := disp.cfg.Slots * (len(cfg.Nodes) + 1)
 	if min := runtime.GOMAXPROCS(0); workers < min {
 		workers = min
@@ -117,7 +117,9 @@ func (c *Coordinator) Dispatcher() *Dispatcher { return c.disp }
 // Cache exposes the shared result tier.
 func (c *Coordinator) Cache() *runner.Cache { return c.cache }
 
-// AddWorker registers (or revives) a worker node and its metric series.
+// AddWorker registers (or revives) a worker node and its metric series. A
+// new node brings Slots more serve workers, so every node's dispatch slots
+// can be busy at once however the fleet assembled.
 func (c *Coordinator) AddWorker(nodeURL string) error {
 	u, err := url.Parse(nodeURL)
 	if err != nil || u.Scheme == "" || u.Host == "" {
@@ -126,6 +128,7 @@ func (c *Coordinator) AddWorker(nodeURL string) error {
 	base := u.Scheme + "://" + u.Host
 	if c.disp.AddNode(base) {
 		c.addNodeMetrics(base)
+		c.srv.AddWorkers(c.disp.cfg.Slots)
 	}
 	return nil
 }

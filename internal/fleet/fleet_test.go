@@ -8,6 +8,7 @@ import (
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strconv"
 	"strings"
 	"testing"
@@ -375,6 +376,55 @@ func TestFleetWorkStealing(t *testing.T) {
 	}
 	if execA := wA.eng.Stats().Executed; execA != 1 {
 		t.Errorf("worker A executed %d jobs, want 1 (the parked one)", execA)
+	}
+}
+
+// TestCoordinatorSaturatesLateWorkers: a coordinator started with no nodes
+// sizes its pool for none, so the workers that register afterwards must
+// grow it — n nodes of one slot each run n jobs at once, where a pool
+// fixed at startup (GOMAXPROCS) would leave nodes idle with jobs queued.
+func TestCoordinatorSaturatesLateWorkers(t *testing.T) {
+	n := runtime.GOMAXPROCS(0) + 1
+	entered := make(chan *runner.Job, n)
+	release := make(chan struct{})
+	released := false
+	defer func() {
+		if !released {
+			close(release)
+		}
+	}()
+	coord, client := newCoordinator(t, CoordinatorConfig{Slots: 1})
+	for range n {
+		w := newWorker(t, "", parkExec(entered, release))
+		if err := coord.AddWorker(w.hs.URL); err != nil {
+			t.Fatal(err)
+		}
+	}
+	base := tinyJob(t, "CS", runner.Baseline())
+	jobs := make([]*runner.Job, n)
+	for i := range jobs {
+		j := *base
+		j.Grid += i
+		jobs[i] = &j
+	}
+	resCh := make(chan error, 1)
+	go func() {
+		_, err := runAll(client, jobs...)
+		resCh <- err
+	}()
+
+	timeout := time.After(30 * time.Second)
+	for got := 0; got < n; got++ {
+		select {
+		case <-entered:
+		case <-timeout:
+			t.Fatalf("%d of %d jobs reached a worker; the rest queued behind a full coordinator pool", got, n)
+		}
+	}
+	close(release)
+	released = true
+	if err := <-resCh; err != nil {
+		t.Fatal(err)
 	}
 }
 

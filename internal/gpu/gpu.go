@@ -410,7 +410,7 @@ func (g *GPU) Run(k *kernels.Kernel) (*stats.Metrics, error) {
 	st := g.startRun()
 	g.bind([]*kernels.Kernel{k}, st)
 	if g.sink != nil {
-		g.sink.RunStart(k.Name(), len(g.SMs))
+		g.sink.Event(trace.Event{Kind: trace.RunStart, Kernel: k.Name()})
 	}
 	if err := g.runLoop(st); err != nil {
 		return nil, err
@@ -419,7 +419,7 @@ func (g *GPU) Run(k *kernels.Kernel) (*stats.Metrics, error) {
 		return nil, err
 	}
 	if g.sink != nil {
-		g.sink.RunEnd(st.now)
+		g.sink.Event(trace.Event{Kind: trace.RunEnd, Cycle: st.now})
 	}
 	g.finalSample(st)
 	return g.collect(k.Name(), g.SMs, tally{}, st.now, true), nil

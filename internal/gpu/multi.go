@@ -15,6 +15,7 @@ import (
 
 	"finereg/internal/kernels"
 	"finereg/internal/stats"
+	"finereg/internal/trace"
 )
 
 // MultiResult is the outcome of a multi-kernel run: per-kernel metric
@@ -64,13 +65,13 @@ func (g *GPU) RunStream(ks ...*kernels.Kernel) (*MultiResult, error) {
 		base := g.tally(g.SMs, st.now)
 		g.bind([]*kernels.Kernel{k}, st)
 		if g.sink != nil {
-			g.sink.RunStart(k.Name(), len(g.SMs))
+			g.sink.Event(trace.Event{Kind: trace.RunStart, Kernel: k.Name()})
 		}
 		if err := g.runLoop(st); err != nil {
 			return nil, err
 		}
 		if g.sink != nil {
-			g.sink.RunEnd(st.now)
+			g.sink.Event(trace.Event{Kind: trace.RunEnd, Cycle: st.now})
 		}
 		seg := g.collect(k.Name(), g.SMs, base, st.now, true)
 		res.Segments = append(res.Segments, seg)
@@ -111,7 +112,7 @@ func (g *GPU) RunConcurrent(ks ...*kernels.Kernel) (*MultiResult, error) {
 	g.bind(ks, st)
 	name := joinNames(ks, "|")
 	if g.sink != nil {
-		g.sink.RunStart(name, len(g.SMs))
+		g.sink.Event(trace.Event{Kind: trace.RunStart, Kernel: name})
 	}
 	if err := g.runLoop(st); err != nil {
 		return nil, err
@@ -120,7 +121,7 @@ func (g *GPU) RunConcurrent(ks ...*kernels.Kernel) (*MultiResult, error) {
 		return nil, err
 	}
 	if g.sink != nil {
-		g.sink.RunEnd(st.now)
+		g.sink.Event(trace.Event{Kind: trace.RunEnd, Cycle: st.now})
 	}
 	g.finalSample(st)
 	res := &MultiResult{Segments: make([]*stats.Metrics, 0, len(ks))}

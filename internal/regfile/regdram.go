@@ -132,7 +132,8 @@ func (r *RegDRAM) spillOut(s *sm.SM, c *sm.CTA, now int64) {
 	r.hier.TransferOverlapped(now, ctxBytes(c), mem.TrafficContext)
 	r.chargeDMA(ctxBytes(c), now)
 	if t := s.Trace(); t != nil {
-		t.RegTransfer(s.ID, c.ID, trace.XferSpillToDRAM, c.RegCost, ctxBytes(c), now)
+		t.Event(trace.Event{Kind: trace.RegTransfer, SM: s.ID, CTA: c.ID, Cycle: now,
+			Xfer: trace.XferSpillToDRAM, Regs: int32(c.RegCost), Bytes: int32(ctxBytes(c))})
 	}
 	s.Deactivate(c, sm.CTAPendingDRAM, now)
 	r.info(c).prefetchDone = 0
@@ -193,7 +194,8 @@ func (r *RegDRAM) OnCTAReady(s *sm.SM, c *sm.CTA, now int64) {
 		s.Cnt.DMAPrefetches++
 		d.prefetchDone = r.hier.TransferOverlapped(now, ctxBytes(c), mem.TrafficContext)
 		if t := s.Trace(); t != nil {
-			t.RegTransfer(s.ID, c.ID, trace.XferPrefetchFromDRAM, c.RegCost, ctxBytes(c), now)
+			t.Event(trace.Event{Kind: trace.RegTransfer, SM: s.ID, CTA: c.ID, Cycle: now,
+				Xfer: trace.XferPrefetchFromDRAM, Regs: int32(c.RegCost), Bytes: int32(ctxBytes(c))})
 		}
 		if d.prefetchDone > now {
 			s.ScheduleEvent(d.prefetchDone, c)

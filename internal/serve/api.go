@@ -223,8 +223,7 @@ type BatchStatus struct {
 func (b *BatchStatus) Finished() bool { return b.Done >= b.Total }
 
 // Event is one entry of a job's lifecycle stream (SSE `data:` payload;
-// the kind doubles as the SSE `event:` field). "progress" events carry
-// the in-run sample fields; lifecycle events leave them zero.
+// the kind doubles as the SSE `event:` field).
 type Event struct {
 	Seq   int64  `json:"seq"`
 	Kind  string `json:"event"` // "submit", "start", "progress", "finish"
@@ -237,39 +236,11 @@ type Event struct {
 	Error  string `json:"error,omitempty"`
 	AtMS   int64  `json:"at_ms"`
 
-	// Progress sample payload (kind "progress" only): simulated cycle,
-	// CTA launch/retire counts against the grid total, the live
-	// sim-cycles/s rate over the last sample window, and the sparse
-	// op-count delta (PCRF spills, DMA transfers, DRAM ops...).
-	// The fields mirror trace.ProgressSample one for one so a forwarding
-	// hop (a fleet coordinator relaying a worker's stream) can
-	// reconstruct the sample losslessly via Sample.
-	Cycle        int64            `json:"cycle,omitempty"`
-	CycleDelta   int64            `json:"cycle_delta,omitempty"`
-	GridCTAs     int64            `json:"grid_ctas,omitempty"`
-	CTAsLaunched int64            `json:"ctas_launched,omitempty"`
-	CTAsRetired  int64            `json:"ctas_retired,omitempty"`
-	Instructions int64            `json:"instructions,omitempty"`
-	CyclesPerSec float64          `json:"cycles_per_sec,omitempty"`
-	Final        bool             `json:"final,omitempty"`
-	Ops          map[string]int64 `json:"ops,omitempty"`
-}
-
-// Sample reconstructs the trace.ProgressSample a "progress" event was
-// built from (WallMS is the origin node's wall clock and does not
-// survive the hop; consumers derive their own timing).
-func (e *Event) Sample() trace.ProgressSample {
-	return trace.ProgressSample{
-		Cycle:        e.Cycle,
-		CycleDelta:   e.CycleDelta,
-		GridCTAs:     e.GridCTAs,
-		CTAsLaunched: e.CTAsLaunched,
-		CTAsRetired:  e.CTAsRetired,
-		Instructions: e.Instructions,
-		CyclesPerSec: e.CyclesPerSec,
-		Final:        e.Final,
-		Ops:          e.Ops,
-	}
+	// ProgressSample is a "progress" event's in-run sample, its fields
+	// inlined into the event's JSON (nil, and absent, on lifecycle events).
+	// A forwarding hop — a fleet coordinator relaying a worker's stream —
+	// hands it on as it arrived.
+	*trace.ProgressSample
 }
 
 // errorBody is the JSON error envelope for non-2xx responses.

@@ -330,8 +330,8 @@ func (c *Client) Run(ctx context.Context, key string, j *runner.Job, attempts in
 				return true
 			}
 			seen, fresh = ev.Seq, true
-			if ev.Kind == eventProgress && j.Cfg.Progress != nil {
-				j.Cfg.Progress(ev.Sample())
+			if ev.ProgressSample != nil && j.Cfg.Progress != nil {
+				j.Cfg.Progress(*ev.ProgressSample)
 			}
 			finished = ev.Kind == eventFinish
 			return !finished

@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"io"
 	"net/http"
+	"reflect"
 	"strconv"
 	"strings"
 	"testing"
@@ -255,4 +256,43 @@ func TestProgressFeedsSimTotals(t *testing.T) {
 		t.Fatal(err)
 	}
 	check("after a warm resubmit")
+}
+
+// TestProgressSampleCrossesSSEWhole: a progress event carries the
+// simulator's sample itself, so a sample with every field set comes out of
+// record.progress → SSE → StreamEvents equal to what went in — WallMS
+// included, which a field-by-field copy of the sample used to drop.
+func TestProgressSampleCrossesSSEWhole(t *testing.T) {
+	want := trace.ProgressSample{
+		Cycle: 4096, CycleDelta: 1024, GridCTAs: 96, CTAsLaunched: 40, CTAsRetired: 12,
+		Instructions: 56789, WallMS: 77, CyclesPerSec: 1.5e6, Final: true,
+		Ops: map[string]int64{"gpu_cycles": 1024, "gpu_instructions": 56789},
+	}
+	eng := &runner.Engine{Cache: runner.NewCache(""), Exec: func(ctx context.Context, key string, j *runner.Job) (*runner.Result, error) {
+		j.Cfg.Progress(want)
+		return runner.Simulate(ctx, key, j)
+	}}
+	// A period past the run's end installs the record's progress callback
+	// and leaves the simulator only its Final sample, after the planted one.
+	_, c := newTestServer(t, Config{Engine: eng, Workers: 1, ProgressEvery: 1 << 40})
+	st, err := c.SubmitJob(context.Background(), RequestFromJob(tinyJob(t, "CS", runner.Baseline())))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got *trace.ProgressSample
+	err = c.StreamEvents(context.Background(), st.ID, func(ev Event) bool {
+		if ev.Kind == eventProgress && got == nil {
+			got = ev.ProgressSample
+		}
+		if ev.Kind != eventProgress && ev.ProgressSample != nil {
+			t.Errorf("%s event carries a progress sample: %+v", ev.Kind, ev.ProgressSample)
+		}
+		return ev.Kind != eventFinish
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got == nil || !reflect.DeepEqual(*got, want) {
+		t.Errorf("sample after the SSE hop = %+v, want %+v", got, want)
+	}
 }

@@ -187,21 +187,13 @@ func (r *record) progress(s trace.ProgressSample) {
 	}
 	r.seq++
 	ev := Event{
-		Seq:          r.seq,
-		Kind:         eventProgress,
-		Job:          r.id,
-		Label:        r.label,
-		State:        r.state,
-		AtMS:         time.Now().UnixMilli(),
-		Cycle:        s.Cycle,
-		CycleDelta:   s.CycleDelta,
-		GridCTAs:     s.GridCTAs,
-		CTAsLaunched: s.CTAsLaunched,
-		CTAsRetired:  s.CTAsRetired,
-		Instructions: s.Instructions,
-		CyclesPerSec: s.CyclesPerSec,
-		Final:        s.Final,
-		Ops:          s.Ops,
+		Seq:            r.seq,
+		Kind:           eventProgress,
+		Job:            r.id,
+		Label:          r.label,
+		State:          r.state,
+		AtMS:           time.Now().UnixMilli(),
+		ProgressSample: &s,
 	}
 	if r.nProgress >= progressKeep {
 		// Prune the oldest retained progress event; lifecycle events are

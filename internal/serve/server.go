@@ -39,7 +39,7 @@ type Config struct {
 	// instead.
 	Engine *runner.Engine
 	// Workers is the number of admitted jobs in Engine.Do at once (<= 0
-	// means GOMAXPROCS).
+	// means GOMAXPROCS); AddWorkers grows it later.
 	Workers int
 	// QueueCap bounds the admission queue; a submission that does not fit
 	// is shed with a 429 (<= 0 means DefaultQueueCap).
@@ -153,12 +153,21 @@ func New(cfg Config) *Server {
 	s.initMetrics()
 	s.mux = http.NewServeMux()
 	s.routes()
+	s.AddWorkers(cfg.Workers)
+	return s
+}
 
-	s.wg.Add(cfg.Workers)
-	for i := 0; i < cfg.Workers; i++ {
+// AddWorkers grows the worker pool by n; a draining server starts none.
+func (s *Server) AddWorkers(n int) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.draining {
+		return
+	}
+	s.wg.Add(n)
+	for range n {
 		go s.worker()
 	}
-	return s
 }
 
 // Registry returns the server's metrics registry (for registering extra

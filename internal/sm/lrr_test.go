@@ -12,16 +12,17 @@ import (
 
 // issueLog records the per-warp issue order through the trace sink.
 type issueLog struct {
-	trace.Noop
 	order    []int
 	ctaOrder []int
 	counts   map[int]int
 }
 
-func (l *issueLog) WarpIssue(sm, cta, warp int, now int64, pc int) {
-	l.order = append(l.order, warp)
-	l.ctaOrder = append(l.ctaOrder, cta)
-	l.counts[warp]++
+func (l *issueLog) Event(e trace.Event) {
+	if e.Kind == trace.WarpIssue {
+		l.order = append(l.order, e.Warp)
+		l.ctaOrder = append(l.ctaOrder, e.CTA)
+		l.counts[e.Warp]++
+	}
 }
 
 // TestLRRRotatesFairly is the regression test for the loose-round-robin

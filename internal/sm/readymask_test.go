@@ -49,7 +49,6 @@ func (r refPartition) remove(w *Warp) {
 // wake/block/spawn/drop/exit events sit beside the sites that maintained
 // the old partition, so they maintain the reference).
 type maskRig struct {
-	trace.Noop
 	t   *testing.T
 	rnd *rand.Rand
 	s   *SM
@@ -86,35 +85,36 @@ func stale(w *Warp, now int64) bool {
 
 // ---- sink: maintain the reference partition ----
 
-func (m *maskRig) WarpSpawn(_, cta, idx int, now, wakeAt int64, _ trace.StallReason) {
-	if wakeAt <= now {
-		m.ref.add(m.warp(cta, idx))
-		if m.open {
-			m.wirings++
+func (m *maskRig) Event(e trace.Event) {
+	switch e.Kind {
+	case trace.WarpSpawn:
+		if e.Reason == trace.ReasonIdle { // wired awake
+			m.ref.add(m.warp(e.CTA, e.Warp))
+			if m.open {
+				m.wirings++
+			}
 		}
-	}
-}
-func (m *maskRig) WarpWake(_, cta, idx int, _ int64) { m.ref.add(m.warp(cta, idx)) }
-func (m *maskRig) WarpDrop(_, cta, idx int, _ int64) { m.ref.remove(m.warp(cta, idx)) }
-func (m *maskRig) WarpExit(_, cta, idx int, _ int64) { m.ref.remove(m.warp(cta, idx)) }
-func (m *maskRig) WarpBlock(_, cta, idx int, _, _ int64, _ trace.StallReason) {
-	w := m.warp(cta, idx)
-	m.ref.remove(w)
-	for i, x := range m.cands {
-		if x == w { // allowed by the gate, then blocked by the scoreboard
-			m.cands = append(m.cands[:i], m.cands[i+1:]...)
+	case trace.WarpWake:
+		m.ref.add(m.warp(e.CTA, e.Warp))
+	case trace.WarpDrop, trace.WarpExit:
+		m.ref.remove(m.warp(e.CTA, e.Warp))
+	case trace.WarpBlock:
+		w := m.warp(e.CTA, e.Warp)
+		m.ref.remove(w)
+		for i, x := range m.cands {
+			if x == w { // allowed by the gate, then blocked by the scoreboard
+				m.cands = append(m.cands[:i], m.cands[i+1:]...)
+			}
 		}
+	case trace.WarpIssue:
+		// An issue closes the observed pick: the issued warp must be the one
+		// the reference scan picks.
+		w := m.warp(e.CTA, e.Warp)
+		if !m.open || w.schedID != m.sid || e.Cycle != m.at {
+			m.t.Fatalf("cycle %d: CTA %d warp %d issued from scheduler %d with no pick observed", e.Cycle, e.CTA, e.Warp, w.schedID)
+		}
+		m.finish(w)
 	}
-}
-
-// WarpIssue closes the observed pick: the issued warp must be the one the
-// reference scan picks.
-func (m *maskRig) WarpIssue(_, cta, idx int, now int64, _ int) {
-	w := m.warp(cta, idx)
-	if !m.open || w.schedID != m.sid || now != m.at {
-		m.t.Fatalf("cycle %d: CTA %d warp %d issued from scheduler %d with no pick observed", now, cta, idx, w.schedID)
-	}
-	m.finish(w)
 }
 
 // finish checks the pick that just ended (got nil: nothing issued).

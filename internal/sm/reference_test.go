@@ -120,7 +120,6 @@ func refFirst(pending []refEvent, now int64) (refEvent, bool) {
 // delivery, as it happens, against the sort.
 type orderRig struct {
 	nullPolicy
-	trace.Noop
 	t       *testing.T
 	rnd     *rand.Rand
 	s       *SM
@@ -179,9 +178,11 @@ func (r *orderRig) delivered(cta bool, id int, now int64) {
 	r.pending = append(r.pending[:at], r.pending[at+1:]...)
 }
 
-func (r *orderRig) WarpWake(_, _, idx int, now int64) {
-	r.wakes++
-	r.delivered(false, idx, now)
+func (r *orderRig) Event(e trace.Event) {
+	if e.Kind == trace.WarpWake {
+		r.wakes++
+		r.delivered(false, e.Warp, e.Cycle)
+	}
 }
 
 func (r *orderRig) OnCTAReady(s *SM, c *CTA, now int64) {

@@ -453,7 +453,7 @@ func (s *SM) LaunchNew(now, delay int64) *CTA {
 	s.residents = append(s.residents, c)
 	s.shmemUsed += s.meta.sharedMem
 	if s.sink != nil {
-		s.sink.CTAEvent(s.ID, trace.CTALaunch, c.ID, now, 0)
+		s.sink.Event(trace.Event{Kind: trace.CTALaunch, SM: s.ID, CTA: c.ID, Cycle: now})
 	}
 	s.enterActive(c, now, delay)
 	s.Cnt.CTAsLaunched++
@@ -541,7 +541,7 @@ func (s *SM) enterActive(c *CTA, now, delay int64) {
 					r = trace.ReasonMemory
 				}
 			}
-			s.sink.WarpSpawn(s.ID, c.ID, w.Idx, now, w.wakeAt, r)
+			s.sink.Event(trace.Event{Kind: trace.WarpSpawn, SM: s.ID, CTA: c.ID, Warp: w.Idx, Cycle: now, Reason: r})
 		}
 	}
 }
@@ -576,7 +576,7 @@ func (s *SM) Deactivate(c *CTA, st CTAState, now int64) {
 			ready = w.wakeAt
 		}
 		if s.sink != nil {
-			s.sink.WarpDrop(s.ID, c.ID, w.Idx, now)
+			s.sink.Event(trace.Event{Kind: trace.WarpDrop, SM: s.ID, CTA: c.ID, Warp: w.Idx, Cycle: now})
 		}
 	}
 	c.stalledWarps = 0
@@ -586,7 +586,7 @@ func (s *SM) Deactivate(c *CTA, st CTAState, now int64) {
 	c.ReadyAt = ready
 	s.ScheduleEvent(ready, c)
 	if s.sink != nil {
-		s.sink.CTAEvent(s.ID, trace.CTADeactivate, c.ID, now, int64(st))
+		s.sink.Event(trace.Event{Kind: trace.CTADeactivate, SM: s.ID, CTA: c.ID, Cycle: now, Arg: int32(st)})
 	}
 }
 
@@ -599,7 +599,7 @@ func (s *SM) Reactivate(c *CTA, now, delay int64) {
 	c.State = CTAActive
 	s.pendingCTAs--
 	if s.sink != nil {
-		s.sink.CTAEvent(s.ID, trace.CTAReactivate, c.ID, now, delay)
+		s.sink.Event(trace.Event{Kind: trace.CTAReactivate, SM: s.ID, CTA: c.ID, Cycle: now, Arg: int32(delay)})
 	}
 	s.enterActive(c, now, delay)
 	s.Cnt.CTASwitches++
@@ -683,7 +683,7 @@ func (s *SM) compact(now int64) {
 func (s *SM) finishCTA(c *CTA, now int64) {
 	c.State = CTAFinished
 	if s.sink != nil {
-		s.sink.CTAEvent(s.ID, trace.CTAFinish, c.ID, now, 0)
+		s.sink.Event(trace.Event{Kind: trace.CTAFinish, SM: s.ID, CTA: c.ID, Cycle: now})
 	}
 	s.statSample(now)
 	s.activeCTAs--
@@ -787,7 +787,7 @@ func (s *SM) wake(w *Warp, now int64) {
 		w.CTA.stalledWarps--
 	}
 	if s.sink != nil {
-		s.sink.WarpWake(s.ID, w.CTA.ID, w.Idx, now)
+		s.sink.Event(trace.Event{Kind: trace.WarpWake, SM: s.ID, CTA: w.CTA.ID, Warp: w.Idx, Cycle: now})
 	}
 }
 
@@ -874,7 +874,7 @@ func (s *SM) deliver(due, now int64) {
 			}
 		} else if c := e.cta; c.State.IsPending() && c.ReadyAt <= now {
 			if s.sink != nil {
-				s.sink.CTAEvent(s.ID, trace.CTAReady, c.ID, now, 0)
+				s.sink.Event(trace.Event{Kind: trace.CTAReady, SM: s.ID, CTA: c.ID, Cycle: now})
 			}
 			s.Pol.OnCTAReady(s, c, now)
 		}
@@ -1054,7 +1054,7 @@ func (s *SM) issueReady(w *Warp, now int64) bool {
 	// across the stall (the RegMutex contention the paper measures).
 	if s.gate != nil && !s.gate.AllowIssue(s, w, now) {
 		if s.sink != nil {
-			s.sink.WarpDeny(s.ID, w.CTA.ID, w.Idx, now)
+			s.sink.Event(trace.Event{Kind: trace.WarpDeny, SM: s.ID, CTA: w.CTA.ID, Warp: w.Idx, Cycle: now})
 		}
 		return false
 	}
@@ -1081,7 +1081,7 @@ func (s *SM) block(w *Warp, until, now int64, reason trace.StallReason) {
 	}
 	s.sleepUntil(w, until, now)
 	if s.sink != nil {
-		s.sink.WarpBlock(s.ID, w.CTA.ID, w.Idx, now, until, reason)
+		s.sink.Event(trace.Event{Kind: trace.WarpBlock, SM: s.ID, CTA: w.CTA.ID, Warp: w.Idx, Cycle: now, Reason: reason})
 	}
 	if until-now >= s.Cfg.LongStall && !w.longBlocked {
 		w.longBlocked = true
@@ -1090,7 +1090,7 @@ func (s *SM) block(w *Warp, until, now int64, reason trace.StallReason) {
 		if c.FullyStalled() {
 			s.Cnt.CTAStallEvents++
 			if s.sink != nil {
-				s.sink.CTAEvent(s.ID, trace.CTAFullStall, c.ID, now, 0)
+				s.sink.Event(trace.Event{Kind: trace.CTAFullStall, SM: s.ID, CTA: c.ID, Cycle: now})
 			}
 			if c.firstStallAt < 0 && c.firstIssueAt >= 0 {
 				c.firstStallAt = now
@@ -1117,7 +1117,7 @@ func (s *SM) issue(w *Warp, now int64) {
 		c.firstIssueAt = now
 	}
 	if s.sink != nil {
-		s.sink.WarpIssue(s.ID, c.ID, w.Idx, now, w.PC)
+		s.sink.Event(trace.Event{Kind: trace.WarpIssue, SM: s.ID, CTA: c.ID, Warp: w.Idx, Cycle: now})
 		if dst.Valid() {
 			// Remember what produces the destination so a later blocked
 			// consumer can be attributed (memory vs. scoreboard).
@@ -1157,8 +1157,7 @@ func (s *SM) issue(w *Warp, now int64) {
 			w.setReady(dst, res.ReadyAt)
 		}
 		if s.sink != nil {
-			s.sink.MemAccess(s.ID, now, res.Transactions, res.L1Misses, res.L2Misses,
-				s.Hier.DRAM.QueueDelay(now))
+			s.sink.Event(trace.Event{Kind: trace.MemAccess, SM: s.ID, Cycle: now, Queue: s.Hier.DRAM.QueueDelay(now)})
 		}
 		w.PC++
 	case kindBarrier:
@@ -1168,7 +1167,7 @@ func (s *SM) issue(w *Warp, now int64) {
 		w.atBarrier = true
 		c.barWaiting++
 		if s.sink != nil {
-			s.sink.WarpBarrier(s.ID, c.ID, w.Idx, now)
+			s.sink.Event(trace.Event{Kind: trace.WarpBarrier, SM: s.ID, CTA: c.ID, Warp: w.Idx, Cycle: now})
 		}
 		if c.barWaiting+c.finishedWarps >= len(c.Warps) {
 			s.releaseBarrier(c, now)
@@ -1212,7 +1211,7 @@ func (s *SM) releaseBarrier(c *CTA, now int64) {
 			s.readyAdd(bw)
 		}
 		if s.sink != nil {
-			s.sink.WarpBarrierRelease(s.ID, c.ID, bw.Idx, now)
+			s.sink.Event(trace.Event{Kind: trace.WarpBarrierRelease, SM: s.ID, CTA: c.ID, Warp: bw.Idx, Cycle: now})
 		}
 	}
 }
@@ -1225,7 +1224,7 @@ func (s *SM) exitWarp(w *Warp, now int64) {
 	c.finishedWarps++
 	s.unwire(w)
 	if s.sink != nil {
-		s.sink.WarpExit(s.ID, c.ID, w.Idx, now)
+		s.sink.Event(trace.Event{Kind: trace.WarpExit, SM: s.ID, CTA: c.ID, Warp: w.Idx, Cycle: now})
 	}
 	// A warp exiting may satisfy a barrier its siblings are parked at.
 	if c.barWaiting > 0 && c.barWaiting+c.finishedWarps >= len(c.Warps) {
@@ -1246,7 +1245,7 @@ func (s *SM) exitWarp(w *Warp, now int64) {
 		// The exit may have completed a full-stall condition.
 		s.Cnt.CTAStallEvents++
 		if s.sink != nil {
-			s.sink.CTAEvent(s.ID, trace.CTAFullStall, c.ID, now, 0)
+			s.sink.Event(trace.Event{Kind: trace.CTAFullStall, SM: s.ID, CTA: c.ID, Cycle: now})
 		}
 		if c.EarliestWake()-now >= s.Cfg.LongStall {
 			s.Pol.OnCTAStalled(s, c, now)

@@ -101,24 +101,77 @@ func (w *warpState) flushTo(a *StallAggregator, t int64) {
 	}
 }
 
-// ---- Sink implementation ----
+// Event implements Sink. CTA kinds maintain the per-CTA timelines; warp
+// kinds drive the per-warp state machine, each closing the warp's current
+// segment at the event's cycle and opening the next.
+func (a *StallAggregator) Event(e Event) {
+	k := warpKey{e.SM, e.CTA, e.Warp}
+	switch e.Kind {
+	case RunEnd:
+		a.end = e.Cycle
+	case CTALaunch, CTADeactivate, CTAReactivate, CTAFinish, CTAFullStall, CTAReady:
+		a.timeline(e)
+	case WarpSpawn:
+		a.warps[k] = &warpState{start: e.Cycle, activeAt: e.Cycle, reason: e.Reason, lastDeny: -1}
+	case WarpBlock:
+		a.next(k, e.Cycle, e.Reason)
+	case WarpBarrier:
+		// The arrival follows the barrier's issue in the same cycle, so the
+		// segment starts at Cycle+1.
+		a.next(k, e.Cycle, ReasonBarrier)
+	case WarpWake, WarpBarrierRelease:
+		// The last arriver releases the barrier in its own issue cycle; its
+		// segment start (Cycle+1) then precedes the release and flushTo no-ops.
+		a.next(k, e.Cycle, ReasonIdle)
+	case WarpIssue, WarpDeny:
+		// One cycle in the issue or the depletion bucket. A warp can be
+		// probed (and denied) more than once in a cycle — GTO checks its
+		// greedy warp before scanning the pool — and counts one cycle.
+		st := a.warps[k]
+		if st == nil || e.Kind == WarpDeny && st.lastDeny == e.Cycle {
+			return
+		}
+		r := ReasonIssue
+		if e.Kind == WarpDeny {
+			r, st.lastDeny = ReasonRegDepletion, e.Cycle
+		}
+		st.flushTo(a, e.Cycle)
+		a.buckets[r]++
+		st.start, st.reason = e.Cycle+1, ReasonIdle
+	case WarpDrop, WarpExit:
+		// The EXIT instruction's issue cycle was already counted by
+		// WarpIssue (which advanced the segment to Cycle+1), so an exiting
+		// warp's residency closes at Cycle+1.
+		end := e.Cycle
+		if e.Kind == WarpExit {
+			end++
+		}
+		if st := a.warps[k]; st != nil {
+			st.flushTo(a, end)
+			a.slot += end - st.activeAt
+			delete(a.warps, k)
+		}
+	}
+}
 
-// RunStart implements Sink.
-func (a *StallAggregator) RunStart(kernel string, numSMs int) {}
+// next closes warp k's current segment at cycle now and opens one in
+// reason r (a warp that is not resident is ignored).
+func (a *StallAggregator) next(k warpKey, now int64, r StallReason) {
+	if st := a.warps[k]; st != nil {
+		st.flushTo(a, now)
+		st.reason = r
+	}
+}
 
-// RunEnd implements Sink.
-func (a *StallAggregator) RunEnd(now int64) { a.end = now }
-
-// CTAEvent implements Sink; it maintains the per-CTA timelines (warp-level
-// accounting arrives through the Warp* events).
-func (a *StallAggregator) CTAEvent(sm int, kind CTAKind, cta int, now, arg int64) {
-	k := ctaKey{sm, cta}
+// timeline applies a CTA lifecycle event to the CTA's timeline.
+func (a *StallAggregator) timeline(e Event) {
+	k, now := ctaKey{e.SM, e.CTA}, e.Cycle
 	t := a.ctas[k]
 	if t == nil {
-		t = &CTATimeline{SM: sm, CTA: cta, LaunchAt: now, FinishAt: -1, lastChange: now}
+		t = &CTATimeline{SM: e.SM, CTA: e.CTA, LaunchAt: now, FinishAt: -1, lastChange: now}
 		a.ctas[k] = t
 	}
-	switch kind {
+	switch e.Kind {
 	case CTALaunch:
 		t.active, t.lastChange = true, now
 		t.Activations++
@@ -137,105 +190,6 @@ func (a *StallAggregator) CTAEvent(sm int, kind CTAKind, cta int, now, arg int64
 	case CTAFullStall:
 		t.FullStalls++
 	}
-}
-
-// WarpSpawn implements Sink.
-func (a *StallAggregator) WarpSpawn(sm, cta, warp int, now, wakeAt int64, reason StallReason) {
-	st := &warpState{start: now, activeAt: now, reason: ReasonIdle, lastDeny: -1}
-	if wakeAt > now {
-		st.reason = reason
-	}
-	a.warps[warpKey{sm, cta, warp}] = st
-}
-
-// WarpDrop implements Sink.
-func (a *StallAggregator) WarpDrop(sm, cta, warp int, now int64) {
-	k := warpKey{sm, cta, warp}
-	if st := a.warps[k]; st != nil {
-		st.flushTo(a, now)
-		a.slot += now - st.activeAt
-		delete(a.warps, k)
-	}
-}
-
-// WarpBlock implements Sink.
-func (a *StallAggregator) WarpBlock(sm, cta, warp int, now, until int64, reason StallReason) {
-	if st := a.warps[warpKey{sm, cta, warp}]; st != nil {
-		st.flushTo(a, now)
-		st.reason = reason
-	}
-}
-
-// WarpWake implements Sink.
-func (a *StallAggregator) WarpWake(sm, cta, warp int, now int64) {
-	if st := a.warps[warpKey{sm, cta, warp}]; st != nil {
-		st.flushTo(a, now)
-		st.reason = ReasonIdle
-	}
-}
-
-// WarpIssue implements Sink.
-func (a *StallAggregator) WarpIssue(sm, cta, warp int, now int64, pc int) {
-	if st := a.warps[warpKey{sm, cta, warp}]; st != nil {
-		st.flushTo(a, now)
-		a.buckets[ReasonIssue]++
-		st.start = now + 1
-		st.reason = ReasonIdle
-	}
-}
-
-// WarpDeny implements Sink. A warp can be probed (and denied) more than
-// once in a cycle — GTO checks its greedy warp before scanning the pool —
-// so repeated denials in the same cycle collapse to one depletion cycle.
-func (a *StallAggregator) WarpDeny(sm, cta, warp int, now int64) {
-	st := a.warps[warpKey{sm, cta, warp}]
-	if st == nil || st.lastDeny == now {
-		return
-	}
-	st.lastDeny = now
-	st.flushTo(a, now)
-	a.buckets[ReasonRegDepletion]++
-	st.start = now + 1
-	st.reason = ReasonIdle
-}
-
-// WarpBarrier implements Sink; the arrival follows the issue of the
-// barrier instruction in the same cycle, so the segment starts at now+1.
-func (a *StallAggregator) WarpBarrier(sm, cta, warp int, now int64) {
-	if st := a.warps[warpKey{sm, cta, warp}]; st != nil {
-		st.flushTo(a, now)
-		st.reason = ReasonBarrier
-	}
-}
-
-// WarpBarrierRelease implements Sink. The last arriver releases the
-// barrier in its own issue cycle; its segment start (now+1) then precedes
-// the release time and flushTo no-ops.
-func (a *StallAggregator) WarpBarrierRelease(sm, cta, warp int, now int64) {
-	if st := a.warps[warpKey{sm, cta, warp}]; st != nil {
-		st.flushTo(a, now)
-		st.reason = ReasonIdle
-	}
-}
-
-// WarpExit implements Sink. The EXIT instruction's issue cycle was already
-// counted by WarpIssue (which advanced the segment to now+1), so the
-// warp's residency closes at now+1.
-func (a *StallAggregator) WarpExit(sm, cta, warp int, now int64) {
-	k := warpKey{sm, cta, warp}
-	if st := a.warps[k]; st != nil {
-		st.flushTo(a, now+1)
-		a.slot += now + 1 - st.activeAt
-		delete(a.warps, k)
-	}
-}
-
-// RegTransfer implements Sink.
-func (a *StallAggregator) RegTransfer(sm, cta int, kind TransferKind, regs, bytes int, now int64) {
-}
-
-// MemAccess implements Sink.
-func (a *StallAggregator) MemAccess(sm int, now int64, lines, l1Miss, l2Miss int, queue float64) {
 }
 
 // TimelineTable renders the per-CTA summaries (at most limit rows, 0 = no

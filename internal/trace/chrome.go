@@ -18,9 +18,10 @@ import (
 //   - a per-SM counter track "ctas" (active/pending residency) and a
 //     global "DRAM" process with a channel-backlog counter.
 //
-// Events are streamed as they arrive (constant memory); Close (or RunEnd)
-// finishes the JSON document. Timestamps map one simulated cycle to one
-// microsecond.
+// Events are streamed as they arrive (constant memory); Close finishes the
+// JSON document, so one writer can follow a multi-kernel stream (one
+// RunStart/RunEnd pair per segment) to its end. Timestamps map one
+// simulated cycle to one microsecond.
 type ChromeWriter struct {
 	w     *bufio.Writer
 	first bool
@@ -44,7 +45,7 @@ type smTrack struct {
 }
 
 // NewChromeWriter wraps w; the caller owns the underlying writer's
-// lifetime and must call Close (RunEnd also closes the document).
+// lifetime and must call Close.
 func NewChromeWriter(w io.Writer) *ChromeWriter {
 	cw := &ChromeWriter{
 		w:            bufio.NewWriterSize(w, 1<<16),
@@ -154,51 +155,59 @@ func (c *ChromeWriter) closeSlot(sm, cta int) (int, bool) {
 // xferTid is the per-SM lane for transfer events whose CTA holds no slot.
 const xferTid = 9990
 
+// dramPid is the pseudo-process hosting the global DRAM counter track.
+const dramPid = 10000
+
+// poolLane names the SM's pending-pool lane (xferTid) once.
+func (c *ChromeWriter) poolLane(sm int) {
+	c.metaOnce(fmt.Sprintf("t%d.x", sm),
+		fmt.Sprintf(`"ph":"M","pid":%d,"tid":%d,"name":"thread_name","args":{"name":"pending pool"}`, sm, xferTid))
+}
+
 func (c *ChromeWriter) ctaCounter(sm int, now int64) {
 	t := c.track(sm)
 	c.event(fmt.Sprintf(`"ph":"C","pid":%d,"tid":0,"name":"ctas","ts":%d,"args":{"active":%d,"pending":%d}`,
 		sm, now, t.active, t.pending))
 }
 
-// ---- Sink implementation ----
-
-// RunStart implements Sink.
-func (c *ChromeWriter) RunStart(kernel string, numSMs int) {
-	c.metaOnce("kernel",
-		fmt.Sprintf(`"ph":"i","s":"g","name":"kernel %s","pid":0,"tid":0,"ts":0`, kernel))
-}
-
-// RunEnd implements Sink; it finalizes the document.
-func (c *ChromeWriter) RunEnd(now int64) { c.Close() }
-
-// CTAEvent implements Sink.
-func (c *ChromeWriter) CTAEvent(sm int, kind CTAKind, cta int, now, arg int64) {
-	t := c.track(sm)
-	switch kind {
+// Event implements Sink. CTA lifecycle events open and close the slot
+// slices and move the residency counter; register transfers render as
+// instants on the CTA's slot (still open during eviction, already open
+// after reactivation) or on the SM's pending-pool lane; the DRAM backlog
+// is sampled at most once per CounterEvery cycles to bound file size.
+// Warp-level detail is not drawn — the slot slices carry the story.
+func (c *ChromeWriter) Event(e Event) {
+	sm, cta, now := e.SM, e.CTA, e.Cycle
+	switch e.Kind {
+	case RunStart:
+		c.metaOnce("kernel",
+			fmt.Sprintf(`"ph":"i","s":"g","name":"kernel %s","pid":0,"tid":0,"ts":0`, e.Kernel))
 	case CTALaunch:
-		t.active++
+		c.track(sm).active++
 		tid := c.openSlot(sm, cta)
 		c.event(fmt.Sprintf(`"ph":"B","pid":%d,"tid":%d,"ts":%d,"name":"CTA %d","args":{"cta":%d}`,
 			sm, tid, now, cta, cta))
 		c.ctaCounter(sm, now)
 	case CTADeactivate:
+		t := c.track(sm)
 		t.active--
 		t.pending++
 		if tid, ok := c.closeSlot(sm, cta); ok {
 			c.event(fmt.Sprintf(`"ph":"i","s":"t","pid":%d,"tid":%d,"ts":%d,"name":"deactivate(state %d)"`,
-				sm, tid, now, arg))
+				sm, tid, now, e.Arg))
 			c.event(fmt.Sprintf(`"ph":"E","pid":%d,"tid":%d,"ts":%d`, sm, tid, now))
 		}
 		c.ctaCounter(sm, now)
 	case CTAReactivate:
+		t := c.track(sm)
 		t.pending--
 		t.active++
 		tid := c.openSlot(sm, cta)
 		c.event(fmt.Sprintf(`"ph":"B","pid":%d,"tid":%d,"ts":%d,"name":"CTA %d","args":{"cta":%d,"resume_delay":%d}`,
-			sm, tid, now, cta, cta, arg))
+			sm, tid, now, cta, cta, e.Arg))
 		c.ctaCounter(sm, now)
 	case CTAFinish:
-		t.active--
+		c.track(sm).active--
 		if tid, ok := c.closeSlot(sm, cta); ok {
 			c.event(fmt.Sprintf(`"ph":"E","pid":%d,"tid":%d,"ts":%d`, sm, tid, now))
 		}
@@ -209,67 +218,26 @@ func (c *ChromeWriter) CTAEvent(sm int, kind CTAKind, cta int, now, arg int64) {
 				sm, tid, now, cta))
 		}
 	case CTAReady:
+		c.track(sm)
 		c.event(fmt.Sprintf(`"ph":"i","s":"p","pid":%d,"tid":%d,"ts":%d,"name":"ready CTA %d"`,
 			sm, xferTid, now, cta))
-		c.metaOnce(fmt.Sprintf("t%d.x", sm),
-			fmt.Sprintf(`"ph":"M","pid":%d,"tid":%d,"name":"thread_name","args":{"name":"pending pool"}`, sm, xferTid))
+		c.poolLane(sm)
+	case RegTransfer:
+		tid, ok := c.track(sm).slots[cta]
+		if !ok {
+			tid = xferTid
+			c.poolLane(sm)
+		}
+		c.event(fmt.Sprintf(`"ph":"i","s":"t","pid":%d,"tid":%d,"ts":%d,"name":"%s","args":{"cta":%d,"regs":%d,"bytes":%d}`,
+			sm, tid, now, e.Xfer, cta, e.Regs, e.Bytes))
+	case MemAccess:
+		if c.lastDRAMTs >= 0 && now-c.lastDRAMTs < c.CounterEvery {
+			return
+		}
+		c.lastDRAMTs = now
+		c.metaOnce("dram",
+			fmt.Sprintf(`"ph":"M","pid":%d,"name":"process_name","args":{"name":"DRAM"}`, dramPid))
+		c.event(fmt.Sprintf(`"ph":"C","pid":%d,"tid":0,"name":"queue","ts":%d,"args":{"backlog_cycles":%.1f}`,
+			dramPid, now, e.Queue))
 	}
-}
-
-// WarpSpawn implements Sink (warp-level detail is not drawn; the slot
-// slices carry the story).
-func (c *ChromeWriter) WarpSpawn(sm, cta, warp int, now, wakeAt int64, reason StallReason) {}
-
-// WarpDrop implements Sink.
-func (c *ChromeWriter) WarpDrop(sm, cta, warp int, now int64) {}
-
-// WarpBlock implements Sink.
-func (c *ChromeWriter) WarpBlock(sm, cta, warp int, now, until int64, reason StallReason) {}
-
-// WarpWake implements Sink.
-func (c *ChromeWriter) WarpWake(sm, cta, warp int, now int64) {}
-
-// WarpIssue implements Sink.
-func (c *ChromeWriter) WarpIssue(sm, cta, warp int, now int64, pc int) {}
-
-// WarpDeny implements Sink.
-func (c *ChromeWriter) WarpDeny(sm, cta, warp int, now int64) {}
-
-// WarpBarrier implements Sink.
-func (c *ChromeWriter) WarpBarrier(sm, cta, warp int, now int64) {}
-
-// WarpBarrierRelease implements Sink.
-func (c *ChromeWriter) WarpBarrierRelease(sm, cta, warp int, now int64) {}
-
-// WarpExit implements Sink.
-func (c *ChromeWriter) WarpExit(sm, cta, warp int, now int64) {}
-
-// RegTransfer implements Sink; transfers render as instants on the CTA's
-// slot (still open during eviction, already open after reactivation) or on
-// the SM's pending-pool lane.
-func (c *ChromeWriter) RegTransfer(sm, cta int, kind TransferKind, regs, bytes int, now int64) {
-	tid, ok := c.track(sm).slots[cta]
-	if !ok {
-		tid = xferTid
-		c.metaOnce(fmt.Sprintf("t%d.x", sm),
-			fmt.Sprintf(`"ph":"M","pid":%d,"tid":%d,"name":"thread_name","args":{"name":"pending pool"}`, sm, xferTid))
-	}
-	c.event(fmt.Sprintf(`"ph":"i","s":"t","pid":%d,"tid":%d,"ts":%d,"name":"%s","args":{"cta":%d,"regs":%d,"bytes":%d}`,
-		sm, tid, now, kind, cta, regs, bytes))
-}
-
-// dramPid is the pseudo-process hosting the global DRAM counter track.
-const dramPid = 10000
-
-// MemAccess implements Sink; the DRAM backlog is sampled at most once per
-// CounterEvery cycles to bound file size.
-func (c *ChromeWriter) MemAccess(sm int, now int64, lines, l1Miss, l2Miss int, queue float64) {
-	if c.lastDRAMTs >= 0 && now-c.lastDRAMTs < c.CounterEvery {
-		return
-	}
-	c.lastDRAMTs = now
-	c.metaOnce("dram",
-		fmt.Sprintf(`"ph":"M","pid":%d,"name":"process_name","args":{"name":"DRAM"}`, dramPid))
-	c.event(fmt.Sprintf(`"ph":"C","pid":%d,"tid":0,"name":"queue","ts":%d,"args":{"backlog_cycles":%.1f}`,
-		dramPid, now, queue))
 }

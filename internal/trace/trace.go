@@ -1,7 +1,8 @@
 // Package trace is the simulator's cycle-level observability layer. The
 // timing model (internal/sm, internal/gpu) and the register-file policies
-// (internal/core, internal/regfile) emit structured events into a Sink;
-// consumers turn the stream into artifacts:
+// (internal/core, internal/regfile) emit one value type, Event, into a
+// one-method Sink; consumers switch on its Kind and turn the stream into
+// artifacts:
 //
 //   - ChromeWriter renders a chrome://tracing / Perfetto-compatible JSON
 //     timeline (one track per SM, one sub-track per CTA slot) so a run's
@@ -65,45 +66,6 @@ func (r StallReason) String() string {
 	return "unknown"
 }
 
-// CTAKind labels CTA lifecycle events.
-type CTAKind uint8
-
-const (
-	// CTALaunch: a fresh CTA entered execution (grid -> active).
-	CTALaunch CTAKind = iota
-	// CTADeactivate: active -> pending; arg carries the pending-state code
-	// (the sm.CTAState the CTA parked into).
-	CTADeactivate
-	// CTAReactivate: pending -> active; arg carries the reactivation delay.
-	CTAReactivate
-	// CTAFinish: the CTA's last warp exited.
-	CTAFinish
-	// CTAFullStall: every non-exited warp is long-blocked (the CTA-switch
-	// trigger; instant).
-	CTAFullStall
-	// CTAReady: a pending CTA's earliest warp dependency resolved (instant).
-	CTAReady
-)
-
-// String names the kind for trace labels.
-func (k CTAKind) String() string {
-	switch k {
-	case CTALaunch:
-		return "launch"
-	case CTADeactivate:
-		return "deactivate"
-	case CTAReactivate:
-		return "reactivate"
-	case CTAFinish:
-		return "finish"
-	case CTAFullStall:
-		return "full-stall"
-	case CTAReady:
-		return "ready"
-	}
-	return "unknown"
-}
-
 // TransferKind labels register-movement events.
 type TransferKind uint8
 
@@ -137,104 +99,104 @@ func (k TransferKind) String() string {
 	return "unknown"
 }
 
-// Sink receives the simulator's event stream. One Sink serves the whole
-// GPU; every method carries the SM id. Implementations must not retain the
-// goroutine — the simulator is single-threaded and calls are synchronous.
-//
-// Warps are identified by (sm, cta, warp): the CTA's grid-global id plus
-// the warp's index within it.
-type Sink interface {
-	// RunStart opens a run (kernel name, machine size).
-	RunStart(kernel string, numSMs int)
-	// RunEnd closes the run at the final simulated cycle.
-	RunEnd(now int64)
+// Kind names what an Event reports. Every kind after RunEnd carries its SM
+// and cycle; the comment on each kind lists the other fields it sets.
+type Kind uint8
 
-	// CTAEvent reports a CTA lifecycle transition. arg is kind-specific:
-	// the pending-state code for CTADeactivate, the reactivation delay for
-	// CTAReactivate, 0 otherwise.
-	CTAEvent(sm int, kind CTAKind, cta int, now, arg int64)
+const (
+	// RunStart opens a run or a stream segment: Kernel.
+	RunStart Kind = iota
+	// RunEnd closes it; Cycle is the final simulated cycle.
+	RunEnd
 
-	// WarpSpawn: the warp entered a scheduler (its CTA was activated). If
-	// wakeAt > now the warp starts blocked for the given reason (transfer
-	// drain or a still-pending memory dependency).
-	WarpSpawn(sm, cta, warp int, now, wakeAt int64, reason StallReason)
+	// CTALaunch: a fresh CTA entered execution (grid -> active). CTA.
+	CTALaunch
+	// CTADeactivate: active -> pending. CTA; Arg is the pending-state code
+	// (the sm.CTAState the CTA parked into).
+	CTADeactivate
+	// CTAReactivate: pending -> active. CTA; Arg is the reactivation delay.
+	CTAReactivate
+	// CTAFinish: the CTA's last warp exited. CTA.
+	CTAFinish
+	// CTAFullStall: every non-exited warp is long-blocked (the CTA-switch
+	// trigger; instant). CTA.
+	CTAFullStall
+	// CTAReady: a pending CTA's earliest warp dependency resolved
+	// (instant). CTA.
+	CTAReady
+
+	// WarpSpawn: the warp entered a scheduler (its CTA was activated). CTA,
+	// Warp; Reason is ReasonIdle, or what the warp starts blocked on (the
+	// switch's transfer drain or a still-pending memory dependency).
+	WarpSpawn
 	// WarpDrop: the warp left its scheduler (its CTA was deactivated).
-	WarpDrop(sm, cta, warp int, now int64)
+	WarpDrop
 	// WarpBlock: a scheduler probe found the warp's dependencies unready;
-	// it sleeps until `until`.
-	WarpBlock(sm, cta, warp int, now, until int64, reason StallReason)
+	// Reason says which kind.
+	WarpBlock
 	// WarpWake: a sleeping warp became schedulable again.
-	WarpWake(sm, cta, warp int, now int64)
-	// WarpIssue: the warp issued the instruction at pc this cycle.
-	WarpIssue(sm, cta, warp int, now int64, pc int)
+	WarpWake
+	// WarpIssue: the warp issued an instruction.
+	WarpIssue
 	// WarpDeny: the policy refused issue (register-resource depletion).
-	WarpDeny(sm, cta, warp int, now int64)
+	WarpDeny
 	// WarpBarrier: the warp arrived at a CTA-wide barrier.
-	WarpBarrier(sm, cta, warp int, now int64)
+	WarpBarrier
 	// WarpBarrierRelease: the barrier opened for this warp.
-	WarpBarrierRelease(sm, cta, warp int, now int64)
-	// WarpExit: the warp retired (EXIT issued at cycle now).
-	WarpExit(sm, cta, warp int, now int64)
+	WarpBarrierRelease
+	// WarpExit: the warp retired (EXIT issued at Cycle).
+	WarpExit
 
-	// RegTransfer: regs warp-registers (bytes total) moved for cta.
-	RegTransfer(sm, cta int, kind TransferKind, regs, bytes int, now int64)
-	// MemAccess: one warp global-memory instruction touched `lines` cache
-	// lines with the given miss counts; queue is the DRAM channel backlog
-	// (cycles) sampled at issue.
-	MemAccess(sm int, now int64, lines, l1Miss, l2Miss int, queue float64)
+	// RegTransfer: Regs warp-registers (Bytes in total) moved for CTA, in
+	// the direction Xfer names.
+	RegTransfer
+	// MemAccess: a warp issued a global-memory instruction; Queue is the
+	// DRAM channel backlog (cycles) sampled at issue.
+	MemAccess
+)
+
+// Event is one entry of the simulator's event stream. Kind says which
+// fields are set; the rest are zero. Warps are identified by (SM, CTA,
+// Warp): the CTA's grid-global id plus the warp's index within it.
+//
+// The small payloads are int32 so that Arg packs into the word the three
+// kind bytes start and Regs shares one with Bytes: at 72 bytes an Event
+// is copied into a call by a few inline moves, where at 88 every emission
+// paid a runtime.duffcopy (+13% on BenchmarkTraceNoopSink).
+type Event struct {
+	Kind   Kind
+	Reason StallReason  // WarpSpawn, WarpBlock
+	Xfer   TransferKind // RegTransfer
+	Arg    int32        // CTADeactivate, CTAReactivate
+
+	SM, CTA, Warp int
+	Cycle         int64
+
+	Regs, Bytes int32   // RegTransfer
+	Queue       float64 // MemAccess
+	Kernel      string  // RunStart
+}
+
+// Sink receives the simulator's event stream. One Sink serves the whole
+// GPU. The simulator is single-threaded and calls are synchronous; a new
+// kind of event is a Kind constant, and a sink ignores the kinds it does
+// not know.
+type Sink interface {
+	Event(Event)
 }
 
 // Noop is a Sink that discards everything — the measurable upper bound of
 // tracing's dispatch overhead (a nil sink skips even the interface call).
 type Noop struct{}
 
-// RunStart implements Sink.
-func (Noop) RunStart(string, int) {}
-
-// RunEnd implements Sink.
-func (Noop) RunEnd(int64) {}
-
-// CTAEvent implements Sink.
-func (Noop) CTAEvent(int, CTAKind, int, int64, int64) {}
-
-// WarpSpawn implements Sink.
-func (Noop) WarpSpawn(int, int, int, int64, int64, StallReason) {}
-
-// WarpDrop implements Sink.
-func (Noop) WarpDrop(int, int, int, int64) {}
-
-// WarpBlock implements Sink.
-func (Noop) WarpBlock(int, int, int, int64, int64, StallReason) {}
-
-// WarpWake implements Sink.
-func (Noop) WarpWake(int, int, int, int64) {}
-
-// WarpIssue implements Sink.
-func (Noop) WarpIssue(int, int, int, int64, int) {}
-
-// WarpDeny implements Sink.
-func (Noop) WarpDeny(int, int, int, int64) {}
-
-// WarpBarrier implements Sink.
-func (Noop) WarpBarrier(int, int, int, int64) {}
-
-// WarpBarrierRelease implements Sink.
-func (Noop) WarpBarrierRelease(int, int, int, int64) {}
-
-// WarpExit implements Sink.
-func (Noop) WarpExit(int, int, int, int64) {}
-
-// RegTransfer implements Sink.
-func (Noop) RegTransfer(int, int, TransferKind, int, int, int64) {}
-
-// MemAccess implements Sink.
-func (Noop) MemAccess(int, int64, int, int, int, float64) {}
+// Event implements Sink.
+func (Noop) Event(Event) {}
 
 // Multi fans events out to several sinks in order. Nil members are
 // skipped; with zero or one non-nil member the result collapses to nil or
 // that member.
 func Multi(sinks ...Sink) Sink {
-	var live []Sink
+	var live fanout
 	for _, s := range sinks {
 		if s != nil {
 			live = append(live, s)
@@ -246,91 +208,14 @@ func Multi(sinks ...Sink) Sink {
 	case 1:
 		return live[0]
 	}
-	return multiSink(live)
+	return live
 }
 
-type multiSink []Sink
+// fanout delivers every event to each member in turn.
+type fanout []Sink
 
-func (m multiSink) RunStart(kernel string, numSMs int) {
-	for _, s := range m {
-		s.RunStart(kernel, numSMs)
-	}
-}
-
-func (m multiSink) RunEnd(now int64) {
-	for _, s := range m {
-		s.RunEnd(now)
-	}
-}
-
-func (m multiSink) CTAEvent(sm int, kind CTAKind, cta int, now, arg int64) {
-	for _, s := range m {
-		s.CTAEvent(sm, kind, cta, now, arg)
-	}
-}
-
-func (m multiSink) WarpSpawn(sm, cta, warp int, now, wakeAt int64, reason StallReason) {
-	for _, s := range m {
-		s.WarpSpawn(sm, cta, warp, now, wakeAt, reason)
-	}
-}
-
-func (m multiSink) WarpDrop(sm, cta, warp int, now int64) {
-	for _, s := range m {
-		s.WarpDrop(sm, cta, warp, now)
-	}
-}
-
-func (m multiSink) WarpBlock(sm, cta, warp int, now, until int64, reason StallReason) {
-	for _, s := range m {
-		s.WarpBlock(sm, cta, warp, now, until, reason)
-	}
-}
-
-func (m multiSink) WarpWake(sm, cta, warp int, now int64) {
-	for _, s := range m {
-		s.WarpWake(sm, cta, warp, now)
-	}
-}
-
-func (m multiSink) WarpIssue(sm, cta, warp int, now int64, pc int) {
-	for _, s := range m {
-		s.WarpIssue(sm, cta, warp, now, pc)
-	}
-}
-
-func (m multiSink) WarpDeny(sm, cta, warp int, now int64) {
-	for _, s := range m {
-		s.WarpDeny(sm, cta, warp, now)
-	}
-}
-
-func (m multiSink) WarpBarrier(sm, cta, warp int, now int64) {
-	for _, s := range m {
-		s.WarpBarrier(sm, cta, warp, now)
-	}
-}
-
-func (m multiSink) WarpBarrierRelease(sm, cta, warp int, now int64) {
-	for _, s := range m {
-		s.WarpBarrierRelease(sm, cta, warp, now)
-	}
-}
-
-func (m multiSink) WarpExit(sm, cta, warp int, now int64) {
-	for _, s := range m {
-		s.WarpExit(sm, cta, warp, now)
-	}
-}
-
-func (m multiSink) RegTransfer(sm, cta int, kind TransferKind, regs, bytes int, now int64) {
-	for _, s := range m {
-		s.RegTransfer(sm, cta, kind, regs, bytes, now)
-	}
-}
-
-func (m multiSink) MemAccess(sm int, now int64, lines, l1Miss, l2Miss int, queue float64) {
-	for _, s := range m {
-		s.MemAccess(sm, now, lines, l1Miss, l2Miss, queue)
+func (f fanout) Event(e Event) {
+	for _, s := range f {
+		s.Event(e)
 	}
 }

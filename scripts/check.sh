@@ -37,9 +37,11 @@ gate() {
 # exceeds go test's default 10-minute timeout under the race detector.
 go test -race -short -timeout 20m ./...
 # Per-layer benchmarks (internal/sm, internal/mem, internal/core,
-# internal/regfile, internal/runner, internal/serve), one iteration each: not
-# a measurement, only proof that they still build and run.
+# internal/regfile, internal/runner, internal/serve, and the root package's
+# trace-sink ones), one iteration each: not a measurement, only proof that
+# they still build and run.
 go test -run '^$' -bench . -benchtime 1x ./internal/sm ./internal/mem ./internal/core ./internal/regfile ./internal/runner ./internal/serve
+go test -run '^$' -bench Trace -benchtime 1x .
 # Run-engine gate: a parallel mini-sweep (4 workers + shared cache) under
 # the race detector, end to end through the experiments layer.
 gate 'TestSweepParallelWithCache|TestSweepParallelDeterminism' ./internal/experiments/
@@ -84,6 +86,14 @@ gate 'TestExecuteTimeoutCancelsRequests' ./internal/serve/
 gate 'TestFleetShedRequeuesWithoutDemoting' ./internal/fleet/
 gate 'TestFleetSkewedWorkerNeverCommits' ./internal/fleet/
 gate 'TestCoordinatorShutdownTwice' ./internal/fleet/
+# Trace gate, likewise by name: the Chrome JSON, stall table and timeline
+# table of five traced runs match their pinned digests; a traced stream
+# draws every kernel; workers that register late each grow the
+# coordinator's pool; a progress sample crosses SSE whole.
+gate 'TestTraceOutputPinned' ./internal/trace/
+gate 'TestChromeWriterStreamKeepsEverySegment' ./internal/trace/
+gate 'TestCoordinatorSaturatesLateWorkers' ./internal/fleet/
+gate 'TestProgressSampleCrossesSSEWhole' ./internal/serve/
 # Progress gate: the in-run observation path under the race detector —
 # the sampler in gpu.Run, per-job exactness of the Ops deltas (every
 # mapped op of two concurrent jobs sums to its own Metrics), the engine's

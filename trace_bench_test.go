@@ -1,21 +1,30 @@
 package finereg
 
-// Tracing-overhead benchmarks. The Sink plumbing in the SM tick loop is
-// guarded by a single nil check per emission site, so an untraced run must
-// cost the same as the pre-trace simulator. Measured when the trace
-// subsystem was added, with binaries built from the pre-trace and
-// post-trace commits run interleaved (12 pairs of BenchmarkSimulatorThroughput
-// at -benchtime 10x on a noisy shared host):
+// Tracing-overhead benchmarks. Every emission site in the SM tick loop is
+// guarded by one nil check, so an untraced run pays that branch and
+// nothing else. BenchmarkSimulatorThroughput (bench_test.go) is the
+// nil-sink number; BenchmarkTraceNoopSink attaches trace.Noop so every
+// site also builds its trace.Event and makes the interface call;
+// BenchmarkTraceAggregator and BenchmarkTraceChrome price the real
+// consumers.
 //
-//	paired-run mean overhead:  1.8% (per-pair ratios 0.84–1.11, noise-bound)
-//	best-case runs:            28.9 ms/op traced-nil vs 29.4 ms/op pre-trace
+// The fourteen-method Sink against the one-method Sink.Event(Event), 16
+// alternating pairs of test binaries at -benchtime 10x on a 2-vCPU Intel
+// Xeon, go1.24 (min ms/op, and the median new/old ratio of the pairs with
+// its quartiles):
 //
-// i.e. the nil-sink cost is under 2% and indistinguishable from host
-// noise. The benchmarks below keep the comparison reproducible:
-// BenchmarkSimulatorThroughput (bench_test.go) is the nil-sink number;
-// BenchmarkTraceNoopSink attaches trace.Noop so every emission site pays
-// the interface call; BenchmarkTraceAggregator and BenchmarkTraceChrome
-// price the real consumers (both ~1.5x the untraced run).
+//	                               14 methods   Event(Event)   ratio
+//	BenchmarkSimulatorThroughput      13.44         13.37      1.00 (0.98–1.02)
+//	BenchmarkTraceNoopSink            14.64         15.69      1.07 (1.03–1.09)
+//	BenchmarkTraceAggregator          23.52         27.34      1.18 (1.15–1.19)
+//
+// The untraced run is unchanged. A traced run pays for the Event value: it
+// is too wide for registers, so each site assembles it on the stack with
+// 8-byte stores and copies it into the call's argument area with 16-byte
+// loads, which the CPU cannot forward from those stores. The aggregator
+// hashes the event's coordinates at once, which puts that stall on its
+// critical path (a CPU profile charges it to the emission line, not to
+// the aggregator); Noop overlaps it.
 
 import (
 	"io"
@@ -126,7 +135,7 @@ func BenchmarkTraceChrome(b *testing.B) {
 		if _, err := g.Run(k); err != nil {
 			b.Fatal(err)
 		}
-		if err := cw.Err(); err != nil {
+		if err := cw.Close(); err != nil {
 			b.Fatal(err)
 		}
 	}
