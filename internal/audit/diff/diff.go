@@ -89,10 +89,8 @@ type Outcome struct {
 	Metrics *stats.Metrics
 }
 
-// RunMatrix runs profile×grid under every policy and both schedulers on
-// audited copies of cfg and returns the outcomes in a fixed order. Any
-// run failure — including an audit violation — fails the whole matrix.
-func RunMatrix(cfg gpu.Config, p kernels.Profile, grid int) ([]Outcome, error) {
+// matrixJobs is RunMatrix's job list: schedulers outermost, then Policies().
+func matrixJobs(cfg gpu.Config, p kernels.Profile, grid int) []*runner.Job {
 	scheds := []struct {
 		name string
 		kind sm.SchedKind
@@ -112,7 +110,14 @@ func RunMatrix(cfg gpu.Config, p kernels.Profile, grid int) ([]Outcome, error) {
 			})
 		}
 	}
+	return jobList
+}
 
+// RunMatrix runs profile×grid under every policy and both schedulers on
+// audited copies of cfg and returns the outcomes in a fixed order. Any
+// run failure — including an audit violation — fails the whole matrix.
+func RunMatrix(cfg gpu.Config, p kernels.Profile, grid int) ([]Outcome, error) {
+	jobList := matrixJobs(cfg, p, grid)
 	eng := &runner.Engine{Cache: runner.NewCache("")}
 	batch := eng.Run(jobList)
 

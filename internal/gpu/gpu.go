@@ -8,6 +8,7 @@ package gpu
 import (
 	"errors"
 	"fmt"
+	"math"
 	"sync/atomic"
 	"time"
 
@@ -32,7 +33,11 @@ type Config struct {
 	DRAMBytesPerCycle float64
 	Lat               mem.Latencies
 
-	// MaxCycles aborts runaway simulations (0 = default guard).
+	// MaxCycles aborts runaway simulations (0 = the default guard, 2×10⁸
+	// cycles). A run never passes cycle 2³¹−2 whatever the budget: the SM
+	// scoreboard holds cycles as int32, saturating at 2³¹−1, and a clock
+	// below that never mistakes a saturated entry for a due one.
+	// runner.Job.Validate refuses a budget of 2³¹ or more.
 	MaxCycles int64
 
 	// Audit enables the runtime invariant auditor (internal/audit): SM
@@ -316,6 +321,7 @@ func (g *GPU) startRun() *loopState {
 	if st.maxCycles == 0 {
 		st.maxCycles = 200_000_000
 	}
+	st.maxCycles = min(st.maxCycles, math.MaxInt32-1) // see Config.MaxCycles
 	if g.Cfg.Progress != nil {
 		st.prog = newProgressState(g.Cfg.Progress, g.Cfg.ProgressEvery)
 	}

@@ -72,6 +72,21 @@ func TestCycleBudgetGuard(t *testing.T) {
 	}
 }
 
+// TestCycleBudgetBelowScoreboardWidth: a library caller's budget past 2^31
+// is clamped, so a load whose value arrives after cycle 2^31 — stored
+// saturated in the int32 scoreboard — ends the run at the guard instead of
+// being read as due at 2^31-1.
+func TestCycleBudgetBelowScoreboardWidth(t *testing.T) {
+	cfg := Default().Scale(1)
+	cfg.DRAMLatency = 3_000_000_000
+	cfg.MaxCycles = 1 << 40
+	p, _ := kernels.ProfileByName("BF")
+	_, err := New(cfg, Baseline()).Run(kernels.MustBuild(p, 1))
+	if !errors.Is(err, ErrCycleBudget) {
+		t.Fatalf("a 3e9-cycle DRAM latency under a 2^40 budget: %v, want ErrCycleBudget", err)
+	}
+}
+
 // stuckPolicy deliberately never launches anything.
 type stuckPolicy struct{}
 

@@ -17,6 +17,7 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
+	"hash"
 	"strings"
 
 	"finereg/internal/gpu"
@@ -108,7 +109,8 @@ func (j *Job) label() string {
 // of the canonical JSON encoding of (fingerprint, config, profile, grid,
 // policy, instrumentation). Go's encoding/json emits struct fields in
 // declaration order, so the encoding — and therefore the key — is stable
-// for a given simulator version.
+// for a given simulator version. The encoding is json.Marshal's, streamed
+// into the hash rather than copied out first.
 func (j *Job) Key(fingerprint string) string {
 	payload := struct {
 		Fingerprint string             `json:"fingerprint"`
@@ -120,14 +122,37 @@ func (j *Job) Key(fingerprint string) string {
 		Stalls      bool               `json:"stalls"`
 		Programs    []workload.Program `json:"programs,omitempty"`
 	}{fingerprint, j.Cfg, j.Profile, j.Grid, j.Policy, j.TrackReg, j.Stalls, j.Programs}
-	b, err := json.Marshal(payload)
-	if err != nil {
+	h := &trimLast{w: sha256.New()}
+	if err := json.NewEncoder(h).Encode(payload); err != nil {
 		// All field types are plain values; failure here is a programming
 		// error in the job definition, not a runtime condition.
 		panic(fmt.Sprintf("runner: job key encoding: %v", err))
 	}
-	sum := sha256.Sum256(b)
-	return hex.EncodeToString(sum[:])
+	var sum [sha256.Size]byte
+	var key [2 * sha256.Size]byte
+	hex.Encode(key[:], h.w.Sum(sum[:0]))
+	return string(key[:])
+}
+
+// trimLast passes on everything written to it but the last byte, which it
+// holds back: what json.Encoder.Encode writes, minus the newline it ends
+// every value with, however the encoder splits its writes.
+type trimLast struct {
+	w    hash.Hash
+	last [1]byte
+	held bool
+}
+
+func (t *trimLast) Write(p []byte) (int, error) {
+	if len(p) == 0 {
+		return 0, nil
+	}
+	if t.held {
+		t.w.Write(t.last[:]) // a hash.Hash never returns an error
+	}
+	t.w.Write(p[:len(p)-1])
+	t.last[0], t.held = p[len(p)-1], true
+	return len(p), nil
 }
 
 // Result is one job's outcome. Stall breakdowns ride inside

@@ -2,6 +2,7 @@ package runner
 
 import (
 	"fmt"
+	"math"
 
 	"finereg/internal/gpu"
 	"finereg/internal/kernels"
@@ -167,6 +168,11 @@ func (j *Job) validateMachine() error {
 	}
 	if cfg.DRAMLatency < 0 || cfg.MaxCycles < 0 {
 		return fmt.Errorf("runner: negative DRAM latency or cycle budget")
+	}
+	// The SM scoreboard holds int32 cycles, so no run may reach 2^31
+	// (gpu.Config.MaxCycles).
+	if cfg.MaxCycles > math.MaxInt32 {
+		return fmt.Errorf("runner: cycle budget %d exceeds the 2^31-cycle guard", cfg.MaxCycles)
 	}
 	return nil
 }

@@ -95,3 +95,27 @@ func BenchmarkWarmRoundTrip(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkFollowFinished is Client.StreamEvents on a finished record over
+// loopback HTTP, read to its "finish" event as Client.Run reads it: the
+// per-stream cost a cold or ingest job pays once, the replayed lifecycle
+// events included.
+func BenchmarkFollowFinished(b *testing.B) {
+	s, _, id := warmServer(b)
+	hs := httptest.NewServer(s)
+	defer hs.Close()
+	c := &Client{Base: hs.URL}
+	ctx := context.Background()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		finished := false
+		err := c.StreamEvents(ctx, id, func(ev Event) bool {
+			finished = ev.Kind == eventFinish
+			return !finished
+		})
+		if err != nil || !finished {
+			b.Fatalf("follow: finished %v, %v", finished, err)
+		}
+	}
+}

@@ -77,14 +77,19 @@ func apiError(resp *http.Response) error {
 // floats — far below this.
 const maxResponseBytes = 16 << 20
 
+// maxDrainBytes bounds what Call reads of a body it does not decode, to put
+// the connection back in the pool. A longer remainder is not worth reading:
+// closing the body drops the connection instead.
+const maxDrainBytes = 64 << 10
+
 // Call is the one place a request to a server or coordinator is built, sent
 // and settled: method and path under Base, in (when non-nil) as the JSON
 // body. A non-2xx answer is an *APIError. Otherwise out is nil (the body is
 // ignored), a func(io.Reader) error that consumes the body as an event
 // stream, or a value to JSON-decode it into, reading at most
 // maxResponseBytes. Except for a stream — its consumer's to finish;
-// closing is what stops one abandoned midway — the rest of the body is
-// drained so the connection goes back to the pool.
+// closing is what stops one abandoned midway — up to maxDrainBytes of the
+// rest of the body are drained so the connection goes back to the pool.
 func (c *Client) Call(ctx context.Context, method, path string, in, out any) error {
 	var body io.Reader
 	if in != nil {
@@ -113,20 +118,31 @@ func (c *Client) Call(ctx context.Context, method, path string, in, out any) err
 	if stream != nil && resp.StatusCode < 300 {
 		return stream(resp.Body)
 	}
-	defer io.Copy(io.Discard, resp.Body)
+	defer io.CopyN(io.Discard, resp.Body, maxDrainBytes)
 	if resp.StatusCode >= 300 {
 		return apiError(resp)
 	}
-	if out != nil {
-		// The transport holds a body to its declared length, so only an
-		// undeclared or oversized one needs the limiter (and its allocation).
-		body := io.Reader(resp.Body)
-		if resp.ContentLength < 0 || resp.ContentLength > maxResponseBytes {
-			body = io.LimitReader(body, maxResponseBytes)
-		}
-		if err := json.NewDecoder(body).Decode(out); err != nil {
-			return fmt.Errorf("serve: decoding %s response: %w", req.URL.Path, err)
-		}
+	if out == nil {
+		return nil
+	}
+	// A declared length is read into one slice of exactly that size (the
+	// transport holds the body to it); only an undeclared one is read
+	// through the limit, growing as it goes.
+	var raw []byte
+	switch n := resp.ContentLength; {
+	case n > maxResponseBytes:
+		err = fmt.Errorf("%d-byte body exceeds the %d-byte limit", n, maxResponseBytes)
+	case n >= 0:
+		raw = make([]byte, n)
+		_, err = io.ReadFull(resp.Body, raw)
+	default:
+		raw, err = io.ReadAll(io.LimitReader(resp.Body, maxResponseBytes))
+	}
+	if err == nil {
+		err = json.Unmarshal(raw, out)
+	}
+	if err != nil {
+		return fmt.Errorf("serve: decoding %s response: %w", req.URL.Path, err)
 	}
 	return nil
 }
@@ -226,8 +242,10 @@ func (c *Client) StreamEvents(ctx context.Context, id string, fn func(Event) boo
 	hc.Timeout = 0
 	unbounded := Client{Base: c.Base, HTTP: &hc}
 	return unbounded.Call(ctx, http.MethodGet, "/v1/jobs/"+id+"/events", nil, func(body io.Reader) error {
+		// bufio's own 4 KiB start, doubling to the 1 MiB event cap only for
+		// an event that needs it: a lifecycle event is a few hundred bytes.
 		sc := bufio.NewScanner(body)
-		sc.Buffer(make([]byte, 0, 64*1024), 1<<20)
+		sc.Buffer(nil, 1<<20)
 		terminal := false
 		for sc.Scan() {
 			data, ok := bytes.CutPrefix(sc.Bytes(), []byte("data: "))

@@ -1,12 +1,14 @@
 package serve
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http"
 	"strconv"
+	"sync"
 
 	"finereg/internal/isa"
 	"finereg/internal/runner"
@@ -34,26 +36,36 @@ func (s *Server) Handle(pattern string, h http.Handler) { s.mux.Handle(pattern, 
 
 // WriteJSON is the one JSON response writer of the service and the fleet
 // routes mounted on it: v on a single line with its Content-Length, so a
-// body is never chunked. The value is marshalled before any header goes
-// out; one that encoding/json refuses (a NaN in a result's metrics) is
-// answered 500 with the error envelope, not 200 with no body.
+// body is never chunked. The value is encoded — json.Marshal's bytes and a
+// newline, in one pass into a pooled buffer — before any header goes out;
+// one that encoding/json refuses (a NaN in a result's metrics) is answered
+// 500 with the error envelope, not 200 with no body.
 func WriteJSON(w http.ResponseWriter, status int, v any) {
-	body, err := json.Marshal(v)
-	if err != nil {
-		// errorBody is strings and ints: this Marshal cannot fail.
+	buf := jsonBufs.Get().(*bytes.Buffer)
+	// Encode writes nothing when it fails.
+	if err := json.NewEncoder(buf).Encode(v); err != nil {
+		// errorBody is strings and ints: this Encode cannot fail.
 		status = http.StatusInternalServerError
-		body, _ = json.Marshal(errorBody{Error: "serve: encoding response: " + err.Error()})
+		json.NewEncoder(buf).Encode(errorBody{Error: "serve: encoding response: " + err.Error()})
 	}
 	h := w.Header()
 	h.Set("Content-Type", "application/json")
-	h.Set("Content-Length", strconv.Itoa(len(body)+1))
+	h.Set("Content-Length", strconv.Itoa(buf.Len()))
 	w.WriteHeader(status)
 	// A write error means the client is gone; there is no one left to tell.
-	_, _ = w.Write(body)
-	_, _ = w.Write(newline)
+	_, _ = w.Write(buf.Bytes())
+	if buf.Cap() <= maxPooledJSON {
+		buf.Reset()
+		jsonBufs.Put(buf)
+	}
 }
 
-var newline = []byte{'\n'}
+// jsonBufs recycles WriteJSON's buffers. One grown past maxPooledJSON — a
+// large batch status — goes to the collector instead, so a rare big body
+// does not stay pinned in the pool.
+var jsonBufs = sync.Pool{New: func() any { return new(bytes.Buffer) }}
+
+const maxPooledJSON = 64 << 10
 
 func (s *Server) writeAdmitError(w http.ResponseWriter, err error) {
 	switch {

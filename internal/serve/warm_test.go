@@ -276,6 +276,24 @@ func TestAbsurdCacheSizesRejected(t *testing.T) {
 	}
 }
 
+// TestCycleBudgetPastScoreboardRejected: the SM scoreboard holds int32
+// cycles, so admission refuses a cycle budget of 2^31 or more with a 400,
+// as it refuses a negative one; 2^31-1 is still admissible.
+func TestCycleBudgetPastScoreboardRejected(t *testing.T) {
+	_, c := newTestServer(t, Config{Workers: 1})
+	req := RequestFromJob(tinyJob(t, "CS", runner.Baseline()))
+	req.Cfg.MaxCycles = 1 << 31
+	_, err := c.SubmitJob(context.Background(), req)
+	var ae *APIError
+	if !errors.As(err, &ae) || ae.Status != http.StatusBadRequest || !strings.Contains(ae.Body.Error, "2^31-cycle guard") {
+		t.Errorf("MaxCycles 2^31: %v, want a 400 naming the 2^31-cycle guard", err)
+	}
+	req.Cfg.MaxCycles = 1<<31 - 1
+	if _, err := req.Resolve(); err != nil {
+		t.Errorf("MaxCycles 2^31-1 rejected: %v", err)
+	}
+}
+
 // TestUnencodableResponseIs500: a value encoding/json refuses — a NaN that
 // found its way into a result's metrics — used to go out as 200 with an
 // empty body, the status line already written when Encode failed. It is a

@@ -135,7 +135,7 @@ func (w *Warp) LongBlocked() bool { return w.longBlocked }
 // lets depReadyAt trust a clear bit without reading regReady.
 func (w *Warp) UntrackedPending(now int64) int {
 	for r, at := range w.regReady {
-		if at > now && w.busy&(1<<r) == 0 {
+		if int64(at) > now && w.busy&(1<<r) == 0 {
 			return r
 		}
 	}
@@ -266,7 +266,7 @@ func (s *SM) InjectBusySkew(now int64) bool {
 				continue
 			}
 			for r, at := range w.regReady {
-				if at > now && w.busy&(1<<r) != 0 {
+				if int64(at) > now && w.busy&(1<<r) != 0 {
 					w.busy &^= 1 << r
 					return true
 				}

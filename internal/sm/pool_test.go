@@ -25,7 +25,7 @@ func TestReusedWarpEqualsFresh(t *testing.T) {
 	w.wakeAt, w.PC = 1234, 9
 	w.asleep, w.longBlocked, w.atBarrier, w.exited = true, true, true, true
 	for r := range w.regReady {
-		w.regReady[r] = int64(1_000_000 + r) // far in the future
+		w.regReady[r] = int32(1_000_000 + r) // far in the future
 	}
 	w.busy = 0 // the worst case: nothing marked busy
 	for i := range w.loopRemain {

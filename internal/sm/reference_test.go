@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"sort"
 	"testing"
+	"unsafe"
 
 	"finereg/internal/isa"
 	"finereg/internal/kernels"
@@ -16,7 +17,7 @@ import (
 // the reference: the latest ready time over every valid source, the
 // predicate and the destination, loading regReady for each.
 func refDepReadyAt(w *Warp, in *isa.Instr) int64 {
-	ready := int64(0)
+	ready := int32(0)
 	for _, r := range in.Srcs[:in.NSrc] {
 		if r.Valid() && w.regReady[r] > ready {
 			ready = w.regReady[r]
@@ -28,7 +29,7 @@ func refDepReadyAt(w *Warp, in *isa.Instr) int64 {
 	if in.Dst.Valid() && w.regReady[in.Dst] > ready {
 		ready = w.regReady[in.Dst]
 	}
-	return ready
+	return int64(ready)
 }
 
 // TestBusyMaskMatchesReferenceScoreboard drives random programs through
@@ -81,6 +82,35 @@ func TestBusyMaskMatchesReferenceScoreboard(t *testing.T) {
 				now += int64(r.Intn(40))
 			}
 		}
+	}
+}
+
+// TestSaturatedReadyStaysPending: the scoreboard holds int32 cycles, so a
+// ready time past 2^31 is stored as math.MaxInt32. The run loop never passes
+// cycle 2^31-2 (gpu.Config.MaxCycles), so at every cycle a run can reach the
+// register still reads as pending: it neither wraps into the past nor comes
+// due early.
+func TestSaturatedReadyStaysPending(t *testing.T) {
+	w := &Warp{}
+	const r = isa.Reg(5)
+	w.setReady(r, 1<<40)
+	for _, now := range []int64{0, 1 << 30, 1<<31 - 2} {
+		if got := w.depReadyAt(1<<r, now); got <= now {
+			t.Errorf("cycle %d: a register due at 2^40 reads as ready (depReadyAt %d)", now, got)
+		}
+	}
+	if w.busy != 1<<r {
+		t.Errorf("busy mask %#x, want only R%d", w.busy, r)
+	}
+}
+
+// TestWarpFits448SizeClass: the int32 scoreboard is what puts a warp context
+// in the allocator's 448-byte size class rather than the 704-byte one (256
+// of its bytes are regReady). A field that pushes it back over costs every
+// CTA launch that allocates.
+func TestWarpFits448SizeClass(t *testing.T) {
+	if n := unsafe.Sizeof(Warp{}); n > 448 {
+		t.Errorf("sm.Warp is %d bytes, over the 448-byte size class", n)
 	}
 }
 

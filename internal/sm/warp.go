@@ -2,6 +2,7 @@ package sm
 
 import (
 	"fmt"
+	"math"
 	"math/bits"
 
 	"finereg/internal/isa"
@@ -138,7 +139,11 @@ type Warp struct {
 	// Age is the launch stamp used by GTO's "oldest" order.
 	Age int64
 
-	regReady [isa.MaxRegs]int64
+	// regReady[r] is the absolute cycle register r's value arrives at, as
+	// int32 to halve the struct: setReady saturates at math.MaxInt32, and
+	// the run loop stops before that cycle (gpu.Config.MaxCycles), so a
+	// saturated entry only ever reads as pending.
+	regReady [isa.MaxRegs]int32
 
 	// loopRemain holds the remaining trip count per loop slot.
 	loopRemain []int32
@@ -173,7 +178,7 @@ type Warp struct {
 // written by a global load, the warp is memory-bound; otherwise it waits on
 // a compute dependency.
 func (w *Warp) blockReason(in *isa.Instr) trace.StallReason {
-	ready := int64(0)
+	ready := int32(0)
 	gate := isa.RegNone
 	consider := func(r isa.Reg) {
 		if r.Valid() && w.regReady[r] > ready {
@@ -334,9 +339,10 @@ func (m *ProgInfo) rearm(w *Warp, c *CTA, idx int, uid uint64, age int64) {
 	w.loopRemain = append(loops, m.loopTrip...)
 }
 
-// setReady records that register r's value arrives at cycle at.
+// setReady records that register r's value arrives at cycle at (saturated
+// at math.MaxInt32, a cycle no run reaches).
 func (w *Warp) setReady(r isa.Reg, at int64) {
-	w.regReady[r] = at
+	w.regReady[r] = int32(min(at, math.MaxInt32))
 	w.busy |= 1 << r
 }
 
@@ -348,7 +354,7 @@ func (w *Warp) depReadyAt(deps uint64, now int64) int64 {
 	until := int64(0)
 	for m := w.busy & deps; m != 0; m &= m - 1 {
 		r := bits.TrailingZeros64(m)
-		if t := w.regReady[r]; t > now {
+		if t := int64(w.regReady[r]); t > now {
 			until = max(until, t)
 		} else {
 			w.busy &^= 1 << r

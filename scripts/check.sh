@@ -94,6 +94,20 @@ gate 'TestTraceOutputPinned' ./internal/trace/
 gate 'TestChromeWriterStreamKeepsEverySegment' ./internal/trace/
 gate 'TestCoordinatorSaturatesLateWorkers' ./internal/fleet/
 gate 'TestProgressSampleCrossesSSEWhole' ./internal/serve/
+# Allocation gate, likewise by name: the bytes the leaner encode and decode
+# paths must not move — a response is json.Marshal's plus a newline, a job
+# key equals the Marshal-then-hash reference, a long event still decodes —
+# the client's bounded drain, and the int32 scoreboard's ceiling: a
+# saturated entry stays pending, a warp context stays in its size class, a
+# budget of 2^31 is a 400, and a later arrival ends the run at the guard.
+gate 'TestWriteJSONIsMarshalPlusNewline' ./internal/serve/
+gate 'TestJobKeyMatchesReference' ./internal/audit/diff/
+gate 'TestStreamEventsDecodesLongEvent' ./internal/serve/
+gate 'TestCallDrainIsBounded' ./internal/serve/
+gate 'TestSaturatedReadyStaysPending' ./internal/sm/
+gate 'TestWarpFits448SizeClass' ./internal/sm/
+gate 'TestCycleBudgetPastScoreboardRejected' ./internal/serve/
+gate 'TestCycleBudgetBelowScoreboardWidth' ./internal/gpu/
 # Progress gate: the in-run observation path under the race detector —
 # the sampler in gpu.Run, per-job exactness of the Ops deltas (every
 # mapped op of two concurrent jobs sums to its own Metrics), the engine's
