@@ -62,15 +62,7 @@ func main() {
 	)
 	flag.Parse()
 
-	var nodeList []string
-	for _, n := range strings.Split(*nodes, ",") {
-		if n = strings.TrimSpace(n); n != "" {
-			nodeList = append(nodeList, n)
-		}
-	}
-
 	coord := fleet.NewCoordinator(fleet.CoordinatorConfig{
-		Nodes:         nodeList,
 		CacheDir:      cf.Dir(),
 		QueueCap:      *queueCap,
 		MaxBatch:      *maxBatch,
@@ -79,7 +71,19 @@ func main() {
 		ProbeEvery:    *probeEvery,
 		DownAfter:     *downAfter,
 	})
-	fmt.Fprintf(os.Stderr, "finereg-fleet: %d seed workers, cache %s\n", len(nodeList), cf.CacheLabel())
+	// A seed joins exactly as a self-registering worker does.
+	seeds := 0
+	for _, n := range strings.Split(*nodes, ",") {
+		if n = strings.TrimSpace(n); n == "" {
+			continue
+		}
+		if err := coord.AddWorker(n); err != nil {
+			fmt.Fprintf(os.Stderr, "finereg-fleet: -nodes: %v\n", err)
+			os.Exit(2)
+		}
+		seeds++
+	}
+	fmt.Fprintf(os.Stderr, "finereg-fleet: %d seed workers, cache %s\n", seeds, cf.CacheLabel())
 
 	if err := serve.ListenAndDrain(context.Background(), "finereg-fleet", *addr, coord, coord.Shutdown, *drainTimeout); err != nil {
 		fmt.Fprintf(os.Stderr, "finereg-fleet: %v\n", err)

@@ -16,11 +16,9 @@ import (
 	"finereg/internal/serve/metrics"
 )
 
-// CoordinatorConfig sizes a Coordinator.
+// CoordinatorConfig sizes a Coordinator. Workers join through AddWorker or
+// POST /v1/fleet/workers, the seeds of finereg-fleet -nodes included.
 type CoordinatorConfig struct {
-	// Nodes are worker base URLs registered at startup; more can join
-	// later via AddWorker or POST /v1/fleet/workers.
-	Nodes []string
 	// CacheDir backs the coordinator's shared result store (the fleet's
 	// remote tier); "" keeps it in memory.
 	CacheDir string
@@ -73,22 +71,14 @@ type Coordinator struct {
 func NewCoordinator(cfg CoordinatorConfig) *Coordinator {
 	cache := runner.NewCache(cfg.CacheDir)
 	disp := NewDispatcher(DispatcherConfig{Slots: cfg.Slots, DownAfter: cfg.DownAfter, HTTP: cfg.HTTP})
-	for _, u := range cfg.Nodes {
-		disp.AddNode(u)
-	}
-
-	// Workers: enough blocked dispatch waiters to saturate every seed node's
-	// slots, with headroom; AddWorker adds Slots for each node that joins.
-	workers := disp.cfg.Slots * (len(cfg.Nodes) + 1)
-	if min := runtime.GOMAXPROCS(0); workers < min {
-		workers = min
-	}
 	c := &Coordinator{
 		disp:  disp,
 		cache: cache,
 		srv: serve.New(serve.Config{
-			Engine:        &runner.Engine{Cache: cache, Exec: disp.Execute},
-			Workers:       workers,
+			Engine: &runner.Engine{Cache: cache, Exec: disp.Execute},
+			// Headroom before the first node; AddWorker adds Slots blocked
+			// dispatch waiters for each node that joins.
+			Workers:       max(disp.cfg.Slots, runtime.GOMAXPROCS(0)),
 			QueueCap:      cfg.QueueCap,
 			MaxBatch:      cfg.MaxBatch,
 			ProgressEvery: cfg.ProgressEvery,
@@ -228,9 +218,6 @@ func (c *Coordinator) initMetrics() {
 		"Per-node liveness (1 = answering, 0 = down).", "node")
 	c.nodeQueue = r.NewGaugeFuncVec("finereg_fleet_node_queue_depth",
 		"Per-node dispatch backlog.", "node")
-	for _, ns := range c.disp.NodeStatuses() {
-		c.addNodeMetrics(ns.URL)
-	}
 }
 
 // addNodeMetrics registers one node's labeled series (idempotent —

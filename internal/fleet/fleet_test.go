@@ -97,17 +97,20 @@ func newWorker(t *testing.T, coordURL string, exec runner.Executor) *testWorker 
 	return w
 }
 
-// newCoordinator starts a coordinator over the given workers (probe loop
-// off; tests drive ProbeAll explicitly where liveness matters).
+// newCoordinator starts a coordinator seeded with the given workers, as
+// finereg-fleet -nodes seeds one (probe loop off; tests drive ProbeAll
+// explicitly where liveness matters).
 func newCoordinator(t *testing.T, cfg CoordinatorConfig, workers ...*testWorker) (*Coordinator, *serve.Client) {
 	t.Helper()
-	for _, w := range workers {
-		cfg.Nodes = append(cfg.Nodes, w.hs.URL)
-	}
 	if cfg.ProbeEvery == 0 {
 		cfg.ProbeEvery = -1
 	}
 	c := NewCoordinator(cfg)
+	for _, w := range workers {
+		if err := c.AddWorker(w.hs.URL); err != nil {
+			t.Fatal(err)
+		}
+	}
 	hs := httptest.NewServer(c)
 	t.Cleanup(func() {
 		hs.Close()
@@ -172,9 +175,10 @@ func TestFleetByteIdenticalSweep(t *testing.T) {
 
 	// The coordinator simulates nothing, yet its /metrics carry fleet-wide
 	// simulation totals: the sums of the progress samples its workers
-	// forwarded. The forwarding subscription is drop-on-lag, so the total
-	// is bounded by the sweep's own metrics and equals them when no worker
-	// dropped an event.
+	// forwarded. A forwarding subscription that falls more than a record's
+	// progress window behind skips the pruned samples, and the worker counts
+	// each as dropped; so the total is bounded by the sweep's own metrics
+	// and equals them when no worker counted a drop.
 	var wantInstr int64
 	for _, r := range direct.Results {
 		wantInstr += r.Metrics.Instructions
@@ -425,6 +429,38 @@ func TestCoordinatorSaturatesLateWorkers(t *testing.T) {
 	released = true
 	if err := <-resCh; err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestSeedNodeNormalized: a seed joins as a self-registering worker does,
+// through AddWorker's normalisation. A worker seeded with a trailing slash
+// runs a job byte-identically to a direct run — kept verbatim, its jobs went
+// to "//v1/jobs", which the worker's mux redirects and the client re-sends
+// as a GET (HTTP 405) — and the same worker announcing itself without the
+// slash stays one node.
+func TestSeedNodeNormalized(t *testing.T) {
+	job := tinyJob(t, "CS", runner.Baseline())
+	direct := (&runner.Engine{}).Run([]*runner.Job{job})
+	if err := direct.Err(); err != nil {
+		t.Fatal(err)
+	}
+	w := newWorker(t, "", nil)
+	coord, client := newCoordinator(t, CoordinatorConfig{})
+	if err := coord.AddWorker(w.hs.URL + "/"); err != nil {
+		t.Fatal(err)
+	}
+	res, err := runOne(client, job)
+	if err != nil {
+		t.Fatalf("job on a worker seeded as %s/: %v", w.hs.URL, err)
+	}
+	if !bytes.Equal(mustJSON(t, direct.Results[0]), mustJSON(t, res)) {
+		t.Error("result differs from a direct run")
+	}
+	if err := coord.AddWorker(w.hs.URL); err != nil {
+		t.Fatal(err)
+	}
+	if nodes := coord.Dispatcher().NodeStatuses(); len(nodes) != 1 || nodes[0].URL != w.hs.URL {
+		t.Errorf("after the worker announced itself the fleet is %+v, want the one node %s", nodes, w.hs.URL)
 	}
 }
 

@@ -241,7 +241,7 @@ func TestFleetResubscribeCountsOnce(t *testing.T) {
 	var once sync.Once
 	w := startWorker(t, workerOpts{
 		// Half a dozen samples: enough to cut between, few enough that the
-		// record's replay window and the subscriber buffer hold them all.
+		// record's progress window holds them all.
 		progressEvery: direct.Results[0].Metrics.Cycles / 6,
 		exec: func(ctx context.Context, key string, j *runner.Job) (*runner.Result, error) {
 			jc, samples := *j, 0

@@ -6,13 +6,14 @@ import (
 	"encoding/json"
 	"io"
 	"net/http"
+	"net/http/httptest"
 	"reflect"
 	"strconv"
 	"strings"
+	"sync"
 	"testing"
 
 	"finereg/internal/runner"
-	"finereg/internal/serve/metrics"
 	"finereg/internal/trace"
 )
 
@@ -34,6 +35,7 @@ func TestSSEProgressStream(t *testing.T) {
 	defer resp.Body.Close()
 
 	var progress []Event
+	var after Event // the event that followed the last sample
 	sc := bufio.NewScanner(resp.Body)
 	for sc.Scan() {
 		line := sc.Text()
@@ -46,14 +48,22 @@ func TestSSEProgressStream(t *testing.T) {
 		}
 		if ev.Kind == eventProgress {
 			progress = append(progress, ev)
+			after = Event{}
+		} else if after.Kind == "" {
+			after = ev
 		}
 	}
 	if len(progress) < 2 {
 		t.Fatalf("got %d progress events, want a periodic series plus the final sample", len(progress))
 	}
-	// A lagging subscriber may miss samples (drop-on-lag, including the
-	// final one), so the assertions are about what was received: a monotone
-	// series with consistent CTA accounting, not a complete one.
+	// A subscriber that falls more than the retained window behind skips
+	// the pruned samples, never the newest: the series is monotone with
+	// consistent CTA accounting, and it ends with the Final sample, followed
+	// by finish.
+	if last := progress[len(progress)-1]; !last.Final || after.Kind != eventFinish {
+		t.Errorf("stream's last sample (cycle %d) has Final=%v and is followed by %q, want the Final sample then finish",
+			last.Cycle, last.Final, after.Kind)
+	}
 	prevCycle, prevRetired := int64(-1), int64(-1)
 	for i, ev := range progress {
 		if ev.Cycle <= prevCycle {
@@ -127,75 +137,193 @@ func TestProgressDisabled(t *testing.T) {
 	}
 }
 
-// TestRecordProgressBounds exercises the record-level progress machinery
-// directly: bounded replay history, monotone sequence numbers, drop
-// accounting for lagging subscribers, and the terminal-state guard.
+// TestRecordProgressBounds exercises the record's log directly through the
+// cursor subscribers read it by: the retained progress window, monotone
+// sequence numbers, the wake channel of a reader that is caught up, and the
+// terminal-state guard.
 func TestRecordProgressBounds(t *testing.T) {
-	reg := metrics.NewRegistry()
-	dropped := reg.NewCounter("drops", "")
 	rec := newRecord("j1", "k1", tinyJob(t, "CS", runner.Baseline()))
-	rec.dropped = dropped
 	rec.submitted()
 	rec.start()
 
-	// A subscriber that never drains: everything past its buffer drops.
-	_, _, cancel := rec.subscribe()
-	defer cancel()
-
-	const n = subBuffer + progressKeep + 8
+	const n = 2*progressKeep + 8
 	for i := 1; i <= n; i++ {
 		rec.progress(trace.ProgressSample{Cycle: int64(i * 100)})
 	}
 
-	rec.mu.Lock()
+	evs, wake := rec.since(0)
+	if wake != nil {
+		t.Fatal("since(0) on a non-empty log returned a wake channel")
+	}
 	var kept []Event
 	var lifecycle int
-	for _, ev := range rec.events {
+	for _, ev := range evs {
 		if ev.Kind == eventProgress {
 			kept = append(kept, ev)
 		} else {
 			lifecycle++
 		}
 	}
-	seq := rec.seq
-	rec.mu.Unlock()
-
 	if len(kept) != progressKeep {
 		t.Errorf("retained %d progress events, want %d", len(kept), progressKeep)
 	}
 	if lifecycle != 2 {
 		t.Errorf("pruning touched lifecycle events: %d retained, want 2", lifecycle)
 	}
-	// The retained window is the most recent samples, in order, and seq
+	// The retained window is the most recent samples, in order, and Seq
 	// keeps counting across pruned history.
+	for i := 1; i < len(evs); i++ {
+		if evs[i].Seq <= evs[i-1].Seq {
+			t.Fatalf("log out of order at %d: seq %d then %d", i, evs[i-1].Seq, evs[i].Seq)
+		}
+	}
 	for i := 1; i < len(kept); i++ {
-		if kept[i].Seq <= kept[i-1].Seq || kept[i].Cycle <= kept[i-1].Cycle {
+		if kept[i].Cycle <= kept[i-1].Cycle {
 			t.Fatalf("retained window out of order at %d: %+v then %+v", i, kept[i-1], kept[i])
 		}
 	}
-	if want := kept[len(kept)-1].Cycle; want != int64(n*100) {
-		t.Errorf("newest retained sample at cycle %d, want %d", want, n*100)
+	if got := kept[len(kept)-1].Cycle; got != int64(n*100) {
+		t.Errorf("newest retained sample at cycle %d, want %d", got, n*100)
 	}
-	if seq != int64(2+n) {
-		t.Errorf("seq %d after 2 lifecycle + %d progress events, want %d", seq, n, 2+n)
+	last := evs[len(evs)-1].Seq
+	if last != int64(2+n) {
+		t.Errorf("seq %d after 2 lifecycle + %d progress events, want %d", last, n, 2+n)
+	}
+	if tail, _ := rec.since(last - 3); len(tail) != 3 || tail[0].Seq != last-2 {
+		t.Errorf("since(%d) = %+v, want the 3 events after it", last-3, tail)
 	}
 
-	// The subscriber joined after submit/start (those arrived via replay,
-	// not the channel), so its buffer held the first subBuffer live samples
-	// and every later one was dropped and counted.
-	if got, want := dropped.Value(), int64(n-subBuffer); got != want {
-		t.Errorf("dropped counter %d, want %d", got, want)
+	// A caught-up reader gets a channel instead, the same one for every
+	// reader, and the next append closes it.
+	tail, wake := rec.since(last)
+	if len(tail) != 0 || wake == nil {
+		t.Fatalf("caught-up since = %d events, wake %v; want none and a channel", len(tail), wake)
+	}
+	if _, again := rec.since(last); again != wake {
+		t.Error("two caught-up readers got different wake channels")
+	}
+	rec.finish(nil, nil, false)
+	select {
+	case <-wake:
+	default:
+		t.Fatal("finish did not wake the caught-up readers")
 	}
 
 	// After the terminal transition, late samples are ignored: finish stays
 	// the last event.
-	rec.finish(nil, nil, false)
 	rec.progress(trace.ProgressSample{Cycle: 1 << 30})
-	rec.mu.Lock()
-	lastKind := rec.events[len(rec.events)-1].Kind
-	rec.mu.Unlock()
-	if lastKind != eventFinish {
-		t.Errorf("event after finish: stream ends with %q", lastKind)
+	if tail, _ := rec.since(last); len(tail) != 1 || tail[0].Kind != eventFinish {
+		t.Errorf("after a late sample the log past seq %d is %+v, want finish alone", last, tail)
+	}
+}
+
+// TestConcurrentCursorsFollowTheLog: readers following one record while it
+// is written — each waiting on the shared wake channel when caught up —
+// read strictly increasing Seqs and all end at finish.
+func TestConcurrentCursorsFollowTheLog(t *testing.T) {
+	rec := newRecord("j1", "k1", tinyJob(t, "CS", runner.Baseline()))
+	rec.submitted()
+	var wg sync.WaitGroup
+	for range 4 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			var last int64
+			for {
+				evs, wake := rec.since(last)
+				if wake != nil {
+					<-wake
+					continue
+				}
+				for _, ev := range evs {
+					if ev.Seq <= last {
+						t.Errorf("seq %d read after %d", ev.Seq, last)
+					}
+					last = ev.Seq
+				}
+				if evs[len(evs)-1].Kind == eventFinish {
+					return
+				}
+			}
+		}()
+	}
+	rec.start()
+	for i := 1; i <= 4*progressKeep; i++ {
+		rec.progress(trace.ProgressSample{Cycle: int64(i)})
+	}
+	rec.finish(nil, nil, false)
+	wg.Wait()
+}
+
+// stallWriter is a ResponseWriter whose first Write closes entered and then
+// blocks until release closes: a subscriber whose connection stalls.
+type stallWriter struct {
+	*httptest.ResponseRecorder
+	entered chan struct{}
+	release <-chan struct{}
+	once    sync.Once
+}
+
+func (w *stallWriter) Write(p []byte) (int, error) {
+	w.once.Do(func() {
+		close(w.entered)
+		<-w.release
+	})
+	return w.ResponseRecorder.Write(p)
+}
+
+// TestStalledSubscriberReadsNewestWindow: a subscriber stalls on its first
+// write, the job starts only then and samples more than progressKeep times
+// before the subscriber is released. The stream it then reads is the log:
+// submit, start, exactly the newest progressKeep samples in Seq order —
+// the Final one last — and finish; and the drop counter is the number of
+// samples pruned before it read them.
+func TestStalledSubscriberReadsNewestWindow(t *testing.T) {
+	s, c := newTestServer(t, Config{Workers: 1, ProgressEvery: 64})
+	entered := make(chan struct{})
+	s.testBeforeRun = func(*record) { <-entered }
+	st, err := c.SubmitJob(context.Background(), RequestFromJob(tinyJob(t, "CS", runner.Baseline())))
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec := s.lookup(st.ID)
+	w := &stallWriter{ResponseRecorder: httptest.NewRecorder(), entered: entered, release: rec.done}
+	s.ServeHTTP(w, httptest.NewRequest(http.MethodGet, "/v1/jobs/"+st.ID+"/events", nil))
+
+	var evs []Event
+	for _, line := range strings.Split(w.Body.String(), "\n") {
+		if data, ok := strings.CutPrefix(line, "data: "); ok {
+			var ev Event
+			if err := json.Unmarshal([]byte(data), &ev); err != nil {
+				t.Fatalf("bad event payload: %v", err)
+			}
+			evs = append(evs, ev)
+		}
+	}
+	if state := rec.status().State; state != stateDone || len(evs) == 0 {
+		t.Fatalf("job ended %s; the stream has %d events", state, len(evs))
+	}
+	finish := evs[len(evs)-1]
+	if samples := finish.Seq - 3; samples <= 40 {
+		t.Fatalf("the job sampled %d times; the test needs more than 40", samples)
+	}
+	if len(evs) != 3+progressKeep {
+		t.Fatalf("stream has %d events, want submit, start, %d samples and finish", len(evs), progressKeep)
+	}
+	if evs[0].Kind != eventSubmit || evs[1].Kind != eventStart || finish.Kind != eventFinish {
+		t.Errorf("stream is %s, %s, …, %s; want submit, start, …, finish", evs[0].Kind, evs[1].Kind, finish.Kind)
+	}
+	window := evs[2 : len(evs)-1]
+	for i, ev := range window {
+		if want := finish.Seq - int64(len(window)-i); ev.Kind != eventProgress || ev.Seq != want {
+			t.Errorf("event %d of the window is %s seq %d, want progress seq %d", i, ev.Kind, ev.Seq, want)
+		}
+	}
+	if !window[len(window)-1].Final {
+		t.Error("the window's last sample is not Final")
+	}
+	if got, want := s.mSSEDropped.Value(), finish.Seq-3-progressKeep; got != want {
+		t.Errorf("drop counter %d, want the %d pruned samples", got, want)
 	}
 }
 

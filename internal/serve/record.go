@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"finereg/internal/runner"
-	"finereg/internal/serve/metrics"
 	"finereg/internal/trace"
 )
 
@@ -25,24 +24,19 @@ const (
 	eventFinish   = "finish"
 )
 
-// subBuffer is the per-subscriber event buffer. A job emits a handful of
-// lifecycle events plus a progress stream, so a subscriber only lags if
-// its connection stalls — in which case the overflowing event is dropped
-// and counted (finereg_serve_sse_dropped_total; the terminal state is
-// always available via GET /v1/jobs/{id}).
-const subBuffer = 16
-
-// progressKeep bounds how many progress events the record retains for
-// replay: a late subscriber sees the lifecycle history plus the most
-// recent progress window, and a long run cannot grow a record without
-// bound. Live subscribers receive every sample.
+// progressKeep bounds how many progress events the record's log retains:
+// every reader sees the lifecycle events plus the most recent progress
+// window, and a long run cannot grow a record without bound. A reader that
+// keeps up reads every sample; one that falls further behind skips the
+// pruned ones, never the newest.
 const progressKeep = 16
 
 // record is one admitted job: the canonical runner.Job, its lifecycle
-// state, its result, and the event log + live subscribers feeding the SSE
-// stream. The record's identity is derived from the job key, so duplicate
-// submissions resolve to the same record — the serving layer's coalescing
-// mirrors the engine's in-flight dedup one level up.
+// state, its result, and the event log that is the job's SSE stream — each
+// subscriber is a cursor into it (since). The record's identity is derived
+// from the job key, so duplicate submissions resolve to the same record —
+// the serving layer's coalescing mirrors the engine's in-flight dedup one
+// level up.
 //
 // Lifetime: a record holds its job only until it is terminal. Records are
 // retained long after that (Config.MaxRecords) to answer resubmissions and
@@ -58,11 +52,6 @@ type record struct {
 	// fair-share bucket); immutable after creation.
 	client string
 
-	// dropped counts events lost to lagging subscribers (set once at
-	// admission to the server's SSE-drop counter; nil in tests that build
-	// bare records).
-	dropped *metrics.Counter
-
 	mu        sync.Mutex
 	job       *runner.Job // nil once terminal
 	priority  int         // admission priority; raised by higher-priority duplicates
@@ -71,13 +60,15 @@ type record struct {
 	seq       int64 // monotone event sequence (history may be pruned)
 	nProgress int   // progress events currently retained in events
 	events    []Event
-	subs      map[chan Event]struct{}
-	result    *runner.Result
-	errMsg    string
-	cached    bool
-	queued    time.Time
-	started   time.Time
-	finished  time.Time
+	// wake is closed by the next append; made on demand by since, so a
+	// record nobody is waiting on allocates none.
+	wake     chan struct{}
+	result   *runner.Result
+	errMsg   string
+	cached   bool
+	queued   time.Time
+	started  time.Time
+	finished time.Time
 
 	// done is closed on the terminal transition (test/wait convenience).
 	done chan struct{}
@@ -87,7 +78,6 @@ func newRecord(id, key string, j *runner.Job) *record {
 	return &record{
 		id: id, key: key, label: j.Label, job: j,
 		state: stateQueued,
-		subs:  map[chan Event]struct{}{},
 		done:  make(chan struct{}),
 	}
 }
@@ -140,65 +130,51 @@ func unixMS(t time.Time) int64 {
 	return t.UnixMilli()
 }
 
-// appendEvent records one lifecycle event and forwards it to live
-// subscribers; the caller holds r.mu.
-func (r *record) appendEventLocked(kind string) {
+// appendLocked stamps ev with the next sequence number and the record's
+// identity and state, appends it to the log, and wakes the readers waiting
+// for it; the caller holds r.mu.
+func (r *record) appendLocked(ev Event) {
 	r.seq++
-	ev := Event{
-		Seq:    r.seq,
-		Kind:   kind,
-		Job:    r.id,
-		Label:  r.label,
-		State:  r.state,
-		Cached: r.cached,
-		Error:  r.errMsg,
-		AtMS:   time.Now().UnixMilli(),
-	}
+	ev.Seq, ev.Job, ev.Label, ev.State, ev.AtMS = r.seq, r.id, r.label, r.state, time.Now().UnixMilli()
 	r.events = append(r.events, ev)
-	r.broadcastLocked(ev)
-}
-
-// broadcastLocked forwards one event to live subscribers, counting drops;
-// the caller holds r.mu.
-func (r *record) broadcastLocked(ev Event) {
-	for ch := range r.subs {
-		select {
-		case ch <- ev:
-		default:
-			// Lagging subscriber: drop rather than block the simulating
-			// worker; terminal state stays pollable, and the loss is
-			// visible in /metrics.
-			if r.dropped != nil {
-				r.dropped.Inc()
-			}
-		}
+	if r.wake != nil {
+		close(r.wake)
+		r.wake = nil
 	}
 }
 
-// progress records one in-run sample as a `progress` event: appended to
-// the (bounded) replay history and broadcast live. Samples arriving after
-// the terminal transition are ignored — the stream contract is that
-// finish is last.
+// since returns a copy of the retained events after seq. When there are
+// none it returns instead a channel that the next append closes, shared
+// by every reader waiting on this record.
+func (r *record) since(seq int64) ([]Event, <-chan struct{}) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	i := len(r.events)
+	for i > 0 && r.events[i-1].Seq > seq {
+		i--
+	}
+	if i == len(r.events) {
+		if r.wake == nil {
+			r.wake = make(chan struct{})
+		}
+		return nil, r.wake
+	}
+	return append([]Event(nil), r.events[i:]...), nil
+}
+
+// progress records one in-run sample as a `progress` event, pruning the
+// oldest retained one past progressKeep. Samples arriving after the
+// terminal transition are ignored — the stream contract is that finish is
+// last.
 func (r *record) progress(s trace.ProgressSample) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if r.state == stateDone || r.state == stateFailed {
 		return
 	}
-	r.seq++
-	ev := Event{
-		Seq:            r.seq,
-		Kind:           eventProgress,
-		Job:            r.id,
-		Label:          r.label,
-		State:          r.state,
-		AtMS:           time.Now().UnixMilli(),
-		ProgressSample: &s,
-	}
 	if r.nProgress >= progressKeep {
-		// Prune the oldest retained progress event; lifecycle events are
-		// always kept, so replay stays submit/start + a sliding progress
-		// window.
+		// Lifecycle events are always kept, so the log stays submit/start +
+		// a sliding progress window (+ finish).
 		for i, old := range r.events {
 			if old.Kind == eventProgress {
 				r.events = append(r.events[:i], r.events[i+1:]...)
@@ -207,9 +183,8 @@ func (r *record) progress(s trace.ProgressSample) {
 			}
 		}
 	}
-	r.events = append(r.events, ev)
+	r.appendLocked(Event{Kind: eventProgress, ProgressSample: &s})
 	r.nProgress++
-	r.broadcastLocked(ev)
 }
 
 // submitted marks admission.
@@ -217,7 +192,7 @@ func (r *record) submitted() {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	r.queued = time.Now()
-	r.appendEventLocked(eventSubmit)
+	r.appendLocked(Event{Kind: eventSubmit})
 }
 
 // start marks the dequeue→running transition and hands the worker the job
@@ -227,7 +202,7 @@ func (r *record) start() *runner.Job {
 	defer r.mu.Unlock()
 	r.state = stateRunning
 	r.started = time.Now()
-	r.appendEventLocked(eventStart)
+	r.appendLocked(Event{Kind: eventStart})
 	return r.job
 }
 
@@ -253,7 +228,7 @@ func (r *record) finish(res *runner.Result, err error, cached bool) bool {
 		r.state = stateDone
 		r.result = res
 	}
-	r.appendEventLocked(eventFinish)
+	r.appendLocked(Event{Kind: eventFinish, Cached: r.cached, Error: r.errMsg})
 	close(r.done)
 	return true
 }
@@ -285,22 +260,6 @@ func (r *record) status() JobStatus {
 		QueuedAtMS:   unixMS(r.queued),
 		StartedAtMS:  unixMS(r.started),
 		FinishedAtMS: unixMS(r.finished),
-	}
-}
-
-// subscribe returns the event history so far and a channel carrying
-// subsequent events; cancel unregisters. If the record is already
-// terminal, past holds the full stream and the channel never fires.
-func (r *record) subscribe() (past []Event, ch chan Event, cancel func()) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	past = append([]Event(nil), r.events...)
-	ch = make(chan Event, subBuffer)
-	r.subs[ch] = struct{}{}
-	return past, ch, func() {
-		r.mu.Lock()
-		delete(r.subs, ch)
-		r.mu.Unlock()
 	}
 }
 

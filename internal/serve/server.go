@@ -193,7 +193,7 @@ func (s *Server) initMetrics() {
 	s.mSSEOpen = r.NewGauge("finereg_serve_sse_subscribers",
 		"Open SSE event-stream connections.")
 	s.mSSEDropped = r.NewCounter("finereg_serve_sse_dropped_total",
-		"Events dropped because an SSE subscriber lagged behind its buffer (a fleet coordinator's forwarded progress samples ride such a subscription).")
+		"Progress events an SSE subscriber skipped because they were pruned from the job's retained window before it read them (a fleet coordinator's forwarded progress samples ride such a subscription).")
 	s.mSamples = r.NewCounter("finereg_serve_progress_samples_total",
 		"In-run progress samples received from executing simulations.")
 	s.mLatency = r.NewHistogram("finereg_serve_job_latency_seconds",
@@ -266,7 +266,7 @@ func (s *Server) initMetrics() {
 }
 
 // onProgress is the per-record progress callback installed on admitted
-// jobs: it appends/broadcasts the SSE progress event, adds the sample's
+// jobs: it appends the SSE progress event to the record, adds the sample's
 // Ops to the finereg_sim_*_total counters and maintains the fleet rate
 // gauge. Runs on the simulating worker goroutine.
 func (s *Server) onProgress(rec *record) func(trace.ProgressSample) {
@@ -384,7 +384,6 @@ func (s *Server) admitLocked(jobs []*runner.Job, keys []string, meta []jobMeta) 
 			continue
 		}
 		rec := newRecord(id, key, j)
-		rec.dropped = s.mSSEDropped
 		rec.client = meta[i].client
 		rec.setPriority(meta[i].priority)
 		if s.cfg.ProgressEvery > 0 {

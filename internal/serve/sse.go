@@ -6,10 +6,13 @@ import (
 	"net/http"
 )
 
-// handleJobEvents streams a job's lifecycle as server-sent events: the
-// recorded history first (so late subscribers still see "submit"), then
-// live events until the job finishes, the client disconnects, or the
-// server drains. Each event renders as
+// handleJobEvents streams a job's event log as server-sent events: a
+// cursor into the record's log (since), written from the first retained
+// event until finish, the client disconnecting, or the server draining.
+// Late subscribers still see "submit", and no subscriber has a buffer of
+// its own. An event pruned from the log before this subscriber read it is
+// a gap in Seq, counted in finereg_serve_sse_dropped_total. Each event
+// renders as
 //
 //	id: <seq>
 //	event: <kind>
@@ -32,69 +35,32 @@ func (s *Server) handleJobEvents(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Connection", "keep-alive")
 	w.WriteHeader(http.StatusOK)
 
-	past, ch, cancel := rec.subscribe()
-	defer cancel()
 	s.mSSEOpen.Add(1)
 	defer s.mSSEOpen.Add(-1)
 
-	for _, ev := range past {
-		if !writeSSE(w, ev) {
+	var last int64
+	for {
+		evs, wake := rec.since(last)
+		if wake != nil {
+			select {
+			case <-wake:
+				continue
+			case <-r.Context().Done():
+			case <-s.drainCh:
+			}
 			return
 		}
-	}
-	fl.Flush()
-	if len(past) > 0 && past[len(past)-1].Kind == eventFinish {
-		return // already terminal; history was the whole stream
-	}
-
-	for {
-		select {
-		case ev := <-ch:
+		for _, ev := range evs {
+			if gap := ev.Seq - last - 1; gap > 0 {
+				s.mSSEDropped.Add(gap)
+			}
+			last = ev.Seq
 			if !writeSSE(w, ev) {
 				return
 			}
-			fl.Flush()
-			if ev.Kind == eventFinish {
-				return
-			}
-		case <-rec.done:
-			// The terminal event may have raced past the subscription (or
-			// been dropped on lag); emit the definitive finish event from
-			// the record and stop.
-			drainFinish(w, fl, rec, ch)
-			return
-		case <-r.Context().Done():
-			return
-		case <-s.drainCh:
-			return
 		}
-	}
-}
-
-// drainFinish flushes any buffered events and guarantees the stream ends
-// with the finish event.
-func drainFinish(w http.ResponseWriter, fl http.Flusher, rec *record, ch chan Event) {
-	sawFinish := false
-	for {
-		select {
-		case ev := <-ch:
-			if !writeSSE(w, ev) {
-				return
-			}
-			sawFinish = sawFinish || ev.Kind == eventFinish
-		default:
-			if !sawFinish {
-				rec.mu.Lock()
-				var last Event
-				if n := len(rec.events); n > 0 {
-					last = rec.events[n-1]
-				}
-				rec.mu.Unlock()
-				if last.Kind == eventFinish {
-					writeSSE(w, last)
-				}
-			}
-			fl.Flush()
+		fl.Flush()
+		if evs[len(evs)-1].Kind == eventFinish {
 			return
 		}
 	}

@@ -74,6 +74,13 @@ gate 'TestFleetOneStatusFetchPerJob' ./internal/fleet/
 gate 'TestFleetStreamEndRequeues' ./internal/fleet/
 gate 'TestFleetResubscribeCountsOnce' ./internal/fleet/
 gate 'TestRegisterWorkerBodyBounded' ./internal/fleet/
+# Stream gate, likewise by name: a job's event log is its stream — a
+# subscriber that stalls reads the newest window, Final sample and finish
+# included, with the pruned samples counted as dropped; the log keeps its
+# window and ends with finish — and a -nodes seed joins through AddWorker.
+gate 'TestStalledSubscriberReadsNewestWindow' ./internal/serve/
+gate 'TestRecordProgressBounds' ./internal/serve/
+gate 'TestSeedNodeNormalized' ./internal/fleet/
 # One-hop gate, likewise by name: a remote server is an executor behind the
 # caller's engine (counters, events, a cached repeat that sends nothing); a
 # shed is waited out, a version-skewed server or worker never commits, the
