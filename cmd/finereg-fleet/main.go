@@ -20,8 +20,9 @@
 //
 // Jobs route to workers by rendezvous hashing on their content-addressed
 // key, so a repeated job lands on the worker whose disk cache already
-// holds it; idle workers steal from the longest backlog; a worker that
-// stops answering has its jobs requeued onto survivors. A dispatched job is
+// holds it; a job whose first-ranked worker has every slot busy goes to the
+// next worker in its order with a free one; a worker that stops answering
+// has its jobs requeued onto survivors. A dispatched job is
 // followed over the worker's event stream to its finish event. The
 // coordinator's own cache — consulted before any dispatch, populated by
 // every committed result and worker write-through — answers repeats

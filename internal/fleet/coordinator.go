@@ -35,7 +35,8 @@ type CoordinatorConfig struct {
 	// ProbeEvery paces worker liveness probes (default 2s; < 0 disables
 	// the probe loop — tests drive ProbeAll directly).
 	ProbeEvery time.Duration
-	// DownAfter is the consecutive-failure threshold demoting a node
+	// DownAfter is how many consecutive failures (event-stream attempts
+	// that delivered nothing new, or liveness probes) demote a node to down
 	// (default 3).
 	DownAfter int
 	// HTTP is the dispatch/probe transport (nil = 15s-timeout client).
@@ -58,8 +59,8 @@ type Coordinator struct {
 	disp  *Dispatcher
 	cache *runner.Cache
 
-	nodeUp    *metrics.GaugeFuncVec
-	nodeQueue *metrics.GaugeFuncVec
+	nodeUp       *metrics.GaugeFuncVec
+	nodeInflight *metrics.GaugeFuncVec
 
 	probeStop chan struct{}
 	probeDone chan struct{}
@@ -70,15 +71,15 @@ type Coordinator struct {
 // NewCoordinator builds and starts a coordinator.
 func NewCoordinator(cfg CoordinatorConfig) *Coordinator {
 	cache := runner.NewCache(cfg.CacheDir)
-	disp := NewDispatcher(DispatcherConfig{Slots: cfg.Slots, DownAfter: cfg.DownAfter, HTTP: cfg.HTTP})
+	disp := newDispatcher(cfg)
 	c := &Coordinator{
 		disp:  disp,
 		cache: cache,
 		srv: serve.New(serve.Config{
 			Engine: &runner.Engine{Cache: cache, Exec: disp.Execute},
-			// Headroom before the first node; AddWorker adds Slots blocked
-			// dispatch waiters for each node that joins.
-			Workers:       max(disp.cfg.Slots, runtime.GOMAXPROCS(0)),
+			// Headroom before the first node; AddWorker adds one serve worker
+			// per dispatch slot of each node that joins.
+			Workers:       max(disp.slots, runtime.GOMAXPROCS(0)),
 			QueueCap:      cfg.QueueCap,
 			MaxBatch:      cfg.MaxBatch,
 			ProgressEvery: cfg.ProgressEvery,
@@ -109,16 +110,17 @@ func (c *Coordinator) Cache() *runner.Cache { return c.cache }
 
 // AddWorker registers (or revives) a worker node and its metric series. A
 // new node brings Slots more serve workers, so every node's dispatch slots
-// can be busy at once however the fleet assembled.
+// can be busy at once however the fleet assembled. The URL must be an
+// absolute http or https URL; its path is dropped.
 func (c *Coordinator) AddWorker(nodeURL string) error {
 	u, err := url.Parse(nodeURL)
-	if err != nil || u.Scheme == "" || u.Host == "" {
-		return fmt.Errorf("fleet: worker url %q is not absolute", nodeURL)
+	if err != nil || (u.Scheme != "http" && u.Scheme != "https") || u.Host == "" {
+		return fmt.Errorf("fleet: worker url %q is not an absolute http(s) URL", nodeURL)
 	}
 	base := u.Scheme + "://" + u.Host
 	if c.disp.AddNode(base) {
 		c.addNodeMetrics(base)
-		c.srv.AddWorkers(c.disp.cfg.Slots)
+		c.srv.AddWorkers(c.disp.slots)
 	}
 	return nil
 }
@@ -198,7 +200,7 @@ func (c *Coordinator) initMetrics() {
 		"Jobs dispatched to worker nodes (including requeued re-dispatches).",
 		func() int64 { return c.disp.Stats().Dispatched })
 	r.NewCounterFunc("finereg_fleet_stolen_total",
-		"Dispatches pulled from another node's backlog by an idle node.",
+		"Dispatches placed below the job's first-ranked node because that node was full.",
 		func() int64 { return c.disp.Stats().Stolen })
 	r.NewCounterFunc("finereg_fleet_requeued_total",
 		"Jobs requeued after their worker stopped answering or shed them.",
@@ -216,29 +218,20 @@ func (c *Coordinator) initMetrics() {
 		})
 	c.nodeUp = r.NewGaugeFuncVec("finereg_fleet_node_up",
 		"Per-node liveness (1 = answering, 0 = down).", "node")
-	c.nodeQueue = r.NewGaugeFuncVec("finereg_fleet_node_queue_depth",
-		"Per-node dispatch backlog.", "node")
+	c.nodeInflight = r.NewGaugeFuncVec("finereg_fleet_node_inflight",
+		"Per-node dispatch slots taken.", "node")
 }
 
 // addNodeMetrics registers one node's labeled series (idempotent —
 // re-adding replaces the child with an equivalent closure).
 func (c *Coordinator) addNodeMetrics(nodeURL string) {
-	find := func() (NodeStatus, bool) {
-		for _, ns := range c.disp.NodeStatuses() {
-			if ns.URL == nodeURL {
-				return ns, true
-			}
-		}
-		return NodeStatus{}, false
-	}
 	c.nodeUp.Add(nodeURL, func() float64 {
-		if ns, ok := find(); ok && ns.Alive {
+		if c.disp.nodeStatus(nodeURL).Alive {
 			return 1
 		}
 		return 0
 	})
-	c.nodeQueue.Add(nodeURL, func() float64 {
-		ns, _ := find()
-		return float64(ns.QueueDepth)
+	c.nodeInflight.Add(nodeURL, func() float64 {
+		return float64(c.disp.nodeStatus(nodeURL).Inflight)
 	})
 }

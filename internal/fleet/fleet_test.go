@@ -2,8 +2,10 @@ package fleet
 
 import (
 	"bytes"
+	"cmp"
 	"context"
 	"encoding/json"
+	"errors"
 	"io"
 	"math"
 	"net/http"
@@ -57,11 +59,13 @@ type testWorker struct {
 
 // workerOpts vary a test worker: exec (nil = the local simulator) is its
 // engine's executor, front (nil = none) wraps the HTTP handler the fleet
-// talks to, progressEvery is its in-run sample period (0 = default).
+// talks to, progressEvery is its in-run sample period (0 = default), and
+// workers its serve pool (0 = 2).
 type workerOpts struct {
 	exec          runner.Executor
 	front         func(http.Handler) http.Handler
 	progressEvery int64
+	workers       int
 }
 
 // startWorker starts a worker with a disk-backed cache and leaves stopping
@@ -69,7 +73,7 @@ type workerOpts struct {
 func startWorker(t *testing.T, o workerOpts) *testWorker {
 	t.Helper()
 	eng := &runner.Engine{Cache: runner.NewCache(t.TempDir()), Exec: o.exec}
-	s := serve.New(serve.Config{Engine: eng, Workers: 2, ProgressEvery: o.progressEvery})
+	s := serve.New(serve.Config{Engine: eng, Workers: cmp.Or(o.workers, 2), ProgressEvery: o.progressEvery})
 	var h http.Handler = s
 	if o.front != nil {
 		h = o.front(s)
@@ -329,7 +333,8 @@ func splitByPrimary(t *testing.T, urls []string, want int) map[string][]*runner.
 }
 
 // TestFleetWorkStealing: with one dispatch slot per node and node A
-// parked, A's backlog must be stolen and completed by node B.
+// parked, a job whose first-ranked node is A must be placed on B, the next
+// node in its order with a free slot, and completed there.
 func TestFleetWorkStealing(t *testing.T) {
 	entered := make(chan *runner.Job, 16)
 	release := make(chan struct{})
@@ -354,8 +359,8 @@ func TestFleetWorkStealing(t *testing.T) {
 	}()
 
 	// A's single slot parks on one A-primary job; its second A-primary
-	// job can only finish if B steals it. Hold A parked until B has
-	// executed both its own job and the stolen one.
+	// job can only finish if it is placed on B. Hold A parked until B has
+	// executed both its own job and the one A was too full to take.
 	select {
 	case <-entered:
 	case <-time.After(30 * time.Second):
@@ -380,6 +385,112 @@ func TestFleetWorkStealing(t *testing.T) {
 	}
 	if execA := wA.eng.Stats().Executed; execA != 1 {
 		t.Errorf("worker A executed %d jobs, want 1 (the parked one)", execA)
+	}
+}
+
+// TestDispatchHonorsSlots: a node takes at most Slots jobs at once. With two
+// slots on one parked worker that could run all five jobs, exactly two enter
+// and the rest wait in the coordinator; the fleet API and /metrics both show
+// the two slots taken, and once released every result is byte-identical to a
+// direct run.
+func TestDispatchHonorsSlots(t *testing.T) {
+	jobs := corpus(t)
+	direct := (&runner.Engine{}).Run(jobs)
+	if err := direct.Err(); err != nil {
+		t.Fatal(err)
+	}
+	entered := make(chan *runner.Job, len(jobs))
+	release := make(chan struct{})
+	released := false
+	defer func() {
+		if !released {
+			close(release)
+		}
+	}()
+	w := startWorker(t, workerOpts{exec: parkExec(entered, release), workers: len(jobs)})
+	t.Cleanup(w.stop)
+	_, client := newCoordinator(t, CoordinatorConfig{Slots: 2}, w)
+
+	type runOut struct {
+		b   *runner.Batch
+		err error
+	}
+	resCh := make(chan runOut, 1)
+	go func() {
+		b, err := runAll(client, jobs...)
+		resCh <- runOut{b, err}
+	}()
+	awaitEntered(t, entered)
+	awaitEntered(t, entered)
+	select {
+	case j := <-entered:
+		t.Fatalf("a third job (%s) entered a node with two slots", j.Label)
+	case <-time.After(200 * time.Millisecond):
+	}
+
+	var nodes []NodeStatus
+	if err := json.Unmarshal(httpGet(t, client.Base+"/v1/fleet/workers"), &nodes); err != nil {
+		t.Fatal(err)
+	}
+	if len(nodes) != 1 || nodes[0].Inflight != 2 {
+		t.Errorf("fleet workers = %+v, want one node with inflight 2", nodes)
+	}
+	want := `finereg_fleet_node_inflight{node="` + w.hs.URL + `"} 2`
+	if body := string(httpGet(t, client.Base+"/metrics")); !strings.Contains(body, want) {
+		t.Errorf("coordinator metrics missing %q", want)
+	}
+
+	close(release)
+	released = true
+	out := <-resCh
+	if out.err != nil {
+		t.Fatalf("sweep through two slots: %v", out.err)
+	}
+	assertSameResults(t, jobs, direct, out.b)
+}
+
+// TestSlotWaitEndsWithContext: a dispatch waiting for a slot wakes when its
+// own context ends. With the only slot held by a parked job, Execute under a
+// 50 ms deadline returns context.DeadlineExceeded; were the context's end
+// not broadcast to the waiters, it would sleep until a slot freed.
+func TestSlotWaitEndsWithContext(t *testing.T) {
+	entered := make(chan *runner.Job, 1)
+	release := make(chan struct{})
+	w := startWorker(t, workerOpts{exec: parkExec(entered, release)})
+	t.Cleanup(w.stop)
+	coord, client := newCoordinator(t, CoordinatorConfig{Slots: 1}, w)
+
+	held := tinyJob(t, "CS", runner.Baseline())
+	parked := make(chan error, 1)
+	go func() {
+		_, err := runOne(client, held)
+		parked <- err
+	}()
+	awaitEntered(t, entered)
+	// Un-park in the test body: the cleanup closes the coordinator's
+	// listener first, and that waits on the parked job's stream.
+	defer func() {
+		close(release)
+		if err := <-parked; err != nil {
+			t.Errorf("the job holding the slot: %v", err)
+		}
+	}()
+
+	job := tinyJob(t, "LB", runner.Baseline())
+	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
+	defer cancel()
+	done := make(chan error, 1)
+	go func() {
+		_, err := coord.Dispatcher().Execute(ctx, job.Key(runner.SimFingerprint), job)
+		done <- err
+	}()
+	select {
+	case err := <-done:
+		if !errors.Is(err, context.DeadlineExceeded) {
+			t.Errorf("Execute with every slot held = %v, want context.DeadlineExceeded", err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("Execute still waiting for a slot 5 s past its 50 ms deadline")
 	}
 }
 
@@ -465,9 +576,9 @@ func TestSeedNodeNormalized(t *testing.T) {
 }
 
 // TestFleetWorkerFailureRequeue is the failure-semantics acceptance test:
-// a worker killed mid-job must have its in-flight and queued jobs
-// requeued onto the survivor, the sweep must still complete, and the
-// results must stay byte-identical to a direct run.
+// a worker killed mid-job must have its in-flight jobs requeued onto the
+// survivor, the sweep must still complete, and the results must stay
+// byte-identical to a direct run.
 func TestFleetWorkerFailureRequeue(t *testing.T) {
 	entered := make(chan *runner.Job, 16)
 	release := make(chan struct{})

@@ -169,8 +169,8 @@ func TestFleetStreamEndRequeues(t *testing.T) {
 	}()
 	awaitEntered(t, entered)
 
-	// The survivor joins once A holds the job (an idle B would have stolen
-	// it from the queue). Then drain A with the job still parked: the
+	// The survivor joins once A holds the job (joined earlier, B could have
+	// taken it whenever A ranked first but was full). Then drain A with the job still parked: the
 	// stream the dispatcher follows ends there and then, and so does every
 	// resubscription.
 	if err := coord.AddWorker(wB.hs.URL); err != nil {
@@ -300,7 +300,9 @@ func TestFleetResubscribeCountsOnce(t *testing.T) {
 
 // TestRegisterWorkerBodyBounded: POST /v1/fleet/workers reads at most a
 // few KiB — a URL needs no more — and answers an oversized body with 413
-// and a malformed one with 400, as the serving layer's decodeBody does.
+// and a malformed one with 400, as the serving layer's decodeBody does; a
+// URL the dispatcher cannot speak to (not http or https) is a 400 too, not
+// a node whose every job fails its transport.
 func TestRegisterWorkerBodyBounded(t *testing.T) {
 	coord, client := newCoordinator(t, CoordinatorConfig{})
 	post := func(body string) int {
@@ -317,6 +319,9 @@ func TestRegisterWorkerBodyBounded(t *testing.T) {
 	}
 	if got := post(`{"url":`); got != http.StatusBadRequest {
 		t.Errorf("malformed registration body = HTTP %d, want 400", got)
+	}
+	if got := post(`{"url":"ftp://127.0.0.1:1"}`); got != http.StatusBadRequest {
+		t.Errorf("ftp:// worker registration = HTTP %d, want 400", got)
 	}
 	if got := post(`{"url":"http://127.0.0.1:1"}`); got != http.StatusNoContent {
 		t.Errorf("well-formed registration = HTTP %d, want 204", got)
@@ -356,7 +361,7 @@ func quickShedWait(d *Dispatcher) {
 // admission queue was full for a moment, not that it is gone. The shed task
 // alone is requeued — onto another node when there is one, back onto the
 // same node after the shed wait when there is not — and the worker stays
-// up, keeps its backlog, and the job completes.
+// up and the job completes.
 func TestFleetShedRequeuesWithoutDemoting(t *testing.T) {
 	t.Run("one worker", func(t *testing.T) {
 		var sheds atomic.Int64
@@ -388,7 +393,8 @@ func TestFleetShedRequeuesWithoutDemoting(t *testing.T) {
 		quickShedWait(coord.Dispatcher())
 
 		// The worker that takes jobs joins once the one that sheds them all
-		// has shed at least one (an idle B would steal the whole backlog).
+		// has shed at least one (joined earlier, B could take every job
+		// before A shed one).
 		jobs := corpus(t)[:3]
 		done := make(chan error, 1)
 		go func() {
@@ -411,7 +417,7 @@ func TestFleetShedRequeuesWithoutDemoting(t *testing.T) {
 				t.Errorf("worker %s marked down; shedding is busy, not lost", ns.URL)
 			}
 		}
-		// Each shed is exactly one requeue: no backlog moved with it.
+		// Each shed is exactly one requeue, and nothing else is.
 		if st := coord.Dispatcher().Stats(); st.Requeued != sheds.Load() {
 			t.Errorf("%d sheds, stats %+v; want each shed requeued once and nothing else", sheds.Load(), st)
 		}

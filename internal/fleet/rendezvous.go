@@ -3,7 +3,7 @@
 // API clients already speak: submissions are admitted, coalesced, and
 // cached exactly as on a single node, but execution is dispatched over
 // HTTP to worker nodes — each an ordinary finereg-serve instance — with
-// cache-aware routing, work stealing, and requeue-on-failure.
+// cache-aware routing onto free node slots and requeue-on-failure.
 //
 // Routing is rendezvous (highest-random-weight) hashing on the job's
 // content-addressed key: the same job always prefers the same worker, so

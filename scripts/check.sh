@@ -57,10 +57,16 @@ go run ./cmd/finereg-sim -sms 2 -bench CS,MC,LB -policy all -grid-scale 0.05 -au
 go test -race -count=1 -timeout 10m ./internal/serve/...
 # Fleet gate: the distributed coordinator/worker path end to end under
 # the race detector — rendezvous routing, the remote cache tier,
-# work-stealing, and the worker-kill requeue e2e (byte-identical against
-# the single-node engine). -count=1 so the kill/requeue scenario really
-# re-runs every time instead of being answered from the test cache.
+# placement on the best free node slot, and the worker-kill requeue e2e
+# (byte-identical against the single-node engine). -count=1 so the
+# kill/requeue scenario really re-runs every time instead of being answered
+# from the test cache. By name too: a full primary passes a job down its
+# rendezvous order, a node never holds more than Slots jobs, and a wait for
+# a slot ends with the job's context.
 go test -race -count=1 -timeout 10m ./internal/fleet/...
+gate 'TestFleetWorkStealing' ./internal/fleet/
+gate 'TestDispatchHonorsSlots' ./internal/fleet/
+gate 'TestSlotWaitEndsWithContext' ./internal/fleet/
 # One-path gate, by name so a rename cannot silently skip one: concurrent
 # callers coalesce on the engine-wide in-flight entry; a failed record is
 # re-run, not answered from; a coordinator's engine counts what passes
