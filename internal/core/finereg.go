@@ -58,11 +58,8 @@ type FineReg struct {
 	// space (Figure 14 diagnostics).
 	DepletionEvents int64
 
-	// refBuf is evictStore's reusable live-register scratch; StoreChain
-	// copies it into the tag array, so the backing store never outlives
-	// the call. pcBuf is bitvecDelay's, for the stall PCs.
-	refBuf []RegRef
-	pcBuf  []int
+	// pcBuf is bitvecDelay's reusable scratch, for the stall PCs.
+	pcBuf []int
 }
 
 // NewFineReg builds the policy with the given ACRF/PCRF split. It panics
@@ -197,7 +194,7 @@ func (f *FineReg) OnCTAStalled(s *sm.SM, c *sm.CTA, now int64) {
 	// while the outgoing CTA's pipeline drains: the register readout is
 	// gated on the slower of the two, not their sum.
 	drain := max(f.bitvecDelay(s, c, now), f.cfg.SwitchDrainLat)
-	f.evictStore(s, c, now)
+	f.evictStore(s, c, now, live)
 	if in != nil {
 		// Restore and eviction then stream through the arbitrator
 		// concurrently (Section V-E); warps of the incoming CTA become
@@ -263,37 +260,25 @@ func restoreLat(chainLen, warps int) int64 {
 	return PCRFTagLat + int64((chainLen+warps-1)/warps)
 }
 
-// evictStore moves c's (live) registers into the PCRF and parks the CTA
-// (bit-vector lookups are accounted separately via bitvecDelay).
-func (f *FineReg) evictStore(s *sm.SM, c *sm.CTA, now int64) {
-	refs := f.refBuf[:0]
-	if f.CompactLive {
-		s.Meta().LiveRefs(c, func(w, r uint8) {
-			refs = append(refs, RegRef{Warp: w, Reg: r})
-		})
-	} else {
-		for wi := 0; wi < s.Meta().WarpsPerCTA(); wi++ {
-			for r := 0; r < s.Meta().RegsPerThread(); r++ {
-				refs = append(refs, RegRef{Warp: uint8(wi), Reg: uint8(r)})
-			}
-		}
-	}
-	f.refBuf = refs[:0]
-	head, ok := f.pcrf.StoreChain(refs)
+// evictStore moves c's n (live) registers into the PCRF and parks the CTA
+// (bit-vector lookups are accounted separately via bitvecDelay); n is
+// evictDemand's count, which the caller checked against the free space.
+func (f *FineReg) evictStore(s *sm.SM, c *sm.CTA, now int64, n int) {
+	head, ok := f.pcrf.store(n)
 	if !ok {
 		panic("core: evictStore without sufficient PCRF space (caller must check)")
 	}
-	s.Cnt.PCRFWrites += int64(len(refs))
-	s.Cnt.RFReads += int64(len(refs))
+	s.Cnt.PCRFWrites += int64(n)
+	s.Cnt.RFReads += int64(n)
 	s.Cnt.PCRFSpills++
 	if t := s.Trace(); t != nil {
 		t.Event(trace.Event{Kind: trace.RegTransfer, SM: s.ID, CTA: c.ID, Cycle: now,
-			Xfer: trace.XferEvictToPCRF, Regs: int32(len(refs)), Bytes: int32(len(refs) * sm.WarpRegBytes)})
+			Xfer: trace.XferEvictToPCRF, Regs: int32(n), Bytes: int32(n * sm.WarpRegBytes)})
 	}
 	s.Deactivate(c, sm.CTAPendingPCRF, now)
 	f.acrf.Give(c.RegCost)
 	info := f.info(c)
-	info.head, c.LiveRegs = head, len(refs)
+	info.head, c.LiveRegs = head, n
 	f.mon.Set(info.slot, CtxSharedMem, RegPCRF)
 }
 
@@ -361,16 +346,16 @@ func (f *FineReg) info(c *sm.CTA) *ctaInfo {
 	return info
 }
 
-// AuditAccounting implements sm.SelfAuditing. The PCRF ground truth is
-// recomputed through the tag structure itself: each pending CTA's chain is
-// walked (read-only) from its head, so a leaked or double-released chain
-// shows up as a free-count mismatch, and the free-space monitor's bitmap is
-// compared entry by entry with the valid bits. The status monitor is
-// cross-checked against the CTA states by counting residents whose 2+2-bit
-// encoding matches their sm.CTAState; for a pending CTA that is resume rank 1
-// (Section V-B: context and registers both backed up), the only rank the
-// policy ever produces, which is why the oldest ready pending CTA is the
-// best resume candidate.
+// AuditAccounting implements sm.SelfAuditing. The PCRF ground truth is the
+// sum of the pending CTAs' chain lengths as each CTA recorded it at eviction
+// (LiveRegs, which the swap arithmetic reads), so a chain leaked, released
+// twice, or stored or released behind the policy's back shows up as a
+// free-count mismatch. The status monitor is cross-checked against the CTA
+// states by counting residents whose 2+2-bit encoding matches their
+// sm.CTAState; for a pending CTA that is resume rank 1 (Section V-B:
+// context and registers both backed up), the only rank the policy ever
+// produces, which is why the oldest ready pending CTA is the best resume
+// candidate.
 func (f *FineReg) AuditAccounting(s *sm.SM) []sm.AuditAccount {
 	acrfHeld, chained, monOK := 0, 0, 0
 	for _, c := range s.Residents() {
@@ -382,7 +367,7 @@ func (f *FineReg) AuditAccounting(s *sm.SM) []sm.AuditAccount {
 				monOK++
 			}
 		case sm.CTAPendingPCRF:
-			chained += f.pcrf.ChainLen(info.head)
+			chained += c.LiveRegs
 			if f.mon.SwitchPriority(info.slot) == 1 {
 				monOK++
 			}
@@ -392,7 +377,6 @@ func (f *FineReg) AuditAccounting(s *sm.SM) []sm.AuditAccount {
 		f.acrf.Account("acrfFree", acrfHeld),
 		{Name: "pcrfFree", Value: f.pcrf.Free(), Expected: f.pcrf.Entries() - chained,
 			Min: 0, Max: f.pcrf.Entries()},
-		{Name: "pcrf:freeBitmap", Value: f.pcrf.FreeBitmapSkew(), Expected: 0, Min: 0, Max: 0},
 		{Name: "monitorSlotsFree", Value: len(f.slotFree), Expected: MonitorSlots - len(s.Residents()),
 			Min: 0, Max: MonitorSlots},
 		{Name: "monitorConsistent", Value: monOK, Expected: len(s.Residents()),

@@ -33,8 +33,7 @@ func TestPCRFGeometry(t *testing.T) {
 
 func TestPCRFStoreRetrieveChain(t *testing.T) {
 	p, _ := NewPCRF(16)
-	in := refs(5)
-	head, ok := p.StoreChain(in)
+	head, ok := p.StoreChain(refs(5))
 	if !ok || head < 0 {
 		t.Fatalf("StoreChain failed: head=%d ok=%v", head, ok)
 	}
@@ -44,14 +43,8 @@ func TestPCRFStoreRetrieveChain(t *testing.T) {
 	if n := p.ChainLen(head); n != 5 {
 		t.Errorf("ChainLen = %d, want 5", n)
 	}
-	out := p.ReleaseChain(head)
-	if len(out) != 5 {
-		t.Fatalf("released %d refs, want 5", len(out))
-	}
-	for i := range in {
-		if out[i] != in[i] {
-			t.Errorf("chain order broken at %d: got %v want %v", i, out[i], in[i])
-		}
+	if n := p.ReleaseChainCount(head); n != 5 {
+		t.Fatalf("released %d entries, want 5", n)
 	}
 	if p.Free() != 16 {
 		t.Errorf("free after release = %d, want 16", p.Free())
@@ -64,8 +57,8 @@ func TestPCRFEmptyChain(t *testing.T) {
 	if !ok || head != -1 {
 		t.Errorf("empty store: head=%d ok=%v, want -1/true", head, ok)
 	}
-	if got := p.ReleaseChain(-1); got != nil {
-		t.Errorf("ReleaseChain(-1) = %v, want nil", got)
+	if got := p.ReleaseChainCount(-1); got != 0 {
+		t.Errorf("ReleaseChainCount(-1) = %d, want 0", got)
 	}
 	if got := p.ChainLen(-1); got != 0 {
 		t.Errorf("ChainLen(-1) = %d, want 0", got)
@@ -92,20 +85,20 @@ func TestPCRFInterleavedChains(t *testing.T) {
 	p, _ := NewPCRF(32)
 	h1, _ := p.StoreChain(refs(10))
 	h2, _ := p.StoreChain(refs(12))
-	// Release the first chain; its slots fragment the free space, so the
-	// next chain must thread through non-contiguous entries.
-	p.ReleaseChain(h1)
+	// Release the first chain; the next chain is larger than the space it
+	// freed, and fits only with the rest of the file's free entries.
+	p.ReleaseChainCount(h1)
 	h3, ok := p.StoreChain(refs(15))
 	if !ok {
-		t.Fatal("fragmented store should still succeed (15 <= 20 free)")
+		t.Fatal("store after a release should succeed (15 <= 20 free)")
 	}
 	if n := p.ChainLen(h3); n != 15 {
-		t.Errorf("fragmented chain length = %d, want 15", n)
+		t.Errorf("chain 3 length = %d, want 15", n)
 	}
-	if got := len(p.ReleaseChain(h2)); got != 12 {
+	if got := p.ReleaseChainCount(h2); got != 12 {
 		t.Errorf("chain 2 released %d, want 12", got)
 	}
-	if got := len(p.ReleaseChain(h3)); got != 15 {
+	if got := p.ReleaseChainCount(h3); got != 15 {
 		t.Errorf("chain 3 released %d, want 15", got)
 	}
 	if p.Free() != 32 {
@@ -116,7 +109,7 @@ func TestPCRFInterleavedChains(t *testing.T) {
 func TestPCRFCounters(t *testing.T) {
 	p, _ := NewPCRF(8)
 	h, _ := p.StoreChain(refs(3))
-	p.ReleaseChain(h)
+	p.ReleaseChainCount(h)
 	if p.Writes != 3 || p.Reads != 3 {
 		t.Errorf("reads/writes = %d/%d, want 3/3", p.Reads, p.Writes)
 	}
@@ -126,46 +119,32 @@ func TestPCRFCounters(t *testing.T) {
 	}
 }
 
-// Property: arbitrary interleavings of store/release keep free-count
-// consistent and chains intact (round-trip exactly what was stored).
+// Property: arbitrary interleavings of store/release keep the free count
+// consistent and every chain's length what was stored.
 func TestPCRFChainsQuick(t *testing.T) {
 	f := func(seed int64, opsRaw uint8) bool {
 		rng := rand.New(rand.NewSource(seed))
 		p, _ := NewPCRF(64)
-		type chain struct {
-			head int
-			data []RegRef
-		}
+		type chain struct{ head, n int }
 		var live []chain
 		used := 0
 		for op := 0; op < int(opsRaw%40)+10; op++ {
 			if rng.Intn(2) == 0 && used < 60 {
 				n := 1 + rng.Intn(10)
-				data := make([]RegRef, n)
-				for i := range data {
-					data[i] = RegRef{Warp: uint8(rng.Intn(32)), Reg: uint8(rng.Intn(64))}
-				}
-				head, ok := p.StoreChain(data)
-				if n <= p.Free()+n && !ok && n <= 64-used {
-					return false // must succeed when space suffices
+				head, ok := p.StoreChain(refs(n))
+				if ok != (n <= 64-used) {
+					return false // must succeed exactly when space suffices
 				}
 				if ok {
-					live = append(live, chain{head, data})
+					live = append(live, chain{head, n})
 					used += n
 				}
 			} else if len(live) > 0 {
 				i := rng.Intn(len(live))
-				c := live[i]
-				got := p.ReleaseChain(c.head)
-				if len(got) != len(c.data) {
+				if p.ReleaseChainCount(live[i].head) != live[i].n {
 					return false
 				}
-				for j := range got {
-					if got[j] != c.data[j] {
-						return false
-					}
-				}
-				used -= len(c.data)
+				used -= live[i].n
 				live = append(live[:i], live[i+1:]...)
 			}
 			if p.Free() != 64-used {
@@ -179,59 +158,14 @@ func TestPCRFChainsQuick(t *testing.T) {
 	}
 }
 
-// refPCRF is the allocator the free bitmap replaced, kept as the reference:
-// a rotating linear scan of the valid bits from the cursor.
-type refPCRF struct {
-	valid  []bool
-	next   []int
-	end    []bool
-	free   int
-	cursor int
-}
-
-func (p *refPCRF) alloc() int {
-	for i := 0; i < len(p.valid); i++ {
-		slot := (p.cursor + i) % len(p.valid)
-		if !p.valid[slot] {
-			p.cursor = (slot + 1) % len(p.valid)
-			p.free--
-			return slot
-		}
-	}
-	panic("reference PCRF alloc with no free entries")
-}
-
-// store returns the slots of a chain of n registers, in chain order.
-func (p *refPCRF) store(n int) []int {
-	slots := make([]int, n)
-	for i := range slots {
-		slots[i] = p.alloc()
-		p.valid[slots[i]], p.end[slots[i]] = true, true
-		if i > 0 {
-			p.next[slots[i-1]], p.end[slots[i-1]] = slots[i], false
-		}
-	}
-	return slots
-}
-
-func (p *refPCRF) release(head int) int {
-	for n, slot := 1, head; ; n, slot = n+1, p.next[slot] {
-		p.valid[slot] = false
-		p.free++
-		if p.end[slot] {
-			return n
-		}
-	}
-}
-
-// TestPCRFAllocMatchesLinearScan drives random StoreChain /
-// ReleaseChainCount streams through the bitmap allocator and the linear
-// scan side by side: every chain must land in the same slots, and the free
-// count, the cursor and the bitmap itself must agree after every operation.
-// 1024 is the paper's file; 7 fits in a fraction of one bitmap word and 65
-// puts a single entry in the second, so the wrap and the word boundary are
-// both crossed constantly.
-func TestPCRFAllocMatchesLinearScan(t *testing.T) {
+// TestPCRFMatchesCount drives random StoreChain / ReleaseChainCount streams
+// against a reference that is nothing but a map from head to chain length:
+// after every operation the verdict, the free count, the access counters
+// and every stored chain's length must agree, so a refused store must
+// change nothing. 1024
+// is the paper's file; 7 and 65 are small enough that stores are refused
+// constantly.
+func TestPCRFMatchesCount(t *testing.T) {
 	for _, entries := range []int{1024, 7, 65} {
 		for seed := int64(1); seed <= 20; seed++ {
 			r := rand.New(rand.NewSource(seed))
@@ -239,12 +173,12 @@ func TestPCRFAllocMatchesLinearScan(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			ref := &refPCRF{valid: make([]bool, entries), next: make([]int, entries),
-				end: make([]bool, entries), free: entries}
+			ref := map[int]int{} // head -> chain length
+			free := entries
+			var reads, writes int64
 			var heads []int
 			for step := 0; step < 3000; step++ {
-				// Hover near full for a while, then near empty: the linear
-				// scan's long walks happen when free entries are scarce.
+				// Hover near full for a while, then near empty.
 				storeOdds := 3
 				if step/500%2 == 0 {
 					storeOdds = 7
@@ -252,72 +186,70 @@ func TestPCRFAllocMatchesLinearScan(t *testing.T) {
 				if len(heads) == 0 || r.Intn(10) < storeOdds {
 					n := 1 + r.Intn(max(1, entries/8))
 					head, ok := p.StoreChain(refs(n))
-					if ok != (n <= ref.free) {
-						t.Fatalf("%d entries seed %d step %d: StoreChain(%d) ok=%v with %d free", entries, seed, step, n, ok, ref.free)
+					if ok != (n <= free) {
+						t.Fatalf("%d entries seed %d step %d: StoreChain(%d) ok=%v with %d free", entries, seed, step, n, ok, free)
 					}
 					if ok {
-						want := ref.store(n)
-						if head != want[0] {
-							t.Fatalf("%d entries seed %d step %d: chain head %d, linear scan gives %d", entries, seed, step, head, want[0])
+						if _, dup := ref[head]; dup || head < 0 {
+							t.Fatalf("%d entries seed %d step %d: head %d handed out while in use", entries, seed, step, head)
 						}
-						for i, slot := 0, head; ; i, slot = i+1, int(p.tags[slot].next) {
-							if slot != want[i] {
-								t.Fatalf("%d entries seed %d step %d: chain entry %d in slot %d, linear scan gives %d",
-									entries, seed, step, i, slot, want[i])
-							}
-							if p.tags[slot].end {
-								break
-							}
-						}
+						ref[head] = n
+						free -= n
+						writes += int64(n)
 						heads = append(heads, head)
 					}
 				} else {
 					i := r.Intn(len(heads))
-					if got, want := p.ReleaseChainCount(heads[i]), ref.release(heads[i]); got != want {
+					if got, want := p.ReleaseChainCount(heads[i]), ref[heads[i]]; got != want {
 						t.Fatalf("%d entries seed %d step %d: released %d entries, want %d", entries, seed, step, got, want)
 					}
+					free += ref[heads[i]]
+					reads += int64(ref[heads[i]])
+					delete(ref, heads[i])
 					heads = append(heads[:i], heads[i+1:]...)
 				}
-				if p.free != ref.free || p.cursor != ref.cursor {
-					t.Fatalf("%d entries seed %d step %d: free/cursor %d/%d, linear scan has %d/%d",
-						entries, seed, step, p.free, p.cursor, ref.free, ref.cursor)
+				if p.Free() != free || p.Reads != reads || p.Writes != writes {
+					t.Fatalf("%d entries seed %d step %d: free/reads/writes %d/%d/%d, reference %d/%d/%d",
+						entries, seed, step, p.Free(), p.Reads, p.Writes, free, reads, writes)
 				}
-				if skew := p.FreeBitmapSkew(); skew != 0 {
-					t.Fatalf("%d entries seed %d step %d: free bitmap disagrees with the tags on %d entries", entries, seed, step, skew)
+				for head, n := range ref {
+					if got := p.ChainLen(head); got != n {
+						t.Fatalf("%d entries seed %d step %d: chain %d has length %d, reference %d", entries, seed, step, head, got, n)
+					}
 				}
 			}
 		}
 	}
 }
 
-// TestFreeBitmapSkewCounts: the auditor's account must see a lost bit, a
-// stray bit and a bit past the last entry.
-func TestFreeBitmapSkewCounts(t *testing.T) {
-	p, _ := NewPCRF(65)
-	head, _ := p.StoreChain(refs(3))
-	if skew := p.FreeBitmapSkew(); skew != 0 {
-		t.Fatalf("clean file reports skew %d", skew)
+// TestPCRFDoubleReleasePanics: a head already released is refused, by
+// ReleaseChainCount and ChainLen alike, rather than freeing its entries a
+// second time.
+func TestPCRFDoubleReleasePanics(t *testing.T) {
+	p, _ := NewPCRF(16)
+	head, _ := p.StoreChain(refs(4))
+	p.ReleaseChainCount(head)
+	for name, op := range map[string]func(){
+		"ReleaseChainCount": func() { p.ReleaseChainCount(head) },
+		"ChainLen":          func() { p.ChainLen(head) },
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s of a released head did not panic", name)
+				}
+			}()
+			op()
+		}()
 	}
-	p.freeBits[0] |= 1 << head // occupied entry marked free
-	if skew := p.FreeBitmapSkew(); skew == 0 {
-		t.Error("stray free bit not seen")
-	}
-	p.freeBits[0] &^= 1 << head
-	p.freeBits[1] |= 1 << 5 // entry 69 of a 65-entry file
-	if skew := p.FreeBitmapSkew(); skew == 0 {
-		t.Error("free bit past the last entry not seen")
-	}
-	p.freeBits[1] &^= 1 << 5
-	p.freeBits[0] &^= 1 << 40 // free entry lost to the allocator
-	if skew := p.FreeBitmapSkew(); skew == 0 {
-		t.Error("lost free bit not seen")
+	if p.Free() != 16 {
+		t.Errorf("free = %d after the refused release, want 16", p.Free())
 	}
 }
 
 // BenchmarkPCRFStoreRelease is one CTA switch's worth of PCRF work — chain a
 // 24-register live set, release another — on a sparse file and on one held
-// 90 % full, where free entries are scattered and the linear scan walked
-// past hundreds of occupied ones per allocation.
+// 90 % full.
 func BenchmarkPCRFStoreRelease(b *testing.B) {
 	for _, bc := range []struct {
 		name string
@@ -331,7 +263,8 @@ func BenchmarkPCRFStoreRelease(b *testing.B) {
 			for i := range heads {
 				heads[i], _ = p.StoreChain(live)
 			}
-			// Churn so the free entries are scattered, as they are mid-run.
+			// Churn so the released heads are reused out of order, as they
+			// are mid-run.
 			for i := 0; i < 4*len(heads); i++ {
 				j := r.Intn(len(heads))
 				p.ReleaseChainCount(heads[j])

@@ -16,22 +16,29 @@ type Cache struct {
 	ways      int
 	sets      uint64
 	lineShift uint
-	tags      []uint64 // sets × ways, tag 0 = invalid (addresses are offset to avoid 0)
-	used      []int64  // LRU stamps, parallel to tags
+	// tags holds sets × ways line tags, each set most recently used first;
+	// tag 0 is an empty way (addresses are offset to avoid 0). A fill goes
+	// in at the front, so empty ways sit at the tail of their set and fill
+	// before any valid line is evicted.
+	tags []uint64
 
 	// Accesses, Hits, and Misses count probe results. Hits is maintained
 	// on the hit return path, independently of the other two, so
 	// Hits + Misses == Accesses is a real conservation invariant (a skipped
 	// increment on either path breaks it) rather than a tautology.
 	Accesses, Hits, Misses int64
-
-	stamp int64
 }
 
-// CheckGeometry is the rule a cache's shape must satisfy: sizeBytes a
-// positive multiple of ways*LineBytes (set counts need not be powers of two
-// — the Table I L1 is 48 KB / 8-way / 128 B = 48 sets). NewCache enforces
-// it; admission (runner.Job.Validate) asks it without building anything.
+// MaxWays bounds associativity: every access scans its set, so a
+// single-set cache of millions of ways would pin the host on each probe.
+// No configuration in the tree uses more than 8.
+const MaxWays = 64
+
+// CheckGeometry is the rule a cache's shape must satisfy: at most MaxWays
+// ways, and sizeBytes a positive multiple of ways*LineBytes (set counts
+// need not be powers of two — the Table I L1 is 48 KB / 8-way / 128 B = 48
+// sets). NewCache enforces it; admission (runner.Job.Validate) asks it
+// without building anything.
 func CheckGeometry(sizeBytes, ways int) error {
 	if sizeBytes <= 0 || ways <= 0 {
 		return fmt.Errorf("mem: invalid cache geometry %d bytes / %d ways", sizeBytes, ways)
@@ -39,6 +46,9 @@ func CheckGeometry(sizeBytes, ways int) error {
 	// sizeBytes/ways first: ways*LineBytes can overflow on hostile input.
 	if sizeBytes%ways != 0 || (sizeBytes/ways)%LineBytes != 0 {
 		return fmt.Errorf("mem: cache of %d bytes / %d ways is not a whole number of %d-byte sets", sizeBytes, ways, ways*LineBytes)
+	}
+	if ways > MaxWays {
+		return fmt.Errorf("mem: cache of %d ways exceeds the %d-way guard", ways, MaxWays)
 	}
 	return nil
 }
@@ -55,7 +65,6 @@ func NewCache(sizeBytes, ways int) (*Cache, error) {
 		sets:      uint64(sets),
 		lineShift: 7, // log2(LineBytes)
 		tags:      make([]uint64, sets*ways),
-		used:      make([]int64, sets*ways),
 	}
 	return c, nil
 }
@@ -70,52 +79,35 @@ func MustNewCache(sizeBytes, ways int) *Cache {
 }
 
 // Access probes the cache with a byte address, fills on miss, and reports
-// whether it hit. The LRU victim in the set is replaced on miss.
-//
-// The probe is two passes: all the set's tags for a match (a line is in at
-// most one way), then, only on a miss, all its stamps for the first minimum.
-// The tag pass has no early exit and the hit path keeps no running minimum:
-// the form with both was slower end to end on the host this was measured on
-// (CHANGES.md, PR 14), although a hit in a set probed in a fixed order is
-// cheaper with the early exit.
+// whether it hit. A hit moves the line to the front of its set; a miss
+// shifts the set down one way, dropping the least recently used line off
+// the end, and fills at the front.
 func (c *Cache) Access(addr uint64) bool {
 	c.Accesses++
-	c.stamp++
 	line := addr >> c.lineShift
 	base := int(line%c.sets) * c.ways
 	line++ // so tag 0 stays "invalid"
-	tags := c.tags[base : base+c.ways]
-	used := c.used[base : base+c.ways : base+c.ways]
-	hit := -1
-	for i, tag := range tags {
+	// One pass shifts every way before the match down one place, so the
+	// line lands at the front whether it was found at i (a hit) or not at
+	// all (a miss, which shifts the whole set and drops its last way).
+	set := c.tags[base : base+c.ways : base+c.ways]
+	prev := line
+	for i, tag := range set {
+		set[i] = prev
 		if tag == line {
-			hit = i
+			c.Hits++
+			return true
 		}
-	}
-	if hit >= 0 {
-		used[hit] = c.stamp
-		c.Hits++
-		return true
-	}
-	victim, least := 0, used[0]
-	for i := 1; i < len(used); i++ {
-		if u := used[i]; u < least {
-			victim, least = i, u
-		}
+		prev = tag
 	}
 	c.Misses++
-	tags[victim] = line
-	used[victim] = c.stamp
 	return false
 }
 
 // Reset clears contents and counters.
 func (c *Cache) Reset() {
-	for i := range c.tags {
-		c.tags[i] = 0
-		c.used[i] = 0
-	}
-	c.Accesses, c.Hits, c.Misses, c.stamp = 0, 0, 0, 0
+	clear(c.tags)
+	c.Accesses, c.Hits, c.Misses = 0, 0, 0
 }
 
 // SizeBytes returns the cache capacity.

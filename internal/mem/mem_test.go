@@ -1,7 +1,9 @@
 package mem
 
 import (
+	"cmp"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -46,6 +48,9 @@ func TestCheckGeometryMatchesNewCache(t *testing.T) {
 		{"lines not a multiple of ways", 9 * LineBytes, 8, "mem: cache of 1152 bytes / 8 ways is not a whole number of 1024-byte sets"},
 		// ways*LineBytes wraps to 0 here; the rule must not divide by it.
 		{"ways overflow the set size", 1 << 20, 1 << 57, "is not a whole number of"},
+		// A single 16 MiB set: every probe would scan 131 072 tags.
+		{"associativity past the guard", 16 << 20, 131072, "mem: cache of 131072 ways exceeds the 64-way guard"},
+		{"associativity at the guard", 64 * LineBytes, MaxWays, ""},
 	} {
 		check := CheckGeometry(g.bytes, g.ways)
 		c, err := NewCache(g.bytes, g.ways)
@@ -340,10 +345,10 @@ func TestDRAMSubCycleRounding(t *testing.T) {
 	}
 }
 
-// refLRU is the reference the two-pass probe in Cache.Access must agree
-// with: one loop per access that matches tags and tracks the running
-// strict-minimum stamp together, as Access itself was written before it was
-// split.
+// refLRU is the reference the recency-ordered sets of Cache must agree
+// with: a stamp per way, and one loop per access that matches tags and
+// tracks the running strict-minimum stamp together, the first minimum
+// being the victim.
 type refLRU struct {
 	ways, sets   int
 	tags         []uint64
@@ -373,9 +378,10 @@ func (c *refLRU) access(addr uint64) bool {
 	return false
 }
 
-// TestCacheMatchesReferenceLRU drives Cache.Access and the single-loop
+// TestCacheMatchesReferenceLRU drives Cache.Access and the stamp-scan
 // reference with the same seeded address streams and compares every return
-// value, the counters, and where every tag ended up.
+// value, the counters, and every set: its tags must be the reference's
+// valid tags ordered by stamp, newest first, followed by empty ways.
 func TestCacheMatchesReferenceLRU(t *testing.T) {
 	geoms := []struct{ bytes, ways int }{
 		{48 << 10, 8},          // Table I L1: 48 sets, not a power of two
@@ -394,6 +400,8 @@ func TestCacheMatchesReferenceLRU(t *testing.T) {
 			"mixed": func(r *rand.Rand) uint64 {
 				return uint64(r.Intn(2))<<40 + r.Uint64()%(lines*LineBytes*2)
 			},
+			// A tenth of the capacity: many sets stay partly empty.
+			"sparse": func(r *rand.Rand) uint64 { return r.Uint64() % (lines/10 + 1) * LineBytes },
 		}
 		for name, next := range streams {
 			r := rand.New(rand.NewSource(int64(g.bytes + g.ways)))
@@ -410,11 +418,37 @@ func TestCacheMatchesReferenceLRU(t *testing.T) {
 				t.Errorf("%d/%d %s: counters %d/%d/%d, reference %d hits %d misses",
 					g.bytes, g.ways, name, c.Accesses, c.Hits, c.Misses, ref.hits, ref.misses)
 			}
-			for i := range c.tags {
-				if c.tags[i] != ref.tags[i] {
-					t.Fatalf("%d/%d %s: way %d holds tag %#x, reference %#x", g.bytes, g.ways, name, i, c.tags[i], ref.tags[i])
+			for base := 0; base < len(ref.tags); base += g.ways {
+				var valid []int
+				for j := base; j < base+g.ways; j++ {
+					if ref.tags[j] != 0 {
+						valid = append(valid, j)
+					}
+				}
+				slices.SortFunc(valid, func(a, b int) int { return cmp.Compare(ref.used[b], ref.used[a]) })
+				want := make([]uint64, g.ways)
+				for i, j := range valid {
+					want[i] = ref.tags[j]
+				}
+				if got := c.tags[base : base+g.ways]; !slices.Equal(got, want) {
+					t.Fatalf("%d/%d %s: set %d holds %#x, reference recency order %#x", g.bytes, g.ways, name, base/g.ways, got, want)
 				}
 			}
 		}
+	}
+}
+
+// TestNewCacheBytesPerLine: a cache keeps one 8-byte tag per line and
+// nothing else that grows with its size.
+func TestNewCacheBytesPerLine(t *testing.T) {
+	const lines = (48 << 10) / LineBytes
+	r := testing.Benchmark(func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			MustNewCache(48<<10, 8)
+		}
+	})
+	if got, limit := r.AllocedBytesPerOp(), int64(8*lines+256); got > limit {
+		t.Errorf("NewCache(48 KiB, 8 ways) allocates %d bytes, want <= %d (8 per line for %d lines, plus the header)", got, limit, lines)
 	}
 }

@@ -147,9 +147,10 @@ func (j *Job) validateMachine() error {
 		return fmt.Errorf("runner: %w", err)
 	}
 	// Cache geometries must be constructible (sm.New panics otherwise) and
-	// bounded: a worker allocates 16 bytes of tag and stamp per 128-byte
-	// line (per SM for the L1), so an unbounded size is an out-of-memory
-	// kill one request long. gpu.Default().Scale(4096) has a 512 MiB L2.
+	// bounded: a worker allocates an 8-byte tag per 128-byte line (per SM
+	// for the L1), so an unbounded size is an out-of-memory kill one
+	// request long, and CheckGeometry caps the ways every access scans.
+	// gpu.Default().Scale(4096) has a 512 MiB L2.
 	const maxL1Bytes, maxL2Bytes = 16 << 20, 1 << 30
 	if err := mem.CheckGeometry(smc.L1Bytes, smc.L1Ways); err != nil {
 		return fmt.Errorf("runner: L1: %w", err)

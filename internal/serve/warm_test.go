@@ -242,7 +242,9 @@ func TestAdmitHashesOutsideLock(t *testing.T) {
 // TestAbsurdCacheSizesRejected: admission no longer allocates a machine's
 // caches to check them, so nothing but the bound stands between a hostile
 // size and a worker's gpu.New. At the parent 1<<36 passed admission (8 GiB
-// of arrays, twice) and 1<<40 killed the process inside the handler.
+// of arrays, twice) and 1<<40 killed the process inside the handler. A
+// single-set cache of an admissible size is refused too: its every access
+// would scan the whole cache.
 func TestAbsurdCacheSizesRejected(t *testing.T) {
 	s, c := newTestServer(t, Config{Workers: 1})
 	for _, tc := range []struct {
@@ -253,6 +255,12 @@ func TestAbsurdCacheSizesRejected(t *testing.T) {
 		{"L2 64 GiB", func(c *gpu.Config) { c.L2Bytes = 1 << 36 }, "L2: 68719476736 bytes exceeds"},
 		{"L2 1 TiB", func(c *gpu.Config) { c.L2Bytes = 1 << 40 }, "L2: 1099511627776 bytes exceeds"},
 		{"L1 1 GiB", func(c *gpu.Config) { c.SM.L1Bytes = 1 << 30 }, "L1: 1073741824 bytes exceeds"},
+		// Within the size guards, but one set: every access would scan
+		// 131 072 (L1) or 8 Mi (L2) tags.
+		{"L1 one 16 MiB set", func(c *gpu.Config) { c.SM.L1Bytes, c.SM.L1Ways = 16<<20, 131072 },
+			"L1: mem: cache of 131072 ways exceeds the 64-way guard"},
+		{"L2 one 1 GiB set", func(c *gpu.Config) { c.L2Bytes, c.L2Ways = 1<<30, 1<<23 },
+			"L2: mem: cache of 8388608 ways exceeds the 64-way guard"},
 	} {
 		req := RequestFromJob(tinyJob(t, "CS", runner.Baseline()))
 		tc.edit(req.Cfg)

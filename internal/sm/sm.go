@@ -286,21 +286,6 @@ func (p *ProgInfo) LiveRegsOf(c *CTA) int {
 	return total
 }
 
-// LiveRefs visits every live register of every non-exited warp of c in
-// warp order — the registers FineReg chains into the PCRF.
-func (p *ProgInfo) LiveRefs(c *CTA, visit func(warp, reg uint8)) {
-	for _, w := range c.Warps {
-		if w.exited {
-			continue
-		}
-		// Walk the set bits directly; this runs on every eviction, and
-		// materializing Regs() allocated a slice per warp.
-		for v := uint64(p.live.At(w.PC)); v != 0; v &= v - 1 {
-			visit(uint8(w.Idx), uint8(bits.TrailingZeros64(v)))
-		}
-	}
-}
-
 // StallPCs appends to buf[:0] the distinct PCs at which the CTA's warps are
 // parked — the bit-vector cache probe set for an eviction — and returns it;
 // the caller owns buf, so an eviction allocates nothing.

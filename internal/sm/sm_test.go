@@ -273,26 +273,6 @@ func TestDeactivateReactivateRoundTrip(t *testing.T) {
 	}
 }
 
-func TestLiveRefsMatchesLiveCount(t *testing.T) {
-	s, _, _ := testSM(t, "SG", 4)
-	var now int64
-	for i := 0; i < 200; i++ {
-		n, _ := s.Tick(now)
-		if n <= now {
-			n = now + 1
-		}
-		now = n
-	}
-	info := s.Meta()
-	for _, c := range s.Residents() {
-		count := 0
-		info.LiveRefs(c, func(w, r uint8) { count++ })
-		if count != info.LiveRegsOf(c) {
-			t.Errorf("LiveRefs visited %d, LiveRegsOf = %d", count, info.LiveRegsOf(c))
-		}
-	}
-}
-
 func TestStallPCsDistinct(t *testing.T) {
 	s, _, _ := testSM(t, "FD", 2)
 	var now int64

@@ -131,11 +131,16 @@ gate 'TestCycleBudgetBelowScoreboardWidth' ./internal/gpu/
 gate 'Progress|Attribution|TestGoldenCycleExactness' \
 	./internal/gpu/ ./internal/runner/ ./internal/serve/ ./internal/audit/diff/
 # ...and the equivalence tests that let the switch path change under that
-# matrix: the ready mask against the sorted partition, the PCRF free bitmap
-# against the linear scan, a re-armed warp context against a fresh one, and
-# the pool's lifetime rules.
-gate 'TestReadyMaskMatchesSortedPartition|TestPCRFAllocMatchesLinearScan|TestReusedWarpEqualsFresh|TestPoolLifetimeRules' \
+# matrix: the ready mask against the sorted partition, the PCRF against a
+# map from chain head to length (and a second release refused), a re-armed
+# warp context against a fresh one, and the pool's lifetime rules.
+gate 'TestReadyMaskMatchesSortedPartition|TestPCRFMatchesCount|TestPCRFDoubleReleasePanics|TestReusedWarpEqualsFresh|TestPoolLifetimeRules' \
 	./internal/sm/ ./internal/core/
+# Cache gate, likewise by name: recency-ordered sets against the stamp-scan
+# LRU reference, one 8-byte tag per line and nothing else, and the
+# associativity guard at the cache and at admission.
+gate 'TestCacheMatchesReferenceLRU|TestNewCacheBytesPerLine|TestCheckGeometryMatchesNewCache' ./internal/mem/
+gate 'TestAbsurdCacheSizesRejected' ./internal/serve/
 # Policy gate: the SM's first-match resident selectors against the lowest-ID
 # scans they replaced, the two "VT plus nothing" degenerations of the
 # policies that embed VT's switch, and the documented extension path (a
