@@ -511,3 +511,31 @@ func TestPolicySpecFactories(t *testing.T) {
 		t.Error("custom spec without factory must error (e.g. after a cache decode)")
 	}
 }
+
+// TestValidateBoundsSMArrays: MaxWarps and NumSchedulers size a worker's
+// per-SM arrays (the event queue, the per-scheduler state), so a job that
+// asks for 2^30 of either must fail validation rather than be admitted to
+// an allocation no host survives. The guard itself stays admissible.
+func TestValidateBoundsSMArrays(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		edit func(*sm.Config)
+		want string
+	}{
+		{"MaxWarps 2^30", func(c *sm.Config) { c.MaxWarps = 1 << 30 }, "MaxWarps 1073741824 exceeds the 4096-warp guard"},
+		{"MaxWarps 4097", func(c *sm.Config) { c.MaxWarps = 4097 }, "MaxWarps 4097 exceeds"},
+		{"NumSchedulers 2^30", func(c *sm.Config) { c.NumSchedulers = 1 << 30 }, "NumSchedulers 1073741824 exceeds MaxWarps 64"},
+		{"NumSchedulers 65", func(c *sm.Config) { c.NumSchedulers = 65 }, "NumSchedulers 65 exceeds MaxWarps 64"},
+	} {
+		j := tinyJob(t, "CS", Baseline())
+		tc.edit(&j.Cfg.SM)
+		if err := j.Validate(); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: Validate = %v, want an error naming %q", tc.name, err, tc.want)
+		}
+	}
+	j := tinyJob(t, "CS", Baseline())
+	j.Cfg.SM.MaxWarps, j.Cfg.SM.NumSchedulers = 4096, 4096
+	if err := j.Validate(); err != nil {
+		t.Errorf("MaxWarps = NumSchedulers = 4096 rejected: %v", err)
+	}
+}

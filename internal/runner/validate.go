@@ -134,6 +134,17 @@ func (j *Job) validateMachine() error {
 		return fmt.Errorf("runner: SM scheduling limits must be positive (CTAs=%d warps=%d threads=%d scheds=%d)",
 			smc.MaxCTAs, smc.MaxWarps, smc.MaxThreads, smc.NumSchedulers)
 	}
+	// Both size a worker's per-SM arrays in sm.New (the event queue holds
+	// MaxWarps, the scheduler state NumSchedulers), and a Go out-of-memory
+	// is fatal, not a panic the engine recovers. 4096 is 64× Table I; the
+	// experiments peak at 512.
+	const maxWarps = 4096
+	if smc.MaxWarps > maxWarps {
+		return fmt.Errorf("runner: MaxWarps %d exceeds the %d-warp guard", smc.MaxWarps, maxWarps)
+	}
+	if smc.NumSchedulers > smc.MaxWarps {
+		return fmt.Errorf("runner: NumSchedulers %d exceeds MaxWarps %d", smc.NumSchedulers, smc.MaxWarps)
+	}
 	if smc.MaxResidentCTAs < 1 {
 		return fmt.Errorf("runner: MaxResidentCTAs %d < 1", smc.MaxResidentCTAs)
 	}

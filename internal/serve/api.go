@@ -60,17 +60,6 @@ type JobRequest struct {
 	Audit bool `json:"audit,omitempty"`
 	// Label tags progress lines and errors; not part of the job identity.
 	Label string `json:"label,omitempty"`
-	// Priority orders admission: higher-priority jobs dequeue first, and
-	// when the queue is full they may preempt queued jobs of strictly
-	// lower priority instead of being shed. Default 0. Not part of the
-	// job identity (a high-priority run hits the same cache entry as a
-	// low-priority twin).
-	Priority int `json:"priority,omitempty"`
-	// Client is the submitter's self-reported identity, the fair-share
-	// bucket for admission: equal-priority jobs drain round-robin across
-	// clients. Default "" (one shared bucket). Not part of the job
-	// identity.
-	Client string `json:"client,omitempty"`
 }
 
 // Resolve canonicalizes the request into a validated runner.Job.
@@ -186,14 +175,12 @@ type BatchSubmitStatus struct {
 
 // JobStatus is the response of GET /v1/jobs/{id}.
 type JobStatus struct {
-	ID       string `json:"id"`
-	Key      string `json:"key"`
-	Label    string `json:"label,omitempty"`
-	Client   string `json:"client,omitempty"`
-	Priority int    `json:"priority,omitempty"`
-	State    string `json:"state"`
-	Cached   bool   `json:"cached,omitempty"`
-	Error    string `json:"error,omitempty"`
+	ID     string `json:"id"`
+	Key    string `json:"key"`
+	Label  string `json:"label,omitempty"`
+	State  string `json:"state"`
+	Cached bool   `json:"cached,omitempty"`
+	Error  string `json:"error,omitempty"`
 	// Result carries the metrics (and Figure 5 windows when tracked) once
 	// State is "done".
 	Result *runner.Result `json:"result,omitempty"`

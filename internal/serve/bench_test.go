@@ -28,7 +28,7 @@ func warmServer(b *testing.B) (*Server, JobRequest, string) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	_, recs, err := s.admit([]*runner.Job{job}, []jobMeta{{}})
+	_, recs, err := s.admit([]*runner.Job{job})
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -30,12 +30,6 @@ type Client struct {
 	// is jittered uniformly over [wait/2, wait] so a herd of clients shed
 	// together does not retry in lockstep.
 	ShedBackoff time.Duration
-	// Priority is applied to every submitted job (see
-	// JobRequest.Priority). Zero is the default priority.
-	Priority int
-	// ClientID is the fair-share admission bucket reported with every
-	// submission (see JobRequest.Client). Empty means the shared bucket.
-	ClientID string
 }
 
 func (c *Client) http() *http.Client {
@@ -181,25 +175,10 @@ func (c *Client) WaitShed(ctx context.Context, shed *APIError) error {
 	}
 }
 
-// stamp applies the client's Priority/ClientID to r (values r already
-// carries win).
-func (c *Client) stamp(r *JobRequest) {
-	if r.Priority == 0 {
-		r.Priority = c.Priority
-	}
-	if r.Client == "" {
-		r.Client = c.ClientID
-	}
-}
-
 // SubmitBatch submits a batch, waiting out 429 load sheds. A batch that can
 // never fit — larger than the server's whole queue — fails immediately
 // instead of retrying forever.
 func (c *Client) SubmitBatch(ctx context.Context, reqs []JobRequest) (*BatchSubmitStatus, error) {
-	reqs = append([]JobRequest(nil), reqs...) // the caller's slice is not ours to stamp
-	for i := range reqs {
-		c.stamp(&reqs[i])
-	}
 	for {
 		var st BatchSubmitStatus
 		err := c.Call(ctx, http.MethodPost, "/v1/batches", BatchRequest{Jobs: reqs}, &st)
@@ -222,7 +201,6 @@ func (c *Client) SubmitBatch(ctx context.Context, reqs []JobRequest) (*BatchSubm
 
 // SubmitJob submits one job (no retry; Execute has the shed patience).
 func (c *Client) SubmitJob(ctx context.Context, req JobRequest) (*SubmitStatus, error) {
-	c.stamp(&req)
 	var st SubmitStatus
 	if err := c.Call(ctx, http.MethodPost, "/v1/jobs", req, &st); err != nil {
 		return nil, err

@@ -75,8 +75,8 @@ func (s *Server) writeAdmitError(w http.ResponseWriter, err error) {
 		w.Header().Set("Retry-After", "1")
 		WriteJSON(w, http.StatusTooManyRequests, errorBody{
 			Error:      err.Error(),
-			QueueDepth: s.queue.depth(),
-			QueueCap:   s.queue.capacity(),
+			QueueDepth: len(s.queue),
+			QueueCap:   cap(s.queue),
 		})
 	case errors.Is(err, errDraining):
 		WriteJSON(w, http.StatusServiceUnavailable, errorBody{Error: err.Error()})
@@ -133,7 +133,7 @@ func (s *Server) handleSubmitJob(w http.ResponseWriter, r *http.Request) {
 		writeBadRequest(w, err)
 		return
 	}
-	sts, _, err := s.admit([]*runner.Job{job}, []jobMeta{{priority: req.Priority, client: req.Client}})
+	sts, _, err := s.admit([]*runner.Job{job})
 	if err != nil {
 		s.writeAdmitError(w, err)
 		return
@@ -160,7 +160,6 @@ func (s *Server) handleSubmitBatch(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	jobs := make([]*runner.Job, 0, len(req.Jobs))
-	meta := make([]jobMeta, 0, len(req.Jobs))
 	for i := range req.Jobs {
 		j, err := req.Jobs[i].Resolve()
 		if err != nil {
@@ -168,9 +167,8 @@ func (s *Server) handleSubmitBatch(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 		jobs = append(jobs, j)
-		meta = append(meta, jobMeta{priority: req.Jobs[i].Priority, client: req.Jobs[i].Client})
 	}
-	sts, recs, err := s.admit(jobs, meta)
+	sts, recs, err := s.admit(jobs)
 	if err != nil {
 		s.writeAdmitError(w, err)
 		return
@@ -224,7 +222,7 @@ func (s *Server) Shutdown(ctx context.Context) error {
 	already := s.draining
 	if !already {
 		s.draining = true
-		s.queue.close()  // workers drain the backlog (failing it fast) and exit
+		close(s.queue)   // workers drain the backlog (failing it fast) and exit
 		close(s.drainCh) // SSE streams terminate
 	}
 	s.mu.Unlock()

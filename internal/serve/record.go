@@ -48,14 +48,8 @@ type record struct {
 	key   string
 	label string // the job's Label, kept past the job itself
 
-	// client is the submitting client's self-reported id (admission
-	// fair-share bucket); immutable after creation.
-	client string
-
 	mu        sync.Mutex
 	job       *runner.Job // nil once terminal
-	priority  int         // admission priority; raised by higher-priority duplicates
-	qseq      int64       // admission queue arrival sequence
 	state     string
 	seq       int64 // monotone event sequence (history may be pruned)
 	nProgress int   // progress events currently retained in events
@@ -81,35 +75,6 @@ func newRecord(id, key string, j *runner.Job) *record {
 		done:  make(chan struct{}),
 	}
 }
-
-// pri / setPriority / queueSeq / setQueueSeq / clientID are the admission
-// queue's accessors; the queue serializes mutation under its own lock and
-// these guard the fields against concurrent status() reads.
-func (r *record) pri() int {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.priority
-}
-
-func (r *record) setPriority(p int) {
-	r.mu.Lock()
-	r.priority = p
-	r.mu.Unlock()
-}
-
-func (r *record) queueSeq() int64 {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.qseq
-}
-
-func (r *record) setQueueSeq(s int64) {
-	r.mu.Lock()
-	r.qseq = s
-	r.mu.Unlock()
-}
-
-func (r *record) clientID() string { return r.client }
 
 // currentState reads the lifecycle state alone — what admission needs of a
 // record it coalesces onto, where status() would copy the whole JobStatus.
@@ -251,8 +216,6 @@ func (r *record) status() JobStatus {
 		ID:           r.id,
 		Key:          r.key,
 		Label:        r.label,
-		Client:       r.client,
-		Priority:     r.priority,
 		State:        r.state,
 		Cached:       r.cached,
 		Error:        r.errMsg,

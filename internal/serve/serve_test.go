@@ -575,6 +575,10 @@ func TestBadRequests(t *testing.T) {
 	expect(post("/v1/jobs", JobRequest{Bench: "NOPE", Policy: runner.Baseline()}), 400, "")
 	expect(post("/v1/jobs", JobRequest{Policy: runner.Baseline()}), 400, "neither bench nor profile")
 	expect(post("/v1/jobs", map[string]any{"bogus_field": 1}), 400, "bad request body")
+	// Admission is one FIFO: a priority or a client id is a field no
+	// request carries, refused rather than ignored.
+	expect(post("/v1/jobs", map[string]any{"bench": "CS", "policy": runner.Baseline(), "priority": 1}), 400, `unknown field "priority"`)
+	expect(post("/v1/jobs", map[string]any{"bench": "CS", "policy": runner.Baseline(), "client": "x"}), 400, `unknown field "client"`)
 	expect(post("/v1/batches", BatchRequest{}), 400, "no jobs")
 	expect(post("/v1/batches", BatchRequest{Jobs: []JobRequest{
 		{Bench: "CS", Policy: runner.Baseline()},

@@ -83,7 +83,10 @@ type Server struct {
 	batches  map[string]*batchRecord
 	batchIDs []string // insertion order, for eviction
 	doneIDs  []string // completed records, eviction order
-	queue    *admitQueue
+	// queue holds admitted records no worker has taken yet. Only admit
+	// sends, under mu, after checking the room; Shutdown closes it under
+	// mu; workers receive.
+	queue    chan *record
 	draining bool
 	batchSeq int64
 
@@ -100,7 +103,6 @@ type Server struct {
 	mSubmitted  *metrics.Counter
 	mCoalesced  *metrics.Counter
 	mShed       *metrics.Counter
-	mPreempted  *metrics.Counter
 	mDone       *metrics.Counter
 	mFailed     *metrics.Counter
 	mInflight   *metrics.Gauge
@@ -145,7 +147,7 @@ func New(cfg Config) *Server {
 		reg:     metrics.NewRegistry(),
 		records: map[string]*record{},
 		batches: map[string]*batchRecord{},
-		queue:   newAdmitQueue(cfg.QueueCap),
+		queue:   make(chan *record, cfg.QueueCap),
 		drainCh: make(chan struct{}),
 		rates:   map[string]float64{},
 	}
@@ -182,8 +184,6 @@ func (s *Server) initMetrics() {
 		"Submissions answered by an existing in-flight or completed job.")
 	s.mShed = r.NewCounter("finereg_serve_shed_total",
 		"Submissions rejected with 429 because the admission queue was full.")
-	s.mPreempted = r.NewCounter("finereg_serve_preempted_total",
-		"Queued jobs evicted by higher-priority submissions to a full queue.")
 	s.mDone = r.NewCounter("finereg_serve_jobs_done_total",
 		"Jobs that finished successfully.")
 	s.mFailed = r.NewCounter("finereg_serve_jobs_failed_total",
@@ -201,10 +201,10 @@ func (s *Server) initMetrics() {
 		metrics.DefLatencyBuckets)
 	r.NewGaugeFunc("finereg_serve_queue_depth",
 		"Jobs waiting in the admission queue.",
-		func() float64 { return float64(s.queue.depth()) })
+		func() float64 { return float64(len(s.queue)) })
 	r.NewGaugeFunc("finereg_serve_queue_capacity",
 		"Admission queue capacity.",
-		func() float64 { return float64(s.queue.capacity()) })
+		func() float64 { return float64(cap(s.queue)) })
 	// Engine- and cache-level series, read at scrape time.
 	r.NewCounterFunc("finereg_engine_jobs_executed_total",
 		"Fresh simulations executed by the run engine.",
@@ -293,28 +293,18 @@ func (s *Server) onProgress(rec *record) func(trace.ProgressSample) {
 // jobID derives the server identity from the content-addressed key.
 func jobID(key string) string { return "j" + key[:16] }
 
-// errDraining, errQueueFull, and errPreempted classify admission
-// failures.
+// errDraining and errQueueFull classify admission failures.
 var (
 	errDraining  = fmt.Errorf("serve: server is draining")
 	errQueueFull = fmt.Errorf("serve: admission queue full")
-	errPreempted = fmt.Errorf("serve: preempted by a higher-priority submission")
 )
 
-// jobMeta carries per-submission admission attributes that are not part
-// of the job's content-addressed identity.
-type jobMeta struct {
-	priority int
-	client   string
-}
-
 // admit atomically admits a set of resolved jobs: every job is either
-// coalesced onto an existing record or enqueued; if the fresh jobs do not
-// all fit in the queue — after preempting any strictly lower-priority
-// queued jobs — nothing is admitted and errQueueFull is returned (a batch
-// is admitted whole or shed whole). meta is parallel to jobs. Returns one
-// status per job in input order.
-func (s *Server) admit(jobs []*runner.Job, meta []jobMeta) ([]SubmitStatus, []*record, error) {
+// coalesced onto an existing record or enqueued in arrival order; if the
+// fresh jobs do not all fit in the queue's free room nothing is admitted
+// and errQueueFull is returned (a batch is admitted whole or shed whole).
+// Returns one status per job in input order.
+func (s *Server) admit(jobs []*runner.Job) ([]SubmitStatus, []*record, error) {
 	// Keys are derived before s.mu is taken: the canonical encoding and its
 	// SHA-256 are the costliest step of admitting a known job, and under the
 	// lock every other submission and status fetch would wait on them.
@@ -326,66 +316,38 @@ func (s *Server) admit(jobs []*runner.Job, meta []jobMeta) ([]SubmitStatus, []*r
 	if hook := s.testKeysDerived; hook != nil {
 		hook()
 	}
-	out, recs, victims, err := s.admitLocked(jobs, keys, meta)
-	// Victims are failed outside s.mu: completed() re-locks it, and
-	// record transitions never need the server lock.
-	for _, v := range victims {
-		s.mPreempted.Inc()
-		if v.finish(nil, errPreempted, false) {
-			s.completed(v, false)
-		}
-	}
-	return out, recs, err
-}
 
-func (s *Server) admitLocked(jobs []*runner.Job, keys []string, meta []jobMeta) ([]SubmitStatus, []*record, []*record, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.draining {
-		return nil, nil, nil, errDraining
+		return nil, nil, errDraining
 	}
 
 	type slot struct {
 		rec       *record
 		coalesced bool
 	}
-	type raise struct {
-		rec *record
-		pri int
-	}
 	slots := make([]slot, len(jobs))
 	var fresh []*record
 	var replaced []string // ids of failed records being re-admitted
 	newIDs := map[string]*record{}
-	var raises []raise
 	for i, j := range jobs {
 		key := keys[i]
 		id := jobID(key)
 		if rec, ok := s.records[id]; ok && !rec.failed() {
 			slots[i] = slot{rec: rec, coalesced: true}
-			// A higher-priority duplicate promotes the shared record if
-			// it is still waiting in the queue.
-			if p := meta[i].priority; p > rec.pri() {
-				raises = append(raises, raise{rec, p})
-			}
 			continue
 		} else if ok {
-			// The earlier incarnation failed — preempted, timed out, its
-			// fleet briefly empty. Like the engine, the record layer never
-			// caches a failure: a resubmission re-runs under a fresh record
-			// (same id).
+			// The earlier incarnation failed — timed out, its fleet briefly
+			// empty. Like the engine, the record layer never caches a
+			// failure: a resubmission re-runs under a fresh record (same id).
 			replaced = append(replaced, id)
 		}
 		if rec, ok := newIDs[id]; ok { // duplicate within this submission
 			slots[i] = slot{rec: rec, coalesced: true}
-			if p := meta[i].priority; p > rec.pri() {
-				rec.setPriority(p)
-			}
 			continue
 		}
 		rec := newRecord(id, key, j)
-		rec.client = meta[i].client
-		rec.setPriority(meta[i].priority)
 		if s.cfg.ProgressEvery > 0 {
 			// In-run sampling: excluded from the job key, so the sampled
 			// job hits the same cache entries as an unsampled twin.
@@ -397,25 +359,23 @@ func (s *Server) admitLocked(jobs []*runner.Job, keys []string, meta []jobMeta) 
 		slots[i] = slot{rec: rec}
 	}
 
-	// The submit event is appended before the queue can hand the record
-	// to a worker, so streams always open with "submit". Records of a
-	// shed batch are never registered and thus never observable.
-	for _, rec := range fresh {
-		rec.submitted()
-	}
-	victims, ok := s.queue.admit(fresh)
-	if !ok {
+	// Only admission sends, under s.mu, and workers only take, so the room
+	// seen here can only grow before the sends below: each finds a slot.
+	// Records of a shed submission are never registered and thus never
+	// observable.
+	if len(fresh) > cap(s.queue)-len(s.queue) {
 		s.mShed.Add(int64(len(jobs)))
-		return nil, nil, nil, errQueueFull
+		return nil, nil, errQueueFull
 	}
 	for _, id := range replaced {
 		s.forgetDoneLocked(id)
 	}
 	for _, rec := range fresh {
 		s.records[rec.id] = rec
-	}
-	for _, r := range raises {
-		s.queue.raise(r.rec, r.pri)
+		// The submit event is appended before a worker can take the
+		// record, so streams always open with "submit".
+		rec.submitted()
+		s.queue <- rec
 	}
 
 	out := make([]SubmitStatus, len(jobs))
@@ -428,7 +388,7 @@ func (s *Server) admitLocked(jobs []*runner.Job, keys []string, meta []jobMeta) 
 			s.mCoalesced.Inc()
 		}
 	}
-	return out, recs, victims, nil
+	return out, recs, nil
 }
 
 // forgetDoneLocked drops id's completed-record eviction entry when the
@@ -447,11 +407,7 @@ func (s *Server) forgetDoneLocked(id string) {
 // the key admission already derived.
 func (s *Server) worker() {
 	defer s.wg.Done()
-	for {
-		rec, ok := s.queue.pop()
-		if !ok {
-			return
-		}
+	for rec := range s.queue {
 		if s.isDraining() {
 			// Queued but never started: fail fast so waiters unblock.
 			if rec.finish(nil, errDraining, false) {

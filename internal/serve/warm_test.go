@@ -218,7 +218,7 @@ func TestAdmitHashesOutsideLock(t *testing.T) {
 	s.mu.Lock()
 	admitted := make(chan []SubmitStatus, 1)
 	go func() {
-		sts, _, _ := s.admit([]*runner.Job{job}, []jobMeta{{}})
+		sts, _, _ := s.admit([]*runner.Job{job})
 		admitted <- sts
 	}()
 	select {
@@ -244,7 +244,8 @@ func TestAdmitHashesOutsideLock(t *testing.T) {
 // size and a worker's gpu.New. At the parent 1<<36 passed admission (8 GiB
 // of arrays, twice) and 1<<40 killed the process inside the handler. A
 // single-set cache of an admissible size is refused too: its every access
-// would scan the whole cache.
+// would scan the whole cache. So are MaxWarps and NumSchedulers past their
+// guards, which size the per-SM arrays the same way.
 func TestAbsurdCacheSizesRejected(t *testing.T) {
 	s, c := newTestServer(t, Config{Workers: 1})
 	for _, tc := range []struct {
@@ -261,6 +262,12 @@ func TestAbsurdCacheSizesRejected(t *testing.T) {
 			"L1: mem: cache of 131072 ways exceeds the 64-way guard"},
 		{"L2 one 1 GiB set", func(c *gpu.Config) { c.L2Bytes, c.L2Ways = 1<<30, 1<<23 },
 			"L2: mem: cache of 8388608 ways exceeds the 64-way guard"},
+		// Not caches, but sized by sm.New the same way: 2^30 event-queue
+		// slots (32 GiB an SM), or 2^30 sets of per-scheduler state.
+		{"MaxWarps 2^30", func(c *gpu.Config) { c.SM.MaxWarps = 1 << 30 },
+			"MaxWarps 1073741824 exceeds the 4096-warp guard"},
+		{"NumSchedulers 2^30", func(c *gpu.Config) { c.SM.NumSchedulers = 1 << 30 },
+			"NumSchedulers 1073741824 exceeds MaxWarps 64"},
 	} {
 		req := RequestFromJob(tinyJob(t, "CS", runner.Baseline()))
 		tc.edit(req.Cfg)

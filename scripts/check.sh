@@ -141,6 +141,12 @@ gate 'TestReadyMaskMatchesSortedPartition|TestPCRFMatchesCount|TestPCRFDoubleRel
 # associativity guard at the cache and at admission.
 gate 'TestCacheMatchesReferenceLRU|TestNewCacheBytesPerLine|TestCheckGeometryMatchesNewCache' ./internal/mem/
 gate 'TestAbsurdCacheSizesRejected' ./internal/serve/
+# Admission gate, likewise by name: the queue is one FIFO channel — queued
+# jobs start in arrival order, and a batch larger than the free room is shed
+# whole — and the SM fields that size a worker's arrays are bounded at
+# validation, so an oversized one is a 400, not an out-of-memory kill.
+gate 'TestFIFODequeueOrder|TestBatchPartialFitShedsWhole' ./internal/serve/
+gate 'TestValidateBoundsSMArrays' ./internal/runner/
 # Policy gate: the SM's first-match resident selectors against the lowest-ID
 # scans they replaced, the two "VT plus nothing" degenerations of the
 # policies that embed VT's switch, and the documented extension path (a
