@@ -1,0 +1,35 @@
+//go:build !race
+
+package finereg
+
+import (
+	"runtime"
+	"testing"
+)
+
+// TestWarmRunAllocatesNoMachine: a released machine's SMs — warp contexts,
+// CTA records, L1 tags, event queues, scheduler state — and its L2 tags
+// serve the next run, so a warm run allocates its kernel, its policies and
+// its result and nothing that grows with the machine. A 2-SM FineReg CS run
+// of 16 CTAs allocated 67 728 bytes when every run built its machine; it
+// now allocates 15 800, of which the kernel (program, liveness, issue
+// table) is about 11 KiB. (Not under -race: the detector's instrumentation
+// allocates on its own account, and its sync.Pool drops items at random.)
+func TestWarmRunAllocatesNoMachine(t *testing.T) {
+	cfg := ScaledConfig(2)
+	run := func() {
+		if _, err := RunBenchmark(cfg, "CS", 16, FineReg()); err != nil {
+			t.Fatal(err)
+		}
+	}
+	runtime.GC() // twice: a released machine outlives one collection
+	runtime.GC()
+	run() // warm-up: builds the machine the measured run takes over
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	run()
+	runtime.ReadMemStats(&after)
+	if got := after.TotalAlloc - before.TotalAlloc; got >= 16<<10 {
+		t.Errorf("a warm 2-SM run allocates %d bytes, want < 16 KiB", got)
+	}
+}

@@ -75,8 +75,8 @@ func BenchmarkProfile(abbrev string) (kernels.Profile, error) {
 	return kernels.ProfileByName(abbrev)
 }
 
-// RunBenchmark simulates one Table II benchmark on a fresh GPU built from
-// cfg under the given policy. grid <= 0 uses the benchmark's reference
+// RunBenchmark simulates one Table II benchmark on a GPU built from cfg
+// under the given policy. grid <= 0 uses the benchmark's reference
 // grid size (sized for the 16-SM machine; scale it down for smaller
 // configurations).
 func RunBenchmark(cfg Config, bench string, grid int, pf PolicyFactory) (*Metrics, error) {
@@ -84,11 +84,7 @@ func RunBenchmark(cfg Config, bench string, grid int, pf PolicyFactory) (*Metric
 	if err != nil {
 		return nil, err
 	}
-	k, err := kernels.Build(prof, grid)
-	if err != nil {
-		return nil, err
-	}
-	return gpu.New(cfg, pf).Run(k)
+	return RunKernel(cfg, prof, grid, pf)
 }
 
 // RunKernel simulates a custom kernel profile (see kernels.Profile for the
@@ -99,7 +95,9 @@ func RunKernel(cfg Config, prof kernels.Profile, grid int, pf PolicyFactory) (*M
 	if err != nil {
 		return nil, err
 	}
-	return gpu.New(cfg, pf).Run(k)
+	g := gpu.New(cfg, pf)
+	defer g.Release()
+	return g.Run(k)
 }
 
 // EstimateEnergy applies the GPUWattch-style event-energy model to a run.

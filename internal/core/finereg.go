@@ -103,6 +103,9 @@ func (f *FineReg) KernelStart(s *sm.SM, now int64) {
 	f.mon.Reset()
 	f.blocked = false
 	f.launchHoldUntil = 0
+	if f.slotFree == nil {
+		f.slotFree = make([]int, 0, MonitorSlots) // one allocation, not append's doubling chain
+	}
 	f.slotFree = f.slotFree[:0]
 	for i := MonitorSlots - 1; i >= 0; i-- {
 		f.slotFree = append(f.slotFree, i)

@@ -11,6 +11,7 @@ import (
 	"math"
 	"sync/atomic"
 	"time"
+	"unsafe"
 
 	"finereg/internal/audit"
 	"finereg/internal/kernels"
@@ -167,7 +168,8 @@ func (d *dispatcher) NextCTAID() int {
 
 func (d *dispatcher) Remaining() int { return d.total - d.next }
 
-// GPU is one simulated machine instance. Build a fresh GPU per run.
+// GPU is one simulated machine instance, built per run. Its SMs and L2
+// tags outlive it: Release hands them to the next New.
 type GPU struct {
 	Cfg  Config
 	Hier *mem.Hierarchy
@@ -218,6 +220,44 @@ func New(cfg Config, pf PolicyFactory) *GPU {
 		g.SMs = append(g.SMs, sm.New(i, cfg.SM, hier, g.disps[p], pf(cfg.SM, hier)))
 	}
 	return g
+}
+
+// Release hands the machine's SMs — their warp contexts, CTA records, L1s
+// and scheduler state — and its L2 tags to later runs. Call it once
+// everything needed of the run has been read (the metrics, RegWindowFracs);
+// the machine must not be used again. The GPU itself is not recycled, so a
+// Stop that arrives late reaches only this dead machine.
+func (g *GPU) Release() {
+	for _, s := range g.SMs {
+		s.Release()
+	}
+	g.SMs = nil
+	g.Hier.L2.Release()
+	g.Hier.L2 = nil
+}
+
+// MachineBytes is the memory a machine of cfg holds: the arrays New sizes
+// up front — the L2's tags and, per SM, the L1's tags, the event queue, the
+// wake ring and the scheduler state — plus NumSMs × MaxWarps warp
+// contexts, the residency ceiling. It allocates nothing; admission
+// (runner.Job.Validate) bounds it, since an SM a run released keeps what
+// that run grew. cfg's fields must be within admission's own guards (they
+// keep the sum far from overflow).
+func MachineBytes(cfg Config) int64 {
+	const (
+		tagBytes   = 8  // per mem.LineBytes line
+		eventBytes = 32 // sm's event: key, sequence, warp, CTA
+		ringBytes  = 32 * 8
+		// A scheduler's list and mask headers, tombstone count, greedy
+		// pointer, rotor and sequence counter.
+		schedulerBytes = 2*24 + 4*8
+	)
+	warpBytes := int64(unsafe.Sizeof(sm.Warp{})) + 8 // and its scheduler-list entry
+	smc := &cfg.SM
+	perSM := int64(smc.L1Bytes)/mem.LineBytes*tagBytes +
+		int64(smc.MaxWarps)*(eventBytes+warpBytes) +
+		int64(smc.NumSchedulers)*(ringBytes+schedulerBytes)
+	return int64(cfg.L2Bytes)/mem.LineBytes*tagBytes + int64(cfg.NumSMs)*perSM
 }
 
 // ErrDeadlock is returned when residents remain but no SM can make

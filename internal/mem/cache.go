@@ -4,7 +4,11 @@
 // coalescer that turns access descriptors into 128-byte transactions.
 package mem
 
-import "fmt"
+import (
+	"fmt"
+	"math/bits"
+	"sync"
+)
 
 // LineBytes is the cache line / memory transaction size.
 const LineBytes = 128
@@ -55,19 +59,41 @@ func CheckGeometry(sizeBytes, ways int) error {
 
 // NewCache builds a cache of sizeBytes capacity with the given
 // associativity and LineBytes lines; the geometry must pass CheckGeometry.
+// It rebuilds a released cache of about the same size when there is one.
 func NewCache(sizeBytes, ways int) (*Cache, error) {
 	if err := CheckGeometry(sizeBytes, ways); err != nil {
 		return nil, err
 	}
 	sets := sizeBytes / (ways * LineBytes)
-	c := &Cache{
+	n := sets * ways
+	c, _ := released[bits.Len(uint(n))].Get().(*Cache)
+	if c == nil {
+		c = new(Cache)
+	}
+	tags := c.tags
+	if cap(tags) < n {
+		tags = make([]uint64, n)
+	} else {
+		tags = tags[:n]
+		clear(tags)
+	}
+	*c = Cache{
 		ways:      ways,
 		sets:      uint64(sets),
 		lineShift: 7, // log2(LineBytes)
-		tags:      make([]uint64, sets*ways),
+		tags:      tags,
 	}
 	return c, nil
 }
+
+// released holds the caches handed back by Release, keyed by tag-array
+// length: pool k holds arrays of 2^(k-1) to 2^k-1 tags, so NewCache rebuilds
+// a cache from one of about its own size.
+var released [bits.UintSize + 1]sync.Pool
+
+// Release hands the cache to a later NewCache. The caller must not use it
+// again.
+func (c *Cache) Release() { released[bits.Len(uint(len(c.tags)))].Put(c) }
 
 // MustNewCache is NewCache that panics on error (static configurations).
 func MustNewCache(sizeBytes, ways int) *Cache {

@@ -1,6 +1,7 @@
 package runner
 
 import (
+	"context"
 	"os"
 	"testing"
 
@@ -74,5 +75,25 @@ func BenchmarkValidate(b *testing.B) {
 				}
 			}
 		})
+	}
+}
+
+// BenchmarkSimulateSmall is one cold 2-SM FineReg job the way a server's
+// worker runs it: examples/saxpy.sasm, the shape of serve-mix's ingest jobs,
+// loaded, simulated on SMs earlier iterations released, and reported. B/op
+// is what a job allocates beyond the machine: its kernel, its policies and
+// its result.
+func BenchmarkSimulateSmall(b *testing.B) {
+	src, err := os.ReadFile("../../examples/saxpy.sasm")
+	if err != nil {
+		b.Fatal(err)
+	}
+	j := programJob(workload.Program{Source: string(src)})
+	j.Policy = FineRegDefault()
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, err := Simulate(context.Background(), "", j); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

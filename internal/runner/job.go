@@ -187,9 +187,9 @@ func (r *Result) Clone() *Result {
 }
 
 // Simulate is the default Executor: it runs the simulation for j from
-// scratch — fresh kernel, fresh GPU, fresh per-job trace sink — and stops it
-// through gpu.Stop when ctx ends. It touches no shared state, so any number
-// of calls may run concurrently.
+// scratch — its own kernel, GPU and trace sink, on SMs that earlier runs
+// released (gpu.GPU.Release) — and stops it through gpu.Stop when ctx ends.
+// Any number of calls may run concurrently.
 //
 // The job's Cfg may carry a Progress callback (excluded from the key, so
 // observed and unobserved runs share cache entries); the engine wraps it
@@ -213,6 +213,7 @@ func Simulate(ctx context.Context, _ string, j *Job) (*Result, error) {
 		return nil, err
 	}
 	machine := gpu.New(cfg, pf)
+	defer machine.Release() // last: the body reads Metrics and RegWindowFracs first
 	defer context.AfterFunc(ctx, machine.Stop)()
 	if ctx.Err() != nil {
 		machine.Stop() // AfterFunc stops from its own goroutine; an expired budget must not race the run

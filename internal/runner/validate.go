@@ -175,6 +175,13 @@ func (j *Job) validateMachine() error {
 	if cfg.L2Bytes > maxL2Bytes {
 		return fmt.Errorf("runner: L2: %d bytes exceeds the %d-byte guard", cfg.L2Bytes, maxL2Bytes)
 	}
+	// The guards above bound each array; the machine as a whole is bounded
+	// too: 4096 SMs of 16 MiB L1s, or of 4096 warp slots each, pass every
+	// per-field guard and are gigabytes. Default().Scale(4096) is ~170 MiB.
+	const maxMachineBytes = 256 << 20
+	if n := gpu.MachineBytes(*cfg); n > maxMachineBytes {
+		return fmt.Errorf("runner: machine of %d MiB exceeds the %d MiB guard", n>>20, maxMachineBytes>>20)
+	}
 	if cfg.DRAMBytesPerCycle <= 0 {
 		return fmt.Errorf("runner: DRAMBytesPerCycle %v <= 0", cfg.DRAMBytesPerCycle)
 	}

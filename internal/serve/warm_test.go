@@ -245,7 +245,9 @@ func TestAdmitHashesOutsideLock(t *testing.T) {
 // of arrays, twice) and 1<<40 killed the process inside the handler. A
 // single-set cache of an admissible size is refused too: its every access
 // would scan the whole cache. So are MaxWarps and NumSchedulers past their
-// guards, which size the per-SM arrays the same way.
+// guards, which size the per-SM arrays the same way, and a machine whose
+// fields each pass but whose SMs together hold gigabytes (gpu.MachineBytes):
+// both 4096-SM shapes below were admitted before the whole-machine bound.
 func TestAbsurdCacheSizesRejected(t *testing.T) {
 	s, c := newTestServer(t, Config{Workers: 1})
 	for _, tc := range []struct {
@@ -268,6 +270,12 @@ func TestAbsurdCacheSizesRejected(t *testing.T) {
 			"MaxWarps 1073741824 exceeds the 4096-warp guard"},
 		{"NumSchedulers 2^30", func(c *gpu.Config) { c.SM.NumSchedulers = 1 << 30 },
 			"NumSchedulers 1073741824 exceeds MaxWarps 64"},
+		// Within every per-field guard: 4 GiB of L1 tags, or 7 GiB of warp
+		// contexts at full residency.
+		{"4096 SMs of 16 MiB L1s", func(c *gpu.Config) { c.NumSMs, c.SM.L1Bytes = 4096, 16<<20 },
+			"MiB exceeds the 256 MiB guard"},
+		{"4096 SMs of 4096 warp slots", func(c *gpu.Config) { c.NumSMs, c.SM.MaxWarps = 4096, 4096 },
+			"MiB exceeds the 256 MiB guard"},
 	} {
 		req := RequestFromJob(tinyJob(t, "CS", runner.Baseline()))
 		tc.edit(req.Cfg)

@@ -142,3 +142,33 @@ func TestPoolLifetimeRules(t *testing.T) {
 		t.Errorf("drained SM pools %d contexts, %d were ever made", got, len(warps))
 	}
 }
+
+// TestReusedCTAEqualsFresh is the CTA-record twin of TestReusedWarpEqualsFresh:
+// a record an earlier run left behind, however dirty and whatever its
+// kernel's warps per CTA, must come out of newCTA indistinguishable from a
+// newly allocated one — no policy data, no stall, barrier or exit counts, no
+// stamps of its last life.
+func TestReusedCTAEqualsFresh(t *testing.T) {
+	fresh, _, _ := testSM(t, "CS", 4)
+	reused, _, _ := testSM(t, "CS", 4)
+	old := &CTA{
+		ID: 3, State: CTAPendingDRAM, Warps: make([]*Warp, 7), RegCost: 99, LiveRegs: 42, ReadyAt: 1234,
+		finishedWarps: 5, stalledWarps: 2, barWaiting: 1, launchStamp: 77,
+		firstIssueAt: 10, firstStallAt: 20, policyData: "chain",
+	}
+	for i := range old.Warps {
+		old.Warps[i] = &Warp{CTA: old, Idx: i}
+	}
+	// The next record this run takes is the one the earlier run left.
+	reused.ctas = append(reused.ctas[:reused.ctaNext], old)
+	got, want := reused.newCTA(9), fresh.newCTA(9)
+	if got != old {
+		t.Fatal("newCTA allocated a record while an earlier run's was free")
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("reused record differs from a fresh one:\n got %+v\nwant %+v", *got, *want)
+	}
+	if reused.newCTA(10) == old {
+		t.Error("a record was handed out twice in one run")
+	}
+}

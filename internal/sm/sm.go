@@ -3,6 +3,7 @@ package sm
 import (
 	"fmt"
 	"math/bits"
+	"sync"
 
 	"finereg/internal/isa"
 	"finereg/internal/mem"
@@ -136,7 +137,17 @@ type SM struct {
 	// only at the top of the next Tick: the call chain that retired it (Tick
 	// → issue → exitWarp → finishCTA → FillSlots → LaunchNew) still holds it,
 	// and Tick reads its exited flag and wiring sequence after issue returns.
+	// Both outlive the run: reset retires every context into warpFree.
 	warpFree, warpRetired []*Warp
+	// ctas holds the first keptCTAs CTA records this SM has built and
+	// ctaNext how many of them the current run has handed out. A run takes
+	// records in order and never gives one back, so no record is reused
+	// within a run — a policy's ScheduleEvent can outlive its CTA, and a
+	// recycled record would turn that stale event into a spurious
+	// OnCTAReady — while the next run, whose event queue and policy start
+	// empty, takes them all again.
+	ctas    []*CTA
+	ctaNext int
 
 	activeCTAs  int
 	awake       int // active, non-exited warps with wakeAt <= now
@@ -192,29 +203,99 @@ func (s *SM) SetTrace(t trace.Sink) { s.sink = t }
 // it to emit register-transfer events.
 func (s *SM) Trace() trace.Sink { return s.sink }
 
-// New builds an SM bound to the shared memory hierarchy and dispatcher.
+// New builds an SM bound to the shared memory hierarchy and dispatcher. It
+// rebuilds an SM that a finished run released when there is one.
 func New(id int, cfg Config, hier *mem.Hierarchy, disp Dispatcher, pol Policy) *SM {
-	s := &SM{
-		ID:   id,
-		Cfg:  cfg,
-		Pol:  pol,
-		Hier: hier,
-		L1:   mem.MustNewCache(cfg.L1Bytes, cfg.L1Ways),
-		Disp: disp,
+	s, _ := released.Get().(*SM)
+	if s == nil {
+		s = new(SM)
+	}
+	s.reset(id, cfg, hier, disp, pol)
+	return s
+}
+
+// released holds the SMs handed back by Release.
+var released sync.Pool
+
+// Release hands the SM, with its warp contexts, CTA records and L1, to a
+// later New. The caller must not use the SM, or any CTA or warp it handed
+// out, again.
+func (s *SM) Release() { released.Put(s) }
+
+// reset makes s the SM New(id, cfg, …) returns. It is the one constructor:
+// a fresh SM literal into which only backing arrays carry over, cleared and
+// truncated, so whatever the last run left — in any configuration, stopped
+// at any cycle — nothing of its state survives.
+func (s *SM) reset(id int, cfg Config, hier *mem.Hierarchy, disp Dispatcher, pol Policy) {
+	// Every context of the last run retires, the ones still resident when
+	// it stopped early included.
+	free := append(s.warpFree, s.warpRetired...)
+	for _, c := range s.residents {
+		for _, w := range c.Warps {
+			w.CTA = nil
+		}
+		free = append(free, c.Warps...)
+	}
+	if s.L1 != nil {
+		s.L1.Release()
+	}
+	events := reuse(s.events, 0)
+	if cap(events) < cfg.MaxWarps {
+		// Room for every warp slot waiting on memory at once, in one
+		// allocation instead of append's doubling chain.
+		events = make(eventQueue, 0, cfg.MaxWarps)
+	}
+	n := cfg.NumSchedulers
+	*s = SM{
+		ID:          id,
+		Cfg:         cfg,
+		Pol:         pol,
+		Hier:        hier,
+		L1:          mem.MustNewCache(cfg.L1Bytes, cfg.L1Ways),
+		Disp:        disp,
+		residents:   reuse(s.residents, 0),
+		schedWarps:  reuseLists(s.schedWarps, n),
+		holes:       reuse(s.holes, n),
+		readyMask:   reuseLists(s.readyMask, n),
+		scanMask:    reuse(s.scanMask, 0),
+		greedy:      reuse(s.greedy, n),
+		rotor:       reuse(s.rotor, n),
+		seqNext:     reuse(s.seqNext, n),
+		warpFree:    free,
+		warpRetired: reuse(s.warpRetired, 0),
+		ctas:        s.ctas,
+		wakeRing:    reuse(s.wakeRing, wakeHorizon*n),
+		wakeSpan:    wakeHorizon,
+		wakeMul:     1,
+		events:      events,
+		lineBuf:     reuse(s.lineBuf, 0),
 	}
 	s.gate, _ = pol.(IssueGate)
-	s.schedWarps = make([][]*Warp, cfg.NumSchedulers)
-	s.holes = make([]int, cfg.NumSchedulers)
-	s.readyMask = make([][]uint64, cfg.NumSchedulers)
-	s.greedy = make([]*Warp, cfg.NumSchedulers)
-	s.rotor = make([]int64, cfg.NumSchedulers)
-	s.seqNext = make([]int64, cfg.NumSchedulers)
-	s.wakeSpan, s.wakeMul = wakeHorizon, 1
-	s.wakeRing = make([]uint64, wakeHorizon*cfg.NumSchedulers)
-	// Room for every warp slot waiting on memory at once, in one allocation
-	// instead of append's doubling chain.
-	s.events = make(eventQueue, 0, cfg.MaxWarps)
-	return s
+}
+
+// reuse returns x cleared and resliced to n elements, allocating only when
+// its capacity falls short. For n > 0 the elements past x's old length must
+// be zero; they are for every slice sized through reuse, which clears before
+// it truncates, and growRing allocates the rings it grows.
+func reuse[T any](x []T, n int) []T {
+	clear(x)
+	if cap(x) < n {
+		return make([]T, n)
+	}
+	return x[:n]
+}
+
+// reuseLists is reuse for a list of lists: each list keeps its backing
+// array, emptied.
+func reuseLists[T any](ls [][]T, n int) [][]T {
+	for i, l := range ls {
+		clear(l)
+		ls[i] = l[:0]
+	}
+	if cap(ls) < n {
+		return make([][]T, n)
+	}
+	return ls[:n]
 }
 
 // BindKernel prepares the SM to run the kernel decoded in info (shared,
@@ -447,15 +528,22 @@ func (s *SM) LaunchNew(now, delay int64) *CTA {
 
 // newCTA builds the record of grid CTA id, active, with its warp contexts at
 // PC 0. The contexts come from the SM's pool of retired ones when it has any;
-// the CTA record itself is always fresh — a policy's ScheduleEvent can
-// outlive its CTA, and a recycled record would turn that stale event into a
-// spurious OnCTAReady.
+// the CTA record is one no earlier CTA of this run has had (see SM.ctas) — a
+// policy's ScheduleEvent can outlive its CTA, and a recycled record would
+// turn that stale event into a spurious OnCTAReady.
 func (s *SM) newCTA(id int) *CTA {
 	s.stamp++
-	c := &CTA{
+	var c *CTA
+	if s.ctaNext < len(s.ctas) {
+		c = s.ctas[s.ctaNext]
+	} else if c = new(CTA); len(s.ctas) < keptCTAs {
+		s.ctas = append(s.ctas, c)
+	}
+	s.ctaNext++
+	*c = CTA{
 		ID:           id,
 		State:        CTAActive,
-		Warps:        make([]*Warp, s.meta.warpsPerCTA),
+		Warps:        reuse(c.Warps, s.meta.warpsPerCTA),
 		RegCost:      s.meta.regCost,
 		launchStamp:  s.stamp,
 		firstIssueAt: -1,
@@ -475,6 +563,11 @@ func (s *SM) newCTA(id int) *CTA {
 	}
 	return c
 }
+
+// keptCTAs bounds the CTA records an SM keeps for later runs: a run holds
+// every record it keeps until it ends, and a grid can be millions of CTAs.
+// The Table II reference grids launch about 128 CTAs per SM.
+const keptCTAs = 256
 
 // enterActive wires an active CTA's live warps into the schedulers.
 func (s *SM) enterActive(c *CTA, now, delay int64) {

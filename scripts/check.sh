@@ -16,11 +16,13 @@ go build ./...
 # gate REGEX PKG... runs the selected tests under the race detector
 # (-count=1: never answered from the test cache) and fails if any listed
 # package matched no test, so a rename or deletion can never silently
-# empty a gate.
+# empty a gate. gate_flags replaces "-race -count=1" for the gates that
+# need other flags.
+gate_flags="-race -count=1"
 gate() {
 	regex=$1
 	shift
-	if ! out=$(go test -race -count=1 -timeout 10m -run "$regex" "$@" 2>&1); then
+	if ! out=$(go test $gate_flags -timeout 10m -run "$regex" "$@" 2>&1); then
 		echo "$out"
 		exit 1
 	fi
@@ -147,6 +149,24 @@ gate 'TestAbsurdCacheSizesRejected' ./internal/serve/
 # validation, so an oversized one is a 400, not an out-of-memory kill.
 gate 'TestFIFODequeueOrder|TestBatchPartialFitShedsWhole' ./internal/serve/
 gate 'TestValidateBoundsSMArrays' ./internal/runner/
+# Recycling gate, likewise by name: a released machine's SMs serve the next
+# run. After runs that leave the most behind, the golden matrix, audited,
+# still reproduces the goldens (not -short); a reused CTA record equals a
+# fresh one; concurrent runs of two shapes, recycling each other's SMs, match
+# their serial results (three times over); a Stop that lands after the
+# release reaches only the dead machine; admission bounds the whole machine
+# (gpu.MachineBytes), whose count tracks what a machine allocates; and a
+# warm run allocates no machine (those two without the race detector, whose
+# instrumentation allocates on its own account).
+gate 'TestRecycledMachineMatchesFresh' ./internal/audit/diff/
+gate 'TestReusedCTAEqualsFresh' ./internal/sm/
+gate 'TestLateStopReachesDeadMachine' ./internal/runner/
+gate_flags="-race -count=3"
+gate 'TestConcurrentRecycling' .
+gate_flags="-count=1"
+gate 'TestWarmRunAllocatesNoMachine' .
+gate 'TestMachineBytesTracksNew' ./internal/gpu/
+gate_flags="-race -count=1"
 # Policy gate: the SM's first-match resident selectors against the lowest-ID
 # scans they replaced, the two "VT plus nothing" degenerations of the
 # policies that embed VT's switch, and the documented extension path (a
