@@ -1,7 +1,6 @@
 // finereg-fleet runs the distributed-simulation coordinator: the same v1
 // HTTP/JSON API as finereg-serve, but execution is dispatched to a fleet
-// of worker nodes (ordinary finereg-serve processes started with
-// -coordinator).
+// of worker nodes, ordinary finereg-serve processes listed in -nodes.
 //
 // Usage:
 //
@@ -11,12 +10,9 @@
 //	              [-slots 4] [-probe-every 2s] [-down-after 3]
 //	              [-progress-every N] [-drain-timeout 30s]
 //
-// Endpoints (beyond the full finereg-serve v1 API):
+// Endpoint (beyond the full finereg-serve v1 API):
 //
-//	GET  /v1/cache/{key}      shared result tier (workers' remote cache)
-//	PUT  /v1/cache/{key}      write-through from workers
 //	GET  /v1/fleet/workers    fleet membership and per-node state
-//	POST /v1/fleet/workers    worker self-registration {"url": "..."}
 //
 // Jobs route to workers by rendezvous hashing on their content-addressed
 // key, so a repeated job lands on the worker whose disk cache already
@@ -25,11 +21,12 @@
 // has its jobs requeued onto survivors. A dispatched job is
 // followed over the worker's event stream to its finish event. The
 // coordinator's own cache — consulted before any dispatch, populated by
-// every committed result and worker write-through — answers repeats
-// without touching the fleet at all.
+// every committed result — answers repeats without touching the fleet at
+// all.
 //
-// -nodes seeds the fleet statically; workers started with -coordinator
-// register themselves, so a pure self-assembling cluster needs no -nodes.
+// -nodes is the fleet. Every -probe-every the coordinator probes each
+// node's /healthz: -down-after failures in a row mark it down, and one
+// answer brings it back. A node not in -nodes never joins.
 package main
 
 import (
@@ -50,7 +47,7 @@ func main() {
 	cf.RegisterCache(flag.CommandLine, ".finereg-fleet-cache")
 	var (
 		addr       = flag.String("addr", ":8320", "listen address")
-		nodes      = flag.String("nodes", "", "comma-separated worker base URLs (workers can also self-register)")
+		nodes      = flag.String("nodes", "", "comma-separated worker base URLs: the fleet")
 		queueCap   = flag.Int("queue", serve.DefaultQueueCap, "admission queue capacity (full queue sheds with 429)")
 		maxBatch   = flag.Int("max-batch", serve.DefaultMaxBatch, "max jobs per batch request")
 		slots      = flag.Int("slots", 4, "concurrent dispatches per worker node")
@@ -72,7 +69,6 @@ func main() {
 		ProbeEvery:    *probeEvery,
 		DownAfter:     *downAfter,
 	})
-	// A seed joins exactly as a self-registering worker does.
 	seeds := 0
 	for _, n := range strings.Split(*nodes, ",") {
 		if n = strings.TrimSpace(n); n == "" {

@@ -2,8 +2,6 @@ package fleet
 
 import (
 	"context"
-	"encoding/json"
-	"errors"
 	"fmt"
 	"net/http"
 	"net/url"
@@ -16,11 +14,11 @@ import (
 	"finereg/internal/serve/metrics"
 )
 
-// CoordinatorConfig sizes a Coordinator. Workers join through AddWorker or
-// POST /v1/fleet/workers, the seeds of finereg-fleet -nodes included.
+// CoordinatorConfig sizes a Coordinator. Workers join through AddWorker,
+// as the seeds of finereg-fleet -nodes do.
 type CoordinatorConfig struct {
-	// CacheDir backs the coordinator's shared result store (the fleet's
-	// remote tier); "" keeps it in memory.
+	// CacheDir backs the coordinator's result cache, the fleet's only
+	// shared one; "" keeps it in memory.
 	CacheDir string
 	// QueueCap / MaxBatch / ProgressEvery pass through to the embedded
 	// serve.Server (zero = its defaults). Of ProgressEvery only the sign
@@ -45,15 +43,10 @@ type CoordinatorConfig struct {
 
 // Coordinator fronts a worker fleet with the single-node v1 API: an
 // embedded serve.Server does admission/coalescing/records/SSE/metrics over
-// an ordinary runner.Engine (shared cache, in-flight coalescing, counters)
-// whose executor is a Dispatcher doing placement, and the coordinator adds
-// the fleet-facing routes —
-//
-//	GET/PUT /v1/cache/{key}   the shared result tier workers mount as L3
-//	GET     /v1/fleet/workers fleet membership and per-node state
-//	POST    /v1/fleet/workers worker self-registration {"url": "..."}
-//
-// — plus per-node metrics and the liveness probe loop.
+// an ordinary runner.Engine (cache, in-flight coalescing, counters) whose
+// executor is a Dispatcher doing placement. The coordinator adds one route,
+// GET /v1/fleet/workers (fleet membership and per-node state), plus
+// per-node metrics and the liveness probe loop.
 type Coordinator struct {
 	srv   *serve.Server
 	disp  *Dispatcher
@@ -62,7 +55,7 @@ type Coordinator struct {
 	nodeUp       *metrics.GaugeFuncVec
 	nodeInflight *metrics.GaugeFuncVec
 
-	probeStop chan struct{}
+	probeStop context.CancelFunc // ends the probe loop and its round in flight
 	probeDone chan struct{}
 	stopOnce  sync.Once
 	stopErr   error // the first Shutdown's drain result
@@ -84,18 +77,19 @@ func NewCoordinator(cfg CoordinatorConfig) *Coordinator {
 			MaxBatch:      cfg.MaxBatch,
 			ProgressEvery: cfg.ProgressEvery,
 		}),
-		probeStop: make(chan struct{}),
 		probeDone: make(chan struct{}),
 	}
-	c.routes()
+	c.srv.Handle("GET /v1/fleet/workers", http.HandlerFunc(c.handleListWorkers))
 	c.initMetrics()
 
 	probeEvery := cfg.ProbeEvery
 	if probeEvery == 0 {
 		probeEvery = 2 * time.Second
 	}
+	ctx, stop := context.WithCancel(context.Background())
+	c.probeStop = stop
 	if probeEvery > 0 {
-		go c.probeLoop(probeEvery)
+		go c.probeLoop(ctx, probeEvery)
 	} else {
 		close(c.probeDone)
 	}
@@ -105,7 +99,8 @@ func NewCoordinator(cfg CoordinatorConfig) *Coordinator {
 // Dispatcher exposes the dispatcher (fleet state inspection).
 func (c *Coordinator) Dispatcher() *Dispatcher { return c.disp }
 
-// Cache exposes the shared result tier.
+// Cache exposes the coordinator's result cache: the one the engine checks
+// before a dispatch and commits to after it.
 func (c *Coordinator) Cache() *runner.Cache { return c.cache }
 
 // AddWorker registers (or revives) a worker node and its metric series. A
@@ -126,15 +121,16 @@ func (c *Coordinator) AddWorker(nodeURL string) error {
 }
 
 // ServeHTTP implements http.Handler by delegating to the embedded server
-// (which carries the extra fleet routes).
+// (which carries the extra fleet route).
 func (c *Coordinator) ServeHTTP(w http.ResponseWriter, r *http.Request) { c.srv.ServeHTTP(w, r) }
 
-// Shutdown stops probing, drains the embedded server (at the deadline its
-// engine's StopAll cancels the outstanding dispatches), and closes the
-// dispatcher. Idempotent: a repeated call returns the first call's result.
+// Shutdown stops probing, cutting short a probe round in flight, drains the
+// embedded server (at the deadline its engine's StopAll cancels the
+// outstanding dispatches), and closes the dispatcher. Idempotent: a repeated
+// call returns the first call's result.
 func (c *Coordinator) Shutdown(ctx context.Context) error {
 	c.stopOnce.Do(func() {
-		close(c.probeStop)
+		c.probeStop()
 		<-c.probeDone
 		c.stopErr = c.srv.Shutdown(ctx)
 		c.disp.Close()
@@ -142,56 +138,27 @@ func (c *Coordinator) Shutdown(ctx context.Context) error {
 	return c.stopErr
 }
 
-func (c *Coordinator) probeLoop(every time.Duration) {
+// probeLoop probes the fleet every period until ctx ends. A tick that
+// races the end starts no round: select picks among ready cases at random.
+func (c *Coordinator) probeLoop(ctx context.Context, every time.Duration) {
 	defer close(c.probeDone)
 	t := time.NewTicker(every)
 	defer t.Stop()
 	for {
 		select {
 		case <-t.C:
-			c.disp.ProbeAll()
-		case <-c.probeStop:
+		case <-ctx.Done():
 			return
 		}
+		if ctx.Err() != nil {
+			return
+		}
+		c.disp.ProbeAll(ctx)
 	}
-}
-
-func (c *Coordinator) routes() {
-	cs := cacheServer{cache: c.cache}
-	c.srv.Handle("GET /v1/cache/{key}", http.HandlerFunc(cs.handleGet))
-	c.srv.Handle("PUT /v1/cache/{key}", http.HandlerFunc(cs.handlePut))
-	c.srv.Handle("GET /v1/fleet/workers", http.HandlerFunc(c.handleListWorkers))
-	c.srv.Handle("POST /v1/fleet/workers", http.HandlerFunc(c.handleRegisterWorker))
 }
 
 func (c *Coordinator) handleListWorkers(w http.ResponseWriter, r *http.Request) {
 	serve.WriteJSON(w, http.StatusOK, c.disp.NodeStatuses())
-}
-
-// registerBody is the POST /v1/fleet/workers payload.
-type registerBody struct {
-	URL string `json:"url"`
-}
-
-// maxRegisterBytes bounds the registration body; generous for one URL.
-const maxRegisterBytes = 4 << 10
-
-func (c *Coordinator) handleRegisterWorker(w http.ResponseWriter, r *http.Request) {
-	var body registerBody
-	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxRegisterBytes)).Decode(&body); err != nil || body.URL == "" {
-		status := http.StatusBadRequest
-		var tooBig *http.MaxBytesError
-		if errors.As(err, &tooBig) {
-			status = http.StatusRequestEntityTooLarge
-		}
-		http.Error(w, "fleet: body must be {\"url\": \"http://host:port\"}", status)
-		return
-	}
-	if err := c.AddWorker(body.URL); err != nil {
-		http.Error(w, err.Error(), http.StatusBadRequest)
-		return
-	}
-	w.WriteHeader(http.StatusNoContent)
 }
 
 func (c *Coordinator) initMetrics() {

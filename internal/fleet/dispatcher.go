@@ -94,8 +94,8 @@ func newDispatcher(cfg CoordinatorConfig) *Dispatcher {
 }
 
 // AddNode registers (or revives) a worker by base URL. Reports whether
-// the node is new. Safe to call at any time; registration is idempotent,
-// so workers can re-announce themselves periodically.
+// the node is new. Safe to call at any time; adding a known node again
+// only revives it.
 func (d *Dispatcher) AddNode(url string) bool {
 	d.mu.Lock()
 	defer d.mu.Unlock()
@@ -239,9 +239,11 @@ func (d *Dispatcher) Close() { d.cancel() }
 
 // ProbeAll checks every node's /healthz once, reviving answering nodes
 // and demoting nodes that failed DownAfter consecutive probes (a job in
-// flight there learns of it from its own stream). The coordinator calls
-// this on its probe interval.
-func (d *Dispatcher) ProbeAll() {
+// flight there learns of it from its own stream). It is the fleet's only
+// membership path besides AddWorker: the coordinator calls it on its probe
+// interval. A probe that ctx cuts short is not a failure; it leaves its
+// node as it was.
+func (d *Dispatcher) ProbeAll(ctx context.Context) {
 	d.mu.Lock()
 	var nodes []*node
 	for _, n := range d.nodes {
@@ -256,10 +258,13 @@ func (d *Dispatcher) ProbeAll() {
 			defer wg.Done()
 			// A 2xx from /healthz; a draining worker answers 503 and
 			// correctly reads as not-accepting-work.
-			ok := n.client.Call(d.ctx, http.MethodGet, "/healthz", nil, nil) == nil
+			err := n.client.Call(ctx, http.MethodGet, "/healthz", nil, nil)
+			if err != nil && ctx.Err() != nil {
+				return
+			}
 			d.mu.Lock()
 			defer d.mu.Unlock()
-			if ok {
+			if err == nil {
 				n.alive, n.probeFails = true, 0
 			} else if n.probeFails++; n.probeFails >= d.downAfter {
 				n.alive = false

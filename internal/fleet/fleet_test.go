@@ -7,7 +7,6 @@ import (
 	"encoding/json"
 	"errors"
 	"io"
-	"math"
 	"net/http"
 	"net/http/httptest"
 	"runtime"
@@ -89,14 +88,10 @@ func (w *testWorker) stop() {
 	w.srv.Shutdown(ctx)
 }
 
-// newWorker is startWorker stopped at test cleanup; coordURL != "" mounts
-// the coordinator as the cache's remote tier.
-func newWorker(t *testing.T, coordURL string, exec runner.Executor) *testWorker {
+// newWorker is startWorker stopped at test cleanup.
+func newWorker(t *testing.T, exec runner.Executor) *testWorker {
 	t.Helper()
 	w := startWorker(t, workerOpts{exec: exec})
-	if coordURL != "" {
-		w.eng.Cache.Remote = &CacheClient{Base: coordURL}
-	}
 	t.Cleanup(w.stop)
 	return w
 }
@@ -158,8 +153,8 @@ func TestFleetByteIdenticalSweep(t *testing.T) {
 		t.Fatalf("direct run: %v", err)
 	}
 
-	wA := newWorker(t, "", nil)
-	wB := newWorker(t, "", nil)
+	wA := newWorker(t, nil)
+	wB := newWorker(t, nil)
 	coord, client := newCoordinator(t, CoordinatorConfig{}, wA, wB)
 
 	fleetRun, err := runAll(client, jobs...)
@@ -226,71 +221,6 @@ func TestFleetByteIdenticalSweep(t *testing.T) {
 	}
 }
 
-// TestFleetRemoteCacheTier: a cold worker whose cache mounts the
-// coordinator as its remote tier must serve a sweep the fleet already
-// computed entirely from remote hits — zero simulations — with the hit
-// source visible in its metrics.
-func TestFleetRemoteCacheTier(t *testing.T) {
-	jobs := corpus(t)
-	direct := (&runner.Engine{}).Run(jobs)
-	if err := direct.Err(); err != nil {
-		t.Fatal(err)
-	}
-
-	wA := newWorker(t, "", nil)
-	coord, client := newCoordinator(t, CoordinatorConfig{}, wA)
-	if _, err := runAll(client, jobs...); err != nil {
-		t.Fatalf("warming run: %v", err)
-	}
-	if got := coord.Cache().Stats(); got.Misses == 0 {
-		t.Fatalf("coordinator cache saw no traffic: %+v", got)
-	}
-
-	// Cold node: empty local cache, coordinator as remote tier. Submit
-	// the sweep directly to it, as a fleet worker would see it.
-	coordURL := client.Base
-	wCold := newWorker(t, coordURL, nil)
-	coldClient := &serve.Client{Base: wCold.hs.URL}
-	got, err := runAll(coldClient, jobs...)
-	if err != nil {
-		t.Fatalf("cold worker run: %v", err)
-	}
-	assertSameResults(t, jobs, direct, got)
-
-	st := wCold.eng.Stats()
-	if st.Executed != 0 {
-		t.Errorf("cold worker executed %d simulations, want 0 (remote tier)", st.Executed)
-	}
-	if st.RemoteHits != int64(len(jobs)) {
-		t.Errorf("cold worker remote hits = %d, want %d", st.RemoteHits, len(jobs))
-	}
-	cs := wCold.eng.Cache.Stats()
-	if cs.RemoteHits != int64(len(jobs)) || cs.MemHits != 0 || cs.DiskHits != 0 {
-		t.Errorf("cold worker cache stats = %+v, want all %d hits remote", cs, len(jobs))
-	}
-
-	body := string(httpGet(t, wCold.hs.URL+"/metrics"))
-	if want := `finereg_cache_hits_total{source="remote"} 5`; !strings.Contains(body, want) {
-		t.Errorf("cold worker metrics missing %q", want)
-	}
-	// The coordinator executes nothing, so its hit ratio must come from the
-	// shared cache's own counters: the sweep missed once per job on
-	// dispatch and hit once per job when the cold worker asked for it.
-	ratio, err := strconv.ParseFloat(metricText(t, string(httpGet(t, coordURL+"/metrics")), "finereg_cache_hit_ratio"), 64)
-	cst := coord.Cache().Stats()
-	if want := float64(cst.Hits()) / float64(cst.Hits()+cst.Misses); err != nil || ratio <= 0 || math.Abs(ratio-want) > 1e-6 {
-		t.Errorf("coordinator finereg_cache_hit_ratio = %v (%v), want hits/(hits+misses) of %+v", ratio, err, cst)
-	}
-
-	// Back-fill: the same sweep again is now local (mem), not remote.
-	if _, err := runAll(coldClient, jobs...); err != nil {
-		t.Fatal(err)
-	}
-	if cs2 := wCold.eng.Cache.Stats(); cs2.RemoteHits != cs.RemoteHits {
-		t.Errorf("repeat on cold worker went remote again: %+v", cs2)
-	}
-}
-
 // parkExec is a worker engine's executor that parks every job until
 // release closes, then simulates it normally. entered reports each parked
 // job.
@@ -344,8 +274,8 @@ func TestFleetWorkStealing(t *testing.T) {
 			close(release)
 		}
 	}()
-	wA := newWorker(t, "", parkExec(entered, release))
-	wB := newWorker(t, "", nil)
+	wA := newWorker(t, parkExec(entered, release))
+	wB := newWorker(t, nil)
 
 	coord, client := newCoordinator(t, CoordinatorConfig{Slots: 1}, wA, wB)
 
@@ -510,7 +440,7 @@ func TestCoordinatorSaturatesLateWorkers(t *testing.T) {
 	}()
 	coord, client := newCoordinator(t, CoordinatorConfig{Slots: 1})
 	for range n {
-		w := newWorker(t, "", parkExec(entered, release))
+		w := newWorker(t, parkExec(entered, release))
 		if err := coord.AddWorker(w.hs.URL); err != nil {
 			t.Fatal(err)
 		}
@@ -543,19 +473,20 @@ func TestCoordinatorSaturatesLateWorkers(t *testing.T) {
 	}
 }
 
-// TestSeedNodeNormalized: a seed joins as a self-registering worker does,
-// through AddWorker's normalisation. A worker seeded with a trailing slash
-// runs a job byte-identically to a direct run — kept verbatim, its jobs went
-// to "//v1/jobs", which the worker's mux redirects and the client re-sends
-// as a GET (HTTP 405) — and the same worker announcing itself without the
-// slash stays one node.
+// TestSeedNodeNormalized: a seed joins through AddWorker's normalisation. A
+// worker seeded with a trailing slash runs a job byte-identically to a
+// direct run — kept verbatim, its jobs went to "//v1/jobs", which the
+// worker's mux redirects and the client re-sends as a GET (HTTP 405) — the
+// same worker added again without the slash stays one node, and a URL the
+// dispatcher cannot speak to (not http or https) is refused, not made a
+// node whose every job fails its transport.
 func TestSeedNodeNormalized(t *testing.T) {
 	job := tinyJob(t, "CS", runner.Baseline())
 	direct := (&runner.Engine{}).Run([]*runner.Job{job})
 	if err := direct.Err(); err != nil {
 		t.Fatal(err)
 	}
-	w := newWorker(t, "", nil)
+	w := newWorker(t, nil)
 	coord, client := newCoordinator(t, CoordinatorConfig{})
 	if err := coord.AddWorker(w.hs.URL + "/"); err != nil {
 		t.Fatal(err)
@@ -570,8 +501,11 @@ func TestSeedNodeNormalized(t *testing.T) {
 	if err := coord.AddWorker(w.hs.URL); err != nil {
 		t.Fatal(err)
 	}
+	if err := coord.AddWorker("ftp://127.0.0.1:1"); err == nil {
+		t.Error("AddWorker accepted an ftp:// worker")
+	}
 	if nodes := coord.Dispatcher().NodeStatuses(); len(nodes) != 1 || nodes[0].URL != w.hs.URL {
-		t.Errorf("after the worker announced itself the fleet is %+v, want the one node %s", nodes, w.hs.URL)
+		t.Errorf("after the worker was added again and an ftp:// one refused, the fleet is %+v, want the one node %s", nodes, w.hs.URL)
 	}
 }
 
@@ -587,7 +521,7 @@ func TestFleetWorkerFailureRequeue(t *testing.T) {
 		close(release) // un-park before draining A
 		wA.stop()
 	})
-	wB := newWorker(t, "", nil)
+	wB := newWorker(t, nil)
 
 	coord, client := newCoordinator(t, CoordinatorConfig{Slots: 2, DownAfter: 3}, wA, wB)
 
@@ -651,11 +585,14 @@ func TestFleetWorkerFailureRequeue(t *testing.T) {
 	}
 }
 
-// TestFleetCacheProtocol covers the HTTP cache endpoints directly: round
-// trip, miss, and malformed-key rejection.
+// TestFleetCacheProtocol: the coordinator's cache has no HTTP surface and
+// its membership no write route. GET and PUT /v1/cache/{key} answer 404 and
+// POST /v1/fleet/workers 405, and none of them touches the cache or the
+// fleet. The fleet route that is left answers through the service's one
+// writer: a single line with its length, like every /v1/jobs body.
 func TestFleetCacheProtocol(t *testing.T) {
-	wA := newWorker(t, "", nil)
-	_, client := newCoordinator(t, CoordinatorConfig{}, wA)
+	wA := newWorker(t, nil)
+	coord, client := newCoordinator(t, CoordinatorConfig{}, wA)
 
 	job := tinyJob(t, "CS", runner.Baseline())
 	b := (&runner.Engine{}).Run([]*runner.Job{job})
@@ -664,45 +601,52 @@ func TestFleetCacheProtocol(t *testing.T) {
 	}
 	key := job.Key(runner.SimFingerprint)
 
-	cc := &CacheClient{Base: client.Base}
-	if _, ok := cc.Get(key); ok {
-		t.Fatal("empty coordinator cache reported a hit")
-	}
-	cc.Put(key, b.Results[0])
-	got, ok := cc.Get(key)
-	if !ok {
-		t.Fatal("round-tripped result not found")
-	}
-	if !bytes.Equal(mustJSON(t, b.Results[0]), mustJSON(t, got)) {
-		t.Error("result changed across the cache protocol round trip")
-	}
-
-	if _, ok := cc.Get("not-a-key"); ok {
-		t.Error("malformed key reported a hit")
-	}
-	if resp, err := httpGetResp(client.Base + "/v1/cache/zzzz"); err == nil {
-		if resp != 400 {
-			t.Errorf("malformed key GET = HTTP %d, want 400", resp)
-		}
-	}
-
-	// The fleet's JSON routes answer through the service's one writer: a
-	// single line with its length, like every /v1/jobs body.
-	for _, path := range []string{"/v1/cache/" + key, "/v1/fleet/workers"} {
-		resp, err := http.Get(client.Base + path)
+	before := coord.Cache().Stats()
+	for _, c := range []struct {
+		method, path string
+		body         []byte
+		want         int
+	}{
+		{http.MethodGet, "/v1/cache/" + key, nil, http.StatusNotFound},
+		{http.MethodPut, "/v1/cache/" + key, mustJSON(t, b.Results[0]), http.StatusNotFound},
+		{http.MethodPost, "/v1/fleet/workers", []byte(`{"url":"http://127.0.0.1:1"}`), http.StatusMethodNotAllowed},
+	} {
+		req, err := http.NewRequest(c.method, client.Base+c.path, bytes.NewReader(c.body))
 		if err != nil {
 			t.Fatal(err)
 		}
-		raw, err := io.ReadAll(resp.Body)
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
 		resp.Body.Close()
-		if err != nil {
-			t.Fatal(err)
+		if resp.StatusCode != c.want {
+			t.Errorf("%s %s = HTTP %d, want %d", c.method, c.path, resp.StatusCode, c.want)
 		}
-		if resp.StatusCode != 200 || resp.ContentLength != int64(len(raw)) || !json.Valid(raw) ||
-			bytes.IndexByte(raw, '\n') != len(raw)-1 || bytes.IndexByte(raw, '\t') >= 0 {
-			t.Errorf("GET %s: HTTP %d, Content-Length %d, body %q; want one line of JSON with its length",
-				path, resp.StatusCode, resp.ContentLength, raw)
-		}
+	}
+	if after := coord.Cache().Stats(); after != before {
+		t.Errorf("coordinator cache counters moved from %+v to %+v", before, after)
+	}
+	if _, _, ok := coord.Cache().Get(key); ok {
+		t.Error("a PUT stored a result in the coordinator's cache")
+	}
+	if nodes := coord.Dispatcher().NodeStatuses(); len(nodes) != 1 || nodes[0].URL != wA.hs.URL {
+		t.Errorf("after a POST /v1/fleet/workers the fleet is %+v, want the one node %s", nodes, wA.hs.URL)
+	}
+
+	resp, err := http.Get(client.Base + "/v1/fleet/workers")
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp.StatusCode != 200 || resp.ContentLength != int64(len(raw)) || !json.Valid(raw) ||
+		bytes.IndexByte(raw, '\n') != len(raw)-1 || bytes.IndexByte(raw, '\t') >= 0 {
+		t.Errorf("GET /v1/fleet/workers: HTTP %d, Content-Length %d, body %q; want one line of JSON with its length",
+			resp.StatusCode, resp.ContentLength, raw)
 	}
 }
 

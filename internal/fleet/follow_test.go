@@ -3,7 +3,11 @@ package fleet
 import (
 	"bytes"
 	"context"
+	"fmt"
+	"math"
 	"net/http"
+	"net/http/httptest"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -70,11 +74,13 @@ func isJobEvents(r *http.Request) bool {
 // are five executions, a repeat sweep coalesces onto the records and never
 // reaches the engine, and a second coordinator over the same cache
 // directory answers the sweep from the cache bracket without dispatching.
+// On both, finereg_cache_hit_ratio is hits/(hits+misses) of the
+// coordinator's cache.
 func TestCoordinatorEngineCounts(t *testing.T) {
 	jobs := corpus(t)
 	dir := t.TempDir()
-	w := newWorker(t, "", nil)
-	_, client := newCoordinator(t, CoordinatorConfig{CacheDir: dir}, w)
+	w := newWorker(t, nil)
+	first, client := newCoordinator(t, CoordinatorConfig{CacheDir: dir}, w)
 
 	for sweep, want := range []int64{5, 5} {
 		if _, err := runAll(client, jobs...); err != nil {
@@ -89,10 +95,13 @@ func TestCoordinatorEngineCounts(t *testing.T) {
 		}
 	}
 
-	_, second := newCoordinator(t, CoordinatorConfig{CacheDir: dir}, w)
+	assertHitRatio(t, first, client, 0)
+
+	coord, second := newCoordinator(t, CoordinatorConfig{CacheDir: dir}, w)
 	if _, err := runAll(second, jobs...); err != nil {
 		t.Fatalf("second coordinator: %v", err)
 	}
+	assertHitRatio(t, coord, second, 1)
 	body := string(httpGet(t, second.Base+"/metrics"))
 	for name, want := range map[string]int64{
 		"finereg_engine_cache_hits_total":    5,
@@ -102,6 +111,19 @@ func TestCoordinatorEngineCounts(t *testing.T) {
 		if got := metricInt(t, body, name); got != want {
 			t.Errorf("second coordinator over the same cache dir: %s = %d, want %d", name, got, want)
 		}
+	}
+}
+
+// assertHitRatio checks c's finereg_cache_hit_ratio against its cache's
+// own counters, hits/(hits+misses), and that both equal want.
+func assertHitRatio(t *testing.T, c *Coordinator, client *serve.Client, want float64) {
+	t.Helper()
+	text := metricText(t, string(httpGet(t, client.Base+"/metrics")), "finereg_cache_hit_ratio")
+	ratio, err := strconv.ParseFloat(text, 64)
+	st := c.Cache().Stats()
+	if lookups := st.Hits() + st.Misses; err != nil || lookups == 0 ||
+		math.Abs(ratio-float64(st.Hits())/float64(lookups)) > 1e-9 || ratio != want {
+		t.Errorf("finereg_cache_hit_ratio = %q, want %v = hits/(hits+misses) of %+v", text, want, st)
 	}
 }
 
@@ -149,7 +171,7 @@ func TestFleetStreamEndRequeues(t *testing.T) {
 		exec:  parkExec(entered, release),
 		front: countJobGets(&getsA),
 	})
-	wB := newWorker(t, "", nil)
+	wB := newWorker(t, nil)
 	coord, client := newCoordinator(t, CoordinatorConfig{}, wA)
 
 	job := tinyJob(t, "CS", runner.Baseline())
@@ -298,39 +320,6 @@ func TestFleetResubscribeCountsOnce(t *testing.T) {
 	}
 }
 
-// TestRegisterWorkerBodyBounded: POST /v1/fleet/workers reads at most a
-// few KiB — a URL needs no more — and answers an oversized body with 413
-// and a malformed one with 400, as the serving layer's decodeBody does; a
-// URL the dispatcher cannot speak to (not http or https) is a 400 too, not
-// a node whose every job fails its transport.
-func TestRegisterWorkerBodyBounded(t *testing.T) {
-	coord, client := newCoordinator(t, CoordinatorConfig{})
-	post := func(body string) int {
-		t.Helper()
-		resp, err := http.Post(client.Base+"/v1/fleet/workers", "application/json", strings.NewReader(body))
-		if err != nil {
-			t.Fatal(err)
-		}
-		resp.Body.Close()
-		return resp.StatusCode
-	}
-	if got := post(`{"url":"http://127.0.0.1:1/` + strings.Repeat("x", 1<<20) + `"}`); got != http.StatusRequestEntityTooLarge {
-		t.Errorf("1 MiB registration body = HTTP %d, want 413", got)
-	}
-	if got := post(`{"url":`); got != http.StatusBadRequest {
-		t.Errorf("malformed registration body = HTTP %d, want 400", got)
-	}
-	if got := post(`{"url":"ftp://127.0.0.1:1"}`); got != http.StatusBadRequest {
-		t.Errorf("ftp:// worker registration = HTTP %d, want 400", got)
-	}
-	if got := post(`{"url":"http://127.0.0.1:1"}`); got != http.StatusNoContent {
-		t.Errorf("well-formed registration = HTTP %d, want 204", got)
-	}
-	if nodes := coord.Dispatcher().NodeStatuses(); len(nodes) != 1 {
-		t.Errorf("fleet has %d nodes after one good registration, want 1: %+v", len(nodes), nodes)
-	}
-}
-
 // shedFront is a worker front that answers POST /v1/jobs with 429 whenever
 // shed says so for the nth such request (counting from 1), and counts the
 // sheds.
@@ -388,7 +377,7 @@ func TestFleetShedRequeuesWithoutDemoting(t *testing.T) {
 		var sheds atomic.Int64
 		wA := startWorker(t, workerOpts{front: shedFront(&sheds, func(int64) bool { return true })})
 		t.Cleanup(wA.stop)
-		wB := newWorker(t, "", nil)
+		wB := newWorker(t, nil)
 		coord, client := newCoordinator(t, CoordinatorConfig{}, wA)
 		quickShedWait(coord.Dispatcher())
 
@@ -440,7 +429,7 @@ func TestFleetSkewedWorkerNeverCommits(t *testing.T) {
 	}
 	key := job.Key(runner.SimFingerprint)
 
-	stale := newWorker(t, "", nil)
+	stale := newWorker(t, nil)
 	stale.eng.Cache.Fingerprint = "finereg-sim-OLD"
 	coord, client := newCoordinator(t, CoordinatorConfig{}, stale)
 
@@ -454,7 +443,7 @@ func TestFleetSkewedWorkerNeverCommits(t *testing.T) {
 		t.Error("the skewed worker is still in the fleet")
 	}
 
-	current := newWorker(t, "", nil)
+	current := newWorker(t, nil)
 	if err := coord.AddWorker(current.hs.URL); err != nil {
 		t.Fatal(err)
 	}
@@ -482,5 +471,115 @@ func TestCoordinatorShutdownTwice(t *testing.T) {
 		if err := c.Shutdown(context.Background()); err != nil {
 			t.Errorf("Shutdown call %d: %v", call, err)
 		}
+	}
+}
+
+// TestShutdownNotHeldByWedgedProbe: a worker whose /healthz never answers
+// cannot hold Shutdown. Shutdown cuts the probe round in flight short at
+// once, not at the client's 15 s timeout, and a probe cut short is no
+// failure: with DownAfter 1 the node still reads alive afterwards.
+func TestShutdownNotHeldByWedgedProbe(t *testing.T) {
+	probed := make(chan struct{}, 1)
+	hs := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path == "/healthz" {
+			select {
+			case probed <- struct{}{}:
+			default:
+			}
+			<-r.Context().Done()
+		}
+	}))
+	t.Cleanup(hs.Close)
+	c := NewCoordinator(CoordinatorConfig{ProbeEvery: 10 * time.Millisecond, DownAfter: 1})
+	if err := c.AddWorker(hs.URL); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case <-probed:
+	case <-time.After(30 * time.Second):
+		t.Fatal("no probe reached the worker")
+	}
+
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	start := time.Now()
+	if err := c.Shutdown(ctx); err != nil {
+		t.Errorf("Shutdown: %v", err)
+	}
+	if took := time.Since(start); took >= 2*time.Second {
+		t.Errorf("Shutdown took %v behind a wedged probe, want < 2 s", took)
+	}
+	if ns := c.Dispatcher().NodeStatuses(); len(ns) != 1 || !ns[0].Alive {
+		t.Errorf("after Shutdown the fleet is %+v; a probe Shutdown cut short demoted its node", ns)
+	}
+}
+
+// TestProbeDemotesAndRevives: probing is how the fleet learns that a node
+// left and that it came back. A worker whose /healthz answers 503 stays in
+// the fleet through DownAfter-1 probes and is marked down by the next, on
+// the API and /metrics alike; once it answers again one probe revives it,
+// and a job then runs there byte-identically to a direct run.
+func TestProbeDemotesAndRevives(t *testing.T) {
+	job := tinyJob(t, "CS", runner.Baseline())
+	direct := (&runner.Engine{}).Run([]*runner.Job{job})
+	if err := direct.Err(); err != nil {
+		t.Fatal(err)
+	}
+	var sick atomic.Bool
+	sick.Store(true)
+	w := startWorker(t, workerOpts{front: func(next http.Handler) http.Handler {
+		return http.HandlerFunc(func(rw http.ResponseWriter, r *http.Request) {
+			if r.URL.Path == "/healthz" && sick.Load() {
+				http.Error(rw, "unwell", http.StatusServiceUnavailable)
+				return
+			}
+			next.ServeHTTP(rw, r)
+		})
+	}})
+	t.Cleanup(w.stop)
+	const downAfter = 3
+	coord, client := newCoordinator(t, CoordinatorConfig{DownAfter: downAfter}, w)
+	d := coord.Dispatcher()
+	ctx := context.Background()
+	// expect checks the node's liveness on the API and on /metrics.
+	expect := func(when string, alive bool) {
+		t.Helper()
+		up := "0"
+		if alive {
+			up = "1"
+		}
+		if ns := d.NodeStatuses(); len(ns) != 1 || ns[0].Alive != alive {
+			t.Fatalf("%s: fleet %+v, want the one node with alive %v", when, ns, alive)
+		}
+		body := string(httpGet(t, client.Base+"/metrics"))
+		for _, want := range []string{
+			`finereg_fleet_node_up{node="` + w.hs.URL + `"} ` + up,
+			"finereg_fleet_nodes_alive " + up,
+		} {
+			if !strings.Contains(body, want) {
+				t.Errorf("%s: coordinator metrics missing %q", when, want)
+			}
+		}
+	}
+
+	for i := 1; i < downAfter; i++ {
+		d.ProbeAll(ctx)
+		expect(fmt.Sprintf("after %d failed probes of %d", i, downAfter), true)
+	}
+	d.ProbeAll(ctx)
+	expect(fmt.Sprintf("after %d failed probes", downAfter), false)
+
+	sick.Store(false)
+	d.ProbeAll(ctx)
+	expect("after one answered probe", true)
+	res, err := runOne(client, job)
+	if err != nil {
+		t.Fatalf("job on the revived node: %v", err)
+	}
+	if !bytes.Equal(mustJSON(t, direct.Results[0]), mustJSON(t, res)) {
+		t.Error("result on the revived node differs from a direct run")
+	}
+	if n := w.eng.Stats().Executed; n != 1 {
+		t.Errorf("revived node executed %d jobs, want 1", n)
 	}
 }

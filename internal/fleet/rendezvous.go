@@ -7,11 +7,13 @@
 //
 // Routing is rendezvous (highest-random-weight) hashing on the job's
 // content-addressed key: the same job always prefers the same worker, so
-// a worker's local disk cache (its L2) accumulates exactly the keys it
-// keeps being asked for. The coordinator's own cache is the fleet's
-// shared tier — consulted before any dispatch, populated by write-through
-// from the workers (runner.RemoteTier over HTTP, /v1/cache/{key}) — so a
-// result computed anywhere is a hit everywhere.
+// a worker's local disk cache accumulates exactly the keys it keeps being
+// asked for. The coordinator's own cache is the fleet's only shared one:
+// its engine consults it before any dispatch and commits every result to
+// it, so a result computed on any worker is a hit for every client of the
+// coordinator. Membership lives on the coordinator too: the nodes it was
+// given, kept current by its liveness probes. A worker is a plain
+// finereg-serve that never calls the coordinator.
 package fleet
 
 import "hash/fnv"

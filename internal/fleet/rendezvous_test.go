@@ -17,17 +17,6 @@ func httptestGet(url string) ([]byte, error) {
 	return io.ReadAll(resp.Body)
 }
 
-// httpGetResp returns just the status code.
-func httpGetResp(url string) (int, error) {
-	resp, err := http.Get(url)
-	if err != nil {
-		return 0, err
-	}
-	io.Copy(io.Discard, resp.Body)
-	resp.Body.Close()
-	return resp.StatusCode, nil
-}
-
 // TestRendezvousStable: placement is deterministic and independent of the
 // node-list order.
 func TestRendezvousStable(t *testing.T) {

@@ -45,7 +45,7 @@ func TestFleetRunsProgramJobs(t *testing.T) {
 		t.Fatalf("direct run: %v", err)
 	}
 
-	w := newWorker(t, "", nil)
+	w := newWorker(t, nil)
 	_, client := newCoordinator(t, CoordinatorConfig{}, w)
 	fleetRun, err := runAll(client, jobs...)
 	if err != nil {

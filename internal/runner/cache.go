@@ -9,27 +9,10 @@ import (
 	"sync/atomic"
 )
 
-// RemoteTier is an optional third cache level behind memory and disk: a
-// shared, typically networked result store keyed by the same
-// content-addressed job keys (internal/fleet layers it over HTTP against
-// a coordinator node). Implementations must be safe for concurrent use
-// and must treat every failure as a miss or a dropped write — the remote
-// tier is an accelerator, never a correctness dependency.
-type RemoteTier interface {
-	// Get fetches the result for key, or ok == false on a miss (or any
-	// transport failure).
-	Get(key string) (r *Result, ok bool)
-	// Put stores r under key, best effort. The callee must not retain or
-	// mutate r after returning.
-	Put(key string, r *Result)
-}
-
 // Cache is the content-addressed result store: an in-memory map always,
-// an optional on-disk JSON layer when a directory is configured, and an
-// optional remote tier behind both (Get fills mem and disk on a remote
-// hit; Put writes through). Keys embed the simulator fingerprint (see
-// Job.Key), and the disk layout nests entries under a fingerprint
-// directory —
+// and an optional on-disk JSON layer when a directory is configured. Keys
+// embed the simulator fingerprint (see Job.Key), and the disk layout nests
+// entries under a fingerprint directory —
 //
 //	<dir>/<fingerprint>/<key[:2]>/<key>.json
 //
@@ -44,9 +27,6 @@ type Cache struct {
 	// Override only in tests simulating a simulator change.
 	Fingerprint string
 
-	// Remote is the shared third tier (nil = none). Set before first use.
-	Remote RemoteTier
-
 	dir string // "" = memory only
 
 	mu  sync.RWMutex
@@ -54,7 +34,7 @@ type Cache struct {
 
 	prune sync.Once
 
-	memHits, diskHits, remoteHits, misses, corrupt atomic.Int64
+	memHits, diskHits, misses, corrupt atomic.Int64
 }
 
 // NewCache returns a cache backed by dir; dir == "" keeps results in
@@ -75,30 +55,28 @@ func (c *Cache) KeyFingerprint() string {
 }
 
 // CacheStats is a point-in-time snapshot of the hit/miss counters, with
-// hits split by the tier that served them (mem, disk, or remote).
+// hits split by the tier that served them (mem or disk).
 type CacheStats struct {
-	MemHits, DiskHits, RemoteHits, Misses, Corrupt int64
+	MemHits, DiskHits, Misses, Corrupt int64
 }
 
-// Hits is the total over all sources.
-func (s CacheStats) Hits() int64 { return s.MemHits + s.DiskHits + s.RemoteHits }
+// Hits is the total over both sources.
+func (s CacheStats) Hits() int64 { return s.MemHits + s.DiskHits }
 
 // Stats snapshots the counters.
 func (c *Cache) Stats() CacheStats {
 	return CacheStats{
-		MemHits:    c.memHits.Load(),
-		DiskHits:   c.diskHits.Load(),
-		RemoteHits: c.remoteHits.Load(),
-		Misses:     c.misses.Load(),
-		Corrupt:    c.corrupt.Load(),
+		MemHits:  c.memHits.Load(),
+		DiskHits: c.diskHits.Load(),
+		Misses:   c.misses.Load(),
+		Corrupt:  c.corrupt.Load(),
 	}
 }
 
-// Get looks key up in memory, then on disk, then in the remote tier. A
-// hit from an outer tier is pulled into the inner ones (a remote hit
-// lands in memory and on disk), so repeated lookups stay local. The
-// returned Result is the caller's own copy. source is "mem", "disk", or
-// "remote" on a hit. A nil cache misses.
+// Get looks key up in memory, then on disk. A disk hit is pulled into
+// memory, so repeated lookups stay there. The returned Result is the
+// caller's own copy. source is "mem" or "disk" on a hit. A nil cache
+// misses.
 func (c *Cache) Get(key string) (r *Result, source string, ok bool) {
 	if c == nil {
 		return nil, "", false
@@ -117,26 +95,13 @@ func (c *Cache) Get(key string) (r *Result, source string, ok bool) {
 		c.diskHits.Add(1)
 		return res.Clone(), "disk", true
 	}
-	if c.Remote != nil {
-		if res, ok := c.Remote.Get(key); ok && res != nil && res.Metrics != nil {
-			pristine := res.Clone()
-			c.mu.Lock()
-			c.mem[key] = pristine
-			c.mu.Unlock()
-			c.diskPut(key, pristine)
-			c.remoteHits.Add(1)
-			return res, "remote", true
-		}
-	}
 	c.misses.Add(1)
 	return nil, "", false
 }
 
-// Put stores a pristine copy of r under key in memory, on disk when
-// configured, and (write-through) in the remote tier when configured.
-// Disk and remote failures are non-fatal: the entry simply will not
-// persist across invocations or be visible to other nodes. A nil cache
-// drops the write.
+// Put stores a pristine copy of r under key in memory, and on disk when
+// configured. A disk failure is non-fatal: the entry simply will not
+// persist across invocations. A nil cache drops the write.
 func (c *Cache) Put(key string, r *Result) {
 	if c == nil {
 		return
@@ -146,9 +111,6 @@ func (c *Cache) Put(key string, r *Result) {
 	c.mem[key] = pristine
 	c.mu.Unlock()
 	c.diskPut(key, pristine)
-	if c.Remote != nil {
-		c.Remote.Put(key, pristine.Clone())
-	}
 }
 
 // entry is the on-disk record. Key and Fingerprint are stored redundantly
@@ -232,6 +194,6 @@ func (c *Cache) pruneStale() {
 
 // String summarizes the counters for log lines.
 func (s CacheStats) String() string {
-	return fmt.Sprintf("%d mem hits, %d disk hits, %d remote hits, %d misses, %d corrupt",
-		s.MemHits, s.DiskHits, s.RemoteHits, s.Misses, s.Corrupt)
+	return fmt.Sprintf("%d mem hits, %d disk hits, %d misses, %d corrupt",
+		s.MemHits, s.DiskHits, s.Misses, s.Corrupt)
 }

@@ -70,10 +70,10 @@ type Stats struct {
 	// that reached the executor.
 	Submitted, Executed int64
 	// CacheHits counts results served by the cache (DiskHits of them came
-	// from disk, RemoteHits from the remote tier); Deduped counts
+	// from disk); Deduped counts
 	// duplicates that piggybacked on an identical job in flight or earlier
 	// in the same batch.
-	CacheHits, DiskHits, RemoteHits, Deduped int64
+	CacheHits, DiskHits, Deduped int64
 	// Failed counts jobs that returned an error.
 	Failed int64
 }
@@ -92,9 +92,6 @@ func (s *Stats) count(src string, err error) {
 	case "disk":
 		s.CacheHits++
 		s.DiskHits++
-	case "remote":
-		s.CacheHits++
-		s.RemoteHits++
 	default:
 		s.CacheHits++
 	}

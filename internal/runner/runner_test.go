@@ -223,90 +223,6 @@ func TestCacheMemAndDiskHits(t *testing.T) {
 	}
 }
 
-// mapTier is an in-process RemoteTier over a plain map, counting traffic.
-type mapTier struct {
-	mu         sync.Mutex
-	m          map[string]*Result
-	gets, puts int
-}
-
-func newMapTier() *mapTier { return &mapTier{m: map[string]*Result{}} }
-
-func (mt *mapTier) Get(key string) (*Result, bool) {
-	mt.mu.Lock()
-	defer mt.mu.Unlock()
-	mt.gets++
-	r, ok := mt.m[key]
-	return r.Clone(), ok
-}
-
-func (mt *mapTier) Put(key string, r *Result) {
-	mt.mu.Lock()
-	defer mt.mu.Unlock()
-	mt.puts++
-	mt.m[key] = r
-}
-
-// TestCacheRemoteTier: the remote tier is consulted after mem and disk
-// miss, a remote hit back-fills the local tiers, fresh results write
-// through, and the hit-source counters attribute each tier exactly.
-func TestCacheRemoteTier(t *testing.T) {
-	tier := newMapTier()
-	j := tinyJob(t, "CS", Baseline())
-	key := j.Key(SimFingerprint)
-
-	// Node A simulates fresh and writes through to the remote tier.
-	cA := NewCache(t.TempDir())
-	cA.Remote = tier
-	eA := &Engine{Jobs: 1, Cache: cA}
-	if err := eA.Run([]*Job{j}).Err(); err != nil {
-		t.Fatal(err)
-	}
-	if tier.puts != 1 {
-		t.Fatalf("fresh result write-through: %d puts, want 1", tier.puts)
-	}
-
-	// Node B (cold local tiers) is served by the remote tier, not a
-	// re-simulation, and the hit is attributed to source "remote".
-	cB := NewCache(t.TempDir())
-	cB.Remote = tier
-	eB := &Engine{Jobs: 1, Cache: cB}
-	b := eB.Run([]*Job{tinyJob(t, "CS", Baseline())})
-	if err := b.Err(); err != nil {
-		t.Fatal(err)
-	}
-	if b.Stats.Executed != 0 || b.Stats.CacheHits != 1 || b.Stats.RemoteHits != 1 {
-		t.Fatalf("cold node not served remotely: %+v", b.Stats)
-	}
-	st := cB.Stats()
-	if st.RemoteHits != 1 || st.MemHits != 0 || st.DiskHits != 0 {
-		t.Fatalf("hit-source split %+v, want exactly one remote hit", st)
-	}
-	if st.Hits() != 1 {
-		t.Fatalf("Hits() = %d, want 1", st.Hits())
-	}
-
-	// The remote hit back-filled mem and disk: repeats stay local.
-	gets := tier.gets
-	if _, src, ok := cB.Get(key); !ok || src != "mem" {
-		t.Fatalf("post-backfill lookup src %q ok %v, want mem hit", src, ok)
-	}
-	c2 := NewCache(cB.dir)
-	if _, src, ok := c2.Get(key); !ok || src != "disk" {
-		t.Fatalf("fresh cache over backfilled dir: src %q ok %v, want disk hit", src, ok)
-	}
-	if tier.gets != gets {
-		t.Error("local hits still consulted the remote tier")
-	}
-
-	// Byte identity across the remote round trip.
-	a, _ := json.Marshal(eA.Run([]*Job{tinyJob(t, "CS", Baseline())}).Results[0])
-	bb, _ := json.Marshal(b.Results[0])
-	if string(a) != string(bb) {
-		t.Error("remote round-trip altered the result")
-	}
-}
-
 func TestCacheFingerprintInvalidationAndPrune(t *testing.T) {
 	dir := t.TempDir()
 	c1 := NewCache(dir)

@@ -236,7 +236,6 @@ func TestMetricsHitSources(t *testing.T) {
 	for _, want := range []string{
 		`finereg_cache_hits_total{source="mem"} 1`,
 		`finereg_cache_hits_total{source="disk"} 0`,
-		`finereg_cache_hits_total{source="remote"} 0`,
 	} {
 		if !strings.Contains(body, want) {
 			t.Errorf("metrics missing %q:\n%s", want, grepMetric(body, "cache_hits"))

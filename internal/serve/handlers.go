@@ -30,8 +30,8 @@ func (s *Server) routes() {
 func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) { s.mux.ServeHTTP(w, r) }
 
 // Handle mounts an extra handler on the server's mux — the hook a fleet
-// coordinator or worker uses to add its /v1/fleet/* and /v1/cache/*
-// routes next to the core API. Must be called before serving traffic.
+// coordinator uses to add GET /v1/fleet/workers next to the core API.
+// Must be called before serving traffic.
 func (s *Server) Handle(pattern string, h http.Handler) { s.mux.Handle(pattern, h) }
 
 // WriteJSON is the one JSON response writer of the service and the fleet

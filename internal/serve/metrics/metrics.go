@@ -239,7 +239,7 @@ func (v *funcVec) write(w io.Writer) {
 }
 
 // CounterFuncVec is a labeled family of function-backed counters (e.g.
-// finereg_cache_hits_total{source="mem"|"disk"|"remote"}).
+// finereg_cache_hits_total{source="mem"|"disk"}).
 type CounterFuncVec struct{ v *funcVec }
 
 // NewCounterFuncVec registers a counter family with one label dimension.

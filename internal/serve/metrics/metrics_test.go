@@ -186,7 +186,7 @@ func TestFuncVecRender(t *testing.T) {
 	gv.Add("http://a:1", func() float64 { return 1 })
 
 	// Children can join after registration (nodes joining a fleet).
-	cv.Add("remote", func() int64 { return 0 })
+	cv.Add("late", func() int64 { return 0 })
 	gv.Add("http://b:2", func() float64 { return 0.5 })
 
 	out := render(r)
@@ -195,7 +195,7 @@ func TestFuncVecRender(t *testing.T) {
 		"# TYPE hits_total counter",
 		`hits_total{source="mem"} 7`,
 		`hits_total{source="disk"} 3`,
-		`hits_total{source="remote"} 0`,
+		`hits_total{source="late"} 0`,
 		"# TYPE node_up gauge",
 		`node_up{node="http://a:1"} 1`,
 		`node_up{node="http://b:2"} 0.5`,

@@ -212,14 +212,13 @@ func (s *Server) initMetrics() {
 	r.NewCounterFunc("finereg_engine_cache_hits_total",
 		"Engine results served from the content-addressed cache.",
 		func() int64 { return s.engine.Stats().CacheHits })
-	// Cache hits split by the tier that served them: process memory, the
-	// node's on-disk store (L2), or the fleet's shared remote tier.
+	// Cache hits split by the tier that served them: process memory or the
+	// node's on-disk store.
 	if c := s.engine.Cache; c != nil {
 		vec := r.NewCounterFuncVec("finereg_cache_hits_total",
 			"Content-addressed cache hits by serving tier.", "source")
 		vec.Add("mem", func() int64 { return c.Stats().MemHits })
 		vec.Add("disk", func() int64 { return c.Stats().DiskHits })
-		vec.Add("remote", func() int64 { return c.Stats().RemoteHits })
 		r.NewCounterFunc("finereg_cache_misses_total",
 			"Content-addressed cache lookups that missed every tier.",
 			func() int64 { return c.Stats().Misses })
@@ -227,10 +226,6 @@ func (s *Server) initMetrics() {
 	r.NewGaugeFunc("finereg_engine_inflight_simulations",
 		"Simulations currently executing inside the engine.",
 		func() float64 { return float64(s.engine.InFlight()) })
-	// From the cache's own counters, not Engine.Stats: a fleet
-	// coordinator's cache also answers its workers' remote-tier lookups,
-	// which never pass through the engine. On a standalone server the two
-	// agree — every miss is one execution.
 	r.NewGaugeFunc("finereg_cache_hit_ratio",
 		"Cache hits over cache lookups (hits + misses).",
 		func() float64 {

@@ -58,30 +58,33 @@ go run ./cmd/finereg-sim -sms 2 -bench CS,MC,LB -policy all -grid-scale 0.05 -au
 # never be silently dropped by a test-tag or -short policy change.
 go test -race -count=1 -timeout 10m ./internal/serve/...
 # Fleet gate: the distributed coordinator/worker path end to end under
-# the race detector — rendezvous routing, the remote cache tier,
-# placement on the best free node slot, and the worker-kill requeue e2e
+# the race detector — rendezvous routing, placement on the best free node
+# slot, and the worker-kill requeue e2e
 # (byte-identical against the single-node engine). -count=1 so the
 # kill/requeue scenario really re-runs every time instead of being answered
 # from the test cache. By name too: a full primary passes a job down its
 # rendezvous order, a node never holds more than Slots jobs, and a wait for
-# a slot ends with the job's context.
+# a slot ends with the job's context. Probing is the fleet's membership: it
+# demotes a failing node and revives it, and a probe wedged on a worker's
+# /healthz cannot hold Shutdown.
 go test -race -count=1 -timeout 10m ./internal/fleet/...
 gate 'TestFleetWorkStealing' ./internal/fleet/
 gate 'TestDispatchHonorsSlots' ./internal/fleet/
 gate 'TestSlotWaitEndsWithContext' ./internal/fleet/
+gate 'TestProbeDemotesAndRevives' ./internal/fleet/
+gate 'TestShutdownNotHeldByWedgedProbe' ./internal/fleet/
 # One-path gate, by name so a rename cannot silently skip one: concurrent
 # callers coalesce on the engine-wide in-flight entry; a failed record is
 # re-run, not answered from; a coordinator's engine counts what passes
 # through it; and the dispatcher follows a job on the worker's event stream
 # — one status fetch, a stream that ends early requeues, a resubscription
-# relays nothing twice — with the registration body bounded.
+# relays nothing twice.
 gate 'TestConcurrentCallersCoalesce' ./internal/runner/
 gate 'TestFailedJobResubmissionReruns' ./internal/serve/
 gate 'TestCoordinatorEngineCounts' ./internal/fleet/
 gate 'TestFleetOneStatusFetchPerJob' ./internal/fleet/
 gate 'TestFleetStreamEndRequeues' ./internal/fleet/
 gate 'TestFleetResubscribeCountsOnce' ./internal/fleet/
-gate 'TestRegisterWorkerBodyBounded' ./internal/fleet/
 # Stream gate, likewise by name: a job's event log is its stream — a
 # subscriber that stalls reads the newest window, Final sample and finish
 # included, with the pruned samples counted as dropped; the log keeps its
@@ -103,7 +106,7 @@ gate 'TestFleetSkewedWorkerNeverCommits' ./internal/fleet/
 gate 'TestCoordinatorShutdownTwice' ./internal/fleet/
 # Trace gate, likewise by name: the Chrome JSON, stall table and timeline
 # table of five traced runs match their pinned digests; a traced stream
-# draws every kernel; workers that register late each grow the
+# draws every kernel; workers that join late each grow the
 # coordinator's pool; a progress sample crosses SSE whole.
 gate 'TestTraceOutputPinned' ./internal/trace/
 gate 'TestChromeWriterStreamKeepsEverySegment' ./internal/trace/
@@ -207,36 +210,55 @@ for bin in finereg-serve finereg-fleet finereg-experiments; do
 	go run ./cmd/$bin -h >/dev/null 2>&1
 done
 # ...and the remote mode end to end: Figure 4 through a finereg-serve on a
-# loopback port must print what the in-process run prints (modulo the
-# timing line), the client's engine must have counted its six jobs, and the
-# server must drain cleanly on SIGTERM.
+# loopback port, and then through a finereg-fleet whose one node is that
+# server, must print what the in-process run prints (modulo the timing
+# line), the client's engine must have counted its six jobs each time, and
+# both servers must drain cleanly on SIGTERM.
 tmp=$(mktemp -d)
 srv=
-trap '[ -z "$srv" ] || kill "$srv" 2>/dev/null || true; rm -rf "$tmp"' EXIT
-go build -o "$tmp/" ./cmd/finereg-serve ./cmd/finereg-experiments
-"$tmp/finereg-serve" -addr 127.0.0.1:0 -no-cache -quiet 2>"$tmp/serve.err" &
+fleet=
+trap 'for p in $fleet $srv; do kill "$p" 2>/dev/null || true; done; rm -rf "$tmp"' EXIT
+go build -o "$tmp/" ./cmd/finereg-serve ./cmd/finereg-fleet ./cmd/finereg-experiments
+# listening NAME prints the address NAME logged to $tmp/NAME.err once it is
+# listening, or fails the gate after 10 s.
+listening() {
+	tries=0
+	while [ "$tries" -lt 100 ]; do
+		a=$(sed -n "s/^$1: listening on //p" "$tmp/$1.err")
+		if [ -n "$a" ]; then
+			echo "$a"
+			return
+		fi
+		sleep 0.1
+		tries=$((tries + 1))
+	done
+	echo "check.sh: $1 never started listening" >&2
+	cat "$tmp/$1.err" >&2
+	exit 1
+}
+# remote_f4 URL runs Figure 4 against the server at URL.
+remote_f4() {
+	"$tmp/finereg-experiments" -quick -only f4 -no-cache -server "$1" 2>"$tmp/remote.err" |
+		grep -v '^(f4 in ' >"$tmp/remote.out"
+	diff "$tmp/local.out" "$tmp/remote.out"
+	if ! grep -q 'engine: 6 submitted, 6 simulated' "$tmp/remote.err"; then
+		echo "check.sh: the -server $1 run's engine summary does not count its six jobs:"
+		cat "$tmp/remote.err"
+		exit 1
+	fi
+}
+"$tmp/finereg-serve" -addr 127.0.0.1:0 -no-cache -quiet 2>"$tmp/finereg-serve.err" &
 srv=$!
-addr=
-tries=0
-while [ -z "$addr" ] && [ "$tries" -lt 100 ]; do
-	sleep 0.1
-	tries=$((tries + 1))
-	addr=$(sed -n 's/^finereg-serve: listening on //p' "$tmp/serve.err")
-done
-if [ -z "$addr" ]; then
-	echo "check.sh: finereg-serve never started listening"
-	cat "$tmp/serve.err"
-	exit 1
-fi
+addr=$(listening finereg-serve)
 "$tmp/finereg-experiments" -quick -only f4 -no-cache 2>/dev/null | grep -v '^(f4 in ' >"$tmp/local.out"
-"$tmp/finereg-experiments" -quick -only f4 -no-cache -server "http://$addr" 2>"$tmp/remote.err" |
-	grep -v '^(f4 in ' >"$tmp/remote.out"
-diff "$tmp/local.out" "$tmp/remote.out"
-if ! grep -q 'engine: 6 submitted, 6 simulated' "$tmp/remote.err"; then
-	echo "check.sh: the -server run's engine summary does not count its six jobs:"
-	cat "$tmp/remote.err"
-	exit 1
-fi
+remote_f4 "http://$addr"
+"$tmp/finereg-fleet" -addr 127.0.0.1:0 -no-cache -nodes "http://$addr" 2>"$tmp/finereg-fleet.err" &
+fleet=$!
+faddr=$(listening finereg-fleet)
+remote_f4 "http://$faddr"
+kill -TERM "$fleet"
+wait "$fleet"
+fleet=
 kill -TERM "$srv"
 wait "$srv"
 srv=
