@@ -40,7 +40,7 @@ func (p *eagerHalf) Name() string                    { return "EagerHalf" }
 func (p *eagerHalf) KernelStart(s *sm.SM, now int64) { p.half.Reset(s.Cfg.TotalWarpRegs() / 2) }
 
 func (p *eagerHalf) FillSlots(s *sm.SM, now int64) {
-	cost := s.Meta().RegCostPerCTA()
+	cost := s.RegCostPerCTA()
 	for p.half.Free() >= cost && s.LaunchNew(now, 0) != nil {
 		p.half.Take(cost)
 	}

@@ -353,7 +353,7 @@ func CheckSM(s *sm.SM, now int64) error {
 			return fail("residentState", int64(c.State), int64(sm.CTAActive),
 				fmt.Sprintf("CTA %d resident in non-resident state", c.ID))
 		}
-		shmem += s.Meta().SharedMemPerCTA()
+		shmem += s.SharedMemPerCTA()
 
 		var exited, stalled, atBar int
 		for _, w := range c.Warps {

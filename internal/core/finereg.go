@@ -115,7 +115,7 @@ func (f *FineReg) KernelStart(s *sm.SM, now int64) {
 // FillSlots restores ready pending CTAs and launches new ones while the
 // ACRF and scheduling resources allow.
 func (f *FineReg) FillSlots(s *sm.SM, now int64) {
-	cost := s.Meta().RegCostPerCTA()
+	cost := s.RegCostPerCTA()
 	for s.CanActivateOne(false) && f.acrf.Free() >= cost {
 		if c := s.ReadyPending(sm.CTAPendingPCRF, now); c != nil {
 			f.restore(s, c, now)
@@ -203,8 +203,8 @@ func (f *FineReg) OnCTAStalled(s *sm.SM, c *sm.CTA, now int64) {
 		// concurrently (Section V-E); warps of the incoming CTA become
 		// eligible as soon as their own live registers have been read
 		// back, so the visible delay is one warp's worth of chain.
-		f.resume(s, in, now, restored, drain+restoreLat(restored, s.Meta().WarpsPerCTA()))
-	} else if nc := s.LaunchNew(now, drain+restoreLat(c.LiveRegs, s.Meta().WarpsPerCTA())); nc != nil {
+		f.resume(s, in, now, restored, drain+restoreLat(restored, s.WarpsPerCTA()))
+	} else if nc := s.LaunchNew(now, drain+restoreLat(c.LiveRegs, s.WarpsPerCTA())); nc != nil {
 		// The fresh CTA's registers are zero-initialized into ACRF banks as
 		// the outgoing chain streams to the PCRF, so — as in the swap path —
 		// the first incoming warp waits one warp's share of the pipelined
@@ -288,7 +288,7 @@ func (f *FineReg) evictStore(s *sm.SM, c *sm.CTA, now int64, n int) {
 // restore reactivates a pending CTA, reading its chain back into the ACRF.
 func (f *FineReg) restore(s *sm.SM, c *sm.CTA, now int64) {
 	n := f.releaseChain(s, c)
-	f.resume(s, c, now, n, restoreLat(n, s.Meta().WarpsPerCTA())+f.cfg.SwitchDrainLat)
+	f.resume(s, c, now, n, restoreLat(n, s.WarpsPerCTA())+f.cfg.SwitchDrainLat)
 }
 
 // releaseChain reads pending CTA c's chain out of the PCRF, freeing its

@@ -394,9 +394,8 @@ func (g *GPU) bind(ks []*kernels.Kernel, st *loopState) {
 	}
 	for p, k := range ks {
 		lo, hi := g.spans[p][0], g.spans[p][1]
-		info := sm.NewProgInfo(k, g.Cfg.SM) // decoded once, shared by the partition's SMs
 		for _, s := range g.SMs[lo:hi] {
-			s.BindKernel(info, st.now)
+			s.BindKernel(k, st.now) // the program table's decoded issue table, shared
 		}
 	}
 }

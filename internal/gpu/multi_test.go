@@ -219,10 +219,12 @@ func TestRunConcurrentSinglePartitionMatchesRun(t *testing.T) {
 	}
 }
 
-// TestKernelDecodedOncePerBind: the issue table is built once per bound
-// kernel and shared read-only by the partition's SMs — sixteen SMs running
-// one kernel hold one table, and partitions running different kernels hold
-// different ones.
+// TestKernelDecodedOncePerBind: the issue table is decoded once per
+// process per latency triple — held by the program table's entry, and
+// shared read-only by the sixteen SMs of one run, by a later run on another
+// machine, and by a run of a profile that differs only in its name.
+// Partitions running different kernels hold different tables, and so do
+// machines that differ in a latency.
 func TestKernelDecodedOncePerBind(t *testing.T) {
 	g := New(Default(), Baseline())
 	if len(g.SMs) != 16 {
@@ -235,6 +237,25 @@ func TestKernelDecodedOncePerBind(t *testing.T) {
 		if s.Meta() == nil || s.Meta() != g.SMs[0].Meta() {
 			t.Fatalf("SM%d holds its own issue table", s.ID)
 		}
+	}
+	first := g.SMs[0].Meta()
+	renamed, _ := kernels.ProfileByName("CS")
+	renamed.Name = "renamed"
+	g = New(Default().Scale(2), Baseline())
+	if _, err := g.Run(kernels.MustBuild(renamed, 8)); err != nil {
+		t.Fatal(err)
+	}
+	if g.SMs[0].Meta() != first || g.SMs[1].Meta() != first {
+		t.Error("a later run of the same program decoded it again")
+	}
+	slow := Default().Scale(2)
+	slow.SM.ALULat++
+	g = New(slow, Baseline())
+	if _, err := g.Run(mustKernel(t, "CS", 8)); err != nil {
+		t.Fatal(err)
+	}
+	if g.SMs[0].Meta() == first {
+		t.Error("machines with different ALU latencies share an issue table")
 	}
 
 	cfg := Default().Scale(4)

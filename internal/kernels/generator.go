@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"finereg/internal/isa"
-	"finereg/internal/liveness"
 )
 
 // Register-layout convention used by every generated benchmark:
@@ -25,22 +24,18 @@ const (
 	firstVar = 3
 )
 
-// Build generates the synthetic program for profile p and wraps it, with
-// its liveness analysis, into a launchable Kernel of gridCTAs CTAs
-// (gridCTAs <= 0 uses the profile default).
+// Build returns a launchable Kernel of gridCTAs CTAs (gridCTAs <= 0 uses
+// the profile default) for profile p: a fresh header over the program and
+// liveness analysis the table holds for p (Generate).
 func Build(p Profile, gridCTAs int) (*Kernel, error) {
-	if err := checkProfile(&p); err != nil {
+	c, err := Generate(p)
+	if err != nil {
 		return nil, err
 	}
 	if gridCTAs <= 0 {
 		gridCTAs = p.GridCTAs
 	}
-	prog := generate(&p)
-	live, err := liveness.Analyze(prog)
-	if err != nil {
-		return nil, fmt.Errorf("kernels: %s: %w", p.Abbrev, err)
-	}
-	return &Kernel{Profile: p, Prog: prog, Live: live, GridCTAs: gridCTAs}, nil
+	return c.Kernel(p, gridCTAs), nil
 }
 
 // MustBuild is Build that panics on error; the built-in table is static.
@@ -84,8 +79,23 @@ func checkProfile(p *Profile) error {
 	if p.StreamLoads+p.HotLoads < 1 {
 		return fmt.Errorf("kernels: %s: at least one global load per iteration required", p.Abbrev)
 	}
+	for _, v := range [...]int{p.SharedMem, p.StreamLoads, p.HotLoads, p.HotKB, p.ComputePerIter, p.SFUPerIter,
+		p.ShmemPerIter, p.Stride, p.FootprintKB, p.StorePeriod, p.ColdRegs, p.GridCTAs} {
+		if v < 0 {
+			return fmt.Errorf("kernels: %s: negative profile field", p.Abbrev)
+		}
+	}
+	// The per-iteration mix sizes the program, which admission builds:
+	// Table II peaks at 28, and the bound keeps any program to a few
+	// thousand instructions.
+	if max(p.StreamLoads, p.HotLoads, p.ComputePerIter, p.SFUPerIter, p.ShmemPerIter) > maxPerIter {
+		return fmt.Errorf("kernels: %s: more than %d instructions of one kind per iteration", p.Abbrev, maxPerIter)
+	}
 	return nil
 }
+
+// maxPerIter bounds each per-iteration instruction count of a profile.
+const maxPerIter = 1024
 
 // generate emits the benchmark program. The shape is:
 //

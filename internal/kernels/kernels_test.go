@@ -176,6 +176,8 @@ func TestBuildRejectsBadProfiles(t *testing.T) {
 		{Abbrev: "OV", WarpsPerCTA: 2, Regs: 10, Persistent: 5, ColdRegs: 5, LoopTrips: 4, StreamLoads: 1},
 		{Abbrev: "T0", WarpsPerCTA: 2, Regs: 16, Persistent: 2, LoopTrips: 0, StreamLoads: 1},
 		{Abbrev: "L0", WarpsPerCTA: 2, Regs: 16, Persistent: 2, LoopTrips: 4, StreamLoads: 0},
+		{Abbrev: "CN", WarpsPerCTA: 2, Regs: 16, Persistent: 2, ColdRegs: -1, LoopTrips: 4, StreamLoads: 1},
+		{Abbrev: "BIG", WarpsPerCTA: 2, Regs: 16, Persistent: 2, LoopTrips: 4, StreamLoads: 1, ComputePerIter: maxPerIter + 1},
 	}
 	for _, p := range bad {
 		if _, err := Build(p, 1); err == nil {

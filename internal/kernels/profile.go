@@ -111,14 +111,18 @@ func (p *Profile) ScaledGrid(scale float64, sms int) int {
 	return max(1, int(float64(p.GridCTAs)*scale+0.5))
 }
 
-// Kernel bundles a generated program with its launch geometry and the
-// compiler's liveness information, ready for the simulator.
+// Kernel bundles a program with its launch geometry and the compiler's
+// liveness information, ready for the simulator. Build and the workload
+// loader return a fresh Kernel whose Prog and Live are the program table's
+// shared, read-only values (Code).
 type Kernel struct {
 	Profile Profile
 	Prog    *isa.Program
 	Live    *liveness.Info
 	// GridCTAs is the number of CTAs this launch creates.
 	GridCTAs int
+
+	code *Code // the table entry, nil for a literal Kernel
 }
 
 // Name returns the benchmark abbreviation.

@@ -35,7 +35,7 @@ func (b *Baseline) KernelStart(s *sm.SM, now int64) {
 // FillSlots launches CTAs until a scheduling resource or the register file
 // is exhausted.
 func (b *Baseline) FillSlots(s *sm.SM, now int64) {
-	cost := s.Meta().RegCostPerCTA()
+	cost := s.RegCostPerCTA()
 	for b.regs.Free() >= cost && s.LaunchNew(now, 0) != nil {
 		b.regs.Take(cost)
 	}

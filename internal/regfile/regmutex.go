@@ -64,7 +64,7 @@ func (r *RegMutex) KernelStart(s *sm.SM, now int64) {
 	r.brsRegs = int(math.Ceil(float64(regs) * (1 - 2*r.SRPFrac)))
 	r.brsRegs = min(max(r.brsRegs, int(math.Ceil(float64(regs)/4))), regs)
 	r.regs.Reset(total - r.srp.Capacity())
-	r.cost = s.Meta().WarpsPerCTA() * r.brsRegs
+	r.cost = s.WarpsPerCTA() * r.brsRegs
 	r.need = r.need[:0]
 	for pc := 0; pc < s.Meta().Len(); pc++ {
 		r.need = append(r.need, uint8(s.Meta().HighPressure(pc, r.brsRegs)))

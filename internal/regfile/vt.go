@@ -41,7 +41,7 @@ func (v *VirtualThread) Name() string { return "VT" }
 // KernelStart charges CTAs their full allocation against the whole file.
 func (v *VirtualThread) KernelStart(s *sm.SM, now int64) {
 	v.regs.Reset(v.cfg.TotalWarpRegs())
-	v.cost = s.Meta().RegCostPerCTA()
+	v.cost = s.RegCostPerCTA()
 }
 
 // FillSlots activates ready pending CTAs first (their registers are

@@ -2,6 +2,7 @@ package runner
 
 import (
 	"context"
+	"fmt"
 	"os"
 	"testing"
 
@@ -82,18 +83,32 @@ func BenchmarkValidate(b *testing.B) {
 // worker runs it: examples/saxpy.sasm, the shape of serve-mix's ingest jobs,
 // loaded, simulated on SMs earlier iterations released, and reported. B/op
 // is what a job allocates beyond the machine: its kernel, its policies and
-// its result.
+// its result. "hit" finds the program in the program table, as a worker
+// does after admission built it; "miss" prefixes a fresh comment line each
+// iteration, so the source is assembled, analysed and decoded every time
+// (the nonce's formatting is part of its B/op).
 func BenchmarkSimulateSmall(b *testing.B) {
 	src, err := os.ReadFile("../../examples/saxpy.sasm")
 	if err != nil {
 		b.Fatal(err)
 	}
-	j := programJob(workload.Program{Source: string(src)})
-	j.Policy = FineRegDefault()
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if _, err := Simulate(context.Background(), "", j); err != nil {
-			b.Fatal(err)
+	for _, miss := range []bool{false, true} {
+		name := "hit"
+		if miss {
+			name = "miss"
 		}
+		b.Run(name, func(b *testing.B) {
+			j := programJob(workload.Program{Source: string(src)})
+			j.Policy = FineRegDefault()
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if miss {
+					j.Programs[0].Source = fmt.Sprintf("; %d\n%s", i, src)
+				}
+				if _, err := Simulate(context.Background(), "", j); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }

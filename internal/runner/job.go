@@ -7,8 +7,9 @@
 //
 // The layering mirrors the rest of the repository: the simulator
 // (internal/gpu and below) stays single-threaded and is never shared —
-// each job builds a fresh kernel, GPU, and trace sink — while the engine
-// owns all cross-goroutine state.
+// each job builds a fresh GPU, trace sink and kernel header, over the
+// program table's shared read-only program value (kernels.Code) — while the
+// engine owns all cross-goroutine state.
 package runner
 
 import (
@@ -187,8 +188,9 @@ func (r *Result) Clone() *Result {
 }
 
 // Simulate is the default Executor: it runs the simulation for j from
-// scratch — its own kernel, GPU and trace sink, on SMs that earlier runs
-// released (gpu.GPU.Release) — and stops it through gpu.Stop when ctx ends.
+// scratch — its own GPU and trace sink, on SMs that earlier runs released
+// (gpu.GPU.Release), and the program value admission built (Validate), from
+// the program table — and stops it through gpu.Stop when ctx ends.
 // Any number of calls may run concurrently.
 //
 // The job's Cfg may carry a Progress callback (excluded from the key, so

@@ -17,13 +17,14 @@ import (
 // and must reject garbage with a 400 instead of burning a worker on a
 // panic, but it is equally useful before submitting a long batch.
 //
-// Validation is deliberately cheap for profile jobs — no kernel is
-// generated, no machine built — so it can run on every admission.
-// Program jobs pay for a full assemble/validate/liveness pass (the point:
-// malformed source must be rejected here, with the assembler's structured
-// line/column error, never inside a worker), but never build a machine.
-// A job that passes may still fail at run time; a job that fails is
-// guaranteed not to simulate.
+// The workload is built here, through the process-wide program table
+// (kernels.Generate, workload.LoadAll): a profile the generator refuses,
+// or malformed source (with the assembler's line/column), is a 400 at
+// admission, never a failure inside a worker, and Simulate then runs the
+// very program value admission built. A warm lookup allocates nothing, so
+// this runs on every submission; no machine is built. A job that passes
+// may still fail at run time; a job that fails is guaranteed not to
+// simulate.
 func (j *Job) Validate() error {
 	if _, err := j.Policy.Factory(); err != nil {
 		return fmt.Errorf("runner: invalid job policy: %w", err)
@@ -82,21 +83,12 @@ func (j *Job) validatePrograms() error {
 	return nil
 }
 
-// validateProfile admits a classic profile/grid workload.
+// validateProfile admits a classic profile/grid workload: the profile must
+// be one kernels.Generate builds, and one CTA of it must fit the SM.
 func (j *Job) validateProfile() error {
 	p := &j.Profile
 	if p.Abbrev == "" {
 		return fmt.Errorf("runner: profile has no abbreviation")
-	}
-	if p.WarpsPerCTA < 1 {
-		return fmt.Errorf("runner: profile %s: WarpsPerCTA %d < 1", p.Abbrev, p.WarpsPerCTA)
-	}
-	if p.Regs < 1 {
-		return fmt.Errorf("runner: profile %s: Regs %d < 1", p.Abbrev, p.Regs)
-	}
-	if p.LoopTrips < 0 || p.StreamLoads < 0 || p.HotLoads < 0 ||
-		p.ComputePerIter < 0 || p.SFUPerIter < 0 || p.ShmemPerIter < 0 {
-		return fmt.Errorf("runner: profile %s: negative instruction-mix field", p.Abbrev)
 	}
 	if j.Grid < 1 {
 		return fmt.Errorf("runner: grid %d < 1", j.Grid)
@@ -118,6 +110,9 @@ func (j *Job) validateProfile() error {
 	if p.SharedMem > smc.SharedMemBytes {
 		return fmt.Errorf("runner: profile %s needs %d B shared memory/CTA, SM has %d",
 			p.Abbrev, p.SharedMem, smc.SharedMemBytes)
+	}
+	if _, err := kernels.Generate(*p); err != nil {
+		return fmt.Errorf("runner: %w", err)
 	}
 	return nil
 }

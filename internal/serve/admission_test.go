@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"finereg/internal/kernels"
 	"finereg/internal/runner"
 )
 
@@ -240,5 +241,38 @@ func TestMetricsHitSources(t *testing.T) {
 		if !strings.Contains(body, want) {
 			t.Errorf("metrics missing %q:\n%s", want, grepMetric(body, "cache_hits"))
 		}
+	}
+}
+
+// TestUnbuildableProfileRefusedAtAdmission: admission builds a profile
+// job's program, so a profile the generator refuses fails Job.Validate and
+// POST /v1/jobs answers 400 naming the field — it is never queued, and never
+// fails in a worker. Each of these LI shapes was admitted before.
+func TestUnbuildableProfileRefusedAtAdmission(t *testing.T) {
+	s, c := newTestServer(t, Config{Workers: 1})
+	for _, tc := range []struct {
+		edit func(*kernels.Profile)
+		want string
+	}{
+		{func(p *kernels.Profile) { p.LoopTrips = 0 }, "LoopTrips must be >= 1"},
+		{func(p *kernels.Profile) { p.Persistent = 0 }, "Persistent must be >= 1"},
+		{func(p *kernels.Profile) { p.Regs = 3 }, "Regs 3 out of range"},
+		{func(p *kernels.Profile) { p.WarpsPerCTA = 40 }, "WarpsPerCTA 40 out of range"},
+	} {
+		j := tinyJob(t, "LI", runner.FineRegDefault())
+		tc.edit(&j.Profile)
+		if err := j.Validate(); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("Validate: got %v, want an error naming %q", err, tc.want)
+		}
+		_, err := c.SubmitJob(context.Background(), RequestFromJob(j))
+		var ae *APIError
+		if !errors.As(err, &ae) || ae.Status != http.StatusBadRequest || !strings.Contains(ae.Body.Error, tc.want) {
+			t.Errorf("POST /v1/jobs: got %v, want a 400 naming %q", err, tc.want)
+		}
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if n := len(s.records); n != 0 {
+		t.Errorf("%d records retained for refused submissions", n)
 	}
 }

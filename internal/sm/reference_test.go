@@ -56,7 +56,7 @@ func TestBusyMaskMatchesReferenceScoreboard(t *testing.T) {
 				Pred: reg(),
 			}
 		}
-		info := NewProgInfo(&kernels.Kernel{Prog: prog, Profile: kernels.Profile{WarpsPerCTA: 1, Regs: nregs}}, Default())
+		info := Decode(&kernels.Kernel{Prog: prog, Profile: kernels.Profile{WarpsPerCTA: 1, Regs: nregs}}, Default())
 		w := info.newWarp(&CTA{}, 0, 1, 0)
 
 		var now int64
@@ -335,7 +335,7 @@ func TestBarrierParkedWarpRegistersNoWake(t *testing.T) {
 	pol := &barrierParker{}
 	disp := &sliceDisp{total: 1}
 	s := New(0, cfg, mem.NewHierarchy(2<<20, 8, 600, 313, mem.DefaultLatencies()), disp, pol)
-	s.BindKernel(NewProgInfo(k, cfg), 0)
+	s.BindKernel(k, 0)
 	end := drive(t, s, disp, 10_000)
 	if !pol.parked || s.Cnt.CTASwitches != 1 {
 		t.Fatalf("parked=%v, %d switches: the CTA was never parked with a warp at its barrier", pol.parked, s.Cnt.CTASwitches)

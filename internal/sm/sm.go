@@ -6,6 +6,7 @@ import (
 	"sync"
 
 	"finereg/internal/isa"
+	"finereg/internal/kernels"
 	"finereg/internal/mem"
 	"finereg/internal/trace"
 )
@@ -104,6 +105,9 @@ type SM struct {
 	Disp Dispatcher
 
 	meta *ProgInfo
+	// The bound kernel's launch geometry (BindKernel).
+	warpsPerCTA, sharedMem int
+	regCost                int // warp-registers per CTA
 
 	// Residency.
 	residents []*CTA
@@ -298,23 +302,20 @@ func reuseLists[T any](ls [][]T, n int) [][]T {
 	return ls[:n]
 }
 
-// BindKernel prepares the SM to run the kernel decoded in info (shared,
-// read-only, with every other SM bound to it) and lets the policy populate
-// its initial CTAs. The SM must be drained: stream segments rebind only
-// after the previous kernel's CTAs have all retired, so a resident CTA
-// here means the run loop terminated early and the old kernel's state
-// would be silently reinterpreted under the new program's tables. info
-// must have been decoded for this SM's latencies: they are baked into its
-// rows.
-func (s *SM) BindKernel(info *ProgInfo, now int64) {
+// BindKernel prepares the SM to run kernel k — its program decoded for
+// this SM's latencies (Decode, shared read-only with every other SM bound
+// to it) and its launch geometry — and lets the policy populate its
+// initial CTAs. The SM must be drained: stream segments rebind only after
+// the previous kernel's CTAs have all retired, so a resident CTA here
+// means the run loop terminated early and the old kernel's state would be
+// silently reinterpreted under the new program's tables.
+func (s *SM) BindKernel(k *kernels.Kernel, now int64) {
 	if len(s.residents) > 0 {
 		panic(fmt.Sprintf("sm: SM%d rebound with %d resident CTAs", s.ID, len(s.residents)))
 	}
-	if info.aluLat != s.Cfg.ALULat || info.sfuLat != s.Cfg.SFULat || info.shmemLat != s.Cfg.ShmemLat {
-		panic(fmt.Sprintf("sm: SM%d (ALU/SFU/shmem latency %d/%d/%d) bound to a kernel decoded for %d/%d/%d",
-			s.ID, s.Cfg.ALULat, s.Cfg.SFULat, s.Cfg.ShmemLat, info.aluLat, info.sfuLat, info.shmemLat))
-	}
-	s.meta = info
+	s.meta = Decode(k, s.Cfg)
+	s.warpsPerCTA, s.sharedMem = k.Profile.WarpsPerCTA, k.Profile.SharedMem
+	s.regCost = k.Profile.WarpsPerCTA * k.Profile.Regs
 	s.statLastT = now
 	s.residentInt, s.activeInt, s.threadsInt = 0, 0, 0
 	s.Pol.KernelStart(s, now)
@@ -324,14 +325,15 @@ func (s *SM) BindKernel(info *ProgInfo, now int64) {
 // Meta exposes the bound program's derived tables to policies.
 func (s *SM) Meta() *ProgInfo { return s.meta }
 
-// RegCostPerCTA returns the full static allocation in warp-registers.
-func (p *ProgInfo) RegCostPerCTA() int { return p.regCost }
+// RegCostPerCTA returns the bound kernel's full static allocation in
+// warp-registers per CTA.
+func (s *SM) RegCostPerCTA() int { return s.regCost }
 
-// WarpsPerCTA returns warps per CTA.
-func (p *ProgInfo) WarpsPerCTA() int { return p.warpsPerCTA }
+// WarpsPerCTA returns the bound kernel's warps per CTA.
+func (s *SM) WarpsPerCTA() int { return s.warpsPerCTA }
 
-// SharedMemPerCTA returns shared-memory bytes per CTA.
-func (p *ProgInfo) SharedMemPerCTA() int { return p.sharedMem }
+// SharedMemPerCTA returns the bound kernel's shared-memory bytes per CTA.
+func (s *SM) SharedMemPerCTA() int { return s.sharedMem }
 
 // RegsPerThread returns the per-thread register allocation.
 func (p *ProgInfo) RegsPerThread() int { return p.prog.RegsPerThread }
@@ -479,10 +481,10 @@ func (s *SM) CanActivateOne(newResident bool) bool {
 	if s.activeCTAs+1 > s.Cfg.MaxCTAs {
 		return false
 	}
-	if s.warpsUsed+s.meta.warpsPerCTA > s.Cfg.MaxWarps {
+	if s.warpsUsed+s.warpsPerCTA > s.Cfg.MaxWarps {
 		return false
 	}
-	if s.threadsUsed+s.meta.warpsPerCTA*32 > s.Cfg.MaxThreads {
+	if s.threadsUsed+s.warpsPerCTA*32 > s.Cfg.MaxThreads {
 		return false
 	}
 	if newResident && !s.CanParkResident() {
@@ -496,7 +498,7 @@ func (s *SM) CanActivateOne(newResident bool) bool {
 // another adds a resident, not an active CTA).
 func (s *SM) CanParkResident() bool {
 	return s.meta != nil &&
-		s.shmemUsed+s.meta.sharedMem <= s.Cfg.SharedMemBytes &&
+		s.shmemUsed+s.sharedMem <= s.Cfg.SharedMemBytes &&
 		len(s.residents) < s.Cfg.MaxResidentCTAs
 }
 
@@ -517,7 +519,7 @@ func (s *SM) LaunchNew(now, delay int64) *CTA {
 		w.wakeAt = now + delay
 	}
 	s.residents = append(s.residents, c)
-	s.shmemUsed += s.meta.sharedMem
+	s.shmemUsed += s.sharedMem
 	if s.sink != nil {
 		s.sink.Event(trace.Event{Kind: trace.CTALaunch, SM: s.ID, CTA: c.ID, Cycle: now})
 	}
@@ -543,8 +545,8 @@ func (s *SM) newCTA(id int) *CTA {
 	*c = CTA{
 		ID:           id,
 		State:        CTAActive,
-		Warps:        reuse(c.Warps, s.meta.warpsPerCTA),
-		RegCost:      s.meta.regCost,
+		Warps:        reuse(c.Warps, s.warpsPerCTA),
+		RegCost:      s.regCost,
 		launchStamp:  s.stamp,
 		firstIssueAt: -1,
 		firstStallAt: -1,
@@ -765,7 +767,7 @@ func (s *SM) finishCTA(c *CTA, now int64) {
 	}
 	s.statSample(now)
 	s.activeCTAs--
-	s.shmemUsed -= s.meta.sharedMem
+	s.shmemUsed -= s.sharedMem
 	for i, r := range s.residents {
 		if r == c {
 			s.residents = append(s.residents[:i], s.residents[i+1:]...)

@@ -49,7 +49,7 @@ func testSM(t *testing.T, bench string, grid int) (*SM, *kernels.Kernel, *sliceD
 	hier := mem.NewHierarchy(2<<20, 8, 600, 313, mem.DefaultLatencies())
 	disp := &sliceDisp{total: grid}
 	s := New(0, Default(), hier, disp, &nullPolicy{})
-	s.BindKernel(NewProgInfo(k, s.Cfg), 0)
+	s.BindKernel(k, 0)
 	return s, k, disp
 }
 
@@ -312,20 +312,28 @@ func TestConfigDefaultsMatchTableI(t *testing.T) {
 	}
 }
 
-// The issue table carries latencies resolved from a Config; binding it to
-// an SM configured differently would silently simulate the wrong machine.
-func TestBindKernelRejectsForeignLatencies(t *testing.T) {
+// TestBindKernelDecodesForItsLatencies: the issue table carries latencies
+// resolved from a Config, so an SM binds the table decoded for its own —
+// two SMs that differ in one latency hold different tables, each with its
+// SM's latencies baked in, and SMs that agree share one.
+func TestBindKernelDecodesForItsLatencies(t *testing.T) {
 	_, k, _ := testSM(t, "CS", 4)
-	cfg := Default()
-	cfg.SFULat++
-	hier := mem.NewHierarchy(2<<20, 8, 600, 313, mem.DefaultLatencies())
-	fresh := New(1, Default(), hier, &sliceDisp{total: 4}, &nullPolicy{})
-	defer func() {
-		if recover() == nil {
-			t.Error("BindKernel accepted a table decoded for another SFU latency")
-		}
-	}()
-	fresh.BindKernel(NewProgInfo(k, cfg), 0)
+	slow := Default()
+	slow.SFULat++
+	bind := func(cfg Config) *ProgInfo {
+		hier := mem.NewHierarchy(2<<20, 8, 600, 313, mem.DefaultLatencies())
+		s := New(1, cfg, hier, &sliceDisp{total: 4}, &nullPolicy{})
+		s.BindKernel(k, 0)
+		return s.Meta()
+	}
+	a, b, c := bind(Default()), bind(slow), bind(Default())
+	if a != c {
+		t.Error("two SMs of one configuration hold different issue tables")
+	}
+	if a == b || a.sfuLat != Default().SFULat || b.sfuLat != slow.SFULat {
+		t.Errorf("SFU latency baked into the tables: %d and %d, want %d and %d",
+			a.sfuLat, b.sfuLat, Default().SFULat, slow.SFULat)
+	}
 }
 
 func TestTimingBarrierSynchronizes(t *testing.T) {
@@ -351,7 +359,7 @@ func TestTimingBarrierSynchronizes(t *testing.T) {
 	hier := mem.NewHierarchy(2<<20, 8, 600, 313, mem.DefaultLatencies())
 	disp := &sliceDisp{total: 4}
 	s := New(0, Default(), hier, disp, &nullPolicy{})
-	s.BindKernel(NewProgInfo(k, s.Cfg), 0)
+	s.BindKernel(k, 0)
 	drive(t, s, disp, 1_000_000)
 	// 4 CTAs x 2 warps x 5 instructions each.
 	if want := int64(4 * 2 * 5); s.Cnt.Instructions != want {

@@ -254,38 +254,37 @@ type issueRow struct {
 	store bool // global store: consumes bandwidth, never blocks the warp
 }
 
-// ProgInfo is a kernel decoded for one SM configuration: the per-PC issue
-// table plus the geometry and liveness the policies ask about. It is built
-// once per bound kernel (NewProgInfo) and shared read-only by every SM
-// running that kernel.
+// ProgInfo is a program decoded for one latency triple: the per-PC issue
+// table plus the liveness the policies ask about. Decode makes it once per
+// program table entry and triple (kernels.Kernel.Decoded), and every SM of
+// every run bound to that program shares it read-only.
 type ProgInfo struct {
 	prog *isa.Program
 	live *liveness.Info
 	rows []issueRow
 	// loopTrip[slot] is the trip count a new warp's loop counter starts at.
 	loopTrip []int32
-	// aluLat, sfuLat and shmemLat are the latencies baked into rows;
-	// BindKernel refuses an SM configured with different ones.
+	// aluLat, sfuLat and shmemLat are the latencies baked into rows.
 	aluLat, sfuLat, shmemLat int64
-	// kernel geometry
-	warpsPerCTA int
-	sharedMem   int
-	regCost     int // warp-registers per CTA
 }
 
-// NewProgInfo decodes kernel k for SMs configured as cfg.
-func NewProgInfo(k *kernels.Kernel, cfg Config) *ProgInfo {
+// Decode returns kernel k's program decoded for SMs configured as cfg:
+// the entry's shared table when the program table built k, else a fresh
+// one.
+func Decode(k *kernels.Kernel, cfg Config) *ProgInfo {
+	lat := [3]int64{cfg.ALULat, cfg.SFULat, cfg.ShmemLat}
+	return k.Decoded(lat, func() any { return decode(k, lat) }).(*ProgInfo)
+}
+
+func decode(k *kernels.Kernel, lat [3]int64) *ProgInfo {
 	p := k.Prog
 	m := &ProgInfo{
-		prog:        p,
-		live:        k.Live,
-		rows:        make([]issueRow, p.Len()),
-		warpsPerCTA: k.Profile.WarpsPerCTA,
-		sharedMem:   k.Profile.SharedMem,
-		regCost:     k.Profile.WarpsPerCTA * k.Profile.Regs,
-		aluLat:      cfg.ALULat,
-		sfuLat:      cfg.SFULat,
-		shmemLat:    cfg.ShmemLat,
+		prog:     p,
+		live:     k.Live,
+		rows:     make([]issueRow, p.Len()),
+		aluLat:   lat[0],
+		sfuLat:   lat[1],
+		shmemLat: lat[2],
 	}
 	for pc := range m.rows {
 		in := p.At(pc)

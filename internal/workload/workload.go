@@ -19,7 +19,6 @@ import (
 
 	"finereg/internal/isa"
 	"finereg/internal/kernels"
-	"finereg/internal/liveness"
 )
 
 // Defaults applied when neither the spec nor the source's launch
@@ -90,8 +89,10 @@ func errField(field, format string, args ...any) *Error {
 
 // Load lowers the spec into a launchable kernel: Source is assembled,
 // validated, and analyzed through the liveness pass (Bench programs reuse
-// the built-in generators), and the result is wrapped with an occupancy
-// profile derived from the program's register demand and launch geometry.
+// the built-in generators) — once per process, through the program table
+// (kernels.Assemble, kernels.Generate) — and the result is wrapped with an
+// occupancy profile derived from the program's register demand and launch
+// geometry.
 // lim, when non-zero, classifies the profile (Type-S vs Type-R) under
 // those SM limits — classification is cosmetic (tables and labels), so a
 // zero Limits is fine. Every failure is a *Error with Index 0; callers
@@ -106,14 +107,6 @@ func (p *Program) Load(lim kernels.Limits) (*kernels.Kernel, error) {
 		return p.loadBench()
 	}
 	return p.loadSource(lim)
-}
-
-// Validate checks the spec without keeping the kernel; it is what
-// runner.Job.Validate calls at admission so malformed programs 400
-// instead of panicking a worker.
-func (p *Program) Validate(lim kernels.Limits) error {
-	_, err := p.Load(lim)
-	return err
 }
 
 func (p *Program) loadBench() (*kernels.Kernel, error) {
@@ -135,7 +128,7 @@ func (p *Program) loadBench() (*kernels.Kernel, error) {
 }
 
 func (p *Program) loadSource(lim kernels.Limits) (*kernels.Kernel, error) {
-	prog, launch, err := isa.AssembleLaunch(p.Source)
+	c, err := kernels.Assemble(p.Source)
 	if err != nil {
 		e := &Error{Field: "source", Msg: err.Error(), err: err}
 		var ae *isa.AsmError
@@ -144,6 +137,7 @@ func (p *Program) loadSource(lim kernels.Limits) (*kernels.Kernel, error) {
 		}
 		return nil, e
 	}
+	prog, launch := c.Prog, c.Launch
 
 	warps := firstPositive(p.WarpsPerCTA, launch.WarpsPerCTA, DefaultWarpsPerCTA)
 	if p.WarpsPerCTA < 0 || warps < 1 || warps > 64 {
@@ -158,11 +152,6 @@ func (p *Program) loadSource(lim kernels.Limits) (*kernels.Kernel, error) {
 		return nil, errField("grid", "grid %d out of range [1,%d]", firstNonzero(p.Grid, launch.GridCTAs), 1<<22)
 	}
 
-	live, err := liveness.Analyze(prog)
-	if err != nil {
-		return nil, &Error{Field: "source", Msg: err.Error(), err: err}
-	}
-
 	prof := kernels.Profile{
 		Abbrev:      prog.Name,
 		Name:        prog.Name,
@@ -175,7 +164,7 @@ func (p *Program) loadSource(lim kernels.Limits) (*kernels.Kernel, error) {
 	if lim != (kernels.Limits{}) {
 		prof.Class = prof.Classify(lim)
 	}
-	return &kernels.Kernel{Profile: prof, Prog: prog, Live: live, GridCTAs: grid}, nil
+	return c.Kernel(prof, grid), nil
 }
 
 // LoadAll loads every spec, attaching the program's index to any failure.

@@ -169,6 +169,20 @@ gate 'TestConcurrentRecycling' .
 gate_flags="-count=1"
 gate 'TestWarmRunAllocatesNoMachine' .
 gate 'TestMachineBytesTracksNew' ./internal/gpu/
+# Program-table gate: a warm lookup allocates nothing (no race detector, as
+# above); the table stays within its bounds and keys a profile by what
+# generate reads; no run writes a shared program value (hashed around the
+# golden matrix, not -short); concurrent jobs of one profile share its entry
+# (three times over); and admission refuses a profile the generator refuses,
+# so a worker never sees one.
+gate 'TestWarmLookupAllocatesNothing' ./internal/kernels/
+gate_flags="-race -count=1"
+gate 'TestProgramTableBounded|TestGenKeyCoversGenerate' ./internal/kernels/
+gate 'TestProgramValuesImmutable' ./internal/audit/diff/
+gate 'TestAdmissionRefusesUnbuildableProfiles' ./internal/runner/
+gate 'TestUnbuildableProfileRefusedAtAdmission' ./internal/serve/
+gate_flags="-race -count=3"
+gate 'TestConcurrentJobsShareOneProgram' ./internal/runner/
 gate_flags="-race -count=1"
 # Policy gate: the SM's first-match resident selectors against the lowest-ID
 # scans they replaced, the two "VT plus nothing" degenerations of the
