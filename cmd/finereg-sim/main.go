@@ -5,7 +5,7 @@
 // Usage:
 //
 //	finereg-sim [-bench CS,LB | all] [-policy baseline,vt,regdram,regmutex,finereg | all]
-//	            [-program file.sasm] [-stream a.sasm,b.sasm] [-partitions 8,8]
+//	            [-program file.sasm | -program bench:XX]
 //	            [-sms 16] [-grid-scale 1.0] [-srp 0.25] [-dram-cap 4] [-v]
 //	            [-json | -csv] [-stalls] [-audit] [-audit-collect]
 //	            [-jobs N] [-cache-dir ''] [-no-cache] [-job-timeout 0]
@@ -16,13 +16,8 @@
 // dialect; launch geometry comes from the source's .warps/.shmem/.grid
 // directives) instead of the built-in benchmarks, through the same
 // ingestion loader the serving stack uses — the run is byte-identical to
-// submitting the same source via POST /v1/jobs. -stream runs several
-// files back-to-back as one in-order stream on one GPU (per-kernel
-// segment rows plus a combined rollup); with -partitions N1,N2,... the
-// same files instead run concurrently, one per static SM partition
-// (MPS-style: disjoint SM ranges, shared L2/DRAM; the counts must sum to
-// -sms). A file entry of the form bench:XX references a built-in Table II
-// benchmark instead of reading a file.
+// submitting the same source via POST /v1/jobs. -program bench:XX
+// references a built-in Table II benchmark instead of reading a file.
 //
 // -json and -csv replace the table with machine-readable output on stdout
 // (one record per benchmark × policy run, derived ratios included).
@@ -55,7 +50,6 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"strconv"
 	"strings"
 
 	"finereg/internal/audit"
@@ -74,9 +68,7 @@ func main() {
 	var (
 		benchFlag   = flag.String("bench", "all", "comma-separated benchmark abbreviations, or 'all'")
 		policyFlag  = flag.String("policy", "all", "comma-separated policies: baseline,vt,regdram,regmutex,finereg, or 'all'")
-		programFlag = flag.String("program", "", "run a user .sasm program file instead of the built-in benchmarks")
-		streamFlag  = flag.String("stream", "", "comma-separated .sasm files (or bench:XX entries) run as one in-order stream")
-		partsFlag   = flag.String("partitions", "", "comma-separated SM counts (summing to -sms): run the -stream kernels concurrently, one per static partition")
+		programFlag = flag.String("program", "", "run a user .sasm program file (or bench:XX) instead of the built-in benchmarks")
 		sms         = flag.Int("sms", 16, "number of SMs (shared resources scale proportionally)")
 		gridScale   = flag.Float64("grid-scale", 0, "grid-size scale factor (default: sms/16)")
 		srp         = flag.Float64("srp", runner.DefaultSRPFrac, "RegMutex SRP fraction of the register file")
@@ -125,20 +117,13 @@ func main() {
 		defer line.Close()
 	}
 
-	// The workload half of every job: the programs as one, or each bench.
+	// The workload half of every job: the program, or each bench.
 	var work []runner.Job
-	if *programFlag != "" || *streamFlag != "" {
-		progs, name, err := programSpecs(*programFlag, *streamFlag)
+	if *programFlag != "" {
+		prog, name, err := programSpec(*programFlag)
 		check(err)
-		if *partsFlag != "" {
-			cfg.Partitions, err = parsePartitions(*partsFlag)
-			check(err)
-		}
-		work = []runner.Job{{Programs: progs, Label: name}}
+		work = []runner.Job{{Programs: []workload.Program{prog}, Label: name}}
 	} else {
-		if *partsFlag != "" {
-			check(errors.New("-partitions needs -stream (one kernel per partition)"))
-		}
 		for _, b := range benches {
 			p, err := kernels.ProfileByName(strings.TrimSpace(b))
 			check(err)
@@ -173,13 +158,6 @@ func main() {
 		runs = append(runs, m)
 		tbl.AddRow(j.Label,
 			m.IPC(), m.Cycles, m.AvgResidentCTAs, m.AvgActiveCTAs, m.CTASwitches, m.DRAMBytes()>>10)
-		// Multi-kernel jobs: one row per stream/partition segment under the
-		// rollup (segments ride along in -json/-csv output too).
-		for si, seg := range batch.Results[i].Segments {
-			runs = append(runs, seg)
-			tbl.AddRow(fmt.Sprintf("  [%d] %s", si, seg.Benchmark),
-				seg.IPC(), seg.Cycles, seg.AvgResidentCTAs, seg.AvgActiveCTAs, seg.CTASwitches, seg.DRAMBytes()>>10)
-		}
 		if *verbose {
 			fmt.Printf("# %s: L1 %.1f%% miss, L2 %.1f%% miss, depletion %d cyc, first-stall %.0f cyc, ctx %d KB\n",
 				j.Label, 100*m.L1MissRate(), 100*m.L2MissRate(),
@@ -220,47 +198,17 @@ func check(err error) {
 	}
 }
 
-// programSpecs turns -program/-stream into workload specs plus a display
-// name. Each entry is a .sasm file path or bench:XX for a built-in
-// benchmark; files are read here, so the job carries the source text and
-// runs through the exact loader the serving stack uses.
-func programSpecs(program, stream string) ([]workload.Program, string, error) {
-	if program != "" && stream != "" {
-		return nil, "", errors.New("use -program or -stream, not both")
+// programSpec turns -program into a workload spec plus a display name.
+// The entry is a .sasm file path or bench:XX for a built-in benchmark; a
+// file is read here, so the job carries the source text and runs through
+// the exact loader the serving stack uses.
+func programSpec(entry string) (workload.Program, string, error) {
+	if b, ok := strings.CutPrefix(entry, "bench:"); ok {
+		return workload.Program{Bench: b}, b, nil
 	}
-	entries := []string{program}
-	if stream != "" {
-		entries = strings.Split(stream, ",")
+	text, err := os.ReadFile(entry)
+	if err != nil {
+		return workload.Program{}, "", err
 	}
-	var progs []workload.Program
-	var names []string
-	for _, e := range entries {
-		e = strings.TrimSpace(e)
-		if b, ok := strings.CutPrefix(e, "bench:"); ok {
-			progs = append(progs, workload.Program{Bench: b})
-			names = append(names, b)
-			continue
-		}
-		text, err := os.ReadFile(e)
-		if err != nil {
-			return nil, "", err
-		}
-		progs = append(progs, workload.Program{Source: string(text)})
-		names = append(names, strings.TrimSuffix(filepath.Base(e), filepath.Ext(e)))
-	}
-	return progs, strings.Join(names, "+"), nil
-}
-
-// parsePartitions parses -partitions (e.g. "8,8"); gpu.ValidatePartitions
-// checks the geometry during job validation.
-func parsePartitions(s string) ([]int, error) {
-	var parts []int
-	for _, f := range strings.Split(s, ",") {
-		n, err := strconv.Atoi(strings.TrimSpace(f))
-		if err != nil {
-			return nil, fmt.Errorf("bad -partitions entry %q", f)
-		}
-		parts = append(parts, n)
-	}
-	return parts, nil
+	return workload.Program{Source: string(text)}, strings.TrimSuffix(filepath.Base(entry), filepath.Ext(entry)), nil
 }

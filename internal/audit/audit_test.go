@@ -58,7 +58,7 @@ func newPolicyRig(t *testing.T, grid int, mk func(sm.Config, *mem.Hierarchy) sm.
 	hier := mem.NewHierarchy(2<<20, 8, 600, 313, mem.DefaultLatencies())
 	d := &disp{total: grid}
 	s := sm.New(0, cfg, hier, d, mk(cfg, hier))
-	s.BindKernel(k, 0)
+	s.BindKernel(k)
 	return &rig{s: s, d: d}
 }
 

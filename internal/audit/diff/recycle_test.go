@@ -15,8 +15,9 @@ import (
 // the SMs they hand to later runs: a 16-SM FineReg NW run under LRR; runs
 // stopped by their cycle budget with CTAs resident, wake-ups pending and
 // ring bits set — one of them on SMs of 256 warps a scheduler, whose wake
-// rings and ready masks have grown; a partitioned concurrent run; and a
-// stall-attribution job, whose SMs carry a trace sink.
+// rings and ready masks have grown; LB and ST runs on the 2-SM machine, so
+// the pool holds SMs that ran different kernels; and a stall-attribution
+// job, whose SMs carry a trace sink.
 func dirtyPool(t *testing.T) {
 	t.Helper()
 	build := func(name string, grid int) *kernels.Kernel {
@@ -26,17 +27,11 @@ func dirtyPool(t *testing.T) {
 		}
 		return kernels.MustBuild(p, grid)
 	}
-	run := func(cfg gpu.Config, pf gpu.PolicyFactory, want error, ks ...*kernels.Kernel) {
+	run := func(cfg gpu.Config, pf gpu.PolicyFactory, want error, k *kernels.Kernel) {
 		t.Helper()
 		g := gpu.New(cfg, pf)
 		defer g.Release()
-		var err error
-		if len(cfg.Partitions) > 0 {
-			_, err = g.RunConcurrent(ks...)
-		} else {
-			_, err = g.Run(ks[0])
-		}
-		if !errors.Is(err, want) {
+		if _, err := g.Run(k); !errors.Is(err, want) {
 			t.Fatalf("dirtying run: %v, want %v", err, want)
 		}
 	}
@@ -54,9 +49,8 @@ func dirtyPool(t *testing.T) {
 	wide.SM.RegFileBytes, wide.SM.SharedMemBytes = 512*16*sm.WarpRegBytes, 256*2048
 	run(wide, gpu.Baseline(), gpu.ErrCycleBudget, build("CS", 512))
 
-	parts := Config(2)
-	parts.Partitions = []int{1, 1}
-	run(parts, gpu.VirtualThread(), nil, build("LB", 8), build("ST", 8))
+	run(Config(2), gpu.VirtualThread(), nil, build("LB", 8))
+	run(Config(2), gpu.VirtualThread(), nil, build("ST", 8))
 
 	p, err := kernels.ProfileByName("LB")
 	if err != nil {

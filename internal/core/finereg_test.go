@@ -43,7 +43,7 @@ func TestPCRFFreeAccountSeesStrayChain(t *testing.T) {
 	hier := mem.NewHierarchy(2<<20, 8, 600, 313, mem.DefaultLatencies())
 	f := NewFineReg(cfg, hier, cfg.RegFileBytes/2, cfg.RegFileBytes/2)
 	s := sm.New(0, cfg, hier, &gridDisp{total: 64}, f)
-	s.BindKernel(kernels.MustBuild(prof, 64), 0)
+	s.BindKernel(kernels.MustBuild(prof, 64))
 	var pending *sm.CTA
 	for now := int64(0); pending == nil; {
 		if now > 1_000_000 {

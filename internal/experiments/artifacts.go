@@ -31,7 +31,6 @@ func Artifacts() []Artifact {
 		{"f19", "Figure 19: unified on-chip memory", dynamic(Figure19)},
 		{"abl", "Ablations: FineReg design choices", dynamic(Ablations)},
 		{"stalls", "Stall attribution: warp-slot cycle breakdown", dynamic(StallBreakdowns)},
-		{"mps", "MPS co-scheduling: multi-tenant interference", func(o Options) (renderer, error) { return MPS(o, nil) }},
 	}
 }
 

@@ -20,7 +20,7 @@ const quickRecord = "testdata/quick.txt"
 var sweepBacked = []string{"f12", "f13", "f14", "f15", "f16", "stalls"}
 
 func TestArtifactsRegistry(t *testing.T) {
-	want := []string{"t2", "f2", "f3", "f4", "f5", "t3", "f12", "f13", "f14", "f15", "f16", "f17", "f18", "f19", "abl", "stalls", "mps"}
+	want := []string{"t2", "f2", "f3", "f4", "f5", "t3", "f12", "f13", "f14", "f15", "f16", "f17", "f18", "f19", "abl", "stalls"}
 	var got []string
 	for _, a := range Artifacts() {
 		got = append(got, a.ID)

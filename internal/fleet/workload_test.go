@@ -27,18 +27,13 @@ top:
 // TestFleetRunsProgramJobs: user programs dispatched through a
 // coordinator reach a worker intact (the program text rides in the
 // request RequestFromJob emits) and come back byte-identical to a direct
-// engine run — including a partitioned concurrent job's per-tenant
-// segments.
+// engine run, a source program and a bench reference alike.
 func TestFleetRunsProgramJobs(t *testing.T) {
-	concurrent := gpu.Default().Scale(2)
-	concurrent.Partitions = []int{1, 1}
 	jobs := []*runner.Job{
 		{Cfg: gpu.Default().Scale(2), Policy: runner.Baseline(),
 			Programs: []workload.Program{{Source: fleetProgram}}},
 		{Cfg: gpu.Default().Scale(2), Policy: runner.FineRegDefault(),
-			Programs: []workload.Program{{Source: fleetProgram}, {Bench: "CS", Grid: 4}}},
-		{Cfg: concurrent, Policy: runner.Baseline(),
-			Programs: []workload.Program{{Source: fleetProgram}, {Bench: "CS", Grid: 4}}},
+			Programs: []workload.Program{{Bench: "CS", Grid: 4}}},
 	}
 	direct := (&runner.Engine{}).Run(jobs)
 	if err := direct.Err(); err != nil {
@@ -52,9 +47,6 @@ func TestFleetRunsProgramJobs(t *testing.T) {
 		t.Fatalf("fleet run: %v", err)
 	}
 	assertSameResults(t, jobs, direct, fleetRun)
-	if len(fleetRun.Results[2].Segments) != 2 {
-		t.Errorf("concurrent job lost its partition segments over the fleet hop: %d", len(fleetRun.Results[2].Segments))
-	}
 	if got := w.eng.Stats().Executed; got != int64(len(jobs)) {
 		t.Errorf("worker executed %d simulations, want %d", got, len(jobs))
 	}

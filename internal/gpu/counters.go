@@ -1,16 +1,14 @@
 // counters.go is the one place the machine's counters are read. The hot
 // path writes plain per-run fields (sm.Counters, the L1/L2 caches' hit
 // counts, the DRAM channel's ledger — a GPU and everything under it belong
-// to one run, so none of it is shared or synchronized); tally sums them,
-// and its three consumers — stats.Metrics at collect time, the
-// RunStream/RunConcurrent segment diffs, and ProgressSample.Ops — are all
-// differences of two tallies.
+// to one run, so none of it is shared or synchronized); tally sums them
+// for its two consumers, stats.Metrics at collect time and
+// ProgressSample.Ops, the difference of two tallies.
 package gpu
 
 import (
 	"finereg/internal/core"
 	"finereg/internal/mem"
-	"finereg/internal/sm"
 	"finereg/internal/stats"
 )
 
@@ -79,20 +77,20 @@ var opNames = [numOps]string{
 // order (the serving layer exports one counter per name).
 func OpNames() []string { return opNames[:] }
 
-// tally is the machine's cumulative counters at one cycle, summed over a
-// set of SMs; the L2 and DRAM slots are always machine-wide.
+// tally is the machine's cumulative counters at one cycle, summed over its
+// SMs.
 type tally struct {
 	n        [numTally]int64
 	stallSum float64 // Σ sm.Counters.StallLatencySum (tStallLatencyN counts them)
 }
 
-// tally sums the counters of sms at cycle now. It mutates nothing in the
-// machine, so reading it mid-run leaves the event sequence unchanged.
-func (g *GPU) tally(sms []*sm.SM, now int64) tally {
+// tally sums the machine's counters at cycle now. It mutates nothing in
+// the machine, so reading it mid-run leaves the event sequence unchanged.
+func (g *GPU) tally(now int64) tally {
 	var t tally
 	n := &t.n
 	n[opCycles] = now
-	for _, s := range sms {
+	for _, s := range g.SMs {
 		c := &s.Cnt
 		n[opInstructions] += c.Instructions
 		n[opCTALaunches] += c.CTAsLaunched
@@ -150,14 +148,10 @@ func (t tally) ops() map[string]int64 {
 	return m
 }
 
-// collect gathers the metrics of sms over (base, end]: counter deltas
-// against base (the zero tally for a whole run), occupancy averages from
-// the integrals the latest BindKernel restarted (so base must have been
-// taken at that bind's cycle; RunStream overwrites its rollup's averages
-// with cycle-weighted segment averages), and — when shared is set, i.e.
-// no other kernel ran in the range — the machine-wide L2/DRAM deltas.
-func (g *GPU) collect(name string, sms []*sm.SM, base tally, end int64, shared bool) *stats.Metrics {
-	d := g.tally(sms, end).since(base)
+// collect gathers the run's metrics at its end cycle: the counters, and
+// occupancy averages from the integrals each SM kept since BindKernel.
+func (g *GPU) collect(name string, end int64) *stats.Metrics {
+	d := g.tally(end)
 	n := &d.n
 	m := &stats.Metrics{
 		Benchmark:               name,
@@ -174,6 +168,11 @@ func (g *GPU) collect(name string, sms []*sm.SM, base tally, end int64, shared b
 		SharedAccesses:          n[tSharedAccesses],
 		L1Accesses:              n[tL1Accesses],
 		L1Misses:                n[tL1Misses],
+		L2Accesses:              n[opL2Accesses],
+		L2Misses:                n[opL2Misses],
+		DRAMDemandBytes:         n[tDRAMDemandBytes],
+		DRAMContextBytes:        n[opDMABytes],
+		DRAMBitvecBytes:         n[tDRAMBitvecBytes],
 		RegDepletionStallCycles: n[tDepletionCycles],
 	}
 	if n[tStallLatencyN] > 0 {
@@ -181,23 +180,16 @@ func (g *GPU) collect(name string, sms []*sm.SM, base tally, end int64, shared b
 	}
 	if m.Cycles > 0 {
 		var residentInt, activeInt, threadsInt int64
-		for _, s := range sms {
+		for _, s := range g.SMs {
 			r, a, th := s.OccupancyIntegrals(end)
 			residentInt += r
 			activeInt += a
 			threadsInt += th
 		}
-		denom := float64(m.Cycles) * float64(len(sms))
+		denom := float64(m.Cycles) * float64(len(g.SMs))
 		m.AvgResidentCTAs = float64(residentInt) / denom
 		m.AvgActiveCTAs = float64(activeInt) / denom
 		m.AvgActiveThreads = float64(threadsInt) / denom
-	}
-	if shared {
-		m.L2Accesses = n[opL2Accesses]
-		m.L2Misses = n[opL2Misses]
-		m.DRAMDemandBytes = n[tDRAMDemandBytes]
-		m.DRAMContextBytes = n[opDMABytes]
-		m.DRAMBitvecBytes = n[tDRAMBitvecBytes]
 	}
 	return m
 }

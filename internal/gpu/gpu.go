@@ -72,46 +72,6 @@ type Config struct {
 	// ProgressEvery is the sample period in simulated cycles
 	// (0 = DefaultProgressEvery).
 	ProgressEvery int64 `json:"-"`
-
-	// Partitions, when non-empty, statically partitions the machine
-	// MPS-style: entry p is partition p's SM count, partitions occupy
-	// disjoint contiguous SM index ranges in declaration order, and the
-	// entries must sum to NumSMs (ValidatePartitions checks; New panics on
-	// violation, so network input is validated at admission). Each
-	// partition gets a private grid dispatcher while all partitions share
-	// the L2 and DRAM channel, so RunConcurrent kernels contend in the
-	// memory hierarchy but can never steal each other's CTA slots. Empty
-	// means one partition spanning the whole machine. Part of the
-	// runner.Job key (omitempty keeps legacy keys byte-identical).
-	Partitions []int `json:",omitempty"`
-}
-
-// ValidatePartitions reports whether parts is a valid MPS-style static
-// partitioning of numSMs SMs: every entry >= 1 and the entries sum to
-// numSMs. Empty parts — the unpartitioned machine — is always valid.
-func ValidatePartitions(numSMs int, parts []int) error {
-	_, err := partitionSpans(numSMs, parts)
-	return err
-}
-
-// partitionSpans lowers a partition spec to [lo, hi) SM index ranges.
-func partitionSpans(numSMs int, parts []int) ([][2]int, error) {
-	if len(parts) == 0 {
-		return [][2]int{{0, numSMs}}, nil
-	}
-	spans := make([][2]int, len(parts))
-	lo := 0
-	for p, n := range parts {
-		if n < 1 {
-			return nil, fmt.Errorf("gpu: partition %d has %d SMs, want >= 1", p, n)
-		}
-		spans[p] = [2]int{lo, lo + n}
-		lo += n
-	}
-	if lo != numSMs {
-		return nil, fmt.Errorf("gpu: partitions sum to %d SMs, machine has %d", lo, numSMs)
-	}
-	return spans, nil
 }
 
 // DefaultProgressEvery is the Progress sample period when
@@ -174,12 +134,9 @@ type GPU struct {
 	Cfg  Config
 	Hier *mem.Hierarchy
 	SMs  []*sm.SM
-	// disps holds one grid dispatcher per partition (exactly one on an
-	// unpartitioned machine); spans[p] is partition p's [lo, hi) SM range.
-	disps []*dispatcher
-	spans [][2]int
-	sink  trace.Sink
-	stop  atomic.Bool
+	disp dispatcher
+	sink trace.Sink
+	stop atomic.Bool
 }
 
 // Stop asynchronously aborts a running simulation: the next event step of
@@ -201,23 +158,10 @@ func (g *GPU) SetTrace(t trace.Sink) {
 // New constructs the GPU with one policy instance per SM; every SM and
 // policy shares the one memory hierarchy.
 func New(cfg Config, pf PolicyFactory) *GPU {
-	spans, err := partitionSpans(cfg.NumSMs, cfg.Partitions)
-	if err != nil {
-		// runner.Job.Validate rejects invalid specs at admission; reaching
-		// here with one is a caller bug, not a data error.
-		panic(err)
-	}
 	hier := mem.NewHierarchy(cfg.L2Bytes, cfg.L2Ways, cfg.DRAMLatency, cfg.DRAMBytesPerCycle, cfg.Lat)
-	g := &GPU{Cfg: cfg, Hier: hier, spans: spans}
-	for range spans {
-		g.disps = append(g.disps, &dispatcher{})
-	}
-	p := 0
+	g := &GPU{Cfg: cfg, Hier: hier}
 	for i := 0; i < cfg.NumSMs; i++ {
-		for i >= spans[p][1] {
-			p++
-		}
-		g.SMs = append(g.SMs, sm.New(i, cfg.SM, hier, g.disps[p], pf(cfg.SM, hier)))
+		g.SMs = append(g.SMs, sm.New(i, cfg.SM, hier, &g.disp, pf(cfg.SM, hier)))
 	}
 	return g
 }
@@ -306,20 +250,16 @@ func newProgressState(cb func(trace.ProgressSample), every int64) *progressState
 // exact for its run however many simulations share the process.
 func (g *GPU) sampleProgress(p *progressState, now int64, final bool) {
 	wall := time.Now()
-	cur := g.tally(g.SMs, now)
+	cur := g.tally(now)
 	delta := cur.since(p.last)
 	rate := 0.0
 	if dt := wall.Sub(p.lastWall).Seconds(); dt > 0 {
 		rate = float64(delta.n[opCycles]) / dt
 	}
-	var grid int64
-	for _, d := range g.disps {
-		grid += int64(d.total)
-	}
 	sample := trace.ProgressSample{
 		Cycle:        now,
 		CycleDelta:   delta.n[opCycles],
-		GridCTAs:     grid,
+		GridCTAs:     int64(g.disp.total),
 		CTAsLaunched: cur.n[opCTALaunches],
 		CTAsRetired:  cur.n[opCTARetired],
 		Instructions: cur.n[opInstructions],
@@ -337,144 +277,62 @@ func (g *GPU) sampleProgress(p *progressState, now int64, final bool) {
 	p.cb(sample)
 }
 
-// loopState carries one run's cross-segment bookkeeping: the sampling and
-// audit state live here so a multi-kernel stream shares one progress
-// timeline and one violation harvest across segments, and the cycle clock
-// (now) only moves forward — the DRAM channel keeps absolute-time state,
-// so a later kernel must never rewind the clock the hierarchy has seen.
-type loopState struct {
-	prog    *progressState
-	auditor *audit.Auditor
-	// Partition-audit scratch (nil when auditing is off): base[i] is SM
-	// i's cumulative CTAsLaunched recorded immediately before the latest
-	// bind, so per-segment launch deltas can be conserved against the
-	// dispatcher hand-outs; parts is reused every audit step.
-	parts []audit.Partition
-	base  []int64
-
-	now       int64
-	maxCycles int64
-}
-
-func (g *GPU) startRun() *loopState {
-	st := &loopState{maxCycles: g.Cfg.MaxCycles}
-	if st.maxCycles == 0 {
-		st.maxCycles = 200_000_000
-	}
-	st.maxCycles = min(st.maxCycles, math.MaxInt32-1) // see Config.MaxCycles
+// Run executes kernel k to completion and returns its metrics. A GPU runs
+// one kernel: every SM binds k once, at cycle 0.
+func (g *GPU) Run(k *kernels.Kernel) (*stats.Metrics, error) {
+	var prog *progressState
 	if g.Cfg.Progress != nil {
-		st.prog = newProgressState(g.Cfg.Progress, g.Cfg.ProgressEvery)
+		prog = newProgressState(g.Cfg.Progress, g.Cfg.ProgressEvery)
 	}
+	var aud *audit.Auditor
 	if g.Cfg.Audit {
-		st.auditor = audit.NewWithOptions(audit.Options{
+		aud = audit.NewWithOptions(audit.Options{
 			Interval:            g.Cfg.AuditInterval,
 			ContinueOnViolation: g.Cfg.AuditCollect,
 		})
-		st.auditor.Hier = g.Hier
-		st.parts = make([]audit.Partition, len(g.disps))
-		st.base = make([]int64, len(g.SMs))
+		aud.Hier = g.Hier
 	}
-	return st
-}
-
-// bind points each partition's dispatcher at its kernel and binds the
-// partition's SMs at the current cycle, in ascending SM index order — the
-// same order the event loop Ticks in, so CTA IDs land deterministically.
-// ks[p] is partition p's kernel.
-func (g *GPU) bind(ks []*kernels.Kernel, st *loopState) {
-	if st.base != nil {
-		// Launch baseline must precede BindKernel: FillSlots consumes
-		// dispatcher IDs and bumps CTAsLaunched during the bind itself.
-		for i, s := range g.SMs {
-			st.base[i] = s.Cnt.CTAsLaunched
-		}
+	// The dispatcher, then the SMs in ascending index order — the order the
+	// event loop Ticks in, so CTA IDs land deterministically.
+	g.disp = dispatcher{total: k.GridCTAs}
+	for _, s := range g.SMs {
+		s.BindKernel(k) // the program table's decoded issue table, shared
 	}
-	for p, k := range ks {
-		g.disps[p].next, g.disps[p].total = 0, k.GridCTAs
-	}
-	for p, k := range ks {
-		lo, hi := g.spans[p][0], g.spans[p][1]
-		for _, s := range g.SMs[lo:hi] {
-			s.BindKernel(k, st.now) // the program table's decoded issue table, shared
-		}
-	}
-}
-
-// remaining sums the undispatched CTAs across every partition.
-func (g *GPU) remaining() int {
-	n := 0
-	for _, d := range g.disps {
-		n += d.Remaining()
-	}
-	return n
-}
-
-// auditPartitions refreshes the partition descriptors from the live
-// dispatchers and runs the partition accounting invariants.
-func (g *GPU) auditPartitions(st *loopState, now int64) error {
-	for p, d := range g.disps {
-		lo, hi := g.spans[p][0], g.spans[p][1]
-		st.parts[p] = audit.Partition{
-			Index:      p,
-			SMs:        g.SMs[lo:hi],
-			Base:       st.base[lo:hi],
-			Dispatched: d.next,
-			Total:      d.total,
-		}
-	}
-	return st.auditor.StepPartitions(st.parts, now)
-}
-
-// auditFinal runs the end-of-run audit: partition accounting against the
-// drained dispatchers, the per-SM leak sweep, and — in collect mode — the
-// whole run's violation harvest.
-func (g *GPU) auditFinal(st *loopState) error {
-	if st.auditor == nil {
-		return nil
-	}
-	if err := g.auditPartitions(st, st.now); err != nil {
-		return err
-	}
-	return st.auditor.Final(g.SMs, st.now)
-}
-
-// finalSample delivers a sampled run's Final sample at run end.
-func (g *GPU) finalSample(st *loopState) {
-	if st.prog != nil {
-		g.sampleProgress(st.prog, st.now, true)
-	}
-}
-
-// Run executes kernel k to completion and returns its metrics. It drives
-// the whole machine as one partition; partitioned machines run through
-// RunConcurrent, multi-kernel streams through RunStream.
-func (g *GPU) Run(k *kernels.Kernel) (*stats.Metrics, error) {
-	if len(g.disps) != 1 {
-		return nil, fmt.Errorf("gpu: Run drives an unpartitioned machine (this one has %d partitions); use RunConcurrent", len(g.disps))
-	}
-	st := g.startRun()
-	g.bind([]*kernels.Kernel{k}, st)
 	if g.sink != nil {
 		g.sink.Event(trace.Event{Kind: trace.RunStart, Kernel: k.Name()})
 	}
-	if err := g.runLoop(st); err != nil {
+	end, err := g.runLoop(prog, aud)
+	if err != nil {
 		return nil, err
 	}
-	if err := g.auditFinal(st); err != nil {
-		return nil, err
+	if aud != nil {
+		// The end-of-run audit: grid accounting against the drained
+		// dispatcher, the per-SM leak sweep, and — in collect mode — the
+		// whole run's violation harvest.
+		if err := g.auditGrid(aud, end); err != nil {
+			return nil, err
+		}
+		if err := aud.Final(g.SMs, end); err != nil {
+			return nil, err
+		}
 	}
 	if g.sink != nil {
-		g.sink.Event(trace.Event{Kind: trace.RunEnd, Cycle: st.now})
+		g.sink.Event(trace.Event{Kind: trace.RunEnd, Cycle: end})
 	}
-	g.finalSample(st)
-	return g.collect(k.Name(), g.SMs, tally{}, st.now, true), nil
+	if prog != nil {
+		g.sampleProgress(prog, end, true)
+	}
+	return g.collect(k.Name(), end), nil
 }
 
-// runLoop advances the machine from st.now until every resident CTA has
-// retired and every dispatcher has drained, leaving the end cycle in
-// st.now. One invocation is one segment: Run uses a single segment,
-// RunStream one per stream kernel (continuing the clock), RunConcurrent
-// one for all partitions together.
+// auditGrid runs the grid accounting invariants against the live
+// dispatcher.
+func (g *GPU) auditGrid(a *audit.Auditor, now int64) error {
+	return a.StepGrid(audit.Grid{SMs: g.SMs, Dispatched: g.disp.next, Total: g.disp.total}, now)
+}
+
+// runLoop advances the machine from cycle 0 until every resident CTA has
+// retired and the dispatcher has drained, and returns the end cycle.
 //
 // The loop is event-driven per SM: each SM's last-returned wake
 // time is cached, and a global step only re-Ticks the SMs whose cache
@@ -487,12 +345,14 @@ func (g *GPU) Run(k *kernels.Kernel) (*stats.Metrics, error) {
 // Occupancy integrals likewise no longer cost a per-step sweep over
 // all SMs: each SM integrates its own counters at state transitions
 // (sm.statSample) and the totals are flushed once at run end.
-func (g *GPU) runLoop(st *loopState) error {
-	now := st.now
-	wake := make([]int64, len(g.SMs))
-	for i := range wake {
-		wake[i] = now // every SM ticks at the segment's first step
+func (g *GPU) runLoop(prog *progressState, aud *audit.Auditor) (int64, error) {
+	maxCycles := g.Cfg.MaxCycles
+	if maxCycles == 0 {
+		maxCycles = 200_000_000
 	}
+	maxCycles = min(maxCycles, math.MaxInt32-1) // see Config.MaxCycles
+	var now int64
+	wake := make([]int64, len(g.SMs)) // every SM ticks at cycle 0
 	residentSMs := 0
 	hasRes := make([]bool, len(g.SMs))
 	for i, s := range g.SMs {
@@ -504,7 +364,7 @@ func (g *GPU) runLoop(st *loopState) error {
 
 	for {
 		if g.stop.Load() {
-			return fmt.Errorf("%w at cycle %d", ErrInterrupted, now)
+			return 0, fmt.Errorf("%w at cycle %d", ErrInterrupted, now)
 		}
 		next := farFuture
 		for i, s := range g.SMs {
@@ -523,38 +383,36 @@ func (g *GPU) runLoop(st *loopState) error {
 				next = wake[i]
 			}
 		}
-		if st.auditor != nil {
-			if err := st.auditor.Step(g.SMs, now); err != nil {
-				return err
+		if aud != nil {
+			if err := aud.Step(g.SMs, now); err != nil {
+				return 0, err
 			}
-			if err := g.auditPartitions(st, now); err != nil {
-				return err
+			if err := g.auditGrid(aud, now); err != nil {
+				return 0, err
 			}
 		}
-		if residentSMs == 0 && g.remaining() == 0 {
-			break
+		if residentSMs == 0 && g.disp.Remaining() == 0 {
+			return now, nil
 		}
 		// Sampling rides the wake schedule: the check costs one compare
 		// when progress is off, and a due sample fires at the event step
 		// already being executed — never by inserting one. The final
 		// iteration is covered by the run-end Final sample, so a periodic
 		// sample never duplicates it.
-		if st.prog != nil && now >= st.prog.nextAt {
-			g.sampleProgress(st.prog, now, false)
+		if prog != nil && now >= prog.nextAt {
+			g.sampleProgress(prog, now, false)
 		}
 		if next == farFuture {
-			return fmt.Errorf("%w: %d CTAs unfinished at cycle %d\n%s", ErrDeadlock, g.residentCount(), now, g.debugResidents())
+			return 0, fmt.Errorf("%w: %d CTAs unfinished at cycle %d\n%s", ErrDeadlock, g.residentCount(), now, g.debugResidents())
 		}
 		if next <= now {
 			next = now + 1
 		}
 		now = next
-		if now > st.maxCycles {
-			return fmt.Errorf("%w: %d cycles", ErrCycleBudget, now)
+		if now > maxCycles {
+			return 0, fmt.Errorf("%w: %d cycles", ErrCycleBudget, now)
 		}
 	}
-	st.now = now
-	return nil
 }
 
 // debugResidents dumps stuck CTA/warp state for deadlock reports.

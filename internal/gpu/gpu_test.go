@@ -160,3 +160,60 @@ func TestFineRegFullAblation(t *testing.T) {
 		t.Errorf("full-set PCRF residency %.1f should not exceed live-compacted %.1f", full, compact)
 	}
 }
+
+func mustKernel(t *testing.T, name string, grid int) *kernels.Kernel {
+	t.Helper()
+	p, err := kernels.ProfileByName(name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return kernels.MustBuild(p, grid)
+}
+
+// TestKernelDecodedOncePerBind: the issue table is decoded once per
+// process per latency triple — held by the program table's entry, and
+// shared read-only by the sixteen SMs of one run, by a later run on another
+// machine, and by a run of a profile that differs only in its name.
+// Different kernels hold different tables, and so do machines that differ
+// in a latency.
+func TestKernelDecodedOncePerBind(t *testing.T) {
+	g := New(Default(), Baseline())
+	if len(g.SMs) != 16 {
+		t.Fatalf("Table I machine has %d SMs, want 16", len(g.SMs))
+	}
+	if _, err := g.Run(mustKernel(t, "CS", 64)); err != nil {
+		t.Fatal(err)
+	}
+	for _, s := range g.SMs {
+		if s.Meta() == nil || s.Meta() != g.SMs[0].Meta() {
+			t.Fatalf("SM%d holds its own issue table", s.ID)
+		}
+	}
+	first := g.SMs[0].Meta()
+	renamed, _ := kernels.ProfileByName("CS")
+	renamed.Name = "renamed"
+	g = New(Default().Scale(2), Baseline())
+	if _, err := g.Run(kernels.MustBuild(renamed, 8)); err != nil {
+		t.Fatal(err)
+	}
+	if g.SMs[0].Meta() != first || g.SMs[1].Meta() != first {
+		t.Error("a later run of the same program decoded it again")
+	}
+	slow := Default().Scale(2)
+	slow.SM.ALULat++
+	g = New(slow, Baseline())
+	if _, err := g.Run(mustKernel(t, "CS", 8)); err != nil {
+		t.Fatal(err)
+	}
+	if g.SMs[0].Meta() == first {
+		t.Error("machines with different ALU latencies share an issue table")
+	}
+
+	g = New(Default().Scale(2), Baseline())
+	if _, err := g.Run(mustKernel(t, "LB", 8)); err != nil {
+		t.Fatal(err)
+	}
+	if g.SMs[0].Meta() == first {
+		t.Error("different kernels share an issue table")
+	}
+}

@@ -10,80 +10,85 @@ package liveness
 // iterative dataflow algorithm (Cooper/Harvey/Kennedy style, on reverse
 // post-order). idom[0] == 0; unreachable blocks get idom -1.
 func (g *CFG) Dominators() []int {
-	order := g.reversePostOrder(false)
-	return g.iterativeIdom(order, false)
+	succs := func(b int) []int { return g.Blocks[b].Succs }
+	preds := func(b int) []int { return g.Blocks[b].Preds }
+	return idoms(len(g.Blocks), 0, succs, preds)
 }
 
 // PostDominators computes the immediate post-dominator of each block: the
 // first block control must pass through on every path from the block to
 // program exit. Exit blocks (no successors) post-dominate themselves.
-// Blocks that cannot reach an exit get -1.
+// Blocks that cannot reach an exit get -1, and so do blocks whose paths
+// end at different exits without meeting first.
+//
+// It is the dominator tree of the reversed CFG rooted at a virtual exit
+// node that every exit block feeds, so a CFG with several exits has the
+// one root the fixpoint needs.
 func (g *CFG) PostDominators() []int {
-	order := g.reversePostOrder(true)
-	return g.iterativeIdom(order, true)
+	n := len(g.Blocks)
+	var exits []int
+	for _, b := range g.Blocks {
+		if len(b.Succs) == 0 {
+			exits = append(exits, b.ID)
+		}
+	}
+	virtual := []int{n}
+	// In the reversed CFG a block's successors are its predecessors, and
+	// the virtual exit's are the exit blocks.
+	succs := func(b int) []int {
+		if b == n {
+			return exits
+		}
+		return g.Blocks[b].Preds
+	}
+	preds := func(b int) []int {
+		if len(g.Blocks[b].Succs) == 0 {
+			return virtual
+		}
+		return g.Blocks[b].Succs
+	}
+	idom := idoms(n+1, n, succs, preds)[:n]
+	for b, d := range idom {
+		if d == n {
+			idom[b] = -1
+			if len(g.Blocks[b].Succs) == 0 {
+				idom[b] = b
+			}
+		}
+	}
+	return idom
 }
 
-// reversePostOrder returns block IDs in reverse post-order of the CFG
-// (reverse=false) or of the reversed CFG rooted at the exit blocks
-// (reverse=true).
-func (g *CFG) reversePostOrder(reverse bool) []int {
-	n := len(g.Blocks)
+// idoms runs the classic "engineered" dominator fixpoint over a graph of n
+// nodes rooted at root: idom[root] == root, and nodes root cannot reach
+// get -1.
+func idoms(n, root int, succs, preds func(int) []int) []int {
+	// Reverse post-order from root.
 	visited := make([]bool, n)
-	var post []int
+	var order []int
 	var dfs func(int)
 	dfs = func(b int) {
 		visited[b] = true
-		next := g.Blocks[b].Succs
-		if reverse {
-			next = g.Blocks[b].Preds
-		}
-		for _, s := range next {
+		for _, s := range succs(b) {
 			if !visited[s] {
 				dfs(s)
 			}
 		}
-		post = append(post, b)
+		order = append(order, b)
 	}
-	if reverse {
-		for _, b := range g.Blocks {
-			if len(b.Succs) == 0 && !visited[b.ID] {
-				dfs(b.ID)
-			}
-		}
-	} else {
-		dfs(0)
+	dfs(root)
+	for i, j := 0, len(order)-1; i < j; i, j = i+1, j-1 {
+		order[i], order[j] = order[j], order[i]
 	}
-	// reverse the post-order in place
-	for i, j := 0, len(post)-1; i < j; i, j = i+1, j-1 {
-		post[i], post[j] = post[j], post[i]
-	}
-	return post
-}
 
-// iterativeIdom runs the classic "engineered" dominator fixpoint. For
-// post-dominators the graph is traversed through Succs instead of Preds and
-// roots are the exit blocks.
-func (g *CFG) iterativeIdom(order []int, post bool) []int {
-	n := len(g.Blocks)
 	idom := make([]int, n)
 	for i := range idom {
 		idom[i] = -1
 	}
-	pos := make([]int, n) // position of block in order, for intersect
+	idom[root] = root
+	pos := make([]int, n) // position of node in order, for intersect
 	for i, b := range order {
 		pos[b] = i
-	}
-	roots := map[int]bool{}
-	if post {
-		for _, b := range g.Blocks {
-			if len(b.Succs) == 0 {
-				roots[b.ID] = true
-				idom[b.ID] = b.ID
-			}
-		}
-	} else {
-		roots[0] = true
-		idom[0] = 0
 	}
 	intersect := func(a, b int) int {
 		for a != b {
@@ -96,19 +101,11 @@ func (g *CFG) iterativeIdom(order []int, post bool) []int {
 		}
 		return a
 	}
-	changed := true
-	for changed {
+	for changed := true; changed; {
 		changed = false
-		for _, b := range order {
-			if roots[b] {
-				continue
-			}
-			edges := g.Blocks[b].Preds
-			if post {
-				edges = g.Blocks[b].Succs
-			}
+		for _, b := range order[1:] {
 			newIdom := -1
-			for _, p := range edges {
+			for _, p := range preds(b) {
 				if idom[p] == -1 {
 					continue
 				}
@@ -128,8 +125,9 @@ func (g *CFG) iterativeIdom(order []int, post bool) []int {
 }
 
 // ImmediatePostDom returns the immediate post-dominator block ID of b, or
-// -1 when b is an exit block or cannot reach one. This is the PDOM
-// reconvergence point for a divergent branch ending block b.
+// -1 when b is an exit block, cannot reach one, or reaches different exits
+// without a common block on the way. This is the PDOM reconvergence point
+// for a divergent branch ending block b.
 func (g *CFG) ImmediatePostDom(b int) int {
 	pd := g.PostDominators()
 	if pd[b] == b || pd[b] < 0 {

@@ -18,7 +18,7 @@ func newRig(t *testing.T, bench string, grid int, pol sm.Policy) (*sm.SM, *rigDi
 	hier := mem.NewHierarchy(2<<20, 8, 600, 313, mem.DefaultLatencies())
 	disp := &rigDisp{total: grid}
 	s := sm.New(0, sm.Default(), hier, disp, pol)
-	s.BindKernel(k, 0)
+	s.BindKernel(k)
 	return s, disp
 }
 
@@ -145,7 +145,7 @@ func TestRegDRAMCompletesWithContextTraffic(t *testing.T) {
 	disp := &rigDisp{total: 64}
 	pol := NewRegDRAM(sm.Default(), hier, 4)
 	s := sm.New(0, sm.Default(), hier, disp, pol)
-	s.BindKernel(k, 0)
+	s.BindKernel(k)
 	runRig(t, s, disp, 30_000_000)
 	// With an off-chip pool the policy may or may not spill depending on
 	// dynamics, but accounting must balance and any context traffic must
@@ -214,7 +214,7 @@ func TestLaunchGuardIsVTsNotRegDRAMs(t *testing.T) {
 			prof, _ := kernels.ProfileByName("CS")
 			disp := &rigDisp{total: 96}
 			s := sm.New(0, sm.Default(), hier, disp, pol)
-			s.BindKernel(kernels.MustBuild(prof, 96), 0)
+			s.BindKernel(kernels.MustBuild(prof, 96))
 			if backlogged {
 				hier.DRAM.Access(0, 700*313, mem.TrafficDemand) // 700 cycles > 20 x SwitchDrainLat
 			}
@@ -338,7 +338,7 @@ func BenchmarkRegMutexAllowIssue(b *testing.B) {
 	hier := mem.NewHierarchy(2<<20, 8, 600, 313, mem.DefaultLatencies())
 	pol := NewRegMutex(cfg, hier, 0.25)
 	s := sm.New(0, cfg, hier, &rigDisp{total: 64}, pol)
-	s.BindKernel(kernels.MustBuild(prof, 64), 0)
+	s.BindKernel(kernels.MustBuild(prof, 64))
 	var warps []*sm.Warp
 	for _, c := range s.Residents() {
 		warps = append(warps, c.Warps...)

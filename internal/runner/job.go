@@ -13,13 +13,13 @@
 package runner
 
 import (
+	"cmp"
 	"context"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
 	"hash"
-	"strings"
 
 	"finereg/internal/gpu"
 	"finereg/internal/kernels"
@@ -74,12 +74,11 @@ type Job struct {
 	Stalls bool
 
 	// Programs, when non-empty, is the job's workload instead of
-	// Profile/Grid: user .sasm source or bench references lowered through
-	// internal/workload. One program on an unpartitioned machine is a
-	// plain run; several programs run as an in-order stream; with
-	// Cfg.Partitions set, exactly one program per partition runs
-	// concurrently MPS-style. The program text is hashed into the job key,
-	// so a job's cache identity changes iff its programs change.
+	// Profile/Grid: one user .sasm source or bench reference lowered
+	// through internal/workload. A job runs one kernel, so Validate refuses
+	// a second program; the field stays a slice so program jobs keep their
+	// keys. The program text is hashed into the job key, so a job's cache
+	// identity changes iff its program changes.
 	Programs []workload.Program
 
 	// Label is a human-readable tag for progress lines and errors; it is
@@ -92,18 +91,23 @@ func (j *Job) label() string {
 	if j.Label != "" {
 		return j.Label
 	}
+	name := j.Profile.Abbrev
 	if len(j.Programs) > 0 {
-		names := make([]string, len(j.Programs))
-		for i, p := range j.Programs {
-			if p.Bench != "" {
-				names[i] = p.Bench
-			} else {
-				names[i] = "user"
-			}
-		}
-		return strings.Join(names, "+") + "/" + j.Policy.Name()
+		name = cmp.Or(j.Programs[0].Bench, "user")
 	}
-	return j.Profile.Abbrev + "/" + j.Policy.Name()
+	return name + "/" + j.Policy.Name()
+}
+
+// kernel loads the job's workload: its one program, or its profile at its
+// grid, through the program table.
+func (j *Job) kernel() (*kernels.Kernel, error) {
+	switch len(j.Programs) {
+	case 0:
+		return kernels.Build(j.Profile, j.Grid)
+	case 1:
+		return j.Programs[0].Load(j.Cfg.SM.Limits())
+	}
+	return nil, &workload.Error{Field: "programs", Msg: fmt.Sprintf("%d programs, but a job runs one kernel", len(j.Programs))}
 }
 
 // Key returns the content-addressed identity of the job: the hex SHA-256
@@ -161,10 +165,6 @@ func (t *trimLast) Write(p []byte) (int, error) {
 // the metrics and the machine size).
 type Result struct {
 	Metrics *stats.Metrics
-	// Segments holds per-kernel metrics for multi-kernel jobs (streams and
-	// partitioned concurrent runs) in submission order; Metrics is then
-	// the combined rollup.
-	Segments []*stats.Metrics `json:",omitempty"`
 	// Windows holds the Figure 5 register-usage fractions when TrackReg
 	// was set.
 	Windows []float64 `json:",omitempty"`
@@ -178,9 +178,6 @@ func (r *Result) Clone() *Result {
 		return nil
 	}
 	c := &Result{Metrics: r.Metrics.Clone()}
-	for _, s := range r.Segments {
-		c.Segments = append(c.Segments, s.Clone())
-	}
 	if r.Windows != nil {
 		c.Windows = append([]float64(nil), r.Windows...)
 	}
@@ -203,14 +200,7 @@ func Simulate(ctx context.Context, _ string, j *Job) (*Result, error) {
 	}
 	cfg := j.Cfg
 	cfg.SM.TrackRegUsage = j.TrackReg
-	var ks []*kernels.Kernel
-	if len(j.Programs) > 0 {
-		ks, err = workload.LoadAll(j.Programs, j.Cfg.SM.Limits())
-	} else {
-		var k *kernels.Kernel
-		k, err = kernels.Build(j.Profile, j.Grid)
-		ks = []*kernels.Kernel{k}
-	}
+	k, err := j.kernel()
 	if err != nil {
 		return nil, err
 	}
@@ -225,27 +215,11 @@ func Simulate(ctx context.Context, _ string, j *Job) (*Result, error) {
 		agg = trace.NewStallAggregator()
 		machine.SetTrace(agg)
 	}
-	res := &Result{}
-	switch {
-	case len(cfg.Partitions) > 0:
-		mr, err := machine.RunConcurrent(ks...)
-		if err != nil {
-			return nil, err
-		}
-		res.Metrics, res.Segments = mr.Total, mr.Segments
-	case len(ks) > 1:
-		mr, err := machine.RunStream(ks...)
-		if err != nil {
-			return nil, err
-		}
-		res.Metrics, res.Segments = mr.Total, mr.Segments
-	default:
-		m, err := machine.Run(ks[0])
-		if err != nil {
-			return nil, err
-		}
-		res.Metrics = m
+	m, err := machine.Run(k)
+	if err != nil {
+		return nil, err
 	}
+	res := &Result{Metrics: m}
 	if agg != nil {
 		bd := agg.Breakdown()
 		if err := bd.Check(); err != nil {

@@ -7,7 +7,6 @@ import (
 	"finereg/internal/gpu"
 	"finereg/internal/kernels"
 	"finereg/internal/mem"
-	"finereg/internal/workload"
 )
 
 // Validate checks that the job is well-formed enough to admit into a batch:
@@ -18,7 +17,7 @@ import (
 // panic, but it is equally useful before submitting a long batch.
 //
 // The workload is built here, through the process-wide program table
-// (kernels.Generate, workload.LoadAll): a profile the generator refuses,
+// (kernels.Generate, workload.Program.Load): a profile the generator refuses,
 // or malformed source (with the assembler's line/column), is a 400 at
 // admission, never a failure inside a worker, and Simulate then runs the
 // very program value admission built. A warm lookup allocates nothing, so
@@ -30,55 +29,46 @@ func (j *Job) Validate() error {
 		return fmt.Errorf("runner: invalid job policy: %w", err)
 	}
 	if len(j.Programs) > 0 {
-		if err := j.validatePrograms(); err != nil {
+		if err := j.validateProgram(); err != nil {
 			return err
 		}
-	} else {
-		if len(j.Cfg.Partitions) > 0 {
-			return fmt.Errorf("runner: a partitioned job must carry programs (one per partition), not a profile")
-		}
-		if err := j.validateProfile(); err != nil {
-			return err
-		}
+	} else if err := j.validateProfile(); err != nil {
+		return err
 	}
 	return j.validateMachine()
 }
 
-// validatePrograms admits a Programs workload: every program must
+// validateProgram admits a Programs workload: its one program must
 // assemble and validate (so untrusted network input 400s at admission
-// instead of panicking a worker), fit the configured SM, and — when the
-// machine is partitioned — match the partition count one-to-one.
-func (j *Job) validatePrograms() error {
+// instead of panicking a worker) and fit the configured SM.
+func (j *Job) validateProgram() error {
 	if j.Profile != (kernels.Profile{}) || j.Grid != 0 {
 		return fmt.Errorf("runner: a job carries either programs or a profile/grid, not both")
 	}
-	if len(j.Programs) > 1 && (j.Stalls || j.TrackReg) {
-		return fmt.Errorf("runner: stall attribution and register tracking apply to single-kernel jobs only")
-	}
-	if parts := j.Cfg.Partitions; len(parts) > 0 && len(j.Programs) != len(parts) {
-		return fmt.Errorf("runner: %d programs for %d partitions (concurrent jobs need exactly one program per partition)", len(j.Programs), len(parts))
-	}
-	ks, err := workload.LoadAll(j.Programs, j.Cfg.SM.Limits())
+	k, err := j.kernel()
 	if err != nil {
 		// Keep the *workload.Error in the chain: the serving layer
 		// extracts its field/line/column for structured 400 bodies.
 		return fmt.Errorf("runner: %w", err)
 	}
+	return j.fitsSM("program", &k.Profile)
+}
+
+// fitsSM checks that a single CTA of the kernel p describes is schedulable
+// on the configured SM at all.
+func (j *Job) fitsSM(kind string, p *kernels.Profile) error {
 	smc := &j.Cfg.SM
-	for i, k := range ks {
-		p := &k.Profile
-		if p.WarpsPerCTA > smc.MaxWarps {
-			return fmt.Errorf("runner: program %d (%s) needs %d warps/CTA, SM has %d slots",
-				i, p.Abbrev, p.WarpsPerCTA, smc.MaxWarps)
-		}
-		if p.ThreadsPerCTA() > smc.MaxThreads {
-			return fmt.Errorf("runner: program %d (%s) needs %d threads/CTA, SM has %d",
-				i, p.Abbrev, p.ThreadsPerCTA(), smc.MaxThreads)
-		}
-		if p.SharedMem > smc.SharedMemBytes {
-			return fmt.Errorf("runner: program %d (%s) needs %d B shared memory/CTA, SM has %d",
-				i, p.Abbrev, p.SharedMem, smc.SharedMemBytes)
-		}
+	if p.WarpsPerCTA > smc.MaxWarps {
+		return fmt.Errorf("runner: %s %s needs %d warps/CTA, SM has %d slots",
+			kind, p.Abbrev, p.WarpsPerCTA, smc.MaxWarps)
+	}
+	if p.ThreadsPerCTA() > smc.MaxThreads {
+		return fmt.Errorf("runner: %s %s needs %d threads/CTA, SM has %d",
+			kind, p.Abbrev, p.ThreadsPerCTA(), smc.MaxThreads)
+	}
+	if p.SharedMem > smc.SharedMemBytes {
+		return fmt.Errorf("runner: %s %s needs %d B shared memory/CTA, SM has %d",
+			kind, p.Abbrev, p.SharedMem, smc.SharedMemBytes)
 	}
 	return nil
 }
@@ -97,19 +87,8 @@ func (j *Job) validateProfile() error {
 	if j.Grid > maxGrid {
 		return fmt.Errorf("runner: grid %d exceeds the %d-CTA guard", j.Grid, maxGrid)
 	}
-	smc := &j.Cfg.SM
-	// A single CTA of this kernel must be schedulable at all.
-	if p.WarpsPerCTA > smc.MaxWarps {
-		return fmt.Errorf("runner: profile %s needs %d warps/CTA, SM has %d slots",
-			p.Abbrev, p.WarpsPerCTA, smc.MaxWarps)
-	}
-	if p.ThreadsPerCTA() > smc.MaxThreads {
-		return fmt.Errorf("runner: profile %s needs %d threads/CTA, SM has %d",
-			p.Abbrev, p.ThreadsPerCTA(), smc.MaxThreads)
-	}
-	if p.SharedMem > smc.SharedMemBytes {
-		return fmt.Errorf("runner: profile %s needs %d B shared memory/CTA, SM has %d",
-			p.Abbrev, p.SharedMem, smc.SharedMemBytes)
+	if err := j.fitsSM("profile", p); err != nil {
+		return err
 	}
 	if _, err := kernels.Generate(*p); err != nil {
 		return fmt.Errorf("runner: %w", err)
@@ -146,11 +125,6 @@ func (j *Job) validateMachine() error {
 	if smc.RegFileBytes < 1 || smc.SharedMemBytes < 0 {
 		return fmt.Errorf("runner: SM memory sizes invalid (regfile=%d shared=%d)",
 			smc.RegFileBytes, smc.SharedMemBytes)
-	}
-	// Partition specs must be well-formed before gpu.New sees them (New
-	// panics on violation by contract — admission is the guard).
-	if err := gpu.ValidatePartitions(cfg.NumSMs, cfg.Partitions); err != nil {
-		return fmt.Errorf("runner: %w", err)
 	}
 	// Cache geometries must be constructible (sm.New panics otherwise) and
 	// bounded: a worker allocates an 8-byte tag per 128-byte line (per SM

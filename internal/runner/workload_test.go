@@ -1,6 +1,7 @@
 package runner
 
 import (
+	"context"
 	"encoding/json"
 	"errors"
 	"testing"
@@ -44,17 +45,11 @@ func TestProgramJobKeyChangesWithProgramText(t *testing.T) {
 		"source": programJob(workload.Program{Source: testProgram + "; trailing comment\n"}),
 		"grid":   programJob(workload.Program{Source: testProgram, Grid: 16}),
 		"warps":  programJob(workload.Program{Source: testProgram, WarpsPerCTA: 4}),
-		"second": programJob(workload.Program{Source: testProgram}, workload.Program{Bench: "CS"}),
 	}
 	for name, pj := range perturbed {
 		if pj.Key(SimFingerprint) == k1 {
 			t.Errorf("perturbing %s did not change the key", name)
 		}
-	}
-	part := programJob(workload.Program{Source: testProgram}, workload.Program{Bench: "CS"})
-	part.Cfg.Partitions = []int{1, 1}
-	if part.Key(SimFingerprint) == perturbed["second"].Key(SimFingerprint) {
-		t.Error("partitioning did not change the key")
 	}
 
 	// Legacy profile jobs must keep their pre-Programs keys: a nil and an
@@ -99,54 +94,6 @@ func TestProgramJobMatchesInProcessRun(t *testing.T) {
 	}
 }
 
-func TestStreamJobCarriesSegments(t *testing.T) {
-	j := programJob(
-		workload.Program{Source: testProgram},
-		workload.Program{Bench: "CS", Grid: 8},
-	)
-	if err := j.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	out := (&Engine{Jobs: 1}).Run([]*Job{j})
-	if err := out.Err(); err != nil {
-		t.Fatal(err)
-	}
-	res := out.Results[0]
-	if len(res.Segments) != 2 {
-		t.Fatalf("segments = %d, want 2", len(res.Segments))
-	}
-	if sum := res.Segments[0].Instructions + res.Segments[1].Instructions; res.Metrics.Instructions != sum {
-		t.Errorf("rollup instructions %d != segment sum %d", res.Metrics.Instructions, sum)
-	}
-	clone := res.Clone()
-	if len(clone.Segments) != 2 || clone.Segments[0] == res.Segments[0] {
-		t.Error("Clone must deep-copy segments")
-	}
-}
-
-func TestConcurrentJobRunsPartitioned(t *testing.T) {
-	j := programJob(
-		workload.Program{Bench: "LB", Grid: 8},
-		workload.Program{Bench: "CS", Grid: 8},
-	)
-	j.Cfg = gpu.Default().Scale(4)
-	j.Cfg.Partitions = []int{2, 2}
-	if err := j.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	out := (&Engine{Jobs: 1}).Run([]*Job{j})
-	if err := out.Err(); err != nil {
-		t.Fatal(err)
-	}
-	res := out.Results[0]
-	if len(res.Segments) != 2 {
-		t.Fatalf("segments = %d, want 2", len(res.Segments))
-	}
-	if res.Segments[0].Instructions == 0 || res.Segments[1].Instructions == 0 {
-		t.Error("partition segments missing instruction counts")
-	}
-}
-
 func TestProgramJobValidation(t *testing.T) {
 	bad := programJob(workload.Program{Source: "MOV R99, #1\nEXIT"})
 	err := bad.Validate()
@@ -164,27 +111,11 @@ func TestProgramJobValidation(t *testing.T) {
 		t.Error("programs + profile accepted")
 	}
 
-	partProfile := tinyJob(t, "CS", Baseline())
-	partProfile.Cfg.Partitions = []int{1, 1}
-	if partProfile.Validate() == nil {
-		t.Error("partitioned profile job accepted")
+	two := programJob(workload.Program{Source: testProgram}, workload.Program{Bench: "CS"})
+	if err := two.Validate(); !errors.As(err, &we) || we.Field != "programs" {
+		t.Errorf("two programs: %v, want a *workload.Error on field programs", err)
 	}
-
-	mismatch := programJob(workload.Program{Source: testProgram})
-	mismatch.Cfg.Partitions = []int{1, 1}
-	if mismatch.Validate() == nil {
-		t.Error("1 program for 2 partitions accepted")
-	}
-
-	badParts := programJob(workload.Program{Source: testProgram}, workload.Program{Bench: "CS"})
-	badParts.Cfg.Partitions = []int{3, 3} // sums past the 2-SM machine
-	if badParts.Validate() == nil {
-		t.Error("oversubscribed partitions accepted")
-	}
-
-	multiStalls := programJob(workload.Program{Source: testProgram}, workload.Program{Bench: "CS"})
-	multiStalls.Stalls = true
-	if multiStalls.Validate() == nil {
-		t.Error("multi-kernel stall attribution accepted")
+	if _, err := Simulate(context.Background(), "", two); !errors.As(err, &we) || we.Field != "programs" {
+		t.Errorf("two programs reached Simulate: %v, want a *workload.Error on field programs", err)
 	}
 }

@@ -36,15 +36,15 @@ type JobRequest struct {
 	// Cfg is the full machine configuration (exact form).
 	Cfg *gpu.Config `json:"cfg,omitempty"`
 	// Programs, when non-empty, is the job's workload instead of
-	// Bench/Profile: user .sasm source or bench references (see
-	// internal/workload). Several programs form an in-order stream; with
-	// Cfg.Partitions set they run concurrently, one per partition. The
-	// program text enters the job's content-addressed key, so submitting
-	// the same source always coalesces onto the same cache entry.
+	// Bench/Profile: one user .sasm source or bench reference (see
+	// internal/workload); a second program is a 400 with field
+	// "programs". The program text enters the job's content-addressed key,
+	// so submitting the same source always coalesces onto the same cache
+	// entry.
 	Programs []workload.Program `json:"programs,omitempty"`
 	// Grid is the CTA count (default: the profile's reference grid scaled
 	// by SMs/16, or by GridScale when set). Ignored for Programs jobs —
-	// each program carries its own grid.
+	// the program carries its own grid.
 	Grid int `json:"grid,omitempty"`
 	// GridScale scales the profile's reference grid when Grid is 0.
 	GridScale float64 `json:"grid_scale,omitempty"`
@@ -71,7 +71,7 @@ func (r *JobRequest) Resolve() (*runner.Job, error) {
 			return nil, fmt.Errorf("serve: job carries both programs and a bench/profile")
 		}
 		if r.Grid != 0 || r.GridScale != 0 {
-			return nil, fmt.Errorf("serve: programs carry their own grids; job-level grid/grid_scale do not apply")
+			return nil, fmt.Errorf("serve: a program carries its own grid; job-level grid/grid_scale do not apply")
 		}
 	case r.Profile != nil:
 		prof = *r.Profile
@@ -233,14 +233,13 @@ type Event struct {
 // errorBody is the JSON error envelope for non-2xx responses.
 type errorBody struct {
 	Error string `json:"error"`
-	// Program/Field/Line/Col locate a workload validation failure in the
-	// request: the offending program's index, the spec field, and — for
-	// assembler failures — the 1-based source position. Omitted (zero)
-	// when the failure is not a program ingestion error.
-	Program int    `json:"program,omitempty"`
-	Field   string `json:"field,omitempty"`
-	Line    int    `json:"line,omitempty"`
-	Col     int    `json:"col,omitempty"`
+	// Field/Line/Col locate a workload validation failure in the request:
+	// the spec field and — for assembler failures — the 1-based source
+	// position. Omitted (zero) when the failure is not a program ingestion
+	// error.
+	Field string `json:"field,omitempty"`
+	Line  int    `json:"line,omitempty"`
+	Col   int    `json:"col,omitempty"`
 	// QueueDepth/QueueCap qualify 429 load-shed responses.
 	QueueDepth int `json:"queue_depth,omitempty"`
 	QueueCap   int `json:"queue_cap,omitempty"`

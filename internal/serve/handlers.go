@@ -86,23 +86,23 @@ func (s *Server) writeAdmitError(w http.ResponseWriter, err error) {
 }
 
 // writeBadRequest renders a 400. When the failure is a program ingestion
-// error the envelope carries the structured position (program index,
-// field, assembler line/column) alongside the rendered message, so
-// clients can point at the offending source instead of parsing strings.
+// error the envelope carries the structured position (field, assembler
+// line/column) alongside the rendered message, so clients can point at
+// the offending source instead of parsing strings.
 func writeBadRequest(w http.ResponseWriter, err error) {
 	body := errorBody{Error: err.Error()}
 	var we *workload.Error
 	if errors.As(err, &we) {
-		body.Program, body.Field, body.Line, body.Col = we.Index, we.Field, we.Line, we.Col
+		body.Field, body.Line, body.Col = we.Field, we.Line, we.Col
 	}
 	WriteJSON(w, http.StatusBadRequest, body)
 }
 
-// maxBodyBytes bounds a request body: one maximal job (every program at
-// the assembler's source cap, with 2x slack for JSON escaping) plus a
-// full default batch of ordinary benchmark jobs. A batch whose programs
-// sum past it must be split.
-const maxBodyBytes = 2*workload.MaxPrograms*isa.MaxSourceBytes + DefaultMaxBatch*4096
+// maxBodyBytes bounds a request body: one maximal job (its program at the
+// assembler's source cap, with 2x slack for JSON escaping) plus a full
+// default batch of ordinary benchmark jobs. A batch whose programs sum
+// past it must be split.
+const maxBodyBytes = 2*isa.MaxSourceBytes + DefaultMaxBatch*4096
 
 // decodeBody decodes the request's JSON body into v, reading at most
 // maxBodyBytes. On failure it answers the request — 413 for an oversized

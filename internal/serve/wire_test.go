@@ -33,7 +33,7 @@ func TestWriteJSONIsMarshalPlusNewline(t *testing.T) {
 	for name, v := range map[string]any{
 		"JobStatus":    st,
 		"SubmitStatus": SubmitStatus{ID: id, Key: st.Key, State: stateDone, Coalesced: true},
-		"errorBody":    errorBody{Error: "serve: <bad> & \u2028", Program: 1, Field: "source", Line: 3, Col: 7},
+		"errorBody":    errorBody{Error: "serve: <bad> & \u2028", Field: "source", Line: 3, Col: 7},
 	} {
 		want, err := json.Marshal(v)
 		if err != nil {

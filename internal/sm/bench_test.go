@@ -18,7 +18,7 @@ func benchTick(b *testing.B, bench string) {
 	k := kernels.MustBuild(prof, prof.GridCTAs)
 	hier := mem.NewHierarchy(2<<20, 8, 600, 313, mem.DefaultLatencies())
 	s := New(0, Default(), hier, &sliceDisp{total: 1 << 40}, &nullPolicy{})
-	s.BindKernel(k, 0)
+	s.BindKernel(k)
 	var now int64
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

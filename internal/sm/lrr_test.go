@@ -61,7 +61,7 @@ func TestLRRRotatesFairly(t *testing.T) {
 	s := New(0, cfg, hier, disp, &nullPolicy{})
 	log := &issueLog{counts: map[int]int{}}
 	s.SetTrace(log)
-	s.BindKernel(k, 0)
+	s.BindKernel(k)
 	drive(t, s, disp, 1_000_000)
 
 	if got := len(log.order); got != warps*22 {
@@ -141,7 +141,7 @@ func TestLRRSurvivesMidRotationEviction(t *testing.T) {
 	s := New(0, cfg, hier, disp, &nullPolicy{})
 	log := &issueLog{counts: map[int]int{}}
 	s.SetTrace(log)
-	s.BindKernel(k, 0)
+	s.BindKernel(k)
 
 	// Wiring order on the single scheduler: c0w0 c0w1 c1w0 c1w1 c2w0 c2w1.
 	// Four ticks of all-ready ALU work issue c0w0, c0w1, c1w0, c1w1 — the
@@ -208,7 +208,7 @@ func TestGTOStaysGreedy(t *testing.T) {
 	s := New(0, cfg, hier, disp, &nullPolicy{})
 	log := &issueLog{counts: map[int]int{}}
 	s.SetTrace(log)
-	s.BindKernel(k, 0)
+	s.BindKernel(k)
 	drive(t, s, disp, 1_000_000)
 
 	// Greedy: consecutive issues from the same warp dominate the stream.

@@ -49,7 +49,7 @@ func TestReusedWarpEqualsFresh(t *testing.T) {
 		t.Errorf("re-armed context kept policy word %d", w.PolicyWord())
 	}
 
-	// A pool outlives a stream rebind: a context retired under one kernel
+	// A pool outlives its run: a context retired under one kernel
 	// must come out right under another with more loops.
 	other := *info
 	other.loopTrip = append(append([]int32(nil), info.loopTrip...), 7, 9)

@@ -321,7 +321,7 @@ func TestReadyMaskMatchesSortedPartition(t *testing.T) {
 				s := New(0, cfg, mem.NewHierarchy(2<<20, 8, 600, 313, mem.DefaultLatencies()), disp, m)
 				m.s = s
 				s.SetTrace(m)
-				s.BindKernel(k, 0)
+				s.BindKernel(k)
 
 				var now int64
 				for len(s.Residents()) > 0 || disp.Remaining() > 0 {

@@ -335,7 +335,7 @@ func TestBarrierParkedWarpRegistersNoWake(t *testing.T) {
 	pol := &barrierParker{}
 	disp := &sliceDisp{total: 1}
 	s := New(0, cfg, mem.NewHierarchy(2<<20, 8, 600, 313, mem.DefaultLatencies()), disp, pol)
-	s.BindKernel(k, 0)
+	s.BindKernel(k)
 	end := drive(t, s, disp, 10_000)
 	if !pol.parked || s.Cnt.CTASwitches != 1 {
 		t.Fatalf("parked=%v, %d switches: the CTA was never parked with a warp at its barrier", pol.parked, s.Cnt.CTASwitches)

@@ -1,7 +1,6 @@
 package sm
 
 import (
-	"fmt"
 	"math/bits"
 	"sync"
 
@@ -305,21 +304,13 @@ func reuseLists[T any](ls [][]T, n int) [][]T {
 // BindKernel prepares the SM to run kernel k — its program decoded for
 // this SM's latencies (Decode, shared read-only with every other SM bound
 // to it) and its launch geometry — and lets the policy populate its
-// initial CTAs. The SM must be drained: stream segments rebind only after
-// the previous kernel's CTAs have all retired, so a resident CTA here
-// means the run loop terminated early and the old kernel's state would be
-// silently reinterpreted under the new program's tables.
-func (s *SM) BindKernel(k *kernels.Kernel, now int64) {
-	if len(s.residents) > 0 {
-		panic(fmt.Sprintf("sm: SM%d rebound with %d resident CTAs", s.ID, len(s.residents)))
-	}
+// initial CTAs. An SM binds one kernel, once, at cycle 0, fresh from New.
+func (s *SM) BindKernel(k *kernels.Kernel) {
 	s.meta = Decode(k, s.Cfg)
 	s.warpsPerCTA, s.sharedMem = k.Profile.WarpsPerCTA, k.Profile.SharedMem
 	s.regCost = k.Profile.WarpsPerCTA * k.Profile.Regs
-	s.statLastT = now
-	s.residentInt, s.activeInt, s.threadsInt = 0, 0, 0
-	s.Pol.KernelStart(s, now)
-	s.Pol.FillSlots(s, now)
+	s.Pol.KernelStart(s, 0)
+	s.Pol.FillSlots(s, 0)
 }
 
 // Meta exposes the bound program's derived tables to policies.

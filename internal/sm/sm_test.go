@@ -49,7 +49,7 @@ func testSM(t *testing.T, bench string, grid int) (*SM, *kernels.Kernel, *sliceD
 	hier := mem.NewHierarchy(2<<20, 8, 600, 313, mem.DefaultLatencies())
 	disp := &sliceDisp{total: grid}
 	s := New(0, Default(), hier, disp, &nullPolicy{})
-	s.BindKernel(k, 0)
+	s.BindKernel(k)
 	return s, k, disp
 }
 
@@ -323,7 +323,7 @@ func TestBindKernelDecodesForItsLatencies(t *testing.T) {
 	bind := func(cfg Config) *ProgInfo {
 		hier := mem.NewHierarchy(2<<20, 8, 600, 313, mem.DefaultLatencies())
 		s := New(1, cfg, hier, &sliceDisp{total: 4}, &nullPolicy{})
-		s.BindKernel(k, 0)
+		s.BindKernel(k)
 		return s.Meta()
 	}
 	a, b, c := bind(Default()), bind(slow), bind(Default())
@@ -359,7 +359,7 @@ func TestTimingBarrierSynchronizes(t *testing.T) {
 	hier := mem.NewHierarchy(2<<20, 8, 600, 313, mem.DefaultLatencies())
 	disp := &sliceDisp{total: 4}
 	s := New(0, Default(), hier, disp, &nullPolicy{})
-	s.BindKernel(k, 0)
+	s.BindKernel(k)
 	drive(t, s, disp, 1_000_000)
 	// 4 CTAs x 2 warps x 5 instructions each.
 	if want := int64(4 * 2 * 5); s.Cnt.Instructions != want {

@@ -18,10 +18,9 @@ import (
 //   - a per-SM counter track "ctas" (active/pending residency) and a
 //     global "DRAM" process with a channel-backlog counter.
 //
-// Events are streamed as they arrive (constant memory); Close finishes the
-// JSON document, so one writer can follow a multi-kernel stream (one
-// RunStart/RunEnd pair per segment) to its end. Timestamps map one
-// simulated cycle to one microsecond.
+// Events are streamed as they arrive (constant memory); Close, not RunEnd,
+// finishes the JSON document. Timestamps map one simulated cycle to one
+// microsecond.
 type ChromeWriter struct {
 	w     *bufio.Writer
 	first bool

@@ -104,7 +104,7 @@ func (k TransferKind) String() string {
 type Kind uint8
 
 const (
-	// RunStart opens a run or a stream segment: Kernel.
+	// RunStart opens a run: Kernel.
 	RunStart Kind = iota
 	// RunEnd closes it; Cycle is the final simulated cycle.
 	RunEnd

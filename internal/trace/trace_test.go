@@ -183,38 +183,6 @@ func TestChromeWriterValidJSON(t *testing.T) {
 	}
 }
 
-// TestChromeWriterStreamKeepsEverySegment: a multi-kernel stream reports
-// one RunStart/RunEnd pair per segment, and the writer must draw every
-// segment, not only the first — the document ends at Close, not at the
-// first RunEnd.
-func TestChromeWriterStreamKeepsEverySegment(t *testing.T) {
-	var buf bytes.Buffer
-	cw := trace.NewChromeWriter(&buf)
-	g := gpu.New(testConfig(), gpu.FineRegDefault())
-	g.SetTrace(cw)
-	res, err := g.RunStream(testKernel(t, "CS", 32), testKernel(t, "NW", 32))
-	if err != nil {
-		t.Fatalf("run: %v", err)
-	}
-	if err := cw.Close(); err != nil {
-		t.Fatalf("writer error: %v", err)
-	}
-	var doc chromeDoc
-	if err := json.Unmarshal(buf.Bytes(), &doc); err != nil {
-		t.Fatalf("invalid JSON: %v", err)
-	}
-	seg0End := res.Segments[0].Cycles
-	var later int
-	for _, ev := range doc.TraceEvents {
-		if ev.Ph == "B" && ev.Ts >= seg0End {
-			later++
-		}
-	}
-	if later == 0 {
-		t.Errorf("no CTA slice starts at or after segment 0's end (cycle %d): the second kernel was not drawn", seg0End)
-	}
-}
-
 // TestMulti checks the fan-out helper's collapsing rules and delivery.
 func TestMulti(t *testing.T) {
 	if trace.Multi() != nil {

@@ -3,7 +3,7 @@
 // references to the built-in Table II benchmarks — into launchable
 // kernels.Kernel values, with the same admission-hardening contract as the
 // rest of the serving stack: untrusted input is rejected with a structured
-// *Error (program index, offending field, assembler line/column), never a
+// *Error (offending field, assembler line/column), never a
 // panic, and loading is deterministic so a program produces byte-identical
 // kernels whether ingested locally, via serve, or via fleet.
 //
@@ -28,12 +28,9 @@ const (
 	DefaultWarpsPerCTA = 4
 	// DefaultGridCTAs is the grid-size fallback for source programs.
 	DefaultGridCTAs = 64
-	// MaxPrograms bounds the kernels one job may carry (stream length or
-	// partition count) so a single request cannot queue unbounded work.
-	MaxPrograms = 16
 )
 
-// Program specifies one kernel of a job: either Source (assembly text) or
+// Program specifies a job's kernel: either Source (assembly text) or
 // Bench (a Table II abbreviation), plus optional launch-geometry
 // overrides. Exactly one of Source/Bench must be set. All fields are
 // plain values serialized in declaration order, so the spec participates
@@ -55,12 +52,10 @@ type Program struct {
 	Grid int `json:"grid,omitempty"`
 }
 
-// Error is a structured ingestion failure. Index is the program's position
-// within its job (set by LoadAll), Field names the offending spec field,
-// and Line/Col carry the assembler position when the failure came from
-// parsing Source (1-based; zero when not applicable).
+// Error is a structured ingestion failure. Field names the offending spec
+// field, and Line/Col carry the assembler position when the failure came
+// from parsing Source (1-based; zero when not applicable).
 type Error struct {
-	Index int
 	Field string
 	Line  int
 	Col   int
@@ -68,9 +63,9 @@ type Error struct {
 	err   error
 }
 
-// Error renders "workload: program N: field: [line L, col C:] msg".
+// Error renders "workload: field: [line L, col C:] msg".
 func (e *Error) Error() string {
-	s := fmt.Sprintf("workload: program %d: %s: ", e.Index, e.Field)
+	s := "workload: " + e.Field + ": "
 	switch {
 	case e.Line > 0 && e.Col > 0:
 		s += fmt.Sprintf("line %d, col %d: ", e.Line, e.Col)
@@ -95,8 +90,7 @@ func errField(field, format string, args ...any) *Error {
 // geometry.
 // lim, when non-zero, classifies the profile (Type-S vs Type-R) under
 // those SM limits — classification is cosmetic (tables and labels), so a
-// zero Limits is fine. Every failure is a *Error with Index 0; callers
-// loading several programs use LoadAll to get positioned indices.
+// zero Limits is fine. Every failure is a *Error.
 func (p *Program) Load(lim kernels.Limits) (*kernels.Kernel, error) {
 	switch {
 	case p.Source == "" && p.Bench == "":
@@ -165,32 +159,6 @@ func (p *Program) loadSource(lim kernels.Limits) (*kernels.Kernel, error) {
 		prof.Class = prof.Classify(lim)
 	}
 	return c.Kernel(prof, grid), nil
-}
-
-// LoadAll loads every spec, attaching the program's index to any failure.
-func LoadAll(specs []Program, lim kernels.Limits) ([]*kernels.Kernel, error) {
-	if len(specs) > MaxPrograms {
-		return nil, &Error{Field: "programs", Msg: fmt.Sprintf("%d programs exceed the per-job cap of %d", len(specs), MaxPrograms)}
-	}
-	ks := make([]*kernels.Kernel, len(specs))
-	for i := range specs {
-		k, err := specs[i].Load(lim)
-		if err != nil {
-			var we *Error
-			if errors.As(err, &we) {
-				we.Index = i
-			}
-			return nil, err
-		}
-		ks[i] = k
-	}
-	return ks, nil
-}
-
-// ValidateAll is LoadAll without keeping the kernels.
-func ValidateAll(specs []Program, lim kernels.Limits) error {
-	_, err := LoadAll(specs, lim)
-	return err
 }
 
 func firstPositive(vals ...int) int {

@@ -2,7 +2,6 @@ package workload
 
 import (
 	"errors"
-	"strings"
 	"testing"
 
 	"finereg/internal/isa"
@@ -144,33 +143,5 @@ func TestLoadErrorsAreStructured(t *testing.T) {
 				t.Errorf("Line = %d, want %d (%v)", we.Line, c.wantLine, err)
 			}
 		})
-	}
-}
-
-func TestLoadAllIndexesErrors(t *testing.T) {
-	specs := []Program{{Source: "EXIT"}, {Source: "FROB\nEXIT"}}
-	_, err := LoadAll(specs, tableILimits)
-	var we *Error
-	if !errors.As(err, &we) {
-		t.Fatalf("want *Error, got %v", err)
-	}
-	if we.Index != 1 {
-		t.Errorf("Index = %d, want 1", we.Index)
-	}
-	if !strings.Contains(err.Error(), "program 1") {
-		t.Errorf("error does not name the program: %v", err)
-	}
-}
-
-func TestLoadAllCapsPrograms(t *testing.T) {
-	specs := make([]Program, MaxPrograms+1)
-	for i := range specs {
-		specs[i] = Program{Source: "EXIT"}
-	}
-	if _, err := LoadAll(specs, tableILimits); err == nil {
-		t.Error("over-cap program list accepted")
-	}
-	if err := ValidateAll(specs[:MaxPrograms], tableILimits); err != nil {
-		t.Errorf("at-cap program list rejected: %v", err)
 	}
 }

@@ -105,11 +105,10 @@ gate 'TestFleetShedRequeuesWithoutDemoting' ./internal/fleet/
 gate 'TestFleetSkewedWorkerNeverCommits' ./internal/fleet/
 gate 'TestCoordinatorShutdownTwice' ./internal/fleet/
 # Trace gate, likewise by name: the Chrome JSON, stall table and timeline
-# table of five traced runs match their pinned digests; a traced stream
-# draws every kernel; workers that join late each grow the
-# coordinator's pool; a progress sample crosses SSE whole.
+# table of five traced runs match their pinned digests; workers that join
+# late each grow the coordinator's pool; a progress sample crosses SSE
+# whole.
 gate 'TestTraceOutputPinned' ./internal/trace/
-gate 'TestChromeWriterStreamKeepsEverySegment' ./internal/trace/
 gate 'TestCoordinatorSaturatesLateWorkers' ./internal/fleet/
 gate 'TestProgressSampleCrossesSSEWhole' ./internal/serve/
 # Allocation gate, likewise by name: the bytes the leaner encode and decode
@@ -199,18 +198,27 @@ gate 'TestEventOrderMatchesSpec|TestCompactionKeepsPendingWakes' ./internal/sm/
 gate 'TestWakeRingIsPureImplementation|TestSameCycleWakeOrderUnobservable' ./internal/audit/diff/
 # Ingestion gate: user-program workloads end to end under the race
 # detector — loader determinism, structured admission errors, a program
-# submitted over HTTP byte-identical to the in-process run, stream
-# segments and MPS-partitioned runs through runner/serve/fleet, and the
-# partition instruction-count-vs-solo acceptance check — then the worked
-# example through the CLI (the same loader as the service path), audited,
-# as both a solo program and a partitioned concurrent stream.
-gate 'TestLoad|TestProgram|TestStreamJob|TestConcurrentJob' \
+# submitted over HTTP byte-identical to the in-process run through
+# runner/serve/fleet, a job of two programs refused on field "programs",
+# and the request-body bound sized for one maximal program — then the
+# worked example through the CLI (the same loader as the service path),
+# audited.
+gate 'TestLoad|TestProgram' \
 	./internal/workload/ ./internal/runner/ ./internal/serve/
+gate 'TestOneProgramPerJob|TestBodyBoundFitsOneProgram' ./internal/serve/
 gate 'TestFleetRunsProgramJobs' ./internal/fleet/
-gate 'TestMPS|TestRunStream|TestRunConcurrent|TestValidatePartitions|TestPartitioned' \
-	./internal/experiments/ ./internal/gpu/
 go run ./cmd/finereg-sim -program examples/saxpy.sasm -sms 2 -policy baseline,finereg -audit >/dev/null
-go run ./cmd/finereg-sim -stream examples/saxpy.sasm,bench:CS -partitions 1,1 -sms 2 -policy baseline -audit >/dev/null
+# Grid-accounting gate: each grid:* audit rule fires on the quantity it
+# guards.
+gate 'TestCheckGridRules' ./internal/audit/
+# Post-dominator gate: the fixpoint against the brute-force definition on
+# random CFGs with several exits and loops, and reconvergence points for
+# every generator; then the liveness dump of every benchmark, each in
+# bounded time (a CFG with two exits once made it spin).
+gate 'TestPostDominatorsMatchBruteForce|TestImmediatePostDomReturnsForEveryGenerator' ./internal/liveness/
+for b in BF BI CS FD KM MC NW ST SY2 AT CF HS LI LB SG SR2 TA TR; do
+	timeout 20 go run ./cmd/finereg-liveness -bench "$b" >/dev/null
+done
 # Front-door gate: every binary is executed, not only finereg-sim — the
 # traced run and the liveness dump end to end, and flag registration of the
 # three that would otherwise need a server or minutes (-h must exit 0). The
